@@ -24,8 +24,8 @@ When the server attaches its :class:`~repro.fl.comm
 carries), this backend records *measured* per-leg parameter counts —
 one model down plus any hook payloads the spec declares in
 ``comm_down_fields`` at dispatch, one model up plus ``comm_up_fields``
-at completion — and flags the ledger measured so the server skips its
-analytic charge for the round.  For FedCross and SCAFFOLD the measured
+at completion — and reports ``measures_comm`` so neither the server nor
+the async driver adds an analytic charge on top.  For FedCross and SCAFFOLD the measured
 totals equal :func:`~repro.fl.comm.analytic_round_cost` exactly, which
 the communication tests assert.
 
@@ -39,21 +39,18 @@ cross-backend equivalence matrix is bitwise identical to serial.
 from __future__ import annotations
 
 import pickle
-from concurrent.futures import ThreadPoolExecutor
-from typing import Iterator, Mapping
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Mapping
 
 import numpy as np
 
 from repro.distributed.rpc import DistributedError
-from repro.faults.policy import LegFailure
 from repro.fl.execution import (
     ExecutionBackend,
-    _check_float_roundtrip,
-    _check_parallel_cohort,
-    _require_spec_hook,
-    _stream_as_completed,
-    _stream_captured,
+    LegGroup,
+    _check_cohort,
     _trainer_hypers,
+    _validated_states,
     register_execution,
 )
 from repro.fl.hooks import HookSpec
@@ -120,10 +117,21 @@ class LazyUploadState(Mapping):
 class DistributedExecution(ExecutionBackend):
     """Training legs scheduled on the shard hosts owning their rows."""
 
+    # Re-bound by name for the frozen e2e harness (see fl/execution.py).
+    run_streaming = ExecutionBackend.run_streaming
+    run_streaming_captured = ExecutionBackend.run_streaming_captured
+
     def __init__(self, spec=None, clients=(), workers=None) -> None:
         super().__init__(spec, clients, workers)
         self._pool: ThreadPoolExecutor | None = None
         self._pool_width = 0
+
+    @property
+    def measures_comm(self) -> bool:
+        # Transfers are measured at the sockets (down at submit, up at
+        # land) whenever a ledger is attached; with rounds overlapping,
+        # the per-round attribution is the landing window.
+        return self.ledger is not None
 
     def _ensure_pool(self, width: int) -> None:
         # One dispatcher thread per in-flight leg: each blocks on its
@@ -136,10 +144,16 @@ class DistributedExecution(ExecutionBackend):
             )
             self._pool_width = max(1, width)
 
-    def _submit(self, trainer, active, plans, rows, uploads, attacks=None):
-        from repro.core.pool import _check_integer_roundtrip
+    def reserve(self, width: int) -> None:
+        # Pre-size the dispatcher pool for the whole overlap window so
+        # a mid-flight _ensure_pool growth (shutdown+rebuild) can never
+        # stall on in-flight legs of an earlier round.
+        self._ensure_pool(int(width))
+
+    def submit_group(self, trainer, active, plans, rows, uploads, attacks=None):
         from repro.distributed.storage import DistributedStorage
 
+        _check_cohort(active, plans, rows, parallel=True)
         storage = uploads.storage
         if not isinstance(storage, DistributedStorage):
             raise DistributedError(
@@ -148,50 +162,42 @@ class DistributedExecution(ExecutionBackend):
                 f"'distributed' storage backend, got {uploads.backend!r}; "
                 "run with --backend distributed (FLConfig.backend)"
             )
-        n = min(len(active), len(plans))
-        _check_parallel_cohort(active[:n], rows[:n])
-        for plan in plans[:n]:
-            _require_spec_hook(plan.loss_hook, "DispatchPlan.loss_hook")
-            _require_spec_hook(plan.grad_hook, "DispatchPlan.grad_hook")
         if self.spec is None:
             raise RuntimeError(
                 "distributed execution backend needs a TrainerSpec to build "
                 "host-side trainer templates"
             )
-        cluster = storage.cluster
-        cluster.ensure_trainer(
-            self.spec, {c.client_id: c.dataset for c in self.clients}
-        )
         layout = uploads.layout
-        # Flatten each unique dispatched state once (FedAvg-family plans
-        # share one dict; FedCross plans are distinct pool rows) — the
-        # packed row is what rides the wire to each leg's host.
-        packed: dict[int, np.ndarray] = {}
-        for plan in plans[:n]:
-            key = id(plan.state)
-            if key not in packed:
-                if set(plan.state) != set(layout.keys):
-                    raise KeyError(
-                        "dispatched state keys do not match the model layout; "
-                        "the distributed backend can only ship model-shaped "
-                        "states"
-                    )
-                _check_integer_roundtrip(layout, plan.state, uploads.dtype)
-                _check_float_roundtrip(layout, plan.state, uploads.dtype)
-                row = np.empty(layout.total_size, dtype=uploads.dtype)
-                layout.flatten_into(plan.state, row)
-                packed[key] = row
-
+        states = _validated_states(plans, layout, uploads.dtype, "distributed")
+        cluster = storage.cluster
+        try:
+            cluster.ensure_trainer(
+                self.spec, {c.client_id: c.dataset for c in self.clients}
+            )
+        except DistributedError as exc:
+            # Fleet-level dispatch failure (dead host mid-broadcast):
+            # every leg of the group fails with it, so a capturing
+            # consumer (the engine, the async driver) can recover the
+            # fleet and resubmit instead of aborting the fit.
+            failed = [Future() for _ in plans]
+            for future in failed:
+                future.set_exception(exc)
+            return LegGroup(failed)
+        # Flatten each unique dispatched state once — the packed row is
+        # what rides the wire to each leg's host.
+        packed = {
+            key: layout.flatten_into(
+                state, np.empty(layout.total_size, dtype=uploads.dtype)
+            )
+            for key, state in states.items()
+        }
         hypers = _trainer_hypers(trainer)
         ledger = self.ledger
-        if ledger is not None:
-            # This backend measures real transfers; the server's analytic
-            # per-round charge would double-count.
-            ledger.mark_measured()
-        self._ensure_pool(n)
+        self._ensure_pool(len(plans))
         futures = []
         up_extras = []
-        for i, (client, plan) in enumerate(zip(active[:n], plans[:n])):
+        for i, plan in enumerate(plans):
+            client = active[i]
             host, local = storage.owner_of(int(rows[i]))
             blob = (
                 pickle.dumps((plan.loss_hook, plan.grad_hook))
@@ -225,96 +231,27 @@ class DistributedExecution(ExecutionBackend):
                     cluster.train_leg, host, meta, packed[id(plan.state)], blob
                 )
             )
-        return futures, up_extras
 
-    def run(self, trainer, active, plans, rows, uploads):
-        n = min(len(active), len(plans))
-        results: list[LocalResult | None] = [None] * n
-        for i, result in self.run_streaming(trainer, active, plans, rows, uploads):
-            results[i] = result
-        return results
-
-    def _landed(self, i, reply, active, rows, uploads, up_extras) -> LocalResult:
-        """Book one completed leg: RNG, measured upload, replica note."""
-        active[i].rng.bit_generator.state = reply["rng_state"]
-        if self.ledger is not None:
-            # Measured upload: the trained model landed in its shard
-            # (K·P scalars of client→storage movement, the paper's
-            # unit) plus declared hook payloads echoed upward.
-            self.ledger.record_up(uploads.layout.total_size + up_extras[i])
-        note = getattr(uploads.storage, "note_remote_write", None)
-        if note is not None:
+        def land(i: int, reply) -> LocalResult:
+            """Book one completed leg: RNG, measured upload, replica note."""
+            active[i].rng.bit_generator.state = reply["rng_state"]
+            if ledger is not None:
+                # Measured upload: the trained model landed in its shard
+                # (K·P scalars of client→storage movement, the paper's
+                # unit) plus declared hook payloads echoed upward.
+                ledger.record_up(layout.total_size + up_extras[i])
             # Replicated storage: the row now holds a trained state the
             # coordinator mirror does not — mark it dirty so a host
             # death before aggregation reports it as lost.
-            note(int(rows[i]))
-        return LocalResult(
-            state=LazyUploadState(uploads, int(rows[i])),
-            num_samples=int(reply["num_samples"]),
-            num_steps=int(reply["num_steps"]),
-            mean_loss=float(reply["mean_loss"]),
-        )
-
-    def run_streaming(
-        self, trainer, active, plans, rows, uploads
-    ) -> Iterator[tuple[int, LocalResult]]:
-        futures, up_extras = self._submit(trainer, active, plans, rows, uploads)
-        indexed = {f: i for i, f in enumerate(futures)}
-        for i, reply in _stream_as_completed(futures, indexed):
-            yield i, self._landed(i, reply, active, rows, uploads, up_extras)
-
-    def run_streaming_captured(
-        self, trainer, active, plans, rows, uploads, timeout=None, attacks=None
-    ):
-        n = min(len(active), len(plans))
-        try:
-            futures, up_extras = self._submit(
-                trainer, active, plans, rows, uploads, attacks=attacks
+            storage.note_remote_write(int(rows[i]))
+            return LocalResult(
+                state=LazyUploadState(uploads, int(rows[i])),
+                num_samples=int(reply["num_samples"]),
+                num_steps=int(reply["num_steps"]),
+                mean_loss=float(reply["mean_loss"]),
             )
-        except DistributedError as exc:
-            # Fleet-level dispatch failure (dead host mid-broadcast):
-            # surface every leg as a structured failure so the engine
-            # can recover the fleet and resubmit, instead of aborting.
-            for i in range(n):
-                yield i, LegFailure(
-                    index=i,
-                    client_id=active[i].client_id,
-                    row=int(rows[i]),
-                    kind="error",
-                    message=f"{type(exc).__name__}: {exc}",
-                )
-            return
-        indexed = {f: i for i, f in enumerate(futures)}
-        for i, leg in _stream_captured(futures, indexed, active, rows, timeout):
-            if isinstance(leg, LegFailure):
-                yield i, leg
-                continue
-            yield i, self._landed(i, leg, active, rows, uploads, up_extras)
 
-    supports_async = True
-
-    #: Transfers are measured at the sockets (down at submit, up at
-    #: land), so the async driver must never add its analytic charge on
-    #: top — the per-round attribution is the landing window.
-    measures_comm = True
-
-    def reserve(self, width: int) -> None:
-        # Pre-size the dispatcher pool for the whole overlap window so
-        # a mid-flight _ensure_pool growth (shutdown+rebuild) can never
-        # stall on in-flight legs of an earlier round.
-        self._ensure_pool(int(width))
-
-    def submit_group(self, trainer, active, plans, rows, uploads, attacks=None):
-        from repro.fl.execution import LegGroup
-
-        futures, up_extras = self._submit(
-            trainer, active, plans, rows, uploads, attacks=attacks
-        )
-
-        def finalize(j, raw):
-            return self._landed(j, raw, active, rows, uploads, up_extras)
-
-        return LegGroup(futures, finalize)
+        return LegGroup(futures, land)
 
     def close(self) -> None:
         if self._pool is not None:

@@ -4,7 +4,7 @@
 streaming collect whenever the round policy is *engaged* (a fault
 scenario, a non-``fail`` failure policy, retries or a wall-clock
 timeout).  It drives the execution backend through its captured stream
-(:meth:`~repro.fl.execution.ClientExecutor.run_streaming_captured`) and
+(:meth:`~repro.fl.execution.ExecutionBackend.run_streaming_captured`) and
 enforces the policy:
 
 1. **Pre-drop simulated faults.**  The seeded fault model decided every
@@ -40,25 +40,18 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING
 
-from repro.faults.policy import FaultError, LegFailure, QuorumError
+from repro.faults.policy import (
+    FaultError,
+    LegFailure,
+    QuorumError,
+    describe_failures,
+    restore_rng,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fl.trainer import LocalResult
 
 __all__ = ["resilient_collect"]
-
-
-def _restore_rng(client, snapshot) -> None:
-    client.rng.bit_generator.state = snapshot
-
-
-def _describe(failures: "dict[int, LegFailure]") -> str:
-    parts = [
-        f"client {f.client_id} (row {f.row}): {f.kind}"
-        + (f" after {f.attempts} attempt(s)" if f.attempts else "")
-        for _, f in sorted(failures.items())
-    ]
-    return "; ".join(parts)
 
 
 def resilient_collect(server, active, plans, rows, uploads, *, sleep=None):
@@ -78,55 +71,25 @@ def resilient_collect(server, active, plans, rows, uploads, *, sleep=None):
     ``sleep`` is injectable — explicitly, or via ``server.fault_sleep``
     — so scheduler tests and the chaos soak never wait for real.
     """
-    from repro.fl.trainer import LocalResult  # lazy: avoids import cycle
+    from repro.fl.execution import _check_cohort  # lazy: avoids import cycle
+    from repro.fl.trainer import LocalResult
 
     policy = server.fault_policy
-    population = server.fault_model
     if sleep is None:
         sleep = getattr(server, "fault_sleep", None) or time.sleep
-    if len(active) != len(plans):
-        # A cohort/plan skew would silently drop legs (and skew quorum
-        # accounting) if truncated to the shorter list — fail loudly.
-        raise ValueError(
-            f"resilient_collect got {len(active)} active clients but "
-            f"{len(plans)} dispatch plans; cohort and plans must align"
-        )
+    _check_cohort(active, plans, rows)
     n = len(active)
     results: "list[LocalResult | None]" = [None] * n
-    failures: dict[int, LegFailure] = {}
     # RNG snapshots taken before anything runs: a retried / carried leg
     # must look exactly like a leg that trained once / never trained.
     snapshots = [active[i].rng.bit_generator.state for i in range(n)]
     tries = [0] * n
 
-    # -- 1. pre-decided simulated faults (never dispatched) ---------------
-    if population is not None:
-        faults = population.leg_faults(
-            server.round_idx, [active[i].client_id for i in range(n)]
-        )
-        for i, fault in enumerate(faults):
-            if fault.kind is not None:
-                failures[i] = population.failure_for(
-                    fault, i, active[i].client_id, int(rows[i])
-                )
-        if failures and policy.failure_policy == "fail":
-            raise FaultError(
-                f"round {server.round_idx} aborted under failure_policy="
-                f"'fail': {_describe(failures)}"
-            )
-
-    # -- Byzantine decisions (seeded, per client-round) --------------------
-    # Pure functions of (scenario, seed, round, client): a retried leg
-    # or a redispatched stand-in re-derives the same attack from the
-    # stream instead of inheriting the failed attempt's.  Carried legs
-    # keep the dispatched state and are never attacked.
-    attacks = {}
-    if population is not None:
-        for i in range(n):
-            spec = population.attack_for(server.round_idx, active[i].client_id)
-            if spec is not None:
-                attacks[i] = spec
-
+    # -- 1. pre-decided simulated faults (never dispatched) + attacks -----
+    failures, attacks = policy.pre_decide(
+        server.fault_model, server.round_idx, active, rows
+    )
+    backend = server.executor.backend
     pending = [i for i in range(n) if i not in failures]
     storage = getattr(uploads, "storage", None)
     can_recover = (
@@ -155,7 +118,7 @@ def resilient_collect(server, active, plans, rows, uploads, *, sleep=None):
         downs += len(sub)
         fresh: list[int] = []
         sub_attacks = {j: attacks[i] for j, i in enumerate(sub) if i in attacks}
-        for j, out in server.executor.run_streaming_captured(
+        for j, out in backend.run_streaming_captured(
             server.trainer, sub_active, sub_plans, sub_rows, uploads,
             timeout=policy.leg_timeout, attacks=sub_attacks or None,
         ):
@@ -188,7 +151,7 @@ def resilient_collect(server, active, plans, rows, uploads, *, sleep=None):
                     if results[i] is not None and int(rows[i]) in lost:
                         results[i] = None
                         ups -= 1
-                        _restore_rng(active[i], snapshots[i])
+                        restore_rng(active[i], snapshots[i])
                         pending.append(i)
 
         # -- 2. bounded retry with backoff ------------------------------
@@ -204,7 +167,7 @@ def resilient_collect(server, active, plans, rows, uploads, *, sleep=None):
             else:
                 retry = []
             for i in retry:
-                _restore_rng(active[i], snapshots[i])
+                restore_rng(active[i], snapshots[i])
                 failures.pop(i, None)
                 pending.append(i)
 
@@ -223,7 +186,7 @@ def resilient_collect(server, active, plans, rows, uploads, *, sleep=None):
     if failures and policy.failure_policy == "fail":
         raise FaultError(
             f"round {server.round_idx} aborted under failure_policy="
-            f"'fail': {_describe(failures)}"
+            f"'fail': {describe_failures(failures)}"
         )
     survivors = n - len(failures)
     required = policy.required_legs(n)
@@ -231,7 +194,7 @@ def resilient_collect(server, active, plans, rows, uploads, *, sleep=None):
         raise QuorumError(
             f"round {server.round_idx}: {survivors}/{n} fresh uploads, "
             f"quorum {policy.quorum:g} requires {required} — "
-            f"{_describe(failures)}"
+            f"{describe_failures(failures)}"
         )
     # Carry what's left: the stale dispatched row stays in the buffer
     # (CrossAggr / GramTracker keep a consistent K-row view) and the
@@ -239,7 +202,7 @@ def resilient_collect(server, active, plans, rows, uploads, *, sleep=None):
     # never been scheduled.
     for i, failure in sorted(failures.items()):
         uploads.set_state(rows[i], plans[i].state)
-        _restore_rng(active[i], snapshots[i])
+        restore_rng(active[i], snapshots[i])
         results[i] = LocalResult(
             state=plans[i].state, num_samples=0, num_steps=0, mean_loss=0.0
         )

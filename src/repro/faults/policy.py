@@ -19,6 +19,8 @@ __all__ = [
     "LegFailure",
     "RoundPolicy",
     "FAILURE_POLICIES",
+    "restore_rng",
+    "describe_failures",
 ]
 
 #: ``fail``: any leg failure aborts the round — today's behavior and the
@@ -85,6 +87,22 @@ class LegFailure:
         }
 
 
+def restore_rng(client, snapshot) -> None:
+    """Rewind ``client``'s RNG stream to ``snapshot``, so a retried leg
+    looks like one that trained once and a carried leg like one that
+    never trained."""
+    client.rng.bit_generator.state = snapshot
+
+
+def describe_failures(failures: "dict[int, LegFailure]") -> str:
+    """One-line summary of a round's failures, in plan order."""
+    return "; ".join(
+        f"client {f.client_id} (row {f.row}): {f.kind}"
+        + (f" after {f.attempts} attempt(s)" if f.attempts else "")
+        for _, f in sorted(failures.items())
+    )
+
+
 @dataclass(frozen=True)
 class RoundPolicy:
     """The resilience knobs of one run, lifted off the config.
@@ -137,6 +155,37 @@ class RoundPolicy:
             or self.leg_retries > 0
             or self.leg_timeout is not None
         )
+
+    def pre_decide(self, population, round_idx: int, active, rows) -> "tuple[dict, dict]":
+        """One round's decisions made before any leg is dispatched.
+
+        Returns ``(failures, attacks)`` by plan index: the seeded fault
+        model's simulated failures (those legs are never submitted —
+        zero communication, on every backend; any of them aborts the
+        round under the ``fail`` policy) and the Byzantine attack specs.
+        Both are pure functions of (scenario, seed, round, client): a
+        retried leg or a redispatched stand-in re-derives the same
+        attack instead of inheriting the failed attempt's, and carried
+        legs keep the dispatched state and are never attacked.
+        """
+        failures: dict[int, LegFailure] = {}
+        attacks: dict = {}
+        if population is None:
+            return failures, attacks
+        ids = [client.client_id for client in active]
+        for i, fault in enumerate(population.leg_faults(round_idx, ids)):
+            if fault.kind is not None:
+                failures[i] = population.failure_for(fault, i, ids[i], int(rows[i]))
+        if failures and self.failure_policy == "fail":
+            raise FaultError(
+                f"round {round_idx} aborted under failure_policy='fail': "
+                f"{describe_failures(failures)}"
+            )
+        for i, client_id in enumerate(ids):
+            spec = population.attack_for(round_idx, client_id)
+            if spec is not None:
+                attacks[i] = spec
+        return failures, attacks
 
     def required_legs(self, cohort_size: int) -> int:
         """Fresh uploads needed for the round to count (quorum·K, up)."""

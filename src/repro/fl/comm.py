@@ -29,17 +29,15 @@ COMM_OVERHEAD_CLASS = {
 class CommunicationLedger:
     """Per-round upload/download parameter counters.
 
-    ``measured`` flags that an execution backend is recording *real*
-    per-transfer counts this round (the ``distributed`` backend counts
-    the parameters actually crossing its sockets); the server then
-    skips its analytic per-round charge so the two accounting paths
-    never double-count.  The flag resets at :meth:`end_round`.
+    Filled either analytically by the server or, under an execution
+    backend that reports ``measures_comm`` (``distributed`` counts the
+    parameters actually crossing its sockets), by the transport itself
+    — never both, so the two accounting paths cannot double-count.
     """
 
     up_params: int = 0
     down_params: int = 0
     history: list = field(default_factory=list)
-    measured: bool = False
     failed_legs: int = 0
 
     def record_down(self, num_params: int) -> None:
@@ -49,10 +47,6 @@ class CommunicationLedger:
     def record_up(self, num_params: int) -> None:
         """Client → server transfer of ``num_params`` scalars."""
         self.up_params += int(num_params)
-
-    def mark_measured(self) -> None:
-        """Declare this round's counts measured at the transport."""
-        self.measured = True
 
     def note_leg_failure(self) -> None:
         """Count one leg failure observed this round (any kind).
@@ -70,7 +64,6 @@ class CommunicationLedger:
         self.history.append(snapshot)
         self.up_params = 0
         self.down_params = 0
-        self.measured = False
         self.failed_legs = 0
         return snapshot
 

@@ -42,18 +42,43 @@ same registry style as :mod:`repro.core.storage`'s pool backends:
     so the trained state lands in its shard without transiting the
     coordinator.  Requires the pool on ``distributed`` storage.
 
-Streaming runs
---------------
-Every backend also exposes :meth:`ExecutionBackend.run_streaming`, an
-as-completed generator yielding ``(plan_index, result)`` the moment
-each leg lands: ``serial`` yields per leg in plan order (the reference
-schedule), ``thread``/``process`` yield in completion order while
-slower legs are still training.  The server's streaming collect phase
-(``FLConfig.streaming``, on by default) consumes it to pack uploads
-and feed FedCross's incremental Gram tracker *during* the round —
-fully consuming the stream leaves bit-identical uploads, results and
-RNG state versus :meth:`ExecutionBackend.run`.  Third-party backends
-that only implement ``run`` inherit a gathered fallback.
+One primitive, three drivers
+----------------------------
+A round is K *legs* — one dispatched state trained by one client and
+landed in one upload row — and a backend implements exactly one thing:
+:meth:`ExecutionBackend.submit_group`, which validates the whole
+cohort, starts every leg without blocking and returns a
+:class:`LegGroup`: one future per plan (``serial`` trains inline and
+returns them already resolved), a ``finalize(j, raw)`` that lands leg
+``j`` on the caller's thread (client-RNG restore, upload-row copy,
+Byzantine upload attack — nowhere else), and a ``leg_done()`` that
+recycles group-scoped resources once every leg is accounted for.
+
+Every schedule is the same legs, differing only in *when the server
+looks at them*, so the schedules are written once, in the base class,
+over :func:`stream_legs` — the single as-completed / cancel-and-drain
+loop:
+
+* :meth:`ExecutionBackend.run_streaming` yields ``(plan_index,
+  result)`` the moment each leg lands (``serial``: plan order; pooled
+  backends: completion order, while slower legs still train).  On the
+  first leg error the queued legs are cancelled and in-flight ones
+  awaited, *then* the error is raised — no stray leg writes into the
+  reused upload buffer after control returns.  The server's streaming
+  collect (``FLConfig.streaming``, the default) consumes it to feed
+  FedCross's incremental Gram tracker during the round.
+* :meth:`ExecutionBackend.run` drains that stream into plan order;
+  uploads, results and RNG state are bit-identical either way.
+* :meth:`ExecutionBackend.run_streaming_captured` is the same loop
+  with a leg error yielded as a :class:`~repro.faults.policy
+  .LegFailure` instead of raised, plus the wall-clock deadline rule
+  (cancel, drain, then ``timeout`` failures) — the resilience engine's
+  seam.
+
+The async round scheduler owns its own wait loop over several groups
+at once and calls ``submit_group`` directly.  A third-party backend
+therefore implements ``submit_group`` (plus ``reserve`` / ``close`` if
+it pools anything) and serves all four schedules.
 
 Dispatch dedup for round-shared payloads
 ----------------------------------------
@@ -107,7 +132,6 @@ from concurrent.futures import (
     Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
-    as_completed,
     wait,
 )
 from dataclasses import dataclass
@@ -132,6 +156,7 @@ __all__ = [
     "TrainerSpec",
     "SharedStateRef",
     "LegGroup",
+    "stream_legs",
     "ExecutionBackend",
     "SerialExecution",
     "ThreadExecution",
@@ -255,14 +280,26 @@ def _default_workers(workers: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def _check_parallel_cohort(active: "Sequence[Client]", rows: Sequence[int]) -> None:
-    """Parallel preconditions: distinct rows *and* distinct clients.
+def _check_cohort(active, plans, rows, parallel: bool = False) -> None:
+    """Submission preconditions — the one place cohort skew is caught.
 
-    Duplicate rows would race on one buffer slice; a duplicate client
+    ``active``, ``plans`` and ``rows`` must align one-to-one: a skew
+    truncated to the shorter list would silently drop legs (and skew
+    quorum accounting), so it fails loudly instead.  ``parallel``
+    backends additionally need distinct rows *and* distinct clients:
+    duplicate rows would race on one buffer slice; a duplicate client
     would train both legs from the same RNG snapshot (serial advances
     the stream between legs), silently breaking the bit-identical
     contract — so both are errors rather than divergences.
     """
+    if not len(active) == len(plans) == len(rows):
+        raise ValueError(
+            f"cannot submit legs: got {len(active)} active clients but "
+            f"{len(plans)} dispatch plans (and {len(rows)} upload rows); "
+            "cohort, plans and rows must align"
+        )
+    if not parallel:
+        return
     if len(set(rows)) != len(rows):
         raise ValueError(
             "parallel execution backends require unique upload-buffer rows "
@@ -276,94 +313,143 @@ def _check_parallel_cohort(active: "Sequence[Client]", rows: Sequence[int]) -> N
         )
 
 
-def _gather(futures):
-    """Collect future results in submit order, failing *cleanly*.
-
-    On any leg error the remaining futures are cancelled and in-flight
-    ones awaited before re-raising, so no stray leg keeps writing into
-    the server's reused upload buffer (or advancing client RNG streams)
-    after control has returned to the caller.
-    """
-    try:
-        return [future.result() for future in futures]
-    except BaseException:
-        for future in futures:
-            future.cancel()
-        wait(futures)
-        raise
-
-
 class LegGroup:
-    """One cross-round submission batch of in-flight training legs.
+    """One submission batch of in-flight training legs.
 
-    The async round scheduler's unit of work
-    (:meth:`ExecutionBackend.submit_group`): ``futures[j]`` resolves to
-    the backend's raw per-leg payload, ``finalize(j, raw)`` turns it
-    into a landed :class:`~repro.fl.trainer.LocalResult` on the
-    *caller's* thread (RNG restore, upload-row copy, attack
-    application), and ``leg_done()`` — called once per leg after it is
-    finalized, failed or drained — releases group-scoped resources
-    (the process backend's shared-memory block pair) once every leg is
-    accounted for.
+    What :meth:`ExecutionBackend.submit_group` returns and every
+    schedule consumes: ``futures[j]`` resolves to the backend's raw
+    per-leg payload, ``finalize(j, raw)`` turns it into a landed
+    :class:`~repro.fl.trainer.LocalResult` on the *caller's* thread
+    (RNG restore, upload-row copy, attack application), and
+    ``leg_done()`` — called once per leg after it is finalized, failed
+    or drained — releases group-scoped resources (the process backend's
+    shared-memory block pair) once every leg is accounted for.
     """
 
-    __slots__ = ("futures", "_finalize", "_release", "_outstanding")
+    __slots__ = ("futures", "_finalize", "_release", "outstanding")
 
     def __init__(self, futures, finalize=None, release=None) -> None:
         self.futures = list(futures)
         self._finalize = finalize
         self._release = release
-        self._outstanding = len(self.futures)
+        self.outstanding = len(self.futures)
 
     def finalize(self, j: int, raw):
         return raw if self._finalize is None else self._finalize(j, raw)
 
     def leg_done(self) -> None:
-        self._outstanding -= 1
-        if self._outstanding <= 0 and self._release is not None:
+        self.outstanding -= 1
+        if self.outstanding <= 0 and self._release is not None:
             release, self._release = self._release, None
             release()
+
+
+def _leg_failure(client, row, index: int, kind: str, exc=None, drained=False) -> LegFailure:
+    """Structured failure of ``client``'s leg (plan ``index``, upload ``row``)."""
+    if exc is None:
+        message = "leg did not finish before the wall-clock deadline"
+    else:
+        message = f"{type(exc).__name__}: {exc}"
+    return LegFailure(
+        index=int(index),
+        client_id=client.client_id,
+        row=int(row),
+        kind=kind,
+        message=message,
+        drained=drained,
+    )
+
+
+def _drain(futures) -> None:
+    """Cancel queued legs and wait out the in-flight ones.
+
+    Their results are discarded: once this returns no worker can write
+    into the reused upload buffer (or advance a client RNG) any more.
+    """
+    for future in futures:
+        future.cancel()
+    wait(futures)
+
+
+def stream_legs(
+    group: LegGroup, active, rows, *, capture: bool = False, timeout: float | None = None
+) -> "Iterator[tuple[int, LocalResult | LegFailure]]":
+    """Yield ``(plan_index, landed leg)`` as ``group``'s legs complete.
+
+    The one as-completed loop behind every ``run*`` schedule.  Legs
+    that finish together are yielded in plan order, so ``serial``
+    (whose futures arrive resolved) streams the reference schedule.
+
+    Control never leaves the stream while a leg could still write: on
+    a leg error (raised, unless ``capture`` turns it into a
+    :class:`~repro.faults.policy.LegFailure` and the stream goes on),
+    on the consumer abandoning the stream, and at the wall-clock
+    ``timeout`` of the whole submission, queued legs are cancelled and
+    in-flight ones awaited first.  Timed-out legs are then reported as
+    ``timeout`` failures with ``drained=True`` — a retry or carry can
+    safely overwrite their rows.  Every leg is ``leg_done()`` by the
+    time the stream ends, however it ends.
+    """
+    index = {future: j for j, future in enumerate(group.futures)}
+    pending = set(index)
+    deadline = None if timeout is None else time.monotonic() + float(timeout)
+    try:
+        while pending:
+            remaining = None
+            if deadline is not None:
+                remaining = max(0.0, deadline - time.monotonic())
+            done, pending = wait(pending, timeout=remaining, return_when=FIRST_COMPLETED)
+            for future in sorted(done, key=index.__getitem__):
+                j = index[future]
+                try:
+                    raw = future.result()
+                except (KeyboardInterrupt, SystemExit, GeneratorExit):
+                    raise
+                except BaseException as exc:  # noqa: BLE001 - captured
+                    if not capture:
+                        raise
+                    leg = _leg_failure(active[j], rows[j], j, "error", exc)
+                else:
+                    leg = group.finalize(j, raw)
+                yield j, leg
+            if not done and deadline is not None and time.monotonic() >= deadline:
+                late, pending = pending, set()
+                _drain(late)
+                for future in sorted(late, key=index.__getitem__):
+                    j = index[future]
+                    yield j, _leg_failure(active[j], rows[j], j, "timeout", drained=True)
+    finally:
+        _drain(pending)
+        for _ in group.futures:
+            group.leg_done()
 
 
 # -- backend protocol -------------------------------------------------------
 class ExecutionBackend:
     """Runs one round's local-training legs and packs the uploads.
 
-    The contract: train ``active[i]`` from ``plans[i]``, pack the
-    trained state into ``uploads`` row ``rows[i]``, advance each
-    client's RNG exactly as serial training would, and return the
-    :class:`~repro.fl.trainer.LocalResult` list in plan order.
-
-    :meth:`run_streaming` is the as-completed variant: it yields
-    ``(plan_index, result)`` pairs the moment each leg lands, so the
-    server can pack uploads and run incremental similarity work while
-    slower legs are still training.  Consuming the whole stream leaves
-    the exact same uploads/results/RNG state as :meth:`run` — the
-    difference is purely *when* the caller sees each leg.  The default
-    implementation delegates to :meth:`run` (no overlap), so
-    third-party backends that only implement ``run`` keep working.
+    The contract of a leg: train ``active[i]`` from ``plans[i]``, pack
+    the trained state into ``uploads`` row ``rows[i]`` and advance the
+    client's RNG exactly as serial training would.  A backend implements
+    :meth:`submit_group` (and :meth:`reserve` / :meth:`close` when it
+    owns pools); the gathered, streaming and fault-capturing schedules
+    below are drivers over the returned :class:`LegGroup` and differ
+    only in when the caller sees each leg — fully consuming any of them
+    leaves the exact same uploads, results and RNG state.
     """
 
     name = "abstract"
 
     #: Optional :class:`~repro.fl.comm.CommunicationLedger` attached by
     #: the server (via ``ClientExecutor(ledger=...)``).  Backends that
-    #: *measure* real transfers (the ``distributed`` backend counts the
-    #: parameters actually crossing its sockets) record into it and
-    #: flag it measured, which makes the server skip its analytic
-    #: per-round charge; in-process backends ignore it (nothing moves).
+    #: *measure* real transfers record into it; in-process backends
+    #: ignore it (nothing moves).
     ledger = None
-
-    #: Backends supporting cross-round in-flight legs (the async round
-    #: scheduler's :meth:`submit_group` seam) set this True.
-    supports_async = False
 
     #: True when the backend itself *measures* real transfers into the
     #: ledger (the ``distributed`` backend records per-socket traffic at
-    #: submit/land time).  The async driver never analytically charges a
-    #: measuring backend — the sync path's ``ledger.measured`` flag is
-    #: reset at every round boundary and so cannot be trusted while
-    #: rounds overlap.
+    #: submit/land time).  Neither the server nor the async driver adds
+    #: an analytic charge on top of a measuring backend.
     measures_comm = False
 
     def __init__(
@@ -376,15 +462,35 @@ class ExecutionBackend:
         self.clients = list(clients)
         self.workers = workers
 
-    def run(
+    def submit_group(
         self,
         trainer: LocalTrainer,
         active: "list[Client]",
         plans: "list[DispatchPlan]",
         rows: Sequence[int],
         uploads: "PoolBuffer",
-    ) -> list[LocalResult]:
-        raise NotImplementedError
+        attacks: "Mapping[int, AttackSpec] | None" = None,
+    ) -> "LegGroup":
+        """Validate the cohort, start every leg, return a :class:`LegGroup`.
+
+        The one primitive a backend implements.  Nothing may be
+        submitted unless *every* plan is valid (a bad plan ``n`` must
+        not leave legs ``0..n-1`` training behind a raised error), and
+        the call does not block on pooled backends — the caller owns
+        the wait loop and may hold several groups (from different
+        rounds) at once.
+
+        ``attacks`` maps plan indices to Byzantine
+        :class:`~repro.robust.attacks.AttackSpec`s.  An attacked leg
+        trains honestly, then ``finalize`` replaces its *upload* (the
+        buffer row and the result's state) with the poisoned row — the
+        upload boundary — so the honest trained state is never perturbed
+        and every per-upload consumer (Gram tracking, screening,
+        aggregation) sees the attack.
+        """
+        raise NotImplementedError(
+            f"execution backend {self.name!r} does not implement submit_group"
+        )
 
     def run_streaming(
         self,
@@ -394,13 +500,10 @@ class ExecutionBackend:
         rows: Sequence[int],
         uploads: "PoolBuffer",
     ) -> Iterator[tuple[int, LocalResult]]:
-        """Yield ``(plan_index, result)`` as legs complete.
-
-        Fallback: run the gathered schedule, then yield in plan order.
-        Built-in backends override with genuinely incremental variants.
-        """
-        results = self.run(trainer, active, plans, rows, uploads)
-        yield from enumerate(results)
+        """Yield ``(plan_index, result)`` as legs land; raise on the
+        first leg error, after cancelling and draining the rest."""
+        group = self.submit_group(trainer, active, plans, rows, uploads)
+        return stream_legs(group, active, rows)
 
     def run_streaming_captured(
         self,
@@ -420,46 +523,26 @@ class ExecutionBackend:
         the remaining legs keep running and the policy layer decides
         what to do — cancel-on-error becomes cancel-on-policy.
         ``timeout`` is the wall-clock deadline for the whole submission
-        (parallel backends only); at the deadline unstarted legs are
-        cancelled and in-flight ones **drained and discarded** — timed-
-        out work is never written after control returns, so a retry or
-        carry can safely overwrite the row.
-
-        ``attacks`` maps plan indices to Byzantine
-        :class:`~repro.robust.attacks.AttackSpec`s.  An attacked leg
-        trains honestly, then its *upload* (the buffer row and the
-        yielded result's state) is replaced with the poisoned row right
-        before the leg is yielded — the upload boundary — so the honest
-        trained state is never perturbed and every per-upload consumer
-        (Gram tracking, screening, aggregation) sees the attack.
-
-        Fallback for third-party ``run``-only backends: consume the
-        plain stream and convert a raised error into failures for every
-        leg not yet seen (the backend already cancelled/drained its
-        own in-flight work on the way out).
+        (see :func:`stream_legs`); it can never fire on ``serial``,
+        whose legs are finished before the stream starts — the
+        deterministic straggler policy lives in the fault scenario.
         """
-        n = min(len(active), len(plans))
-        seen: set[int] = set()
-        try:
-            for i, result in self.run_streaming(trainer, active, plans, rows, uploads):
-                seen.add(i)
-                if attacks and i in attacks:
-                    result = _attacked_result(
-                        attacks[i], plans[i], rows[i], uploads, result
-                    )
-                yield i, result
-        except (KeyboardInterrupt, SystemExit, GeneratorExit):
-            raise
-        except BaseException as exc:  # noqa: BLE001 - converted to failures
-            for i in range(n):
-                if i not in seen:
-                    yield i, LegFailure(
-                        index=i,
-                        client_id=active[i].client_id,
-                        row=int(rows[i]),
-                        kind="error",
-                        message=f"{type(exc).__name__}: {exc}",
-                    )
+        group = self.submit_group(trainer, active, plans, rows, uploads, attacks=attacks)
+        return stream_legs(group, active, rows, capture=True, timeout=timeout)
+
+    def run(
+        self,
+        trainer: LocalTrainer,
+        active: "list[Client]",
+        plans: "list[DispatchPlan]",
+        rows: Sequence[int],
+        uploads: "PoolBuffer",
+    ) -> list[LocalResult]:
+        """The gathered schedule: the stream, drained into plan order."""
+        results: list[LocalResult | None] = [None] * len(plans)
+        for i, result in self.run_streaming(trainer, active, plans, rows, uploads):
+            results[i] = result
+        return results
 
     def reserve(self, width: int) -> None:
         """Hint: up to ``width`` legs may be in flight concurrently.
@@ -470,33 +553,9 @@ class ExecutionBackend:
         a no-op.
         """
 
-    def submit_group(
-        self,
-        trainer: LocalTrainer,
-        active: "list[Client]",
-        plans: "list[DispatchPlan]",
-        rows: Sequence[int],
-        uploads: "PoolBuffer",
-        attacks: "Mapping[int, AttackSpec] | None" = None,
-    ) -> "LegGroup":
-        """Submit legs without blocking; return a :class:`LegGroup`.
-
-        The cross-round seam for ``round_mode='async'``: unlike the
-        ``run*`` schedules, the caller owns the wait loop and may have
-        several groups (from different rounds) in flight at once.  The
-        group's ``finalize(j, raw)`` converts a future's raw payload to
-        a :class:`LocalResult` (applying upload attacks at the landing
-        boundary) and ``leg_done()`` must be called once per leg so the
-        backend can recycle per-group resources.
-        """
-        raise NotImplementedError(
-            f"execution backend {self.name!r} does not support cross-round "
-            "leg submission (round_mode='async' with max_staleness > 0)"
-        )
-
     def close(self) -> None:
         """Release pools/buffers; the backend lazily re-creates them on
-        the next :meth:`run`, so close is always safe."""
+        the next submission, so close is always safe."""
 
 
 def _attacked_result(spec, plan, row, uploads, result: LocalResult) -> LocalResult:
@@ -521,176 +580,77 @@ def _attacked_result(spec, plan, row, uploads, result: LocalResult) -> LocalResu
     )
 
 
-def _leg_failure(active, rows, i: int, kind: str, exc=None, drained=False) -> LegFailure:
-    """Structured failure for leg ``i`` of the current submission."""
-    if exc is None:
-        message = "leg did not finish before the wall-clock deadline"
-    else:
-        message = f"{type(exc).__name__}: {exc}"
-    return LegFailure(
-        index=int(i),
-        client_id=active[i].client_id,
-        row=int(rows[i]),
-        kind=kind,
-        message=message,
-        drained=drained,
+def _landing(plans, rows, uploads, attacks, land=None):
+    """``finalize`` for an in-process group: ``land``, then the attack.
+
+    ``land(j, raw)`` is the backend's own landing step (``None`` when
+    the worker already produced the :class:`LocalResult`).  The attack
+    runs on the consumer's thread after the leg landed: rows are unique
+    across in-flight groups, so the rewrite cannot race a worker.
+    """
+    attacks = dict(attacks or {})
+
+    def finalize(j: int, raw) -> LocalResult:
+        result = raw if land is None else land(j, raw)
+        if j in attacks:
+            result = _attacked_result(attacks[j], plans[j], rows[j], uploads, result)
+        return result
+
+    return finalize
+
+
+def _train_leg(trainer: LocalTrainer, client, plan, row, uploads) -> LocalResult:
+    """Train one leg in this process and pack its upload row."""
+    result = client.train(
+        trainer,
+        plan.state,
+        loss_hook=resolve_hook(plan.loss_hook, plan.state),
+        grad_hook=resolve_hook(plan.grad_hook, plan.state),
+        lr_override=plan.lr_override,
     )
+    uploads.set_state(row, result.state)
+    return result
 
 
-def _stream_captured(
-    futures: Sequence, indexed: dict, active, rows, timeout: float | None
-) -> Iterator:
-    """As-completed stream that converts errors/deadline into failures.
-
-    The captured twin of :func:`_stream_as_completed`.  Timeout
-    semantics are drain-then-fail: at the deadline, unstarted futures
-    are cancelled, in-flight ones are *awaited to completion* and their
-    results discarded, and only then are the timeout failures yielded —
-    so no worker ever writes into the reused upload buffer (or mutates
-    a client RNG) after the caller has moved on, and a carry/redispatch
-    overwrite of the row cannot race a zombie leg.
-    """
-    pending = set(futures)
-    deadline = None if timeout is None else time.monotonic() + float(timeout)
-    try:
-        while pending:
-            remaining = None
-            if deadline is not None:
-                remaining = max(0.0, deadline - time.monotonic())
-            done, _ = wait(pending, timeout=remaining, return_when=FIRST_COMPLETED)
-            for future in done:
-                pending.discard(future)
-                i = indexed[future]
-                try:
-                    result = future.result()
-                except (KeyboardInterrupt, SystemExit, GeneratorExit):
-                    raise
-                except BaseException as exc:  # noqa: BLE001 - captured
-                    yield i, _leg_failure(active, rows, i, "error", exc)
-                else:
-                    yield i, result
-            if not done and deadline is not None and time.monotonic() >= deadline:
-                late, pending = list(pending), set()
-                for future in late:
-                    future.cancel()
-                wait(late)  # drain: in-flight legs finish, results discarded
-                for future in late:
-                    yield indexed[future], _leg_failure(
-                        active, rows, indexed[future], "timeout", drained=True
-                    )
-                return
-    finally:
-        if pending:
-            for future in pending:
-                future.cancel()
-            wait(list(pending))
-
-
-def _stream_as_completed(futures: Sequence, indexed: dict) -> Iterator:
-    """Yield ``(index, result)`` in completion order, failing cleanly.
-
-    On a leg error — or the consumer abandoning the stream — the
-    remaining futures are cancelled and in-flight ones awaited before
-    control leaves, so no stray leg keeps writing into the server's
-    reused upload buffer (the streaming twin of :func:`_gather`).
-    """
-    pending = set(futures)
-    try:
-        for future in as_completed(futures):
-            pending.discard(future)
-            yield indexed[future], future.result()
-    finally:
-        if pending:
-            for future in pending:
-                future.cancel()
-            wait(list(pending))
-
-
+# The frozen end-to-end harness (benchmarks/e2e/trace.py) attaches its
+# spans to ``run_streaming`` / ``run_streaming_captured`` / ``submit_group``
+# in each built-in backend's *own* ``__dict__``, so the built-ins re-bind
+# the two inherited stream drivers by name; third-party backends just
+# inherit them.
 @register_execution("serial")
 class SerialExecution(ExecutionBackend):
     """The original sequential in-process loop (reference behaviour)."""
 
-    def run(self, trainer, active, plans, rows, uploads):
-        return [r for _, r in self.run_streaming(trainer, active, plans, rows, uploads)]
-
-    def run_streaming(self, trainer, active, plans, rows, uploads):
-        # Legs complete in plan order, so serial streaming preserves
-        # the reference schedule exactly — each leg is yielded (and the
-        # server's per-upload work runs) before the next one trains.
-        for i, (client, plan) in enumerate(zip(active, plans)):
-            result = client.train(
-                trainer,
-                plan.state,
-                loss_hook=resolve_hook(plan.loss_hook, plan.state),
-                grad_hook=resolve_hook(plan.grad_hook, plan.state),
-                lr_override=plan.lr_override,
-            )
-            uploads.set_state(rows[i], result.state)
-            yield i, result
-
-    def run_streaming_captured(
-        self, trainer, active, plans, rows, uploads, timeout=None, attacks=None
-    ):
-        # Serial legs run one at a time on the caller's thread, so a
-        # wall-clock ``timeout`` is meaningless here (nothing is ever
-        # in flight to abandon) and is deliberately ignored — the
-        # deterministic straggler policy lives in the fault scenario.
-        for i, (client, plan) in enumerate(zip(active, plans)):
-            try:
-                result = client.train(
-                    trainer,
-                    plan.state,
-                    loss_hook=resolve_hook(plan.loss_hook, plan.state),
-                    grad_hook=resolve_hook(plan.grad_hook, plan.state),
-                    lr_override=plan.lr_override,
-                )
-            except (KeyboardInterrupt, SystemExit, GeneratorExit):
-                raise
-            except BaseException as exc:  # noqa: BLE001 - captured
-                yield i, _leg_failure(active, rows, i, "error", exc)
-                continue
-            uploads.set_state(rows[i], result.state)
-            if attacks and i in attacks:
-                result = _attacked_result(attacks[i], plan, rows[i], uploads, result)
-            yield i, result
-
-    supports_async = True
+    run_streaming = ExecutionBackend.run_streaming
+    run_streaming_captured = ExecutionBackend.run_streaming_captured
 
     def submit_group(
         self, trainer, active, plans, rows, uploads, attacks=None
     ) -> LegGroup:
-        # Serial groups complete eagerly on the caller's thread, so the
-        # async driver degenerates to strictly sequential rounds — the
-        # property the bitwise-equivalence leg of the matrix relies on.
+        # Legs run one at a time on the caller's thread and the futures
+        # come back resolved, so every schedule — the async driver
+        # included — degenerates to strictly sequential legs in plan
+        # order: the reference the equivalence matrix is gated against.
+        _check_cohort(active, plans, rows)
         futures: list[Future] = []
-        for i, (client, plan) in enumerate(zip(active, plans)):
+        for client, plan, row in zip(active, plans, rows):
             future: Future = Future()
             try:
-                result = client.train(
-                    trainer,
-                    plan.state,
-                    loss_hook=resolve_hook(plan.loss_hook, plan.state),
-                    grad_hook=resolve_hook(plan.grad_hook, plan.state),
-                    lr_override=plan.lr_override,
-                )
+                future.set_result(_train_leg(trainer, client, plan, row, uploads))
             except (KeyboardInterrupt, SystemExit, GeneratorExit):
                 raise
-            except BaseException as exc:  # noqa: BLE001 - captured
+            except BaseException as exc:  # noqa: BLE001 - the leg's outcome
                 future.set_exception(exc)
-            else:
-                uploads.set_state(rows[i], result.state)
-                if attacks and i in attacks:
-                    result = _attacked_result(
-                        attacks[i], plan, rows[i], uploads, result
-                    )
-                future.set_result(result)
             futures.append(future)
-        return LegGroup(futures)
+        return LegGroup(futures, _landing(plans, rows, uploads, attacks))
 
 
 @register_execution("thread")
 class ThreadExecution(ExecutionBackend):
     """Persistent thread pool; one private trainer template per worker."""
+
+    run_streaming = ExecutionBackend.run_streaming
+    run_streaming_captured = ExecutionBackend.run_streaming_captured
 
     def __init__(self, spec=None, clients=(), workers=None) -> None:
         super().__init__(spec, clients, workers)
@@ -723,53 +683,15 @@ class ThreadExecution(ExecutionBackend):
         self._templates.append(trainer)
         return trainer
 
-    def _leg(self, i: int, client, plan, rows, uploads, hypers) -> LocalResult:
+    def _leg(self, client, plan, row, uploads, hypers) -> LocalResult:
         worker_trainer = self._acquire_trainer()
         try:
             _apply_hypers(worker_trainer, hypers)
-            result = client.train(
-                worker_trainer,
-                plan.state,
-                loss_hook=resolve_hook(plan.loss_hook, plan.state),
-                grad_hook=resolve_hook(plan.grad_hook, plan.state),
-                lr_override=plan.lr_override,
-            )
             # Rows are unique, so concurrent writes touch disjoint
             # slices of the upload matrix.
-            uploads.set_state(rows[i], result.state)
-            return result
+            return _train_leg(worker_trainer, client, plan, row, uploads)
         finally:
             self._free.append(worker_trainer)
-
-    def _submit(self, trainer, active, plans, rows, uploads):
-        _check_parallel_cohort(active[: len(plans)], rows[: len(plans)])
-        self._ensure_pool()
-        hypers = _trainer_hypers(trainer)
-        return [
-            self._pool.submit(self._leg, i, client, plan, rows, uploads, hypers)
-            for i, (client, plan) in enumerate(zip(active, plans))
-        ]
-
-    def run(self, trainer, active, plans, rows, uploads):
-        return _gather(self._submit(trainer, active, plans, rows, uploads))
-
-    def run_streaming(self, trainer, active, plans, rows, uploads):
-        futures = self._submit(trainer, active, plans, rows, uploads)
-        yield from _stream_as_completed(futures, {f: i for i, f in enumerate(futures)})
-
-    def run_streaming_captured(
-        self, trainer, active, plans, rows, uploads, timeout=None, attacks=None
-    ):
-        futures = self._submit(trainer, active, plans, rows, uploads)
-        indexed = {f: i for i, f in enumerate(futures)}
-        for i, leg in _stream_captured(futures, indexed, active, rows, timeout):
-            if attacks and i in attacks and not isinstance(leg, LegFailure):
-                # Applied on the consumer thread after the leg landed:
-                # rows are unique, so the rewrite cannot race a worker.
-                leg = _attacked_result(attacks[i], plans[i], rows[i], uploads, leg)
-            yield i, leg
-
-    supports_async = True
 
     def reserve(self, width: int) -> None:
         # Grow the pool so overlapping rounds never queue behind one
@@ -784,25 +706,14 @@ class ThreadExecution(ExecutionBackend):
     def submit_group(
         self, trainer, active, plans, rows, uploads, attacks=None
     ) -> LegGroup:
-        _check_parallel_cohort(active[: len(plans)], rows[: len(plans)])
+        _check_cohort(active, plans, rows, parallel=True)
         self._ensure_pool()
         hypers = _trainer_hypers(trainer)
         futures = [
-            self._pool.submit(self._leg, i, client, plan, rows, uploads, hypers)
-            for i, (client, plan) in enumerate(zip(active, plans))
+            self._pool.submit(self._leg, client, plan, row, uploads, hypers)
+            for client, plan, row in zip(active, plans, rows)
         ]
-        attack_map = dict(attacks) if attacks else {}
-
-        def finalize(j: int, raw: LocalResult) -> LocalResult:
-            # Runs on the scheduler's thread after the leg landed: rows
-            # are unique across in-flight groups, so no worker races it.
-            if j in attack_map:
-                return _attacked_result(
-                    attack_map[j], plans[j], rows[j], uploads, raw
-                )
-            return raw
-
-        return LegGroup(futures, finalize)
+        return LegGroup(futures, _landing(plans, rows, uploads, attacks))
 
     def close(self) -> None:
         if self._pool is not None:
@@ -898,6 +809,10 @@ class _PayloadPacker:
     def __init__(self) -> None:
         self._blocks: dict[tuple, _SharedBlock] = {}
         self._version = 0
+        # The group whose tasks reference the rows of the latest
+        # non-empty pack (see pack_round / hold).
+        self._holder: LegGroup | None = None
+        self._packed = False
 
     def pack_round(self, plans) -> list[tuple]:
         """Strip shared payloads from every plan's hooks for transit.
@@ -906,6 +821,13 @@ class _PayloadPacker:
         spec carrying shared payloads is replaced by a shallow copy
         holding :class:`SharedStateRef` placeholders (originals are
         never mutated — the server reuses them across rounds).
+
+        The segments are rewritten (and regrown) in place, so packing
+        while an earlier group's legs may still read them would hand
+        those legs the wrong payload.  No shipped schedule does that —
+        sync drivers drain a group before the next submission and the
+        only async adapter (FedCross) dispatches no shared payloads —
+        so it raises instead of keeping a second transport.
         """
         self._version += 1
         unique: dict[int, tuple] = {}  # id(payload) -> (payload, layout)
@@ -918,6 +840,14 @@ class _PayloadPacker:
                         unique[id(value)] = (value, layout)
                         sig = layout.signature
                         counts[sig] = counts.get(sig, 0) + 1
+        self._packed = bool(unique)
+        if unique and self._holder is not None and self._holder.outstanding > 0:
+            raise RuntimeError(
+                "round-shared hook payloads (HookSpec.shared_fields) cannot be "
+                "repacked while an earlier submission's legs are still in "
+                "flight; the process backend does not support them under "
+                "overlapping rounds (round_mode='async', max_staleness > 0)"
+            )
         from repro.core.pool import _check_integer_roundtrip
 
         refs: dict[int, SharedStateRef] = {}
@@ -976,6 +906,11 @@ class _PayloadPacker:
             block.close()
         self._blocks[sig] = _SharedBlock((rows, layout.total_size), np.float64)
 
+    def hold(self, group: LegGroup) -> None:
+        """``group``'s tasks carry refs into the latest pack's rows."""
+        if self._packed:
+            self._holder = group
+
     def live_names(self) -> set[str]:
         return {
             block.shm.name
@@ -987,6 +922,7 @@ class _PayloadPacker:
         for block in self._blocks.values():
             block.close()
         self._blocks.clear()
+        self._holder = None
 
 
 # Worker-process state: trainer template, layout, client shards,
@@ -1158,22 +1094,53 @@ def _check_float_roundtrip(layout, state, dtype) -> None:
             )
 
 
+def _validated_states(plans, layout, dtype, backend: str) -> dict:
+    """The distinct dispatched states, every plan checked for transit.
+
+    Keyed by object identity in first-use order (FedAvg-family plans
+    all share one global-state dict; FedCross plans are distinct pool
+    rows), so each unique state is validated — and later packed — once.
+    Run over the *whole* cohort before anything is packed or submitted:
+    hooks must be picklable specs, states model-shaped, and every value
+    must survive the buffer dtype exactly.
+    """
+    from repro.core.pool import _check_integer_roundtrip
+
+    states: dict = {}
+    for plan in plans:
+        _require_spec_hook(plan.loss_hook, "DispatchPlan.loss_hook")
+        _require_spec_hook(plan.grad_hook, "DispatchPlan.grad_hook")
+        if id(plan.state) in states:
+            continue
+        if set(plan.state) != set(layout.keys):
+            raise KeyError(
+                "dispatched state keys do not match the model layout; "
+                f"the {backend} backend can only ship model-shaped states"
+            )
+        _check_integer_roundtrip(layout, plan.state, np.dtype(dtype))
+        _check_float_roundtrip(layout, plan.state, dtype)
+        states[id(plan.state)] = plan.state
+    return states
+
+
 @register_execution("process")
 class ProcessExecution(ExecutionBackend):
     """Persistent worker processes + shared-memory state transport."""
+
+    run_streaming = ExecutionBackend.run_streaming
+    run_streaming_captured = ExecutionBackend.run_streaming_captured
 
     def __init__(self, spec=None, clients=(), workers=None) -> None:
         super().__init__(spec, clients, workers)
         self._num_workers = _default_workers(workers)
         self._pool: ProcessPoolExecutor | None = None
-        self._dispatch: _SharedBlock | None = None
-        self._uploads_shm: _SharedBlock | None = None
         self._payloads = _PayloadPacker()
-        # Free-list of (dispatch, upload) block pairs for cross-round
-        # groups, keyed (n, p, dtype str): overlapping rounds must not
-        # share the sync path's single block pair, or round t+1's pack
-        # would overwrite rows round t's workers are still reading.
-        self._group_blocks: dict[tuple, list] = {}
+        # Free-list of (dispatch, upload) block pairs, one pair per
+        # in-flight group: overlapping rounds must not share a pair, or
+        # round t+1's pack would overwrite rows round t's workers are
+        # still reading.  A sync run drains each group before the next
+        # submission, so it keeps reusing one pair.
+        self._free_pairs: list = []
 
     def _ensure_pool(self) -> None:
         if self._pool is not None:
@@ -1190,128 +1157,6 @@ class ProcessExecution(ExecutionBackend):
             initargs=(self.spec, datasets),
         )
 
-    def _ensure_shm(self, k: int, p: int, dtype) -> None:
-        shape = (k, p)
-        for attr in ("_dispatch", "_uploads_shm"):
-            block: _SharedBlock | None = getattr(self, attr)
-            if block is None or block.array is None or block.array.shape != shape or block.array.dtype != np.dtype(dtype):
-                if block is not None:
-                    block.close()
-                setattr(self, attr, _SharedBlock(shape, dtype))
-
-    def _submit(self, trainer, active, plans, rows, uploads):
-        """Validate, pack shared-memory blocks, submit one future per leg."""
-        from repro.core.pool import _check_integer_roundtrip
-
-        _check_parallel_cohort(active[: len(plans)], rows[: len(plans)])
-        # Validate every plan *before* submitting anything: a bad hook
-        # or state on plan n must not leave legs 0..n-1 training (and
-        # writing shared rows) behind a raised error.
-        for plan in plans:
-            _require_spec_hook(plan.loss_hook, "DispatchPlan.loss_hook")
-            _require_spec_hook(plan.grad_hook, "DispatchPlan.grad_hook")
-        self._ensure_pool()
-        layout = uploads.layout
-        self._ensure_shm(len(uploads), layout.total_size, uploads.dtype)
-        # Round-shared hook payloads (SCAFFOLD's c_global, FedGen's
-        # generator state) are packed into payload segments once and
-        # replaced by tiny refs — never pickled per client.
-        hook_pairs = self._payloads.pack_round(plans)
-        payload_names = sorted(self._payloads.live_names())
-
-        # Pack each *unique* dispatched state once (FedAvg-family plans
-        # all share one global-state dict; FedCross plans are distinct
-        # pool rows), keyed by object identity.
-        dispatch_rows: dict[int, int] = {}
-        for plan in plans:
-            key = id(plan.state)
-            if key not in dispatch_rows:
-                if set(plan.state) != set(layout.keys):
-                    raise KeyError(
-                        "dispatched state keys do not match the model layout; "
-                        "the process backend can only ship model-shaped states"
-                    )
-                j = len(dispatch_rows)
-                dispatch_rows[key] = j
-                _check_integer_roundtrip(layout, plan.state, self._dispatch.array.dtype)
-                _check_float_roundtrip(layout, plan.state, self._dispatch.array.dtype)
-                layout.flatten_into(plan.state, self._dispatch.array[j])
-
-        hypers = _trainer_hypers(trainer)
-        futures = []
-        for i, (client, plan) in enumerate(zip(active, plans)):
-            loss_hook, grad_hook = hook_pairs[i]
-            futures.append(
-                self._pool.submit(
-                    _process_leg,
-                    {
-                        "client_id": client.client_id,
-                        "rng_state": client.rng.bit_generator.state,
-                        "dispatch_row": dispatch_rows[id(plan.state)],
-                        "upload_row": int(rows[i]),
-                        "dispatch_ref": self._dispatch.ref,
-                        "upload_ref": self._uploads_shm.ref,
-                        "payload_names": payload_names,
-                        "loss_hook": loss_hook,
-                        "grad_hook": grad_hook,
-                        "lr_override": plan.lr_override,
-                        "hypers": hypers,
-                    },
-                )
-            )
-        return futures
-
-    def run(self, trainer, active, plans, rows, uploads):
-        n = min(len(active), len(plans))
-        results: list[LocalResult | None] = [None] * n
-        for i, result in self.run_streaming(trainer, active, plans, rows, uploads):
-            results[i] = result
-        return results
-
-    def run_streaming(self, trainer, active, plans, rows, uploads):
-        futures = self._submit(trainer, active, plans, rows, uploads)
-        indexed = {f: i for i, f in enumerate(futures)}
-        for i, leg in _stream_as_completed(futures, indexed):
-            num_samples, num_steps, mean_loss, rng_state = leg
-            active[i].rng.bit_generator.state = rng_state
-            row = int(rows[i])
-            # Copy this leg's freshly written row from the shared
-            # segment into the server's buffer the moment it lands —
-            # straight into the row's owning shard on sharded (or
-            # memmap-backed) storage, while slower legs still train.
-            uploads.set_row(row, self._uploads_shm.array[row])
-            yield i, LocalResult(
-                state=uploads.as_state(row, copy=True),
-                num_samples=num_samples,
-                num_steps=num_steps,
-                mean_loss=mean_loss,
-            )
-
-    def run_streaming_captured(
-        self, trainer, active, plans, rows, uploads, timeout=None, attacks=None
-    ):
-        futures = self._submit(trainer, active, plans, rows, uploads)
-        indexed = {f: i for i, f in enumerate(futures)}
-        for i, leg in _stream_captured(futures, indexed, active, rows, timeout):
-            if isinstance(leg, LegFailure):
-                yield i, leg
-                continue
-            num_samples, num_steps, mean_loss, rng_state = leg
-            active[i].rng.bit_generator.state = rng_state
-            row = int(rows[i])
-            uploads.set_row(row, self._uploads_shm.array[row])
-            result = LocalResult(
-                state=uploads.as_state(row, copy=True),
-                num_samples=num_samples,
-                num_steps=num_steps,
-                mean_loss=mean_loss,
-            )
-            if attacks and i in attacks:
-                result = _attacked_result(attacks[i], plans[i], row, uploads, result)
-            yield i, result
-
-    supports_async = True
-
     def reserve(self, width: int) -> None:
         width = max(int(width), self._num_workers)
         if self._pool is not None and width > self._num_workers:
@@ -1320,89 +1165,85 @@ class ProcessExecution(ExecutionBackend):
         self._num_workers = width
 
     def _acquire_blocks(self, n: int, p: int, dtype) -> "tuple[_SharedBlock, _SharedBlock]":
-        key = (int(n), int(p), np.dtype(dtype).str)
-        free = self._group_blocks.setdefault(key, [])
-        while free:
-            pair = free.pop()
-            if pair[0].array is not None and pair[1].array is not None:
-                return pair
-        return (_SharedBlock((n, p), dtype), _SharedBlock((n, p), dtype))
+        """A free block pair with at least ``n`` rows, else a new one."""
+        shape, dtype = (max(1, int(n)), int(p)), np.dtype(dtype)
+        for k, (block, _) in enumerate(self._free_pairs):
+            # ``array`` is None once a block was closed (the atexit sweep).
+            if block.array is not None and block.array.dtype == dtype and (
+                block.array.shape[0] >= shape[0] and block.array.shape[1] == shape[1]
+            ):
+                return self._free_pairs.pop(k)
+        return (_SharedBlock(shape, dtype), _SharedBlock(shape, dtype))
 
     def submit_group(
         self, trainer, active, plans, rows, uploads, attacks=None
     ) -> LegGroup:
-        """Cross-round submission on private per-group shm block pairs.
+        """Pack a private shm block pair, submit one future per leg.
 
-        Differences from the sync :meth:`_submit` transport: dispatch
-        *and* upload rows are indexed by plan position ``j`` (not pool
-        row — two in-flight groups may reuse a pool row across a carry),
-        and round-shared hook payloads ride pickled inside each task
-        instead of through :class:`_PayloadPacker` (whose regrow-on-pack
-        would unlink segments a still-running group's workers map).
+        Dispatch rows hold each *unique* dispatched state once; upload
+        rows are indexed by plan position ``j``, not pool row (two
+        in-flight groups may target the same pool row across a carry)
+        — :meth:`LegGroup.finalize` copies row ``j`` into the server's
+        buffer.  Round-shared hook payloads ride as
+        :class:`SharedStateRef` s into the :class:`_PayloadPacker`
+        segments, never pickled per client.
         """
-        from repro.core.pool import _check_integer_roundtrip
-
-        _check_parallel_cohort(active[: len(plans)], rows[: len(plans)])
-        for plan in plans:
-            _require_spec_hook(plan.loss_hook, "DispatchPlan.loss_hook")
-            _require_spec_hook(plan.grad_hook, "DispatchPlan.grad_hook")
-        self._ensure_pool()
+        _check_cohort(active, plans, rows, parallel=True)
         layout = uploads.layout
-        n = len(plans)
-        dispatch, upload = self._acquire_blocks(
-            max(1, n), layout.total_size, uploads.dtype
+        states = _validated_states(plans, layout, uploads.dtype, "process")
+        self._ensure_pool()
+        hook_pairs = self._payloads.pack_round(plans)
+        payload_names = sorted(self._payloads.live_names())
+        pair = dispatch, upload = self._acquire_blocks(
+            len(plans), layout.total_size, uploads.dtype
         )
+        slots = {}
+        for slot, (key, state) in enumerate(states.items()):
+            layout.flatten_into(state, dispatch.array[slot])
+            slots[key] = slot
         hypers = _trainer_hypers(trainer)
-        futures = []
-        for j, (client, plan) in enumerate(zip(active, plans)):
-            _check_integer_roundtrip(layout, plan.state, dispatch.array.dtype)
-            _check_float_roundtrip(layout, plan.state, dispatch.array.dtype)
-            layout.flatten_into(plan.state, dispatch.array[j])
-            futures.append(
-                self._pool.submit(
-                    _process_leg,
-                    {
-                        "client_id": client.client_id,
-                        "rng_state": client.rng.bit_generator.state,
-                        "dispatch_row": j,
-                        "upload_row": j,
-                        "dispatch_ref": dispatch.ref,
-                        "upload_ref": upload.ref,
-                        "payload_names": (),
-                        "loss_hook": plan.loss_hook,
-                        "grad_hook": plan.grad_hook,
-                        "lr_override": plan.lr_override,
-                        "hypers": hypers,
-                    },
-                )
+        futures = [
+            self._pool.submit(
+                _process_leg,
+                {
+                    "client_id": active[j].client_id,
+                    "rng_state": active[j].rng.bit_generator.state,
+                    "dispatch_row": slots[id(plan.state)],
+                    "upload_row": j,
+                    "dispatch_ref": dispatch.ref,
+                    "upload_ref": upload.ref,
+                    "payload_names": payload_names,
+                    "loss_hook": hook_pairs[j][0],
+                    "grad_hook": hook_pairs[j][1],
+                    "lr_override": plan.lr_override,
+                    "hypers": hypers,
+                },
             )
-        attack_map = dict(attacks) if attacks else {}
+            for j, plan in enumerate(plans)
+        ]
 
-        def finalize(j: int, raw) -> LocalResult:
+        def land(j: int, raw) -> LocalResult:
             num_samples, num_steps, mean_loss, rng_state = raw
             active[j].rng.bit_generator.state = rng_state
             row = int(rows[j])
+            # Copy the leg's freshly written row from the shared
+            # segment into the server's buffer — straight into the
+            # row's owning shard on sharded (or memmap-backed) storage.
             uploads.set_row(row, upload.array[j])
-            result = LocalResult(
+            return LocalResult(
                 state=uploads.as_state(row, copy=True),
                 num_samples=num_samples,
                 num_steps=num_steps,
                 mean_loss=mean_loss,
             )
-            if j in attack_map:
-                result = _attacked_result(attack_map[j], plans[j], row, uploads, result)
-            return result
 
-        def release() -> None:
-            if dispatch.array is not None and upload.array is not None:
-                key = (
-                    int(dispatch.array.shape[0]),
-                    int(dispatch.array.shape[1]),
-                    dispatch.array.dtype.str,
-                )
-                self._group_blocks.setdefault(key, []).append((dispatch, upload))
-
-        return LegGroup(futures, finalize, release)
+        group = LegGroup(
+            futures,
+            _landing(plans, rows, uploads, attacks, land),
+            lambda: self._free_pairs.append(pair),
+        )
+        self._payloads.hold(group)
+        return group
 
     def close(self) -> None:
         # Release the shared segments even when the pool shutdown is
@@ -1415,30 +1256,25 @@ class ProcessExecution(ExecutionBackend):
             if pool is not None:
                 pool.shutdown(wait=True)
         finally:
-            for attr in ("_dispatch", "_uploads_shm"):
-                block = getattr(self, attr)
-                if block is not None:
+            for pair in self._free_pairs:
+                for block in pair:
                     block.close()
-                    setattr(self, attr, None)
-            for pairs in self._group_blocks.values():
-                for pair in pairs:
-                    for block in pair:
-                        block.close()
-            self._group_blocks.clear()
+            self._free_pairs.clear()
             self._payloads.close()
 
 
 # -- facade -----------------------------------------------------------------
 class ClientExecutor:
-    """The server's handle on its execution backend.
+    """The server's handle on its execution backend: factory and owner.
 
-    Resolves ``backend`` against the registry, builds the backend with a
+    Resolves ``backend`` against the registry, builds it with a
     :class:`TrainerSpec` derived from the live trainer (plus an optional
     explicit ``model_factory`` — required to be picklable for
-    ``process``), and forwards ``run``/``close``.  Servers construct one
-    from ``FLConfig.execution`` / ``FLConfig.workers`` by default;
-    callers may inject a custom instance through the server's
-    ``executor=`` keyword.
+    ``process``), attaches the server's ledger and closes the backend
+    when collected.  Legs are driven on :attr:`backend` directly.
+    Servers construct one from ``FLConfig.execution`` /
+    ``FLConfig.workers`` by default; callers may inject a custom
+    instance through the server's ``executor=`` keyword.
     """
 
     def __init__(
@@ -1472,58 +1308,6 @@ class ClientExecutor:
     @property
     def backend(self) -> ExecutionBackend:
         return self._backend
-
-    def run(
-        self,
-        trainer: LocalTrainer,
-        active: "list[Client]",
-        plans: "list[DispatchPlan]",
-        rows: Sequence[int],
-        uploads: "PoolBuffer",
-    ) -> list[LocalResult]:
-        """Train the cohort and pack uploads; results in plan order."""
-        return self._backend.run(trainer, active, plans, rows, uploads)
-
-    def run_streaming(
-        self,
-        trainer: LocalTrainer,
-        active: "list[Client]",
-        plans: "list[DispatchPlan]",
-        rows: Sequence[int],
-        uploads: "PoolBuffer",
-    ) -> Iterator[tuple[int, LocalResult]]:
-        """Train the cohort, yielding ``(plan_index, result)`` pairs as
-        legs land — the overlap seam the streaming collect phase
-        consumes.  Fully consuming the stream is equivalent to
-        :meth:`run` (same uploads, results and RNG advancement)."""
-        return self._backend.run_streaming(trainer, active, plans, rows, uploads)
-
-    def run_streaming_captured(
-        self,
-        trainer: LocalTrainer,
-        active: "list[Client]",
-        plans: "list[DispatchPlan]",
-        rows: Sequence[int],
-        uploads: "PoolBuffer",
-        timeout: float | None = None,
-        attacks: "Mapping[int, AttackSpec] | None" = None,
-    ) -> "Iterator[tuple[int, LocalResult | LegFailure]]":
-        """Fault-capturing twin of :meth:`run_streaming`: a leg that
-        raises (or misses the wall-clock ``timeout``) is yielded as a
-        structured :class:`~repro.faults.policy.LegFailure` instead of
-        aborting the stream — the seam the resilience engine drives.
-        ``attacks`` (plan index → Byzantine spec) poisons those legs'
-        uploads at the landing boundary; it is only forwarded when
-        present, so third-party backends predating the keyword keep
-        working in attack-free runs."""
-        if attacks:
-            return self._backend.run_streaming_captured(
-                trainer, active, plans, rows, uploads,
-                timeout=timeout, attacks=attacks,
-            )
-        return self._backend.run_streaming_captured(
-            trainer, active, plans, rows, uploads, timeout=timeout
-        )
 
     def close(self) -> None:
         """Shut down worker pools and release shared buffers (idempotent;

@@ -68,7 +68,14 @@ from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.faults.policy import FaultError, LegFailure, QuorumError
+from repro.faults.policy import (
+    FaultError,
+    LegFailure,
+    QuorumError,
+    describe_failures,
+    restore_rng,
+)
+from repro.fl.execution import _check_cohort, _leg_failure
 from repro.fl.metrics import RoundRecord
 from repro.utils.registry import Registry
 
@@ -170,19 +177,6 @@ class SyncRoundScheduler(RoundScheduler):
                 break
 
 
-def _restore_rng(client, snapshot) -> None:
-    client.rng.bit_generator.state = snapshot
-
-
-def _describe(failures: "dict[int, LegFailure]") -> str:
-    parts = [
-        f"client {f.client_id} (row {f.row}): {f.kind}"
-        + (f" after {f.attempts} attempt(s)" if f.attempts else "")
-        for _, f in sorted(failures.items())
-    ]
-    return "; ".join(parts)
-
-
 @dataclass
 class _Leg:
     """One in-flight (or queued) training leg of the overlapped driver."""
@@ -276,12 +270,6 @@ class AsyncRoundScheduler(RoundScheduler):
                 "(run with max_staleness=0 for the sequential async window)"
             )
         backend = server.executor.backend
-        if not getattr(backend, "supports_async", False):
-            raise ValueError(
-                f"execution backend {backend.name!r} does not support "
-                "cross-round in-flight legs (submit_group); use "
-                "serial/thread/process/distributed or max_staleness=0"
-            )
         adapter = adapter_factory()
         policy = server.fault_policy
         S = self.max_staleness
@@ -332,12 +320,8 @@ class AsyncRoundScheduler(RoundScheduler):
         active = server.sample_clients()
         server.last_suspects = []
         plans = server.dispatch(active)
-        if len(active) != len(plans):
-            raise ValueError(
-                f"dispatch produced {len(plans)} plans for "
-                f"{len(active)} active clients"
-            )
         rows = [int(plan.context.get("row", i)) for i, plan in enumerate(plans)]
+        _check_cohort(active, plans, rows)
         n = len(active)
         uploads = server._model_buffer(("async", t % (self.max_staleness + 1)), n)
         ctx = adapter.begin_round(t, uploads)
@@ -352,26 +336,9 @@ class AsyncRoundScheduler(RoundScheduler):
             results=[None] * n,
             tries=[0] * n,
         )
-        policy = server.fault_policy
-        population = server.fault_model
-        if population is not None:
-            faults = population.leg_faults(t, [c.client_id for c in active])
-            for i, fault in enumerate(faults):
-                if fault.kind is not None:
-                    rs.failures[i] = population.failure_for(
-                        fault, i, active[i].client_id, rows[i]
-                    )
-            if rs.failures and policy.failure_policy == "fail":
-                raise FaultError(
-                    f"round {t} aborted under failure_policy='fail': "
-                    f"{_describe(rs.failures)}"
-                )
-        attacks = {}
-        if population is not None:
-            for i in range(n):
-                spec = population.attack_for(t, active[i].client_id)
-                if spec is not None:
-                    attacks[i] = spec
+        rs.failures, attacks = server.fault_policy.pre_decide(
+            server.fault_model, t, active, rows
+        )
         for i in range(n):
             if i in rs.failures:
                 # Pre-decided simulated fault: never dispatched.  Copy
@@ -504,13 +471,8 @@ class AsyncRoundScheduler(RoundScheduler):
                 leg.future.cancel()
                 wait([leg.future])  # drain: late work is discarded
                 leg.group.leg_done()
-                failure = LegFailure(
-                    index=leg.i,
-                    client_id=leg.client.client_id,
-                    row=leg.row,
-                    kind="timeout",
-                    message="leg did not finish before the wall-clock deadline",
-                    drained=True,
+                failure = _leg_failure(
+                    leg.client, leg.row, leg.i, "timeout", drained=True
                 )
                 self._fail(server, policy, leg, failure, ready, busy, states)
 
@@ -522,13 +484,7 @@ class AsyncRoundScheduler(RoundScheduler):
             raise
         except BaseException as exc:  # noqa: BLE001 - policy decides
             leg.group.leg_done()
-            failure = LegFailure(
-                index=leg.i,
-                client_id=leg.client.client_id,
-                row=leg.row,
-                kind="error",
-                message=f"{type(exc).__name__}: {exc}",
-            )
+            failure = _leg_failure(leg.client, leg.row, leg.i, "error", exc)
             self._fail(server, policy, leg, failure, ready, busy, states)
             return
         result = leg.group.finalize(leg.j, raw)
@@ -545,18 +501,13 @@ class AsyncRoundScheduler(RoundScheduler):
 
     def _fail(self, server, policy, leg, failure, ready, busy, states) -> None:
         rs = states[leg.t]
-        failure = failure.replace(
-            index=leg.i,
-            client_id=leg.client.client_id,
-            row=leg.row,
-            attempts=leg.tries,
-        )
+        failure = failure.replace(attempts=leg.tries)
         server.ledger.note_leg_failure()
         # Restore the submission-time RNG snapshot immediately — before
         # the client can be released or resubmitted — so no later leg
         # ever trains from a half-advanced stream, and a carry lands
         # only after the rewind (the sync engine's contract).
-        _restore_rng(leg.client, leg.snapshot)
+        restore_rng(leg.client, leg.snapshot)
         if failure.retryable and leg.tries <= policy.leg_retries:
             leg.not_before = self.clock() + policy.backoff_delay(leg.tries)
             leg.reserved = True  # client stays reserved for its retry
@@ -586,7 +537,7 @@ class AsyncRoundScheduler(RoundScheduler):
         if rs.failures and policy.failure_policy == "fail":
             raise FaultError(
                 f"round {rs.t} aborted under failure_policy='fail': "
-                f"{_describe(rs.failures)}"
+                f"{describe_failures(rs.failures)}"
             )
         survivors = n - len(rs.failures)
         required = policy.required_legs(n)
@@ -594,7 +545,7 @@ class AsyncRoundScheduler(RoundScheduler):
             raise QuorumError(
                 f"round {rs.t}: {survivors}/{n} fresh uploads, "
                 f"quorum {policy.quorum:g} requires {required} — "
-                f"{_describe(rs.failures)}"
+                f"{describe_failures(rs.failures)}"
             )
         # Carry the degraded legs: the dispatched state re-lands in the
         # upload row (CrossAggr / GramTracker keep a full K-row view).
@@ -622,7 +573,7 @@ class AsyncRoundScheduler(RoundScheduler):
         server.last_leg_failures = ordered
         if ordered:
             extras.setdefault("leg_failures", [f.summary() for f in ordered])
-        if not getattr(server.executor.backend, "measures_comm", False):
+        if not server.executor.backend.measures_comm:
             # Analytic charge from counted leg traffic: one down per
             # (re)submission, one up per fresh landing — carried and
             # pre-dropped legs move nothing.

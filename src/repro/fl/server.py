@@ -14,9 +14,10 @@ the shared :meth:`FederatedServer.fit` loop:
     ``context`` carried through to aggregation.
 ``collect(active, plans)``
     Run local training and gather uploads.  The default implementation
-    hands the cohort to the server's :class:`~repro.fl.execution
-    .ClientExecutor` (``serial`` | ``thread`` | ``process``, selected by
-    ``config.execution`` / ``config.workers``), which trains each plan
+    hands the cohort to the execution backend its :class:`~repro.fl
+    .execution.ClientExecutor` owns (``serial`` | ``thread`` |
+    ``process`` | ``distributed``, selected by ``config.execution`` /
+    ``config.workers``), which trains each plan
     and packs the uploaded state into a reused server-side
     :class:`~repro.core.pool.PoolBuffer` row (``plan.context["row"]``,
     defaulting to the client's position), so aggregation is array ops
@@ -281,21 +282,21 @@ class FederatedServer:
             self.last_leg_failures = []
             self._round_leg_comm = None
             results = resilient_collect(self, active, plans, rows, uploads)
-            self._upload_rows = rows[: len(results)]
+            self._upload_rows = rows
             return results
+        backend = self.executor.backend
         if self.streaming:
-            n = min(len(active), len(plans))
-            results: list[LocalResult | None] = [None] * n
-            for i, result in self.executor.run_streaming(
+            results: list[LocalResult | None] = [None] * len(plans)
+            for i, result in backend.run_streaming(
                 self.trainer, active, plans, rows, uploads
             ):
                 results[i] = result
                 self.on_upload(rows[i], result)
         else:
-            results = self.executor.run(self.trainer, active, plans, rows, uploads)
+            results = backend.run(self.trainer, active, plans, rows, uploads)
             for i, result in enumerate(results):
                 self.on_upload(rows[i], result)
-        self._upload_rows = rows[: len(results)]
+        self._upload_rows = rows
         return results
 
     def on_upload(self, row: int, result: LocalResult) -> None:
@@ -420,7 +421,7 @@ class FederatedServer:
         """
         buf = self._model_buffer("cohort", len(members))
         rows = [plan.context.get("row", i) for i, plan in enumerate(plans)]
-        results = self.executor.run(self.trainer, members, plans, rows, buf)
+        results = self.executor.backend.run(self.trainer, members, plans, rows, buf)
         return results, buf
 
     def aggregate_uploads(self, results: Sequence[LocalResult]) -> dict:
@@ -500,12 +501,12 @@ class FederatedServer:
     def charge_round_communication(self, active: list[Client], extra_down: int = 0, extra_up: int = 0) -> None:
         """Charge the standard 2K-model round cost plus method extras.
 
-        A no-op when the execution backend marked this round's ledger
-        *measured* (the ``distributed`` backend records the parameters
-        actually crossing its sockets per leg) — the analytic charge
-        would double-count what the transport already recorded.
+        A no-op when the execution backend *measures* its transfers
+        (the ``distributed`` backend records the parameters actually
+        crossing its sockets per leg) — the analytic charge would
+        double-count what the transport already recorded.
         """
-        if self.ledger.measured:
+        if self.executor.backend.measures_comm:
             return
         if self._round_leg_comm is not None:
             # The resilience engine counted actual leg traffic: one down

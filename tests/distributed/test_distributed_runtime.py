@@ -58,8 +58,8 @@ class TestMeasuredLedger:
 
     def test_serial_execution_keeps_analytic_charge(self):
         """Distributed *storage* under the serial execution backend
-        still uses the server's analytic charge (nothing marks the
-        ledger measured) — and lands on the same numbers."""
+        still uses the server's analytic charge (the backend does not
+        measure its transfers) — and lands on the same numbers."""
         sim = FLSimulation(_config(execution="serial"))
         result = sim.run()
         k = sim.config.clients_per_round
@@ -142,6 +142,46 @@ class TestFaultSurfacing:
                 sim.run()
         finally:
             # Leave no half-dead fleet in the pool for later tests.
+            shutdown_clusters()
+
+    def test_dead_host_at_submit_fails_every_leg_of_the_group(self):
+        """A fleet-level dispatch failure (the trainer broadcast hits a
+        dead host) comes back from ``submit_group`` as one failed future
+        per leg, so every consumer of the group — the captured stream
+        and the async driver alike — sees per-leg failures it can
+        recover from, instead of the submission aborting the fit."""
+        from repro.faults import LegFailure
+
+        try:
+            sim = FLSimulation(_config())
+            server = sim.server
+            backend = server.executor.backend
+            active = server.select_cohort()
+            plans = server.dispatch(active)
+            rows = [plan.context.get("row", i) for i, plan in enumerate(plans)]
+            uploads = server._round_uploads(len(active))
+            handle = uploads.storage.cluster.handles[1]
+            handle.process.kill()
+            handle.process.join(timeout=5)
+
+            group = backend.submit_group(
+                server.trainer, active, plans, rows, uploads
+            )
+            assert len(group.futures) == len(plans)
+            for future in group.futures:
+                assert isinstance(future.exception(timeout=5), DistributedError)
+            out = dict(
+                backend.run_streaming_captured(
+                    server.trainer, active, plans, rows, uploads
+                )
+            )
+            assert sorted(out) == list(range(len(plans)))
+            for i, failure in out.items():
+                assert isinstance(failure, LegFailure) and failure.retryable
+                assert failure.client_id == active[i].client_id
+                assert "DistributedError" in failure.message
+                assert "shard host 1/2" in failure.message
+        finally:
             shutdown_clusters()
 
     def test_remote_exception_carries_type_and_no_retry(self):

@@ -12,7 +12,7 @@ from repro.faults import FaultError, QuorumError
 from repro.faults.inject import UploadDropper
 from repro.fl.callbacks import ServerCallback
 from repro.fl.config import FLConfig
-from repro.fl.execution import _leg_failure, _stream_captured
+from repro.fl.execution import LegGroup, _leg_failure, stream_legs
 from repro.fl.simulation import run_simulation
 
 BASE = dict(
@@ -197,12 +197,14 @@ class TestRetries:
                         return getattr(inner, name)
 
                     def run_streaming_captured(
-                        self, trainer, active, plans, rows, uploads, timeout=None
+                        self, trainer, active, plans, rows, uploads,
+                        timeout=None, attacks=None,
                     ):
                         from repro.faults import LegFailure
 
                         for i, out in inner.run_streaming_captured(
-                            trainer, active, plans, rows, uploads, timeout=timeout
+                            trainer, active, plans, rows, uploads,
+                            timeout=timeout, attacks=attacks,
                         ):
                             cid = int(active[i].client_id)
                             ok = not isinstance(out, LegFailure)
@@ -256,7 +258,9 @@ class TestTimeouts:
         with ThreadPoolExecutor(max_workers=1) as pool:
             future = pool.submit(slow)
             out = list(
-                _stream_captured([future], {future: 0}, active, rows, 0.05)
+                stream_legs(
+                    LegGroup([future]), active, rows, capture=True, timeout=0.05
+                )
             )
         assert finished.is_set()  # the drain waited for the worker
         assert len(out) == 1
@@ -281,9 +285,8 @@ class TestTimeouts:
         with ThreadPoolExecutor(max_workers=1) as pool:
             futures = [pool.submit(slow), pool.submit(never)]
             out = list(
-                _stream_captured(
-                    futures, {f: i for i, f in enumerate(futures)},
-                    active, [0, 1], 0.05,
+                stream_legs(
+                    LegGroup(futures), active, [0, 1], capture=True, timeout=0.05
                 )
             )
         assert ran == ["first"]
@@ -300,37 +303,67 @@ class TestTimeouts:
 
     def test_leg_failure_messages(self):
         failure = _leg_failure(
-            [SimpleNamespace(client_id=4)], [2], 0, "error",
-            exc=ValueError("boom"),
+            SimpleNamespace(client_id=4), 2, 0, "error", exc=ValueError("boom")
         )
         assert failure.client_id == 4 and failure.row == 2
         assert "ValueError: boom" in failure.message
-        timeout = _leg_failure([SimpleNamespace(client_id=4)], [2], 0, "timeout")
+        timeout = _leg_failure(SimpleNamespace(client_id=4), 2, 0, "timeout")
         assert "deadline" in timeout.message
 
 
-class TestEngineGuards:
-    def test_cohort_plan_length_mismatch_raises(self):
-        # Regression (ISSUE 10): the engine used to truncate to
-        # min(len(active), len(plans)), silently dropping legs and
-        # skewing quorum accounting.  A skew must fail loudly, naming
-        # both lengths.
-        from repro.faults.engine import resilient_collect
-        from repro.faults.policy import RoundPolicy
+def _engine_collect(active, plans, rows):
+    from repro.faults.engine import resilient_collect
+    from repro.faults.policy import RoundPolicy
 
-        server = SimpleNamespace(
-            fault_policy=RoundPolicy.from_config(
-                FLConfig(**{**BASE, "leg_retries": 1})
-            ),
-            fault_model=None,
-            round_idx=0,
+    server = SimpleNamespace(
+        fault_policy=RoundPolicy.from_config(
+            FLConfig(**{**BASE, "leg_retries": 1})
+        ),
+        fault_model=None,
+        round_idx=0,
+    )
+    return resilient_collect(server, active, plans, rows, None)
+
+
+def _backend_driver(backend, driver):
+    from repro.fl.execution import resolve_execution
+
+    def call(active, plans, rows):
+        out = getattr(resolve_execution(backend)(), driver)(
+            None, active, plans, rows, None
         )
+        return out if driver in ("run", "submit_group") else list(out)
+
+    return call
+
+
+class TestEngineGuards:
+    @pytest.mark.parametrize(
+        "collect",
+        [pytest.param(_engine_collect, id="engine")]
+        + [
+            pytest.param(_backend_driver(backend, driver), id=f"{backend}-{driver}")
+            for backend in ("serial", "thread", "process", "distributed")
+            for driver in (
+                "run", "run_streaming", "run_streaming_captured", "submit_group"
+            )
+        ],
+    )
+    def test_cohort_plan_length_mismatch_raises(self, collect):
+        # Regression (ISSUE 10, widened by ISSUE 13): the engine — and
+        # six sites in the backends and the server — used to truncate to
+        # min(len(active), len(plans)), silently dropping legs and
+        # skewing quorum accounting.  A skew must fail loudly where the
+        # legs are submitted, naming both lengths, on every backend and
+        # through every driver, before anything trains.
         active = [SimpleNamespace(client_id=0), SimpleNamespace(client_id=1)]
         plans = [SimpleNamespace(state={})]
         with pytest.raises(
             ValueError, match="2 active clients but 1 dispatch plans"
         ):
-            resilient_collect(server, active, plans, [0, 1], None)
+            collect(active, plans, [0, 1])
+        with pytest.raises(ValueError, match="1 active clients but 2 dispatch"):
+            collect(active[:1], plans * 2, [0, 1])
 
 
 class TestInjectableSleep:

@@ -57,33 +57,58 @@ class TestRegistry:
 
             del EXECUTION_BACKENDS["probe-serial"]
 
-    def test_run_only_backend_streams_via_fallback(self, tiny_config):
-        """A third-party backend implementing only ``run`` still serves
-        the streaming collect through the base-class fallback (gathered
-        run, yielded in plan order)."""
-        from repro.fl.execution import ExecutionBackend
+    def test_submit_group_only_backend_serves_every_schedule(self, tiny_config):
+        """The extension contract: a third-party backend implementing
+        nothing but ``submit_group`` serves the gathered, streaming and
+        fault-capturing drivers and the async scheduler (S=1) — each
+        bit-identical to the built-in serial backend."""
+        from concurrent.futures import Future
+
+        from repro.fl.execution import EXECUTION_BACKENDS, LegGroup
 
         calls = []
 
-        @register_execution("probe-run-only")
-        class RunOnly(ExecutionBackend):
-            def __init__(self, spec=None, clients=(), workers=None):
-                super().__init__(spec, clients, workers)
-                self._serial = resolve_execution("serial")(spec, clients, workers)
-
-            def run(self, trainer, active, plans, rows, uploads):
+        @register_execution("probe-submit-only")
+        class SubmitOnly(ExecutionBackend):
+            def submit_group(self, trainer, active, plans, rows, uploads, attacks=None):
                 calls.append(len(plans))
-                return self._serial.run(trainer, active, plans, rows, uploads)
+                futures = []
+                for client, plan, row in zip(active, plans, rows):
+                    result = client.train(trainer, plan.state)
+                    uploads.set_state(row, result.state)
+                    futures.append(Future())
+                    futures[-1].set_result(result)
+                return LegGroup(futures)
 
+        assert {"run", "run_streaming", "run_streaming_captured"}.isdisjoint(
+            vars(SubmitOnly)
+        )
+        base = tiny_config.replace(method="fedcross")
+        schedules = {
+            "streaming": {},
+            "gathered": {"streaming": False},
+            "captured": {"leg_retries": 1, "failure_policy": "carry"},
+            "async": {"round_mode": "async", "max_staleness": 1},
+        }
         try:
-            sim = FLSimulation(tiny_config.replace(execution="probe-run-only"))
-            extras = sim.server.run_round(sim.server.select_cohort())
-            assert calls == [tiny_config.clients_per_round]
-            assert "train_loss" in extras
+            for label, overrides in schedules.items():
+                calls.clear()
+                reference = FLSimulation(base.replace(**overrides)).run()
+                probe = FLSimulation(
+                    base.replace(execution="probe-submit-only", **overrides)
+                ).run()
+                assert sum(calls) == base.rounds * base.clients_per_round, label
+                assert [
+                    (r.accuracy, r.loss, r.train_loss, r.comm_up_params)
+                    for r in probe.history.records
+                ] == [
+                    (r.accuracy, r.loss, r.train_loss, r.comm_up_params)
+                    for r in reference.history.records
+                ], label
+                for key, value in reference.final_state.items():
+                    np.testing.assert_array_equal(probe.final_state[key], value)
         finally:
-            from repro.fl.execution import EXECUTION_BACKENDS
-
-            del EXECUTION_BACKENDS["probe-run-only"]
+            del EXECUTION_BACKENDS["probe-submit-only"]
 
 
 class TestConfigWiring:
@@ -283,6 +308,29 @@ class TestSharedPayloadDedup:
         finally:
             packer.close()
 
+    def test_repack_while_a_group_still_reads_the_payloads_raises(self, tiny_config):
+        """Payload segments are rewritten in place, so packing under a
+        group whose legs may still read them must fail loudly (no
+        shipped schedule does it); once that group is fully accounted
+        for — or for payload-free plans — packing proceeds."""
+        from concurrent.futures import Future
+
+        from repro.fl.execution import LegGroup, _PayloadPacker
+
+        _, _, plans = self._scaffold_plans(tiny_config)
+        packer = _PayloadPacker()
+        try:
+            packer.pack_round(plans)
+            group = LegGroup([Future()])
+            packer.hold(group)
+            with pytest.raises(RuntimeError, match="still in flight"):
+                packer.pack_round(plans)
+            packer.pack_round([DispatchPlan(plans[0].state)])  # nothing shared
+            group.leg_done()
+            packer.pack_round(plans)
+        finally:
+            packer.close()
+
     def test_hookless_plans_pack_nothing(self, tiny_config):
         from repro.fl.execution import _PayloadPacker
 
@@ -421,6 +469,49 @@ class TestParallelMechanics:
         assert "train_loss" in extras
         server.executor.close()
 
+    def test_process_validates_every_plan_before_submitting_any(self, tiny_config):
+        """A bad *last* plan must fail the whole submission up front: no
+        leg reaches the pool (plan n-1 raising used to leave legs
+        0..n-2 training), client RNG states are untouched and the shm
+        block pair is still on the free-list for the next round."""
+        sim = FLSimulation(
+            tiny_config.replace(method="fedcross", execution="process", workers=1)
+        )
+        server = sim.server
+        backend = server.executor.backend
+        server.run_round(server.select_cohort())  # warm: pool + one block pair
+
+        class CountingPool:
+            def __init__(self, pool):
+                self.pool, self.submitted = pool, 0
+
+            def submit(self, *args, **kwargs):
+                self.submitted += 1
+                return self.pool.submit(*args, **kwargs)
+
+            def shutdown(self, wait=True):
+                self.pool.shutdown(wait=wait)
+
+        backend._pool = counting = CountingPool(backend._pool)
+        active = server.select_cohort()
+        plans = server.dispatch(active)
+        plans[-1].state = {
+            k: np.asarray(v, dtype=np.float64) + 1e-12
+            for k, v in plans[-1].state.items()
+        }
+        rows = list(range(len(plans)))
+        uploads = server._round_uploads(len(active))
+        rng_before = [c.rng.bit_generator.state for c in active]
+        with pytest.raises(ValueError, match="shared-memory round trip"):
+            backend.submit_group(server.trainer, active, plans, rows, uploads)
+        assert counting.submitted == 0
+        assert [c.rng.bit_generator.state for c in active] == rng_before
+        (pair,) = backend._free_pairs
+        # The backend stays usable, on the same block pair.
+        assert "train_loss" in server.run_round(server.select_cohort())
+        assert backend._free_pairs == [pair]
+        server.executor.close()
+
     def test_train_cohort_reuses_size_keyed_buffers(self, tiny_config):
         sim = FLSimulation(tiny_config)
         server = sim.server
@@ -453,8 +544,9 @@ class TestSharedMemoryCleanup:
         from repro.fl.execution import ProcessExecution
 
         backend = ProcessExecution()
-        backend._ensure_shm(2, 3, np.float32)
-        names = [backend._dispatch.shm.name, backend._uploads_shm.shm.name]
+        pair = backend._acquire_blocks(2, 3, np.float32)
+        backend._free_pairs.append(pair)
+        names = [block.shm.name for block in pair]
 
         class InterruptedPool:
             def shutdown(self, wait=True):
@@ -464,7 +556,7 @@ class TestSharedMemoryCleanup:
         with pytest.raises(KeyboardInterrupt):
             backend.close()
         assert backend._pool is None
-        assert backend._dispatch is None and backend._uploads_shm is None
+        assert backend._free_pairs == []
         for name in names:
             assert self._segment_gone(name), name
         backend.close()  # idempotent after the interrupted attempt
@@ -503,9 +595,10 @@ class TestStreamDrain:
         import time
         from concurrent.futures import ThreadPoolExecutor
 
-        from repro.fl.execution import _stream_as_completed
+        from repro.fl.execution import LegGroup, stream_legs
 
         finished = threading.Event()
+        released = []
 
         def failing():
             raise RuntimeError("leg exploded")
@@ -522,12 +615,15 @@ class TestStreamDrain:
             slow_f = pool.submit(slow)
             fail_f = pool.submit(failing)
             never_f = pool.submit(never)  # queued behind the two above
-            futures = [slow_f, fail_f, never_f]
-            indexed = {f: i for i, f in enumerate(futures)}
+            group = LegGroup(
+                [slow_f, fail_f, never_f], release=lambda: released.append(True)
+            )
             with pytest.raises(RuntimeError, match="leg exploded"):
-                for _ in _stream_as_completed(futures, indexed):
+                for _ in stream_legs(group, [None] * 3, [0, 1, 2]):
                     pass
             # The error only propagated after the in-flight leg ran to
-            # completion (drained) and the unstarted one was cancelled.
+            # completion (drained) and the unstarted one was cancelled —
+            # and every leg was accounted for, so the group released.
             assert finished.is_set()
             assert never_f.cancelled()
+            assert released == [True]
