@@ -7,10 +7,15 @@ round-collect on the seed CNN for each execution backend at K ∈ {10,
 on the same workload: **bit-identical training histories and final pool
 matrices across all three backends**.
 
-The asserted bar — ``process`` ≥ 3× faster than ``serial`` at the
-largest K — only applies on hosts with ≥ 4 CPU cores (the speedup is
-physically impossible on fewer); on smaller hosts the bar is reported
-as skipped so CI boxes of any shape can run the determinism check.
+The asserted bar at the largest K (full runs only): ``process`` ≥ 3×
+faster than ``serial`` on hosts with ≥ 4 usable cores; on 2–3 cores,
+where ``serial`` already spreads its GEMMs over every core through
+BLAS, ``process`` must keep up with it (≥ 0.8×; a 2-core host reads
+1.0–1.1×) — each worker caps its BLAS pool at ``cores // workers``
+threads (:mod:`repro.utils.cpu`), and the 0.6× an oversubscribed pool
+gives here is the regression this catches.  A single-core host
+reports the bar as skipped so CI boxes of any shape can run the
+determinism check.
 
 Run directly (not collected by the tier-1 pytest command)::
 
@@ -27,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -39,8 +43,13 @@ from repro.models.registry import build_model
 from repro.optim import SGD
 from repro.tensor import Tensor
 from repro.tensor.functional import cross_entropy, im2col_indices
+from repro.utils.cpu import usable_cores
 
 BACKENDS = ("serial", "thread", "process")
+# process-vs-serial bar on 2-3 cores, halfway between what a 2-core
+# host reads with the workers' BLAS pools capped (1.0-1.1x) and
+# oversubscribed (0.6x).
+SMALL_HOST_PARITY = 0.8
 
 
 def make_config(
@@ -557,7 +566,7 @@ def main(argv=None):
         "--min-speedup",
         type=float,
         default=3.0,
-        help="process-vs-serial bar at the largest K (multi-core hosts only)",
+        help="process-vs-serial bar at the largest K (hosts with >= 4 cores)",
     )
     parser.add_argument(
         "--max-streaming-ratio",
@@ -591,7 +600,7 @@ def main(argv=None):
         parser.error("--repeats must be >= 1")
 
     emit = (lambda line: None) if args.json else print
-    cores = os.cpu_count() or 1
+    cores = usable_cores()
 
     if args.smoke:
         ks, input_size = (4,), 8
@@ -627,16 +636,16 @@ def main(argv=None):
             }
         )
         if k == max(ks) and not args.smoke:
-            if cores >= 4:
-                if proc_x < args.min_speedup:
-                    failures.append(
-                        f"K={k}: process speedup {proc_x:.2f}x below the "
-                        f"{args.min_speedup}x bar on a {cores}-core host"
-                    )
-            else:
+            bar = args.min_speedup if cores >= 4 else SMALL_HOST_PARITY
+            if cores < 2:
                 emit(
-                    f"  (speedup bar skipped: {cores} cores < 4 — parallel "
-                    "collect cannot beat serial here)"
+                    "  (speedup bar skipped: 1 usable core — nowhere to run "
+                    "legs side by side)"
+                )
+            elif proc_x < bar:
+                failures.append(
+                    f"K={k}: process speedup {proc_x:.2f}x below the "
+                    f"{bar}x bar on a {cores}-core host"
                 )
 
     emit("\n== streaming vs gathered collect ==")

@@ -232,7 +232,7 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=_positive_int,
         default=_DEFAULTS.workers,
-        help="worker count for parallel execution backends (default: one per core)",
+        help="worker count for parallel execution backends (default: one per usable core)",
     )
     parser.add_argument(
         "--array-backend",

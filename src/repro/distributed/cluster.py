@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.distributed.host import shard_host_main
 from repro.distributed.rpc import DistributedError, RPCChannel
+from repro.utils.cpu import blas_share
 
 __all__ = ["HostCluster", "get_cluster", "shutdown_clusters", "DEFAULT_HOSTS"]
 
@@ -51,8 +52,11 @@ class _HostHandle:
         self.index = index
         self.label = f"shard host {index}/{total}"
         parent, child = multiprocessing.Pipe()
+        # Every host of the fleet — a failover respawn included — gets
+        # the same share of the coordinator's cores for its BLAS pool.
         self.process = multiprocessing.Process(
-            target=shard_host_main, args=(index, child), daemon=True,
+            target=shard_host_main, args=(index, child, blas_share(total)),
+            daemon=True,
             name=f"repro-shard-host-{index}",
         )
         self.process.start()

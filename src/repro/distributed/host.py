@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.distributed.rpc import serve_connection
 from repro.distributed.framing import send_message  # noqa: F401 (re-export for tests)
+from repro.utils.cpu import blas_threads, limit_blas_threads
 
 __all__ = ["shard_host_main"]
 
@@ -221,6 +222,7 @@ class _HostState:
                     "buffers": sorted(self.buffers),
                     "masks": sorted(self.masks),
                     "trainer_version": self.trainer_version,
+                    "blas_threads": blas_threads(),
                 },
                 {},
                 b"",
@@ -245,12 +247,14 @@ def _rng_state_from_wire(state):
     return state
 
 
-def shard_host_main(index: int, port_conn) -> None:
+def shard_host_main(index: int, port_conn, blas_cap: int) -> None:
     """Entry point of one shard-host process.
 
     Binds an ephemeral localhost port, reports it through ``port_conn``
-    (a :class:`multiprocessing.Pipe` end), then serves connections until
-    a ``shutdown`` op arrives.  Connection threads are daemons, so the
+    (a :class:`multiprocessing.Pipe` end), caps the process's BLAS pool
+    at ``blas_cap`` threads (its share of the coordinator's cores; never
+    above what it inherited), then serves connections until a
+    ``shutdown`` op arrives.  Connection threads are daemons, so the
     process exits as soon as the accept loop does.
     """
     state = _HostState(index)
@@ -260,6 +264,9 @@ def shard_host_main(index: int, port_conn) -> None:
     listener.listen(16)
     port_conn.send(listener.getsockname()[1])
     port_conn.close()
+    # After the port report (the coordinator is waiting on it), before
+    # the first accept: no op is ever served on an uncapped pool.
+    limit_blas_threads(blas_cap)
     # Wake the accept loop promptly after a shutdown op: a short accept
     # timeout bounds the post-shutdown lifetime without busy-waiting.
     listener.settimeout(0.2)

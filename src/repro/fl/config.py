@@ -75,7 +75,8 @@ class FLConfig:
         Resolved lazily against the execution registry.
     workers:
         Worker count for parallel execution backends (``None`` = one
-        per CPU core).  Ignored by ``serial``.
+        per usable core — the scheduler affinity mask, see
+        :mod:`repro.utils.cpu`).  Ignored by ``serial``.
     array_backend:
         Array backend every tensor/nn/optim operation dispatches
         through — ``None`` (default) keeps the process-wide active

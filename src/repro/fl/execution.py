@@ -34,7 +34,10 @@ same registry style as :mod:`repro.core.storage`'s pool backends:
     via :meth:`repro.utils.layout.StateLayout.flatten_into` — the ``P``
     floats per client are written exactly once, never pickled through
     the result queue.  Only scalars (sample counts, loss, the client's
-    advanced RNG state) ride back through the future.
+    advanced RNG state) ride back through the future.  Each worker caps
+    its BLAS pool at ``usable cores // workers`` threads (never above
+    what it inherited — see :mod:`repro.utils.cpu`), so the workers
+    together use the cores once instead of ``workers`` times.
 ``distributed``
     :class:`~repro.distributed.execution.DistributedExecution` (lazy —
     lives in :mod:`repro.distributed`, imported on first selection) —
@@ -124,7 +127,6 @@ from __future__ import annotations
 import atexit
 import copy
 import functools
-import os
 import time
 import weakref
 from concurrent.futures import (
@@ -142,6 +144,7 @@ import numpy as np
 from repro.faults.policy import LegFailure
 from repro.fl.hooks import HookSpec, resolve_hook
 from repro.fl.trainer import LocalResult, LocalTrainer
+from repro.utils.cpu import blas_share, blas_threads, limit_blas_threads, usable_cores
 from repro.utils.layout import StateLayout
 from repro.utils.registry import Registry
 
@@ -277,7 +280,7 @@ def _default_workers(workers: int | None) -> int:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         return int(workers)
-    return os.cpu_count() or 1
+    return usable_cores()
 
 
 def _check_cohort(active, plans, rows, parallel: bool = False) -> None:
@@ -932,7 +935,8 @@ class _PayloadPacker:
 _WORKER: dict = {}
 
 
-def _worker_init(spec: TrainerSpec, datasets: dict) -> None:
+def _worker_init(spec: TrainerSpec, datasets: dict, blas_cap: int) -> None:
+    limit_blas_threads(blas_cap)
     trainer = spec.build()
     _WORKER["trainer"] = trainer
     _WORKER["datasets"] = datasets
@@ -1154,7 +1158,7 @@ class ProcessExecution(ExecutionBackend):
         self._pool = ProcessPoolExecutor(
             max_workers=self._num_workers,
             initializer=_worker_init,
-            initargs=(self.spec, datasets),
+            initargs=(self.spec, datasets, blas_share(self._num_workers)),
         )
 
     def reserve(self, width: int) -> None:
@@ -1163,6 +1167,11 @@ class ProcessExecution(ExecutionBackend):
             self._pool.shutdown(wait=True)
             self._pool = None
         self._num_workers = width
+
+    def worker_blas_threads(self) -> "int | None":
+        """BLAS pool width inside a worker (``None``: no known BLAS)."""
+        self._ensure_pool()
+        return self._pool.submit(blas_threads).result()
 
     def _acquire_blocks(self, n: int, p: int, dtype) -> "tuple[_SharedBlock, _SharedBlock]":
         """A free block pair with at least ``n`` rows, else a new one."""

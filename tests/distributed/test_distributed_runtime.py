@@ -13,6 +13,7 @@ from repro.fl.callbacks import ServerCallback
 from repro.fl.comm import analytic_round_cost
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FLSimulation
+from repro.utils import cpu
 
 HOSTS = 2
 
@@ -212,3 +213,33 @@ class TestFaultSurfacing:
         assert second.alive()
         reply, _, _ = second.call(0, "ping")
         assert reply["index"] == 0
+
+
+class TestCpuBudget:
+    """Shard hosts divide the coordinator's usable cores between their
+    BLAS pools (``repro.utils.cpu``): ``min(inherited, cores // hosts)``
+    each, visible through the ``stats`` op."""
+
+    @staticmethod
+    def _host_threads(cluster):
+        return [
+            cluster.call(i, "stats")[0]["blas_threads"]
+            for i in range(cluster.num_hosts)
+        ]
+
+    def test_every_host_reports_its_share(self):
+        inherited = cpu.blas_threads()
+        if inherited is None:
+            pytest.skip("no known BLAS loaded in this interpreter")
+        expected = min(inherited, cpu.blas_share(HOSTS))
+        assert self._host_threads(get_cluster(HOSTS)) == [expected] * HOSTS
+
+    def test_more_hosts_than_cores_means_one_thread_each(self, monkeypatch):
+        from repro.distributed.cluster import HostCluster
+
+        monkeypatch.setattr(cpu, "usable_cores", lambda: 2)
+        cluster = HostCluster(3)
+        try:
+            assert set(self._host_threads(cluster)) <= {1, None}
+        finally:
+            cluster.shutdown()

@@ -22,6 +22,7 @@ from repro.distributed import DistributedError
 from repro.distributed.cluster import HostCluster, get_cluster, shutdown_clusters
 from repro.distributed.storage import DistributedStorage
 from repro.faults.inject import flaky_transport
+from repro.utils import cpu
 
 
 @pytest.fixture(scope="module")
@@ -118,10 +119,15 @@ class TestFailover:
             # A training leg landed host-side on row 0: the mirror is
             # now behind that host.
             storage.note_remote_write(0)
+            budget = cluster.call(0, "stats")[0]["blas_threads"]
+            if budget is not None:
+                assert budget == min(cpu.blas_threads(), cpu.blas_share(2))
             cluster.handles[0].process.kill()
             cluster.handles[0].process.join(timeout=5.0)
             assert storage.ensure_fleet() == [0]
             assert storage.lost_rows() == [0]
+            # The replacement runs on the CPU budget the original had.
+            assert cluster.call(0, "stats")[0]["blas_threads"] == budget
             # Reading the lost row is refused — never a stale state.
             with pytest.raises(DistributedError, match="lost"):
                 storage.row_block(0, 2)

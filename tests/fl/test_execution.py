@@ -1,10 +1,15 @@
 """Client-execution backends: registry, mechanics, hook specs."""
 
+import os
 import pickle
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.fl.config import FLConfig
 from repro.fl.execution import (
     ClientExecutor,
@@ -17,6 +22,7 @@ from repro.fl.execution import (
 from repro.fl.hooks import ControlVariateSpec, HookSpec, ProximalSpec, resolve_hook
 from repro.fl.server import DispatchPlan
 from repro.fl.simulation import FLSimulation
+from repro.utils import cpu
 
 
 class TestRegistry:
@@ -627,3 +633,85 @@ class TestStreamDrain:
             assert finished.is_set()
             assert never_f.cancelled()
             assert released == [True]
+
+
+def _pid_and_blas_threads():
+    """Probe task: long enough that a pool's workers share the batch."""
+    time.sleep(0.05)
+    return os.getpid(), cpu.blas_threads()
+
+
+class TestCpuBudget:
+    """Process workers divide the usable cores between their BLAS pools
+    (``repro.utils.cpu``): ``min(inherited, cores // workers)`` each."""
+
+    @staticmethod
+    def _backend(tiny_config, workers):
+        sim = FLSimulation(tiny_config.replace(execution="process", workers=workers))
+        return sim.server.executor.backend
+
+    def test_every_worker_reports_its_share(self, tiny_config, monkeypatch):
+        monkeypatch.setattr(cpu, "usable_cores", lambda: 8)
+        inherited = cpu.blas_threads()
+        if inherited is None:
+            pytest.skip("no known BLAS loaded in this interpreter")
+        backend = self._backend(tiny_config, workers=2)
+        try:
+            assert backend.worker_blas_threads() == min(inherited, 4)
+            probes = [backend._pool.submit(_pid_and_blas_threads) for _ in range(8)]
+            seen = dict(f.result() for f in probes)
+            assert len(seen) == 2, "both workers should have taken probes"
+            assert set(seen.values()) == {min(inherited, cpu.blas_share(2))}
+        finally:
+            backend.close()
+
+    def test_more_workers_than_cores_means_one_thread_each(
+        self, tiny_config, monkeypatch
+    ):
+        monkeypatch.setattr(cpu, "usable_cores", lambda: 2)
+        backend = self._backend(tiny_config, workers=3)
+        try:
+            assert backend.worker_blas_threads() in (1, None)
+        finally:
+            backend.close()
+
+    def test_pool_rebuilt_by_reserve_recomputes_the_share(
+        self, tiny_config, monkeypatch
+    ):
+        monkeypatch.setattr(cpu, "usable_cores", lambda: 8)
+        inherited = cpu.blas_threads()
+        if inherited is None:
+            pytest.skip("no known BLAS loaded in this interpreter")
+        backend = self._backend(tiny_config, workers=2)
+        try:
+            assert backend.worker_blas_threads() == min(inherited, 4)
+            first = backend._pool
+            backend.reserve(8)  # wider than the pool: rebuilt on next use
+            assert backend.worker_blas_threads() == 1
+            assert backend._pool is not first
+        finally:
+            backend.close()
+
+    def test_inherited_operator_cap_wins_over_a_wider_share(self):
+        """A worker started under ``OPENBLAS_NUM_THREADS=1`` on an
+        8-core budget (share 4) still runs one BLAS thread."""
+        script = (
+            "from repro.utils import cpu\n"
+            "cpu.usable_cores = lambda: 8\n"
+            "from repro.fl.config import FLConfig\n"
+            "from repro.fl.simulation import FLSimulation\n"
+            "config = FLConfig(method='fedavg', dataset='synth_cifar10', model='mlp',\n"
+            "    num_clients=4, rounds=1, execution='process', workers=2, seed=7,\n"
+            "    dataset_params={'samples_per_client': 20, 'num_test': 40})\n"
+            "backend = FLSimulation(config).server.executor.backend\n"
+            "print(cpu.blas_share(2), backend.worker_blas_threads())\n"
+            "backend.close()\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() in (["4", "1"], ["4", "None"])

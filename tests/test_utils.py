@@ -1,8 +1,13 @@
-"""RNG streams and state-dict utilities (direct unit tests)."""
+"""RNG streams, state-dict utilities and the CPU budget (direct unit tests)."""
+
+import os
+import sys
+import types
 
 import numpy as np
 import pytest
 
+from repro.utils import cpu
 from repro.utils.params import (
     flatten_state_dict,
     state_dict_like,
@@ -88,3 +93,70 @@ class TestParams:
         ref = {"w": np.ones((2, 2))}
         out = state_dict_like(ref, lambda v: v * 3)
         np.testing.assert_allclose(out["w"], np.full((2, 2), 3.0))
+
+
+@pytest.fixture()
+def restore_blas_threads():
+    """Put every BLAS pool back at the width the test found it at."""
+    before = [(set_threads, int(get())) for set_threads, get in cpu._controls()]
+    yield
+    for set_threads, count in before:
+        set_threads(count)
+
+
+class TestCpuBudget:
+    def test_usable_cores_follows_affinity_not_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert cpu.usable_cores() == 2
+        # No affinity API on this platform: the machine's count is all we have.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cpu.usable_cores() == 64
+
+    def test_blas_share_divides_cores_among_peers(self, monkeypatch):
+        monkeypatch.setattr(cpu, "usable_cores", lambda: 8)
+        assert [cpu.blas_share(n) for n in (1, 2, 3, 8)] == [8, 4, 2, 1]
+        assert cpu.blas_share(16) == 1  # more peers than cores: never 0
+        assert cpu.blas_share(0) == 8  # no peers is one process
+
+    def test_limit_round_trips_and_never_widens(self, restore_blas_threads):
+        inherited = cpu.blas_threads()
+        if inherited is None:
+            pytest.skip("no known BLAS loaded in this interpreter")
+        # A cap above the inherited width is a no-op ...
+        assert cpu.limit_blas_threads(inherited + 4) == inherited
+        assert cpu.blas_threads() == inherited
+        # ... a cap below it lands, and reads back ...
+        assert cpu.limit_blas_threads(1) == 1
+        assert cpu.blas_threads() == 1
+        # ... and nothing asked afterwards raises the count again.
+        assert cpu.limit_blas_threads(inherited) == 1
+        assert cpu.limit_blas_threads(0) == 1  # nonsense caps clamp to 1
+
+    def test_unknown_blas_is_a_reported_noop(self, monkeypatch):
+        monkeypatch.setattr(cpu, "_mapped_blas_paths", lambda: [])
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # ImportError
+        assert cpu.blas_threads() is None
+        assert cpu.limit_blas_threads(1) is None
+
+    def test_threadpoolctl_is_used_when_nothing_is_mapped(self, monkeypatch):
+        class Lib:
+            def __init__(self, user_api, threads):
+                self.user_api, self.threads = user_api, threads
+
+            def get_num_threads(self):
+                return self.threads
+
+            def set_num_threads(self, n):
+                self.threads = n
+
+        libs = [Lib("blas", 8), Lib("blas", 2), Lib("openmp", 16)]
+        fake = types.ModuleType("threadpoolctl")
+        fake.ThreadpoolController = lambda: types.SimpleNamespace(lib_controllers=libs)
+        monkeypatch.setattr(cpu, "_mapped_blas_paths", lambda: [])
+        monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+        assert cpu.blas_threads() == 8
+        assert cpu.limit_blas_threads(4) == 4
+        # Each pool is capped on its own: the narrow one is not widened,
+        # and a non-BLAS pool is not ours to touch.
+        assert [lib.threads for lib in libs] == [4, 2, 16]
