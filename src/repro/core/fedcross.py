@@ -59,7 +59,7 @@ import numpy as np
 from repro.core.acceleration import DynamicAlphaSchedule, propeller_index_matrix
 from repro.core.aggregation import validate_alpha
 from repro.core.gram import GramTracker
-from repro.core.pool import PoolBuffer
+from repro.core.pool import PoolBuffer, blend_row
 from repro.core.selection import CoModelSel, select_in_order
 from repro.fl.client import Client
 from repro.fl.metrics import TrainingHistory
@@ -319,6 +319,8 @@ class FedCrossServer(FederatedServer):
         tracker = self._upload_gram if gram is not None else None
         if self.screen is not None:
             self._screen_uploads(uploaded, active, plans, tracker)
+        if tracker is not None:
+            tracker.release()  # Gram final: its row image goes before the blend
         # The closed-form post-CrossAggr Gram transform models the
         # linear blend exactly; robust operators bend flagged rows, so
         # their output Gram must be recomputed from data when needed.
@@ -543,20 +545,16 @@ class FedCrossAsyncAdapter:
         )
 
     def _blend_row(self, ctx: _AsyncRoundCtx, i: int, co: int) -> None:
-        pool = self.server._pool
         uploads = ctx.uploads
-        vi = uploads.masked_row_f64(i, None)
-        if co == i:
-            blended = vi
-        else:
-            a = float(ctx.alpha)
-            blended = a * vi + (1.0 - a) * uploads.masked_row_f64(co, None)
-            int_mask = uploads.layout.integer_mask()
-            if int_mask.any():
-                # Integer fields carry from the row's own upload,
-                # never averaged — cross_aggregate's rule.
-                blended[int_mask] = vi[int_mask]
-        pool.set_row(i, blended)
+        blended = own = uploads.row(i)
+        if co != i:
+            blended = np.empty_like(own)
+            blend_row(
+                blended, own, uploads.row(co), float(ctx.alpha),
+                np.flatnonzero(uploads.layout.integer_mask()),
+                np.empty((2, own.size)),
+            )
+        self.server._pool.set_row(i, blended)
         self.server._pool_gram = None  # live pool moved under the tracker
 
     def _speculate(self, ctx: _AsyncRoundCtx) -> None:
@@ -587,7 +585,10 @@ class FedCrossAsyncAdapter:
             co = np.zeros(1, dtype=np.int64)
             eval_pool = uploads.copy()
         else:
-            gram = ctx.tracker.gram if ctx.tracker is not None else None
+            gram = None
+            if ctx.tracker is not None:
+                gram = ctx.tracker.gram
+                ctx.tracker.release()  # Gram final; image gone before the blend
             co = server.selector.select_all(uploads, ctx.t, gram=gram)
             # Exact reference CrossAggr over the complete upload buffer:
             # byte-identical to the sync blend of the same uploads.
@@ -600,9 +601,8 @@ class FedCrossAsyncAdapter:
         for i in range(self.k):
             if self.row_version[i] <= ctx.t:
                 # Reconcile: the exact blended row replaces whatever the
-                # speculative pass wrote (float64 round trip of the f32
-                # row is exact).
-                server._pool.set_row(i, eval_pool.masked_row_f64(i, None))
+                # speculative pass wrote.
+                server._pool.set_row(i, eval_pool.row(i))
                 self.row_version[i] = ctx.t
         server._pool_gram = None
         self._last_eval_pool = eval_pool

@@ -20,11 +20,29 @@ from scratch every round costs O(K²·P); this module maintains it
   pool data at all (the 2-D propeller variant has the analogous
   mean-over-propellers expansion).
 
+Float64 image and the update contract
+-------------------------------------
+``update_row`` dots against a float64 *image* of the masked rows, not
+the pool itself: one storage-backed ``(K, p_eff)`` float64 buffer per
+live upload buffer, allocated through the pool's own storage
+(``allocate_like`` — file-backed on ``memmap``, sharded on ``sharded``)
+on the round's first upload.  ``update_row(i)`` re-casts row ``i``
+only; rows not imaged yet are cast on first use — K casts a round, not
+K².  ``update_row(i)`` is therefore how the tracker learns row ``i``
+changed: every writer of a tracked row calls it afterwards (``collect``,
+the fault engine's carry, ``screen="carry"`` quarantine, the async
+landing).  :meth:`GramTracker.release` drops the image once the round's
+Gram is final — before the blend runs, so the two never add up in
+``peak_rss`` — and the next update re-images lazily.  Storages that
+reduce where the rows live (``distributed``: ``masked_dots``) are asked
+first and never get an image.
+
 Determinism and tolerance contract
 ----------------------------------
 ``update_row`` computes each pairwise dot as a single contiguous
-float64 1-D ``np.dot`` — the same kernel, operand length and summation
-order regardless of which row updates first, and elementwise products
+float64 1-D ``np.dot`` over two image rows — the same kernel, operand
+length and summation order regardless of which row updates first, of
+the shard layout and of when a row was imaged, and elementwise products
 commute exactly in IEEE arithmetic — so the fully refreshed Gram is
 **bitwise independent of update order** (streamed completion order vs
 the gathered plan-order schedule).  Against a *fresh* recompute the
@@ -95,6 +113,8 @@ class GramTracker:
         self.param_keys = set(param_keys) if param_keys is not None else None
         self.gram = gram
         self.updates = 0  # row updates applied (diagnostic/bench counter)
+        self._image = None  # storage-backed (K, p_eff) float64 masked rows
+        self._rows: list[np.ndarray | None] = []  # its row views; None = not cast yet
 
     @classmethod
     def from_pool(
@@ -109,67 +129,53 @@ class GramTracker:
         return self.gram.shape[0]
 
     # -- maintenance -------------------------------------------------------
-    def shard_dots(self, index: int, start: int, stop: int) -> np.ndarray:
-        """Dot contributions of pool rows ``[start, stop)`` against row
-        ``index`` — one shard's share of an :meth:`update_row`.
-
-        This is the distributable unit of Gram maintenance: each shard
-        of a sharded pool owns its rows' contributions, computing dots
-        of the broadcast updated row against *its own rows only*
-        (shard-local reads via
-        :meth:`~repro.core.pool.PoolBuffer.masked_row_f64`, O(P) peak
-        temporary).  Each dot is a 1-D contiguous ``np.dot`` whose
-        summation order depends only on the masked width, so the
-        assembled row is bitwise identical no matter how rows are
-        sharded or in which order shards report.
-        """
-        return self._shard_dots(
-            self.pool.masked_row_f64(index, self.param_keys), index, start, stop
-        )
-
-    def _shard_dots(
-        self, vi: np.ndarray, index: int, start: int, stop: int
-    ) -> np.ndarray:
-        dots = np.empty(stop - start)
-        for j in range(start, stop):
-            vj = vi if j == index else self.pool.masked_row_f64(j, self.param_keys)
-            dots[j - start] = np.dot(vi, vj)
-        return dots
+    def _image_row(self, j: int, mask, recast: bool = False) -> np.ndarray:
+        """Float64 image of masked row ``j``, cast on first use or ``recast``."""
+        out = self._rows[j]
+        if out is None or recast:
+            if out is None:
+                out = self._rows[j] = np.asarray(self._image.row(j))
+            row = self.pool.storage.row(j)
+            out[:] = row if mask is None else row[mask]
+        return out
 
     def update_row(self, index: int) -> None:
         """Refresh row/column ``index`` from the pool's current data.
 
-        O(K·P): one contiguous float64 dot against every pool member,
-        with O(P) peak temporary memory (one masked row at a time —
-        never a ``(K, P)`` float64 cast, so memmap pools update
-        out-of-core).  The dots are gathered per storage shard
-        (:meth:`shard_dots` — on sharded pools every read is a
-        zero-copy view into the owning shard), and because each dot is
-        a 1-D contiguous ``np.dot`` the fully refreshed Gram is
-        bitwise independent both of the order rows were updated in —
-        the property that keeps streamed and gathered collect
-        schedules bit-identical — and of the shard layout itself.
+        O(K·P): re-images row ``index`` (the only cast once the round's
+        image is warm), then one contiguous float64 1-D ``np.dot``
+        against every image row — bitwise independent of update order,
+        storage backend and shard layout (see the module docstring).
         """
         k = len(self)
         if not 0 <= index < k:
             raise IndexError(f"row {index} out of range for pool of {k}")
-        vi = self.pool.masked_row_f64(index, self.param_keys)
-        # Storages that can run the shard-local reduction *where the
-        # rows live* (the RPC-distributed backend) take the whole
-        # update: each remote shard runs the exact `_shard_dots` kernel
-        # on its own rows, so the assembled row is bitwise identical
-        # and only O(P) + O(K) scalars move instead of K rows.
-        mask, masked, _ = self.pool._mask_info(self.param_keys)
-        dots = self.pool.storage.masked_dots(vi, mask if masked else None)
+        mask, masked, p_eff = self.pool._mask_info(self.param_keys)
+        mask = mask if masked else None
+        dots = None
+        if self._image is None:
+            # Storages that reduce *where the rows live* (distributed)
+            # take the whole update — O(P) + O(K) scalars move, not K
+            # rows, through the same per-pair dot — and never get an
+            # image; local ones answer None once a round and get one.
+            dots = self.pool.storage.masked_dots(
+                self.pool.masked_row_f64(index, self.param_keys), mask
+            )
+            if dots is None:
+                self._image = self.pool.storage.allocate_like((k, p_eff), np.float64)
+                self._rows = [None] * k
         if dots is None:
-            dots = np.empty(k)
-            bounds = self.pool.storage.shard_boundaries()
-            for s in range(len(bounds) - 1):
-                start, stop = bounds[s], bounds[s + 1]
-                dots[start:stop] = self._shard_dots(vi, index, start, stop)
+            vi = self._image_row(index, mask, recast=True)
+            dots = np.array([np.dot(vi, self._image_row(j, mask)) for j in range(k)])
         self.gram[index, :] = dots
         self.gram[:, index] = dots
         self.updates += 1
+
+    def release(self) -> None:
+        """Drop the float64 image once the round's Gram is final (the Gram
+        is kept); the next :meth:`update_row` re-images lazily."""
+        self._image = None
+        self._rows = []
 
     def refresh(self) -> None:
         """Rebuild every row through :meth:`update_row` semantics.
@@ -180,6 +186,7 @@ class GramTracker:
         """
         for i in range(len(self)):
             self.update_row(i)
+        self.release()
 
     # -- (K, K) algebra ----------------------------------------------------
     @property

@@ -48,9 +48,15 @@ measures, ``similarity_to``, ``dispersion`` and both ``mean_state``
 modes — walks the pool through :func:`iter_row_spans`, producing its
 temporaries in bounded row blocks (budget ``_BLOCK_BYTES``,
 overridable via ``REPRO_POOL_BLOCK_BYTES``), and touches pool data
-only through the storage row protocol.  A round therefore never
-materialises a ``(K, P)`` float64 copy, and on ``sharded`` storage
-never even a whole-pool buffer-dtype copy (cross-shard blocks are
+only through the storage row protocol.  The reductions cast at most
+two ``(block, P)`` float64 row blocks at a time; ``cross_aggregate``
+casts nothing block-sized — its float64 arithmetic runs row by row in
+two reused ``(P,)`` scratch rows (:func:`blend_row`) between gathered
+and output blocks in the buffer dtype.  A round's only ``(K, p_eff)``
+float64 object is the :class:`repro.core.gram.GramTracker` image, kept
+in this pool's storage medium from the round's first upload until its
+Gram is final and released before the blend.  On ``sharded`` storage
+no whole-pool buffer-dtype copy exists either (cross-shard blocks are
 gathered per block, bounded by the budget).
 
 Two span policies keep the backends bit-identical:
@@ -80,6 +86,7 @@ from repro.utils.layout import StateLayout
 __all__ = [
     "PoolBuffer",
     "VECTORIZED_MEASURES",
+    "blend_row",
     "cosine_from_gram",
     "iter_row_spans",
 ]
@@ -111,13 +118,13 @@ def cosine_from_gram(gram: np.ndarray) -> np.ndarray:
 VECTORIZED_MEASURES = ("cosine", "euclidean")
 _VALID_MEASURES = VECTORIZED_MEASURES
 
-# Soft cap on the float64 temporaries of blocked whole-pool operations
-# (cross-aggregation row blocks, Gram row blocks, euclidean difference
-# tensors).  Keeps peak working memory bounded for memmap/sharded pools
-# far beyond RAM while leaving in-RAM pools effectively unblocked.
-# ``REPRO_POOL_BLOCK_BYTES`` overrides it at call time (the out-of-core
-# CI smoke and the sharded stress test use tiny budgets to prove no
-# whole-pool temp exists).
+# Soft cap on the temporaries of blocked whole-pool operations
+# (cross-aggregation's buffer-dtype row blocks, float64 Gram row blocks,
+# euclidean difference tensors).  Keeps peak working memory bounded for
+# memmap/sharded pools far beyond RAM while leaving in-RAM pools
+# effectively unblocked.  ``REPRO_POOL_BLOCK_BYTES`` overrides it at
+# call time (the out-of-core CI smoke and the sharded stress test use
+# tiny budgets to prove no whole-pool temp exists).
 _BLOCK_BYTES = 64 << 20
 
 
@@ -150,6 +157,36 @@ def iter_row_spans(
             stop = min(start + block_rows, fence)
             yield start, stop
             start = stop
+
+
+def blend_row(
+    out: np.ndarray, own: np.ndarray, collab: "np.ndarray | Sequence[np.ndarray]",
+    alpha: float, int_cols: np.ndarray, scratch: np.ndarray,
+) -> None:
+    """``out[:] = alpha * own + (1 - alpha) * collab``: the CrossAggr rule.
+
+    The row kernel of :meth:`PoolBuffer.cross_aggregate` and the async
+    speculative blend.  ``collab`` is one collaborator row, or a
+    sequence of propeller rows fused with their uniform mean —
+    accumulated from zero in order, like the dict reference's
+    sequential ``weighted_average``.  Arithmetic is float64 in the two
+    ``(P,)`` rows of ``scratch`` (the ufunc casts its inputs, nothing is
+    copied) and rounds once into ``out``; the ``int_cols`` columns are
+    carried from ``own``, never averaged.
+    """
+    acc, tmp = scratch
+    if isinstance(collab, np.ndarray):
+        np.multiply(collab, 1.0 - alpha, out=tmp, dtype=np.float64)
+    else:
+        tmp.fill(0.0)
+        for row in collab:
+            np.multiply(row, 1.0 / len(collab), out=acc, dtype=np.float64)
+            np.add(tmp, acc, out=tmp)
+        np.multiply(tmp, 1.0 - alpha, out=tmp)
+    np.multiply(own, alpha, out=acc, dtype=np.float64)
+    out[:] = np.add(acc, tmp, out=acc)
+    if int_cols.size:
+        out[int_cols] = own[int_cols]
 
 
 def _check_integer_roundtrip(
@@ -367,11 +404,10 @@ class PoolBuffer:
     ) -> np.ndarray:
         """Contiguous float64 view/copy of one masked row (O(P) temp).
 
-        The unit the :class:`repro.core.gram.GramTracker` consumes:
-        extracting one row never materialises a ``(K, P)`` float64
-        temporary and never leaves the row's owning shard, so
-        incremental Gram maintenance stays out-of-core and
-        shard-local.
+        The vector ``similarity_to`` compares against and the one a
+        :class:`repro.core.gram.GramTracker` hands to storages that
+        reduce their own rows (``masked_dots``); extracting it never
+        leaves the row's owning shard.
         """
         mask, masked, _ = self._mask_info(param_keys)
         row = self.storage.row(index)
@@ -571,54 +607,48 @@ class PoolBuffer:
         fields are carried from each model's own row, never averaged.
 
         The fusion runs in row blocks of ``block_rows`` (default: sized
-        to the module's float64 temp budget): each block casts its own
-        rows and gathered collaborator rows to float64, blends, and
-        writes the rounded result straight into pre-allocated output
-        storage on this buffer's backend.  Peak temporary memory is
-        therefore O(block · P) instead of O(K · P) float64 — memmap and
-        sharded pools are not capped by RAM — and because the
-        per-element arithmetic is unchanged the result is bit-identical
-        for every block size.  Spans walk :func:`iter_row_spans` with
-        this storage's shard boundaries (elementwise math is partition
-        invariant), so on sharded pools each block's own-row reads and
-        output writes stay on one shard; only the gathered collaborator
-        rows cross shards, by construction.
+        to the module's temp budget): each block reads its own rows,
+        gathers its collaborator rows, blends row by row through
+        :func:`blend_row` into one buffer-dtype output block and writes
+        that straight into pre-allocated output storage on this
+        buffer's backend.  Peak temporary memory is the gathered and
+        output blocks plus two ``(P,)`` float64 rows, and the
+        per-element arithmetic is the literal float64
+        ``alpha * m + (1 - alpha) * c`` for every block size.
+        Spans walk :func:`iter_row_spans` with this storage's shard
+        boundaries (elementwise math is partition invariant), so on
+        sharded pools each block's own-row reads and output writes stay
+        on one shard; only the gathered collaborator rows cross shards,
+        by construction.
         """
         co_indices = np.asarray(co_indices, dtype=np.int64)
         if co_indices.ndim not in (1, 2):
             raise ValueError("co_indices must be 1- or 2-dimensional")
         k, p = self.storage.shape
         dtype = self.dtype
+        # (K,) -> one collaborator row per model; (K, num) -> its columns
+        # in propeller order (blend_row tells the two apart by type).
+        columns = co_indices.T if co_indices.ndim == 2 else None
         if block_rows is None:
-            # Budget across the block's float64 temporaries: own rows,
-            # gathered collaborator rows, and the fused result.
-            per_row = max(1, 3 * p * 8)
-            block_rows = max(1, _block_budget() // per_row)
+            # Per row: the output block plus one gathered block per column.
+            held = 2 if columns is None else 1 + len(columns)
+            block_rows = max(1, _block_budget() // max(1, held * p * dtype.itemsize))
         storage = self.storage.allocate_like((k, p), dtype=dtype)
-        int_mask = self.layout.integer_mask()
-        has_int = bool(int_mask.any())
+        int_cols = np.flatnonzero(self.layout.integer_mask())
+        scratch = np.empty((2, p))
         for start, stop in iter_row_spans(
             k, block_rows, self.storage.shard_boundaries()
         ):
             src = self.storage.row_block(start, stop)
-            m = src.astype(np.float64, copy=False)
-            if co_indices.ndim == 1:
-                collab = self.storage.gather_rows(co_indices[start:stop]).astype(
-                    np.float64, copy=False
-                )
+            if columns is None:
+                collab = self.storage.gather_rows(co_indices[start:stop])
             else:
-                # Accumulate in propeller order so the result matches
-                # the dict reference (sequential weighted_average)
-                # bit-for-bit.
-                num = co_indices.shape[1]
-                collab = np.zeros((stop - start, p))
-                for j in range(num):
-                    collab += (1.0 / num) * self.storage.gather_rows(
-                        co_indices[start:stop, j]
-                    ).astype(np.float64, copy=False)
-            fused = (alpha * m + (1.0 - alpha) * collab).astype(dtype)
-            if has_int:
-                fused[:, int_mask] = src[:, int_mask]
+                collab = list(
+                    zip(*(self.storage.gather_rows(c[start:stop]) for c in columns))
+                )
+            fused = np.empty((stop - start, p), dtype=dtype)
+            for r in range(stop - start):
+                blend_row(fused[r], src[r], collab[r], alpha, int_cols, scratch)
             storage.write_rows(start, fused)
         return PoolBuffer(self.layout, storage)
 

@@ -54,8 +54,7 @@ third-party backends keep working unchanged):
 * :meth:`PoolStorage.gather_rows` — arbitrary row gathers
   (cross-aggregation collaborator rows);
 * :meth:`PoolStorage.shard_boundaries` — the row spans owned by each
-  shard, consumed by the pool engine's shard-aware block iterator and
-  the Gram tracker's shard-local dot updates.
+  shard, consumed by the pool engine's shard-aware block iterator.
 
 ``cross_aggregate``, the similarity paths (blocked Gram cosine,
 blocked euclidean differences, ``similarity_to``), the ``dispersion``
@@ -65,9 +64,11 @@ materialises a float64 (or, for sharded pools, even a buffer-dtype)
 copy of the whole matrix, so full server rounds run out-of-core; the
 CI bench smoke and the sharded large-K stress test assert the
 peak-allocation bounds.  The incremental
-:class:`repro.core.gram.GramTracker` goes further for the similarity
-results: O(P) temporaries per row update, pure ``(K, K)`` algebra per
-query.
+:class:`repro.core.gram.GramTracker` keeps its one pool-sized float64
+object — the ``(K, p_eff)`` image of the masked rows — in storage
+obtained from :meth:`PoolStorage.allocate_like`, so it lives on the
+pool's own medium, and answers every query with pure ``(K, K)``
+algebra.
 
 Backends register themselves on :data:`POOL_BACKENDS` via
 :func:`register_backend`; third-party backends (GPU arrays,
@@ -165,10 +166,10 @@ class PoolStorage:
     def allocate_like(self, shape: tuple[int, int], dtype=np.float32) -> "PoolStorage":
         """Fresh zeroed storage preserving this instance's configuration.
 
-        Derived pools (``cross_aggregate`` outputs, copies) allocate
-        through the *instance* so option-carrying backends (shard
-        count/placement) propagate; the default just calls the class
-        :meth:`allocate`.
+        Derived pools (``cross_aggregate`` outputs, copies) and the
+        Gram tracker's float64 row image allocate through the
+        *instance* so option-carrying backends (shard count/placement)
+        propagate; the default just calls the class :meth:`allocate`.
         """
         return type(self).allocate(shape, dtype=dtype)
 
@@ -212,8 +213,7 @@ class PoolStorage:
 
         Single-medium backends are one shard: ``(0, K)``.  The pool
         engine's shard-aware block iterator splits shard-local
-        operations on these, and the Gram tracker groups its per-row
-        dot updates by them.
+        operations on these.
         """
         return (0, self.shape[0])
 
@@ -246,7 +246,8 @@ class PoolStorage:
         *where the rows live* returns the ``(K,)`` float64 result
         (bitwise equal to the local per-row contiguous ``np.dot`` loop
         — see :meth:`repro.core.gram.GramTracker.update_row`).  The
-        default returns ``None``: the tracker then runs its local loop.
+        default returns ``None``: the tracker then builds its float64
+        row image and runs the loop locally.
         """
         return None
 

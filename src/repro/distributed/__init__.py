@@ -2,7 +2,7 @@
 
 The single-node pool engine deliberately carved the storage row
 protocol (``row_block`` / ``write_rows`` / ``gather_rows`` /
-``shard_dots``) as its RPC seam; this package is the seam's first
+``masked_dots``) as its RPC seam; this package is the seam's first
 crossing of a process/node boundary:
 
 :mod:`repro.distributed.framing`

@@ -199,3 +199,116 @@ class TestSelectionFromGram:
         np.testing.assert_array_equal(
             got, pool.select_collaborators("in_order", round_idx=1)
         )
+
+
+def _upload(rng, dtype):
+    return {
+        "w": rng.standard_normal(11).astype(dtype),
+        "b": rng.standard_normal(4).astype(dtype),
+    }
+
+
+def _simulate_round(pool, tracker, dispatched, rng):
+    """One collect phase against the tracker's update contract: every
+    row is rewritten in random order — a fresh upload, or (carry) the
+    state it was dispatched with — and one landed row is quarantined
+    mid-round; each write is followed by ``update_row``."""
+    k = len(pool)
+    order = [int(i) for i in rng.permutation(k)]
+    carried = set(order[::3])
+    quarantined, when = order[1], int(rng.integers(2, k))
+    for n, row in enumerate(order):
+        state = dispatched[row] if row in carried else _upload(rng, pool.dtype)
+        pool.set_state(row, state)
+        tracker.update_row(row)
+        if n == when:
+            pool.set_state(quarantined, dispatched[quarantined])
+            tracker.update_row(quarantined)
+
+
+class TestFloat64Image:
+    """``update_row`` dots against a float64 image of the masked rows:
+    ``update_row(i)`` re-casts row ``i`` only, other rows are cast on
+    first use, ``release`` drops the image between rounds."""
+
+    @pytest.mark.parametrize("backend", ["dense", "memmap", "sharded"])
+    @pytest.mark.parametrize("keys", [None, {"w"}])
+    @pytest.mark.parametrize("release", [True, False])
+    def test_persistent_tracker_equals_fresh_each_round(
+        self, rng, backend, keys, release
+    ):
+        k = 6
+        dispatched = [_upload(rng, np.float32) for _ in range(k)]
+        pool = PoolBuffer.from_states(dispatched, dtype=np.float32, backend=backend)
+        tracker = GramTracker(pool, param_keys=keys)
+        for _ in range(4):
+            _simulate_round(pool, tracker, dispatched, rng)
+            fresh = GramTracker.from_pool(pool, param_keys=keys)
+            np.testing.assert_array_equal(tracker.gram, fresh.gram)
+            if release:
+                tracker.release()  # what aggregate() does once the Gram is final
+            dispatched = pool.states(copy=True)  # next round trains from these
+
+    def test_seeded_gram_updates_from_unimaged_rows(self, rng):
+        """A tracker born from ``gram=`` (the ``cross_aggregated``
+        output) has no image: its first update casts the rows it needs."""
+        pool = make_pool(k=5, rng=rng, dtype=np.float32)
+        new_pool = pool.cross_aggregate(np.array([1, 2, 3, 4, 0]), 0.9)
+        derived = GramTracker.from_pool(pool).cross_aggregated(
+            [1, 2, 3, 4, 0], 0.9, pool=new_pool
+        )
+        new_pool.row(3)[:] = rng.standard_normal(new_pool.num_scalars)
+        derived.update_row(3)
+        fresh = GramTracker.from_pool(new_pool)
+        np.testing.assert_array_equal(derived.gram[3], fresh.gram[3])
+        np.testing.assert_array_equal(derived.gram[:, 3], fresh.gram[:, 3])
+        # Entries no update touched keep the closed-form values.
+        np.testing.assert_allclose(derived.gram, fresh.gram, rtol=1e-5, atol=1e-5)
+
+    def test_release_then_update_reimages_to_the_same_bits(self, rng):
+        pool = make_pool(k=5, rng=rng, dtype=np.float32)
+        kept, released = GramTracker(pool), GramTracker(pool)
+        for i in range(5):
+            kept.update_row(i)
+            released.update_row(i)
+        released.release()
+        assert released._image is None
+        np.testing.assert_array_equal(released.gram, kept.gram)
+        pool.row(1)[:] = rng.standard_normal(pool.num_scalars)
+        kept.update_row(1)
+        released.update_row(1)
+        assert released._image is not None
+        np.testing.assert_array_equal(released.gram, kept.gram)
+
+    def test_image_lives_in_the_pools_own_storage(self, rng):
+        for backend in ("memmap", "sharded"):
+            pool = PoolBuffer.from_states(
+                [_upload(rng, np.float32) for _ in range(4)], backend=backend
+            )
+            tracker = GramTracker(pool, param_keys={"w"})
+            tracker.update_row(0)
+            assert tracker._image.name == backend
+            assert tracker._image.shape == (4, 11)
+            assert tracker._image.dtype == np.float64
+
+    def test_memmap_refresh_stays_out_of_core(self, rng, monkeypatch):
+        """A full refresh of a memmap pool allocates nothing (K, P)
+        sized on the heap: the image is file-backed like the pool."""
+        import tracemalloc
+
+        k, p = 24, 40_000
+        monkeypatch.setenv("REPRO_POOL_BLOCK_BYTES", str(1 << 20))
+        pool = PoolBuffer.broadcast(
+            {"w": np.zeros(p, dtype=np.float32)}, k, backend="memmap"
+        )
+        for i in range(k):
+            pool.row(i)[:] = rng.standard_normal(p).astype(np.float32)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            tracker = GramTracker.from_pool(pool)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tracker.updates == k
+        assert peak - base < k * p * 8 / 2

@@ -362,3 +362,80 @@ class TestBlockwiseOps:
         int_mask = buf.layout.integer_mask()
         np.testing.assert_array_equal(flat[~int_mask], ref[~int_mask])
         np.testing.assert_array_equal(flat[int_mask], buf.matrix[0, int_mask])
+
+
+def _literal_blend(matrix, co, alpha, int_mask):
+    """Today's whole-block expression, written out: the blend's spec."""
+    m64 = matrix.astype(np.float64)
+    if co.ndim == 1:
+        c64 = m64[co]
+    else:
+        c64 = np.zeros_like(m64)
+        for j in range(co.shape[1]):
+            c64 += (1.0 / co.shape[1]) * m64[co[:, j]]
+    out = (alpha * m64 + (1.0 - alpha) * c64).astype(matrix.dtype)
+    out[:, int_mask] = matrix[:, int_mask]
+    return out
+
+
+class TestRowKernelBlend:
+    """``cross_aggregate`` does its float64 arithmetic row by row
+    (:func:`repro.core.pool.blend_row`): same bits as the literal
+    whole-block expression, without its ``(block, P)`` float64 temps."""
+
+    @pytest.mark.parametrize("backend", ["dense", "memmap", "sharded"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("propellers", [0, 1, 3])
+    def test_bitwise_equals_literal_expression(
+        self, rng, backend, dtype, propellers
+    ):
+        k = 7
+        buf = PoolBuffer.from_states(
+            make_pool(rng, k=k, with_int=True), dtype=dtype, backend=backend
+        )
+        # Signed zeros are where "skip the zero-initialised accumulator"
+        # shortcuts would show.
+        row = buf.row(2)
+        row[:3] = [-0.0, 0.0, -0.0]
+        if propellers:
+            co = np.stack(
+                [(np.arange(k) + s + 1) % k for s in range(propellers)], axis=1
+            )
+        else:
+            co = rng.integers(0, k, size=k)
+        matrix = np.array(buf.matrix)
+        int_mask = buf.layout.integer_mask()
+        assert int_mask.any()
+        for alpha in (0.99, 0.5, 1.0):
+            ref = _literal_blend(matrix, co, alpha, int_mask)
+            for block in (1, 3, k):
+                got = buf.cross_aggregate(co, alpha, block_rows=block)
+                assert got.backend == backend
+                got = np.asarray(got.matrix)
+                np.testing.assert_array_equal(got, ref)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+    def test_no_block_sized_float64_temporary(self):
+        """Peak traced allocation of a dense float32 blend: the output
+        storage, one gathered block, one output block and a few (P,)
+        rows — nothing the size of a float64 block."""
+        import tracemalloc
+
+        k, p = 16, 50_000
+        rng = np.random.default_rng(5)
+        layout = StateLayout.from_state({"w": np.zeros(p, dtype=np.float32)})
+        buf = PoolBuffer(layout, rng.standard_normal((k, p)).astype(np.float32))
+        co = (np.arange(k) + 1) % k
+        block32 = k * p * 4
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            out = buf.cross_aggregate(co, 0.99)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) == k
+        # output storage + gathered + output block, plus 4 (P,) float64
+        # rows of slack; one (K, P) float64 temp alone would add 2 more
+        # float32 blocks.
+        assert peak - base < 3 * block32 + 4 * p * 8

@@ -7,7 +7,9 @@ Three guarantees, matching the tolerances documented in
     fresh ``similarity_matrix`` recompute within ulp tolerance, and the
     fully refreshed Gram itself is **bitwise** independent of update
     order (the property that keeps streamed and gathered collect
-    schedules bit-identical);
+    schedules bit-identical) — and a tracker kept across rounds, fed
+    ``update_row`` after every row write, equals a from-scratch one
+    bit for bit (the float64-image contract);
 (b) the closed-form post-CrossAggr transform matches a direct Gram
     recompute on the new pool within the blend-rounding tolerance
     (both 1-D collaborator vectors and 2-D propeller matrices);
@@ -87,6 +89,45 @@ class TestIncrementalMatchesFresh:
             return tracker.gram
 
         np.testing.assert_array_equal(refreshed(seed_a), refreshed(seed_b))
+
+    @given(
+        pool=pools(min_k=3),
+        keys=masks,
+        backend=st.sampled_from(["dense", "memmap", "sharded"]),
+        rounds=st.integers(3, 5),
+        seed=st.integers(0, 1_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_persistent_tracker_bitwise_equals_fresh_each_round(
+        self, pool, keys, backend, rounds, seed
+    ):
+        """The float64-image contract: one tracker kept across rounds —
+        rows rewritten in random order (new upload, or carried: the
+        state the row held at dispatch), one landed row quarantined
+        mid-round, each write followed by ``update_row``, the image
+        released or kept between rounds at random — equals a from-scratch
+        tracker on the same buffer bit for bit after every round."""
+        rng = np.random.default_rng(seed)
+        buf = PoolBuffer.from_states(pool, dtype=np.float32, backend=backend)
+        k = len(buf)
+        tracker = GramTracker(buf, param_keys=keys)
+        for _ in range(rounds):
+            dispatched = buf.states(copy=True)
+            order = [int(i) for i in rng.permutation(k)]
+            quarantined, when = order[0], int(rng.integers(1, k))
+            for n, row in enumerate(order):
+                if rng.random() < 0.3:  # carried leg
+                    buf.set_state(row, dispatched[row])
+                else:
+                    buf.row(row)[:] = rng.standard_normal(buf.num_scalars)
+                tracker.update_row(row)
+                if n == when:
+                    buf.set_state(quarantined, dispatched[quarantined])
+                    tracker.update_row(quarantined)
+            fresh = GramTracker.from_pool(buf, param_keys=keys)
+            np.testing.assert_array_equal(tracker.gram, fresh.gram)
+            if rng.random() < 0.5:
+                tracker.release()
 
     @given(pool=pools(), keys=masks)
     @settings(max_examples=30, deadline=None)

@@ -12,8 +12,8 @@ The sharded backend's contract (ISSUE 5): for *any* shard count
   layout);
 * the blocked ``gram_matrix`` and the incrementally maintained
   :class:`~repro.core.gram.GramTracker` Gram are ulp-tight against
-  dense (the per-pair contiguous float64 dots of the tracker are in
-  fact bitwise backend-independent — asserted exactly);
+  dense (``GramTracker.update_row`` is in fact bitwise
+  backend-independent for every shard count — asserted exactly);
 * round-tripping rows through shards (``set_state`` → ``as_state``,
   ``row_block`` gathers) loses nothing.
 """
@@ -134,29 +134,35 @@ class TestShardedBitIdentity:
         scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref))) + 1e-30
         np.testing.assert_allclose(got, ref, rtol=1e-9, atol=float(1e-12 * scale.max()))
 
-    @given(data=pools_with_layout(), keys=st.sampled_from([None, ("w",)]))
+    @given(
+        data=pools_with_layout(),
+        keys=st.sampled_from([None, ("w",)]),
+        order=st.randoms(use_true_random=False),
+    )
     @settings(max_examples=25, deadline=None)
-    def test_tracker_gram_bitwise_backend_independent(self, data, keys):
-        """The incremental tracker's per-pair contiguous dots must not
-        even move an ulp across shard layouts — this is what keeps
-        whole fits bit-identical."""
-        states, shards, placement, _ = data
-        dense, sharded = _pair(states, shards, placement)
-        param_keys = set(keys) if keys is not None else None
-        ref = GramTracker.from_pool(dense, param_keys=param_keys)
-        got = GramTracker.from_pool(sharded, param_keys=param_keys)
-        np.testing.assert_array_equal(got.gram, ref.gram)
-        # ... and per-shard assembled dots equal a whole-row update.
+    def test_tracker_update_row_bitwise_for_every_shard_count(
+        self, data, keys, order
+    ):
+        """``update_row`` on a sharded pool equals dense bit for bit —
+        after *each* update, in any update order, for every shard count
+        from 1 to K.  The per-pair contiguous float64 dots must not even
+        move an ulp across shard layouts: this is what keeps whole fits
+        bit-identical across backends."""
+        states, _, placement, _ = data
         k = len(states)
-        bounds = sharded.storage.shard_boundaries()
-        assembled = np.concatenate(
-            [
-                got.shard_dots(0, bounds[s], bounds[s + 1])
-                for s in range(len(bounds) - 1)
-            ]
-        )
-        np.testing.assert_array_equal(assembled, ref.gram[0])
-        assert assembled.shape == (k,)
+        param_keys = set(keys) if keys is not None else None
+        sequence = list(range(k))
+        order.shuffle(sequence)
+        for shards in range(1, k + 1):
+            dense, sharded = _pair(states, shards, placement)
+            ref = GramTracker(dense, param_keys=param_keys)
+            got = GramTracker(sharded, param_keys=param_keys)
+            for i in sequence:
+                ref.update_row(i)
+                got.update_row(i)
+                np.testing.assert_array_equal(got.gram, ref.gram)
+            fresh = GramTracker.from_pool(sharded, param_keys=param_keys)
+            np.testing.assert_array_equal(fresh.gram, ref.gram)
 
     @given(data=pools_with_layout())
     @settings(max_examples=25, deadline=None)
