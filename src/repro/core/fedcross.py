@@ -177,10 +177,8 @@ class FedCrossServer(FederatedServer):
         if self.shuffle:
             self.rng.shuffle(assignment)
         plans: list[DispatchPlan | None] = [None] * k
-        for i in range(k):
-            plans[assignment[i]] = DispatchPlan(
-                self._pool.as_state(i), context={"row": i}
-            )
+        for i, state in enumerate(self._pool.states()):
+            plans[assignment[i]] = DispatchPlan(state, context={"row": i})
         return plans
 
     def on_upload(self, row: int, result: LocalResult) -> None:
@@ -215,12 +213,12 @@ class FedCrossServer(FederatedServer):
             self._upload_gram_map[id(uploads)] = tracker
         return tracker
 
-    def _fresh_upload_gram(self, uploaded: PoolBuffer) -> np.ndarray | None:
-        """The round's fully refreshed upload Gram, if one is tracked."""
-        gram = self._upload_gram
-        if not self._track_gram or gram is None or gram.pool is not uploaded:
+    def _round_tracker(self, uploaded: PoolBuffer) -> GramTracker | None:
+        """The tracker that followed this round's uploads, if any."""
+        tracker = self._upload_gram
+        if not self._track_gram or tracker is None or tracker.pool is not uploaded:
             return None
-        return gram.gram
+        return tracker
 
     def _screen_uploads(
         self,
@@ -241,8 +239,8 @@ class FedCrossServer(FederatedServer):
         under ``screen="carry"`` each flagged row is additionally
         quarantined — its dispatched middleware state restored (the
         same degradation the fault engine applies to failed legs) and
-        the tracked Gram refreshed in place, so CoModelSel and
-        CrossAggr never see the suspect update.
+        the tracker told (``update_row``), so CoModelSel and CrossAggr
+        never see the suspect update.
         """
         mode = self.screen
         k = len(uploaded)
@@ -280,8 +278,8 @@ class FedCrossServer(FederatedServer):
             if mode == "carry" and plan is not None:
                 uploaded.set_state(row, plan.state)
                 if tracker is not None:
-                    # In-place Gram refresh: selection below reads the
-                    # quarantined row, not the suspect one.
+                    # aggregate() reads the Gram after this: selection
+                    # sees the quarantined row, not the suspect one.
                     tracker.update_row(row)
         self.last_suspects = records
         for record in records:
@@ -315,12 +313,17 @@ class FedCrossServer(FederatedServer):
         k = len(self._pool)
         uploaded = self.uploads  # packed in model order by collect()
         alpha = self.alpha_at(self.round_idx)
-        gram = self._fresh_upload_gram(uploaded)
-        tracker = self._upload_gram if gram is not None else None
+        tracker = self._round_tracker(uploaded)
         if self.screen is not None:
             self._screen_uploads(uploaded, active, plans, tracker)
+        gram = None
         if tracker is not None:
-            tracker.release()  # Gram final: its row image goes before the blend
+            # Gram final: flushed, and its row image gone before the
+            # blend.  Read only now — the quarantine above is the
+            # round's last writer, and a deferred tracker (distributed
+            # storage) recomputes marked rows when it is read.
+            tracker.release()
+            gram = tracker.gram
         # The closed-form post-CrossAggr Gram transform models the
         # linear blend exactly; robust operators bend flagged rows, so
         # their output Gram must be recomputed from data when needed.
@@ -587,8 +590,8 @@ class FedCrossAsyncAdapter:
         else:
             gram = None
             if ctx.tracker is not None:
-                gram = ctx.tracker.gram
                 ctx.tracker.release()  # Gram final; image gone before the blend
+                gram = ctx.tracker.gram
             co = server.selector.select_all(uploads, ctx.t, gram=gram)
             # Exact reference CrossAggr over the complete upload buffer:
             # byte-identical to the sync blend of the same uploads.

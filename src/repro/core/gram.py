@@ -22,20 +22,32 @@ from scratch every round costs O(K²·P); this module maintains it
 
 Float64 image and the update contract
 -------------------------------------
-``update_row`` dots against a float64 *image* of the masked rows, not
-the pool itself: one storage-backed ``(K, p_eff)`` float64 buffer per
-live upload buffer, allocated through the pool's own storage
-(``allocate_like`` — file-backed on ``memmap``, sharded on ``sharded``)
-on the round's first upload.  ``update_row(i)`` re-casts row ``i``
-only; rows not imaged yet are cast on first use — K casts a round, not
-K².  ``update_row(i)`` is therefore how the tracker learns row ``i``
-changed: every writer of a tracked row calls it afterwards (``collect``,
-the fault engine's carry, ``screen="carry"`` quarantine, the async
-landing).  :meth:`GramTracker.release` drops the image once the round's
-Gram is final — before the blend runs, so the two never add up in
-``peak_rss`` — and the next update re-images lazily.  Storages that
-reduce where the rows live (``distributed``: ``masked_dots``) are asked
-first and never get an image.
+``update_row(i)`` is how the tracker learns row ``i`` changed: every
+writer of a tracked row calls it afterwards (``collect``, the fault
+engine's carry, ``screen="carry"`` quarantine, the async landing).
+What the call does depends on where the rows live.
+
+*Local storages* are updated eagerly.  ``update_row`` dots against a
+float64 *image* of the masked rows, not the pool itself: one
+storage-backed ``(K, p_eff)`` float64 buffer per live upload buffer,
+allocated through the pool's own storage (``allocate_like`` —
+file-backed on ``memmap``, sharded on ``sharded``) on the round's
+first upload.  ``update_row(i)`` re-casts row ``i`` only; rows not
+imaged yet are cast on first use — K casts a round, not K².
+
+*Reducing storages* (``PoolStorage.reduces_gram`` — ``distributed``)
+are updated lazily and never get an image: ``update_row(i)`` only
+records that row ``i`` is stale, and the next **read** of the Gram
+(:attr:`GramTracker.gram`, hence ``norms``, ``similarity``,
+``select_among``, ``dispersion``, ``cross_aggregated``) asks the
+storage for all stale rows in one ``gram_rows`` exchange.  Because
+every writer reports in, the Gram at any read equals the eager one;
+a caller must not keep the array across a later ``update_row``.
+
+:meth:`GramTracker.release` says the round's Gram is final: it
+flushes what is stale, then drops the image — before the blend runs,
+so the two never add up in ``peak_rss`` — and the next update
+re-images lazily.
 
 Determinism and tolerance contract
 ----------------------------------
@@ -111,10 +123,11 @@ class GramTracker:
                 )
         self.pool = pool
         self.param_keys = set(param_keys) if param_keys is not None else None
-        self.gram = gram
+        self._gram = gram
         self.updates = 0  # row updates applied (diagnostic/bench counter)
         self._image = None  # storage-backed (K, p_eff) float64 masked rows
         self._rows: list[np.ndarray | None] = []  # its row views; None = not cast yet
+        self._stale: set[int] = set()  # reducing storages: rows changed since the last read
 
     @classmethod
     def from_pool(
@@ -126,7 +139,13 @@ class GramTracker:
         return tracker
 
     def __len__(self) -> int:
-        return self.gram.shape[0]
+        return self._gram.shape[0]
+
+    @property
+    def gram(self) -> np.ndarray:
+        """The ``(K, K)`` Gram, brought up to date first (see :meth:`_flush`)."""
+        self._flush()
+        return self._gram
 
     # -- maintenance -------------------------------------------------------
     def _image_row(self, j: int, mask, recast: bool = False) -> np.ndarray:
@@ -146,34 +165,42 @@ class GramTracker:
         image is warm), then one contiguous float64 1-D ``np.dot``
         against every image row — bitwise independent of update order,
         storage backend and shard layout (see the module docstring).
+        On a reducing storage the same dots are deferred to the next
+        read of :attr:`gram`.
         """
         k = len(self)
         if not 0 <= index < k:
             raise IndexError(f"row {index} out of range for pool of {k}")
+        self.updates += 1
+        if self.pool.storage.reduces_gram:
+            self._stale.add(int(index))
+            return
         mask, masked, p_eff = self.pool._mask_info(self.param_keys)
         mask = mask if masked else None
-        dots = None
         if self._image is None:
-            # Storages that reduce *where the rows live* (distributed)
-            # take the whole update — O(P) + O(K) scalars move, not K
-            # rows, through the same per-pair dot — and never get an
-            # image; local ones answer None once a round and get one.
-            dots = self.pool.storage.masked_dots(
-                self.pool.masked_row_f64(index, self.param_keys), mask
-            )
-            if dots is None:
-                self._image = self.pool.storage.allocate_like((k, p_eff), np.float64)
-                self._rows = [None] * k
-        if dots is None:
-            vi = self._image_row(index, mask, recast=True)
-            dots = np.array([np.dot(vi, self._image_row(j, mask)) for j in range(k)])
-        self.gram[index, :] = dots
-        self.gram[:, index] = dots
-        self.updates += 1
+            self._image = self.pool.storage.allocate_like((k, p_eff), np.float64)
+            self._rows = [None] * k
+        vi = self._image_row(index, mask, recast=True)
+        dots = np.array([np.dot(vi, self._image_row(j, mask)) for j in range(k)])
+        self._gram[index, :] = dots
+        self._gram[:, index] = dots
+
+    def _flush(self) -> None:
+        """Reducing storages: recompute every row marked since the last
+        read where the rows live, in one ``gram_rows`` exchange."""
+        if self._stale:
+            rows = np.array(sorted(self._stale))
+            mask, masked, _ = self.pool._mask_info(self.param_keys)
+            dots = self.pool.storage.gram_rows(rows, mask if masked else None)
+            self._gram[rows, :] = dots
+            self._gram[:, rows] = dots.T
+            self._stale.clear()
 
     def release(self) -> None:
-        """Drop the float64 image once the round's Gram is final (the Gram
-        is kept); the next :meth:`update_row` re-images lazily."""
+        """The round's Gram is final: flush what is stale, then drop the
+        float64 image (the Gram is kept); the next :meth:`update_row`
+        re-images lazily."""
+        self._flush()
         self._image = None
         self._rows = []
 
@@ -236,7 +263,8 @@ class GramTracker:
         k = len(self)
         if k == 0:
             return 0.0
-        var = float(np.mean(np.diag(self.gram)) - self.gram.sum() / (k * k))
+        g = self.gram
+        var = float(np.mean(np.diag(g)) - g.sum() / (k * k))
         return float(np.sqrt(max(var, 0.0)))
 
     def cross_aggregated(

@@ -371,8 +371,21 @@ class PoolBuffer:
         return self.layout.unflatten(self.storage.row(index), copy=copy)
 
     def states(self, copy: bool = False) -> list[dict[str, np.ndarray]]:
-        """All pool members as state dicts (views unless ``copy``)."""
-        return [self.as_state(i, copy=copy) for i in range(len(self))]
+        """All pool members as state dicts (views unless ``copy``).
+
+        Rows are read in shard-aligned ``row_block`` spans: live views
+        on local storages, one fetch per shard (not per row) on remote
+        ones.
+        """
+        k, p = self.storage.shape
+        block_rows = max(1, _block_budget() // max(1, p * self.dtype.itemsize))
+        out = []
+        for start, stop in iter_row_spans(
+            k, block_rows, self.storage.shard_boundaries()
+        ):
+            block = self.storage.row_block(start, stop)
+            out.extend(self.layout.unflatten(row, copy=copy) for row in block)
+        return out
 
     # -- similarity (CoModelSel, Section III-B1) ---------------------------
     def _mask_info(
@@ -402,13 +415,8 @@ class PoolBuffer:
     def masked_row_f64(
         self, index: int, param_keys: Iterable[str] | None = None
     ) -> np.ndarray:
-        """Contiguous float64 view/copy of one masked row (O(P) temp).
-
-        The vector ``similarity_to`` compares against and the one a
-        :class:`repro.core.gram.GramTracker` hands to storages that
-        reduce their own rows (``masked_dots``); extracting it never
-        leaves the row's owning shard.
-        """
+        """Contiguous float64 view/copy of one masked row (O(P) temp) —
+        the vector ``similarity_to`` compares against."""
         mask, masked, _ = self._mask_info(param_keys)
         row = self.storage.row(index)
         if masked:
@@ -635,6 +643,13 @@ class PoolBuffer:
             block_rows = max(1, _block_budget() // max(1, held * p * dtype.itemsize))
         storage = self.storage.allocate_like((k, p), dtype=dtype)
         int_cols = np.flatnonzero(self.layout.integer_mask())
+        if columns is None and self.storage.blend_into(
+            storage, co_indices, alpha, int_cols, block_rows
+        ):
+            # Blended where the rows live (distributed hosts), through
+            # the same blend_row: only indices and the collaborator rows
+            # a host does not own moved.
+            return PoolBuffer(self.layout, storage)
         scratch = np.empty((2, p))
         for start, stop in iter_row_spans(
             k, block_rows, self.storage.shard_boundaries()

@@ -33,8 +33,8 @@ physical medium:
     registered), the multi-node realisation of that seam: each
     contiguous row shard lives in a ``ShardHost`` worker process and
     the coordinator proxies the row protocol over socket RPC —
-    shard-local reductions run on the hosts, only reduced results and
-    bounded row blocks cross the wire.  Host count comes from the
+    Gram dots and the CrossAggr blend run on the hosts, only reduced
+    results, indices and bounded row blocks cross the wire.  Host count comes from the
     ``hosts`` option (``FLConfig.hosts`` / ``--hosts``; default
     ``REPRO_POOL_HOSTS`` or 2).
 
@@ -236,20 +236,34 @@ class PoolStorage:
         if staged is not row:  # pragma: no cover - defensive for 3rd parties
             row[:] = staged
 
-    def masked_dots(
-        self, vector: np.ndarray, mask: "np.ndarray | None"
-    ) -> "np.ndarray | None":
-        """Optional shard-local reduction hook for Gram row updates.
+    #: Whether this storage answers Gram queries itself
+    #: (:meth:`gram_rows`).  Local media do not: the tracker images
+    #: their rows in float64 and dots them in process.
+    reduces_gram = False
 
-        ``vector`` is one masked contiguous float64 row; a backend that
-        can compute ``dot(vector, masked_row_j)`` for every row ``j``
-        *where the rows live* returns the ``(K,)`` float64 result
-        (bitwise equal to the local per-row contiguous ``np.dot`` loop
-        — see :meth:`repro.core.gram.GramTracker.update_row`).  The
-        default returns ``None``: the tracker then builds its float64
-        row image and runs the loop locally.
+    def gram_rows(self, rows: np.ndarray, mask: "np.ndarray | None") -> np.ndarray:
+        """Rows ``rows`` of the masked matrix's Gram, reduced *where the
+        rows live* (only when :attr:`reduces_gram`).
+
+        The ``(len(rows), K)`` float64 result must be bitwise the local
+        loop's — one contiguous float64 1-D ``np.dot`` per pair over
+        the masked values (see :meth:`repro.core.gram.GramTracker
+        .update_row`).  A :class:`~repro.core.gram.GramTracker` on such
+        a storage only *marks* rows on upload and asks for all of them
+        in one call when its Gram is next read.
         """
-        return None
+        raise NotImplementedError
+
+    def blend_into(
+        self, dst: "PoolStorage", co: np.ndarray, alpha: float,
+        int_cols: np.ndarray, block_rows: int,
+    ) -> bool:
+        """Optional hook: write ``alpha * M + (1 - alpha) * M[co]`` into
+        ``dst`` where the rows live, every element through
+        :func:`repro.core.pool.blend_row`.  Returns ``False`` (the
+        default) to decline; ``cross_aggregate`` then runs the blocked
+        row protocol."""
+        return False
 
     def flush(self) -> None:
         """Force dirty state to the backing medium (no-op by default)."""

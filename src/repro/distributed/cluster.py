@@ -4,11 +4,12 @@ A :class:`HostCluster` spawns ``hosts`` localhost
 :mod:`~repro.distributed.host` worker processes, learns their
 ephemeral ports through pipes, and multiplexes two
 :class:`~repro.distributed.rpc.RPCChannel` sockets per host — ``data``
-for storage ops and ``exec`` for training legs, so Gram fan-outs are
-never queued behind a slow leg.  Broadcast ops (allocation, trainer
-shipping, ``masked_dots`` fan-out) run concurrently across hosts on a
-small thread pool; per-host storage calls go straight through the
-owning host's data channel.
+for storage ops and ``exec`` for training legs, so Gram and blend
+exchanges are never queued behind a slow leg.  Broadcast ops
+(allocation, trainer shipping) and the per-host requests of one Gram
+flush or host-side blend (:meth:`HostCluster.call_each`) run
+concurrently across hosts on a small thread pool; single storage calls
+go straight through the owning host's data channel.
 
 Clusters are pooled per host count by :func:`get_cluster` — one fleet
 serves every buffer of a run (pool, uploads, cross-aggregated pools,
@@ -27,7 +28,7 @@ import os
 import pickle
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -160,21 +161,35 @@ class HostCluster:
         """One RPC on one host's channel of the given purpose."""
         return self.handles[host].channel(purpose).call(op, meta, arrays, blob)
 
+    def call_each(self, requests: "Sequence[tuple]", purpose: str = "data") -> list:
+        """Run ``(host, op[, meta[, arrays[, blob]]])`` requests concurrently
+        (one per pool thread); replies in request order.
+
+        A failure propagates after every call has settled.  Must not be
+        called from one of this cluster's own pool threads.
+        """
+        if len(requests) == 1:
+            return [self.call(*requests[0], purpose=purpose)]
+        futures = [
+            self._pool.submit(self.call, *request, purpose=purpose)
+            for request in requests
+        ]
+        wait(futures)
+        return [f.result() for f in futures]
+
     def broadcast(self, op: str, metas: "Sequence[Mapping] | Mapping",
                   arrays=None, blob=None, purpose: str = "data") -> list:
         """Run ``op`` on every host concurrently; results in host order.
 
         ``metas`` is either one mapping (same meta everywhere) or one
-        mapping per host.  A failure on any host propagates after all
-        calls have settled.
+        mapping per host.
         """
         if isinstance(metas, Mapping) or metas is None:
             metas = [metas] * self.num_hosts
-        futures = [
-            self._pool.submit(self.call, i, op, metas[i], arrays, blob, purpose)
-            for i in range(self.num_hosts)
-        ]
-        return [f.result() for f in futures]
+        return self.call_each(
+            [(i, op, metas[i], arrays, blob) for i in range(self.num_hosts)],
+            purpose,
+        )
 
     def next_buffer_id(self) -> str:
         return f"buf{next(self._buffer_seq)}"
@@ -260,18 +275,6 @@ class HostCluster:
                 with self._recover_lock:
                     self._mask_arrays[mask_id] = mask
         return mask_id
-
-    def masked_dots(self, buffer: str, vi: np.ndarray,
-                    mask_id: str | None) -> np.ndarray:
-        """Fan one Gram row update out to every host; concat in host order."""
-        meta = {"buffer": buffer}
-        if mask_id is not None:
-            meta["mask_id"] = mask_id
-        replies = self.broadcast("masked_dots", meta, {"vi": vi})
-        return np.concatenate(
-            [np.array(reply_arrays["dots"], copy=True)
-             for _meta, reply_arrays, _blob in replies]
-        )
 
     # -- execution-facing ops ----------------------------------------------
     def ensure_trainer(self, spec, datasets: Mapping) -> None:

@@ -7,10 +7,11 @@ are packed straight into the host-resident shard and never transit the
 coordinator.  Per leg, the coordinator ships the dispatched state (one
 buffer-dtype row), the hook specs and the client's RNG state; only
 scalars — loss, sample/step counts, the advanced RNG state — ride
-back.  Gram fan-outs (``masked_dots`` via the storage) run on the
-hosts' ``data`` channels while legs occupy the ``exec`` channels, so
-the server's streaming collect overlaps similarity maintenance with
-remote training exactly as it does with local threads.
+back.  A host's legs overlap on its ``exec`` channel: every request is
+written at submit, so the host finds its next leg in the socket buffer
+when it finishes one.  Storage ops use the ``data`` channels, and the
+Gram is only marked while legs run (``GramTracker`` defers on this
+storage), so nothing competes with a training host for its cores.
 
 The backend requires the upload buffer to live on
 :class:`~repro.distributed.storage.DistributedStorage` — co-location
@@ -134,8 +135,12 @@ class DistributedExecution(ExecutionBackend):
         return self.ledger is not None
 
     def _ensure_pool(self, width: int) -> None:
-        # One dispatcher thread per in-flight leg: each blocks on its
-        # host's exec channel for the leg's full duration.
+        # One dispatcher thread per in-flight leg: each writes its
+        # request to the host's exec channel at once and blocks until
+        # the reply.  A written request cannot be withdrawn, and its
+        # future is already *running*: ``_drain``'s cancel() does not
+        # touch it and its wait() covers it, so no leg can land after a
+        # drained stream returns.
         if self._pool is None or self._pool_width < width:
             if self._pool is not None:
                 self._pool.shutdown(wait=True)

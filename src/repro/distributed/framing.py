@@ -39,6 +39,10 @@ _HDR = struct.Struct(">I")
 # degree, but this transport only ever speaks to our own hosts.
 _MAX_FRAME = 1 << 40
 
+# Payload chunks at least this large are sent straight from their buffer
+# instead of being copied into the joined frame first.
+_JOIN_BELOW = 1 << 16
+
 
 class ConnectionClosed(OSError):
     """The peer closed the socket mid-message (EOF)."""
@@ -95,10 +99,20 @@ def send_message(
     arrays: "Mapping[str, np.ndarray] | None" = None,
     blob: bytes | None = None,
 ) -> None:
-    """Send one complete frame on ``sock``."""
-    # bytes.join accepts any buffer-protocol chunk (memoryview included),
-    # so array payloads are copied exactly once, into the send buffer.
-    sock.sendall(b"".join(encode_message(header, arrays, blob)))
+    """Send one complete frame on ``sock``: small chunks joined
+    (``bytes.join`` accepts any buffer), row blocks written in place —
+    no second copy of a large payload."""
+    small: list = []
+    for chunk in encode_message(header, arrays, blob):
+        if len(chunk) < _JOIN_BELOW:
+            small.append(chunk)
+            continue
+        if small:
+            sock.sendall(b"".join(small))
+            small = []
+        sock.sendall(chunk)
+    if small:
+        sock.sendall(b"".join(small))
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytearray:

@@ -1,20 +1,26 @@
 """The ``ShardHost`` worker process.
 
 One host owns one contiguous row shard of every distributed pool
-buffer: allocation, the row protocol (local offsets — the coordinator
-keeps the global span map), shard-local reductions, and co-located
-training legs.  The coordinator talks to it over plain sockets via
-:mod:`repro.distributed.rpc`; a host never talks to other hosts.
+buffer: allocation (``alloc`` / ``free`` / ``clone_buffer``), the row
+protocol (``row_block`` / ``gather_rows`` / ``write_rows`` /
+``fill_rows``, local offsets — the coordinator keeps the global span
+map), the shard-local share of a Gram flush (``gram_dots``) and of
+CrossAggr (``blend_rows``), and co-located training legs
+(``init_trainer`` / ``train_leg``).  The coordinator talks to it over
+plain sockets via :mod:`repro.distributed.rpc`; a host never talks to
+other hosts.
 
 Two properties carry the engine's cross-backend guarantees over the
 wire:
 
 * **Bit-transparency** — rows cross the socket as raw buffer-dtype
-  bytes (no re-encoding), and ``masked_dots`` computes each pairwise
-  dot exactly like :meth:`repro.core.gram.GramTracker.update_row`
-  does locally: one contiguous float64 1-D ``np.dot`` per row over
-  the same masked values.  Shard-local results are therefore bitwise
-  identical to the single-node reference.
+  bytes (no re-encoding); ``gram_dots`` computes each pairwise dot
+  exactly like :meth:`repro.core.gram.GramTracker.update_row` does
+  locally — one contiguous float64 1-D ``np.dot`` per pair over the
+  same masked values — and ``blend_rows`` blends through the pool
+  engine's own :func:`~repro.core.pool.blend_row`.  Shard-local
+  results are therefore bitwise identical to the single-node
+  reference.
 * **Co-located uploads** — ``train_leg`` unflattens the dispatched
   state, trains with the client's shipped RNG state, and packs the
   trained state **directly into the host's local shard row**.  The
@@ -32,6 +38,7 @@ mask/trainer registration) serialise on one mutex.
 
 from __future__ import annotations
 
+import math
 import pickle
 import socket
 import threading
@@ -111,24 +118,68 @@ class _HostState:
             self.masks[meta["mask_id"]] = arrays["mask"].astype(bool, copy=True)
         return {}, {}, b""
 
-    def op_masked_dots(self, meta, arrays, blob):
-        """Shard-local Gram contributions: dots of ``vi`` against every
-        local row — the distributable unit of ``GramTracker.update_row``,
-        computed with the exact local kernel (contiguous float64 1-D
-        ``np.dot`` per row) so the assembled row is bitwise identical."""
+    def op_gram_dots(self, meta, arrays, blob):
+        """Shard-local Gram block: dots of the given rows against every
+        local row — the distributable unit of a ``GramTracker`` flush.
+
+        The given rows are this shard's own (``rows``: local indices, so
+        nothing but indices crossed the wire) or a peer shard's, shipped
+        in the buffer dtype (``block``; the float64 cast is exact, so
+        casting here gives the tracker's operands).  Each pair is the
+        exact local kernel — one contiguous float64 1-D ``np.dot`` over
+        the masked values — so the assembled Gram is bitwise the
+        single-node one.  Given rows are cast ``ceil(sqrt(n))`` at a time
+        and every local row once per such chunk: float64 scratch of
+        ~sqrt(n) rows (the coordinator holds n to a block budget of
+        rows) and ~sqrt(n) casts per local row — neither an image of
+        the shard nor the n casts per row of a per-vector fan-out.
+        """
         storage = self._storage(meta["buffer"])
-        vi = np.ascontiguousarray(arrays["vi"], dtype=np.float64)
-        mask_id = meta.get("mask_id")
-        mask = self.masks[mask_id] if mask_id is not None else None
-        rows = storage.shape[0]
-        dots = np.empty(rows)
-        for local in range(rows):
-            row = storage.row(local)
-            if mask is not None:
-                row = row[mask]
-            vj = np.ascontiguousarray(row, dtype=np.float64)
-            dots[local] = np.dot(vi, vj)
+        mask = self.masks[meta["mask_id"]] if "mask_id" in meta else None
+        masked = (lambda row: row) if mask is None else (lambda row: row[mask])
+        if "block" in arrays:
+            given = arrays["block"]
+        else:
+            given = [storage.row(int(r)) for r in arrays["rows"]]
+        local, p = storage.shape
+        p_eff = p if mask is None else int(mask.sum())
+        chunk = math.isqrt(len(given) - 1) + 1
+        vi, vj = np.empty((chunk, p_eff)), np.empty(p_eff)
+        dots = np.empty((len(given), local))
+        for c0 in range(0, len(given), chunk):
+            part = given[c0 : c0 + chunk]
+            for t, row in enumerate(part):
+                vi[t] = masked(row)
+            for j in range(local):
+                vj[:] = masked(storage.row(j))
+                for t in range(len(part)):
+                    dots[c0 + t, j] = np.dot(vi[t], vj)
         return {}, {"dots": dots}, b""
+
+    def op_blend_rows(self, meta, arrays, blob):
+        """CrossAggr where the rows live: blend every row of this shard
+        of ``src`` with its collaborator into this shard of ``dst``.
+
+        ``co[r] >= 0`` names a local collaborator row; ``co[r] < 0``
+        names row ``-co[r] - 1`` of the shipped ``foreign`` block (the
+        collaborators this shard does not own, in the buffer dtype).
+        Every element goes through :func:`repro.core.pool.blend_row`, so
+        the shard is bitwise what ``PoolBuffer.cross_aggregate`` writes.
+        """
+        from repro.core.pool import blend_row
+
+        src = self._storage(meta["src"])
+        dst = self._storage(meta["dst"])
+        co = arrays["co"]
+        foreign = arrays.get("foreign")
+        int_cols = arrays["int_cols"].astype(np.int64, copy=False)
+        alpha = float(meta["alpha"])
+        scratch = np.empty((2, src.shape[1]))
+        for r in range(src.shape[0]):
+            c = int(co[r])
+            collab = src.row(c) if c >= 0 else foreign[-c - 1]
+            blend_row(dst.row(r), src.row(r), collab, alpha, int_cols, scratch)
+        return {}, {}, b""
 
     # -- co-located execution ----------------------------------------------
     def op_init_trainer(self, meta, arrays, blob):

@@ -1,21 +1,32 @@
-"""Synchronous RPC channels over the framing layer.
+"""Request/response RPC channels over the framing layer.
 
 A :class:`RPCChannel` is one coordinator-side socket to one shard
-host, serving strictly request/response calls under a per-channel
-lock.  The cluster keeps *two* channels per host — ``data`` for
-storage ops and ``exec`` for training legs — so shard-local reductions
-(Gram ``masked_dots``) are never queued behind a long-running training
-leg on the same socket.
+host.  The cluster keeps *two* channels per host — ``data`` for
+storage ops and ``exec`` for training legs — so a shard-local
+reduction (``gram_dots``, ``blend_rows``) is never queued behind a
+long-running training leg on the same socket.
 
-Failure contract (the robustness satellite): any transport-level error
-— connection refused, reset, or EOF because the host process died —
-triggers exactly **one** reconnect-and-resend retry; if that also
-fails, a :class:`DistributedError` naming the shard host (never a raw
-``ConnectionResetError``) is raised.  The retry is safe because every
-op is idempotent: storage ops are pure reads/overwrites, and a
-``train_leg`` re-runs from the RNG state shipped in the request, so a
-replay produces bit-identical results.  Errors raised *by* the remote
-op itself (an exception inside the host) come back in the response
+Requests to one host overlap on the wire: :meth:`RPCChannel.call`
+writes its frame under the send lock and takes a ticket (its place in
+the in-flight queue), and replies are read strictly in ticket order by
+whichever caller heads that queue.  The host serves a connection's
+requests one after another, so it finds its next ``train_leg`` in the
+socket buffer when it finishes one instead of waiting a coordinator
+round trip for it.  A written request cannot be withdrawn: its caller
+blocks until the reply (or the failure below) arrives.
+
+Failure contract, per request: a transport-level error — connection
+refused, reset, or EOF because the host process died — drops the
+connection **once** for everybody, and every *unanswered* request is
+re-sent exactly once, in ticket order, on one new connection.  A
+request that already had its resend, or a failure of the replacement
+connection while it is being refilled, raises a
+:class:`DistributedError` naming the shard host (never a raw
+``ConnectionResetError``); answered requests are never re-run.  The
+resend is safe because every op is idempotent: storage ops are pure
+reads/overwrites, and a ``train_leg`` re-runs from the RNG state
+shipped in the request, so a replay produces bit-identical results.
+Errors raised *by* the remote op itself come back in the response
 header and re-raise as :class:`DistributedError` carrying the remote
 traceback — those are not retried.
 
@@ -29,6 +40,8 @@ from __future__ import annotations
 
 import socket
 import threading
+from collections import deque
+from types import SimpleNamespace
 from typing import Mapping
 
 import numpy as np
@@ -45,21 +58,27 @@ class DistributedError(RuntimeError):
 
 
 class RPCChannel:
-    """One lazy-connecting request/response socket to a shard host."""
+    """One lazy-connecting, ticket-ordered socket to a shard host."""
 
     def __init__(self, address: tuple[str, int], label: str) -> None:
         self.address = tuple(address)
         self.label = label
         self._sock: socket.socket | None = None
-        self._lock = threading.Lock()
+        # Frame writes, (re)connects and ticket issue serialise on the
+        # send lock, so ticket order is wire order.  ``_turn`` guards
+        # the hand-offs between senders and the reader: ``_sock`` and
+        # ``_inflight`` only change under it (lock order: send, turn).
+        self._send_lock = threading.Lock()
+        self._turn = threading.Condition()
+        self._inflight: deque = deque()  # unanswered requests, ticket order
         # (op, buffer-id or None) -> call count; scalar tallies count
         # array elements that crossed this channel in each direction.
         self.op_counts: dict[tuple[str, object], int] = {}
         self.scalars_sent = 0
         self.scalars_received = 0
-        # Transport-level failures that triggered a reconnect attempt
-        # (whether or not the resend then succeeded) — the reconnect
-        # tests read the delta to assert exactly-one-retry semantics.
+        # Connections lost to a transport error (a refused reconnect
+        # counts as one more) — the reconnect tests read the delta to
+        # assert one drop serves every request that was in flight.
         self.transport_retries = 0
 
     # -- connection management --------------------------------------------
@@ -72,16 +91,37 @@ class RPCChannel:
         return sock
 
     def _drop(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover - close on dead socket
-                pass
-            self._sock = None
+        """Forget the connection (send lock held).  ``shutdown`` first:
+        ``close`` alone does not wake a reader blocked in ``recv``."""
+        with self._turn:
+            sock, self._sock = self._sock, None
+        if sock is not None:
+            for end in (lambda: sock.shutdown(socket.SHUT_RDWR), sock.close):
+                try:
+                    end()
+                except OSError:  # already dead
+                    pass
 
     def close(self) -> None:
-        with self._lock:
+        """Drop the connection; requests still in flight fail (a later
+        call reconnects lazily)."""
+        with self._send_lock:
             self._drop()
+            self._settle([], ConnectionClosed("channel closed"))
+
+    def _settle(self, kept: list, exc: OSError) -> None:
+        """Leave ``kept`` in flight, in order; fail every other unanswered
+        request with ``exc`` as the cause (send lock held)."""
+        with self._turn:
+            for request in self._inflight:
+                if request not in kept:
+                    request.error = DistributedError(
+                        f"{self.label} is unreachable for op {request.op!r} after "
+                        f"one reconnect attempt ({type(exc).__name__}: {exc})"
+                    )
+                    request.error.__cause__ = exc
+            self._inflight = deque(kept)
+            self._turn.notify_all()
 
     # -- calls -------------------------------------------------------------
     def call(
@@ -92,30 +132,24 @@ class RPCChannel:
         blob: bytes | None = None,
     ) -> tuple[dict, dict[str, np.ndarray], bytes]:
         """One request/response round trip; returns the reply triple."""
-        header = {"op": op, **(meta or {})}
-        with self._lock:
-            last_error: OSError | None = None
-            for _attempt in range(2):
-                try:
-                    if self._sock is None:
-                        self._sock = self._connect()
-                    send_message(self._sock, header, arrays, blob)
-                    reply, reply_arrays, reply_blob = recv_message(self._sock)
-                    break
-                except (ConnectionClosed, OSError) as exc:
-                    self._drop()
-                    self.transport_retries += 1
-                    last_error = exc
-            else:
-                raise DistributedError(
-                    f"{self.label} is unreachable for op {op!r} after one "
-                    f"reconnect attempt ({type(last_error).__name__}: "
-                    f"{last_error})"
-                ) from last_error
-            key = (op, header.get("buffer"))
-            self.op_counts[key] = self.op_counts.get(key, 0) + 1
-            self.scalars_sent += sum(int(a.size) for a in (arrays or {}).values())
-            self.scalars_received += sum(int(a.size) for a in reply_arrays.values())
+        # ``attempts``: connections this request was written to.
+        request = SimpleNamespace(
+            op=op, header={"op": op, **(meta or {})}, arrays=arrays, blob=blob,
+            attempts=0, error=None,
+        )
+        with self._send_lock:
+            failure = None
+            try:
+                self._send(request)
+            except (ConnectionClosed, OSError) as exc:
+                failure = exc
+            # Anything but a transport error (an unencodable header) has
+            # propagated by now, with nothing queued.
+            with self._turn:
+                self._inflight.append(request)  # the ticket
+            if failure is not None:
+                self._resend_unanswered(failure)
+        reply, reply_arrays, reply_blob = self._receive(request)
         if not reply.get("ok", False):
             error = reply.get("error", {})
             raise DistributedError(
@@ -124,6 +158,67 @@ class RPCChannel:
                 f"{error.get('traceback', '')}"
             )
         return reply, reply_arrays, reply_blob
+
+    def _send(self, request) -> None:
+        """Write ``request``'s frame, connecting first if needed (send
+        lock held)."""
+        request.attempts += 1
+        if self._sock is None:
+            sock = self._connect()
+            with self._turn:
+                self._sock = sock
+        send_message(self._sock, request.header, request.arrays, request.blob)
+
+    def _resend_unanswered(self, exc: OSError) -> None:
+        """The connection failed (send lock held): drop it once, re-send
+        every unanswered request that still has its retry, fail the rest."""
+        self._drop()
+        self.transport_retries += 1
+        with self._turn:
+            unanswered = list(self._inflight)
+        retry = [r for r in unanswered if r.attempts < 2]
+        try:
+            for request in retry:
+                self._send(request)
+        except (ConnectionClosed, OSError) as again:
+            self._drop()
+            self.transport_retries += 1
+            exc, retry = again, []
+        self._settle(retry, exc)
+
+    def _receive(self, request):
+        """Block until ``request`` heads the queue, then read its reply."""
+        while True:
+            with self._turn:
+                while request.error is None and not (
+                    self._sock is not None and self._inflight[0] is request
+                ):
+                    self._turn.wait()
+                if request.error is not None:
+                    raise request.error
+                sock = self._sock
+            try:
+                reply = recv_message(sock)
+            except (ConnectionClosed, OSError) as exc:
+                with self._send_lock:
+                    if sock is self._sock:  # else someone already replaced it
+                        self._resend_unanswered(exc)
+                continue
+            with self._turn:
+                if sock is not self._sock:
+                    # Dropped while this reply was being read: the request
+                    # was re-sent, and the reply to *that* is the one that
+                    # keeps the new connection's ticket order.
+                    continue
+                self._inflight.popleft()
+                self._turn.notify_all()
+                key = (request.op, request.header.get("buffer"))
+                self.op_counts[key] = self.op_counts.get(key, 0) + 1
+                self.scalars_sent += sum(
+                    int(a.size) for a in (request.arrays or {}).values()
+                )
+                self.scalars_received += sum(int(a.size) for a in reply[1].values())
+            return reply
 
 
 def serve_connection(sock: socket.socket, dispatch) -> None:

@@ -15,9 +15,14 @@ The coordinator holds only the span map (the same
   side and ship each committed row in one message (the pool engine's
   ``set_state`` packs into the staging row, so an upload costs one
   RPC, not one per field);
-* ``masked_dots`` fans a Gram row update out to every host — the
-  shard-local reduction runs where the rows live and only the ``(K,)``
-  reduced dots cross the wire.
+* ``gram_rows`` answers a :class:`~repro.core.gram.GramTracker` flush
+  where the rows live: each host dots its own stale rows against its
+  own rows (indices only on the wire), and each unordered host pair
+  exchanges one block of stale rows, in the buffer dtype, once;
+* ``blend_into`` runs ``cross_aggregate`` where the rows live: each
+  host blends its span into its shard of the output buffer and is sent
+  only the collaborator rows it does not own (replicated buffers keep
+  the coordinator-side blocked path — their mirror needs the bytes).
 
 Rows cross the socket as raw buffer-dtype bytes and every reduction
 uses the exact single-node kernels, so a distributed pool is bitwise
@@ -26,11 +31,13 @@ identical to ``sharded``/``dense`` under the equivalence matrix.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from typing import Sequence
 
 import numpy as np
 
+from repro.core.pool import _block_budget
 from repro.core.storage import (
     PoolStorage,
     _even_boundaries,
@@ -198,15 +205,19 @@ class DistributedStorage(PoolStorage):
         b = self._boundaries
         return [(b[i], b[i + 1]) for i in range(len(b) - 1)]
 
+    def _owners(self, indices: np.ndarray) -> np.ndarray:
+        """Owning host of each global row in ``indices`` (empty spans —
+        K < hosts — own nothing)."""
+        indices = np.asarray(indices, dtype=np.int64)
+        k = self._shape[0]
+        if indices.size and not (0 <= indices.min() and indices.max() < k):
+            raise IndexError(f"rows {indices.tolist()} out of range for pool of {k}")
+        return np.searchsorted(self._boundaries, indices, side="right") - 1
+
     def owner_of(self, index: int) -> tuple[int, int]:
         """(host index, local row offset) owning global row ``index``."""
-        k = self._shape[0]
-        if not 0 <= index < k:
-            raise IndexError(f"row {index} out of range for pool of {k}")
-        for host, (start, stop) in enumerate(self.host_spans()):
-            if start <= index < stop:
-                return host, index - start
-        raise IndexError(index)  # pragma: no cover - spans tile [0, K)
+        host = int(self._owners(index))
+        return host, int(index) - self._boundaries[host]
 
     # -- failover ----------------------------------------------------------
     @property
@@ -214,23 +225,14 @@ class DistributedStorage(PoolStorage):
         """Whether a coordinator-side writable replica backs this buffer."""
         return self._replicate
 
-    def _recovering_call(self, host, op, meta=None, arrays=None, blob=None,
-                         purpose: str = "data"):
-        """One host RPC, with one fleet recovery + retry when replicated."""
+    def _recovering(self, fn, *args, **kwargs):
+        """``fn(*args)``, with one fleet recovery + retry when replicated."""
         try:
-            return self._cluster.call(host, op, meta, arrays, blob, purpose)
+            return fn(*args, **kwargs)
         except DistributedError:
             if not self._replicate or not self._cluster.recover():
                 raise
-            return self._cluster.call(host, op, meta, arrays, blob, purpose)
-
-    def _recovering_broadcast(self, op, metas, arrays=None, blob=None):
-        try:
-            return self._cluster.broadcast(op, metas, arrays, blob)
-        except DistributedError:
-            if not self._replicate or not self._cluster.recover():
-                raise
-            return self._cluster.broadcast(op, metas, arrays, blob)
+            return fn(*args, **kwargs)
 
     def note_remote_write(self, row: int) -> None:
         """Record that ``row`` was just written host-side (a training
@@ -279,11 +281,11 @@ class DistributedStorage(PoolStorage):
             return []
         return [int(i) for i in np.flatnonzero(self._lost)]
 
-    def _check_lost(self, start: int, stop: int) -> None:
-        if self._replicate and self._lost[start:stop].any():
-            rows = [int(i) for i in np.flatnonzero(self._lost[start:stop]) + start]
+    def _check_lost(self, rows: "slice | np.ndarray") -> None:
+        if self._replicate and self._lost[rows].any():
+            lost = np.arange(self._shape[0])[rows][self._lost[rows]].tolist()
             raise DistributedError(
-                f"rows {rows} were lost with their shard host (their last "
+                f"rows {lost} were lost with their shard host (their last "
                 "write was host-side and is not in the coordinator mirror); "
                 "rewrite or retrain them before reading"
             )
@@ -322,16 +324,21 @@ class DistributedStorage(PoolStorage):
         start, stop = int(start), int(stop)
         if stop <= start:
             return np.empty((0, self._shape[1]), dtype=self._dtype)
-        self._check_lost(start, stop)
-        pieces = []
-        for host, (b0, b1) in enumerate(self.host_spans()):
-            lo, hi = max(start, b0), min(stop, b1)
-            if lo < hi:
-                _meta, arrays, _blob = self._recovering_call(
-                    host, "row_block",
-                    {"buffer": self._buffer, "lo": lo - b0, "hi": hi - b0},
-                )
-                pieces.append((lo, arrays["block"]))
+        self._check_lost(slice(start, stop))
+        # One request per host the span touches, all in flight at once.
+        spans = [
+            (host, max(start, b0), min(stop, b1))
+            for host, (b0, b1) in enumerate(self.host_spans())
+            if max(start, b0) < min(stop, b1)
+        ]
+        replies = self._recovering(self._cluster.call_each, [
+            (host, "row_block", {
+                "buffer": self._buffer,
+                "lo": lo - self._boundaries[host], "hi": hi - self._boundaries[host],
+            })
+            for host, lo, hi in spans
+        ])
+        pieces = [(lo, reply[1]["block"]) for (_h, lo, _hi), reply in zip(spans, replies)]
         if len(pieces) == 1 and pieces[0][1].shape[0] == stop - start:
             return pieces[0][1].astype(self._dtype, copy=False)
         out = np.empty((stop - start, self._shape[1]), dtype=self._dtype)
@@ -345,8 +352,8 @@ class DistributedStorage(PoolStorage):
         for host, (b0, b1) in enumerate(self.host_spans()):
             lo, hi = max(int(start), b0), min(stop, b1)
             if lo < hi:
-                self._recovering_call(
-                    host, "write_rows",
+                self._recovering(
+                    self._cluster.call, host, "write_rows",
                     {"buffer": self._buffer, "lo": lo - b0},
                     {"values": values[lo - start : hi - start]},
                 )
@@ -358,57 +365,138 @@ class DistributedStorage(PoolStorage):
     def gather_rows(self, indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)
         out = np.empty((indices.shape[0], self._shape[1]), dtype=self._dtype)
-        # Group requested rows per owning host, keeping output positions.
-        if self._replicate:
-            for j in indices:
-                self._check_lost(int(j), int(j) + 1)
-        per_host: dict[int, tuple[list[int], list[int]]] = {}
-        for pos, j in enumerate(indices):
-            host, local = self.owner_of(int(j))
-            positions, locals_ = per_host.setdefault(host, ([], []))
-            positions.append(pos)
-            locals_.append(local)
-        for host, (positions, locals_) in per_host.items():
-            _meta, arrays, _blob = self._recovering_call(
-                host, "gather_rows", {"buffer": self._buffer},
-                {"indices": np.asarray(locals_, dtype=np.int64)},
-            )
-            out[positions] = arrays["block"]
+        self._check_lost(indices)
+        # One request per owning host (all in flight at once), scattered
+        # back to request order.
+        owners = self._owners(indices)
+        hosts = np.unique(owners)
+        places = [np.flatnonzero(owners == host) for host in hosts]
+        replies = self._recovering(self._cluster.call_each, [
+            (int(host), "gather_rows", {"buffer": self._buffer},
+             {"indices": indices[at] - self._boundaries[host]})
+            for host, at in zip(hosts, places)
+        ])
+        for at, reply in zip(places, replies):
+            out[at] = reply[1]["block"]
         return out
 
     def fill_rows(self, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=self._dtype)
-        self._recovering_broadcast(
-            "fill_rows", {"buffer": self._buffer}, {"values": values}
+        self._recovering(
+            self._cluster.broadcast, "fill_rows", {"buffer": self._buffer},
+            {"values": values},
         )
         if self._replicate:
             self._mirror[:] = values
             self._dirty[:] = False
             self._lost[:] = False
 
-    def masked_dots(
-        self, vector: np.ndarray, mask: "np.ndarray | None"
-    ) -> np.ndarray:
-        """Gram row update fanned out to the shard hosts.
+    # -- reductions where the rows live ------------------------------------
+    reduces_gram = True
 
-        Each host computes dots of ``vector`` against *its own rows
-        only* with the exact local kernel; the assembled ``(K,)`` row
-        is bitwise identical to the tracker's local loop, and only
-        O(P) + O(K) scalars cross the wire instead of O(K·P).
+    def gram_rows(self, rows: np.ndarray, mask: "np.ndarray | None") -> np.ndarray:
+        """Gram rows ``rows`` of the masked matrix, reduced on the hosts.
+
+        Every host dots its own share of ``rows`` against its own rows
+        (indices only on the wire); each unordered pair of hosts then
+        moves one side's share once, in the buffer dtype, to the other
+        — ``np.dot(a, b)`` and ``np.dot(b, a)`` are the same bits, so
+        the reply fills the transposed entries too — and the other side
+        ships as well only when the first does not cover its span.
+        Bitwise the tracker's local loop.
+
+        Lost-row rule: ``rows`` are rows whose writers reported in
+        (``update_row``), so a lost one raises; the rows they are dotted
+        *against* are not guarded — a pair involving a row still to be
+        rewritten is recomputed when that writer reports in.
         """
-        # Deliberately no lost-row guard here: under the engine's
-        # write-then-on_upload protocol every Gram entry of a pair is
-        # recomputed after that pair's final row writes, so a transient
-        # stale read mid-collect cannot survive into the result.
-        vector = np.ascontiguousarray(vector, dtype=np.float64)
-        try:
-            mask_id = self._cluster.ensure_mask(mask) if mask is not None else None
-            return self._cluster.masked_dots(self._buffer, vector, mask_id)
-        except DistributedError:
-            if not self._replicate or not self._cluster.recover():
-                raise
-            mask_id = self._cluster.ensure_mask(mask) if mask is not None else None
-            return self._cluster.masked_dots(self._buffer, vector, mask_id)
+        rows = np.asarray(rows, dtype=np.int64)
+        # At most a block budget of rows moves per exchange.
+        step = max(1, _block_budget() // max(1, self._shape[1] * self._dtype.itemsize))
+        return np.concatenate([
+            self._recovering(self._gram_rows, rows[i : i + step], mask)
+            for i in range(0, len(rows), step)
+        ])
+
+    def _gram_rows(self, rows: np.ndarray, mask: "np.ndarray | None") -> np.ndarray:
+        self._check_lost(rows)
+        meta = {"buffer": self._buffer}
+        if mask is not None:
+            meta["mask_id"] = self._cluster.ensure_mask(mask)
+        b = self._boundaries
+        owners = self._owners(rows)
+        mine = {int(h): rows[owners == h] for h in np.unique(owners)}
+        covers = {h: len(r) == b[h + 1] - b[h] for h, r in mine.items()}
+        # Exchange (x, y): x's share of ``rows`` against every row of y.
+        local = [(x, x) for x in mine]
+        cross = []
+        populated = [h for h in range(self.num_hosts) if b[h + 1] > b[h]]
+        for pair in itertools.combinations(populated, 2):
+            x, y = sorted(pair, key=lambda h: (h in mine, covers.get(h, False)),
+                          reverse=True)
+            if x in mine:
+                cross.append((x, y))
+                if y in mine and not covers[x]:
+                    cross.append((y, x))
+        shippers = sorted({x for x, _ in cross})
+        cluster, buffer = self._cluster, {"buffer": self._buffer}
+        first = cluster.call_each(
+            [(x, "gather_rows", buffer, {"indices": mine[x] - b[x]}) for x in shippers]
+            + [(x, "gram_dots", meta, {"rows": mine[x] - b[x]}) for x, _ in local]
+        )
+        blocks = {x: reply[1]["block"] for x, reply in zip(shippers, first)}
+        second = cluster.call_each(
+            [(y, "gram_dots", meta, {"block": blocks[x]}) for x, y in cross]
+        )
+        out = np.empty((len(rows), self._shape[0]))
+        at = np.full(self._shape[0], -1)
+        at[rows] = np.arange(len(rows))
+        for (x, y), reply in zip(local + cross, first[len(shippers):] + second):
+            dots = reply[1]["dots"]
+            out[at[mine[x]], b[y] : b[y + 1]] = dots
+            if y in mine:  # the same bits, transposed
+                out[np.ix_(at[mine[y]], mine[x])] = dots[:, mine[y] - b[y]].T
+        return out
+
+    def blend_into(
+        self, dst: PoolStorage, co: np.ndarray, alpha: float,
+        int_cols: np.ndarray, block_rows: int,
+    ) -> bool:
+        """``cross_aggregate`` (1-D ``co``) where the rows live.
+
+        Each host gets its span of ``co`` and blends its own rows into
+        its shard of ``dst`` (this storage's ``allocate_like``),
+        receiving only the collaborator rows it does not own.  Declined
+        for replicated buffers — their mirror needs the bytes anyway —
+        and when a host's span exceeds ``block_rows``, the budget the
+        shipped block is held to.
+        """
+        if self._replicate or max(np.diff(self._boundaries)) > block_rows:
+            return False
+        k = self._shape[0]
+        owners = self._owners(co)
+        local = owners == self._owners(np.arange(k))
+        foreign = np.unique(co[~local])
+        gathered = self.gather_rows(foreign) if foreign.size else None
+        meta = {"src": self._buffer, "dst": dst._buffer, "alpha": float(alpha)}
+        requests = []
+        for host, (lo, hi) in enumerate(self.host_spans()):
+            if hi == lo:
+                continue
+            need = np.unique(co[lo:hi][~local[lo:hi]])
+            # >= 0: local collaborator row; < 0: row -c - 1 of ``foreign``.
+            arrays = {
+                "co": np.where(
+                    local[lo:hi], co[lo:hi] - lo,
+                    -1 - np.searchsorted(need, co[lo:hi]),
+                ),
+                "int_cols": int_cols,
+            }
+            if need.size:
+                arrays["foreign"] = gathered[np.searchsorted(foreign, need)]
+            requests.append((host, "blend_rows", meta, arrays))
+        self._cluster.call_each(requests)
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         k, p = self._shape

@@ -140,30 +140,39 @@ class TestRowProtocol:
         np.testing.assert_array_equal(other.array, np.ones((2, 4)))
 
 
-class TestMaskedDots:
-    def _local_dots(self, reference, vector, mask):
-        dots = np.empty(K)
-        for j in range(K):
+class TestGramRows:
+    """``gram_rows`` (the successor of the per-vector ``masked_dots``
+    fan-out) against the tracker's local kernel."""
+
+    def _local_dots(self, reference, rows, mask):
+        def vec(j):
             row = reference[j][mask] if mask is not None else reference[j]
-            dots[j] = np.dot(
-                np.ascontiguousarray(row, dtype=np.float64), vector
-            )
-        return dots
+            return np.ascontiguousarray(row, dtype=np.float64)
+
+        return np.array([[np.dot(vec(i), vec(j)) for j in range(K)] for i in rows])
 
     def test_unmasked_bitwise_equal_to_local_kernel(self, storage, reference):
-        vector = np.ascontiguousarray(reference[1], dtype=np.float64)
         np.testing.assert_array_equal(
-            storage.masked_dots(vector, None),
-            self._local_dots(reference, vector, None),
+            storage.gram_rows(np.array([1]), None),
+            self._local_dots(reference, [1], None),
         )
 
     def test_masked_bitwise_equal_to_local_kernel(self, storage, reference):
         mask = np.zeros(P, dtype=bool)
         mask[[0, 2, 5]] = True
-        vector = np.ascontiguousarray(reference[4][mask], dtype=np.float64)
         np.testing.assert_array_equal(
-            storage.masked_dots(vector, mask),
-            self._local_dots(reference, vector, mask),
+            storage.gram_rows(np.array([4]), mask),
+            self._local_dots(reference, [4], mask),
+        )
+
+    @pytest.mark.parametrize("rows", [[0, 1, 2, 3, 4], [0, 3], [2, 3, 4], [1, 2, 4]])
+    def test_row_sets_covering_or_straddling_hosts(self, storage, reference, rows):
+        # Spans are (0, 2) and (2, 5): whole pool, one row per host, one
+        # host covered and the other not, and a partial set on both —
+        # each takes a different exchange plan, all the same bits.
+        np.testing.assert_array_equal(
+            storage.gram_rows(np.array(rows), None),
+            self._local_dots(reference, rows, None),
         )
 
     def test_mask_registered_once_per_content(self, storage):
