@@ -52,9 +52,7 @@ BACKENDS = ("serial", "thread", "process")
 SMALL_HOST_PARITY = 0.8
 
 
-def make_config(
-    k: int, input_size: int, execution: str, rounds: int = 2, streaming: bool = True
-) -> FLConfig:
+def make_config(k: int, input_size: int, execution: str, rounds: int = 2) -> FLConfig:
     return FLConfig(
         method="fedcross",
         dataset="synth_cifar10",
@@ -67,7 +65,6 @@ def make_config(
         batch_size=20,
         eval_every=rounds,
         execution=execution,
-        streaming=streaming,
         seed=0,
         dataset_params={
             "samples_per_client": 60,
@@ -96,78 +93,25 @@ def time_collect(config: FLConfig, repeats: int) -> float:
     return best
 
 
-def run_streaming_overlap(k: int, input_size: int, repeats: int, cores: int,
-                          smoke: bool, max_ratio: float, emit):
-    """Streaming vs gathered collect per backend (ISSUE 4 overlap).
-
-    Streaming consumes uploads as legs land, overlapping the server's
-    packing and FedCross's incremental Gram updates with still-running
-    legs; gathered is the reference schedule that defers all of it to
-    the end.  The asserted bar — streaming wall-clock ≤ gathered (with
-    ``max_ratio`` noise headroom) on the **process** backend — only
-    applies on full runs with ≥ 2 cores: with a single core there is
-    nothing to overlap with, and smoke runs on shared CI boxes report
-    the ratio without gating on scheduler jitter.
-    """
-    emit(f"{'K':>4} {'backend':>8} {'gathered (s)':>13} {'streaming (s)':>14} "
-         f"{'ratio':>7}")
-    rows = []
-    failures = []
-    for execution in BACKENDS:
-        gathered = time_collect(
-            make_config(k, input_size, execution, streaming=False), repeats
-        )
-        streaming = time_collect(
-            make_config(k, input_size, execution, streaming=True), repeats
-        )
-        ratio = streaming / gathered
-        emit(f"{k:>4} {execution:>8} {gathered:>13.3f} {streaming:>14.3f} "
-             f"{ratio:>6.2f}x")
-        rows.append(
-            {
-                "k": k,
-                "backend": execution,
-                "gathered_s": gathered,
-                "streaming_s": streaming,
-                "ratio": ratio,
-            }
-        )
-        if execution == "process" and not smoke:
-            if cores >= 2:
-                if ratio > max_ratio:
-                    failures.append(
-                        f"K={k}: streaming collect {ratio:.2f}x gathered on the "
-                        f"process backend (bar: <= {max_ratio}x)"
-                    )
-            else:
-                emit("  (streaming bar skipped: single core — no legs to "
-                     "overlap with)")
-    return rows, failures
-
-
 def histories_bit_identical(k: int, input_size: int, emit) -> bool:
-    """Two full rounds per backend and schedule: records + pool must
-    match the gathered-serial reference exactly."""
-    variants = {"serial-gathered": ("serial", False)}
-    for execution in BACKENDS:
-        variants[f"{execution}-streaming"] = (execution, True)
+    """Two full rounds per backend: records + pool must match the
+    serial reference exactly."""
     results = {}
-    for label, (execution, streaming) in variants.items():
-        sim = FLSimulation(make_config(k, input_size, execution, streaming=streaming))
+    for execution in BACKENDS:
+        sim = FLSimulation(make_config(k, input_size, execution))
         result = sim.run()
-        results[label] = (result, np.array(sim.server.pool.matrix, copy=True))
-    ref_result, ref_pool = results["serial-gathered"]
+        results[execution] = (result, np.array(sim.server.pool.matrix, copy=True))
+    ref_result, ref_pool = results["serial"]
     ok = True
-    for label, (got_result, got_pool) in results.items():
-        if label == "serial-gathered":
-            continue
+    for execution in BACKENDS[1:]:
+        got_result, got_pool = results[execution]
         same = all(
             a.accuracy == b.accuracy
             and a.loss == b.loss
             and a.train_loss == b.train_loss
             for a, b in zip(ref_result.history.records, got_result.history.records)
         ) and np.array_equal(ref_pool, got_pool)
-        emit(f"  determinism serial-gathered vs {label:>17} @ K={k}: "
+        emit(f"  determinism serial vs {execution:>8} @ K={k}: "
              f"{'bit-identical' if same else 'DIVERGED'}")
         ok = ok and same
     return ok
@@ -200,7 +144,6 @@ def make_async_config(
         eval_every=rounds,
         execution="thread",
         workers=k,
-        streaming=True,
         seed=0,
         round_mode=round_mode,
         max_staleness=staleness,
@@ -569,15 +512,6 @@ def main(argv=None):
         help="process-vs-serial bar at the largest K (hosts with >= 4 cores)",
     )
     parser.add_argument(
-        "--max-streaming-ratio",
-        type=float,
-        default=1.05,
-        help=(
-            "streaming/gathered collect wall-clock bar on the process "
-            "backend (noise headroom over the <= 1.0 target)"
-        ),
-    )
-    parser.add_argument(
         "--max-dispatch-overhead",
         type=float,
         default=0.05,
@@ -648,14 +582,7 @@ def main(argv=None):
                     f"{bar}x bar on a {cores}-core host"
                 )
 
-    emit("\n== streaming vs gathered collect ==")
-    stream_rows, stream_failures = run_streaming_overlap(
-        max(ks), input_size, args.repeats, cores, args.smoke,
-        args.max_streaming_ratio, emit,
-    )
-    failures += stream_failures
-
-    emit("\n== cross-backend determinism (gathered reference vs streaming) ==")
+    emit("\n== cross-backend determinism (serial reference) ==")
     deterministic = histories_bit_identical(min(ks), input_size, emit)
     if not deterministic:
         failures.append("histories/pools diverged across execution backends")
@@ -678,7 +605,6 @@ def main(argv=None):
         "repeats": args.repeats,
         "smoke": args.smoke,
         "collect": rows,
-        "streaming": stream_rows,
         "backend_dispatch": dispatch_rows,
         "async_rounds": async_rows,
         "deterministic": deterministic,

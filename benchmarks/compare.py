@@ -31,11 +31,12 @@ same-host **ratios** each benchmark computes internally:
     ``out_of_core.peak_bytes / full_f64_bytes`` — lower is better (a
     rising ratio means whole-pool temporaries are creeping back).
 ``BENCH_client_execution.json``
-    ``streaming[].ratio`` (streaming vs gathered collect on the same
-    host, per backend) — lower is better; gated on **full-mode**
-    artifacts only, since the smoke ratio compares two ~0.1 s
-    micro-timings and is pure scheduler jitter on shared runners (the
-    bench's own bar makes the same distinction).
+    ``backend_dispatch[].ratio`` (dispatched vs seed-direct client
+    step) and ``async_rounds[].ratio`` (async vs sync fit under seeded
+    stragglers) — lower is better; gated on **full-mode** artifacts
+    only, since the smoke ratios compare sub-second micro-timings and
+    are pure scheduler jitter on shared runners (the bench's own bars
+    make the same distinction).
 
 Rows are matched by their key fields; rows or sections missing from
 the *baseline* are reported as new coverage, never failed (so adding a
@@ -65,10 +66,10 @@ import os
 import sys
 
 # (file, section, key fields, metric, direction, skip_smoke[, threshold])
-# skip_smoke: the streaming ratio compares two ~0.1 s micro-timings in
-# smoke mode — pure scheduler jitter on shared runners, which is why
-# bench_client_execution.py itself only asserts its streaming bar on
-# full runs.  The gate follows suit and only gates that section on
+# skip_smoke: the client-execution ratios compare sub-second
+# micro-timings in smoke mode — pure scheduler jitter on shared runners,
+# which is why bench_client_execution.py itself only asserts its bars on
+# full runs.  The gate follows suit and only gates those sections on
 # full-mode artifacts.
 # threshold: optional per-gate override of the global --threshold; the
 # backend_dispatch gate uses a tight 5% bar against its parity-seeded
@@ -81,7 +82,6 @@ GATES = [
     ("BENCH_pool_engine.json", "sharded", ("k", "shards"), "ratio", "lower", False),
     ("BENCH_pool_engine.json", "distributed", ("k", "hosts"), "ratio", "lower", False),
     ("BENCH_pool_engine.json", "robust", ("k",), "ratio", "lower", False),
-    ("BENCH_client_execution.json", "streaming", ("k", "backend"), "ratio", "lower", True),
     ("BENCH_client_execution.json", "backend_dispatch", ("model",), "ratio", "lower", True, 0.05),
     ("BENCH_client_execution.json", "async_rounds", ("k", "staleness"), "ratio", "lower", True),
 ]

@@ -74,9 +74,10 @@ class FedClusterServer(FederatedServer):
             )
             losses.extend(r.mean_loss for r in results)
             total_clients += len(members)
+            # Per visit, by the shared rule: analytic unless the
+            # execution backend measured the legs itself.
+            self.charge_round_communication(members)
         self._global = state
-        self.ledger.record_down(total_clients * self.model_size)
-        self.ledger.record_up(total_clients * self.model_size)
         return {
             "train_loss": float(np.mean(losses)) if losses else None,
             # The cyclic schedule trains per_cluster clients per visit,

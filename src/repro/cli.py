@@ -19,7 +19,7 @@ off a default instance, so the two can never drift): batch size 50,
 20 clients, Section IV-A local-training settings.  Beyond the config
 fields, the server's phased round loop is exposed through:
 
-``--backend dense|memmap|sharded|distributed`` (alias ``--storage``)
+``--backend dense|memmap|sharded|distributed``
     Pool-storage backend for the server's model buffers
     (:mod:`repro.core.storage`); ``memmap`` keeps pools on disk for
     populations beyond RAM, ``sharded`` splits the pool into N row
@@ -35,14 +35,6 @@ fields, the server's phased round loop is exposed through:
     ``distributed`` co-locates each leg with the shard host owning its
     upload row (requires ``--backend distributed``).  Histories are
     bit-identical across backends.
-``--streaming`` / ``--no-streaming``
-    Overlap behaviour of the collect phase (default: streaming).  The
-    server consumes uploads *as legs complete*, packing each one — and
-    running per-upload work like FedCross's incremental Gram updates —
-    while slower clients are still training; ``--no-streaming``
-    restores the gathered reference schedule.  Both schedules are
-    bit-identical in histories, uploads and RNG state; streaming only
-    moves server-side work off the round's critical path.
 ``--array-backend numpy|cupy|...``
     Array backend tensor math dispatches through
     (:mod:`repro.tensor.backend`); workers of the ``process``
@@ -180,7 +172,6 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend",
-        "--storage",
         type=_backend,
         default=_DEFAULTS.backend,
         help=(
@@ -242,17 +233,6 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
             "array backend tensor math dispatches through "
             '("numpy", "cupy" when installed, ...; default: the '
             "process-wide active backend — REPRO_ARRAY_BACKEND or numpy)"
-        ),
-    )
-    parser.add_argument(
-        "--streaming",
-        action=argparse.BooleanOptionalAction,
-        default=_DEFAULTS.streaming,
-        help=(
-            "consume client uploads as they complete, overlapping "
-            "server-side packing/similarity work with still-running "
-            "training legs (bit-identical to the gathered schedule; "
-            "--no-streaming restores it)"
         ),
     )
     parser.add_argument(
@@ -434,7 +414,6 @@ def _config_kwargs(args) -> dict:
         execution=args.execution,
         workers=args.workers,
         array_backend=args.array_backend,
-        streaming=args.streaming,
         round_mode=args.round_mode,
         max_staleness=args.max_staleness,
         faults=args.faults,

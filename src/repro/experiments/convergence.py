@@ -4,7 +4,7 @@ Theorem 1 applies to mu-convex local objectives with the decaying step
 size eta_t = 2/(mu (t+lambda)). We realise exactly that setting:
 logistic regression (convex) on synthetic data, FedCross with in-order
 selection (the strategy the proof assumes), and an inverse-time LR
-decay implemented by passing per-round learning rates. The bench then
+decay set per round by an ``on_round_start`` callback. The bench then
 fits the measured global-loss gap against a C/(t+lambda) envelope and
 reports the log-log slope (Theorem 1 predicts about -1).
 """
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from repro.analysis.convergence import empirical_convergence_rate, inverse_t_envelope_fit
 from repro.data.federated import build_federated_dataset
 from repro.experiments.scale import ExperimentScale, resolve_scale
+from repro.fl.callbacks import ServerCallback
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FLSimulation
 
@@ -57,18 +58,16 @@ def run_convergence_probe(
     sim = FLSimulation(config)
 
     # Decay the client LR as 1/(round + lambda), Theorem 1's schedule,
-    # by driving the round loop manually.
+    # set at each round's start.
     lam = 10.0
     base_lr = config.lr
-    losses: list[float] = []
-    for r in range(config.rounds):
-        sim.trainer.lr = base_lr * lam / (r + lam)
-        active = sim.server.sample_clients()
-        sim.server.run_round(active)
-        sim.server.ledger.end_round()
-        _, loss = sim.server.evaluate()
-        losses.append(loss)
-        sim.server.round_idx += 1
+
+    class InverseTimeDecay(ServerCallback):
+        def on_round_start(self, server, round_idx: int) -> None:
+            server.trainer.lr = base_lr * lam / (round_idx + lam)
+
+    history = sim.server.fit(callbacks=[InverseTimeDecay()])
+    losses = [record.loss for record in history.records]
 
     # Estimate F* as slightly below the best observed loss.
     f_star = min(losses) * 0.98

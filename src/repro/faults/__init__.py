@@ -14,17 +14,19 @@ round complete *correctly* when legs fail:
     before any leg is dispatched*, so the same faults hit the same
     clients on every execution backend.
 :mod:`repro.faults.policy`
-    The structured failure surface: :class:`~repro.faults.policy
-    .LegFailure` records what happened to a leg that did not land, and
-    :class:`~repro.faults.policy.RoundPolicy` carries the config knobs
-    (``quorum``, ``failure_policy``, ``leg_timeout``, ``leg_retries``,
-    ``leg_backoff``) the engine enforces.
+    The structured failure surface and the policy itself:
+    :class:`~repro.faults.policy.LegFailure` records what happened to a
+    leg that did not land, :class:`~repro.faults.policy.RoundPolicy`
+    carries the config knobs (``quorum``, ``failure_policy``,
+    ``leg_timeout``, ``leg_retries``, ``leg_backoff``), and the
+    per-round :class:`~repro.faults.policy.RoundFaults` record makes
+    every decision — pre-drop, retry / reissue / final, ``fail`` abort,
+    quorum, carry — for whichever round driver feeds it.
 :mod:`repro.faults.engine`
-    :func:`~repro.faults.engine.resilient_collect` — the fault-aware
-    twin of the server's streaming collect: pre-drops simulated
-    faults, retries infra errors with exponential backoff, recovers
-    dead shard hosts mid-round, and degrades gracefully (``carry`` /
-    ``redispatch``) behind the quorum fraction.
+    :func:`~repro.faults.engine.resilient_collect` — the sync round's
+    collect under an engaged policy: the blocking wait loop that feeds
+    the record in retry waves, plus mid-round recovery of dead shard
+    hosts.
 :mod:`repro.faults.inject`
     The chaos harness (not imported here — test/bench only):
     kill-host-at-round-N, kill-own-host mid-leg, delay-leg and

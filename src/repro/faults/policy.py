@@ -1,4 +1,14 @@
-"""Failure structures and the round policy the engine enforces.
+"""Failure structures, the round policy, and the per-round fault record.
+
+:class:`RoundPolicy` carries a run's resilience knobs;
+:class:`RoundFaults` — opened once per round by whichever driver runs
+it (:func:`~repro.faults.engine.resilient_collect` for a sync round,
+:class:`~repro.fl.scheduler.AsyncRoundScheduler` for an overlapped one)
+— is the one place the policy *decides*: which legs are pre-dropped,
+whether a failed leg is retried (and after what backoff), reissued or
+final, what the round's leg traffic was, and — at close — whether the
+round counts (``fail`` abort, quorum) and what its carried legs hold.
+The drivers keep only their wait loops.
 
 This module is deliberately dependency-light (stdlib + dataclasses
 only): :mod:`repro.fl.execution` imports :class:`LegFailure` so its
@@ -10,7 +20,7 @@ package (numpy, engine) into every import of the execution module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 __all__ = [
@@ -18,6 +28,7 @@ __all__ = [
     "QuorumError",
     "LegFailure",
     "RoundPolicy",
+    "RoundFaults",
     "FAILURE_POLICIES",
     "restore_rng",
     "describe_failures",
@@ -74,9 +85,6 @@ class LegFailure:
         facts about the scenario and must not be."""
         return self.kind in ("timeout", "error")
 
-    def replace(self, **changes) -> "LegFailure":
-        return replace(self, **changes)
-
     def summary(self) -> dict:
         """Round-record extras entry (JSON-friendly scalars only)."""
         return {
@@ -119,14 +127,13 @@ class RoundPolicy:
     leg_retries: int = 0
     leg_backoff: float = 0.05
     has_fault_model: bool = False
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.quorum <= 1.0:
             raise ValueError(f"quorum must be in (0, 1], got {self.quorum}")
         if self.failure_policy not in FAILURE_POLICIES:
             raise ValueError(
-                f"failure_policy must be one of {FAILURE_POLICIES}, "
+                "failure_policy must be 'fail', 'carry' or 'redispatch', "
                 f"got {self.failure_policy!r}"
             )
         if self.leg_timeout is not None and self.leg_timeout <= 0:
@@ -148,44 +155,24 @@ class RoundPolicy:
         )
 
     @property
+    def engaged_knobs(self) -> "list[str]":
+        """The non-default knobs that engage the policy, as ``name=value``."""
+        knobs = ["faults"] if self.has_fault_model else []
+        if self.failure_policy != "fail":
+            knobs.append(f"failure_policy={self.failure_policy!r}")
+        if self.leg_retries > 0:
+            knobs.append(f"leg_retries={self.leg_retries}")
+        if self.leg_timeout is not None:
+            knobs.append(f"leg_timeout={self.leg_timeout:g}")
+        return knobs
+
+    @property
     def engaged(self) -> bool:
-        return (
-            self.has_fault_model
-            or self.failure_policy != "fail"
-            or self.leg_retries > 0
-            or self.leg_timeout is not None
-        )
+        return bool(self.engaged_knobs)
 
-    def pre_decide(self, population, round_idx: int, active, rows) -> "tuple[dict, dict]":
-        """One round's decisions made before any leg is dispatched.
-
-        Returns ``(failures, attacks)`` by plan index: the seeded fault
-        model's simulated failures (those legs are never submitted —
-        zero communication, on every backend; any of them aborts the
-        round under the ``fail`` policy) and the Byzantine attack specs.
-        Both are pure functions of (scenario, seed, round, client): a
-        retried leg or a redispatched stand-in re-derives the same
-        attack instead of inheriting the failed attempt's, and carried
-        legs keep the dispatched state and are never attacked.
-        """
-        failures: dict[int, LegFailure] = {}
-        attacks: dict = {}
-        if population is None:
-            return failures, attacks
-        ids = [client.client_id for client in active]
-        for i, fault in enumerate(population.leg_faults(round_idx, ids)):
-            if fault.kind is not None:
-                failures[i] = population.failure_for(fault, i, ids[i], int(rows[i]))
-        if failures and self.failure_policy == "fail":
-            raise FaultError(
-                f"round {round_idx} aborted under failure_policy='fail': "
-                f"{describe_failures(failures)}"
-            )
-        for i, client_id in enumerate(ids):
-            spec = population.attack_for(round_idx, client_id)
-            if spec is not None:
-                attacks[i] = spec
-        return failures, attacks
+    def open_round(self, population, round_idx: int, active, rows) -> "RoundFaults":
+        """The fault record of one round (see :class:`RoundFaults`)."""
+        return RoundFaults(self, population, round_idx, active, rows)
 
     def required_legs(self, cohort_size: int) -> int:
         """Fresh uploads needed for the round to count (quorum·K, up)."""
@@ -198,3 +185,127 @@ class RoundPolicy:
     def backoff_delay(self, attempt: int) -> float:
         """Exponential backoff before retry ``attempt`` (1-based)."""
         return self.leg_backoff * (2.0 ** max(0, attempt - 1))
+
+
+class RoundFaults:
+    """One round's fault record: every policy decision, made once.
+
+    Opening it makes the pre-dispatch decisions, by plan index: the
+    seeded fault model's simulated ``failures`` (those legs are never
+    submitted — zero communication, on every backend; any of them
+    aborts the round under the ``fail`` policy) and the Byzantine
+    ``attacks``.  Both are pure functions of (scenario, seed, round,
+    client): a retried leg or a redispatched stand-in re-derives the
+    same attack instead of inheriting the failed attempt's, and carried
+    legs keep the dispatched state and are never attacked.
+
+    The driver then reports leg events — :meth:`submitted`, a landing
+    (``ups += 1``), :meth:`failed`, :meth:`lost` — and :meth:`close`
+    settles the round.  ``downs`` / ``ups`` count leg traffic (one down
+    per (re)submission, one up per fresh landing; simulated faults and
+    carried legs move nothing): what ``charge_round_communication``
+    bills, and what the distributed transport measures for the same
+    fault pattern.
+    """
+
+    def __init__(self, policy: RoundPolicy, population, round_idx: int, active, rows) -> None:
+        self.policy = policy
+        self.round_idx = round_idx
+        self.active = active
+        self.rows = [int(row) for row in rows]
+        self.failures: "dict[int, LegFailure]" = {}
+        self.attacks: dict = {}
+        self.tries = [0] * len(active)
+        self.reissued: "set[int]" = set()
+        self.downs = self.ups = 0
+        self._snapshots: dict = {}  # client RNG state at (re)submission
+        if population is None:
+            return
+        ids = [client.client_id for client in active]
+        for i, fault in enumerate(population.leg_faults(round_idx, ids)):
+            if fault.kind is not None:
+                self.failures[i] = population.failure_for(fault, i, ids[i], self.rows[i])
+        self._abort_under_fail()
+        for i, client_id in enumerate(ids):
+            spec = population.attack_for(round_idx, client_id)
+            if spec is not None:
+                self.attacks[i] = spec
+
+    def _abort_under_fail(self) -> None:
+        if self.failures and self.policy.failure_policy == "fail":
+            raise FaultError(
+                f"round {self.round_idx} aborted under failure_policy='fail': "
+                f"{describe_failures(self.failures)}"
+            )
+
+    def submitted(self, i: int) -> None:
+        """Leg ``i`` is about to be (re)submitted: count it, snapshot its RNG."""
+        self.tries[i] += 1
+        self.downs += 1
+        self._snapshots[i] = self.active[i].rng.bit_generator.state
+
+    def lost(self, i: int) -> None:
+        """Leg ``i``'s landed upload died with its shard host: un-land it
+        so the driver can retrain it as a recovery leg."""
+        self.ups -= 1
+        restore_rng(self.active[i], self._snapshots[i])
+
+    def failed(self, i: int, failure: LegFailure, ledger) -> "float | None":
+        """Leg ``i`` failed: the delay to resubmit it after, or ``None``
+        when the failure is final.
+
+        The client's RNG is rewound to its submission snapshot *first* —
+        before the driver can release or resubmit the client — so no
+        later leg trains from a half-advanced stream.  Infrastructure
+        failures are retried while ``tries <= leg_retries`` (exponential
+        backoff), then ``redispatch`` grants the leg one immediate
+        reissue; simulated faults are never retried.
+        """
+        restore_rng(self.active[i], self._snapshots[i])
+        ledger.note_leg_failure()
+        if failure.retryable:
+            if self.tries[i] <= self.policy.leg_retries:
+                return self.policy.backoff_delay(self.tries[i])
+            if self.policy.failure_policy == "redispatch" and i not in self.reissued:
+                self.reissued.add(i)
+                return 0.0
+        self.failures[i] = replace(failure, index=i, attempts=self.tries[i])
+        return None
+
+    def close(self, server, uploads, states, results) -> None:
+        """Settle the round, filling ``results`` for the carried legs.
+
+        Raises :class:`FaultError` under the ``fail`` policy and
+        :class:`QuorumError` when fewer fresh uploads landed than
+        ``quorum`` requires.  Otherwise every failed leg is carried:
+        ``states[i]``, its dispatched state, re-lands in the upload row
+        (CrossAggr / GramTracker keep a consistent K-row view) as a
+        ``num_samples=0`` result, which loss averaging and sample
+        weighting ignore naturally, and ``on_upload`` fires for the row.
+        Failures are reported here — final, and before the round's
+        record closes: ``server.last_leg_failures`` in plan order, one
+        ``on_leg_failure`` each.
+        """
+        from repro.fl.trainer import LocalResult  # lazy: keeps imports light
+
+        self._abort_under_fail()
+        n = len(self.active)
+        survivors = n - len(self.failures)
+        required = self.policy.required_legs(n)
+        if survivors < required:
+            raise QuorumError(
+                f"round {self.round_idx}: {survivors}/{n} "
+                f"fresh uploads, quorum {self.policy.quorum:g} requires {required} — "
+                f"{describe_failures(self.failures)}"
+            )
+        order = sorted(self.failures)
+        server.last_leg_failures = [self.failures[i] for i in order]
+        for i in order:
+            uploads.set_state(self.rows[i], states[i])
+            results[i] = LocalResult(
+                state=states[i], num_samples=0, num_steps=0, mean_loss=0.0
+            )
+            server.on_upload(self.rows[i], results[i])
+        for failure in server.last_leg_failures:
+            for cb in server.callbacks:
+                cb.on_leg_failure(server, failure)

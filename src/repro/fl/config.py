@@ -85,22 +85,13 @@ class FLConfig:
         that backend; see :mod:`repro.tensor.backend`.  The ``numpy``
         backend is bit-identical to direct-numpy execution.  Resolved
         lazily against the array-backend registry.
-    streaming:
-        Consume client uploads *as they complete* (default ``True``):
-        the server packs each upload and runs its per-upload work
-        (e.g. FedCross's incremental Gram updates) while slower legs
-        are still training.  ``False`` keeps the gathered reference
-        schedule.  Both modes are bit-identical in histories, uploads
-        and RNG state — streaming only moves server-side work earlier
-        in wall clock.
     round_mode:
         Round schedule (:mod:`repro.fl.scheduler`): ``"sync"``
         (default — the reference schedule, each round blocks on its
         slowest leg) or ``"async"`` — dispatch of round ``t+1`` begins
         while round ``t`` stragglers finish, bounded by
-        ``max_staleness``.  ``async`` with ``max_staleness=0`` runs
-        the rounds strictly sequentially through the same per-round
-        primitives and is bit-identical to ``sync`` on every backend.
+        ``max_staleness``.  ``async`` with ``max_staleness=0`` is the
+        ``sync`` schedule (the scheduler defers to it).
     max_staleness:
         Bounded-staleness window ``S`` for ``round_mode="async"``: up
         to ``S+1`` rounds may be in flight, and a pool row is blended
@@ -188,7 +179,6 @@ class FLConfig:
     execution: str = "serial"
     workers: int | None = None
     array_backend: str | None = None
-    streaming: bool = True
     round_mode: str = "sync"
     max_staleness: int = 0
     faults: Any = None
@@ -245,19 +235,11 @@ class FLConfig:
                 "faults must be None, a scenario mapping, inline JSON or a "
                 "scenario file path"
             )
-        if not 0.0 < self.quorum <= 1.0:
-            raise ValueError(f"quorum must be in (0, 1], got {self.quorum}")
-        if self.failure_policy not in ("fail", "carry", "redispatch"):
-            raise ValueError(
-                "failure_policy must be 'fail', 'carry' or 'redispatch', "
-                f"got {self.failure_policy!r}"
-            )
-        if self.leg_timeout is not None and self.leg_timeout <= 0:
-            raise ValueError("leg_timeout must be None or positive seconds")
-        if self.leg_retries < 0:
-            raise ValueError("leg_retries must be >= 0")
-        if self.leg_backoff < 0:
-            raise ValueError("leg_backoff must be >= 0 seconds")
+        # quorum / failure_policy / leg_timeout / leg_retries /
+        # leg_backoff: the RoundPolicy they become holds their checks.
+        from repro.faults.policy import RoundPolicy  # lazy: avoids import cycle
+
+        RoundPolicy.from_config(self)
         if not isinstance(self.aggregator, str) or not self.aggregator:
             raise ValueError("aggregator must be a non-empty operator name")
         if not isinstance(self.aggregator_params, Mapping):

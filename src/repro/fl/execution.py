@@ -67,11 +67,12 @@ loop:
   backends: completion order, while slower legs still train).  On the
   first leg error the queued legs are cancelled and in-flight ones
   awaited, *then* the error is raised — no stray leg writes into the
-  reused upload buffer after control returns.  The server's streaming
-  collect (``FLConfig.streaming``, the default) consumes it to feed
-  FedCross's incremental Gram tracker during the round.
-* :meth:`ExecutionBackend.run` drains that stream into plan order;
-  uploads, results and RNG state are bit-identical either way.
+  reused upload buffer after control returns.  The server's collect
+  consumes it to feed FedCross's incremental Gram tracker during the
+  round.
+* :meth:`ExecutionBackend.run` drains that stream into plan order
+  (``train_cohort``, and the tests' gathered oracle); uploads, results
+  and RNG state are bit-identical either way.
 * :meth:`ExecutionBackend.run_streaming_captured` is the same loop
   with a leg error yielded as a :class:`~repro.faults.policy
   .LegFailure` instead of raised, plus the wall-clock deadline rule

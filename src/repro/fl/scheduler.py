@@ -5,21 +5,24 @@ is (callbacks, finalisation, history); the scheduler owns *when* each
 round's phases execute:
 
 ``sync``
-    :class:`SyncRoundScheduler` — the reference schedule, extracted
-    verbatim from the historical ``fit()`` loop body: each round blocks
-    on its slowest leg before the next one dispatches.  Bit-identical
-    to the pre-scheduler server by construction.
+    :class:`SyncRoundScheduler` — the reference schedule: each round
+    (:func:`run_sync_round`) blocks on its slowest leg before the next
+    one dispatches.
 ``async``
     :class:`AsyncRoundScheduler` — bounded-staleness overlap: dispatch
     of round ``t+1`` begins while round ``t`` stragglers finish, with
     at most ``max_staleness + 1`` rounds in flight.  With
     ``max_staleness=0`` the window is one round wide and the scheduler
-    runs the *exact* sync per-round body — bit-identical to ``sync``
-    on every backend, fault path and method.  With ``max_staleness>0``
-    it drives the execution backend's cross-round ``submit_group``
-    seam and the method's *async adapter* (FedCross's speculative
-    cross-aggregation — see
+    *is* the sync one (it defers to :meth:`SyncRoundScheduler.run`).
+    With ``max_staleness>0`` it drives the execution backend's
+    cross-round ``submit_group`` seam and the method's *async adapter*
+    (FedCross's speculative cross-aggregation — see
     :meth:`repro.core.fedcross.FedCrossServer.async_adapter`).
+
+Either way a round is closed by :func:`close_round` — ledger, record,
+extras, evaluation cadence, callbacks, ``round_idx`` — and its fault
+policy is decided by one :class:`~repro.faults.policy.RoundFaults`
+record; the two drivers differ only in how they wait for legs.
 
 Overlapped-driver semantics (``max_staleness`` = S > 0)
 -------------------------------------------------------
@@ -38,22 +41,22 @@ Overlapped-driver semantics (``max_staleness`` = S > 0)
   adapter as they land; a round never blends a row a *newer* round
   already owns — such late uploads are discarded and counted as
   wasted work (``stale_uploads`` in the round's ``async`` extras).
-* **Faults compose per round.**  The seeded fault model pre-drops legs
-  at creation (identical decisions to the sync engine), infra failures
-  are retried with backoff (non-blocking: retries are re-queued with a
-  not-before time on the injectable clock — the driver never calls
-  ``time.sleep`` while other legs could progress), ``redispatch``
-  grants one extra reissue, and quorum / ``fail`` policies are checked
-  at each round's completion.  A failed leg's client RNG is restored
-  to its submission snapshot *before* the client is released, so later
-  legs never train from a half-advanced stream; the carry itself (the
-  dispatched state re-landing in the upload row) happens at round
-  completion, after the snapshot restore.
+* **Faults compose per round.**  Each round opens the same
+  :class:`~repro.faults.policy.RoundFaults` record the sync engine
+  feeds: it pre-drops legs at creation, says whether a failed leg is
+  retried (after which backoff), reissued or final, and settles quorum
+  / ``fail`` / carry at the round's completion.  What is this driver's
+  own is the waiting: a retry is re-queued with a not-before time on
+  the injectable clock — the driver never calls ``time.sleep`` while
+  other legs could progress — and the failed leg's client stays
+  reserved for it.  (No shard-host failover here: that is the sync
+  engine's.)
 * **Communication.**  In-process backends are charged analytically per
-  completed round from counted submissions/landings; backends that
-  measure real transfers (``distributed``) are never analytically
-  charged (``measures_comm``), so totals stay measured-exact — with
-  overlap, per-round ledger attribution follows landing windows.
+  completed round from the record's counted submissions/landings;
+  backends that measure real transfers (``distributed``) are never
+  analytically charged (``measures_comm``), so totals stay
+  measured-exact — with overlap, per-round ledger attribution follows
+  landing windows.
 
 The driver is single-threaded: all server/adapter state is touched
 from the caller's thread, with the execution backend's futures as the
@@ -65,16 +68,9 @@ from __future__ import annotations
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
-from repro.faults.policy import (
-    FaultError,
-    LegFailure,
-    QuorumError,
-    describe_failures,
-    restore_rng,
-)
 from repro.fl.execution import _check_cohort, _leg_failure
 from repro.fl.metrics import RoundRecord
 from repro.utils.registry import Registry
@@ -90,6 +86,7 @@ __all__ = [
     "register_round_scheduler",
     "build_round_scheduler",
     "run_sync_round",
+    "close_round",
 ]
 
 
@@ -108,27 +105,28 @@ def build_round_scheduler(config) -> "RoundScheduler":
 
 
 def run_sync_round(server, cbs, local_round: int, rounds: int, eval_every: int) -> None:
-    """One reference-schedule round — the exact body of the historical
-    ``fit()`` loop (callbacks, cohort, phases, ledger, record, eval
-    cadence), so both the sync scheduler and the async scheduler's
-    zero-staleness window share it verbatim."""
+    """One reference-schedule round: callbacks, cohort, the method's
+    phases (``run_round``), then :func:`close_round`."""
     for cb in cbs:
         cb.on_round_start(server, server.round_idx)
-    # Through the legacy alias so pre-phase subclasses that
-    # still override sample_clients() keep their sampling.
-    active = server.sample_clients()
+    active = server.select_cohort()
     server.last_suspects = []
     extras = server.run_round(active) or {}
-    if server.last_leg_failures:
-        extras.setdefault(
-            "leg_failures",
-            [f.summary() for f in server.last_leg_failures],
-        )
-    if server.last_suspects:
-        extras.setdefault(
-            "suspect_uploads",
-            [r.summary() for r in server.last_suspects],
-        )
+    close_round(server, cbs, extras, local_round, rounds, eval_every)
+
+
+def close_round(server, cbs, extras: dict, local_round: int, rounds: int, eval_every: int) -> None:
+    """Close round ``server.round_idx`` — the one tail both drivers run.
+
+    Failure / suspect extras, ledger, record, evaluation cadence,
+    history, callbacks, and the ``round_idx`` advance.
+    """
+    for key, entries in (
+        ("leg_failures", server.last_leg_failures),
+        ("suspect_uploads", server.last_suspects),
+    ):
+        if entries:
+            extras.setdefault(key, [entry.summary() for entry in entries])
     up, down = server.ledger.end_round()
     record = RoundRecord(
         round_idx=server.round_idx,
@@ -186,12 +184,7 @@ class _Leg:
     client: Any
     row: int
     plan: "DispatchPlan"
-    attack: Any = None
-    tries: int = 0
-    reissued: bool = False
     reserved: bool = False  # this leg itself holds its client's busy slot
-    snapshot: Any = None  # client RNG state at (re)submission
-    carry_state: "dict | None" = None  # dispatched state (copied at submit)
     not_before: float = 0.0  # backoff gate on the injectable clock
     deadline: "float | None" = None
     group: Any = None
@@ -205,18 +198,13 @@ class _Round:
 
     t: int
     local_round: int
-    active: list
     plans: list
-    rows: list
     uploads: Any
     ctx: Any
     results: list
-    tries: list
-    carry: dict = field(default_factory=dict)
-    failures: "dict[int, LegFailure]" = field(default_factory=dict)
+    faults: Any  # the round's RoundFaults record (owns cohort and rows)
+    carry: dict = field(default_factory=dict)  # plan index -> dispatched state
     resolved: int = 0
-    downs: int = 0
-    ups: int = 0
     max_stale: int = 0
 
     @property
@@ -248,15 +236,8 @@ class AsyncRoundScheduler(RoundScheduler):
 
     def run(self, server, rounds, cbs) -> None:
         if self.max_staleness == 0:
-            # Window of width one: the sync schedule run through the
-            # scheduler seam — bit-identical to ``sync`` on every
-            # backend, method and fault path by construction.
-            eval_every = server.config.eval_every
-            for local_round in range(rounds):
-                run_sync_round(server, cbs, local_round, rounds, eval_every)
-                if server.stop_training:
-                    break
-            return
+            # Window of width one *is* the sync schedule.
+            return SyncRoundScheduler().run(server, rounds, cbs)
         self._run_overlapped(server, rounds, cbs)
 
     # -- overlapped driver -------------------------------------------------
@@ -271,7 +252,6 @@ class AsyncRoundScheduler(RoundScheduler):
             )
         backend = server.executor.backend
         adapter = adapter_factory()
-        policy = server.fault_policy
         S = self.max_staleness
         k = server.config.clients_per_round
         backend.reserve((S + 1) * k)
@@ -299,7 +279,7 @@ class AsyncRoundScheduler(RoundScheduler):
                 if next_complete == next_create:
                     break  # stop_training drained every created round
                 self._submit_ready(server, adapter, ready, busy, inflight, states)
-                self._wait_and_land(server, adapter, policy, ready, busy, inflight, states)
+                self._wait_and_land(server, adapter, ready, busy, inflight, states)
                 while next_complete < next_create and states[next_complete].done:
                     rs = states.pop(next_complete)
                     self._complete_round(server, adapter, cbs, rs, rounds, eval_every)
@@ -317,30 +297,24 @@ class AsyncRoundScheduler(RoundScheduler):
         server.round_idx = t  # creation-time phases draw RNG in round order
         for cb in cbs:
             cb.on_round_start(server, t)
-        active = server.sample_clients()
+        active = server.select_cohort()
         server.last_suspects = []
         plans = server.dispatch(active)
         rows = [int(plan.context.get("row", i)) for i, plan in enumerate(plans)]
         _check_cohort(active, plans, rows)
         n = len(active)
         uploads = server._model_buffer(("async", t % (self.max_staleness + 1)), n)
-        ctx = adapter.begin_round(t, uploads)
         rs = _Round(
             t=t,
             local_round=local_round,
-            active=active,
             plans=plans,
-            rows=rows,
             uploads=uploads,
-            ctx=ctx,
+            ctx=adapter.begin_round(t, uploads),
             results=[None] * n,
-            tries=[0] * n,
-        )
-        rs.failures, attacks = server.fault_policy.pre_decide(
-            server.fault_model, t, active, rows
+            faults=server.fault_policy.open_round(server.fault_model, t, active, rows),
         )
         for i in range(n):
-            if i in rs.failures:
+            if i in rs.faults.failures:
                 # Pre-decided simulated fault: never dispatched.  Copy
                 # the dispatched state *now* — a later round's
                 # speculative blend may rewrite the live pool row
@@ -349,20 +323,11 @@ class AsyncRoundScheduler(RoundScheduler):
                 rs.resolved += 1
             else:
                 ready.append(
-                    _Leg(
-                        t=local_round,
-                        i=i,
-                        client=active[i],
-                        row=rows[i],
-                        plan=plans[i],
-                        attack=attacks.get(i),
-                    )
+                    _Leg(t=local_round, i=i, client=active[i], row=rows[i], plan=plans[i])
                 )
         return rs
 
     def _submit_ready(self, server, adapter, ready, busy, inflight, states) -> None:
-        import dataclasses
-
         now = self.clock()
         eligible: "dict[int, list[_Leg]]" = {}
         hold = []
@@ -390,26 +355,21 @@ class AsyncRoundScheduler(RoundScheduler):
             rs = states[t]
             sub_plans = []
             for leg in legs:
-                leg.tries += 1
-                rs.tries[leg.i] += 1
-                leg.snapshot = leg.client.rng.bit_generator.state
-                if leg.carry_state is None:
+                rs.faults.submitted(leg.i)
+                if leg.i not in rs.carry:
                     # First submission: read (and privately copy) the
                     # row's *current* state — retries re-train this
                     # exact state, and the carry degradation restores
                     # it, even if speculative blends move the live row
                     # under the in-flight leg.
-                    leg.carry_state = adapter.plan_state(leg.row)
+                    rs.carry[leg.i] = adapter.plan_state(leg.row)
                     rs.max_stale = max(
                         rs.max_stale, (rs.t - 1) - adapter.version_of(leg.row)
                     )
-                rs.carry[leg.i] = leg.carry_state
-                sub_plans.append(
-                    dataclasses.replace(leg.plan, state=leg.carry_state)
-                )
-            rs.downs += len(legs)
+                sub_plans.append(replace(leg.plan, state=rs.carry[leg.i]))
+            attacks = rs.faults.attacks
             sub_attacks = {
-                j: leg.attack for j, leg in enumerate(legs) if leg.attack is not None
+                j: attacks[leg.i] for j, leg in enumerate(legs) if leg.i in attacks
             }
             group = backend.submit_group(
                 server.trainer,
@@ -431,34 +391,27 @@ class AsyncRoundScheduler(RoundScheduler):
                 leg.deadline = deadline
                 inflight[leg.future] = leg
 
-    def _wait_and_land(self, server, adapter, policy, ready, busy, inflight, states) -> None:
-        if not inflight:
-            if ready:
-                # Nothing in flight: every queued leg is either backoff
-                # -gated or held behind a gated retry's busy client.
-                # Advance the injectable clock to the earliest gate —
-                # min over *future* gates only, else a held leg with
-                # not_before=0 would pin the gate at zero and spin.
-                now = self.clock()
-                gates = [leg.not_before for leg in ready if leg.not_before > now]
-                if gates:
-                    self.sleep(min(gates) - now)
-            return
+    def _wait_and_land(self, server, adapter, ready, busy, inflight, states) -> None:
         now = self.clock()
-        timeout = None
-        deadlines = [
+        gates = [leg.not_before for leg in ready if leg.not_before > now]
+        if not inflight:
+            # Nothing in flight: every queued leg is either backoff-gated
+            # or held behind a gated retry's busy client.  Advance the
+            # injectable clock to the earliest gate — min over *future*
+            # gates only, else a held leg with not_before=0 would pin
+            # the gate at zero and spin.
+            if gates:
+                self.sleep(min(gates) - now)
+            return
+        # Wake at the earliest backoff gate or leg deadline.
+        wake = gates + [
             leg.deadline for leg in inflight.values() if leg.deadline is not None
         ]
-        if deadlines:
-            timeout = max(0.0, min(deadlines) - now)
-        gates = [leg.not_before for leg in ready if leg.not_before > now]
-        if gates:
-            gate_wait = max(0.0, min(gates) - now)
-            timeout = gate_wait if timeout is None else min(timeout, gate_wait)
+        timeout = max(0.0, min(wake) - now) if wake else None
         done, _ = wait(set(inflight), timeout=timeout, return_when=FIRST_COMPLETED)
         for future in done:
             leg = inflight.pop(future)
-            self._land(server, adapter, policy, leg, future, ready, busy, states)
+            self._land(server, adapter, leg, future, ready, busy, states)
         if not done:
             now = self.clock()
             expired = [
@@ -474,9 +427,9 @@ class AsyncRoundScheduler(RoundScheduler):
                 failure = _leg_failure(
                     leg.client, leg.row, leg.i, "timeout", drained=True
                 )
-                self._fail(server, policy, leg, failure, ready, busy, states)
+                self._fail(server, leg, failure, ready, busy, states)
 
-    def _land(self, server, adapter, policy, leg, future, ready, busy, states) -> None:
+    def _land(self, server, adapter, leg, future, ready, busy, states) -> None:
         rs = states[leg.t]
         try:
             raw = future.result()
@@ -485,116 +438,49 @@ class AsyncRoundScheduler(RoundScheduler):
         except BaseException as exc:  # noqa: BLE001 - policy decides
             leg.group.leg_done()
             failure = _leg_failure(leg.client, leg.row, leg.i, "error", exc)
-            self._fail(server, policy, leg, failure, ready, busy, states)
+            self._fail(server, leg, failure, ready, busy, states)
             return
         result = leg.group.finalize(leg.j, raw)
         leg.group.leg_done()
         busy.discard(leg.client.client_id)
         rs.results[leg.i] = result
-        rs.ups += 1
-        rs.failures.pop(leg.i, None)
+        rs.faults.ups += 1
         rs.resolved += 1
         server.round_idx = rs.t
         server._uploads = rs.uploads  # on_upload consumers key on it
         server.on_upload(leg.row, result)
         adapter.upload_landed(rs.ctx, leg.row)
 
-    def _fail(self, server, policy, leg, failure, ready, busy, states) -> None:
+    def _fail(self, server, leg, failure, ready, busy, states) -> None:
         rs = states[leg.t]
-        failure = failure.replace(attempts=leg.tries)
-        server.ledger.note_leg_failure()
-        # Restore the submission-time RNG snapshot immediately — before
-        # the client can be released or resubmitted — so no later leg
-        # ever trains from a half-advanced stream, and a carry lands
-        # only after the rewind (the sync engine's contract).
-        restore_rng(leg.client, leg.snapshot)
-        if failure.retryable and leg.tries <= policy.leg_retries:
-            leg.not_before = self.clock() + policy.backoff_delay(leg.tries)
-            leg.reserved = True  # client stays reserved for its retry
-            ready.append(leg)
+        delay = rs.faults.failed(leg.i, failure, server.ledger)
+        if delay is None:  # final: the round carries it at completion
+            busy.discard(leg.client.client_id)
+            rs.resolved += 1
             return
-        if (
-            failure.retryable
-            and policy.failure_policy == "redispatch"
-            and not leg.reissued
-        ):
-            leg.reissued = True
-            leg.not_before = self.clock()
-            leg.reserved = True
-            ready.append(leg)
-            return
-        busy.discard(leg.client.client_id)
-        rs.failures[leg.i] = failure
-        rs.resolved += 1
+        leg.not_before = self.clock() + delay
+        leg.reserved = True  # client stays reserved for its retry
+        ready.append(leg)
 
     def _complete_round(self, server, adapter, cbs, rs: _Round, rounds, eval_every) -> None:
-        from repro.fl.trainer import LocalResult  # lazy: import cycle
-
         server.round_idx = rs.t
         server._uploads = rs.uploads
-        policy = server.fault_policy
-        n = len(rs.active)
-        if rs.failures and policy.failure_policy == "fail":
-            raise FaultError(
-                f"round {rs.t} aborted under failure_policy='fail': "
-                f"{describe_failures(rs.failures)}"
-            )
-        survivors = n - len(rs.failures)
-        required = policy.required_legs(n)
-        if survivors < required:
-            raise QuorumError(
-                f"round {rs.t}: {survivors}/{n} fresh uploads, "
-                f"quorum {policy.quorum:g} requires {required} — "
-                f"{describe_failures(rs.failures)}"
-            )
-        # Carry the degraded legs: the dispatched state re-lands in the
-        # upload row (CrossAggr / GramTracker keep a full K-row view).
-        for i, _failure in sorted(rs.failures.items()):
-            state = rs.carry[i]
-            if rs.tries[i] == 0 and adapter.version_of(rs.rows[i]) <= rs.t - 1:
+        server.round_faults = rs.faults
+        for i in rs.faults.failures:
+            row = rs.faults.rows[i]
+            if rs.faults.tries[i] == 0 and adapter.version_of(row) <= rs.t - 1:
                 # Pre-dropped leg (never submitted): its creation-time
                 # copy predates the reconciliation of rounds < t, which
                 # all completed by now.  Re-read the live row — unless a
                 # newer round already speculatively owns it, in which
                 # case the creation-time snapshot stays the closest
                 # thing to "the state this round dispatched".
-                state = adapter.plan_state(rs.rows[i])
-                rs.carry[i] = state
-            rs.uploads.set_state(rs.rows[i], state)
-            rs.results[i] = LocalResult(
-                state=state, num_samples=0, num_steps=0, mean_loss=0.0
-            )
-            server.on_upload(rs.rows[i], rs.results[i])
-        extras = adapter.complete_round(rs.ctx, rs.active, rs.results, rs.plans) or {}
+                rs.carry[i] = adapter.plan_state(row)
+        rs.faults.close(server, rs.uploads, rs.carry, rs.results)
+        active = rs.faults.active
+        extras = adapter.complete_round(rs.ctx, active, rs.results, rs.plans) or {}
         info = extras.get("async")
         if isinstance(info, dict):
             info["max_dispatch_staleness"] = max(0, rs.max_stale)
-        ordered = [rs.failures[i] for i in sorted(rs.failures)]
-        server.last_leg_failures = ordered
-        if ordered:
-            extras.setdefault("leg_failures", [f.summary() for f in ordered])
-        if not server.executor.backend.measures_comm:
-            # Analytic charge from counted leg traffic: one down per
-            # (re)submission, one up per fresh landing — carried and
-            # pre-dropped legs move nothing.
-            server.ledger.record_down(rs.downs * server.model_size)
-            server.ledger.record_up(rs.ups * server.model_size)
-        up, down = server.ledger.end_round()
-        record = RoundRecord(
-            round_idx=rs.t,
-            train_loss=extras.pop("train_loss", None),
-            comm_up_params=up,
-            comm_down_params=down,
-            extras=extras,
-        )
-        if (rs.t + 1) % eval_every == 0 or rs.local_round == rounds - 1:
-            record.accuracy, record.loss = server.evaluate()
-            for cb in cbs:
-                cb.on_evaluate(server, record)
-        server.history.append(record)
-        for cb in cbs:
-            cb.on_round_end(server, record)
-        for failure in ordered:
-            for cb in server.callbacks:
-                cb.on_leg_failure(server, failure)
-        server.round_idx = rs.t + 1
+        server.charge_round_communication(active)
+        close_round(server, cbs, extras, rs.local_round, rounds, eval_every)

@@ -30,7 +30,8 @@ the shared :meth:`FederatedServer.fit` loop:
 
 ``run_round`` is the phase driver; methods whose round is not the
 dispatch→collect→aggregate shape (FedCluster's cyclic cluster schedule)
-may still override it wholesale.
+may still override it wholesale — but then the round policy of
+:mod:`repro.faults`, which acts inside ``collect``, cannot be engaged.
 
 :class:`~repro.fl.callbacks.ServerCallback` hooks (``on_round_start``,
 ``on_evaluate``, ``on_round_end``, ``on_fit_end``) observe the loop and
@@ -169,8 +170,18 @@ class FederatedServer:
         from repro.faults.policy import RoundPolicy  # lazy, stdlib-only
 
         self.fault_policy = RoundPolicy.from_config(config)
+        if self.fault_policy.engaged and (
+            type(self).run_round is not FederatedServer.run_round
+        ):
+            raise ValueError(
+                f"method {self.method_name!r} overrides run_round(), so the "
+                "round policy (which acts inside collect()) would be silently "
+                "ignored; engaged knobs: "
+                + ", ".join(self.fault_policy.engaged_knobs)
+            )
+        # The round's fault record (None unless engaged), its final failures.
+        self.round_faults = None
         self.last_leg_failures: list = []
-        self._round_leg_comm: "tuple[int, int] | None" = None
         # Injectable seams: ``fault_sleep`` replaces the resilience
         # engine's backoff sleep (tests wait in virtual time) and
         # ``round_scheduler`` overrides the config-built schedule.
@@ -208,7 +219,6 @@ class FederatedServer:
             # Coordinator-side row mirror: a killed shard host can be
             # respawned and its rows restored instead of raising.
             self.backend_options["replicate"] = True
-        self.streaming = bool(getattr(config, "streaming", True))
         self.executor = executor or ClientExecutor(
             getattr(config, "execution", "serial"),
             trainer=trainer,
@@ -259,54 +269,43 @@ class FederatedServer:
         each trained state into its upload-buffer row, and the results
         come back in plan order — bit-identical across backends.
 
-        With ``config.streaming`` (the default) the backend's
-        as-completed stream is consumed instead of its gathered run:
-        each upload is packed — and :meth:`on_upload` fired — the
-        moment its leg lands, overlapping server-side per-upload work
-        (e.g. FedCross's incremental Gram updates) with still-running
-        training legs.  Both modes produce bit-identical uploads,
-        results and RNG state; ``streaming=False`` keeps the gathered
-        reference schedule (``on_upload`` then fires in plan order
-        after the last leg).
+        The backend's as-completed stream is consumed: each upload is
+        packed — and :meth:`on_upload` fired — the moment its leg
+        lands, overlapping server-side per-upload work (e.g. FedCross's
+        incremental Gram updates) with still-running training legs.
+        Uploads, results and RNG state are bit-identical to the
+        gathered run (:meth:`~repro.fl.execution.ExecutionBackend.run`,
+        the stream drained into plan order), which the tests keep as
+        the oracle.
         """
         uploads = self._round_uploads(len(active))
         rows = [plan.context.get("row", i) for i, plan in enumerate(plans)]
+        self._upload_rows = rows
+        self.round_faults = None
         if self.fault_policy.engaged:
             # The resilience engine owns the round: simulated faults are
             # pre-dropped, infra failures retried / recovered, and the
             # survivors checked against the quorum.  Never engaged by a
-            # default config, so the branch below stays the untouched
+            # default config, so the loop below stays the untouched
             # bit-identical reference.
             from repro.faults.engine import resilient_collect  # lazy
 
-            self.last_leg_failures = []
-            self._round_leg_comm = None
-            results = resilient_collect(self, active, plans, rows, uploads)
-            self._upload_rows = rows
-            return results
-        backend = self.executor.backend
-        if self.streaming:
-            results: list[LocalResult | None] = [None] * len(plans)
-            for i, result in backend.run_streaming(
-                self.trainer, active, plans, rows, uploads
-            ):
-                results[i] = result
-                self.on_upload(rows[i], result)
-        else:
-            results = backend.run(self.trainer, active, plans, rows, uploads)
-            for i, result in enumerate(results):
-                self.on_upload(rows[i], result)
-        self._upload_rows = rows
+            return resilient_collect(self, active, plans, rows, uploads)
+        results: list[LocalResult | None] = [None] * len(plans)
+        for i, result in self.executor.backend.run_streaming(
+            self.trainer, active, plans, rows, uploads
+        ):
+            results[i] = result
+            self.on_upload(rows[i], result)
         return results
 
     def on_upload(self, row: int, result: LocalResult) -> None:
         """Per-upload hook: ``result`` just landed in buffer row ``row``.
 
-        Called once per collected leg — in completion order while other
-        legs are still training when ``config.streaming`` is on, in
-        plan order after the gathered run otherwise.  Overrides must
-        therefore be *order-independent* (FedCross's Gram row updates
-        are, by construction).  Default: no-op.
+        Called once per collected leg, in completion order while other
+        legs are still training.  Overrides must therefore be
+        *order-independent* (FedCross's Gram row updates are, by
+        construction).  Default: no-op.
         """
 
     def aggregate(
@@ -341,11 +340,6 @@ class FederatedServer:
         middleware pool) override.
         """
         self._global = {k: np.array(v, copy=True) for k, v in state.items()}
-
-    # -- legacy alias ------------------------------------------------------
-    def sample_clients(self) -> list[Client]:
-        """Deprecated alias of :meth:`select_cohort`."""
-        return self.select_cohort()
 
     # -- pool-backed aggregation helpers -----------------------------------
     def _model_buffer(self, tag: str, k: int) -> "PoolBuffer":
@@ -466,9 +460,9 @@ class FederatedServer:
         cbs = self.callbacks + list(callbacks or [])
         self.stop_training = False
         # The round *schedule* is pluggable (repro.fl.scheduler): the
-        # default "sync" scheduler is the historical loop body verbatim
-        # — each round blocks on its slowest leg — while "async"
-        # overlaps rounds under a bounded-staleness window.  An
+        # default "sync" scheduler blocks each round on its slowest
+        # leg, while "async" overlaps rounds under a bounded-staleness
+        # window.  An
         # explicitly injected ``round_scheduler`` wins over the config
         # (the test seam for injectable clocks).
         from repro.fl.scheduler import build_round_scheduler  # lazy: cycle
@@ -499,24 +493,20 @@ class FederatedServer:
         return sum(r.mean_loss * r.num_samples for r in results) / total
 
     def charge_round_communication(self, active: list[Client], extra_down: int = 0, extra_up: int = 0) -> None:
-        """Charge the standard 2K-model round cost plus method extras.
+        """Charge the round's leg traffic plus method extras.
 
-        A no-op when the execution backend *measures* its transfers
-        (the ``distributed`` backend records the parameters actually
+        One model down and one up per leg of ``active`` — or, when the
+        round ran under a fault record, the legs it counted (one down
+        per (re)submission, one up per fresh landing).  A no-op when
+        the execution backend *measures* its transfers (the
+        ``distributed`` backend records the parameters actually
         crossing its sockets per leg) — the analytic charge would
         double-count what the transport already recorded.
         """
         if self.executor.backend.measures_comm:
             return
-        if self._round_leg_comm is not None:
-            # The resilience engine counted actual leg traffic: one down
-            # per (re)submission, one up per landing — simulated faults
-            # and carried legs move nothing.  Matches what the measured
-            # distributed transport records for the same fault pattern.
-            downs, ups = self._round_leg_comm
-            self.ledger.record_down(downs * self.model_size + extra_down)
-            self.ledger.record_up(ups * self.model_size + extra_up)
-            return
-        k = len(active)
-        self.ledger.record_down(k * self.model_size + extra_down)
-        self.ledger.record_up(k * self.model_size + extra_up)
+        downs = ups = len(active)
+        if self.round_faults is not None:
+            downs, ups = self.round_faults.downs, self.round_faults.ups
+        self.ledger.record_down(downs * self.model_size + extra_down)
+        self.ledger.record_up(ups * self.model_size + extra_up)

@@ -15,14 +15,14 @@ class TestCluSamp:
 
     def test_sampling_returns_k_distinct(self, tiny_config):
         sim = FLSimulation(tiny_config.with_method("clusamp"))
-        chosen = sim.server.sample_clients()
+        chosen = sim.server.select_cohort()
         ids = [c.client_id for c in chosen]
         assert len(ids) == tiny_config.clients_per_round
         assert len(set(ids)) == len(ids)
 
     def test_updates_recorded_after_round(self, tiny_config):
         sim = FLSimulation(tiny_config.with_method("clusamp"))
-        active = sim.server.sample_clients()
+        active = sim.server.select_cohort()
         sim.server.run_round(active)
         for client in active:
             assert client.client_id in sim.server._updates

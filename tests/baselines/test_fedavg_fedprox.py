@@ -17,7 +17,7 @@ class TestFedAvg:
     def test_global_state_is_weighted_average_of_uploads(self, cfg):
         sim = FLSimulation(cfg)
         server = sim.server
-        active = server.sample_clients()
+        active = server.select_cohort()
         # capture uploads by re-running the exact local training
         import copy
 

@@ -32,11 +32,11 @@ class TestFedCluster:
         sim = FLSimulation(tiny_config.with_method("fedcluster", num_clusters=2))
         # round_idx changes the starting cluster
         assert sim.server.round_idx % 2 == 0
-        sim.server.run_round(sim.server.sample_clients())
+        sim.server.run_round(sim.server.select_cohort())
         # no assertion on internals beyond it running; rotation covered
         # by the deterministic schedule formula
         sim.server.round_idx += 1
-        sim.server.run_round(sim.server.sample_clients())
+        sim.server.run_round(sim.server.select_cohort())
 
     def test_learns(self, tiny_config):
         result = run_simulation(
@@ -49,3 +49,32 @@ class TestFedCluster:
     def test_communication_recorded(self, tiny_config):
         result = run_simulation(tiny_config.with_method("fedcluster", num_clusters=2))
         assert result.history.total_comm_params() > 0
+
+    def test_engaged_fault_policy_is_rejected_not_ignored(self, tiny_config):
+        # FedCluster overrides run_round() and trains through
+        # train_cohort(), so the round policy (which acts inside
+        # collect()) used to be silently ignored: every leg trained and
+        # no leg_failures were reported under dropout=0.5.
+        config = tiny_config.with_method("fedcluster", num_clusters=2).replace(
+            faults={"dropout": 0.5}, failure_policy="carry", quorum=0.25
+        )
+        with pytest.raises(ValueError) as err:
+            FLSimulation(config)
+        message = str(err.value)
+        assert "'fedcluster'" in message and "run_round" in message
+        assert "faults" in message and "failure_policy='carry'" in message
+        with pytest.raises(ValueError, match="leg_retries=2"):
+            FLSimulation(
+                tiny_config.with_method("fedcluster").replace(leg_retries=2)
+            )
+
+    def test_default_config_is_untouched_by_the_policy_check(self, tiny_config):
+        # quorum / leg_backoff alone engage nothing.
+        base = tiny_config.with_method("fedcluster", num_clusters=2)
+        plain = run_simulation(base)
+        tuned = run_simulation(base.replace(quorum=0.5, leg_backoff=1.0))
+        assert [r.loss for r in plain.history.records] == [
+            r.loss for r in tuned.history.records
+        ]
+        for key, value in plain.final_state.items():
+            np.testing.assert_array_equal(tuned.final_state[key], value)

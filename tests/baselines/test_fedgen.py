@@ -62,14 +62,14 @@ class TestFedGenServer:
 
     def test_generator_training_runs_and_reports_loss(self, tiny_config):
         sim = FLSimulation(tiny_config.with_method("fedgen", gen_steps=3))
-        extras = sim.server.run_round(sim.server.sample_clients())
+        extras = sim.server.run_round(sim.server.select_cohort())
         assert "gen_loss" in extras
         assert np.isfinite(extras["gen_loss"])
 
     def test_label_counts_updated_from_clients(self, tiny_config):
         sim = FLSimulation(tiny_config.with_method("fedgen"))
         before = sim.server._label_counts.copy()
-        sim.server.run_round(sim.server.sample_clients())
+        sim.server.run_round(sim.server.select_cohort())
         assert not np.array_equal(before, sim.server._label_counts)
 
     def test_comm_includes_generator_downlink(self, tiny_config):

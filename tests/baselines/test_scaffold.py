@@ -19,14 +19,14 @@ class TestScaffold:
 
     def test_client_variates_created_after_participation(self, tiny_config):
         sim = FLSimulation(tiny_config.with_method("scaffold"))
-        active = sim.server.sample_clients()
+        active = sim.server.select_cohort()
         sim.server.run_round(active)
         for client in active:
             assert client.client_id in sim.server._c_clients
 
     def test_global_variate_moves_after_round(self, tiny_config):
         sim = FLSimulation(tiny_config.with_method("scaffold"))
-        sim.server.run_round(sim.server.sample_clients())
+        sim.server.run_round(sim.server.select_cohort())
         total = sum(np.abs(v).sum() for v in sim.server._c_global.values())
         assert total > 0
 
@@ -35,7 +35,7 @@ class TestScaffold:
         sim = FLSimulation(tiny_config.with_method("scaffold"))
         server = sim.server
         x = {k: v.copy() for k, v in server._global.items()}
-        active = server.sample_clients()
+        active = server.select_cohort()
         server.run_round(active)
         # For first-time participants c_i was 0 and c was 0, so
         # c_i+ = (x - y_i) / (steps * lr) must be nonzero after training.

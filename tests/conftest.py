@@ -42,3 +42,32 @@ def tiny_config() -> FLConfig:
         seed=7,
         dataset_params={"samples_per_client": 30, "num_test": 120},
     )
+
+
+def _use_gathered_collect(server) -> None:
+    """Swap ``server.collect`` for the gathered oracle.
+
+    The shipped collect consumes the backend's as-completed stream; the
+    oracle is ``ExecutionBackend.run`` — the same stream drained into
+    plan order — with ``on_upload`` fired in plan order after the last
+    leg.  Runs under either must be bit-identical.
+    """
+
+    def collect(active, plans):
+        uploads = server._round_uploads(len(active))
+        rows = [plan.context.get("row", i) for i, plan in enumerate(plans)]
+        server._upload_rows = rows
+        results = server.executor.backend.run(
+            server.trainer, active, plans, rows, uploads
+        )
+        for i, result in enumerate(results):
+            server.on_upload(rows[i], result)
+        return results
+
+    server.collect = collect
+
+
+@pytest.fixture(scope="session")
+def gathered_collect():
+    """``gathered_collect(server)`` installs the gathered-schedule oracle."""
+    return _use_gathered_collect

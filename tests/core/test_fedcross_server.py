@@ -25,7 +25,7 @@ class TestPoolMechanics:
 
     def test_pool_diverges_after_round(self, fc_config):
         sim = FLSimulation(fc_config)
-        sim.server.run_round(sim.server.sample_clients())
+        sim.server.run_round(sim.server.select_cohort())
         a, b = sim.server.middleware[0], sim.server.middleware[1]
         assert any(not np.allclose(a[k], b[k]) for k in a)
 
@@ -36,7 +36,7 @@ class TestPoolMechanics:
 
     def test_global_state_is_pool_mean(self, fc_config):
         sim = FLSimulation(fc_config)
-        sim.server.run_round(sim.server.sample_clients())
+        sim.server.run_round(sim.server.select_cohort())
         got = sim.server.global_state()
         pool = sim.server.middleware
         for k in got:
@@ -45,7 +45,7 @@ class TestPoolMechanics:
 
     def test_round_extras_include_alpha_and_coindices(self, fc_config):
         sim = FLSimulation(fc_config)
-        extras = sim.server.run_round(sim.server.sample_clients())
+        extras = sim.server.run_round(sim.server.select_cohort())
         assert extras["alpha"] == 0.8
         k = fc_config.clients_per_round
         assert sorted(extras["co_indices"]) == list(range(k))  # in-order permutation
@@ -156,7 +156,7 @@ class TestSimilarityTrend:
         cfg = tiny_config.with_method("fedcross", alpha=0.8, selection="in_order")
         sim = FLSimulation(cfg)
         server = sim.server
-        active = server.sample_clients()
+        active = server.select_cohort()
         # reproduce the uploads manually, then compare dispersions
         uploads = [c.train(sim.trainer, server.middleware[i]).state for i, c in enumerate(active)]
         import copy

@@ -18,7 +18,7 @@ from repro.utils import cpu
 HOSTS = 2
 
 
-def _config(method="fedcross", execution="distributed", rounds=2, streaming=True):
+def _config(method="fedcross", execution="distributed", rounds=2):
     return FLConfig(
         method=method,
         dataset="synth_cifar10",
@@ -34,7 +34,6 @@ def _config(method="fedcross", execution="distributed", rounds=2, streaming=True
         backend="distributed",
         hosts=HOSTS,
         execution=execution,
-        streaming=streaming,
         dataset_params={"samples_per_client": 20, "num_test": 40},
     )
 
@@ -68,6 +67,30 @@ class TestMeasuredLedger:
         for record in result.history.records:
             assert record.comm_up_params == int(cost["up"])
             assert record.comm_down_params == int(cost["down"])
+
+    def test_fedcluster_is_not_billed_twice(self):
+        """Regression (ISSUE 20): FedCluster charged its visits
+        unconditionally, on top of what a measuring backend had already
+        recorded per leg — (118096, 118096) a round here against
+        serial's (59048, 59048)."""
+        serial = FLConfig(
+            method="fedcluster",
+            num_clients=8,
+            k_active=4,
+            rounds=2,
+            local_epochs=1,
+            seed=13,
+            dataset_params={"samples_per_client": 20, "num_test": 40},
+        )
+        ledgers = []
+        for config in (
+            serial,
+            serial.replace(backend="distributed", hosts=HOSTS, execution="distributed"),
+        ):
+            records = FLSimulation(config).run().history.records
+            ledgers.append([(r.comm_up_params, r.comm_down_params) for r in records])
+        assert ledgers[0] == ledgers[1]
+        assert all(up == down > 0 for up, down in ledgers[0])
 
 
 class TestNoCoordinatorTransit:

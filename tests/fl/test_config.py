@@ -27,6 +27,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             FLConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"quorum": 0.0}, "quorum must be in (0, 1], got 0.0"),
+            ({"quorum": 1.5}, "quorum must be in (0, 1], got 1.5"),
+            (
+                {"failure_policy": "retry"},
+                "failure_policy must be 'fail', 'carry' or 'redispatch', got 'retry'",
+            ),
+            ({"leg_timeout": 0}, "leg_timeout must be None or positive seconds"),
+            ({"leg_retries": -1}, "leg_retries must be >= 0"),
+            ({"leg_backoff": -0.1}, "leg_backoff must be >= 0 seconds"),
+        ],
+    )
+    def test_resilience_knobs_are_checked_by_the_round_policy(self, kwargs, message):
+        # Stated once, in RoundPolicy.__post_init__; FLConfig builds the
+        # policy instead of repeating the checks — same error text.
+        with pytest.raises(ValueError) as err:
+            FLConfig(**kwargs)
+        assert str(err.value) == message
+
 
 class TestDerived:
     def test_clients_per_round_from_participation(self):

@@ -63,7 +63,9 @@ class TestRegistry:
 
             del EXECUTION_BACKENDS["probe-serial"]
 
-    def test_submit_group_only_backend_serves_every_schedule(self, tiny_config):
+    def test_submit_group_only_backend_serves_every_schedule(
+        self, tiny_config, gathered_collect
+    ):
         """The extension contract: a third-party backend implementing
         nothing but ``submit_group`` serves the gathered, streaming and
         fault-capturing drivers and the async scheduler (S=1) — each
@@ -92,7 +94,7 @@ class TestRegistry:
         base = tiny_config.replace(method="fedcross")
         schedules = {
             "streaming": {},
-            "gathered": {"streaming": False},
+            "gathered": {},  # the oracle: backend.run, via gathered_collect
             "captured": {"leg_retries": 1, "failure_policy": "carry"},
             "async": {"round_mode": "async", "max_staleness": 1},
         }
@@ -100,9 +102,12 @@ class TestRegistry:
             for label, overrides in schedules.items():
                 calls.clear()
                 reference = FLSimulation(base.replace(**overrides)).run()
-                probe = FLSimulation(
+                sim = FLSimulation(
                     base.replace(execution="probe-submit-only", **overrides)
-                ).run()
+                )
+                if label == "gathered":
+                    gathered_collect(sim.server)
+                probe = sim.run()
                 assert sum(calls) == base.rounds * base.clients_per_round, label
                 assert [
                     (r.accuracy, r.loss, r.train_loss, r.comm_up_params)
@@ -449,7 +454,7 @@ class TestParallelMechanics:
             sim = FLSimulation(cfg)
             for lr in (0.05, 0.002):
                 sim.trainer.lr = lr
-                sim.server.run_round(sim.server.sample_clients())
+                sim.server.run_round(sim.server.select_cohort())
                 sim.server.round_idx += 1
             sim.server.executor.close()
             return sim.server.global_state()

@@ -68,24 +68,6 @@ class TestPhaseDriver:
         server.run_round(server.select_cohort())
         assert server.uploads is first
 
-    def test_sample_clients_alias_delegates_to_select_cohort(self, tiny_config):
-        sim = FLSimulation(tiny_config.with_method("clusamp"))
-        server = sim.server
-        # CluSamp overrides select_cohort only; the legacy alias must
-        # route through the override, not bypass it.
-        assert "sample_clients" not in type(server).__dict__
-        seen = []
-        original = server.select_cohort
-
-        def spy():
-            seen.append(True)
-            return original()
-
-        server.select_cohort = spy
-        cohort = server.sample_clients()
-        assert seen == [True]
-        assert len(cohort) == tiny_config.clients_per_round
-
     def test_fedcross_dispatch_tags_model_rows(self, tiny_config):
         sim = FLSimulation(tiny_config.with_method("fedcross"))
         server = sim.server

@@ -322,8 +322,10 @@ class TestOnUploadOrdering:
     on_upload exactly once per (round, row) — and the async S=0 firing
     set equals the sync one."""
 
-    def _fired(self, **overrides):
+    def _fired(self, install=None, **overrides):
         sim = FLSimulation(_config(**overrides))
+        if install is not None:
+            install(sim.server)  # the gathered oracle
         fired = _spy_on_upload(sim)
         sim.run()
         return fired
@@ -340,8 +342,8 @@ class TestOnUploadOrdering:
     @pytest.mark.parametrize(
         "overrides",
         [
-            dict(streaming=True),
-            dict(streaming=False),
+            dict(),
+            dict(gathered=True),
             dict(round_mode="async", max_staleness=0),
             dict(round_mode="async", max_staleness=2),
             dict(
@@ -353,15 +355,17 @@ class TestOnUploadOrdering:
         ],
         ids=["streaming", "gathered", "async-s0", "async-s2", "async-s2-thread"],
     )
-    def test_fires_exactly_once_per_round_row(self, overrides):
-        fired = self._fired(**overrides)
+    def test_fires_exactly_once_per_round_row(self, overrides, gathered_collect):
+        overrides = dict(overrides)
+        install = gathered_collect if overrides.pop("gathered", False) else None
+        fired = self._fired(install, **overrides)
         self._assert_once_per_round_row(
             fired, BASE["rounds"], BASE["num_clients"]
         )
         assert all(fresh for _t, _row, fresh in fired)
 
     def test_async_zero_staleness_fires_same_set_as_sync(self):
-        sync = self._fired(streaming=True)
+        sync = self._fired()
         zero = self._fired(round_mode="async", max_staleness=0)
         assert sorted(sync) == sorted(zero)
 

@@ -104,7 +104,7 @@ class TestSimulation:
 class TestServerBase:
     def test_sampling_returns_distinct_clients(self, tiny_config):
         sim = FLSimulation(tiny_config)
-        active = sim.server.sample_clients()
+        active = sim.server.select_cohort()
         assert len(active) == tiny_config.clients_per_round
         assert len({c.client_id for c in active}) == len(active)
 

@@ -1,11 +1,13 @@
-"""Streaming collect: bit-identical to the gathered schedule (ISSUE 4).
+"""Streaming collect: bit-identical to the gathered oracle (ISSUE 4).
 
-The streaming collect phase consumes uploads as legs complete and runs
+The collect phase consumes uploads as legs complete and runs
 per-upload server work (``on_upload``) while slower legs still train.
-The contract: for every method and every execution backend, a
-streaming run is **bit-identical** to the gathered reference schedule
-— same histories, same final state, same pool matrices, same RNG
-advancement.  All seven registered methods are checked on the serial
+The contract: for every method and every execution backend, a run is
+**bit-identical** to the gathered oracle — ``ExecutionBackend.run``,
+the same stream drained into plan order, installed by the
+``gathered_collect`` fixture (the gathered schedule itself no longer
+ships; ISSUE 20) — same histories, same final state, same pool
+matrices, same RNG advancement.  All seven registered methods are checked on the serial
 backend; the parallel backends are checked on the methods that
 exercise their hardest paths (FedCross's incremental Gram, SCAFFOLD's
 and FedGen's shared-payload specs).
@@ -21,7 +23,7 @@ from repro.fl.simulation import FLSimulation
 ALL_METHODS = ("fedavg", "fedprox", "scaffold", "fedgen", "clusamp", "fedcluster", "fedcross")
 
 
-def _config(method: str, execution: str, streaming: bool) -> FLConfig:
+def _config(method: str, execution: str) -> FLConfig:
     return FLConfig(
         method=method,
         dataset="synth_cifar10",
@@ -36,14 +38,16 @@ def _config(method: str, execution: str, streaming: bool) -> FLConfig:
         seed=11,
         execution=execution,
         workers=2,
-        streaming=streaming,
         dataset_params={"samples_per_client": 20, "num_test": 40},
         method_params={"mu": 0.1} if method == "fedprox" else {},
     )
 
 
-def _run(config: FLConfig):
+def _run(config: FLConfig, install=None):
+    """Run a fit; ``install(server)`` may swap in the gathered oracle."""
     sim = FLSimulation(config)
+    if install is not None:
+        install(sim.server)
     result = sim.run()
     pool = getattr(sim.server, "pool", None)
     matrix = np.array(pool.matrix, copy=True) if pool is not None else None
@@ -71,21 +75,21 @@ class TestStreamingBitIdentity:
         assert set(ALL_METHODS) <= set(available_methods())
 
     @pytest.mark.parametrize("method", ALL_METHODS)
-    def test_serial_streaming_matches_gathered(self, method):
-        ref = _run(_config(method, "serial", streaming=False))
-        got = _run(_config(method, "serial", streaming=True))
+    def test_serial_streaming_matches_gathered(self, method, gathered_collect):
+        ref = _run(_config(method, "serial"), gathered_collect)
+        got = _run(_config(method, "serial"))
         _assert_identical(ref, got, f"{method}/serial")
 
     @pytest.mark.parametrize("method", ALL_METHODS)
-    def test_thread_streaming_matches_gathered(self, method):
-        ref = _run(_config(method, "thread", streaming=False))
-        got = _run(_config(method, "thread", streaming=True))
+    def test_thread_streaming_matches_gathered(self, method, gathered_collect):
+        ref = _run(_config(method, "thread"), gathered_collect)
+        got = _run(_config(method, "thread"))
         _assert_identical(ref, got, f"{method}/thread")
 
     @pytest.mark.parametrize("method", ["fedcross", "scaffold", "fedgen"])
-    def test_process_streaming_matches_gathered(self, method):
-        ref = _run(_config(method, "process", streaming=False))
-        got = _run(_config(method, "process", streaming=True))
+    def test_process_streaming_matches_gathered(self, method, gathered_collect):
+        ref = _run(_config(method, "process"), gathered_collect)
+        got = _run(_config(method, "process"))
         _assert_identical(ref, got, f"{method}/process")
 
     # Cross-execution-backend streaming equality (the old ad-hoc
@@ -97,7 +101,7 @@ class TestStreamingBitIdentity:
 class TestOnUploadHook:
     def test_on_upload_fires_once_per_row(self, tiny_config):
         calls = []
-        sim = FLSimulation(tiny_config.replace(streaming=True))
+        sim = FLSimulation(tiny_config)
         server = sim.server
         original = server.on_upload
         server.on_upload = lambda row, result: (calls.append(row), original(row, result))
@@ -106,22 +110,17 @@ class TestOnUploadHook:
         assert sorted(calls) == list(range(len(active)))
         assert len(results) == len(active)
 
-    def test_on_upload_fires_in_gathered_mode_too(self, tiny_config):
-        """The hook contract is mode-independent — gathered collect
-        fires it in plan order after the run."""
+    def test_on_upload_is_order_independent(self, tiny_config, gathered_collect):
+        """The hook contract is schedule-independent — the gathered
+        oracle fires it in plan order after the run."""
         calls = []
-        sim = FLSimulation(tiny_config.replace(streaming=False))
+        sim = FLSimulation(tiny_config)
         server = sim.server
+        gathered_collect(server)
         server.on_upload = lambda row, result: calls.append(row)
         active = server.select_cohort()
         server.collect(active, server.dispatch(active))
         assert calls == list(range(len(active)))
-
-    def test_streaming_flag_wired_from_config(self, tiny_config):
-        assert FLSimulation(tiny_config).server.streaming is True
-        assert (
-            FLSimulation(tiny_config.replace(streaming=False)).server.streaming is False
-        )
 
 
 class TestFedCrossGramUnderStreaming:

@@ -2,7 +2,7 @@
 
 One parametrised suite replaces the ad-hoc pairwise checks that used to
 live in ``tests/core/test_storage.py`` (dense-vs-memmap fits) and
-``tests/fl/test_streaming.py`` (serial-vs-thread streaming): a short
+``tests/fl/test_streaming.py`` (serial-vs-thread collect): a short
 FedCross fit must be **bit-identical** across the full grid
 
     {dense, memmap, sharded} × {serial, thread, process}
@@ -36,7 +36,9 @@ from repro.fl.simulation import FLSimulation
 
 STORAGES = ("dense", "memmap", "sharded")
 EXECUTIONS = ("serial", "thread", "process")
-SCHEDULES = (True, False)  # streaming, gathered
+# The shipped streaming collect, and the gathered oracle
+# (``backend.run`` — see ``gathered_collect`` in tests/conftest.py).
+SCHEDULES = (True, False)
 
 # 3 shards over K=4 → uneven spans (1, 2, 1): exercises cross-shard
 # blocks, not just the trivial even split.
@@ -47,7 +49,7 @@ SHARDS = 3
 HOSTS = 2
 
 
-def _config(method: str, backend: str, execution: str, streaming: bool) -> FLConfig:
+def _config(method: str, backend: str, execution: str) -> FLConfig:
     return FLConfig(
         method=method,
         dataset="synth_cifar10",
@@ -65,13 +67,15 @@ def _config(method: str, backend: str, execution: str, streaming: bool) -> FLCon
         hosts=HOSTS if backend == "distributed" else None,
         execution=execution,
         workers=2,
-        streaming=streaming,
         dataset_params={"samples_per_client": 20, "num_test": 40},
     )
 
 
-def _run(config: FLConfig):
+def _run(config: FLConfig, install=None):
+    """Run a fit; ``install(server)`` may swap in the gathered oracle."""
     sim = FLSimulation(config)
+    if install is not None:
+        install(sim.server)
     result = sim.run()
     pool = getattr(sim.server, "pool", None)
     matrix = np.array(pool.matrix, copy=True) if pool is not None else None
@@ -96,9 +100,9 @@ def _assert_identical(ref, got, label):
 
 
 @pytest.fixture(scope="module")
-def fedcross_reference():
+def fedcross_reference(gathered_collect):
     """The dense / serial / gathered FedCross leg, run once."""
-    return _run(_config("fedcross", "dense", "serial", streaming=False))
+    return _run(_config("fedcross", "dense", "serial"), gathered_collect)
 
 
 class TestFedCrossBackendMatrix:
@@ -108,11 +112,14 @@ class TestFedCrossBackendMatrix:
         "streaming", SCHEDULES, ids=["streaming", "gathered"]
     )
     def test_fit_bit_identical_to_reference(
-        self, fedcross_reference, backend, execution, streaming
+        self, fedcross_reference, gathered_collect, backend, execution, streaming
     ):
         if (backend, execution, streaming) == ("dense", "serial", False):
             pytest.skip("this cell is the reference leg")
-        got = _run(_config("fedcross", backend, execution, streaming))
+        got = _run(
+            _config("fedcross", backend, execution),
+            None if streaming else gathered_collect,
+        )
         _assert_identical(
             fedcross_reference,
             got,
@@ -123,7 +130,7 @@ class TestFedCrossBackendMatrix:
     def test_sharded_pool_actually_sharded(self):
         """The matrix must be exercising real shards, not a degenerate
         single-span layout."""
-        sim = FLSimulation(_config("fedcross", "sharded", "serial", True))
+        sim = FLSimulation(_config("fedcross", "sharded", "serial"))
         sim.run()
         storage = sim.server.pool.storage
         assert storage.name == "sharded"
@@ -133,7 +140,7 @@ class TestFedCrossBackendMatrix:
     def test_memmap_shard_placement_bit_identical_too(self, fedcross_reference):
         """`FLConfig.shard_placement="memmap"` (the pools-beyond-RAM
         layout) must reach the storage and stay bit-identical."""
-        config = _config("fedcross", "sharded", "serial", True).replace(
+        config = _config("fedcross", "sharded", "serial").replace(
             shard_placement="memmap"
         )
         sim = FLSimulation(config)
@@ -156,7 +163,7 @@ class TestArrayBackendLeg:
 
     @pytest.mark.parametrize("execution", ["serial", "process"])
     def test_numpy_dispatch_bit_identical(self, fedcross_reference, execution):
-        config = _config("fedcross", "dense", execution, streaming=True).replace(
+        config = _config("fedcross", "dense", execution).replace(
             array_backend="numpy"
         )
         got = _run(config)
@@ -180,9 +187,12 @@ class TestDistributedLeg:
         "streaming", SCHEDULES, ids=["streaming", "gathered"]
     )
     def test_fit_bit_identical_to_reference(
-        self, fedcross_reference, execution, streaming
+        self, fedcross_reference, gathered_collect, execution, streaming
     ):
-        got = _run(_config("fedcross", "distributed", execution, streaming))
+        got = _run(
+            _config("fedcross", "distributed", execution),
+            None if streaming else gathered_collect,
+        )
         _assert_identical(
             fedcross_reference,
             got,
@@ -191,7 +201,7 @@ class TestDistributedLeg:
         )
 
     def test_pool_actually_spans_two_hosts(self):
-        sim = FLSimulation(_config("fedcross", "distributed", "serial", True))
+        sim = FLSimulation(_config("fedcross", "distributed", "serial"))
         sim.run()
         storage = sim.server.pool.storage
         assert storage.name == "distributed"
@@ -202,8 +212,8 @@ class TestDistributedLeg:
         """SCAFFOLD reads every upload state back on the coordinator
         (control-variate updates), driving the lazy remote-row fetch
         path — and its measured comm must match the analytic charge."""
-        ref = _run(_config("scaffold", "dense", "serial", streaming=True))
-        got = _run(_config("scaffold", "distributed", "distributed", streaming=True))
+        ref = _run(_config("scaffold", "dense", "serial"))
+        got = _run(_config("scaffold", "distributed", "distributed"))
         _assert_identical(ref, got, "scaffold/distributed/distributed")
 
 
@@ -215,8 +225,8 @@ class TestMethodCoverageAcrossStorage:
     @pytest.mark.parametrize("method", ["fedavg", "scaffold"])
     @pytest.mark.parametrize("backend", ["memmap", "sharded", "distributed"])
     def test_history_and_state_bit_identical_to_dense(self, method, backend):
-        ref = _run(_config(method, "dense", "serial", streaming=True))
-        got = _run(_config(method, backend, "serial", streaming=True))
+        ref = _run(_config(method, "dense", "serial"))
+        got = _run(_config(method, backend, "serial"))
         _assert_identical(ref, got, f"{method}/{backend}")
 
 
@@ -243,7 +253,7 @@ class TestAsyncRoundLeg:
     def test_zero_staleness_bit_identical(
         self, fedcross_reference, backend, execution
     ):
-        config = _config("fedcross", backend, execution, streaming=True).replace(
+        config = _config("fedcross", backend, execution).replace(
             round_mode="async", max_staleness=0
         )
         _assert_identical(
@@ -253,7 +263,7 @@ class TestAsyncRoundLeg:
         )
 
     def test_serial_overlap_window_bit_identical(self, fedcross_reference):
-        config = _config("fedcross", "dense", "serial", streaming=True).replace(
+        config = _config("fedcross", "dense", "serial").replace(
             round_mode="async", max_staleness=2
         )
         _assert_identical(
@@ -264,7 +274,7 @@ class TestAsyncRoundLeg:
         "backend,execution", (("dense", "process"), ("distributed", "distributed"))
     )
     def test_overlapped_invariants(self, backend, execution):
-        config = _config("fedcross", backend, execution, streaming=True).replace(
+        config = _config("fedcross", backend, execution).replace(
             round_mode="async", max_staleness=2
         )
         result, matrix = _run(config)

@@ -37,8 +37,11 @@ def _config(method: str, seed: int, heterogeneity) -> FLConfig:
     )
 
 
-def _run(config: FLConfig):
+def _run(config: FLConfig, install=None):
+    """Run a fit; ``install(server)`` may swap in the gathered oracle."""
     sim = FLSimulation(config)
+    if install is not None:
+        install(sim.server)
     result = sim.run()
     pool = getattr(sim.server, "pool", None)
     pool_matrix = np.array(pool.matrix, copy=True) if pool is not None else None
@@ -83,15 +86,15 @@ def test_backends_bit_identical_on_seed_cnn(method, seed, heterogeneity):
     seed=st.integers(0, 1_000),
 )
 @settings(max_examples=3, deadline=None)
-def test_streaming_bit_identical_to_gathered_per_backend(method, seed):
+def test_streaming_bit_identical_to_gathered_per_backend(gathered_collect, method, seed):
     """ISSUE 4: the as-completed streaming collect must reproduce the
-    gathered schedule bit-for-bit on every backend — including
-    FedCross's incrementally tracked Gram (update order varies with
-    completion order) and SCAFFOLD's shm-deduped control variates."""
+    gathered oracle (``backend.run``) bit-for-bit on every backend —
+    including FedCross's incrementally tracked Gram (update order varies
+    with completion order) and SCAFFOLD's shm-deduped control variates."""
     base = _config(method, seed, 0.5)
-    reference = _run(base.replace(streaming=False))
+    reference = _run(base, gathered_collect)
     for execution in ("serial", "thread", "process"):
-        got = _run(base.replace(execution=execution, workers=2, streaming=True))
+        got = _run(base.replace(execution=execution, workers=2))
         _assert_bit_identical(
             reference, got, f"{method}/{execution}/streaming/seed={seed}"
         )

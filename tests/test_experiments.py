@@ -110,3 +110,18 @@ class TestFig9Variants:
     def test_unknown_variant(self):
         with pytest.raises(KeyError):
             _variant_params("warp", 0.9, 10)
+
+
+class TestConvergenceProbe:
+    def test_three_round_losses_pinned(self):
+        # The probe used to hand-roll the round loop; it is now fit()
+        # with an on_round_start callback setting the decayed LR.  These
+        # are the hand-rolled loop's losses for seed 0 (ISSUE 20).
+        from repro.experiments.convergence import run_convergence_probe
+
+        result = run_convergence_probe(scale="quick", seed=0, rounds=3)
+        assert result.losses == [
+            1.8289429473876953,
+            1.4091387176513672,
+            1.1471937561035157,
+        ]
