@@ -42,7 +42,7 @@ from repro.fl.simulation import FLSimulation
 from repro.models.registry import build_model
 from repro.optim import SGD
 from repro.tensor import Tensor
-from repro.tensor.functional import cross_entropy, im2col_indices
+from repro.tensor.functional import cross_entropy
 from repro.utils.cpu import usable_cores
 
 BACKENDS = ("serial", "thread", "process")
@@ -278,41 +278,59 @@ def run_async_rounds(repeats: int, cores: int, smoke: bool,
 # Array-backend dispatch overhead (ISSUE 6)
 # ----------------------------------------------------------------------
 def _direct_cnn_step(params, bufs, x, y, lr, momentum):
-    """Seed-direct raw-numpy replica of one FedAvgCNN client step.
+    """Raw-numpy replica of one FedAvgCNN client step.
 
-    Reproduces the exact pre-dispatch op sequence (same im2col indices,
-    same ``einsum(..., optimize=True)`` calls, same reshape-based pool
-    fast path, same float32 rounding points), so its updated parameters
-    are **bit-identical** to the dispatched tensor stack's — verified by
-    :func:`run_backend_dispatch` before any timing is trusted — and its
-    wall clock is the true zero-dispatch baseline.
+    Mirrors the tensor stack's lowering op for op without the dispatch
+    layer (same strided-window im2col copies, same three GEMMs on the same
+    operand layouts, same slice-add col2im, same reshape-based pool fast
+    path, same float32 rounding points, same in-place SGD), so its
+    updated parameters are **bit-identical** to the dispatched stack's —
+    verified by :func:`run_backend_dispatch` before any timing is
+    trusted — and its wall clock is the true zero-dispatch baseline.
+    Batches of more than one sample only (the stack's batch-of-one
+    operand layout is not replicated).
     """
 
+    def acc(g):
+        """``Tensor._accumulate``: every node's gradient is copied once."""
+        return g.astype(g.dtype, copy=True)
+
     def conv_fwd(inp, w, b, padding):
-        n = inp.shape[0]
+        n, c_in = inp.shape[:2]
         c_out, _, kh, kw = w.shape
         x_pad = np.pad(inp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        k_idx, i_idx, j_idx = im2col_indices(x_pad.shape, kh, kw, 1)
-        cols = x_pad[:, k_idx, i_idx, j_idx]
+        hp, wp = x_pad.shape[2:]
+        out_h, out_w = hp - kh + 1, wp - kw + 1
+        s_n, s_c, s_h, s_w = x_pad.strides
+        windows = np.lib.stride_tricks.as_strided(
+            x_pad, (n, out_h, out_w, c_in, kh, kw), (s_n, s_h, s_w, s_c, s_h, s_w),
+            writeable=False,
+        )
+        cols = windows.copy().reshape(n * out_h * out_w, c_in * kh * kw)
         w_mat = w.reshape(c_out, -1)
-        out = np.einsum("ok,nkp->nop", w_mat, cols, optimize=True)
-        out_h = x_pad.shape[2] - kh + 1
-        out_w = x_pad.shape[3] - kw + 1
-        out = out.reshape(n, c_out, out_h, out_w) + b.reshape(1, c_out, 1, 1)
-        return out, (x_pad.shape, cols, w_mat, (k_idx, i_idx, j_idx), padding)
+        out_mat = cols @ w_mat.T
+        out_mat += b
+        out = out_mat.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
+        return out, (x_pad.shape, windows, w_mat, (out_h, out_w, kh, kw), padding)
 
-    def conv_bwd(g, w, cache):
-        pad_shape, cols, w_mat, (k_idx, i_idx, j_idx), padding = cache
-        n, c_out = g.shape[0], g.shape[1]
-        g_mat = g.reshape(n, c_out, -1)
-        grad_w = np.einsum("nop,nkp->ok", g_mat, cols, optimize=True).reshape(w.shape)
+    def conv_bwd(g, w, cache, input_grad=True):
+        (n, c_in, hp, wp), windows, w_mat, (out_h, out_w, kh, kw), padding = cache
+        g_mat = g.transpose(0, 2, 3, 1).reshape(n * out_h * out_w, -1)
+        cols_t = windows.transpose(3, 4, 5, 0, 1, 2).copy().reshape(w_mat.shape[1], -1)
+        grad_w = (cols_t @ g_mat).T.reshape(w.shape)
         grad_b = g.sum(axis=(0, 2, 3))
-        grad_cols = np.einsum("ok,nop->nkp", w_mat, g_mat, optimize=True)
-        grad_pad = np.zeros(pad_shape, dtype=g.dtype)
-        np.add.at(grad_pad, (slice(None), k_idx, i_idx, j_idx), grad_cols)
+        if not input_grad:  # the network input requires no gradient
+            return None, grad_w, grad_b
+        grad_cols = (g_mat @ w_mat).reshape(n, out_h, out_w, c_in, kh, kw)
+        grad_pad = np.zeros((n, c_in, hp, wp), dtype=g.dtype)
+        for oy in reversed(range(out_h)):
+            for j in range(kw):
+                grad_pad[:, :, oy : oy + kh, j : j + out_w] += grad_cols[
+                    :, oy, :, :, :, j
+                ].transpose(0, 2, 3, 1)
         if padding:
             grad_pad = grad_pad[:, :, padding:-padding, padding:-padding]
-        return grad_pad, grad_w, grad_b
+        return acc(grad_pad), grad_w, grad_b
 
     def pool_fwd(inp):
         n, c, h, w = inp.shape
@@ -324,11 +342,11 @@ def _direct_cnn_step(params, bufs, x, y, lr, momentum):
 
     def pool_bwd(g, cache):
         mask, counts, shape = cache
-        return ((mask / counts) * g[:, :, :, None, :, None]).reshape(shape)
+        return acc(((mask / counts) * g[:, :, :, None, :, None]).reshape(shape))
 
     def relu_fwd(pre):
         mask = pre > 0
-        return np.where(mask, pre, 0.0).astype(pre.dtype), mask
+        return np.where(mask, pre, 0.0).astype(pre.dtype, copy=False), mask
 
     nb = x.shape[0]
     w1, b1, w2, b2, wf1, bf1, wf2, bf2 = params
@@ -361,29 +379,39 @@ def _direct_cnn_step(params, bufs, x, y, lr, momentum):
     )
     g_bf2 = g_logits.sum(axis=0)
     g_wf2 = (a1.transpose((1, 0)) @ g_logits).transpose((1, 0))
-    g_a1 = g_logits @ wf2
-    g_h1 = g_a1 * a1_mask
+    g_a1 = acc(g_logits @ wf2)
+    g_h1 = acc(g_a1 * a1_mask)
     g_bf1 = g_h1.sum(axis=0)
     g_wf1 = (flat.transpose((1, 0)) @ g_h1).transpose((1, 0))
-    g_flat = g_h1 @ wf1
-    g_p2 = g_flat.reshape(p2.shape)
+    g_flat = acc(g_h1 @ wf1)
+    g_p2 = acc(g_flat.reshape(p2.shape))
     g_r2 = pool_bwd(g_p2, p2_cache)
-    g_c2 = g_r2 * r2_mask
+    g_c2 = acc(g_r2 * r2_mask)
     g_p1, g_w2, g_b2 = conv_bwd(g_c2, w2, c2_cache)
     g_r1 = pool_bwd(g_p1, p1_cache)
-    g_c1 = g_r1 * r1_mask
-    _, g_w1, g_b1 = conv_bwd(g_c1, w1, c1_cache)
+    g_c1 = acc(g_r1 * r1_mask)
+    _, g_w1, g_b1 = conv_bwd(g_c1, w1, c1_cache, input_grad=False)
 
-    # SGD with momentum (the trainer's update, dtype-stable)
+    # SGD with momentum (the trainer's in-place update; ``bufs`` holds a
+    # (momentum buffer, scratch) pair per parameter once stepped)
     grads = [g_w1, g_b1, g_w2, g_b2, g_wf1, g_bf1, g_wf2, g_bf2]
     for idx, (p, g) in enumerate(zip(params, grads)):
         g = g.astype(p.dtype, copy=True)
+        buf, scratch = bufs[idx] or (None, None)
         if momentum:
-            buf = bufs[idx]
-            buf = g.copy() if buf is None else momentum * buf + g
-            bufs[idx] = buf
+            if buf is None:
+                buf = g.copy(order="K")
+            else:
+                buf *= momentum
+                buf += g
             g = buf
-        params[idx] = np.asarray(p - lr * g, dtype=p.dtype)
+        if scratch is None:
+            scratch = g.copy(order="K")
+        else:
+            scratch[...] = g
+        scratch *= lr
+        p -= scratch
+        bufs[idx] = (buf, scratch)
     return float(loss)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from repro.nn.module import Parameter
-from repro.tensor.backend import active_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -39,6 +38,8 @@ class SGD:
         self.weight_decay = weight_decay
         self.nesterov = nesterov
         self._buffers: list[np.ndarray | None] = [None] * len(self.params)
+        # One reused array per parameter holding ``lr * update``.
+        self._scratch: list[np.ndarray | None] = [None] * len(self.params)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -46,6 +47,12 @@ class SGD:
 
     def step(self) -> None:
         """Apply one update using the gradients currently on the params.
+
+        In place: the momentum buffer and the parameter's own array are
+        updated with the same elementwise arithmetic, in the same order,
+        as ``buf = m * buf + g; p = p - lr * buf`` — the same bits,
+        without a full-size temporary per operator.  ``p.grad`` is only
+        read.
 
         The update never changes a parameter's dtype: a wider-precision
         gradient (e.g. SCAFFOLD's float64 control-variate correction)
@@ -56,20 +63,38 @@ class SGD:
         clients previously touched the template (and breaking
         bit-reproducibility across execution backends).
         """
-        backend = active_backend()
         for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
             grad = p.grad
+            if grad is None:
+                continue
             if self.weight_decay:
                 grad = grad + self.weight_decay * p.data
             if self.momentum:
                 buf = self._buffers[i]
-                buf = grad.copy() if buf is None else self.momentum * buf + grad
-                self._buffers[i] = buf
+                if buf is None:
+                    # order="K": gradients often arrive transposed in
+                    # memory (a linear layer's does), and elementwise ops
+                    # on matching layouts are an order of magnitude faster.
+                    buf = self._buffers[i] = grad.copy(order="K")
+                elif buf.dtype == grad.dtype:
+                    buf *= self.momentum
+                    buf += grad
+                else:
+                    # A hook started widening the gradient mid-run:
+                    # follow it rather than round into the old buffer.
+                    buf = self._buffers[i] = self.momentum * buf + grad
                 grad = grad + self.momentum * buf if self.nesterov else buf
-            p.data = backend.asarray(p.data - self.lr * grad, dtype=p.data.dtype)
+            scratch = self._scratch[i]
+            if scratch is None or scratch.dtype != grad.dtype:
+                scratch = self._scratch[i] = grad.copy(order="K")
+            else:
+                scratch[...] = grad
+            scratch *= self.lr
+            # Computed in the wider of the two dtypes, rounded once into
+            # the parameter's own array.
+            p.data -= scratch
 
     def reset_state(self) -> None:
-        """Drop momentum buffers (used when a client receives new weights)."""
+        """Drop momentum buffers and scratch (used when a client receives new weights)."""
         self._buffers = [None] * len(self.params)
+        self._scratch = [None] * len(self.params)

@@ -26,8 +26,9 @@ backends and :mod:`repro.fl.execution`'s execution backends:
 
 The op surface (:data:`OP_SURFACE`) is deliberately small: array
 construction/conversion, the elementwise transcendentals the autograd
-ops need, shape/indexing helpers, ``einsum`` (the im2col convolution
-workhorse), scatter-add, and a host-seeded uniform draw (dropout masks
+ops need, shape/indexing helpers, scatter-add, ``sliding_windows`` (the
+strided window view ``conv2d`` and ``max_pool2d`` unroll; the GEMMs
+themselves are ``@``), and a host-seeded uniform draw (dropout masks
 stay bit-reproducible across backends because the *host* generator
 always produces the bits).  Everything else the tensor code does uses
 array **methods** (``.sum``, ``.reshape``, ``.astype``, ``@``…), which
@@ -51,6 +52,7 @@ every knob above.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 from collections import Counter
 
@@ -109,14 +111,44 @@ OP_SURFACE = (
     "take_along_axis",
     "put_along_axis",
     "add_at",
-    # linear algebra
-    "einsum",
+    "sliding_windows",
     # random (host-seeded for cross-backend determinism)
     "random_uniform",
 )
 
 
 ARRAY_BACKENDS = Registry("array backend", error_type=ValueError)
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def window_plan(shape, strides, kh, kw, stride):
+    """Shape and strides of the sliding-window view of an NCHW array.
+
+    ``(shape, strides)`` describe the ``(N, out_h, out_w, C, kh, kw)``
+    view of an array with the given ``shape`` / ``strides`` whose
+    ``[n, y, x, c, i, j]`` element is ``array[n, c, y*stride + i,
+    x*stride + j]``.  This is the memory-safety boundary of
+    ``sliding_windows``: geometry that would index outside the array is
+    rejected here, before any view exists.  The cache holds these
+    integer tuples only — never an array — so plans are safe to share
+    between calls and threads.
+    """
+    if len(shape) != 4:
+        raise ValueError(f"sliding windows need a 4-D NCHW array, got shape {shape}")
+    n, c, h, w = shape
+    if stride < 1 or kh < 1 or kw < 1:
+        raise ValueError(
+            f"sliding windows need kernel and stride >= 1, got kernel ({kh}, {kw}), "
+            f"stride {stride} (input shape {shape})"
+        )
+    if kh > h or kw > w:
+        raise ValueError(
+            f"kernel ({kh}, {kw}) is larger than the (padded) input: shape {shape}"
+        )
+    s_n, s_c, s_h, s_w = strides
+    out_h = (h - kh) // stride + 1
+    out_w = (w - kw) // stride + 1
+    return (n, out_h, out_w, c, kh, kw), (s_n, stride * s_h, stride * s_w, s_c, s_h, s_w)
 
 
 def register_array_backend(name: str):
@@ -252,9 +284,18 @@ class NumpyBackend(ArrayBackend):
     def add_at(self, array, indices, values):
         np.add.at(array, indices, values)
 
-    # -- linear algebra ----------------------------------------------------
-    def einsum(self, subscripts, *operands):
-        return np.einsum(subscripts, *operands, optimize=True)
+    def sliding_windows(self, array, kh, kw, stride):
+        """Read-only ``(N, out_h, out_w, C, kh, kw)`` view of NCHW ``array``.
+
+        No data moves: every ``kh x kw`` window at ``stride`` is a
+        stride pattern over ``array``'s own memory (:func:`window_plan`
+        checks it stays inside it).  The im2col lowering of ``conv2d``
+        and the general ``max_pool2d`` path copy out of this view once.
+        """
+        shape, strides = window_plan(array.shape, array.strides, kh, kw, stride)
+        return np.lib.stride_tricks.as_strided(
+            array, shape=shape, strides=strides, writeable=False
+        )
 
     # -- random ------------------------------------------------------------
     def random_uniform(self, rng, shape):
@@ -424,8 +465,10 @@ if _cupy is not None:  # pragma: no cover - exercised only with a GPU
                 indices = self.asarray(indices)
             _cupyx.scatter_add(array, indices, values)
 
-        def einsum(self, subscripts, *operands):
-            return _cupy.einsum(subscripts, *operands)
+        def sliding_windows(self, array, kh, kw, stride):
+            shape, strides = window_plan(array.shape, array.strides, kh, kw, stride)
+            # CuPy views carry no read-only flag; callers only read.
+            return _cupy.lib.stride_tricks.as_strided(array, shape=shape, strides=strides)
 
         def random_uniform(self, rng, shape):
             return _cupy.asarray(rng.random(shape))

@@ -6,17 +6,16 @@ autograd graph. The :mod:`repro.nn` module layer classes are thin
 stateful wrappers around these functions.
 
 Convolutions use the classic im2col lowering: each sliding window is
-unrolled into a column so the convolution becomes one large matrix
-multiply. On small CIFAR-scale inputs this is the fastest pure-NumPy
-strategy by a wide margin.
+unrolled into a row of one matrix so the convolution becomes one large
+matrix multiply. The windows are a strided *view* of the (padded)
+input, copied straight into the layout each GEMM wants; on small
+CIFAR-scale inputs this is the fastest pure-NumPy strategy by a wide
+margin.
 
 Array math dispatches through the active
-:class:`~repro.tensor.backend.ArrayBackend`.  Two documented host-side
-exceptions keep raw NumPy: :func:`im2col_indices` (window *index
-metadata* — tiny integer arrays computed once per shape and converted
-to backend arrays by the callers that index with them) and
-:func:`one_hot` (a host-label helper whose output feeds host-side
-pipelines, not the training hot path).
+:class:`~repro.tensor.backend.ArrayBackend`.  One documented host-side
+exception keeps raw NumPy: :func:`one_hot` (a host-label helper whose
+output feeds host-side pipelines, not the training hot path).
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "dropout",
     "embedding",
     "one_hot",
-    "im2col_indices",
 ]
 
 
@@ -60,33 +58,31 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 # ----------------------------------------------------------------------
 # Convolution via im2col
 # ----------------------------------------------------------------------
-def im2col_indices(
-    x_shape: tuple[int, int, int, int], kh: int, kw: int, stride: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (k, i, j) fancy indices unrolling NCHW windows into columns.
+def _require_nchw(op: str, what: str, shape: tuple[int, ...]) -> None:
+    if len(shape) != 4:
+        raise ValueError(f"{op} expects a 4-D {what}, got shape {shape}")
 
-    For input of shape ``(N, C, H, W)`` (already padded), the returned
-    indices select an array of shape ``(C*kh*kw, out_h*out_w)`` per
-    sample when used as ``x[:, k, i, j]``.
 
-    Host NumPy on purpose: these are integer index *metadata*, a few KB
-    computed per (shape, kernel, stride) combination; callers convert
-    them to backend arrays before indexing device arrays with them.
+def _scatter_windows(grad, grad_windows, stride: int) -> None:
+    """Add ``(N, out_h, out_w, C, kh, kw)`` window gradients into NCHW ``grad``.
+
+    The adjoint of ``sliding_windows`` (col2im).  An input pixel lies in
+    up to ``kh * kw`` windows, and the bits of its gradient depend on
+    the order they are summed in: ascending kernel offset ``(i, j)``,
+    the order every golden was recorded with.  Walking the output rows
+    last-to-first visits a pixel's ``i`` ascending, so one slice-add per
+    (output row, kernel column) keeps that order while reading one
+    row's worth of ``grad_windows`` at a time instead of striding over
+    all of it once per kernel offset.
     """
-    _, c, h, w = x_shape
-    out_h = (h - kh) // stride + 1
-    out_w = (w - kw) // stride + 1
-
-    i0 = np.repeat(np.arange(kh), kw)
-    i0 = np.tile(i0, c)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kw), kh * c)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(c), kh * kw).reshape(-1, 1)
-    return k, i, j
+    _, out_h, out_w, _, kh, kw = grad_windows.shape
+    for oy in reversed(range(out_h)):
+        rows = slice(stride * oy, stride * oy + kh)
+        for j in range(kw):
+            # (N, out_w, C, kh) -> (N, C, kh, out_w)
+            grad[:, :, rows, j : j + stride * out_w : stride] += grad_windows[
+                :, oy, :, :, :, j
+            ].transpose(0, 2, 3, 1)
 
 
 def conv2d(
@@ -103,49 +99,75 @@ def conv2d(
     x: ``(N, C_in, H, W)`` input.
     weight: ``(C_out, C_in, kH, kW)`` filters.
     bias: optional ``(C_out,)``.
+
+    Lowered to three GEMMs over ``cols``, the ``(N*P, K)`` matrix of
+    unrolled windows (``P = out_h * out_w``, ``K = C_in * kH * kW``):
+    ``cols @ w.T`` forward, ``cols.T @ g`` and ``g @ w`` backward.  The
+    output is channels-last in memory, handed out as an NCHW view — the
+    layout the forward GEMM produces, and the one the exact-tiling pool
+    that usually follows reduces over more than 10x faster than a
+    C-ordered copy.
     """
     bk = active_backend()
     x = as_tensor(x)
     weight = as_tensor(weight)
+    _require_nchw("conv2d", "input (N, C_in, H, W)", x.shape)
+    _require_nchw("conv2d", "weight (C_out, C_in, kH, kW)", weight.shape)
     n, c_in, h, w = x.shape
     c_out, c_in_w, kh, kw = weight.shape
     if c_in != c_in_w:
         raise ValueError(f"conv2d channel mismatch: input has {c_in}, weight expects {c_in_w}")
+    if padding < 0:
+        raise ValueError(f"conv2d padding must be >= 0, got {padding} (input shape {x.shape})")
 
     if padding:
         x_pad = bk.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
         x_pad = x.data
     hp, wp = x_pad.shape[2], x_pad.shape[3]
-    out_h = (hp - kh) // stride + 1
-    out_w = (wp - kw) // stride + 1
+    # Rejects a stride or kernel that does not fit before any view exists.
+    windows = bk.sliding_windows(x_pad, kh, kw, stride)  # (N, out_h, out_w, C, kh, kw)
+    out_h, out_w = windows.shape[1], windows.shape[2]
+    p, k = out_h * out_w, c_in * kh * kw
 
-    k_idx, i_idx, j_idx = (
-        bk.asarray(idx) for idx in im2col_indices(x_pad.shape, kh, kw, stride)
-    )
-    # cols: (N, C*kh*kw, out_h*out_w)
-    cols = x_pad[:, k_idx, i_idx, j_idx]
-    w_mat = weight.data.reshape(c_out, -1)  # (C_out, C*kh*kw)
-    out = bk.einsum("ok,nkp->nop", w_mat, cols)
-    out = out.reshape(n, c_out, out_h, out_w)
+    def k_major_cols():
+        """The windows unrolled into a fresh ``(K, N*P)`` matrix."""
+        return windows.transpose(3, 4, 5, 0, 1, 2).copy().reshape(k, n * p)
+
+    # im2col: one copy out of the window view.  Small GEMMs round
+    # differently on a transposed operand, so every operand is laid out
+    # the way the recorded goldens multiplied it: window-major rows
+    # here — K-major, transposed, when N*P is a single axis — and
+    # K-major rows for the weight gradient.  Only the view is kept for
+    # backward (it reads the input again, as matmul's backward does).
+    if n == 1 or p == 1:
+        cols = k_major_cols().T
+    else:
+        cols = windows.copy().reshape(n * p, k)
+    w_mat = weight.data.reshape(c_out, k)
+    out_mat = cols @ w_mat.T  # (N*P, C_out)
     if bias is not None:
-        out = out + bias.data.reshape(1, c_out, 1, 1)
+        out_mat += bias.data
+    out = out_mat.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g) -> None:
         bk = active_backend()
         g = bk.asarray(g)  # (N, C_out, out_h, out_w)
-        g_mat = g.reshape(n, c_out, -1)  # (N, C_out, P)
+        # A view when g is channels-last like ``out``; one copy otherwise.
+        g_mat = g.transpose(0, 2, 3, 1).reshape(n * p, c_out)
         if weight.requires_grad:
-            grad_w = bk.einsum("nop,nkp->ok", g_mat, cols)
-            weight._accumulate(grad_w.reshape(weight.shape))
+            grad_w = k_major_cols() @ g_mat  # (K, C_out)
+            weight._accumulate(grad_w.T.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            grad_cols = bk.einsum("ok,nop->nkp", w_mat, g_mat)
+            grad_cols = g_mat @ w_mat  # (N*P, K)
             grad_pad = bk.zeros((n, c_in, hp, wp), dtype=x.data.dtype)
-            bk.add_at(grad_pad, (slice(None), k_idx, i_idx, j_idx), grad_cols)
+            _scatter_windows(
+                grad_pad, grad_cols.reshape(n, out_h, out_w, c_in, kh, kw), stride
+            )
             if padding:
                 grad_pad = grad_pad[:, :, padding:-padding, padding:-padding]
             x._accumulate(grad_pad)
@@ -157,13 +179,18 @@ def max_pool2d(x: Tensor, kernel_size: int = 2, stride: int | None = None) -> Te
     """Max pooling over non-overlapping (or strided) windows, NCHW."""
     bk = active_backend()
     x = as_tensor(x)
+    _require_nchw("max_pool2d", "input (N, C, H, W)", x.shape)
     stride = stride or kernel_size
+    if kernel_size < 1 or stride < 1:
+        raise ValueError(
+            f"max_pool2d kernel_size and stride must be >= 1, got "
+            f"kernel_size={kernel_size}, stride={stride} (input shape {x.shape})"
+        )
     n, c, h, w = x.shape
-    out_h = (h - kernel_size) // stride + 1
-    out_w = (w - kernel_size) // stride + 1
 
     if stride == kernel_size and h % kernel_size == 0 and w % kernel_size == 0:
         # Fast reshape-based path for the common exact-tiling case.
+        out_h, out_w = h // kernel_size, w // kernel_size
         reshaped = x.data.reshape(n, c, out_h, kernel_size, out_w, kernel_size)
         out = reshaped.max(axis=(3, 5))
         maxes = out[:, :, :, None, :, None]
@@ -178,13 +205,12 @@ def max_pool2d(x: Tensor, kernel_size: int = 2, stride: int | None = None) -> Te
 
         return Tensor._make(out, (x,), backward, "max_pool2d")
 
-    # General strided path via im2col.
-    k_idx, i_idx, j_idx = (
-        bk.asarray(idx)
-        for idx in im2col_indices((n, c, h, w), kernel_size, kernel_size, stride)
-    )
-    cols = x.data[:, k_idx, i_idx, j_idx]  # (N, C*k*k, P)
-    cols = cols.reshape(n, c, kernel_size * kernel_size, -1)
+    # General strided path over the same window view conv2d unrolls.
+    windows = bk.sliding_windows(x.data, kernel_size, kernel_size, stride)
+    out_h, out_w = windows.shape[1], windows.shape[2]
+    # (N, C, k*k, P): window elements in ascending (i, j) order, so a
+    # tie goes to the first maximum in that order.
+    cols = windows.transpose(0, 3, 4, 5, 1, 2).reshape(n, c, kernel_size * kernel_size, -1)
     arg = cols.argmax(axis=2)  # (N, C, P)
     out = bk.take_along_axis(cols, arg[:, :, None, :], axis=2).squeeze(2)
     out = out.reshape(n, c, out_h, out_w)
@@ -194,9 +220,9 @@ def max_pool2d(x: Tensor, kernel_size: int = 2, stride: int | None = None) -> Te
         g = bk.asarray(g).reshape(n, c, -1)
         grad_cols = bk.zeros((n, c, kernel_size * kernel_size, g.shape[-1]), dtype=x.data.dtype)
         bk.put_along_axis(grad_cols, arg[:, :, None, :], g[:, :, None, :], axis=2)
-        grad_cols = grad_cols.reshape(n, c * kernel_size * kernel_size, -1)
+        grad_cols = grad_cols.reshape(n, c, kernel_size, kernel_size, out_h, out_w)
         grad = bk.zeros_like(x.data)
-        bk.add_at(grad, (slice(None), k_idx, i_idx, j_idx), grad_cols)
+        _scatter_windows(grad, grad_cols.transpose(0, 4, 5, 1, 2, 3), stride)
         x._accumulate(grad)
 
     return Tensor._make(out, (x,), backward_general, "max_pool2d")

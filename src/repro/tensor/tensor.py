@@ -382,7 +382,7 @@ class Tensor:
             1.0 / (1.0 + bk.exp(-bk.clip(self.data, 0, None))),
             bk.exp(bk.clip(self.data, None, 0))
             / (1.0 + bk.exp(bk.clip(self.data, None, 0))),
-        ).astype(self.data.dtype)
+        ).astype(self.data.dtype, copy=False)
 
         def backward(g) -> None:
             self._accumulate(g * out_data * (1.0 - out_data))
@@ -391,7 +391,9 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
-        out_data = active_backend().where(mask, self.data, 0.0).astype(self.data.dtype)
+        out_data = active_backend().where(mask, self.data, 0.0).astype(
+            self.data.dtype, copy=False
+        )
 
         def backward(g) -> None:
             self._accumulate(g * mask)
@@ -402,7 +404,7 @@ class Tensor:
         bk = active_backend()
         mask = self.data > 0
         out_data = bk.where(mask, self.data, negative_slope * self.data).astype(
-            self.data.dtype
+            self.data.dtype, copy=False
         )
 
         def backward(g) -> None:

@@ -172,6 +172,26 @@ class TestArrayBackendLeg:
         )
 
 
+class TestConvKernelLeg:
+    """The conv path under concurrent legs: ``conv2d`` caches window
+    *plans* (shape/stride tuples) process-wide but keeps its window view
+    and columns per call, so two threads training CNN legs at once must
+    land on the serial leg's bits."""
+
+    def test_cnn_thread_workers_bit_identical_to_serial(self):
+        def config(execution):
+            return _config("fedcross", "dense", execution).replace(
+                model="cnn_s",
+                dataset_params={
+                    "samples_per_client": 20, "num_test": 40, "image_shape": (3, 8, 8),
+                },
+            )
+
+        ref = _run(config("serial"))
+        got = _run(config("thread"))
+        _assert_identical(ref, got, "fedcross/cnn_s/thread-vs-serial")
+
+
 class TestDistributedLeg:
     """The multi-node cell of the matrix (ISSUE 7): pool rows live in
     two localhost shard-host processes behind the socket-RPC transport.

@@ -84,6 +84,114 @@ class TestSGD:
         np.testing.assert_allclose(p.data, [3.0], atol=1e-3)
 
 
+def _allocating_sgd_step(params, buffers, lr, momentum, weight_decay, nesterov):
+    """The pre-in-place ``SGD.step`` formula: the bitwise reference."""
+    for i, p in enumerate(params):
+        if p.grad is None:
+            continue
+        grad = p.grad
+        if weight_decay:
+            grad = grad + weight_decay * p.data
+        if momentum:
+            buf = buffers[i]
+            buf = grad.copy() if buf is None else momentum * buf + grad
+            buffers[i] = buf
+            grad = grad + momentum * buf if nesterov else buf
+        p.data = np.asarray(p.data - lr * grad, dtype=p.data.dtype)
+
+
+class TestSGDInPlace:
+    """``step`` updates parameters in their own arrays; the arithmetic —
+    and so every bit — is the allocating formula's."""
+
+    SHAPES = ((7, 5), (5,), (3, 2, 3, 3))
+
+    def _params(self, rng):
+        return [Parameter(rng.standard_normal(s).astype(np.float32)) for s in self.SHAPES]
+
+    def _grads(self, rng, dtype, transposed):
+        grads = [rng.standard_normal(s).astype(dtype) for s in self.SHAPES]
+        if transposed:  # a linear layer's weight gradient arrives F-ordered
+            grads[0] = np.asfortranarray(grads[0])
+        return grads
+
+    @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64], ids=["f32", "f64-grad"])
+    @pytest.mark.parametrize(
+        "momentum,nesterov", [(0.0, False), (0.5, False), (0.5, True)],
+        ids=["plain", "momentum", "nesterov"],
+    )
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    def test_three_steps_bit_equal_allocating_formula(
+        self, rng, momentum, nesterov, weight_decay, grad_dtype
+    ):
+        """float64 gradients on float32 parameters are SCAFFOLD's case:
+        computed in float64, rounded once, parameter dtype unchanged."""
+        params = self._params(rng)
+        ref = [Parameter(p.data.copy()) for p in params]
+        ref_buffers = [None] * len(ref)
+        opt = SGD(params, lr=0.05, momentum=momentum, weight_decay=weight_decay,
+                  nesterov=nesterov)
+        for step in range(3):
+            grads = self._grads(rng, grad_dtype, transposed=step != 1)
+            for p, r, g in zip(params, ref, grads):
+                p.grad, r.grad = g, g.copy(order="K")
+            opt.step()
+            _allocating_sgd_step(ref, ref_buffers, 0.05, momentum, weight_decay, nesterov)
+            for p, r, g in zip(params, ref, grads):
+                assert p.data.dtype == np.float32
+                assert np.array_equal(p.data, r.data), f"step {step}"
+                assert np.array_equal(p.grad, g)  # the gradient is only read
+
+    def test_gradient_widening_mid_run_follows_the_formula(self, rng):
+        """A hook that starts handing float64 gradients on step two must
+        not be rounded into the float32 momentum buffer."""
+        params = self._params(rng)
+        ref = [Parameter(p.data.copy()) for p in params]
+        ref_buffers = [None] * len(ref)
+        opt = SGD(params, lr=0.05, momentum=0.5)
+        for dtype in (np.float32, np.float64, np.float64):
+            for p, r, g in zip(params, ref, self._grads(rng, dtype, transposed=False)):
+                p.grad, r.grad = g, g.copy()
+            opt.step()
+            _allocating_sgd_step(ref, ref_buffers, 0.05, 0.5, 0.0, False)
+            for p, r in zip(params, ref):
+                assert np.array_equal(p.data, r.data)
+
+    def test_step_updates_the_parameter_array_itself(self, rng):
+        (p,) = params = [Parameter(rng.standard_normal((4, 3)).astype(np.float32))]
+        array = p.data
+        p.grad = np.ones((4, 3), dtype=np.float32)
+        SGD(params, lr=0.1, momentum=0.5).step()
+        assert p.data is array
+
+    def test_state_dict_taken_before_step_is_not_mutated(self, rng):
+        from repro import nn
+        from repro.tensor import Tensor
+
+        model = nn.Linear(4, 3, rng=rng)
+        opt = SGD(model.parameters(), lr=0.1, momentum=0.5)
+        before = model.state_dict()
+        snapshot = {k: v.copy() for k, v in before.items()}
+        model(Tensor(rng.standard_normal((5, 4)).astype(np.float32))).sum().backward()
+        opt.step()
+        after = model.state_dict()
+        assert all(not np.array_equal(after[k], snapshot[k]) for k in snapshot)  # it trained
+        for k in snapshot:
+            assert np.array_equal(before[k], snapshot[k]), k
+
+    def test_reset_state_drops_scratch_with_buffers(self, rng):
+        params = self._params(rng)
+        opt = SGD(params, lr=0.05, momentum=0.5)
+        for p, g in zip(params, self._grads(rng, np.float32, transposed=True)):
+            p.grad = g
+        opt.step()
+        assert all(b is not None for b in opt._buffers)
+        assert all(s is not None for s in opt._scratch)
+        opt.reset_state()
+        assert opt._buffers == [None] * len(params)
+        assert opt._scratch == [None] * len(params)
+
+
 class TestAdam:
     def test_first_step_size_is_lr(self):
         p = make_param(0.0)
