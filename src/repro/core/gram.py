@@ -7,10 +7,10 @@ from scratch every round costs O(K²·P); this module maintains it
 *incrementally* instead:
 
 * :meth:`GramTracker.update_row` refreshes one row/column pair in
-  O(K·P) — called as each client upload lands, so under the streaming
-  collect phase the whole-round Gram work hides behind still-running
-  training legs and the server's blocking similarity cost drops to
-  O(K²) algebra;
+  O(n·P), ``n`` the rows landed so far — called as each client upload
+  lands, so under the streaming collect phase the whole-round Gram
+  work hides behind still-running training legs and the server's
+  blocking similarity cost drops to O(K²) algebra;
 * :meth:`GramTracker.cross_aggregated` applies the closed-form
   post-``CrossAggr`` transform.  For ``M' = αM + (1−α)M[co]``::
 
@@ -27,37 +27,71 @@ writer of a tracked row calls it afterwards (``collect``, the fault
 engine's carry, ``screen="carry"`` quarantine, the async landing).
 What the call does depends on where the rows live.
 
-*Local storages* are updated eagerly.  ``update_row`` dots against a
-float64 *image* of the masked rows, not the pool itself: one
-storage-backed ``(K, p_eff)`` float64 buffer per live upload buffer,
-allocated through the pool's own storage (``allocate_like`` —
-file-backed on ``memmap``, sharded on ``sharded``) on the round's
-first upload.  ``update_row(i)`` re-casts row ``i`` only; rows not
-imaged yet are cast on first use — K casts a round, not K².
+*Local storages* dot against a float64 *image* of the masked rows, not
+the pool itself: one storage-backed ``(K, p_eff)`` float64 buffer per
+live upload buffer, allocated through the pool's own storage
+(``allocate_like`` — file-backed on ``memmap``, sharded on ``sharded``)
+on the round's first upload.  The tracker keeps the **reported set**:
+the rows ``update_row`` has been called for since the last
+:meth:`~GramTracker.release`.
+
+* ``update_row(i)`` re-casts row ``i`` — the only cast it ever makes —
+  and dots it against the reported set (itself included), nothing else.
+  Rows that have not landed yet hold last round's contents and would be
+  dotted again when they land, so they are left alone: the ``n``-th
+  landing of a round costs ``n`` dots, a clean sync round
+  ``K(K+1)/2`` dots and ``K`` casts where the matrix has ``K²``
+  entries, and a row written again once everything has landed (a
+  quarantine, a carry) costs ``K``.
+* A **full read** (:attr:`GramTracker.gram`, hence ``norms``,
+  ``similarity``, ``dispersion``, ``cross_aggregated``, ``release``)
+  first *completes* the matrix: every pair (reported since the last
+  completion) × (not reported) that is still missing is dotted now, a
+  never-reported row being cast on demand from the pool's current
+  contents.  After a clean round there is nothing to complete; two
+  reads with no report in between add no dot.  So the Gram at every
+  read is what dotting each reported row against *all* K rows would
+  have produced (the eager schedule the tests keep as their oracle,
+  ``tests/core/_eager_gram.py``).
+* :meth:`GramTracker.select_among` — the async speculation — compares
+  rows of the landed set only, whose pairs are always present, and
+  reads them straight from the stored entries: it never triggers the
+  completion.
+
+:attr:`GramTracker.dots` counts the ``np.dot`` calls made (``updates``
+the reports received) — the work, which no wall-clock hides.
 
 *Reducing storages* (``PoolStorage.reduces_gram`` — ``distributed``)
 are updated lazily and never get an image: ``update_row(i)`` only
-records that row ``i`` is stale, and the next **read** of the Gram
-(:attr:`GramTracker.gram`, hence ``norms``, ``similarity``,
-``select_among``, ``dispersion``, ``cross_aggregated``) asks the
-storage for all stale rows in one ``gram_rows`` exchange.  Because
-every writer reports in, the Gram at any read equals the eager one;
-a caller must not keep the array across a later ``update_row``.
+records that row ``i`` is stale, and the next read of the Gram
+(``select_among`` included) asks the storage for all stale rows in one
+``gram_rows`` exchange; the dots run on the hosts and are not counted
+here.
 
-:meth:`GramTracker.release` says the round's Gram is final: it
-flushes what is stale, then drops the image — before the blend runs,
-so the two never add up in ``peak_rss`` — and the next update
-re-images lazily.
+Either way, because every writer reports in, the Gram at any read is
+the Gram of the pool's current rows wherever a reported row is
+involved; a caller must not keep the array across a later
+``update_row``.
+
+:meth:`GramTracker.release` says the round's Gram is final: it brings
+the matrix up to date, then drops the image and empties the reported
+set — before the blend runs, so the two never add up in ``peak_rss`` —
+and the next update re-images lazily.
 
 Determinism and tolerance contract
 ----------------------------------
-``update_row`` computes each pairwise dot as a single contiguous
-float64 1-D ``np.dot`` over two image rows — the same kernel, operand
-length and summation order regardless of which row updates first, of
-the shard layout and of when a row was imaged, and elementwise products
-commute exactly in IEEE arithmetic — so the fully refreshed Gram is
-**bitwise independent of update order** (streamed completion order vs
-the gathered plan-order schedule).  Against a *fresh* recompute the
+Each pairwise dot is a single contiguous float64 1-D ``np.dot`` over
+two image rows — the same kernel, operand length and summation order
+regardless of which row updates first, of the shard layout and of
+whether the pair was dotted on landing or on read, and elementwise
+products commute exactly in IEEE arithmetic (``np.dot(a, b)`` and
+``np.dot(b, a)`` are the same bits) — so **at equal BLAS thread count**
+the fully refreshed Gram is **bitwise independent of update order**
+(streamed completion order vs the gathered plan-order schedule).
+Across thread counts the last bits of a long dot do differ (a threaded
+level-1 reduction splits the sum — see :mod:`repro.utils.cpu`), which
+is why a run keeps one width from its first dot to its last.  Against
+a *fresh* recompute the
 entries agree to reduction-order round-off: a few ulps of the row-norm
 scale, i.e. ``|G_ij − Ĝ_ij| ≲ c·ε·‖v_i‖·‖v_j‖`` with ε the float64
 epsilon and c a small multiple of log₂P (the property tests pin this
@@ -124,9 +158,13 @@ class GramTracker:
         self.pool = pool
         self.param_keys = set(param_keys) if param_keys is not None else None
         self._gram = gram
-        self.updates = 0  # row updates applied (diagnostic/bench counter)
+        self.updates = 0  # rows reported (diagnostic/bench counter)
+        self.dots = 0  # np.dot calls made here (none on a reducing storage)
         self._image = None  # storage-backed (K, p_eff) float64 masked rows
         self._rows: list[np.ndarray | None] = []  # its row views; None = not cast yet
+        self._mask: np.ndarray | None = None  # column mask of the image; None = all
+        self._reported = np.zeros(k, dtype=bool)  # since the last release()
+        self._incomplete = np.zeros(k, dtype=bool)  # reported, pairs with the rest missing
         self._stale: set[int] = set()  # reducing storages: rows changed since the last read
 
     @classmethod
@@ -143,30 +181,40 @@ class GramTracker:
 
     @property
     def gram(self) -> np.ndarray:
-        """The ``(K, K)`` Gram, brought up to date first (see :meth:`_flush`)."""
+        """The ``(K, K)`` Gram, brought up to date first: a full read."""
         self._flush()
+        self._complete()
         return self._gram
 
     # -- maintenance -------------------------------------------------------
-    def _image_row(self, j: int, mask, recast: bool = False) -> np.ndarray:
-        """Float64 image of masked row ``j``, cast on first use or ``recast``."""
+    def _cast(self, j: int) -> None:
+        """(Re-)image masked row ``j`` from the pool's current contents."""
         out = self._rows[j]
-        if out is None or recast:
-            if out is None:
-                out = self._rows[j] = np.asarray(self._image.row(j))
-            row = self.pool.storage.row(j)
-            out[:] = row if mask is None else row[mask]
-        return out
+        if out is None:
+            out = self._rows[j] = np.asarray(self._image.row(j))
+        row = self.pool.storage.row(j)
+        out[:] = row if self._mask is None else row[self._mask]
+
+    def _dot(self, i: int, cols: np.ndarray) -> None:
+        """Entries ``(i, cols)`` and their mirrors from the image rows."""
+        rows = self._rows
+        vi = rows[i]
+        dots = np.array([np.dot(vi, rows[j]) for j in cols.tolist()])
+        self._gram[i, cols] = dots
+        self._gram[cols, i] = dots
+        self.dots += cols.size
 
     def update_row(self, index: int) -> None:
-        """Refresh row/column ``index`` from the pool's current data.
+        """Row ``index`` changed: refresh its entries from the pool's data.
 
-        O(K·P): re-images row ``index`` (the only cast once the round's
-        image is warm), then one contiguous float64 1-D ``np.dot``
-        against every image row — bitwise independent of update order,
-        storage backend and shard layout (see the module docstring).
-        On a reducing storage the same dots are deferred to the next
-        read of :attr:`gram`.
+        Re-images row ``index`` (the call's only cast), then one
+        contiguous float64 1-D ``np.dot`` against every row reported
+        since the last :meth:`release`, itself included — O(n·P) for
+        the ``n``-th landing; the pairs with rows not reported yet are
+        completed by the next full read.  Bitwise independent of update
+        order, storage backend and shard layout (see the module
+        docstring).  On a reducing storage all dots are deferred to the
+        next read.
         """
         k = len(self)
         if not 0 <= index < k:
@@ -175,15 +223,29 @@ class GramTracker:
         if self.pool.storage.reduces_gram:
             self._stale.add(int(index))
             return
-        mask, masked, p_eff = self.pool._mask_info(self.param_keys)
-        mask = mask if masked else None
         if self._image is None:
+            mask, masked, p_eff = self.pool._mask_info(self.param_keys)
+            self._mask = mask if masked else None
             self._image = self.pool.storage.allocate_like((k, p_eff), np.float64)
             self._rows = [None] * k
-        vi = self._image_row(index, mask, recast=True)
-        dots = np.array([np.dot(vi, self._image_row(j, mask)) for j in range(k)])
-        self._gram[index, :] = dots
-        self._gram[:, index] = dots
+        self._cast(index)
+        self._reported[index] = self._incomplete[index] = True
+        self._dot(index, np.flatnonzero(self._reported))
+
+    def _complete(self) -> None:
+        """Local storages: dot the pairs (reported since the last
+        completion) × (not reported) that ``update_row`` left out."""
+        pending = np.flatnonzero(self._incomplete)
+        if pending.size == 0:
+            return
+        rest = np.flatnonzero(~self._reported)
+        if rest.size:
+            for j in rest.tolist():
+                if self._rows[j] is None:
+                    self._cast(j)
+            for i in pending.tolist():
+                self._dot(i, rest)
+        self._incomplete[:] = False
 
     def _flush(self) -> None:
         """Reducing storages: recompute every row marked since the last
@@ -197,17 +259,19 @@ class GramTracker:
             self._stale.clear()
 
     def release(self) -> None:
-        """The round's Gram is final: flush what is stale, then drop the
-        float64 image (the Gram is kept); the next :meth:`update_row`
-        re-images lazily."""
+        """The round's Gram is final: bring it up to date, then drop the
+        float64 image and the reported set (the Gram is kept); the next
+        :meth:`update_row` re-images lazily."""
         self._flush()
+        self._complete()
         self._image = None
         self._rows = []
+        self._reported[:] = False
 
     def refresh(self) -> None:
         """Rebuild every row through :meth:`update_row` semantics.
 
-        O(K²·P) — the from-scratch cost the incremental path avoids;
+        O(K²·P/2) — the from-scratch cost the incremental path avoids;
         used to (re)base a tracker on a pool whose rows changed outside
         the per-upload update stream.
         """
@@ -242,14 +306,20 @@ class GramTracker:
         :meth:`~repro.core.pool.PoolBuffer.select_collaborators` —
         and an empty candidate set returns ``None``.
         """
-        sims = self.similarity()[index]
-        best: int | None = None
-        best_sim = 0.0
-        for j in sorted(int(c) for c in candidates):
-            if j == index:
-                continue
-            s = float(sims[j])
-            if best is None or (s > best_sim if highest else s < best_sim):
+        self._flush()  # a reducing storage owes its marked rows; no completion
+        cols = sorted({int(c) for c in candidates} - {int(index)})
+        if not cols:
+            return None
+        # Row ``index`` of cosine_from_gram, entry for entry, from the
+        # stored dots of the landed block alone.
+        g = self._gram
+        norms = np.sqrt(np.clip(np.diagonal(g)[cols + [int(index)]], 0.0, None))
+        safe = np.where(norms == 0.0, 1.0, norms)
+        sims = g[index, cols] / (safe[-1] * safe[:-1])
+        sims[(norms[:-1] == 0.0) | (norms[-1] == 0.0)] = 0.0
+        best, best_sim = cols[0], float(sims[0])
+        for j, s in zip(cols[1:], sims[1:].tolist()):
+            if s > best_sim if highest else s < best_sim:
                 best, best_sim = j, s
         return best
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.distributed.host import shard_host_main
 from repro.distributed.rpc import DistributedError, RPCChannel
-from repro.utils.cpu import blas_share
+from repro.utils.cpu import blas_share, reserve_for_children
 
 __all__ = ["HostCluster", "get_cluster", "shutdown_clusters", "DEFAULT_HOSTS"]
 
@@ -104,6 +104,9 @@ class HostCluster:
         if hosts < 1:
             raise ValueError(f"hosts must be >= 1, got {hosts}")
         self.handles = [_HostHandle(i, hosts) for i in range(hosts)]
+        # The coordinator keeps what its hosts leave of the CPU budget
+        # until shutdown(); a failover respawn changes neither side.
+        self._cpu_hold = reserve_for_children(hosts)
         self._buffer_seq = itertools.count()
         self._pool = ThreadPoolExecutor(
             max_workers=hosts, thread_name_prefix="repro-cluster"
@@ -145,15 +148,18 @@ class HostCluster:
         if self._closed:
             return
         self._closed = True
-        for handle in self.handles:
-            if handle.process.is_alive():
-                try:
-                    handle.channel("data").call("shutdown")
-                except DistributedError:
-                    pass
-        for handle in self.handles:
-            handle.close()
-        self._pool.shutdown(wait=False)
+        try:
+            for handle in self.handles:
+                if handle.process.is_alive():
+                    try:
+                        handle.channel("data").call("shutdown")
+                    except DistributedError:
+                        pass
+            for handle in self.handles:
+                handle.close()
+            self._pool.shutdown(wait=False)
+        finally:
+            self._cpu_hold.release()
 
     # -- fan-out helpers ---------------------------------------------------
     def call(self, host: int, op: str, meta=None, arrays=None, blob=None,

@@ -145,7 +145,13 @@ import numpy as np
 from repro.faults.policy import LegFailure
 from repro.fl.hooks import HookSpec, resolve_hook
 from repro.fl.trainer import LocalResult, LocalTrainer
-from repro.utils.cpu import blas_share, blas_threads, limit_blas_threads, usable_cores
+from repro.utils.cpu import (
+    blas_share,
+    blas_threads,
+    limit_blas_threads,
+    reserve_for_children,
+    usable_cores,
+)
 from repro.utils.layout import StateLayout
 from repro.utils.registry import Registry
 
@@ -1139,6 +1145,9 @@ class ProcessExecution(ExecutionBackend):
         super().__init__(spec, clients, workers)
         self._num_workers = _default_workers(workers)
         self._pool: ProcessPoolExecutor | None = None
+        # This process's claim on the CPU budget while the pool lives:
+        # the coordinator keeps what its workers leave (repro.utils.cpu).
+        self._cpu_hold = None
         self._payloads = _PayloadPacker()
         # Free-list of (dispatch, upload) block pairs, one pair per
         # in-flight group: overlapping rounds must not share a pair, or
@@ -1161,12 +1170,24 @@ class ProcessExecution(ExecutionBackend):
             initializer=_worker_init,
             initargs=(self.spec, datasets, blas_share(self._num_workers)),
         )
+        self._cpu_hold = reserve_for_children(self._num_workers)
+
+    def _drop_pool(self) -> None:
+        """Reap the workers, then give their parent its BLAS width back
+        (also when the shutdown is interrupted)."""
+        pool, self._pool = self._pool, None
+        hold, self._cpu_hold = self._cpu_hold, None
+        try:
+            if pool is not None:
+                pool.shutdown(wait=True)
+        finally:
+            if hold is not None:
+                hold.release()
 
     def reserve(self, width: int) -> None:
         width = max(int(width), self._num_workers)
-        if self._pool is not None and width > self._num_workers:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        if width > self._num_workers:
+            self._drop_pool()  # rebuilt, and the budget re-cut, on next use
         self._num_workers = width
 
     def worker_blas_threads(self) -> "int | None":
@@ -1261,10 +1282,8 @@ class ProcessExecution(ExecutionBackend):
         # first, but block/payload unlinking sits in the finally so a
         # KeyboardInterrupt unwinding through shutdown() cannot leak
         # /dev/shm segments until reboot.
-        pool, self._pool = self._pool, None
         try:
-            if pool is not None:
-                pool.shutdown(wait=True)
+            self._drop_pool()
         finally:
             for pair in self._free_pairs:
                 for block in pair:

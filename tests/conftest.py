@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,30 @@ def tiny_config() -> FLConfig:
         seed=7,
         dataset_params={"samples_per_client": 30, "num_test": 120},
     )
+
+
+@pytest.fixture()
+def inherited_blas_threads():
+    """This process's BLAS width with no compute children owned.
+
+    A shard fleet pooled by an earlier test still holds the
+    coordinator's share down (``repro.utils.cpu.reserve_for_children``)
+    until it is shut down; afterwards no hold may be left behind.
+    """
+    from repro.utils import cpu
+
+    def reap_fleets():
+        cluster = sys.modules.get("repro.distributed.cluster")
+        if cluster is not None:
+            cluster.shutdown_clusters()
+        assert not cpu._HOLDS and not cpu._INHERITED
+
+    reap_fleets()
+    width = cpu.blas_threads()
+    if width is None:
+        pytest.skip("no known BLAS loaded in this interpreter")
+    yield width
+    reap_fleets()
 
 
 def _use_gathered_collect(server) -> None:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from _eager_gram import EagerGram
 
 from repro.core.gram import GramTracker
 from repro.core.pool import PoolBuffer, cosine_from_gram
@@ -228,8 +229,9 @@ def _simulate_round(pool, tracker, dispatched, rng):
 
 class TestFloat64Image:
     """``update_row`` dots against a float64 image of the masked rows:
-    ``update_row(i)`` re-casts row ``i`` only, other rows are cast on
-    first use, ``release`` drops the image between rounds."""
+    ``update_row(i)`` re-casts row ``i`` only, a row nobody reported is
+    cast when a read needs it, ``release`` drops the image between
+    rounds."""
 
     @pytest.mark.parametrize("backend", ["dense", "memmap", "sharded"])
     @pytest.mark.parametrize("keys", [None, {"w"}])
@@ -312,3 +314,200 @@ class TestFloat64Image:
             tracemalloc.stop()
         assert tracker.updates == k
         assert peak - base < k * p * 8 / 2
+
+
+class _Both:
+    """The shipped tracker and the eager oracle on one buffer: a write
+    lands once, both are told, and every read compares all K² entries."""
+
+    def __init__(self, pool, keys=None, gram=None):
+        self.pool = pool
+        self.new = GramTracker(pool, param_keys=keys, gram=gram)
+        self.old = EagerGram(pool, param_keys=keys, gram=gram)
+
+    def land(self, row, state=None):
+        if state is not None:
+            self.pool.set_state(row, state)
+        self.new.update_row(row)
+        self.old.update_row(row)
+
+    def read(self):
+        np.testing.assert_array_equal(self.new.gram, self.old.gram)
+
+    def release(self):
+        self.new.release()
+        self.old.release()
+
+
+class TestAgainstEagerOracle:
+    """The reported-set tracker's Gram equals the eager schedule's at
+    every read, bit for bit, for half the dots."""
+
+    @pytest.mark.parametrize("backend", ["dense", "memmap", "sharded"])
+    @pytest.mark.parametrize("keys", [None, {"w"}])
+    def test_two_rounds_on_one_buffer_in_random_landing_order(self, rng, backend, keys):
+        k = 6
+        pool = PoolBuffer.from_states(
+            [_upload(rng, np.float32) for _ in range(k)], dtype=np.float32,
+            backend=backend,
+        )
+        both = _Both(pool, keys)
+        for round_idx in range(2):
+            before = both.new.dots
+            for row in rng.permutation(k):
+                both.land(int(row), _upload(rng, np.float32))
+            both.read()
+            assert both.new.dots - before == k * (k + 1) // 2  # not K²
+            both.release()
+            both.read()  # the final Gram survives the image
+        assert both.new.updates == 2 * k
+        assert both.old.dots == 2 * k * k
+
+    def test_row_landing_twice(self, rng):
+        """A retry / redispatch rewrites a landed row: it is dotted again
+        against what has landed, and nothing more."""
+        pool = make_pool(k=5, rng=rng, dtype=np.float32)
+        both = _Both(pool)
+        for row in (3, 0, 3, 4):
+            both.land(row, _upload(rng, np.float32))
+        assert both.new.dots == 1 + 2 + 2 + 3
+        both.read()
+        for row in (1, 2, 0):
+            both.land(row, _upload(rng, np.float32))
+        both.read()
+
+    def test_read_mid_round_completes_then_more_landings(self, rng):
+        """Rows 1 and 4 are never reported before the first read: the
+        read dots them (cast on demand) against what landed; landings
+        after it are completed by the second read."""
+        k = 6
+        seeded = rng.standard_normal((k, k))
+        pool = make_pool(k=k, rng=rng, dtype=np.float32)
+        both = _Both(pool, gram=seeded + seeded.T)
+        for row in (2, 5, 0):
+            both.land(row, _upload(rng, np.float32))
+        assert both.new.dots == 1 + 2 + 3
+        both.read()
+        assert both.new.dots == 6 + 3 * 3  # (landed) × (1, 3, 4)
+        both.read()
+        assert both.new.dots == 15, "nothing reported in between: no dot"
+        # Pairs nobody reported keep the values the tracker was born with.
+        assert both.new.gram[1, 4] == (seeded + seeded.T)[1, 4]
+        both.land(3, _upload(rng, np.float32))  # against 2, 5, 0 and itself
+        both.land(2, _upload(rng, np.float32))  # again: against 5, 0, 3 and itself
+        assert both.new.dots == 15 + 4 + 4
+        both.read()
+        assert both.new.dots == 23 + 2 * 2  # rows 3 and 2 × the never-reported 1, 4
+        both.land(1, _upload(rng, np.float32))
+        both.land(4, _upload(rng, np.float32))
+        both.read()
+        assert both.new.dots == 27 + 5 + 6
+
+    def test_quarantine_after_a_full_read_costs_k_dots(self, rng):
+        k = 5
+        dispatched = [_upload(rng, np.float32) for _ in range(k)]
+        pool = PoolBuffer.from_states(dispatched, dtype=np.float32)
+        both = _Both(pool, keys={"w"})
+        for row in rng.permutation(k):
+            both.land(int(row), _upload(rng, np.float32))
+        both.read()  # the screen scores this Gram ...
+        clean = both.new.dots
+        assert clean == k * (k + 1) // 2
+        for n, row in enumerate((3, 1), start=1):  # ... and carries two rows
+            both.land(row, dispatched[row])
+            assert both.new.dots == clean + n * k
+        both.read()
+        assert both.new.dots == clean + 2 * k
+
+    @pytest.mark.parametrize("keys", [None, {"b"}])
+    def test_refresh_is_triangular(self, rng, keys):
+        k = 7
+        pool = make_pool(k=k, rng=rng, dtype=np.float32)
+        both = _Both(pool, keys)
+        both.new.refresh()
+        both.old.refresh()
+        both.read()
+        assert both.new.dots == k * (k + 1) // 2
+        assert both.new._image is None and not both.new._reported.any()
+        # A warm image and a row reported before it change no bit.
+        both.land(2, _upload(rng, np.float32))
+        both.pool.set_state(5, _upload(rng, np.float32))  # unreported: refresh's job
+        both.new.refresh()
+        both.old.refresh()
+        both.read()
+
+
+def _loop_select_among(tracker, index, candidates, highest):
+    """``select_among`` as it was: a scan of ``similarity()[index]``."""
+    sims = tracker.similarity()[index]
+    best, best_sim = None, 0.0
+    for j in sorted(int(c) for c in candidates):
+        if j == index:
+            continue
+        s = float(sims[j])
+        if best is None or (s > best_sim if highest else s < best_sim):
+            best, best_sim = j, s
+    return best
+
+
+class TestSelectAmong:
+    """The speculative selector reads one row of the landed block."""
+
+    @pytest.mark.parametrize("highest", [True, False])
+    def test_picks_what_the_full_cosine_row_picked(self, rng, highest):
+        pool = make_pool(k=7, rng=rng)
+        for _ in range(20):
+            a = rng.standard_normal((7, 9))
+            tracker = GramTracker(pool, gram=a @ a.T)
+            index = int(rng.integers(7))
+            candidates = [int(c) for c in rng.permutation(7)[: int(rng.integers(1, 7))]]
+            assert tracker.select_among(index, candidates, highest) == (
+                _loop_select_among(tracker, index, candidates, highest)
+            )
+
+    @pytest.mark.parametrize("highest", [True, False])
+    def test_ties_resolve_to_the_lowest_index(self, rng, highest):
+        v = rng.standard_normal(9)
+        # Scaling by two is exact, so rows 1, 2, 4 tie bit for bit.
+        a = np.stack([v, 2 * v, 2 * v, rng.standard_normal(9), 2 * v])
+        tracker = GramTracker(make_pool(k=5, rng=rng), gram=a @ a.T)
+        sims = tracker.similarity()[0]
+        assert sims[1] == sims[2] == sims[4]
+        assert tracker.select_among(0, [4, 2, 1], highest) == 1
+        assert _loop_select_among(tracker, 0, [4, 2, 1], highest) == 1
+        assert tracker.select_among(0, [4, 2], highest) == 2
+
+    def test_zero_norm_rows_score_zero(self, rng):
+        a = rng.standard_normal((4, 6))
+        a[1] = 0.0
+        a[3] = -a[0]
+        tracker = GramTracker(make_pool(k=4, rng=rng), gram=a @ a.T)
+        # cos(0, 3) = -1 < cos(0, 1) := 0: the zero row is the *highest*.
+        assert tracker.select_among(0, [1, 3], highest=True) == 1
+        assert tracker.select_among(0, [1, 3], highest=False) == 3
+        # A zero-norm asker ties everything at 0: lowest index.
+        assert tracker.select_among(1, [3, 2, 0], highest=True) == 0
+        for highest in (True, False):
+            for index in range(4):
+                cands = [c for c in range(4) if c != index]
+                assert tracker.select_among(index, cands, highest) == (
+                    _loop_select_among(tracker, index, cands, highest)
+                )
+
+    def test_empty_candidates_and_self_only(self, rng):
+        tracker = GramTracker.from_pool(make_pool(k=3, rng=rng))
+        assert tracker.select_among(0, []) is None
+        assert tracker.select_among(2, [2]) is None
+
+    def test_reads_the_landed_block_without_completing(self, rng):
+        k = 6
+        pool = make_pool(k=k, rng=rng, dtype=np.float32)
+        both = _Both(pool)
+        for row in (4, 1, 3):
+            both.land(row, _upload(rng, np.float32))
+        before = both.new.dots
+        assert before == 6
+        got = both.new.select_among(4, {1, 3}, highest=False)
+        assert both.new.dots == before and both.new._incomplete.any()
+        sims = cosine_from_gram(both.old.gram)[4]
+        assert got == (1 if sims[1] <= sims[3] else 3)

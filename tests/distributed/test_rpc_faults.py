@@ -30,6 +30,13 @@ def cluster():
     return get_cluster(2)
 
 
+def _unheld_blas_threads():
+    """The coordinator's BLAS width with no fleet owned — what a host's
+    share is cut from; ``cpu.blas_threads()`` reads the coordinator's
+    own reduced share while a cluster is live."""
+    return max((width for _set, width in cpu._INHERITED), default=cpu.blas_threads())
+
+
 @pytest.fixture()
 def chan(cluster):
     return cluster.handles[0].channel("data")
@@ -121,13 +128,16 @@ class TestFailover:
             storage.note_remote_write(0)
             budget = cluster.call(0, "stats")[0]["blas_threads"]
             if budget is not None:
-                assert budget == min(cpu.blas_threads(), cpu.blas_share(2))
+                assert budget == min(_unheld_blas_threads(), cpu.blas_share(2))
+            coordinator = cpu.blas_threads()
             cluster.handles[0].process.kill()
             cluster.handles[0].process.join(timeout=5.0)
             assert storage.ensure_fleet() == [0]
             assert storage.lost_rows() == [0]
-            # The replacement runs on the CPU budget the original had.
+            # The replacement runs on the CPU budget the original had,
+            # and the respawn moved the coordinator's share neither way.
             assert cluster.call(0, "stats")[0]["blas_threads"] == budget
+            assert cpu.blas_threads() == coordinator
             # Reading the lost row is refused — never a stale state.
             with pytest.raises(DistributedError, match="lost"):
                 storage.row_block(0, 2)
@@ -165,3 +175,89 @@ class TestIdempotentTeardown:
         assert not first.alive()
         second = get_cluster(1)
         assert second is not first and second.alive()
+
+
+class TestCoordinatorShare:
+    """While a fleet is owned the coordinator's BLAS pool holds what the
+    hosts leave (``repro.utils.cpu.reserve_for_children``); the width
+    it had comes back when the last fleet is shut down."""
+
+    @pytest.fixture()
+    def inherited(self, inherited_blas_threads, monkeypatch):
+        monkeypatch.setattr(cpu, "usable_cores", lambda: 8)
+        return inherited_blas_threads
+
+    def test_held_while_a_cluster_lives_and_restored_by_shutdown(self, inherited):
+        cluster = HostCluster(3)  # hosts 2 threads each: 8 - 6 = 2 left
+        try:
+            assert cpu.blas_threads() == min(inherited, 2)
+            assert cluster.call(1, "stats")[0]["blas_threads"] == min(inherited, 2)
+        finally:
+            cluster.shutdown()
+        assert cpu.blas_threads() == inherited
+        cluster.shutdown()  # the no-op second shutdown restores nothing twice
+        assert cpu.blas_threads() == inherited
+
+    def test_failover_respawn_moves_neither_share(self, inherited):
+        """The replacement host is forked from a coordinator that is
+        down to one thread; its share is still cut from the full width."""
+        cluster = HostCluster(2)  # 4 threads each (at most), 1 left
+        try:
+            assert cpu.blas_threads() == 1
+            budget = cluster.call(0, "stats")[0]["blas_threads"]
+            assert budget == min(inherited, 4)
+            cluster.handles[0].process.kill()
+            cluster.handles[0].process.join(timeout=5.0)
+            assert cluster.recover() == [0]
+            assert cluster.call(0, "stats")[0]["blas_threads"] == budget
+            assert cpu.blas_threads() == 1
+        finally:
+            cluster.shutdown()
+        assert cpu.blas_threads() == inherited
+
+    def test_pooled_clusters_hold_the_minimum_until_shutdown_clusters(self, inherited):
+        get_cluster(3)
+        assert cpu.blas_threads() == min(inherited, 2)
+        two = get_cluster(2)  # 4 threads each: nothing left, so 1
+        assert cpu.blas_threads() == 1
+        # A dead pooled fleet is replaced: its claim goes and comes back.
+        two.handles[0].process.kill()
+        two.handles[0].process.join(timeout=5.0)
+        replacement = get_cluster(2)
+        assert replacement is not two
+        assert cpu.blas_threads() == 1
+        assert replacement.call(1, "stats")[0]["blas_threads"] == min(inherited, 4)
+        shutdown_clusters()
+        assert cpu.blas_threads() == inherited
+
+    def test_shutdown_that_raises_still_restores(self, inherited, monkeypatch):
+        cluster = HostCluster(2)
+        assert cpu.blas_threads() == 1
+        handle = cluster.handles[1]
+        close = handle.close
+
+        def broken():
+            raise OSError("socket teardown failed")
+
+        monkeypatch.setattr(handle, "close", broken)
+        try:
+            with pytest.raises(OSError, match="teardown"):
+                cluster.shutdown()
+            assert cpu.blas_threads() == inherited
+        finally:
+            close()
+
+    def test_inherited_operator_cap_stays(self, inherited):
+        pools = [(set_threads, int(get())) for set_threads, get in cpu._controls()]
+        cpu.limit_blas_threads(1)  # as OPENBLAS_NUM_THREADS=1 would have
+        try:
+            cluster = HostCluster(3)
+            try:
+                assert cpu.blas_threads() == 1
+                assert cluster.call(0, "stats")[0]["blas_threads"] == 1
+            finally:
+                cluster.shutdown()
+            assert cpu.blas_threads() == 1  # nothing widens
+        finally:
+            for set_threads, before in pools:
+                set_threads(before)

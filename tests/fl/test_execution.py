@@ -697,6 +697,103 @@ class TestCpuBudget:
         finally:
             backend.close()
 
+    def test_coordinator_holds_what_the_workers_leave_until_close(
+        self, tiny_config, monkeypatch, inherited_blas_threads
+    ):
+        inherited = inherited_blas_threads
+        monkeypatch.setattr(cpu, "usable_cores", lambda: 8)
+        backend = self._backend(tiny_config, workers=3)
+        try:
+            assert cpu.blas_threads() == inherited  # no pool yet: nothing owned
+            assert backend.worker_blas_threads() == min(inherited, 2)
+            assert cpu.blas_threads() == min(inherited, 8 - 3 * 2)
+            backend.reserve(2)  # not wider: same pool, same budget
+            assert cpu.blas_threads() == min(inherited, 2)
+            backend.reserve(8)  # rebuilt: 8 one-thread workers leave nothing
+            assert cpu.blas_threads() == inherited  # ... once they exist
+            assert backend.worker_blas_threads() == 1
+            assert cpu.blas_threads() == 1
+        finally:
+            backend.close()
+        assert cpu.blas_threads() == inherited
+        backend.close()  # idempotent
+        assert cpu.blas_threads() == inherited
+
+    def test_a_fit_that_raises_gives_the_width_back_on_close(
+        self, tiny_config, monkeypatch, inherited_blas_threads
+    ):
+        inherited = inherited_blas_threads
+        from repro.faults import QuorumError
+
+        monkeypatch.setattr(cpu, "usable_cores", lambda: 8)
+        sim = FLSimulation(tiny_config.replace(
+            method="fedcross", execution="process", workers=2,
+            faults={"dropout": 0.5}, failure_policy="carry", quorum=1.0,
+        ))
+        backend = sim.server.executor.backend
+        try:
+            with pytest.raises(QuorumError):
+                sim.server.fit()
+            assert backend._pool is not None, "a leg ran before the breach"
+            assert cpu.blas_threads() == 1  # 8 - 2 * 4 leaves nothing
+        finally:
+            sim.server.executor.close()
+        assert cpu.blas_threads() == inherited
+        # FLSimulation.run closes on the way out of the same exception.
+        sim = FLSimulation(sim.config)
+        with pytest.raises(QuorumError):
+            sim.run()
+        assert sim.server.executor.backend._pool is None
+        assert cpu.blas_threads() == inherited
+
+    def test_close_interrupted_mid_shutdown_still_restores(
+        self, tiny_config, monkeypatch, inherited_blas_threads
+    ):
+        inherited = inherited_blas_threads
+        monkeypatch.setattr(cpu, "usable_cores", lambda: 8)
+        backend = self._backend(tiny_config, workers=2)
+        backend.worker_blas_threads()
+        assert cpu.blas_threads() == 1
+        pool = backend._pool
+
+        def interrupted(wait=True):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pool, "shutdown", interrupted)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                backend.close()
+            assert cpu.blas_threads() == inherited
+        finally:
+            monkeypatch.undo()
+            pool.shutdown(wait=True)
+
+    def test_both_owners_hold_the_minimum_and_the_last_release_restores(
+        self, tiny_config, monkeypatch, inherited_blas_threads
+    ):
+        """Distributed storage + process execution: the fleet and the
+        worker pool each hold a claim; closing one changes nothing."""
+        inherited = inherited_blas_threads
+        from repro.distributed.cluster import get_cluster, shutdown_clusters
+
+        monkeypatch.setattr(cpu, "usable_cores", lambda: 8)
+        try:
+            cluster = get_cluster(3)  # leaves 8 - 3 * 2 = 2
+            assert cpu.blas_threads() == min(inherited, 2)
+            backend = self._backend(tiny_config, workers=2)  # leaves 0 -> 1
+            try:
+                # Forked under the fleet's hold, cut from the full width.
+                assert backend.worker_blas_threads() == min(inherited, 4)
+                assert cpu.blas_threads() == 1
+                budget = cluster.call(0, "stats")[0]["blas_threads"]
+                assert budget == min(inherited, 2)
+            finally:
+                backend.close()
+            assert cpu.blas_threads() == 1, "the fleet is still owned"
+        finally:
+            shutdown_clusters()
+        assert cpu.blas_threads() == inherited
+
     def test_inherited_operator_cap_wins_over_a_wider_share(self):
         """A worker started under ``OPENBLAS_NUM_THREADS=1`` on an
         8-core budget (share 4) still runs one BLAS thread."""

@@ -156,6 +156,37 @@ class TestAsyncEquivalence:
         assert total_blends > 0
         assert matrix is not None and np.isfinite(matrix).all()
 
+    def test_speculative_landing_dots_the_landed_block_only(self, monkeypatch):
+        """A landing under S=2 costs |landed| dots — the new row against
+        what its round has landed, itself included — never K, and the
+        speculative selector that follows it adds none."""
+        from repro.core.gram import GramTracker
+
+        landings, selections = [], []
+        update_row, select_among = GramTracker.update_row, GramTracker.select_among
+
+        def spy_update(tracker, index):
+            before = tracker.dots
+            update_row(tracker, index)
+            landings.append((tracker.dots - before, int(tracker._reported.sum())))
+
+        def spy_select(tracker, index, candidates, highest=True):
+            before = tracker.dots
+            picked = select_among(tracker, index, candidates, highest)
+            selections.append(tracker.dots - before)
+            return picked
+
+        monkeypatch.setattr(GramTracker, "update_row", spy_update)
+        monkeypatch.setattr(GramTracker, "select_among", spy_select)
+        k = BASE["num_clients"]
+        _run(_config(round_mode="async", max_staleness=2, execution="thread", workers=2))
+        assert len(landings) == BASE["rounds"] * k
+        assert all(dots == landed for dots, landed in landings)
+        assert sorted(landed for _dots, landed in landings) == sorted(
+            list(range(1, k + 1)) * BASE["rounds"]
+        )
+        assert selections and not any(selections)
+
     FAULTY = dict(
         num_clients=8,
         participation=0.5,

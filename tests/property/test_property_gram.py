@@ -1,6 +1,6 @@
 """Hypothesis tests: the incremental Gram engine (ISSUE 4).
 
-Three guarantees, matching the tolerances documented in
+Four guarantees, matching the tolerances documented in
 :mod:`repro.core.gram`:
 
 (a) a tracker refreshed row by row — in *any* update order — matches a
@@ -15,11 +15,18 @@ Three guarantees, matching the tolerances documented in
     (both 1-D collaborator vectors and 2-D propeller matrices);
 (c) Gram-driven diagnostics (dispersion) agree with the streamed
     cancellation-safe recompute away from the degenerate converged
-    regime.
+    regime;
+(d) at every read — mid-round, after a release, after a row landed
+    twice — the Gram equals the one the *eager* schedule (each landing
+    dotted against all K rows, ``tests/core/_eager_gram.py``) holds,
+    bit for bit.
 
 Streamed-vs-gathered collect equivalence for full FL rounds lives in
 ``tests/fl/test_streaming.py`` (all seven methods, per backend).
 """
+
+import os
+import sys
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -27,6 +34,10 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.gram import GramTracker
 from repro.core.pool import PoolBuffer
+
+# The eager schedule (K dots a landing), the oracle of TestEagerOracle.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "core"))
+from _eager_gram import EagerGram  # noqa: E402
 
 finite = st.floats(
     min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False, width=32
@@ -141,6 +152,42 @@ class TestIncrementalMatchesFresh:
         tracker = GramTracker.from_pool(buf, param_keys=keys)
         fresh_gram = buf.gram_matrix(param_keys=keys)
         np.testing.assert_allclose(tracker.gram, fresh_gram, **_tol(fresh_gram))
+
+
+class TestEagerOracle:
+    @given(
+        pool=pools(min_k=3),
+        keys=masks,
+        backend=st.sampled_from(["dense", "memmap", "sharded"]),
+        script=st.lists(
+            st.one_of(st.integers(0, 5), st.sampled_from(["read", "release"])),
+            min_size=4, max_size=24,
+        ),
+        seed=st.integers(0, 1_000),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_any_script_reads_the_eager_gram(self, pool, keys, backend, script, seed):
+        """Landings in any order (a row may land twice, or never),
+        reads mid-round and ``release`` anywhere: at every read the
+        reported-set tracker holds the eager schedule's bits, having
+        made no more dots than it."""
+        rng = np.random.default_rng(seed)
+        buf = PoolBuffer.from_states(pool, dtype=np.float32, backend=backend)
+        k = len(buf)
+        new = GramTracker(buf, param_keys=keys)
+        old = EagerGram(buf, param_keys=keys)
+        for step in script + ["read"]:
+            if step == "read":
+                np.testing.assert_array_equal(new.gram, old.gram)
+                assert new.dots <= old.dots
+            elif step == "release":
+                new.release()
+                old.release()
+            else:
+                row = step % k
+                buf.row(row)[:] = rng.standard_normal(buf.num_scalars)
+                new.update_row(row)
+                old.update_row(row)
 
 
 class TestClosedFormCrossAggregate:

@@ -160,3 +160,102 @@ class TestCpuBudget:
         # Each pool is capped on its own: the narrow one is not widened,
         # and a non-BLAS pool is not ours to touch.
         assert [lib.threads for lib in libs] == [4, 2, 16]
+
+
+def _child_reports_blas_threads(conn):
+    conn.send(cpu.blas_threads())
+    conn.close()
+
+
+class TestChildrenHold:
+    """``reserve_for_children``: while a process owns compute children
+    its own BLAS pools hold ``max(1, cores - peers * share)``; the last
+    release restores the width the first hold found."""
+
+    def test_coordinator_share_is_what_the_children_leave(self, monkeypatch):
+        monkeypatch.setattr(cpu, "usable_cores", lambda: 8)
+        # peers -> (each child's share, the parent's)
+        assert [(cpu.blas_share(n), cpu.coordinator_share(n)) for n in (1, 2, 3, 5, 16)] == [
+            (8, 1), (4, 1), (2, 2), (1, 3), (1, 1),
+        ]
+        monkeypatch.setattr(cpu, "usable_cores", lambda: 2)
+        assert [cpu.coordinator_share(n) for n in (1, 2, 3)] == [1, 1, 1]
+        assert cpu.coordinator_share(0) == 2  # owns nothing: the whole pool
+
+    def test_hold_caps_and_release_restores(
+        self, restore_blas_threads, inherited_blas_threads, monkeypatch
+    ):
+        inherited = inherited_blas_threads
+        monkeypatch.setattr(cpu, "usable_cores", lambda: 8)
+        hold = cpu.reserve_for_children(3)  # leaves 8 - 3 * 2 = 2
+        assert cpu.blas_threads() == min(inherited, 2)
+        hold.release()
+        assert cpu.blas_threads() == inherited
+        hold.release()  # idempotent, and never a second restore
+        cpu.limit_blas_threads(1)
+        hold.release()
+        assert cpu.blas_threads() == 1
+
+    def test_two_owners_hold_the_minimum_until_the_last_release(
+        self, inherited_blas_threads, monkeypatch
+    ):
+        inherited = inherited_blas_threads
+        monkeypatch.setattr(cpu, "usable_cores", lambda: 8)
+        wide = cpu.reserve_for_children(3)  # 2
+        narrow = cpu.reserve_for_children(2)  # 1
+        assert cpu.blas_threads() == 1
+        narrow.release()
+        assert cpu.blas_threads() == 1, "nothing widens while an owner is live"
+        again = cpu.reserve_for_children(3)
+        assert cpu.blas_threads() == 1
+        wide.release()
+        assert cpu.blas_threads() == 1
+        again.release()
+        assert cpu.blas_threads() == inherited
+        assert not cpu._HOLDS and not cpu._INHERITED
+
+    def test_an_inherited_operator_cap_is_never_widened(
+        self, restore_blas_threads, inherited_blas_threads, monkeypatch
+    ):
+        cpu.limit_blas_threads(1)  # as OPENBLAS_NUM_THREADS=1 would have
+        monkeypatch.setattr(cpu, "usable_cores", lambda: 8)
+        hold = cpu.reserve_for_children(3)  # would leave 2
+        assert cpu.blas_threads() == 1
+        hold.release()
+        assert cpu.blas_threads() == 1
+
+    def test_a_hold_on_an_unknown_blas_is_a_noop(self, inherited_blas_threads, monkeypatch):
+        monkeypatch.setattr(cpu, "_mapped_blas_paths", lambda: [])
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # ImportError
+        hold = cpu.reserve_for_children(2)
+        assert cpu.blas_threads() is None and not cpu._INHERITED
+        hold.release()
+        assert not cpu._HOLDS
+
+    def test_a_forked_child_starts_from_the_inherited_width(
+        self, inherited_blas_threads, monkeypatch
+    ):
+        """The hold is the parent's: a worker or host forked while it is
+        live (a failover respawn) cuts its share from the full width."""
+        import multiprocessing
+
+        inherited = inherited_blas_threads
+        if not hasattr(os, "register_at_fork"):
+            pytest.skip("needs fork")
+        monkeypatch.setattr(cpu, "usable_cores", lambda: 8)
+        hold = cpu.reserve_for_children(2)
+        try:
+            assert cpu.blas_threads() == 1
+            ctx = multiprocessing.get_context("fork")
+            parent, child = ctx.Pipe()
+            proc = ctx.Process(target=_child_reports_blas_threads, args=(child,))
+            proc.start()
+            child.close()
+            assert parent.poll(30.0)
+            assert parent.recv() == inherited
+            proc.join(timeout=10.0)
+            assert not proc.is_alive()
+            assert cpu.blas_threads() == 1  # the parent's hold is untouched
+        finally:
+            hold.release()
+        assert cpu.blas_threads() == inherited
