@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from repro.core.aggregation import cross_aggregate
 from repro.utils.params import flatten_state_dict
@@ -36,6 +35,8 @@ def inverse_t_envelope_fit(losses: Sequence[float], f_star: float = 0.0) -> dict
     log-space; R^2 close to 1 means the measured curve is consistent
     with Theorem 1's O(1/t) rate.
     """
+    from scipy.optimize import curve_fit  # loaded on use: importing the experiments stays scipy-free
+
     gaps = np.asarray(losses, dtype=np.float64) - f_star
     if (gaps <= 0).any():
         raise ValueError("losses must stay above f_star for an envelope fit")

@@ -22,7 +22,6 @@ backends pack into).
 from __future__ import annotations
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
 
 from repro.fl.client import Client
 from repro.fl.registry import register_method
@@ -47,6 +46,8 @@ class CluSampServer(FederatedServer):
     # -- clustering --------------------------------------------------------
     def _cluster_assignments(self, k: int) -> list[list[int]]:
         """Partition client ids into up to ``k`` groups by update similarity."""
+        from scipy.cluster.vq import kmeans2  # this method's dependency alone, loaded by its runs
+
         known = sorted(self._updates)
         unknown = [c.client_id for c in self.clients if c.client_id not in self._updates]
         if len(known) < 2 * k:

@@ -63,17 +63,9 @@ def _partition(
 
 
 def _build_image(
-    name: str,
-    num_classes: int,
-    num_clients: int,
-    heterogeneity: str | float,
-    seed: int,
-    samples_per_client: int,
-    image_shape: tuple[int, int, int],
-    noise: float,
-    num_test: int,
-    basis_rank: int | None,
-    label_noise: float,
+    name: str, num_classes: int, num_clients: int, heterogeneity: str | float, seed: int,
+    samples_per_client: int, image_shape: tuple[int, int, int], noise: float, num_test: int,
+    basis_rank: int | None, label_noise: float,
 ) -> FederatedDataset:
     rng = np.random.default_rng(seed + 1)
     train, test = make_synthetic_image_data(
@@ -97,66 +89,62 @@ def _build_image(
     )
 
 
-def _build_synth_cifar10(num_clients, heterogeneity, seed, **kw) -> FederatedDataset:
+def _build_synth_cifar10(
+    num_clients, heterogeneity, seed, *, samples_per_client=40, image_shape=(3, 8, 8),
+    noise=1.0, num_test=400, basis_rank=None, label_noise=0.35,
+) -> FederatedDataset:
     return _build_image(
-        "synth_cifar10",
-        num_classes=10,
-        num_clients=num_clients,
-        heterogeneity=heterogeneity,
-        seed=seed,
-        samples_per_client=kw.get("samples_per_client", 40),
-        image_shape=kw.get("image_shape", (3, 8, 8)),
-        noise=kw.get("noise", 1.0),
-        num_test=kw.get("num_test", 400),
-        basis_rank=kw.get("basis_rank", None),
-        label_noise=kw.get("label_noise", 0.35),
+        "synth_cifar10", 10, num_clients, heterogeneity, seed, samples_per_client,
+        image_shape, noise, num_test, basis_rank, label_noise,
     )
 
 
-def _build_synth_cifar100(num_clients, heterogeneity, seed, **kw) -> FederatedDataset:
+def _build_synth_cifar100(
+    num_clients, heterogeneity, seed, *, num_classes=100, samples_per_client=60,
+    image_shape=(3, 8, 8), noise=1.0, num_test=600, basis_rank=None, label_noise=0.45,
+) -> FederatedDataset:
     # CIFAR-100's difficulty: 10x the classes at the same sample budget.
     return _build_image(
-        "synth_cifar100",
-        num_classes=kw.get("num_classes", 100),
-        num_clients=num_clients,
-        heterogeneity=heterogeneity,
-        seed=seed,
-        samples_per_client=kw.get("samples_per_client", 60),
-        image_shape=kw.get("image_shape", (3, 8, 8)),
-        noise=kw.get("noise", 1.0),
-        num_test=kw.get("num_test", 600),
-        basis_rank=kw.get("basis_rank", None),
-        label_noise=kw.get("label_noise", 0.45),
+        "synth_cifar100", num_classes, num_clients, heterogeneity, seed, samples_per_client,
+        image_shape, noise, num_test, basis_rank, label_noise,
     )
 
 
-def _build_synth_femnist(num_clients, heterogeneity, seed, **kw) -> FederatedDataset:
+def _build_synth_femnist(
+    num_clients, heterogeneity, seed, *, num_classes=10, samples_per_writer_mean=60.0,
+    image_shape=(1, 8, 8), noise=0.6, num_test=400,
+) -> FederatedDataset:
     clients, test = make_synthetic_femnist(
         num_writers=num_clients,
-        num_classes=kw.get("num_classes", 10),
-        samples_per_writer_mean=kw.get("samples_per_writer_mean", 60.0),
-        image_shape=kw.get("image_shape", (1, 8, 8)),
-        noise=kw.get("noise", 0.6),
-        num_test=kw.get("num_test", 400),
+        num_classes=num_classes,
+        samples_per_writer_mean=samples_per_writer_mean,
+        image_shape=image_shape,
+        noise=noise,
+        num_test=num_test,
         seed=seed,
     )
     return FederatedDataset(
         name="synth_femnist",
         clients=clients,
         test=test,
-        num_classes=kw.get("num_classes", 10),
+        num_classes=num_classes,
         heterogeneity="natural",
-        meta={"image_shape": kw.get("image_shape", (1, 8, 8))},
+        meta={"image_shape": image_shape},
     )
 
 
-def _build_synth_shakespeare(num_clients, heterogeneity, seed, **kw) -> FederatedDataset:
+def _build_synth_shakespeare(
+    num_clients, heterogeneity, seed, *, vocab_size=30, seq_len=10, samples_per_client=120,
+    client_deviation=0.5, num_test=400, concentration=0.3,
+) -> FederatedDataset:
     clients, test, vocab = make_synthetic_chars(
         num_clients=num_clients,
-        vocab_size=kw.get("vocab_size", 30),
-        seq_len=kw.get("seq_len", 10),
-        samples_per_client=kw.get("samples_per_client", 120),
-        num_test=kw.get("num_test", 400),
+        vocab_size=vocab_size,
+        seq_len=seq_len,
+        samples_per_client=samples_per_client,
+        client_deviation=client_deviation,
+        num_test=num_test,
+        concentration=concentration,
         seed=seed,
     )
     return FederatedDataset(
@@ -165,17 +153,20 @@ def _build_synth_shakespeare(num_clients, heterogeneity, seed, **kw) -> Federate
         test=test,
         num_classes=vocab,
         heterogeneity="natural",
-        meta={"vocab_size": vocab, "seq_len": kw.get("seq_len", 10)},
+        meta={"vocab_size": vocab, "seq_len": seq_len},
     )
 
 
-def _build_synth_sent140(num_clients, heterogeneity, seed, **kw) -> FederatedDataset:
+def _build_synth_sent140(
+    num_clients, heterogeneity, seed, *, vocab_size=60, seq_len=8, samples_per_user_mean=50.0,
+    num_test=400,
+) -> FederatedDataset:
     users, test, vocab = make_synthetic_sentiment(
         num_users=num_clients,
-        vocab_size=kw.get("vocab_size", 60),
-        seq_len=kw.get("seq_len", 8),
-        samples_per_user_mean=kw.get("samples_per_user_mean", 50.0),
-        num_test=kw.get("num_test", 400),
+        vocab_size=vocab_size,
+        seq_len=seq_len,
+        samples_per_user_mean=samples_per_user_mean,
+        num_test=num_test,
         seed=seed,
     )
     return FederatedDataset(
@@ -184,7 +175,7 @@ def _build_synth_sent140(num_clients, heterogeneity, seed, **kw) -> FederatedDat
         test=test,
         num_classes=2,
         heterogeneity="natural",
-        meta={"vocab_size": vocab, "seq_len": kw.get("seq_len", 8)},
+        meta={"vocab_size": vocab, "seq_len": seq_len},
     )
 
 
@@ -215,8 +206,16 @@ def build_federated_dataset(
         ``"iid"`` or a Dirichlet β (float). Ignored by the naturally
         non-IID datasets (femnist / shakespeare / sent140), matching the
         paper's "−" heterogeneity entries for those rows.
+    **kwargs:
+        Generator parameters of that dataset (the keyword-only
+        parameters of its builder); any other key is a ``ValueError``.
     """
     key = name.lower()
     if key not in DATASET_BUILDERS:
         raise KeyError(f"unknown dataset {name!r}; available: {sorted(DATASET_BUILDERS)}")
-    return DATASET_BUILDERS[key](num_clients, heterogeneity, seed, **kwargs)
+    builder = DATASET_BUILDERS[key]
+    accepted = sorted(builder.__kwdefaults__)  # the builder's keyword-only parameters
+    for param in kwargs:
+        if param not in accepted:
+            raise ValueError(f"unknown {key} parameter {param!r}; accepted: {accepted}")
+    return builder(num_clients, heterogeneity, seed, **kwargs)

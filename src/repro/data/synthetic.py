@@ -28,7 +28,6 @@ of its counterpart:
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.dataset import ArrayDataset
 
@@ -43,6 +42,39 @@ __all__ = [
 # ----------------------------------------------------------------------
 # CIFAR-like images
 # ----------------------------------------------------------------------
+def _gaussian_smooth(x: np.ndarray, sigma: float) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter`` over the last two axes of float64 ``x``, bit for bit.
+
+    Same kernel expression (``truncate=4``), ``reflect`` boundary, H axis
+    then W axis, and ``correlate1d``'s summation order for a symmetric
+    kernel: centre tap, then the tap pairs from the outermost inwards.
+    Seeded datasets are defined by this order, not by an installed scipy.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    weights = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    weights = weights / weights.sum()
+    for axis in (x.ndim - 2, x.ndim - 1):
+        n = x.shape[axis]
+        width = [(0, 0)] * x.ndim
+        width[axis] = (radius, radius)
+        # numpy's "symmetric" is scipy's "reflect": d c b a | a b c d | d c b a
+        padded = np.moveaxis(np.pad(x, width, mode="symmetric"), axis, -1)
+        tap = lambda k: padded[..., k : k + n]  # noqa: E731 - the input at offset k - radius
+        out = tap(radius) * weights[radius]
+        for j in range(radius):  # the tap pairs at distance radius - j
+            out += (tap(j) + tap(2 * radius - j)) * weights[j]
+        x = np.moveaxis(out, -1, axis)
+    return x
+
+
+def _roll_each(x: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """``np.roll(x[i], shifts[i], axis=(1, 2))`` for every sample ``i``, as one gather."""
+    n, c, h, w = x.shape
+    rows = ((np.arange(h) - shifts[:, :1]) % h)[:, None, :, None]
+    cols = ((np.arange(w) - shifts[:, 1:]) % w)[:, None, None, :]
+    return x[np.arange(n)[:, None, None, None], np.arange(c)[:, None, None], rows, cols]
+
+
 def _class_prototypes(
     rng: np.random.Generator,
     num_classes: int,
@@ -66,7 +98,7 @@ def _class_prototypes(
     else:
         protos = rng.standard_normal((num_classes, c, h, w))
     if smooth > 0:
-        protos = ndimage.gaussian_filter(protos, sigma=(0, 0, smooth, smooth))
+        protos = _gaussian_smooth(protos, smooth)
     norms = np.sqrt((protos**2).sum(axis=(1, 2, 3), keepdims=True))
     return (protos / np.maximum(norms, 1e-8)) * np.sqrt(c * h * w)
 
@@ -109,6 +141,10 @@ def make_synthetic_image_data(
     (train, test):
         ``ArrayDataset`` pairs with ``(N, C, H, W)`` float32 features.
     """
+    if not 0.0 <= label_noise < 1.0:
+        raise ValueError(f"label_noise must be in [0, 1), got {label_noise}")
+    if max_shift < 0:
+        raise ValueError(f"max_shift must be >= 0, got {max_shift}")
     rng = np.random.default_rng(seed)
     protos = _class_prototypes(rng, num_classes, image_shape, smooth=1.0, basis_rank=basis_rank)
 
@@ -117,17 +153,13 @@ def make_synthetic_image_data(
         gains = rng.uniform(0.8, 1.2, size=(n, 1, 1, 1))
         x = protos[labels] * gains
         if max_shift > 0:
-            shifts = rng.integers(-max_shift, max_shift + 1, size=(n, 2))
-            for i in range(n):
-                x[i] = np.roll(x[i], shift=tuple(shifts[i]), axis=(1, 2))
+            x = _roll_each(x, rng.integers(-max_shift, max_shift + 1, size=(n, 2)))
         x = x + noise * rng.standard_normal(x.shape)
         return x.astype(np.float32), labels
 
     x_train, y_train = sample(num_train)
     x_test, y_test = sample(num_test)
     if label_noise > 0.0:
-        if not 0.0 <= label_noise < 1.0:
-            raise ValueError(f"label_noise must be in [0, 1), got {label_noise}")
         flip = rng.random(num_train) < label_noise
         y_train = np.where(flip, rng.integers(0, num_classes, num_train), y_train)
     return ArrayDataset(x_train, y_train), ArrayDataset(x_test, y_test)
@@ -167,9 +199,7 @@ def make_synthetic_femnist(
     clients: list[ArrayDataset] = []
     for _ in range(num_writers):
         n = max(10, int(rng.lognormal(mean=np.log(samples_per_writer_mean), sigma=0.5)))
-        style = writer_shift_scale * ndimage.gaussian_filter(
-            rng.standard_normal((c, h, w)), sigma=(0, 1.0, 1.0)
-        )
+        style = writer_shift_scale * _gaussian_smooth(rng.standard_normal((c, h, w)), 1.0)
         shift = (int(rng.integers(-1, 2)), int(rng.integers(-1, 2)))
         gain = rng.uniform(0.7, 1.3)
         labels = rng.integers(0, num_classes, n)

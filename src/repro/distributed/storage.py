@@ -369,7 +369,7 @@ class DistributedStorage(PoolStorage):
         # One request per owning host (all in flight at once), scattered
         # back to request order.
         owners = self._owners(indices)
-        hosts = np.unique(owners)
+        hosts = np.flatnonzero(np.bincount(owners))
         places = [np.flatnonzero(owners == host) for host in hosts]
         replies = self._recovering(self._cluster.call_each, [
             (int(host), "gather_rows", {"buffer": self._buffer},
@@ -425,7 +425,7 @@ class DistributedStorage(PoolStorage):
             meta["mask_id"] = self._cluster.ensure_mask(mask)
         b = self._boundaries
         owners = self._owners(rows)
-        mine = {int(h): rows[owners == h] for h in np.unique(owners)}
+        mine = {int(h): rows[owners == h] for h in np.flatnonzero(np.bincount(owners))}
         covers = {h: len(r) == b[h + 1] - b[h] for h, r in mine.items()}
         # Exchange (x, y): x's share of ``rows`` against every row of y.
         local = [(x, x) for x in mine]
@@ -476,14 +476,14 @@ class DistributedStorage(PoolStorage):
         k = self._shape[0]
         owners = self._owners(co)
         local = owners == self._owners(np.arange(k))
-        foreign = np.unique(co[~local])
+        foreign = np.flatnonzero(np.bincount(co[~local]))
         gathered = self.gather_rows(foreign) if foreign.size else None
         meta = {"src": self._buffer, "dst": dst._buffer, "alpha": float(alpha)}
         requests = []
         for host, (lo, hi) in enumerate(self.host_spans()):
             if hi == lo:
                 continue
-            need = np.unique(co[lo:hi][~local[lo:hi]])
+            need = np.flatnonzero(np.bincount(co[lo:hi][~local[lo:hi]]))
             # >= 0: local collaborator row; < 0: row -c - 1 of ``foreign``.
             arrays = {
                 "co": np.where(

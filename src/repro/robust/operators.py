@@ -152,6 +152,13 @@ def _sorted_median(svals: np.ndarray) -> np.ndarray:
     return (mid + svals[k // 2].astype(np.float64)) / 2.0
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a 1-D float vector, bit for bit (NaN -> NaN, never ``-0.0``), without
+    its first call's ``numpy.ma`` import landing inside a run's first robust aggregate."""
+    s = np.sort(x)  # NaNs last
+    return float("nan") if np.isnan(s[-1]) else float(_sorted_median(s)) + 0.0
+
+
 def _deviation_norms(pool: PoolBuffer, center: np.ndarray, float_mask) -> np.ndarray:
     """Per-row ‖m_i − center‖ over float columns, blocked by budget."""
     _, _block_budget, iter_row_spans = _pool_ops()
@@ -300,8 +307,8 @@ class _RobustOperator(AggregationOperator):
         int_mask = pool.layout.integer_mask()
         float_mask = ~int_mask if int_mask.any() else None
         norms = _deviation_norms(pool, center, float_mask)
-        med = float(np.median(norms))
-        mad = float(np.median(np.abs(norms - med)))
+        med = _median(norms)
+        mad = _median(np.abs(norms - med))
         # The 2·med floor keeps a tight honest cluster (tiny MAD) from
         # flagging its own mild stragglers.
         tau = max(med + float(self.clip_factor) * mad, 2.0 * med)
@@ -342,8 +349,8 @@ class _RobustOperator(AggregationOperator):
         center = self._from_sorted(np.sort(vals, axis=0))
         diff = vals.astype(np.float64) - center
         norms = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        med = float(np.median(norms))
-        mad = float(np.median(np.abs(norms - med)))
+        med = _median(norms)
+        mad = _median(np.abs(norms - med))
         tau = max(med + float(self.clip_factor) * mad, 2.0 * med)
         if not tau > 0:
             # Majority of rows at the center: no spread, nothing flagged.

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.robust.operators import _median
+
 __all__ = ["SuspectRecord", "screen_scores"]
 
 
@@ -68,8 +70,8 @@ def screen_scores(gram, *, sigma: float = 3.0, boost: float = 2.0):
     diag = np.diag(g)
     d2 = diag - (2.0 / k) * g.sum(axis=1) + g.sum() / (k * k)
     scores = np.sqrt(np.maximum(d2, 0.0))
-    med = float(np.median(scores))
-    mad = float(np.median(np.abs(scores - med)))
+    med = _median(scores)
+    mad = _median(np.abs(scores - med))
     threshold = max(med + sigma * mad, boost * med)
     flagged = np.flatnonzero(scores > threshold)
     return scores, threshold, flagged

@@ -4,11 +4,36 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import (
+    _gaussian_smooth,
     make_synthetic_chars,
     make_synthetic_femnist,
     make_synthetic_image_data,
     make_synthetic_sentiment,
 )
+
+
+class TestGaussianSmoothOracle:
+    """The numpy Gaussian is ``scipy.ndimage.gaussian_filter``'s bits, not its neighbourhood."""
+
+    @pytest.mark.parametrize("sigma", [0.7, 1.0, 1.5])
+    @pytest.mark.parametrize(
+        "shape",
+        [(10, 3, 8, 8), (4, 1, 16, 16), (2, 3, 5, 9), (3, 2, 3, 3), (1, 1, 1, 4), (3, 8, 8), (2, 3, 4)],
+    )
+    def test_array_equal_to_scipy(self, shape, sigma):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        # (3, 3) and (1, 4) are narrower than the kernel radius: the reflection wraps repeatedly
+        x = np.random.default_rng([*shape, int(10 * sigma)]).standard_normal(shape)
+        want = ndimage.gaussian_filter(x, sigma=(0,) * (x.ndim - 2) + (sigma, sigma))
+        got = _gaussian_smooth(x, sigma)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+
+    def test_input_left_untouched(self):
+        x = np.random.default_rng(0).standard_normal((2, 3, 8, 8))
+        before = x.copy()
+        _gaussian_smooth(x, 1.0)
+        assert np.array_equal(x, before)
 
 
 class TestImageData:
@@ -52,9 +77,16 @@ class TestImageData:
         frac_changed = (clean.labels != noisy.labels).mean()
         assert 0.3 < frac_changed < 0.6  # ~0.5 * 9/10
 
-    def test_label_noise_validation(self):
-        with pytest.raises(ValueError):
-            make_synthetic_image_data(num_train=10, label_noise=1.0)
+    @pytest.mark.parametrize(
+        "bad", [{"label_noise": 1.0}, {"label_noise": -0.5}, {"max_shift": -1}]
+    )
+    def test_parameters_validated_before_any_draw(self, bad, monkeypatch):
+        def no_draws(seed):
+            raise AssertionError("a generator was seeded before validation")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            make_synthetic_image_data(num_train=10, **bad)
 
     def test_basis_rank_reduces_prototype_rank(self):
         train, _ = make_synthetic_image_data(

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.data.dataset import ArrayDataset, DataLoader, train_test_split
 from repro.data.partition import dirichlet_partition, iid_partition, quantity_skew_partition
+from repro.data.synthetic import _roll_each
 
 
 def make_ds(n, num_classes=4, seed=0):
@@ -45,6 +46,29 @@ class TestDataLoaderProperties:
         loader = DataLoader(ds, batch, shuffle=False, drop_last=True)
         sizes = [len(y) for _, y in loader]
         assert all(s == batch for s in sizes)
+
+
+class TestRollGatherProperties:
+    @given(
+        n=st.integers(1, 12),
+        c=st.integers(1, 3),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        max_shift=st.integers(1, 11),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_gather_equals_the_per_sample_roll_loop(self, n, c, h, w, max_shift, seed):
+        """The loop ``make_synthetic_image_data`` used to run, kept as the oracle."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, h, w))
+        shifts = rng.integers(-max_shift, max_shift + 1, size=(n, 2))
+        want = x.copy()
+        for i in range(n):
+            want[i] = np.roll(want[i], shift=tuple(shifts[i]), axis=(1, 2))
+        got = _roll_each(x, shifts)
+        assert got.dtype == x.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPartitionProperties:

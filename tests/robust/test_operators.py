@@ -9,6 +9,7 @@ from repro.robust.operators import (
     MeanOperator,
     NormClipOperator,
     TrimmedMeanOperator,
+    _median,
     available_operators,
     build_operator,
     resolve_operator,
@@ -78,6 +79,39 @@ def trust_region_for(op, buf):
     mad = np.median(np.abs(norms - med))
     tau = max(med + op.clip_factor * mad, 2.0 * med)
     return center, norms > tau
+
+
+class TestScalarMedian:
+    """``_median`` is ``np.median``'s bits (the MAD thresholds ride on it)."""
+
+    @staticmethod
+    def same_bits(values):
+        x = np.asarray(values, dtype=np.float64)
+        with np.errstate(invalid="ignore"):  # inf - inf midpoints
+            return np.float64(_median(x)).tobytes() == np.float64(np.median(x)).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 49, 50])
+    def test_odd_and_even_lengths(self, rng, k):
+        for _ in range(20):
+            assert self.same_bits(rng.standard_normal(k) * 10.0 ** rng.integers(-8, 8))
+
+    def test_ties_and_signed_zeros(self, rng):
+        menu = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, np.inf, -np.inf])
+        for _ in range(400):
+            assert self.same_bits(rng.choice(menu, size=rng.integers(1, 12)))
+        # np.mean starts its sum at +0.0, so np.median never returns -0.0
+        assert self.same_bits([-0.0]) and self.same_bits([-1.0, -0.0, -0.0, 2.0])
+
+    def test_any_nan_makes_the_median_nan(self, rng):
+        for k in (1, 2, 5, 8):
+            x = rng.standard_normal(k)
+            x[rng.integers(k)] = np.nan
+            assert np.isnan(_median(x)) and self.same_bits(x)
+
+    def test_input_not_sorted_in_place(self):
+        x = np.array([3.0, 1.0, 2.0])
+        assert _median(x) == 2.0
+        np.testing.assert_array_equal(x, [3.0, 1.0, 2.0])
 
 
 class TestRegistry:

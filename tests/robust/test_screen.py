@@ -54,6 +54,15 @@ class TestScreenScores:
         assert flagged.size == 0
 
 
+    def test_diverged_gram_flags_nothing(self, rng):
+        rows = cluster_with_outlier(rng)
+        gram = rows @ rows.T
+        gram[4, 4] = np.nan
+        scores, threshold, flagged = screen_scores(gram)
+        assert np.isnan(threshold) and np.isnan(scores).all()
+        assert flagged.size == 0
+
+
 class TestSuspectRecord:
     def test_summary_is_json_friendly(self):
         record = SuspectRecord(

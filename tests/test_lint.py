@@ -1,8 +1,14 @@
-"""The numpy-import lint keeps nn/optim on the dispatch layer."""
+"""Import lints: nn/optim stay on the dispatch layer; a FedCross run's cold start stays numpy-only."""
 
+import json
+import os
+import re
+import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
@@ -69,3 +75,55 @@ def test_nested_and_from_imports_flagged(tmp_path):
     )
     violations = check_numpy_imports.check(src)
     assert len(violations) == 1
+
+
+# Set-up is paid by every CLI call, benchmark run and forked worker: an
+# eager ``import scipy`` (~0.25 s, ~30 MB) or the lazy ``numpy.ma`` behind
+# ``np.median`` must fail here by name, not as a slower benchmark.
+_COLD_START = """
+import json, sys
+import repro.cli
+from repro.fl.config import FLConfig
+from repro.fl.simulation import FLSimulation
+
+FLSimulation(FLConfig(rounds=1, aggregator="trimmed_mean", screen="carry")).run()
+fedcross = [name for name in ("scipy", "numpy.ma") if name in sys.modules]
+FLSimulation(FLConfig(method="clusamp", rounds=1)).run()
+print(json.dumps({"fedcross": fedcross, "clusamp": "scipy.cluster.vq" in sys.modules}))
+"""
+
+
+@pytest.fixture(scope="module")
+def cold_start_modules():
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    run = subprocess.run(
+        [sys.executable, "-c", _COLD_START], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_cold_start_fedcross_round_loads_neither_scipy_nor_numpy_ma(cold_start_modules):
+    assert cold_start_modules["fedcross"] == []
+
+
+def test_cold_start_clusamp_round_loads_scipy_on_use(cold_start_modules):
+    assert cold_start_modules["clusamp"]
+
+
+def test_cold_start_src_calls_nothing_that_imports_numpy_ma():
+    """The gate above runs one configuration; this holds every path.
+
+    These numpy functions import ``numpy.ma`` on their first call (~16
+    ms, wherever in a fit that lands).  ``src/`` uses
+    ``repro.robust.operators._median`` and, for non-negative ids,
+    ``np.flatnonzero(np.bincount(ids))`` instead.
+    """
+    lazy = re.compile(r"\bnp\.(unique|median|nanmedian|percentile|quantile|ma)\b")
+    hits = [
+        f"{path.relative_to(REPO_ROOT)}:{lineno}"
+        for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if lazy.search(line.split("#")[0]) and "``" not in line
+    ]
+    assert hits == []
