@@ -26,6 +26,7 @@ import itertools
 import multiprocessing
 import os
 import pickle
+import socket
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -33,6 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.distributed.framing import recv_message, send_message
 from repro.distributed.host import shard_host_main
 from repro.distributed.rpc import DistributedError, RPCChannel
 from repro.utils.cpu import blas_share, reserve_for_children
@@ -44,6 +46,12 @@ __all__ = ["HostCluster", "get_cluster", "shutdown_clusters", "DEFAULT_HOSTS"]
 DEFAULT_HOSTS = 2
 
 _SPAWN_TIMEOUT_S = 30.0
+# Teardown deadlines: a host that is alive but not answering (stopped,
+# wedged) must not hold up ``shutdown()`` or the atexit sweep.  The
+# ``shutdown`` op and the wait after SIGTERM (which a stopped process
+# never handles) get the first, the wait after SIGKILL the second.
+_STOP_TIMEOUT_S = 1.0
+_REAP_TIMEOUT_S = 5.0
 
 
 class _HostHandle:
@@ -80,6 +88,19 @@ class _HostHandle:
                 self._channels[purpose] = chan
             return chan
 
+    def ask_to_stop(self) -> None:
+        """Send the ``shutdown`` op under a deadline — on a private
+        socket, because channels block without one (a leg may take
+        minutes) for as long as the host lives."""
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", self.port), timeout=_STOP_TIMEOUT_S
+            ) as sock:
+                send_message(sock, {"op": "shutdown"})
+                recv_message(sock)
+        except OSError:  # dead, or alive and not answering (EOF, timeout)
+            pass
+
     def close(self) -> None:
         # Idempotent: explicit teardown followed by the atexit sweep (or
         # a failover replacing this handle) must not raise or leak
@@ -89,11 +110,17 @@ class _HostHandle:
                 return
             self._closed = True
             channels, self._channels = list(self._channels.values()), {}
-        for chan in channels:
-            chan.close()
+        # The process first: once it is gone the kernel fails whatever a
+        # channel still has blocked on it (a frame a stopped host never
+        # read), so closing the channels cannot wait on their locks.
         if self.process.is_alive():
             self.process.terminate()
-        self.process.join(timeout=5.0)
+        self.process.join(timeout=_STOP_TIMEOUT_S)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join(timeout=_REAP_TIMEOUT_S)
+        for chan in channels:
+            chan.close()
 
 
 class HostCluster:
@@ -151,10 +178,7 @@ class HostCluster:
         try:
             for handle in self.handles:
                 if handle.process.is_alive():
-                    try:
-                        handle.channel("data").call("shutdown")
-                    except DistributedError:
-                        pass
+                    handle.ask_to_stop()
             for handle in self.handles:
                 handle.close()
             self._pool.shutdown(wait=False)

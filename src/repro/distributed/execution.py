@@ -30,11 +30,10 @@ the async driver adds an analytic charge on top.  For FedCross and SCAFFOLD the 
 totals equal :func:`~repro.fl.comm.analytic_round_cost` exactly, which
 the communication tests assert.
 
-Determinism: legs train from the dispatched state and the client's
-shipped RNG state with the same trainer arithmetic as every other
-backend, and the roundtrip guards (integer + float) reject states the
-buffer dtype cannot carry exactly — the distributed leg of the
-cross-backend equivalence matrix is bitwise identical to serial.
+Determinism: a host runs the same :func:`~repro.fl.execution.run_leg`
+as every other backend, from the dispatched row and the client's
+shipped RNG state — the distributed leg of the cross-backend
+equivalence matrix is bitwise identical to serial.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ from repro.distributed.rpc import DistributedError
 from repro.fl.execution import (
     ExecutionBackend,
     LegGroup,
+    UploadState,
     _check_cohort,
     _trainer_hypers,
     _validated_states,
@@ -57,7 +57,7 @@ from repro.fl.execution import (
 from repro.fl.hooks import HookSpec
 from repro.fl.trainer import LocalResult
 
-__all__ = ["DistributedExecution", "LazyUploadState"]
+__all__ = ["DistributedExecution"]
 
 
 def _hook_comm_extra(plan, attr: str) -> int:
@@ -77,41 +77,6 @@ def _hook_comm_extra(plan, attr: str) -> int:
             if isinstance(value, Mapping):
                 total += sum(int(np.asarray(v).size) for v in value.values())
     return total
-
-
-class LazyUploadState(Mapping):
-    """Mapping view of an upload row, fetched from its shard on demand.
-
-    The whole point of co-located execution is that trained rows stay
-    on their hosts; a :class:`~repro.fl.trainer.LocalResult` still
-    carries a ``state`` for callers that need one (SCAFFOLD reads the
-    trained state to update control variates).  This mapping defers
-    the row fetch until a value is actually requested — FedCross never
-    requests one, so its rounds move zero trained rows to the
-    coordinator.
-    """
-
-    def __init__(self, uploads, row: int) -> None:
-        self._uploads = uploads
-        self._row = int(row)
-        self._state: dict | None = None
-
-    def _fetch(self) -> dict:
-        if self._state is None:
-            self._state = self._uploads.as_state(self._row, copy=True)
-        return self._state
-
-    def __getitem__(self, key):
-        return self._fetch()[key]
-
-    def __iter__(self):
-        return iter(self._uploads.layout.keys)
-
-    def __len__(self) -> int:
-        return len(self._uploads.layout.keys)
-
-    def __contains__(self, key) -> bool:
-        return key in self._uploads.layout.keys
 
 
 @register_execution("distributed")
@@ -218,10 +183,8 @@ class DistributedExecution(ExecutionBackend):
                 "lr_override": plan.lr_override,
             }
             if attacks and i in attacks:
-                # Byzantine leg: the owning host poisons its freshly
-                # landed row from the dispatched row it already holds —
-                # the attack happens at the upload boundary without the
-                # trained state ever transiting the coordinator.
+                # run_leg poisons the landed row on its host: no upload,
+                # honest or not, transits the coordinator.
                 meta["attack"] = attacks[i].to_wire()
             if ledger is not None:
                 # Measured download: the dispatched model (no dedup —
@@ -249,12 +212,7 @@ class DistributedExecution(ExecutionBackend):
             # coordinator mirror does not — mark it dirty so a host
             # death before aggregation reports it as lost.
             storage.note_remote_write(int(rows[i]))
-            return LocalResult(
-                state=LazyUploadState(uploads, int(rows[i])),
-                num_samples=int(reply["num_samples"]),
-                num_steps=int(reply["num_steps"]),
-                mean_loss=float(reply["mean_loss"]),
-            )
+            return LocalResult(UploadState(uploads, int(rows[i])), *reply["scalars"])
 
         return LegGroup(futures, land)
 

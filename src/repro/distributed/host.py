@@ -21,11 +21,11 @@ wire:
   engine's own :func:`~repro.core.pool.blend_row`.  Shard-local
   results are therefore bitwise identical to the single-node
   reference.
-* **Co-located uploads** — ``train_leg`` unflattens the dispatched
-  state, trains with the client's shipped RNG state, and packs the
-  trained state **directly into the host's local shard row**.  The
-  ``P`` trained floats never ride a socket back to the coordinator;
-  only scalars (loss, counts, the advanced RNG state) do.
+* **Co-located uploads** — ``train_leg`` runs the one leg body
+  (:func:`repro.fl.execution.run_leg`) with the host's **local shard
+  row** as its destination.  The ``P`` trained floats never ride a
+  socket back to the coordinator; only scalars (loss, counts, the
+  advanced RNG state) do.
 
 The accept loop serves each connection on its own daemon thread.
 Array reads/writes from concurrent connections are as racy as the
@@ -197,17 +197,14 @@ class _HostState:
         return {}, {}, b""
 
     def op_train_leg(self, meta, arrays, blob):
-        """One client's local-training leg, co-located with its shard.
-
-        Mirrors the process backend's ``_process_leg``: unflatten the
-        dispatched buffer-dtype row, train on the host-resident shard
-        data with the client's shipped RNG state, then pack the trained
-        state straight into the *local* row of the upload buffer — the
-        trained ``P`` floats never return to the coordinator.
-        """
-        from repro.core.pool import _check_integer_roundtrip
-        from repro.fl.execution import _apply_hypers, _check_float_roundtrip
-        from repro.fl.hooks import resolve_hook
+        """One client's leg, co-located with its shard:
+        :func:`repro.fl.execution.run_leg` from the dispatched
+        buffer-dtype row that arrived with the request into the *local*
+        row of the upload buffer, on the host-resident shard data with
+        the client's shipped RNG state — the trained ``P`` floats never
+        return to the coordinator."""
+        from repro.fl.execution import run_leg
+        from repro.robust.attacks import AttackSpec
 
         with self.lock:
             trainer = self.trainer
@@ -216,47 +213,25 @@ class _HostState:
             raise RuntimeError(
                 f"shard host {self.index} has no trainer; init_trainer first"
             )
-        storage = self._storage(meta["buffer"])
-        _apply_hypers(trainer, meta["hypers"])
-        state = layout.unflatten(arrays["state"], copy=True)
+        # PCG64 state dicts are nested dicts of (big) ints and strings,
+        # which the JSON header round-trips exactly.
         rng = np.random.default_rng()
-        rng.bit_generator.state = _rng_state_from_wire(meta["rng_state"])
+        rng.bit_generator.state = meta["rng_state"]
         loss_hook, grad_hook = pickle.loads(blob) if blob else (None, None)
-        result = trainer.train(
-            state,
+        scalars = run_leg(
+            trainer,
+            layout,
+            layout.unflatten(arrays["state"], copy=True),
+            self._storage(meta["buffer"]).row(int(meta["local_row"])),
             self.datasets[meta["client_id"]],
             rng,
-            loss_hook=resolve_hook(loss_hook, state),
-            grad_hook=resolve_hook(grad_hook, state),
+            loss_hook=loss_hook,
+            grad_hook=grad_hook,
             lr_override=meta.get("lr_override"),
+            hypers=meta["hypers"],
+            attack=AttackSpec.from_wire(meta["attack"]) if meta.get("attack") else None,
         )
-        # Same two transport guards as the shared-memory path: the
-        # trained state must survive the buffer dtype exactly, or this
-        # row would silently differ from the serial reference.
-        _check_integer_roundtrip(layout, result.state, storage.dtype)
-        _check_float_roundtrip(layout, result.state, storage.dtype)
-        landed = storage.row(int(meta["local_row"]))
-        layout.flatten_into(result.state, landed)
-        if meta.get("attack"):
-            # Byzantine leg: poison the landed row in place from the
-            # dispatched row that arrived with this request.  Both rows
-            # are buffer-dtype and the transform runs in float64, so
-            # the bytes match the coordinator-side serial application
-            # exactly (idempotent on retry — pure function of inputs).
-            from repro.robust.attacks import AttackSpec, attacked_row
-
-            spec = AttackSpec.from_wire(meta["attack"])
-            landed[:] = attacked_row(spec, layout, arrays["state"], landed)
-        return (
-            {
-                "num_samples": int(result.num_samples),
-                "num_steps": int(result.num_steps),
-                "mean_loss": float(result.mean_loss),
-                "rng_state": rng.bit_generator.state,
-            },
-            {},
-            b"",
-        )
+        return {"scalars": scalars, "rng_state": rng.bit_generator.state}, {}, b""
 
     def op_ping(self, meta, arrays, blob):
         return {"index": self.index}, {}, b""
@@ -288,14 +263,6 @@ class _HostState:
         if handler is None:
             raise KeyError(f"shard host {self.index}: unknown op {op!r}")
         return handler(meta, arrays, blob)
-
-
-def _rng_state_from_wire(state):
-    """Undo JSON's stringification of nothing — PCG64 state dicts are
-    plain nested dicts of (big) ints and strings, which JSON round-trips
-    exactly; this hook exists so a future bit-generator needing repair
-    has one place to do it."""
-    return state
 
 
 def shard_host_main(index: int, port_conn, blas_cap: int) -> None:

@@ -26,36 +26,38 @@ same registry style as :mod:`repro.core.storage`'s pool backends:
     whose workers each hold a reusable model/trainer template (built
     once from a picklable :class:`TrainerSpec`) plus the full client
     shard table (shipped once at pool start-up, inherited for free
-    under the ``fork`` start method).  Dispatch states and trained
-    uploads cross the process boundary through
-    :mod:`multiprocessing.shared_memory` ``(K, P)`` buffers: the server
-    packs each unique dispatched state into a shared dispatch row, and
-    the worker packs its trained state **directly into its upload row**
-    via :meth:`repro.utils.layout.StateLayout.flatten_into` — the ``P``
-    floats per client are written exactly once, never pickled through
-    the result queue.  Only scalars (sample counts, loss, the client's
-    advanced RNG state) ride back through the future.  Each worker caps
-    its BLAS pool at ``usable cores // workers`` threads (never above
-    what it inherited — see :mod:`repro.utils.cpu`), so the workers
-    together use the cores once instead of ``workers`` times.
+    under the ``fork`` start method).  States cross the process
+    boundary through :mod:`multiprocessing.shared_memory` ``(K, P)``
+    buffers: the server packs each unique dispatched state into a
+    shared dispatch row and the worker's :func:`run_leg` lands in a
+    shared upload row — the ``P`` floats per client are written exactly
+    once, never pickled through the result queue.  Only scalars (sample
+    counts, loss, the client's advanced RNG state) ride back through
+    the future.  Each worker caps its BLAS pool at ``usable cores //
+    workers`` threads (never above what it inherited — see
+    :mod:`repro.utils.cpu`), so the workers together use the cores once
+    instead of ``workers`` times.
 ``distributed``
     :class:`~repro.distributed.execution.DistributedExecution` (lazy —
     lives in :mod:`repro.distributed`, imported on first selection) —
-    each leg runs on the socket-RPC shard host owning its upload row,
-    so the trained state lands in its shard without transiting the
-    coordinator.  Requires the pool on ``distributed`` storage.
+    each leg is a :func:`run_leg` on the socket-RPC shard host owning
+    its upload row, so the trained state lands in its shard without
+    transiting the coordinator.  Requires the pool on ``distributed``
+    storage.
 
 One primitive, three drivers
 ----------------------------
-A round is K *legs* — one dispatched state trained by one client and
-landed in one upload row — and a backend implements exactly one thing:
+A round is K *legs* (Algorithm 1, lines 6-10) and a leg is one function
+whatever the substrate: :func:`run_leg` trains one dispatched state on
+one client's shard and lands the upload in one buffer row.  A backend
+decides *where* that call runs by implementing exactly one thing,
 :meth:`ExecutionBackend.submit_group`, which validates the whole
 cohort, starts every leg without blocking and returns a
 :class:`LegGroup`: one future per plan (``serial`` trains inline and
-returns them already resolved), a ``finalize(j, raw)`` that lands leg
-``j`` on the caller's thread (client-RNG restore, upload-row copy,
-Byzantine upload attack — nowhere else), and a ``leg_done()`` that
-recycles group-scoped resources once every leg is accounted for.
+returns them already resolved), a ``finalize(j, raw)`` that books leg
+``j`` on the caller's thread (client-RNG restore, the copy out of a
+transport row), and a ``leg_done()`` that recycles group-scoped
+resources once every leg is accounted for.
 
 Every schedule is the same legs, differing only in *when the server
 looks at them*, so the schedules are written once, in the base class,
@@ -166,6 +168,8 @@ __all__ = [
     "TrainerSpec",
     "SharedStateRef",
     "LegGroup",
+    "UploadState",
+    "run_leg",
     "stream_legs",
     "ExecutionBackend",
     "SerialExecution",
@@ -269,17 +273,12 @@ _HYPER_FIELDS = ("local_epochs", "batch_size", "lr", "momentum", "weight_decay")
 def _trainer_hypers(trainer: LocalTrainer) -> dict:
     """The live trainer's per-leg settings, captured per ``run`` call.
 
-    Parallel backends apply these to their private templates before
-    every leg, so mid-run mutations of the server's trainer (e.g. the
-    experiments' per-round LR decay, ``sim.trainer.lr = ...``) are
-    honoured exactly as the serial backend honours them.
+    :func:`run_leg` applies these to a parallel backend's private
+    template before every leg, so mid-run mutations of the server's
+    trainer (e.g. the experiments' per-round LR decay,
+    ``sim.trainer.lr = ...``) are honoured exactly as serial does.
     """
     return {field: getattr(trainer, field) for field in _HYPER_FIELDS}
-
-
-def _apply_hypers(trainer: LocalTrainer, hypers: dict) -> None:
-    for field, value in hypers.items():
-        setattr(trainer, field, value)
 
 
 def _default_workers(workers: int | None) -> int:
@@ -330,7 +329,7 @@ class LegGroup:
     schedule consumes: ``futures[j]`` resolves to the backend's raw
     per-leg payload, ``finalize(j, raw)`` turns it into a landed
     :class:`~repro.fl.trainer.LocalResult` on the *caller's* thread
-    (RNG restore, upload-row copy, attack application), and
+    (RNG restore, upload-row copy), and
     ``leg_done()`` — called once per leg after it is finalized, failed
     or drained — releases group-scoped resources (the process backend's
     shared-memory block pair) once every leg is accounted for.
@@ -491,12 +490,9 @@ class ExecutionBackend:
         rounds) at once.
 
         ``attacks`` maps plan indices to Byzantine
-        :class:`~repro.robust.attacks.AttackSpec`s.  An attacked leg
-        trains honestly, then ``finalize`` replaces its *upload* (the
-        buffer row and the result's state) with the poisoned row — the
-        upload boundary — so the honest trained state is never perturbed
-        and every per-upload consumer (Gram tracking, screening,
-        aggregation) sees the attack.
+        :class:`~repro.robust.attacks.AttackSpec`s, handed to
+        :func:`run_leg`, which poisons the leg's *upload* where it
+        lands — the upload boundary.
         """
         raise NotImplementedError(
             f"execution backend {self.name!r} does not implement submit_group"
@@ -568,58 +564,127 @@ class ExecutionBackend:
         the next submission, so close is always safe."""
 
 
-def _attacked_result(spec, plan, row, uploads, result: LocalResult) -> LocalResult:
-    """Poison leg ``row`` at the upload boundary; rebuilt result.
+class UploadState(Mapping):
+    """Read-only mapping view of one landed upload row — the ``state``
+    of every backend's :class:`~repro.fl.trainer.LocalResult`.
 
-    The buffer row is rewritten in place (so streaming consumers — the
-    incremental Gram, screening, aggregation — all see the poisoned
-    upload) and the yielded result's state is re-read from the buffer,
-    never from the honest trained state.  Coordinator-side twin of the
-    distributed backend's host-side application: both flatten the
-    dispatched state in the buffer dtype and transform in float64, so
-    the poisoned bytes are bit-identical across backends.
+    The row is unflattened (one copy, cached) the first time a value is
+    requested and reads as the buffer holds it then: a poisoned or
+    quarantined row reads as what aggregation sees.  FedCross never
+    asks, so its rounds copy no trained row out of the buffer (on
+    ``distributed`` storage: move none to the coordinator).
     """
-    from repro.robust.attacks import apply_upload_attack
 
-    apply_upload_attack(spec, uploads, int(row), plan.state)
-    return LocalResult(
-        state=uploads.as_state(int(row), copy=True),
-        num_samples=result.num_samples,
-        num_steps=result.num_steps,
-        mean_loss=result.mean_loss,
-    )
+    def __init__(self, uploads: "PoolBuffer", row: int) -> None:
+        self._uploads = uploads
+        self._row = int(row)
+        self._state: dict | None = None
+
+    def __getitem__(self, key):
+        if self._state is None:
+            self._state = self._uploads.as_state(self._row, copy=True)
+        return self._state[key]
+
+    def __iter__(self):
+        return iter(self._uploads.layout.keys)
+
+    def __len__(self) -> int:
+        return len(self._uploads.layout.keys)
+
+    def __contains__(self, key) -> bool:
+        return key in self._uploads.layout.keys
 
 
-def _landing(plans, rows, uploads, attacks, land=None):
-    """``finalize`` for an in-process group: ``land``, then the attack.
+def _check_roundtrip(layout, state, dtype) -> None:
+    """Refuse a state that a ``dtype`` buffer row would not carry exactly.
 
-    ``land(j, raw)`` is the backend's own landing step (``None`` when
-    the worker already produced the :class:`LocalResult`).  The attack
-    runs on the consumer's thread after the leg landed: rows are unique
-    across in-flight groups, so the rewrite cannot race a worker.
+    A state crosses a buffer-dtype row on its way to a worker (shm
+    dispatch row, wire row) and on its way back (the upload row).  An
+    integer field outside the dtype's exact range, or a float field
+    *wider* than it whose values do not survive, would make a worker
+    train from different weights than serial, or an upload differ from
+    what was trained — a silent break of the bit-identical contract —
+    so fail loudly instead (all-float32 states skip the float pass).
     """
-    attacks = dict(attacks or {})
+    from repro.core.pool import _check_integer_roundtrip
 
-    def finalize(j: int, raw) -> LocalResult:
-        result = raw if land is None else land(j, raw)
-        if j in attacks:
-            result = _attacked_result(attacks[j], plans[j], rows[j], uploads, result)
-        return result
+    buffer_dtype = np.dtype(dtype)
+    _check_integer_roundtrip(layout, state, buffer_dtype)
+    for spec in layout.fields:
+        value = np.asarray(state[spec.key])
+        if value.dtype.kind != "f" or value.dtype.itemsize <= buffer_dtype.itemsize:
+            continue
+        if value.size and not np.array_equal(
+            value.astype(buffer_dtype).astype(value.dtype), value
+        ):
+            raise ValueError(
+                f"float field {spec.key!r} ({value.dtype}) does not survive the "
+                f"{buffer_dtype} buffer row (shared-memory round trip, wire row "
+                f"or upload row); use {buffer_dtype}-exact states or a wider "
+                "pool dtype"
+            )
 
-    return finalize
 
+def run_leg(
+    trainer: LocalTrainer,
+    layout: StateLayout,
+    state: Mapping[str, np.ndarray],
+    dst: np.ndarray,
+    dataset,
+    rng: np.random.Generator,
+    *,
+    loss_hook=None,
+    grad_hook=None,
+    lr_override: float | None = None,
+    hypers: dict | None = None,
+    attack: "AttackSpec | None" = None,
+) -> tuple[int, int, float]:
+    """One leg: train ``state`` on ``dataset``, land the upload in ``dst``.
 
-def _train_leg(trainer: LocalTrainer, client, plan, row, uploads) -> LocalResult:
-    """Train one leg in this process and pack its upload row."""
-    result = client.train(
-        trainer,
-        plan.state,
-        loss_hook=resolve_hook(plan.loss_hook, plan.state),
-        grad_hook=resolve_hook(plan.grad_hook, plan.state),
-        lr_override=plan.lr_override,
+    The body every backend runs, wherever the leg happens.  ``hypers``
+    (the live trainer's settings) are applied to a private template and
+    the hook specs resolved against the dispatched ``state``; the
+    trained state must survive ``dst``'s dtype exactly — no backend
+    narrows an upload silently — and is packed into ``dst``, a ``(P,)``
+    row of the upload buffer or of the transport that feeds it.  A
+    Byzantine leg (``attack``) trains honestly, then overwrites ``dst``
+    with the poisoned row — the upload boundary, so every per-upload
+    consumer sees the attack.  The dispatched row is taken in ``dst``'s
+    dtype and the transform is a pure float64 function of its inputs,
+    so the poisoned bytes are the same on every backend and on a retry.
+
+    Returns ``(num_samples, num_steps, mean_loss)``; advances ``rng``.
+    """
+    for field, value in (hypers or {}).items():
+        setattr(trainer, field, value)
+    result = trainer.train(
+        state,
+        dataset,
+        rng,
+        loss_hook=resolve_hook(loss_hook, state),
+        grad_hook=resolve_hook(grad_hook, state),
+        lr_override=lr_override,
     )
-    uploads.set_state(row, result.state)
-    return result
+    _check_roundtrip(layout, result.state, dst.dtype)
+    layout.flatten_into(result.state, dst)
+    if attack is not None:
+        from repro.robust.attacks import attacked_row
+
+        dst[:] = attacked_row(attack, layout, layout.flatten(state, dtype=dst.dtype), dst)
+    return result.num_samples, result.num_steps, result.mean_loss
+
+
+def _leg_in_place(trainer, client, plan, row, uploads, attack, hypers=None) -> LocalResult:
+    """One leg in this process, landed through its staged upload row."""
+    storage = uploads.storage
+    dst = storage.open_row(row)
+    scalars = run_leg(
+        trainer, uploads.layout, plan.state, dst, client.dataset, client.rng,
+        loss_hook=plan.loss_hook, grad_hook=plan.grad_hook,
+        lr_override=plan.lr_override, hypers=hypers, attack=attack,
+    )
+    storage.commit_row(row, dst)
+    return LocalResult(UploadState(uploads, row), *scalars)
 
 
 # The frozen end-to-end harness (benchmarks/e2e/trace.py) attaches its
@@ -642,17 +707,20 @@ class SerialExecution(ExecutionBackend):
         # included — degenerates to strictly sequential legs in plan
         # order: the reference the equivalence matrix is gated against.
         _check_cohort(active, plans, rows)
+        attacks = attacks or {}
         futures: list[Future] = []
-        for client, plan, row in zip(active, plans, rows):
+        for j, (client, plan, row) in enumerate(zip(active, plans, rows)):
             future: Future = Future()
             try:
-                future.set_result(_train_leg(trainer, client, plan, row, uploads))
+                future.set_result(
+                    _leg_in_place(trainer, client, plan, row, uploads, attacks.get(j))
+                )
             except (KeyboardInterrupt, SystemExit, GeneratorExit):
                 raise
             except BaseException as exc:  # noqa: BLE001 - the leg's outcome
                 future.set_exception(exc)
             futures.append(future)
-        return LegGroup(futures, _landing(plans, rows, uploads, attacks))
+        return LegGroup(futures)
 
 
 @register_execution("thread")
@@ -693,15 +761,14 @@ class ThreadExecution(ExecutionBackend):
         self._templates.append(trainer)
         return trainer
 
-    def _leg(self, client, plan, row, uploads, hypers) -> LocalResult:
-        worker_trainer = self._acquire_trainer()
+    def _leg(self, client, plan, row, uploads, attack, hypers) -> LocalResult:
+        trainer = self._acquire_trainer()
         try:
-            _apply_hypers(worker_trainer, hypers)
             # Rows are unique, so concurrent writes touch disjoint
             # slices of the upload matrix.
-            return _train_leg(worker_trainer, client, plan, row, uploads)
+            return _leg_in_place(trainer, client, plan, row, uploads, attack, hypers)
         finally:
-            self._free.append(worker_trainer)
+            self._free.append(trainer)
 
     def reserve(self, width: int) -> None:
         # Grow the pool so overlapping rounds never queue behind one
@@ -719,11 +786,12 @@ class ThreadExecution(ExecutionBackend):
         _check_cohort(active, plans, rows, parallel=True)
         self._ensure_pool()
         hypers = _trainer_hypers(trainer)
+        attacks = attacks or {}
         futures = [
-            self._pool.submit(self._leg, client, plan, row, uploads, hypers)
-            for client, plan, row in zip(active, plans, rows)
+            self._pool.submit(self._leg, client, plan, row, uploads, attacks.get(j), hypers)
+            for j, (client, plan, row) in enumerate(zip(active, plans, rows))
         ]
-        return LegGroup(futures, _landing(plans, rows, uploads, attacks))
+        return LegGroup(futures)
 
     def close(self) -> None:
         if self._pool is not None:
@@ -858,8 +926,6 @@ class _PayloadPacker:
                 "flight; the process backend does not support them under "
                 "overlapping rounds (round_mode='async', max_staleness > 0)"
             )
-        from repro.core.pool import _check_integer_roundtrip
-
         refs: dict[int, SharedStateRef] = {}
         next_row: dict[tuple, int] = {}
         for sig, count in counts.items():
@@ -869,8 +935,7 @@ class _PayloadPacker:
             block = self._blocks[sig]
             row = next_row.get(sig, 0)
             next_row[sig] = row + 1
-            _check_integer_roundtrip(layout, value, block.array.dtype)
-            _check_float_roundtrip(layout, value, block.array.dtype)
+            _check_roundtrip(layout, value, block.array.dtype)
             layout.flatten_into(value, block.array[row])
             refs[key] = SharedStateRef(
                 ref=block.ref, row=row, version=self._version, signature=sig
@@ -1021,51 +1086,32 @@ def _worker_restore_shared(hook):
 
 
 def _process_leg(task: dict):
-    """One client's local-training leg, run inside a pool worker.
-
-    Reads the dispatched state out of the shared dispatch row, trains on
-    the worker's cached shard with the client's RNG stream, packs the
-    trained state straight into the shared upload row, and returns only
-    scalars plus the advanced RNG state.
-    """
-    from repro.core.pool import _check_integer_roundtrip
-
-    trainer: LocalTrainer = _WORKER["trainer"]
-    _apply_hypers(trainer, task["hypers"])
+    """One client's leg inside a pool worker: :func:`run_leg` from the
+    shared dispatch row into the shared upload row, on the worker's
+    cached shard with the client's shipped RNG state.  Only the scalars
+    and the advanced RNG state return."""
     layout = _WORKER["layout"]
     live = {task["dispatch_ref"][0], task["upload_ref"][0]}
     live.update(task["payload_names"])
     _worker_prune_shm(live)
     dispatch = _worker_attach(task["dispatch_ref"])
     upload = _worker_attach(task["upload_ref"])
-
-    state = layout.unflatten(dispatch[task["dispatch_row"]], copy=True)
     rng = np.random.default_rng()
     rng.bit_generator.state = task["rng_state"]
-    dataset = _WORKER["datasets"][task["client_id"]]
-
-    result = trainer.train(
-        state,
-        dataset,
+    scalars = run_leg(
+        _WORKER["trainer"],
+        layout,
+        layout.unflatten(dispatch[task["dispatch_row"]], copy=True),
+        upload[task["upload_row"]],
+        _WORKER["datasets"][task["client_id"]],
         rng,
-        loss_hook=resolve_hook(_worker_restore_shared(task["loss_hook"]), state),
-        grad_hook=resolve_hook(_worker_restore_shared(task["grad_hook"]), state),
+        loss_hook=_worker_restore_shared(task["loss_hook"]),
+        grad_hook=_worker_restore_shared(task["grad_hook"]),
         lr_override=task["lr_override"],
+        hypers=task["hypers"],
+        attack=task["attack"],
     )
-    # Guard both directions of the shm transport: the trained state must
-    # survive the buffer dtype exactly, or the server-side
-    # ``result.state`` view would silently differ from serial's native
-    # result (e.g. a float64 buffer field trained to float32-inexact
-    # values).
-    _check_integer_roundtrip(layout, result.state, upload.dtype)
-    _check_float_roundtrip(layout, result.state, upload.dtype)
-    layout.flatten_into(result.state, upload[task["upload_row"]])
-    return (
-        result.num_samples,
-        result.num_steps,
-        result.mean_loss,
-        rng.bit_generator.state,
-    )
+    return (*scalars, rng.bit_generator.state)
 
 
 def _require_spec_hook(hook, which: str) -> None:
@@ -1078,33 +1124,6 @@ def _require_spec_hook(hook, which: str) -> None:
     )
 
 
-def _check_float_roundtrip(layout, state, dtype) -> None:
-    """Refuse to narrow float state through a thinner shm buffer.
-
-    The serial backend hands the dispatched dict to the trainer as-is;
-    the process backend ships it through the buffer-dtype shm row.  A
-    float field *wider* than the buffer dtype whose values do not
-    survive the round trip would make workers train from different
-    weights than serial — a silent break of the bit-identical contract
-    — so fail loudly instead (the all-float32 common case skips this
-    entirely).
-    """
-    buffer_dtype = np.dtype(dtype)
-    for spec in layout.fields:
-        value = np.asarray(state[spec.key])
-        if value.dtype.kind != "f" or value.dtype.itemsize <= buffer_dtype.itemsize:
-            continue
-        if value.size and not np.array_equal(
-            value.astype(buffer_dtype).astype(value.dtype), value
-        ):
-            raise ValueError(
-                f"float field {spec.key!r} ({value.dtype}) does not survive the "
-                f"{buffer_dtype} shared-memory round trip; dispatch "
-                f"{buffer_dtype}-exact states or use the 'serial'/'thread' "
-                "execution backend"
-            )
-
-
 def _validated_states(plans, layout, dtype, backend: str) -> dict:
     """The distinct dispatched states, every plan checked for transit.
 
@@ -1115,8 +1134,6 @@ def _validated_states(plans, layout, dtype, backend: str) -> dict:
     hooks must be picklable specs, states model-shaped, and every value
     must survive the buffer dtype exactly.
     """
-    from repro.core.pool import _check_integer_roundtrip
-
     states: dict = {}
     for plan in plans:
         _require_spec_hook(plan.loss_hook, "DispatchPlan.loss_hook")
@@ -1128,8 +1145,7 @@ def _validated_states(plans, layout, dtype, backend: str) -> dict:
                 "dispatched state keys do not match the model layout; "
                 f"the {backend} backend can only ship model-shaped states"
             )
-        _check_integer_roundtrip(layout, plan.state, np.dtype(dtype))
-        _check_float_roundtrip(layout, plan.state, dtype)
+        _check_roundtrip(layout, plan.state, dtype)
         states[id(plan.state)] = plan.state
     return states
 
@@ -1233,6 +1249,7 @@ class ProcessExecution(ExecutionBackend):
             layout.flatten_into(state, dispatch.array[slot])
             slots[key] = slot
         hypers = _trainer_hypers(trainer)
+        attacks = attacks or {}
         futures = [
             self._pool.submit(
                 _process_leg,
@@ -1248,31 +1265,23 @@ class ProcessExecution(ExecutionBackend):
                     "grad_hook": hook_pairs[j][1],
                     "lr_override": plan.lr_override,
                     "hypers": hypers,
+                    "attack": attacks.get(j),
                 },
             )
             for j, plan in enumerate(plans)
         ]
 
         def land(j: int, raw) -> LocalResult:
-            num_samples, num_steps, mean_loss, rng_state = raw
+            *scalars, rng_state = raw
             active[j].rng.bit_generator.state = rng_state
             row = int(rows[j])
             # Copy the leg's freshly written row from the shared
             # segment into the server's buffer — straight into the
             # row's owning shard on sharded (or memmap-backed) storage.
             uploads.set_row(row, upload.array[j])
-            return LocalResult(
-                state=uploads.as_state(row, copy=True),
-                num_samples=num_samples,
-                num_steps=num_steps,
-                mean_loss=mean_loss,
-            )
+            return LocalResult(UploadState(uploads, row), *scalars)
 
-        group = LegGroup(
-            futures,
-            _landing(plans, rows, uploads, attacks, land),
-            lambda: self._free_pairs.append(pair),
-        )
+        group = LegGroup(futures, land, lambda: self._free_pairs.append(pair))
         self._payloads.hold(group)
         return group
 

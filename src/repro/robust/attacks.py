@@ -3,13 +3,13 @@
 An attack is a pure function of the *dispatched* row ``d`` (the state
 the server sent), the honestly *trained* row ``t`` (what the client
 would have uploaded) and a fixed integer seed key — never of wall
-clock, backend, or landing order.  Attacks run at the upload boundary:
-serial/thread/process backends apply them coordinator-side right after
-the trained state lands in the upload buffer, and the distributed
-backend applies the same transform host-side so poisoned rows still
-never transit the coordinator.  Both sides compute ``d`` and ``t`` in
-the pool's buffer dtype and the transform in float64, so the poisoned
-bytes are bit-identical on every backend.
+clock, backend, or landing order.  Attacks run at the upload boundary,
+in one place: :func:`repro.fl.execution.run_leg` overwrites the row the
+trained state just landed in, wherever the leg ran (on ``distributed``
+that is the shard host, so poisoned rows still never transit the
+coordinator).  ``d`` and ``t`` are rows in the pool's buffer dtype and
+the transform runs in float64, so the poisoned bytes are bit-identical
+on every backend.
 
 Kinds
 -----
@@ -43,7 +43,6 @@ __all__ = [
     "DEFAULT_ATTACK_SCALES",
     "AttackSpec",
     "attacked_row",
-    "apply_upload_attack",
 ]
 
 ATTACK_KINDS = ("sign_flip", "gauss_noise", "scale", "label_flip")
@@ -160,16 +159,3 @@ def attacked_row(
         out = np.array(out, copy=True) if out is t else out
         out[int_mask] = trained[int_mask]
     return np.array(out, copy=False)
-
-
-def apply_upload_attack(spec: AttackSpec, uploads, row: int, dispatched_state) -> None:
-    """Poison upload ``row`` in place (coordinator-side entry point).
-
-    ``dispatched_state`` is the plan's state dict; it is flattened in
-    the buffer dtype so ``d`` matches what a remote host sees in its
-    packed dispatch row bit for bit.
-    """
-    layout = uploads.layout
-    dispatched = layout.flatten(dispatched_state, dtype=uploads.dtype)
-    trained = np.array(uploads.storage.row(int(row)), copy=True)
-    uploads.set_row(int(row), attacked_row(spec, layout, dispatched, trained))

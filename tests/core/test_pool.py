@@ -378,6 +378,52 @@ def _literal_blend(matrix, co, alpha, int_mask):
     return out
 
 
+class TestOutOfCoreRound:
+    def test_memmap_server_round_never_allocates_half_a_float64_pool(
+        self, monkeypatch
+    ):
+        """One full server round of pool ops on a memmap pool under a
+        1 MiB block budget (tracemalloc sees NumPy data, not the
+        file-backed pages): a peak near a whole-pool float64 temporary
+        means a ``(K, P)`` cast is back on the cosine path."""
+        import tracemalloc
+
+        from repro.core.gram import GramTracker
+
+        k, rng = 24, np.random.default_rng(3)
+        state = {
+            "w": rng.standard_normal((400, 256)).astype(np.float32),
+            "b": rng.standard_normal(400).astype(np.float32),
+            "steps": np.array([3], dtype=np.int64),
+        }
+        param_keys = {"w", "b"}
+        monkeypatch.setenv("REPRO_POOL_BLOCK_BYTES", str(1 << 20))
+        pool = PoolBuffer.broadcast(state, k, dtype=np.float32, backend="memmap")
+        p = pool.num_scalars
+        float_cols = ~pool.layout.integer_mask()
+        for i in range(k):  # perturb row by row — no (K, P) host copy
+            pool.row(i)[float_cols] += rng.standard_normal(p - 1).astype(np.float32) / 100
+        tracemalloc.start()
+        try:
+            tracker = GramTracker.from_pool(pool, param_keys=param_keys)
+            co = pool.select_collaborators(
+                "lowest", measure="cosine", param_keys=param_keys, gram=tracker.gram
+            )
+            fused = pool.cross_aggregate(co, 0.99)
+            derived = tracker.cross_aggregated(co, 0.99, pool=fused)
+            derived.similarity()
+            derived.dispersion()
+            fused.similarity_matrix("cosine", param_keys=param_keys)
+            fused.similarity_to(0, param_keys=param_keys)
+            fused.dispersion(param_keys=param_keys)
+            fused.mean_state(precise=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fused.backend == "memmap"
+        assert peak < k * p * 8 / 2
+
+
 class TestRowKernelBlend:
     """``cross_aggregate`` does its float64 arithmetic row by row
     (:func:`repro.core.pool.blend_row`): same bits as the literal

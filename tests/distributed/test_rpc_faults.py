@@ -15,6 +15,10 @@ Three contracts under test, bottom-up:
   with the host are *guarded*, not silently served stale.
 """
 
+import os
+import signal
+import threading
+
 import numpy as np
 import pytest
 
@@ -167,6 +171,23 @@ class TestIdempotentTeardown:
         assert not handle.process.is_alive()
         with pytest.raises(DistributedError, match="closed"):
             handle.channel("data")
+
+    def test_shutdown_gives_up_on_a_stopped_host(self):
+        """SIGSTOP: alive, SIGTERM stays pending, requests pile up unread
+        — the host is asked under a deadline, then killed and reaped."""
+        cluster = HostCluster(1)
+        process = cluster.handles[0].process
+        try:
+            cluster.call(0, "ping")
+            os.kill(process.pid, signal.SIGSTOP)
+            done = threading.Thread(target=cluster.shutdown, daemon=True)
+            done.start()
+            done.join(timeout=5.0)
+            assert not done.is_alive(), "shutdown() still blocked after 5 s"
+            with pytest.raises(ProcessLookupError):
+                os.kill(process.pid, 0)
+        finally:
+            process.kill()
 
     def test_shutdown_clusters_twice_and_pool_recreates(self):
         first = get_cluster(1)

@@ -213,6 +213,9 @@ class TestFailureWithRequestsInFlight:
             # One drop plus one refused reconnect — not one pair per request.
             assert chan.transport_retries - before == 2
         finally:
+            # If anything above raised before the kill, the host is still
+            # stopped: reap it here instead of leaning on shutdown's deadlines.
+            cluster.handles[0].process.kill()
             cluster.shutdown()
 
 

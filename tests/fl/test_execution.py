@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.pool import PoolBuffer
 from repro.fl.config import FLConfig
 from repro.fl.execution import (
     ClientExecutor,
@@ -22,7 +23,9 @@ from repro.fl.execution import (
 from repro.fl.hooks import ControlVariateSpec, HookSpec, ProximalSpec, resolve_hook
 from repro.fl.server import DispatchPlan
 from repro.fl.simulation import FLSimulation
+from repro.fl.trainer import LocalTrainer
 from repro.utils import cpu
+from repro.utils.layout import StateLayout
 
 
 class TestRegistry:
@@ -532,6 +535,109 @@ class TestParallelMechanics:
         _, buf2 = server.train_cohort(members, plans)
         assert buf1 is buf2
         assert len(buf1) == 2
+
+
+class TestUploadBoundary:
+    """``run_leg``'s guards hold wherever the leg runs."""
+
+    @pytest.mark.parametrize(
+        "execution", ["serial", "thread", "process", "distributed"]
+    )
+    def test_float64_upload_into_a_float32_buffer_is_refused(
+        self, tiny_config, execution
+    ):
+        from repro.distributed import DistributedError
+        from repro.distributed.cluster import shutdown_clusters
+
+        sim = FLSimulation(tiny_config)
+        name, param = list(sim.model.named_parameters())[-1]
+        param.data = param.data.astype(np.float64)  # float32-exact until trained
+        trainer = LocalTrainer(sim.model, local_epochs=1, batch_size=16)
+        state = sim.model.state_dict()
+        uploads = PoolBuffer.zeros(
+            StateLayout.from_state(state), 1, dtype=np.float32,
+            backend="distributed" if execution == "distributed" else "dense",
+        )
+        backend = resolve_execution(execution)(
+            spec=TrainerSpec.from_trainer(trainer), clients=sim.clients, workers=1
+        )
+        try:
+            # The shard host reports its ValueError through the RPC reply.
+            with pytest.raises(
+                (ValueError, DistributedError),
+                match=rf"float field '{name}' \(float64\) does not survive the float32",
+            ):
+                backend.run(
+                    trainer, sim.clients[:1], [DispatchPlan(state)], [0], uploads
+                )
+            assert not uploads.storage.row_block(0, 1).any()  # nothing landed
+        finally:
+            backend.close()
+            if execution == "distributed":
+                shutdown_clusters()
+
+
+class TestUploadState:
+    """``LocalResult.state`` is a lazy view of the landed upload row:
+    unread by FedCross, the trained values for whoever asks."""
+
+    @pytest.fixture()
+    def unpacked(self, monkeypatch):
+        """The buffers ``PoolBuffer.as_state`` was called on."""
+        buffers, original = [], PoolBuffer.as_state
+
+        def counting(self, index, copy=False):
+            buffers.append(self)
+            return original(self, index, copy=copy)
+
+        monkeypatch.setattr(PoolBuffer, "as_state", counting)
+        return buffers
+
+    @pytest.mark.parametrize("execution", ["serial", "process"])
+    def test_fedcross_fit_never_unpacks_an_upload(
+        self, tiny_config, unpacked, execution
+    ):
+        sim = FLSimulation(
+            tiny_config.with_method("fedcross").replace(
+                execution=execution, workers=2, rounds=2
+            )
+        )
+        sim.run()
+        sim.server.executor.close()
+        assert sim.server.uploads is not None
+        assert not any(buffer is sim.server.uploads for buffer in unpacked)
+
+    def test_scaffold_reads_the_trained_values(self, tiny_config, unpacked):
+        """On serial and process alike ``result.state[k]`` is what
+        ``Client.train`` returns, read out of the upload row."""
+        config = tiny_config.with_method("scaffold")
+
+        def cohort(**overrides):
+            server = FLSimulation(config.replace(**overrides)).server
+            active = server.select_cohort()
+            return server, active, server.dispatch(active)
+
+        server, active, plans = cohort()
+        trained = [
+            client.train(
+                server.trainer,
+                plan.state,
+                loss_hook=resolve_hook(plan.loss_hook, plan.state),
+                grad_hook=resolve_hook(plan.grad_hook, plan.state),
+            ).state
+            for client, plan in zip(active, plans)
+        ]
+        for overrides in ({}, {"execution": "process", "workers": 2}):
+            server, active, plans = cohort(**overrides)
+            results = server.collect(active, plans)
+            server.aggregate(active, results, plans)
+            server.executor.close()
+            assert any(buffer is server.uploads for buffer in unpacked)
+            for expected, result in zip(trained, results):
+                assert sorted(result.state) == sorted(expected)
+                for key, value in expected.items():
+                    assert result.state[key].dtype == value.dtype
+                    np.testing.assert_array_equal(result.state[key], value)
 
 
 class TestSharedMemoryCleanup:

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.pool import PoolBuffer
+from repro.fl.execution import SerialExecution
+from repro.fl.simulation import FLSimulation
 from repro.robust.attacks import (
     ATTACK_KINDS,
     DEFAULT_ATTACK_SCALES,
     AttackSpec,
-    apply_upload_attack,
     attacked_row,
 )
 from repro.utils.layout import StateLayout
@@ -142,22 +142,36 @@ class TestAttackedRow:
         np.testing.assert_array_equal(t, t0)
 
 
-class TestApplyUploadAttack:
-    def test_poisons_exactly_the_target_row(self, rng):
-        states = [head_state(rng) for _ in range(3)]
-        uploads = PoolBuffer.from_states(states)
-        dispatched = head_state(rng)
-        before = uploads.storage.row_block(0, 3).copy()
-        apply_upload_attack(spec("sign_flip"), uploads, 1, dispatched)
+class TestAttackedLeg:
+    """The upload boundary: a leg's attack poisons the row it lands in."""
+
+    @staticmethod
+    def _three_legs(tiny_config, attacks):
+        sim = FLSimulation(tiny_config)
+        server = sim.server
+        active = server.select_cohort()
+        plans = server.dispatch(active)
+        uploads = server._round_uploads(len(active))
+        group = SerialExecution().submit_group(
+            server.trainer, active, plans, [0, 1, 2], uploads, attacks=attacks
+        )
+        return plans, uploads, [future.result() for future in group.futures]
+
+    def test_poisons_exactly_the_target_row(self, tiny_config):
+        attack = spec("sign_flip")
+        _, honest, _ = self._three_legs(tiny_config, None)
+        plans, uploads, results = self._three_legs(tiny_config, {1: attack})
+        before = honest.storage.row_block(0, 3)
         after = uploads.storage.row_block(0, 3)
         layout = uploads.layout
         expected = attacked_row(
-            spec("sign_flip"),
-            layout,
-            layout.flatten(dispatched, dtype=np.float32),
-            before[1],
+            attack, layout, layout.flatten(plans[1].state, dtype=np.float32), before[1]
         )
         np.testing.assert_array_equal(after[0], before[0])
         np.testing.assert_array_equal(after[2], before[2])
         np.testing.assert_array_equal(after[1], expected)
         assert not np.array_equal(after[1], before[1])
+        # The result's state is the upload, never the honest trained state.
+        np.testing.assert_array_equal(
+            layout.flatten(results[1].state, dtype=np.float32), expected
+        )
