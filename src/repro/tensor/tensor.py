@@ -64,6 +64,19 @@ def _unbroadcast(grad, shape: tuple[int, ...]):
     return grad.reshape(shape)
 
 
+def _compact(array, bk) -> bool:
+    """Whether ``array`` spans its elements with no gaps or padding.
+
+    That is, its strides are the ones ``empty_like`` gives it, so
+    adopting it pins no larger buffer and keeps the layout a copy
+    would have.
+    """
+    flags = array.flags
+    if flags.c_contiguous or flags.f_contiguous:
+        return True
+    return array.strides == bk.empty_like(array).strides
+
+
 def _coerce(value):
     """Convert ``value`` to a backend array without copying when possible.
 
@@ -207,7 +220,10 @@ class Tensor:
                     f"scalar outputs; this tensor has shape {self.shape}"
                 )
             grad = bk.ones_like(self.data)
-        grad = bk.asarray(grad, dtype=self.data.dtype)
+        else:
+            # A copy: view ops hand this array on to be adopted, and the
+            # caller's array must never become some parameter's ``.grad``.
+            grad = bk.asarray(grad, dtype=self.data.dtype).astype(self.data.dtype, copy=True)
 
         topo: list[Tensor] = []
         visited: set[int] = set()
@@ -230,15 +246,31 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def _accumulate(self, grad) -> None:
-        """Add ``grad`` into ``self.grad`` (lazily allocated)."""
+    def _accumulate(self, grad, fresh: bool = False) -> None:
+        """Add ``grad`` into ``self.grad`` (lazily allocated).
+
+        ``fresh=True`` hands ``grad`` over: the caller computed it for
+        this parent alone, or it is a view of the calling node's own
+        gradient (reshape, transpose), which the engine reads no more.
+        A first gradient handed over in this tensor's dtype and compact
+        in memory is adopted as ``self.grad`` rather than copied, in the
+        layout the copy would have had (``astype`` copies in
+        ``order="K"``).  Anything else — an upstream gradient passed to
+        several parents, a broadcast or strided view — is copied.  So a
+        ``.grad`` shares memory at most with the gradient of a view of
+        its own tensor, never with another leaf's, and in-place edits of
+        a parameter's gradient (SCAFFOLD's ``grad_hook``) stay local.
+        """
         if not self.requires_grad:
             return
-        grad = _unbroadcast(active_backend().asarray(grad), self.data.shape)
-        if self.grad is None:
-            self.grad = grad.astype(self.data.dtype, copy=True)
-        else:
+        bk = active_backend()
+        grad = _unbroadcast(bk.asarray(grad), self.data.shape)
+        if self.grad is not None:
             self.grad = self.grad + grad.astype(self.data.dtype, copy=False)
+        elif fresh and grad.dtype == self.data.dtype and _compact(grad, bk):
+            self.grad = grad
+        else:
+            self.grad = grad.astype(self.data.dtype, copy=True)
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic
@@ -260,8 +292,8 @@ class Tensor:
         out_data = self.data * other.data
 
         def backward(g) -> None:
-            self._accumulate(g * other.data)
-            other._accumulate(g * self.data)
+            self._accumulate(g * other.data, fresh=True)
+            other._accumulate(g * self.data, fresh=True)
 
         return Tensor._make(out_data, (self, other), backward, "mul")
 
@@ -273,7 +305,7 @@ class Tensor:
 
         def backward(g) -> None:
             self._accumulate(g)
-            other._accumulate(-g)
+            other._accumulate(-g, fresh=True)
 
         return Tensor._make(out_data, (self, other), backward, "sub")
 
@@ -285,8 +317,8 @@ class Tensor:
         out_data = self.data / other.data
 
         def backward(g) -> None:
-            self._accumulate(g / other.data)
-            other._accumulate(-g * self.data / (other.data * other.data))
+            self._accumulate(g / other.data, fresh=True)
+            other._accumulate(-g * self.data / (other.data * other.data), fresh=True)
 
         return Tensor._make(out_data, (self, other), backward, "div")
 
@@ -297,7 +329,7 @@ class Tensor:
         out_data = -self.data
 
         def backward(g) -> None:
-            self._accumulate(-g)
+            self._accumulate(-g, fresh=True)
 
         return Tensor._make(out_data, (self,), backward, "neg")
 
@@ -307,7 +339,7 @@ class Tensor:
         out_data = self.data**exponent
 
         def backward(g) -> None:
-            self._accumulate(g * exponent * self.data ** (exponent - 1))
+            self._accumulate(g * exponent * self.data ** (exponent - 1), fresh=True)
 
         return Tensor._make(out_data, (self,), backward, f"pow{exponent}")
 
@@ -337,7 +369,7 @@ class Tensor:
         out_data = active_backend().exp(self.data)
 
         def backward(g) -> None:
-            self._accumulate(g * out_data)
+            self._accumulate(g * out_data, fresh=True)
 
         return Tensor._make(out_data, (self,), backward, "exp")
 
@@ -345,7 +377,7 @@ class Tensor:
         out_data = active_backend().log(self.data)
 
         def backward(g) -> None:
-            self._accumulate(g / self.data)
+            self._accumulate(g / self.data, fresh=True)
 
         return Tensor._make(out_data, (self,), backward, "log")
 
@@ -353,7 +385,7 @@ class Tensor:
         out_data = active_backend().sqrt(self.data)
 
         def backward(g) -> None:
-            self._accumulate(g * 0.5 / out_data)
+            self._accumulate(g * 0.5 / out_data, fresh=True)
 
         return Tensor._make(out_data, (self,), backward, "sqrt")
 
@@ -362,7 +394,7 @@ class Tensor:
         out_data = bk.abs(self.data)
 
         def backward(g) -> None:
-            self._accumulate(g * bk.sign(self.data))
+            self._accumulate(g * bk.sign(self.data), fresh=True)
 
         return Tensor._make(out_data, (self,), backward, "abs")
 
@@ -370,7 +402,7 @@ class Tensor:
         out_data = active_backend().tanh(self.data)
 
         def backward(g) -> None:
-            self._accumulate(g * (1.0 - out_data * out_data))
+            self._accumulate(g * (1.0 - out_data * out_data), fresh=True)
 
         return Tensor._make(out_data, (self,), backward, "tanh")
 
@@ -385,18 +417,21 @@ class Tensor:
         ).astype(self.data.dtype, copy=False)
 
         def backward(g) -> None:
-            self._accumulate(g * out_data * (1.0 - out_data))
+            self._accumulate(g * out_data * (1.0 - out_data), fresh=True)
 
         return Tensor._make(out_data, (self,), backward, "sigmoid")
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-        out_data = active_backend().where(mask, self.data, 0.0).astype(
-            self.data.dtype, copy=False
-        )
+        # Branch-free, and bitwise ``where(x > 0, x, 0)`` on every input:
+        # fmax drops NaN for the 0, and ``+= 0`` turns the -0.0 that some
+        # of NumPy's fmax loops return for a -0.0 input into +0.0.
+        out_data = active_backend().fmax(self.data, 0)
+        out_data += 0
+        # The mask is graph work: built only when backward can run.
+        mask = self.data > 0 if is_grad_enabled() and self.requires_grad else None
 
         def backward(g) -> None:
-            self._accumulate(g * mask)
+            self._accumulate(g * mask, fresh=True)
 
         return Tensor._make(out_data, (self,), backward, "relu")
 
@@ -408,7 +443,7 @@ class Tensor:
         )
 
         def backward(g) -> None:
-            self._accumulate(g * bk.where(mask, 1.0, negative_slope))
+            self._accumulate(g * bk.where(mask, 1.0, negative_slope), fresh=True)
 
         return Tensor._make(out_data, (self,), backward, "leaky_relu")
 
@@ -417,7 +452,7 @@ class Tensor:
         mask = (self.data >= low) & (self.data <= high)
 
         def backward(g) -> None:
-            self._accumulate(g * mask)
+            self._accumulate(g * mask, fresh=True)
 
         return Tensor._make(out_data, (self,), backward, "clip")
 
@@ -467,7 +502,7 @@ class Tensor:
             mask = self.data == maxes
             # Split the gradient evenly across ties (subgradient choice).
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accumulate(grad * mask / counts)
+            self._accumulate(grad * mask / counts, fresh=True)
 
         return Tensor._make(out_data, (self,), backward, "max")
 
@@ -484,7 +519,8 @@ class Tensor:
         original = self.data.shape
 
         def backward(g) -> None:
-            self._accumulate(active_backend().asarray(g).reshape(original))
+            # ``g`` is this node's own gradient: hand a view of it over.
+            self._accumulate(active_backend().asarray(g).reshape(original), fresh=True)
 
         return Tensor._make(out_data, (self,), backward, "reshape")
 
@@ -501,7 +537,7 @@ class Tensor:
         inverse = tuple(sorted(range(len(perm)), key=perm.__getitem__))
 
         def backward(g) -> None:
-            self._accumulate(active_backend().asarray(g).transpose(inverse))
+            self._accumulate(active_backend().asarray(g).transpose(inverse), fresh=True)
 
         return Tensor._make(out_data, (self,), backward, "transpose")
 
@@ -512,7 +548,7 @@ class Tensor:
             bk = active_backend()
             grad = bk.zeros_like(self.data)
             bk.add_at(grad, index, g)
-            self._accumulate(grad)
+            self._accumulate(grad, fresh=True)
 
         return Tensor._make(out_data, (self,), backward, "getitem")
 
@@ -541,21 +577,23 @@ class Tensor:
             g = bk.asarray(g)
             a, b = self.data, other.data
             if a.ndim == 1 and b.ndim == 1:  # dot product -> scalar
-                self._accumulate(g * b)
-                other._accumulate(g * a)
+                self._accumulate(g * b, fresh=True)
+                other._accumulate(g * a, fresh=True)
                 return
             if a.ndim == 1:  # (k,) @ (..., k, n)
-                self._accumulate((bk.expand_dims(g, -2) @ bk.swapaxes(b, -1, -2)).reshape(a.shape))
-                other._accumulate(bk.expand_dims(a, -1) @ bk.expand_dims(g, -2))
+                self._accumulate(
+                    (bk.expand_dims(g, -2) @ bk.swapaxes(b, -1, -2)).reshape(a.shape), fresh=True
+                )
+                other._accumulate(bk.expand_dims(a, -1) @ bk.expand_dims(g, -2), fresh=True)
                 return
             if b.ndim == 1:  # (..., m, k) @ (k,)
-                self._accumulate(bk.expand_dims(g, -1) @ bk.expand_dims(b, -2))
-                other._accumulate(_unbroadcast(bk.swapaxes(a, -1, -2) @ bk.expand_dims(g, -1), b.shape + (1,)).reshape(b.shape))
+                self._accumulate(bk.expand_dims(g, -1) @ bk.expand_dims(b, -2), fresh=True)
+                other._accumulate(_unbroadcast(bk.swapaxes(a, -1, -2) @ bk.expand_dims(g, -1), b.shape + (1,)).reshape(b.shape), fresh=True)
                 return
             grad_a = g @ bk.swapaxes(b, -1, -2)
             grad_b = bk.swapaxes(a, -1, -2) @ g
-            self._accumulate(_unbroadcast(grad_a, a.shape))
-            other._accumulate(_unbroadcast(grad_b, b.shape))
+            self._accumulate(_unbroadcast(grad_a, a.shape), fresh=True)
+            other._accumulate(_unbroadcast(grad_b, b.shape), fresh=True)
 
         return Tensor._make(out_data, (self, other), backward, "matmul")
 
@@ -600,7 +638,7 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
         bk = active_backend()
         g = bk.asarray(g)
         for i, t in enumerate(tensors):
-            t._accumulate(bk.take(g, i, axis=axis))
+            t._accumulate(bk.take(g, i, axis=axis), fresh=True)
 
     return Tensor._make(out_data, tuple(tensors), backward, "stack")
 
@@ -615,7 +653,7 @@ def where(condition, a, b) -> Tensor:
     def backward(g) -> None:
         bk = active_backend()
         g = bk.asarray(g)
-        a._accumulate(bk.where(cond, g, 0.0))
-        b._accumulate(bk.where(cond, 0.0, g))
+        a._accumulate(bk.where(cond, g, 0.0), fresh=True)
+        b._accumulate(bk.where(cond, 0.0, g), fresh=True)
 
     return Tensor._make(out_data, (a, b), backward, "where")

@@ -72,6 +72,19 @@ def _in_flight(chan):
     return len(chan._inflight)
 
 
+def _stopped(pid):
+    """Whether every thread of ``pid`` has entered SIGSTOP's group stop.
+
+    ``os.kill`` returns before a thread running on another core stops,
+    and such a thread may still answer a request sent meanwhile.
+    """
+    for tid in os.listdir(f"/proc/{pid}/task"):
+        with open(f"/proc/{pid}/task/{tid}/stat") as fh:
+            if fh.read().rsplit(")", 1)[1].split()[0] != "T":
+                return False
+    return True
+
+
 @pytest.fixture()
 def pool():
     with ThreadPoolExecutor(max_workers=8) as executor:
@@ -203,6 +216,7 @@ class TestFailureWithRequestsInFlight:
             chan = handle.channel("data")
             chan.call("ping")
             os.kill(handle.process.pid, signal.SIGSTOP)  # requests pile up unread
+            _wait_for(lambda: _stopped(handle.process.pid))
             futures = [pool.submit(chan.call, "ping") for _ in range(4)]
             _wait_for(lambda: _in_flight(chan) == 4)
             before = chan.transport_retries

@@ -142,6 +142,21 @@ class TestSGDInPlace:
                 assert np.array_equal(p.data, r.data), f"step {step}"
                 assert np.array_equal(p.grad, g)  # the gradient is only read
 
+    @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64], ids=["f32", "f64-grad"])
+    def test_blocked_cross_layout_update_bit_equal(self, rng, grad_dtype):
+        """A weight gradient past 2 MiB arriving F-ordered is applied in
+        column blocks (1030 columns: a partial last block)."""
+        (p,) = params = [Parameter(rng.standard_normal((512, 1030)).astype(np.float32))]
+        ref = [Parameter(p.data.copy())]
+        ref_buffers = [None]
+        opt = SGD(params, lr=0.05, momentum=0.5)
+        for _ in range(3):
+            g = np.asfortranarray(rng.standard_normal((512, 1030)).astype(grad_dtype))
+            p.grad, ref[0].grad = g, g.copy(order="K")
+            opt.step()
+            _allocating_sgd_step(ref, ref_buffers, 0.05, 0.5, 0.0, False)
+            assert np.array_equal(p.data, ref[0].data)
+
     def test_gradient_widening_mid_run_follows_the_formula(self, rng):
         """A hook that starts handing float64 gradients on step two must
         not be rounded into the float32 momentum buffer."""

@@ -66,6 +66,83 @@ class TestGraphMechanics:
         assert b.grad is None
 
 
+class TestGradientAdoption:
+    """A fresh gradient handed over is adopted, never aliased across tensors."""
+
+    def test_shared_upstream_is_copied_per_parent(self):
+        w1 = Tensor(np.arange(3.0), requires_grad=True)
+        w2 = Tensor(np.arange(3.0) + 1, requires_grad=True)
+        (w1 + w2).sum().backward()
+        np.testing.assert_array_equal(w1.grad, np.ones(3))
+        np.testing.assert_array_equal(w2.grad, np.ones(3))
+        assert not np.shares_memory(w1.grad, w2.grad)
+
+    def test_same_tensor_twice_sums(self):
+        w = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        (w * w).sum().backward()
+        np.testing.assert_array_equal(w.grad, 2 * w.data)
+
+    def test_adopted_then_accumulated(self):
+        x = Tensor(np.array([-1.0, 0.5, 2.0]), requires_grad=True)
+        (x.relu() + x).sum().backward()
+        np.testing.assert_array_equal(x.grad, [1.0, 2.0, 2.0])
+
+    def test_fresh_compact_gradient_is_adopted(self):
+        x = Tensor(np.zeros((4, 6)), requires_grad=True)
+        grad = np.ones((6, 4)).T  # F-ordered, compact
+        x._accumulate(grad, fresh=True)
+        assert x.grad is grad
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.ones((4, 12))[:, ::2],  # strided view of a larger buffer
+            lambda: np.broadcast_to(np.ones(6), (4, 6)),  # read-only, stride 0
+            lambda: np.ones((4, 6), dtype=np.float32),  # another dtype
+        ],
+        ids=["strided", "broadcast", "dtype"],
+    )
+    def test_other_gradients_are_copied(self, make):
+        x = Tensor(np.zeros((4, 6)), requires_grad=True)
+        grad = make()
+        x._accumulate(grad, fresh=True)
+        assert not np.shares_memory(x.grad, grad)
+        assert x.grad.dtype == x.data.dtype and x.grad.flags.writeable
+
+    def test_callers_gradient_is_never_adopted(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        g = np.ones((3, 2))
+        x.reshape(3, 2).backward(g)
+        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+        assert not np.shares_memory(x.grad, g)
+
+    @pytest.fixture(scope="class")
+    def cnn_step_grads(self):
+        from repro.models.registry import build_model
+        from repro.tensor.functional import cross_entropy
+
+        model = build_model("cnn_s", seed=0)
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((6, 3, 8, 8)).astype(np.float32))
+        cross_entropy(model(x), rng.integers(0, 10, size=6)).backward()
+        return dict(model.named_parameters())
+
+    def test_no_two_parameters_share_gradient_memory(self, cnn_step_grads):
+        grads = [(name, p.grad) for name, p in cnn_step_grads.items()]
+        for i, (a, ga) in enumerate(grads):
+            for b, gb in grads[i + 1 :]:
+                assert not np.shares_memory(ga, gb), (a, b)
+
+    def test_in_place_gradient_edit_stays_local(self, cnn_step_grads):
+        """SCAFFOLD's ``grad_hook`` edits ``.grad`` in place."""
+        for edited, param in cnn_step_grads.items():
+            before = {name: p.grad.copy() for name, p in cnn_step_grads.items()}
+            param.grad += 1.0
+            for name, p in cnn_step_grads.items():
+                if name != edited:
+                    np.testing.assert_array_equal(p.grad, before[name], err_msg=(edited, name))
+
+
 class TestGradMode:
     def test_no_grad_blocks_graph(self):
         x = Tensor([1.0], requires_grad=True)

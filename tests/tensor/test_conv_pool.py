@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from repro.tensor import Tensor, functional as F, gradcheck
+from repro.tensor import Tensor, functional as F, gradcheck, no_grad
 
 
 def reference_conv2d(x, w, b=None, stride=1, padding=0):
@@ -111,6 +111,37 @@ class TestMaxPool:
         x = Tensor(rng.permutation(np.arange(98.0)).reshape(2, 1, 7, 7))
         gradcheck(lambda a: F.max_pool2d(a, 3, stride=2), [x])
 
+    @pytest.mark.parametrize("kernel,stride", [(2, None), (3, 2)], ids=["tiling", "strided"])
+    def test_no_grad_builds_no_graph(self, rng, kernel, stride):
+        x = Tensor(rng.standard_normal((2, 3, 8, 8)), requires_grad=True)
+        graphed = F.max_pool2d(x, kernel, stride)
+        with no_grad():
+            free = F.max_pool2d(x, kernel, stride)
+        assert not free.requires_grad and free._backward is None and free._parents == ()
+        assert np.array_equal(free.data, graphed.data)
+
+    def test_gradient_layout_after_conv_relu_is_the_conv_outputs(self, rng):
+        """conv -> ReLU -> pool: the pool writes its gradient channels-last
+        like the conv output, and the values are unchanged."""
+        x = Tensor(rng.standard_normal((2, 3, 8, 8)).astype(np.float32))
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32), requires_grad=True)
+        act = F.conv2d(x, w, padding=1).relu()
+        F.max_pool2d(act, 2).sum().backward()
+        assert act.grad.strides == act.data.strides != act.data.copy().strides
+        leaf = Tensor(act.data.copy(), requires_grad=True)
+        F.max_pool2d(leaf, 2).sum().backward()
+        assert np.array_equal(act.grad, leaf.grad)
+
+    def test_gradient_layout_elsewhere_is_numpys(self, rng):
+        """Off the conv path a norm layer may reduce the gradient, so the
+        pool keeps the layout NumPy gives the product it was recorded
+        with (C order here, for a channels-last input)."""
+        data = rng.standard_normal((2, 4, 8, 8)).astype(np.float32)
+        x = Tensor(np.ascontiguousarray(data.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2),
+                   requires_grad=True)
+        F.max_pool2d(x, 2).sum().backward()
+        assert x.grad.flags.c_contiguous
+
 
 class TestAvgPool:
     def test_values(self):
@@ -122,8 +153,17 @@ class TestAvgPool:
         gradcheck(lambda a: F.avg_pool2d(a, 2), [Tensor(rng.standard_normal((2, 2, 4, 4)))])
 
     def test_non_tiling_raises(self, rng):
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(NotImplementedError, match=r"exact-tiling.*\(1, 1, 5, 5\)"):
             F.avg_pool2d(Tensor(rng.standard_normal((1, 1, 5, 5))), 2)
+
+    def test_rejects_non_nchw_input(self, rng):
+        with pytest.raises(ValueError, match=r"avg_pool2d expects a 4-D input.*\(2, 4, 4\)"):
+            F.avg_pool2d(Tensor(rng.standard_normal((2, 4, 4))), 2)
+
+    @pytest.mark.parametrize("kernel,stride", [(0, None), (2, -1)])
+    def test_rejects_kernel_or_stride_below_one(self, rng, kernel, stride):
+        with pytest.raises(ValueError, match=r"must be >= 1.*\(1, 1, 4, 4\)"):
+            F.avg_pool2d(Tensor(rng.standard_normal((1, 1, 4, 4))), kernel, stride)
 
     def test_global_avg_pool(self, rng):
         x = rng.standard_normal((2, 3, 4, 4))

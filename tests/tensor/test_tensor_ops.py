@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, gradcheck
+from repro.tensor import Tensor, gradcheck, no_grad
 from repro.tensor.tensor import concatenate, stack, where
 
 
@@ -114,6 +114,35 @@ class TestUnaryOps:
     def test_relu_zeroes_negatives(self):
         x = t([-1.0, 0.0, 2.0])
         np.testing.assert_allclose(x.relu().numpy(), [0.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_bitwise_where_on_special_values(self, rng, dtype):
+        """``relu`` is ``fmax`` now; its bits are still ``where(x > 0, x, 0)``'s.
+
+        NumPy's fmax returns -0.0 for a -0.0 input on some of its loops
+        (float64 scalar loops), so every size up to past the SIMD width
+        and several layouts are tried."""
+        info = np.finfo(dtype)
+        special = np.array(
+            [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, info.smallest_subnormal,
+             -info.smallest_subnormal, info.tiny, -info.tiny, info.max, -info.max, 1.0, -1.0],
+            dtype=dtype,
+        )
+        for n in [*range(1, 20), 64, 1001]:
+            x = rng.choice(special, size=(n, 3)).astype(dtype)
+            for view in (x, x.T, x[::2], np.asfortranarray(x)):
+                want = np.where(view > 0, view, 0).astype(dtype)
+                got = Tensor(view).relu().data
+                assert got.dtype == dtype
+                assert got.tobytes() == want.tobytes(), (n, view.strides)
+
+    def test_relu_under_no_grad_builds_no_graph(self, rng):
+        x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        graphed = x.relu()
+        with no_grad():
+            free = x.relu()
+        assert not free.requires_grad and free._backward is None and free._parents == ()
+        assert np.array_equal(free.data, graphed.data)
 
     def test_leaky_relu_slope(self):
         x = t([-10.0, 10.0])
