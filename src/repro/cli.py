@@ -14,347 +14,88 @@ Commands
 ``list``
     Show registered methods, models, datasets and pool backends.
 
-Flag defaults mirror :class:`repro.fl.config.FLConfig` (they are read
-off a default instance, so the two can never drift): batch size 50,
-20 clients, Section IV-A local-training settings.  Beyond the config
-fields, the server's phased round loop is exposed through:
-
-``--backend dense|memmap|sharded|distributed``
-    Pool-storage backend for the server's model buffers
-    (:mod:`repro.core.storage`); ``memmap`` keeps pools on disk for
-    populations beyond RAM, ``sharded`` splits the pool into N row
-    shards (``--shards``, each shard dense or memmap per
-    ``--shard-placement``) so no operation ever needs the whole
-    matrix as one allocation, and ``distributed`` places the row
-    shards on ``--hosts`` socket-RPC worker processes
-    (:mod:`repro.distributed`) — all backends are bit-identical.
-``--execution serial|thread|process|distributed`` / ``--workers N``
-    Client-execution backend for the collect phase
-    (:mod:`repro.fl.execution`); ``process`` trains the round's clients
-    on a persistent worker pool with shared-memory upload packing,
-    ``distributed`` co-locates each leg with the shard host owning its
-    upload row (requires ``--backend distributed``).  Histories are
-    bit-identical across backends.
-``--array-backend numpy|cupy|...``
-    Array backend tensor math dispatches through
-    (:mod:`repro.tensor.backend`); workers of the ``process``
-    execution backend activate it too.  The ``numpy`` backend is
-    bit-identical to direct-numpy execution; ``cupy`` registers only
-    when importable.
-``--faults`` / ``--quorum`` / ``--failure-policy`` / ``--leg-retries``
-/ ``--leg-timeout`` / ``--leg-backoff``
-    The resilience layer (:mod:`repro.faults`): a seeded client-fault
-    scenario (availability churn, dropouts, stragglers — identical on
-    every backend), the fresh-upload quorum a round must reach, what
-    happens to failed legs (``fail`` aborts, ``carry`` keeps the stale
-    middleware row, ``redispatch`` reissues once), and the bounded
-    retry/timeout/backoff knobs for infrastructure failures.  Scenario
-    knobs also cover the seeded adversarial client model
-    (``byzantine_frac`` / ``attack`` / ``attack_scale``).
-``--aggregator`` / ``--aggregator-params`` / ``--screen``
-    The Byzantine-robust aggregation layer (:mod:`repro.robust`):
-    which aggregation operator drives CrossAggr blends and
-    GlobalModelGen (``mean`` — bitwise the reference path —
-    ``trimmed_mean``, ``coordinate_median`` or ``norm_clip``, plus
-    operator knobs as JSON), and whether the Gram-based anomaly
-    screen flags or quarantines suspect uploads before aggregation.
-``--progress``
-    Attach a :class:`~repro.fl.callbacks.ThroughputLogger` printing
-    per-round wall-clock and a throughput summary to stderr.
-``--early-stop-patience N``
-    Attach a :class:`~repro.fl.callbacks.BestStateCheckpointer`: stop
-    after N non-improving evaluations and restore the best state.
+``run`` and ``compare`` get one flag per :class:`repro.fl.config.FLConfig`
+knob, built by walking its fields: flag, parse type, default, choices or
+validating registry, help and group all come from the field's metadata,
+and so does README's flag table (:func:`flag_table`).  A value the
+config rejects — a knob's own check or a cross-field rule — is a usage
+error naming the flags.  Beyond the knobs: ``--alpha`` / ``--selection``
+(FedCross method options; unset, FedCross's own defaults apply),
+``--progress`` (a :class:`~repro.fl.callbacks.ThroughputLogger`),
+``--early-stop-patience N`` (a
+:class:`~repro.fl.callbacks.BestStateCheckpointer`) and ``--json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
+import re
 import sys
+from dataclasses import MISSING, fields
 
-from repro.api import compare_methods, run_method
+from repro.api import compare_methods
 from repro.data.federated import DATASET_BUILDERS
 from repro.fl.callbacks import BestStateCheckpointer, ThroughputLogger
-from repro.fl.config import FLConfig
+from repro.fl.config import FLConfig, knob_error
 from repro.fl.registry import available_methods
+from repro.fl.simulation import run_simulation
 from repro.models.registry import available_models
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "flag_table"]
 
-# Single source of truth for flag defaults: the config dataclass.
-_DEFAULTS = FLConfig()
-
-
-def _backend(value: str) -> str:
-    """Validate ``--backend`` at parse time (fail fast, registry open).
-
-    Resolved against the live backend registry rather than a static
-    ``choices`` list, so third-party backends registered before CLI
-    invocation remain selectable.
-    """
-    from repro.core.storage import resolve_backend
-
-    try:
-        resolve_backend(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(exc.args[0])
-    return value.lower()
+#: FLConfig fields that have a flag, in declaration order.
+_KNOBS = tuple(f for f in fields(FLConfig) if f.metadata["flag"] is not None)
 
 
-def _execution(value: str) -> str:
-    """Validate ``--execution`` against the live execution registry."""
-    from repro.fl.execution import resolve_execution
-
-    try:
-        resolve_execution(value)
-    except KeyError as exc:
-        raise argparse.ArgumentTypeError(exc.args[0])
-    return value.lower()
+def _dest(f) -> str:
+    return f.metadata["flag"][2:].replace("-", "_")
 
 
-def _array_backend(value: str) -> str:
-    """Validate ``--array-backend`` against the live array-backend registry."""
-    from repro.tensor.backend import resolve_array_backend
+def _knob_type(f):
+    """argparse ``type`` for knob ``f``: parse, run the knob's own check,
+    then resolve a registry name (registries stay open to late additions)."""
+    meta = f.metadata
 
-    try:
-        resolve_array_backend(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(exc.args[0])
-    return value.lower()
+    def parse(text: str):
+        value = meta["type"](text)  # a ValueError reads "invalid <type> value"
+        error = knob_error(f, value)
+        if error is not None:
+            raise argparse.ArgumentTypeError(error)
+        if meta["registry"] is not None:
+            module, resolver = meta["registry"].split(":")
+            try:
+                getattr(importlib.import_module(module), resolver)(value)
+            except (KeyError, ValueError) as exc:
+                raise argparse.ArgumentTypeError(exc.args[0])
+            return value.lower()
+        return value
 
-
-def _aggregator(value: str) -> str:
-    """Validate ``--aggregator`` against the live operator registry."""
-    from repro.robust.operators import resolve_operator
-
-    try:
-        resolve_operator(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(exc.args[0])
-    return value.lower()
-
-
-def _positive_int(value: str) -> int:
-    parsed = int(value)
-    if parsed < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {parsed}")
-    return parsed
+    parse.__name__ = meta["type"].__name__.lstrip("_")
+    return parse
 
 
-def _add_run_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dataset", default=_DEFAULTS.dataset)
-    parser.add_argument("--model", default=_DEFAULTS.model)
-    parser.add_argument(
-        "--beta",
-        default=str(_DEFAULTS.heterogeneity),
-        help='Dirichlet beta (float) or "iid"',
-    )
-    parser.add_argument("--clients", type=int, default=_DEFAULTS.num_clients)
-    parser.add_argument(
-        "--participation", type=float, default=_DEFAULTS.participation
-    )
-    parser.add_argument(
-        "--k-active",
-        type=int,
-        default=None,
-        help="absolute active-client count per round (overrides --participation)",
-    )
-    parser.add_argument("--rounds", type=int, default=_DEFAULTS.rounds)
-    parser.add_argument("--local-epochs", type=int, default=_DEFAULTS.local_epochs)
-    parser.add_argument("--batch-size", type=int, default=_DEFAULTS.batch_size)
-    parser.add_argument("--lr", type=float, default=_DEFAULTS.lr)
-    parser.add_argument("--momentum", type=float, default=_DEFAULTS.momentum)
-    parser.add_argument("--weight-decay", type=float, default=_DEFAULTS.weight_decay)
-    parser.add_argument("--eval-every", type=int, default=_DEFAULTS.eval_every)
-    parser.add_argument(
-        "--eval-batch-size", type=int, default=_DEFAULTS.eval_batch_size
-    )
-    parser.add_argument(
-        "--backend",
-        type=_backend,
-        default=_DEFAULTS.backend,
-        help=(
-            'pool-storage backend: "dense" (in-memory), "memmap" '
-            '(file-backed), "sharded" (row shards; see --shards) or '
-            '"distributed" (row shards on socket-RPC host processes; '
-            "see --hosts)"
-        ),
-    )
-    parser.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=_DEFAULTS.shards,
-        help=(
-            "row-shard count for the sharded pool backend "
-            "(default: REPRO_POOL_SHARDS or 4)"
-        ),
-    )
-    parser.add_argument(
-        "--shard-placement",
-        type=_backend,
-        default=_DEFAULTS.shard_placement,
-        help=(
-            'storage medium of each row shard of the sharded (or '
-            'distributed) backend: "dense" (default) or "memmap" '
-            "(shards on disk — pools beyond RAM)"
-        ),
-    )
-    parser.add_argument(
-        "--hosts",
-        type=_positive_int,
-        default=_DEFAULTS.hosts,
-        help=(
-            "shard-host process count for the distributed pool backend "
-            "(default: REPRO_POOL_HOSTS or 2)"
-        ),
-    )
-    parser.add_argument(
-        "--execution",
-        type=_execution,
-        default=_DEFAULTS.execution,
-        help=(
-            'client-execution backend: "serial", "thread", "process" or '
-            '"distributed" (legs co-located with their upload shards; '
-            "requires --backend distributed)"
-        ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=_DEFAULTS.workers,
-        help="worker count for parallel execution backends (default: one per usable core)",
-    )
-    parser.add_argument(
-        "--array-backend",
-        type=_array_backend,
-        default=_DEFAULTS.array_backend,
-        help=(
-            "array backend tensor math dispatches through "
-            '("numpy", "cupy" when installed, ...; default: the '
-            "process-wide active backend — REPRO_ARRAY_BACKEND or numpy)"
-        ),
-    )
-    parser.add_argument(
-        "--round-mode",
-        default=_DEFAULTS.round_mode,
-        choices=("sync", "async"),
-        help=(
-            "round schedule: sync (default — each round blocks on its "
-            "slowest leg) or async (bounded-staleness overlap: round t+1 "
-            "dispatches while round t stragglers finish; see "
-            "--max-staleness)"
-        ),
-    )
-    parser.add_argument(
-        "--max-staleness",
-        type=int,
-        default=_DEFAULTS.max_staleness,
-        help=(
-            "async round schedule's staleness bound S: at most S+1 rounds "
-            "in flight, and no pool row is blended by a round older than "
-            "the round that last wrote it (S=0, the default, is bitwise "
-            "the sync schedule)"
-        ),
-    )
-    parser.add_argument(
-        "--faults",
-        default=_DEFAULTS.faults,
-        help=(
-            "client-fault scenario: a JSON object of FaultScenario knobs "
-            '(e.g. \'{"availability": 0.9, "dropout": 0.1}\') or a path '
-            "to a scenario file; decisions are seeded and identical on "
-            "every backend (default: no faults)"
-        ),
-    )
-    parser.add_argument(
-        "--quorum",
-        type=float,
-        default=_DEFAULTS.quorum,
-        help=(
-            "fraction of the cohort that must deliver fresh uploads for a "
-            "round to count (default 1.0 — every leg)"
-        ),
-    )
-    parser.add_argument(
-        "--failure-policy",
-        default=_DEFAULTS.failure_policy,
-        choices=("fail", "carry", "redispatch"),
-        help=(
-            "what happens to a failed leg: abort the round (fail, the "
-            "default), keep its stale middleware row (carry), or reissue "
-            "it once before carrying (redispatch)"
-        ),
-    )
-    parser.add_argument(
-        "--leg-retries",
-        type=int,
-        default=_DEFAULTS.leg_retries,
-        help="bounded retries for leg errors/timeouts (default 0)",
-    )
-    parser.add_argument(
-        "--leg-timeout",
-        type=float,
-        default=_DEFAULTS.leg_timeout,
-        help=(
-            "wall-clock seconds to wait for in-flight legs on parallel "
-            "backends before declaring the rest timed out (default: none)"
-        ),
-    )
-    parser.add_argument(
-        "--leg-backoff",
-        type=float,
-        default=_DEFAULTS.leg_backoff,
-        help="base backoff seconds; retry i sleeps leg_backoff * 2**(i-1)",
-    )
-    parser.add_argument(
-        "--aggregator",
-        type=_aggregator,
-        default=_DEFAULTS.aggregator,
-        help=(
-            'aggregation operator for CrossAggr blends and GlobalModelGen: '
-            '"mean" (default, bitwise the reference path), "trimmed_mean", '
-            '"coordinate_median" or "norm_clip" (repro.robust.operators)'
-        ),
-    )
-    parser.add_argument(
-        "--aggregator-params",
-        default=None,
-        help=(
-            "JSON object of operator knobs, e.g. "
-            '\'{"trim": 0.25}\' or \'{"clip_factor": 3.0}\''
-        ),
-    )
-    parser.add_argument(
-        "--screen",
-        default=_DEFAULTS.screen,
-        choices=("flag", "carry"),
-        help=(
-            "Gram-based anomaly screening of landed uploads: flag "
-            "(record suspects in history extras) or carry (additionally "
-            "quarantine flagged rows; default: off)"
-        ),
-    )
-    parser.add_argument("--seed", type=int, default=_DEFAULTS.seed)
-    parser.add_argument("--alpha", type=float, default=0.9, help="FedCross fusion weight")
-    parser.add_argument(
-        "--selection",
-        default="lowest",
-        choices=("in_order", "highest", "lowest"),
-        help="FedCross CoModelSel strategy",
-    )
-    parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="log per-round wall-clock and a throughput summary to stderr",
-    )
-    parser.add_argument(
-        "--early-stop-patience",
-        type=_positive_int,
-        default=None,
-        help="stop after this many non-improving evaluations and restore the best state",
-    )
-    parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+def _add_config_args(parser: argparse.ArgumentParser, method: str | None) -> None:
+    """One flag per knob, in argument groups; ``method=None`` leaves
+    ``--method`` out (``compare`` takes ``--methods``)."""
+    groups: dict = {}
+    for f in _KNOBS:
+        if f.name == "method" and method is None:
+            continue
+        meta = f.metadata
+        group = groups.get(meta["group"])
+        if group is None:
+            group = groups[meta["group"]] = parser.add_argument_group(meta["group"])
+        default = f.default if f.default is not MISSING else None
+        group.add_argument(
+            meta["flag"],
+            type=_knob_type(f),
+            default=method if f.name == "method" else default,
+            choices=meta["choices"],
+            help=meta["help"],
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,14 +105,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one FL simulation")
-    run_p.add_argument("--method", default="fedcross")
-    _add_run_args(run_p)
+    _add_config_args(run_p, method="fedcross")
+    _add_cli_args(run_p)
 
     cmp_p = sub.add_parser("compare", help="compare methods on shared data")
     cmp_p.add_argument(
         "--methods", default="fedavg,fedcross", help="comma-separated method names"
     )
-    _add_run_args(cmp_p)
+    _add_config_args(cmp_p, method=None)
+    _add_cli_args(cmp_p)
 
     bench_p = sub.add_parser("bench", help="regenerate a paper table/figure")
     bench_p.add_argument(
@@ -387,48 +129,83 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _heterogeneity(value: str):
-    return "iid" if value.lower() == "iid" else float(value)
-
-
-def _config_kwargs(args) -> dict:
-    return dict(
-        dataset=args.dataset,
-        model=args.model,
-        heterogeneity=_heterogeneity(args.beta),
-        num_clients=args.clients,
-        participation=args.participation,
-        k_active=args.k_active,
-        rounds=args.rounds,
-        local_epochs=args.local_epochs,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        momentum=args.momentum,
-        weight_decay=args.weight_decay,
-        eval_every=args.eval_every,
-        eval_batch_size=args.eval_batch_size,
-        backend=args.backend,
-        shards=args.shards,
-        shard_placement=args.shard_placement,
-        hosts=args.hosts,
-        execution=args.execution,
-        workers=args.workers,
-        array_backend=args.array_backend,
-        round_mode=args.round_mode,
-        max_staleness=args.max_staleness,
-        faults=args.faults,
-        quorum=args.quorum,
-        failure_policy=args.failure_policy,
-        leg_timeout=args.leg_timeout,
-        leg_retries=args.leg_retries,
-        leg_backoff=args.leg_backoff,
-        aggregator=args.aggregator,
-        aggregator_params=(
-            json.loads(args.aggregator_params) if args.aggregator_params else {}
-        ),
-        screen=args.screen,
-        seed=args.seed,
+def _add_cli_args(parser: argparse.ArgumentParser) -> None:
+    """The flags of ``run`` / ``compare`` that are not FLConfig knobs."""
+    parser.add_argument(
+        "--alpha", type=float, default=None,
+        help="FedCross fusion weight (default: FedCross's own, 0.99)",
     )
+    parser.add_argument(
+        "--selection",
+        default=None,
+        choices=("in_order", "highest", "lowest"),
+        help="FedCross CoModelSel strategy (default: FedCross's own, lowest)",
+    )
+    parser.add_argument(
+        "--progress",
+        action="store_true",
+        help="log per-round wall-clock and a throughput summary to stderr",
+    )
+    parser.add_argument(
+        "--early-stop-patience",
+        type=_positive_int,
+        default=None,
+        help="stop after this many non-improving evaluations and restore the best state",
+    )
+    parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+
+
+def _positive_int(value: str) -> int:
+    parsed = int(value)
+    if parsed < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {parsed}")
+    return parsed
+
+
+def _fedcross_params(args) -> dict:
+    """``--alpha`` / ``--selection`` as FedCross method options, only when set."""
+    params = {"alpha": args.alpha, "selection": args.selection}
+    return {k: v for k, v in params.items() if v is not None}
+
+
+def _config(args) -> FLConfig:
+    """The FLConfig the parsed knob flags describe (``method_params``
+    carries the FedCross options on ``run --method fedcross``)."""
+    given = vars(args)
+    kwargs = {}
+    for f in _KNOBS:
+        dest = _dest(f)
+        # An unset dict knob (flag default None) keeps its factory default.
+        if dest in given and (given[dest] is not None or f.default is not MISSING):
+            kwargs[f.name] = given[dest]
+    if args.command == "run" and args.method == "fedcross":
+        kwargs["method_params"] = _fedcross_params(args)
+    return FLConfig(**kwargs)
+
+
+def _usage(exc: ValueError) -> str:
+    """A config error prefixed by the flags of the knobs it names."""
+    message = str(exc)
+    flags = [
+        f.metadata["flag"] for f in _KNOBS if re.search(rf"\b{f.name}\b", message)
+    ]
+    return f"argument {'/'.join(flags)}: {message}" if flags else message
+
+
+def flag_table() -> str:
+    """README's flag table, rendered from the knob metadata."""
+    groups: dict = {}
+    for f in _KNOBS:
+        groups.setdefault(f.metadata["group"], []).append(f)
+    rows = ["| Group | Flag | Default | Effect |", "| --- | --- | --- | --- |"]
+    for group, knobs in groups.items():
+        for f in knobs:
+            flag = f.metadata["flag"]
+            if f.metadata["choices"] is not None:
+                flag += " " + "\\|".join(f.metadata["choices"])
+            default = "none" if f.default in (None, MISSING) else f"`{f.default}`"
+            rows.append(f"| {group} | `{flag}` | {default} | {f.metadata['help']} |")
+    return "\n".join(rows) + "\n"
 
 
 def _callback_factory(args):
@@ -449,18 +226,8 @@ def _callback_factory(args):
     return build
 
 
-def _cmd_run(args) -> int:
-    method_params = (
-        {"alpha": args.alpha, "selection": args.selection}
-        if args.method == "fedcross"
-        else {}
-    )
-    result = run_method(
-        args.method,
-        method_params=method_params,
-        callbacks=_callback_factory(args)(),
-        **_config_kwargs(args),
-    )
+def _cmd_run(args, config: FLConfig) -> int:
+    result = run_simulation(config, callbacks=_callback_factory(args)())
     if args.json:
         print(
             json.dumps(
@@ -484,13 +251,13 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args, config: FLConfig) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     results = compare_methods(
         methods,
-        method_params={"fedcross": {"alpha": args.alpha, "selection": args.selection}},
+        base_config=config,
+        method_params={"fedcross": _fedcross_params(args)},
         callbacks=_callback_factory(args),
-        **_config_kwargs(args),
     )
     if args.json:
         print(
@@ -556,11 +323,14 @@ def _cmd_list() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("run", "compare"):
+        try:
+            config = _config(args)
+        except ValueError as exc:
+            parser.error(_usage(exc))
+        return (_cmd_run if args.command == "run" else _cmd_compare)(args, config)
     if args.command == "bench":
         return _cmd_bench(args)
     return _cmd_list()

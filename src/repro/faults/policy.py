@@ -146,12 +146,12 @@ class RoundPolicy:
     @classmethod
     def from_config(cls, config: Any) -> "RoundPolicy":
         return cls(
-            quorum=float(getattr(config, "quorum", 1.0)),
-            failure_policy=str(getattr(config, "failure_policy", "fail")),
-            leg_timeout=getattr(config, "leg_timeout", None),
-            leg_retries=int(getattr(config, "leg_retries", 0)),
-            leg_backoff=float(getattr(config, "leg_backoff", 0.05)),
-            has_fault_model=bool(getattr(config, "faults", None)),
+            quorum=float(config.quorum),
+            failure_policy=str(config.failure_policy),
+            leg_timeout=config.leg_timeout,
+            leg_retries=int(config.leg_retries),
+            leg_backoff=float(config.leg_backoff),
+            has_fault_model=bool(config.faults),
         )
 
     @property

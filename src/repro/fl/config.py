@@ -5,249 +5,299 @@ client population, local-training hyper-parameters and method-specific
 options — mirroring the settings table of Section IV-A: batch size 50,
 five local epochs, SGD(lr=0.01, momentum=0.5), 10% participation.
 CPU-scaled defaults shrink the population/rounds, not the algorithm.
+
+Each field is a *knob* declared once by :func:`knob`: its ``metadata``
+holds the command-line flag, the parse type, the choices (or the
+registry that validates the name), one help string and its group.
+:mod:`repro.cli` builds its parser from these fields and renders the
+README flag table from them; ``__post_init__`` runs each knob's own
+check (:func:`knob_error`) and then the cross-field :data:`RULES`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Any, Callable, Mapping
 
-__all__ = ["FLConfig"]
+__all__ = ["FLConfig", "RULES", "knob", "knob_error"]
+
+_POSITIVE = (lambda v: v > 0, "positive")
+_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+_NAME = (lambda v: isinstance(v, str) and bool(v), "a registered name")  # registry knobs
+
+
+def knob(
+    flag: str | None,
+    default: Any,
+    group: str,
+    help: str,
+    *,
+    type: Callable | None = None,
+    choices: tuple | None = None,
+    registry: str | None = None,
+    check: tuple | None = None,
+    factory: Callable | None = None,
+):
+    """A config field with its knob metadata.
+
+    ``flag`` is the command-line spelling (``None``: no flag);
+    ``type`` parses the flag's string (default: the default's type, else
+    ``str``); ``registry`` names the ``module:resolver`` that validates a
+    name when the flag is parsed; ``check`` is a ``(predicate,
+    requirement)`` pair; ``factory`` replaces ``default`` for mutable
+    defaults.
+    """
+    if type is None:
+        type = str if default is None else default.__class__
+    metadata = dict(
+        flag=flag, type=type, choices=choices, registry=registry,
+        check=check, help=help, group=group,
+    )
+    if factory is not None:
+        return field(default_factory=factory, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+def _one_of(options) -> str:
+    names = [repr(o) for o in options]
+    return ", ".join(names[:-1]) + " or " + names[-1]
+
+
+def knob_error(f, value) -> str | None:
+    """Why ``value`` is not valid for field ``f`` of :class:`FLConfig`,
+    or ``None``.  A knob whose default is ``None`` also accepts ``None``."""
+    optional = f.default is None
+    if optional and value is None:
+        return None
+    meta = f.metadata
+    if meta["choices"] is not None:
+        ok = value in meta["choices"]
+        need = _one_of((None, *meta["choices"]) if optional else meta["choices"])
+    elif meta["registry"] is not None or meta["check"] is not None:
+        test, need = meta["check"] or _NAME
+        ok = test(value)
+        need = "None or " + need if optional else need
+    else:
+        return None
+    return None if ok else f"{f.name} must be {need}, got {value!r}"
+
+
+def _heterogeneity(value: str):
+    """``--beta``: ``"iid"`` or a Dirichlet β."""
+    return "iid" if value.lower() == "iid" else float(value)
+
+
+def _json_object(value: str) -> dict:
+    import json  # lazy: parsing a flag is the only use
+
+    parsed = json.loads(value)
+    if not isinstance(parsed, dict):
+        raise ValueError(f"not a JSON object: {value!r}")
+    return parsed
 
 
 @dataclass(frozen=True)
 class FLConfig:
     """Full specification of one federated-learning run.
 
-    Attributes
-    ----------
-    method:
-        Registered method name: ``fedavg``, ``fedprox``, ``scaffold``,
-        ``fedgen``, ``clusamp`` or ``fedcross``.
-    dataset / model:
-        Names resolved by :func:`repro.data.build_federated_dataset`
-        and :func:`repro.models.build_model`.
-    heterogeneity:
-        ``"iid"`` or a Dirichlet β (float) — the paper's Dir(β) knob.
-    num_clients:
-        Total population ``N`` (|C| in the paper).
-    participation:
-        Fraction of clients active per round; the paper uses 0.1.
-        ``k_active`` overrides with an absolute count (Figure 6).
-    local_epochs / batch_size / lr / momentum:
-        Client-side SGD settings (paper: 5 / 50 / 0.01 / 0.5).
-    rounds:
-        FL training rounds.
-    eval_every:
-        Global-model evaluation cadence in rounds.
-    backend:
-        Pool-storage backend for the server's model buffers —
-        ``"dense"`` (in-memory, default), ``"memmap"`` (file-backed
-        for pools beyond RAM) or ``"sharded"`` (row shards, each
-        dense or memmap — pools beyond one allocation); see
-        :mod:`repro.core.storage`.  Resolved lazily against the
-        backend registry, so third-party backends registered via
-        ``register_backend`` are valid too.
-    shards:
-        Row-shard count for the ``sharded`` backend (``None`` = the
-        backend default: ``REPRO_POOL_SHARDS`` or 4).  Forwarded to
-        the backend as a storage option, so only set it for backends
-        that accept it (``dense``/``memmap`` reject options loudly).
-    shard_placement:
-        Storage medium of each row shard of the ``sharded`` backend —
-        ``"dense"`` (backend default) or ``"memmap"`` (shards on disk:
-        the pools-beyond-RAM layout).  Forwarded like ``shards``.
-        The ``distributed`` backend accepts it too (each shard host's
-        local medium).
-    hosts:
-        Shard-host process count for the ``distributed`` backend
-        (``None`` = the backend default: ``REPRO_POOL_HOSTS`` or 2).
-        Forwarded as a storage option like ``shards``, so only set it
-        for the ``distributed`` backend.
-    execution:
-        Client-execution backend for the ``collect`` phase —
-        ``"serial"`` (default), ``"thread"``, ``"process"`` or
-        ``"distributed"`` (legs co-located with their upload shards;
-        requires ``backend="distributed"``); see
-        :mod:`repro.fl.execution`.  All backends are guaranteed to
-        produce bit-identical training histories; parallel backends
-        trade startup overhead for multi-core round throughput.
-        Resolved lazily against the execution registry.
-    workers:
-        Worker count for parallel execution backends (``None`` = one
-        per usable core — the scheduler affinity mask, see
-        :mod:`repro.utils.cpu`).  Ignored by ``serial``.
-    array_backend:
-        Array backend every tensor/nn/optim operation dispatches
-        through — ``None`` (default) keeps the process-wide active
-        backend (``REPRO_ARRAY_BACKEND`` or ``"numpy"``); a name such
-        as ``"numpy"`` pins the run, including process workers, to
-        that backend; see :mod:`repro.tensor.backend`.  The ``numpy``
-        backend is bit-identical to direct-numpy execution.  Resolved
-        lazily against the array-backend registry.
-    round_mode:
-        Round schedule (:mod:`repro.fl.scheduler`): ``"sync"``
-        (default — the reference schedule, each round blocks on its
-        slowest leg) or ``"async"`` — dispatch of round ``t+1`` begins
-        while round ``t`` stragglers finish, bounded by
-        ``max_staleness``.  ``async`` with ``max_staleness=0`` is the
-        ``sync`` schedule (the scheduler defers to it).
-    max_staleness:
-        Bounded-staleness window ``S`` for ``round_mode="async"``: up
-        to ``S+1`` rounds may be in flight, and a pool row is blended
-        only by the *newest* round that trained it — a row trained
-        against a pool version more than ``S`` rounds old is never
-        blended stale (its late upload is discarded as wasted work).
-        ``0`` (default) keeps the sequential schedule.
-    faults:
-        Client-fault scenario for the resilience layer
-        (:mod:`repro.faults`): a mapping of
-        :class:`~repro.faults.model.FaultScenario` knobs
-        (``availability``, ``dropout``, ``slow_prob``, ``slow_factor``,
-        ``straggler_timeout``, plus the adversarial ``byzantine_frac``,
-        ``attack``, ``attack_scale``), inline JSON, or a path to a
-        committed scenario file.  ``None`` (default) disables the fault
-        model.  Faults are decided server-side under ``seed`` before
-        legs are dispatched, so every execution backend sees the
-        identical pattern.
-    quorum:
-        Fraction of the cohort that must deliver *fresh* uploads for a
-        round to count (default 1.0 — every leg).  A round falling
-        below it raises :class:`~repro.faults.policy.QuorumError`.
-    failure_policy:
-        What happens to a failed leg: ``"fail"`` (default — abort the
-        round, today's bit-identical reference), ``"carry"`` (keep the
-        stale middleware row so CrossAggr/GramTracker stay consistent)
-        or ``"redispatch"`` (one extra reissue to a healthy
-        worker/host, then carry).
-    leg_timeout:
-        Wall-clock seconds a parallel backend waits for in-flight legs
-        before declaring the rest timed out (``None`` disables; the
-        serial backend ignores it).  Late work is drained and
-        discarded — never written after control returns.  For a
-        *deterministic* straggler policy use the scenario's
-        ``straggler_timeout`` instead.
-    leg_retries:
-        Bounded retries for infrastructure leg failures (errors /
-        timeouts), with exponential backoff from ``leg_backoff``.
-        Simulated faults (dropout, churn) are never retried.
-    leg_backoff:
-        Base backoff delay in seconds; retry ``i`` sleeps
-        ``leg_backoff * 2**(i-1)``.
-    aggregator:
-        Aggregation operator applied to both CrossAggr collaborator
-        blends and GlobalModelGen / upload averaging — ``"mean"``
-        (default, bitwise the reference path), ``"trimmed_mean"``,
-        ``"coordinate_median"`` or ``"norm_clip"``; see
-        :mod:`repro.robust.operators`.  Resolved lazily against the
-        operator registry.
-    aggregator_params:
-        Operator knobs, e.g. ``{"trim": 0.25}`` for ``trimmed_mean``
-        or ``{"clip_factor": 3.0}`` for any robust operator.  Unknown
-        knobs are rejected loudly.
-    screen:
-        Gram-based anomaly screening of landed uploads
-        (:mod:`repro.robust.screen`): ``None`` (default, off),
-        ``"flag"`` (record suspects in history extras and fire
-        ``on_suspect_upload``) or ``"carry"`` (additionally quarantine
-        flagged rows by restoring their dispatched middleware state
-        before selection/aggregation).
-    method_params:
-        Method-specific options, e.g. ``{"mu": 0.01}`` for FedProx or
-        ``{"alpha": 0.99, "selection": "lowest"}`` for FedCross.
+    Each field's meaning is its knob's ``help`` — read it with
+    ``python -m repro run --help`` or in README's flag table.
     """
 
-    method: str = "fedavg"
-    dataset: str = "synth_cifar10"
-    model: str = "mlp"
-    heterogeneity: str | float = "iid"
-    num_clients: int = 20
-    participation: float = 0.5
-    k_active: int | None = None
-    local_epochs: int = 5
-    batch_size: int = 50
-    lr: float = 0.01
-    momentum: float = 0.5
-    weight_decay: float = 0.0
-    rounds: int = 20
-    eval_every: int = 1
-    eval_batch_size: int = 256
-    backend: str = "dense"
-    shards: int | None = None
-    shard_placement: str | None = None
-    hosts: int | None = None
-    execution: str = "serial"
-    workers: int | None = None
-    array_backend: str | None = None
-    round_mode: str = "sync"
-    max_staleness: int = 0
-    faults: Any = None
-    quorum: float = 1.0
-    failure_policy: str = "fail"
-    leg_timeout: float | None = None
-    leg_retries: int = 0
-    leg_backoff: float = 0.05
-    aggregator: str = "mean"
-    aggregator_params: dict[str, Any] = field(default_factory=dict)
-    screen: str | None = None
-    seed: int = 0
-    dataset_params: dict[str, Any] = field(default_factory=dict)
-    model_params: dict[str, Any] = field(default_factory=dict)
-    method_params: dict[str, Any] = field(default_factory=dict)
+    method: str = knob(
+        "--method", "fedavg", "run",
+        "Registered method: fedavg, fedprox, scaffold, fedgen, clusamp, "
+        "fedcross, ... (see `repro list`); `run` defaults to fedcross.",
+    )
+    dataset: str = knob(
+        "--dataset", "synth_cifar10", "run",
+        "Dataset name resolved by repro.data.build_federated_dataset.",
+    )
+    model: str = knob(
+        "--model", "mlp", "run", "Model name resolved by repro.models.build_model."
+    )
+    heterogeneity: str | float = knob(
+        "--beta", "iid", "population",
+        'Client data split: "iid" or a Dirichlet beta (the paper\'s Dir(beta)).',
+        type=_heterogeneity,
+    )
+    num_clients: int = knob(
+        "--clients", 20, "population", "Total client population N.", check=_POSITIVE
+    )
+    participation: float = knob(
+        "--participation", 0.5, "population",
+        "Fraction of clients active per round (paper: 0.1).",
+        check=(lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    )
+    k_active: int | None = knob(
+        "--k-active", None, "population",
+        "Absolute active-client count per round; overrides --participation.",
+        type=int, check=_POSITIVE,
+    )
+    local_epochs: int = knob(
+        "--local-epochs", 5, "training", "Client SGD epochs per leg (paper: 5).",
+        check=_POSITIVE,
+    )
+    batch_size: int = knob(
+        "--batch-size", 50, "training", "Client SGD batch size (paper: 50)."
+    )
+    lr: float = knob("--lr", 0.01, "training", "Client SGD learning rate (paper: 0.01).")
+    momentum: float = knob(
+        "--momentum", 0.5, "training", "Client SGD momentum (paper: 0.5)."
+    )
+    weight_decay: float = knob(
+        "--weight-decay", 0.0, "training", "Client SGD weight decay."
+    )
+    rounds: int = knob("--rounds", 20, "training", "FL training rounds.", check=_POSITIVE)
+    eval_every: int = knob(
+        "--eval-every", 1, "training",
+        "Global-model evaluation cadence in rounds (the last round always evaluates).",
+    )
+    eval_batch_size: int = knob(
+        "--eval-batch-size", 256, "training", "Batch size of global-model evaluation."
+    )
+    backend: str = knob(
+        "--backend", "dense", "storage",
+        "Pool-storage backend of the server's (K, P) model buffers: dense (in "
+        "RAM), memmap (file-backed), sharded (row shards, see --shards) or "
+        "distributed (row shards on socket-RPC host processes, see --hosts). "
+        "All are bit-identical; registered backends are valid too.",
+        registry="repro.core.storage:resolve_backend",
+    )
+    shards: int | None = knob(
+        "--shards", None, "storage",
+        "Row-shard count of the sharded backend (default: REPRO_POOL_SHARDS or 4).",
+        type=int, check=_POSITIVE,
+    )
+    shard_placement: str | None = knob(
+        "--shard-placement", None, "storage",
+        "Medium of each row shard of the sharded backend, or of each host of the "
+        "distributed backend: dense (default) or memmap (shards on disk).",
+        registry="repro.core.storage:resolve_backend",
+    )
+    hosts: int | None = knob(
+        "--hosts", None, "storage",
+        "Shard-host process count of the distributed backend "
+        "(default: REPRO_POOL_HOSTS or 2).",
+        type=int, check=_POSITIVE,
+    )
+    execution: str = knob(
+        "--execution", "serial", "execution",
+        "Where the round's K training legs run: serial, thread, process or "
+        "distributed (legs co-located with their upload shards). Histories are "
+        "bit-identical on every backend.",
+        registry="repro.fl.execution:resolve_execution",
+    )
+    workers: int | None = knob(
+        "--workers", None, "execution",
+        "Worker count of the parallel execution backends (default: one per "
+        "usable core; process workers share them). Serial ignores it.",
+        type=int, check=_POSITIVE,
+    )
+    array_backend: str | None = knob(
+        "--array-backend", None, "execution",
+        "Array backend client tensor math dispatches through, process workers "
+        "included: numpy, cupy when installed, ... (default: the process-wide "
+        "one, REPRO_ARRAY_BACKEND or numpy). numpy is bitwise direct numpy.",
+        registry="repro.tensor.backend:resolve_array_backend",
+    )
+    round_mode: str = knob(
+        "--round-mode", "sync", "schedule",
+        "Round schedule: sync (each round blocks on its slowest leg) or async "
+        "(round t+1 dispatches while round t stragglers finish, bounded by "
+        "--max-staleness).",
+        choices=("sync", "async"),
+    )
+    max_staleness: int = knob(
+        "--max-staleness", 0, "schedule",
+        "Staleness bound S of the async schedule: at most S+1 rounds in flight, "
+        "and no pool row is blended by a round older than the one that last "
+        "wrote it. S=0 is bitwise the sync schedule.",
+        check=_NON_NEGATIVE,
+    )
+    faults: Any = knob(
+        "--faults", None, "faults",
+        "Client-fault scenario: a mapping or JSON object of FaultScenario knobs "
+        '(e.g. {"availability": 0.9, "dropout": 0.1}; adversarial: '
+        "byzantine_frac, attack, attack_scale) or a scenario file path. Decided "
+        "server-side under --seed, identical on every backend (default: none).",
+        check=(
+            lambda v: isinstance(v, (str, Mapping)),
+            "a scenario mapping, inline JSON or a scenario file path",
+        ),
+    )
+    # quorum / leg_timeout / leg_retries / leg_backoff are checked by the
+    # RoundPolicy they become (repro.faults.policy).
+    quorum: float = knob(
+        "--quorum", 1.0, "faults",
+        "Fraction of the cohort that must deliver fresh uploads for a round "
+        "to count (default 1.0: every leg).",
+    )
+    failure_policy: str = knob(
+        "--failure-policy", "fail", "faults",
+        "What a failed leg does: fail aborts the round (the reference), carry "
+        "keeps its stale middleware row, redispatch reissues it once, then carries.",
+        choices=("fail", "carry", "redispatch"),
+    )
+    leg_timeout: float | None = knob(
+        "--leg-timeout", None, "faults",
+        "Wall-clock seconds parallel backends wait for in-flight legs before "
+        "declaring the rest timed out (default: none). Late work is discarded.",
+        type=float,
+    )
+    leg_retries: int = knob(
+        "--leg-retries", 0, "faults",
+        "Bounded retries of leg errors and timeouts; simulated faults are never retried.",
+    )
+    leg_backoff: float = knob(
+        "--leg-backoff", 0.05, "faults",
+        "Base backoff seconds; retry i sleeps leg_backoff * 2**(i-1).",
+    )
+    aggregator: str = knob(
+        "--aggregator", "mean", "robust",
+        "Aggregation operator of CrossAggr blends and GlobalModelGen: mean "
+        "(bitwise the reference path), trimmed_mean, coordinate_median or norm_clip.",
+        registry="repro.robust.operators:resolve_operator",
+    )
+    aggregator_params: dict[str, Any] = knob(
+        "--aggregator-params", None, "robust",
+        'Operator knobs as a JSON object, e.g. {"trim": 0.25} or '
+        '{"clip_factor": 3.0}; unknown knobs are rejected.',
+        type=_json_object, factory=dict,
+        check=(lambda v: isinstance(v, Mapping), "a mapping of knobs"),
+    )
+    screen: str | None = knob(
+        "--screen", None, "robust",
+        "Gram-based anomaly screen of landed uploads: flag (record suspects) or "
+        "carry (also quarantine flagged rows) (default: off).",
+        choices=("flag", "carry"),
+    )
+    seed: int = knob("--seed", 0, "run", "Seed of data, init, sampling and faults.")
+    dataset_params: dict[str, Any] = knob(
+        None, None, "run", "Dataset-builder keyword options.", factory=dict
+    )
+    model_params: dict[str, Any] = knob(
+        None, None, "run", "Model-builder keyword options.", factory=dict
+    )
+    method_params: dict[str, Any] = knob(
+        None, None, "run",
+        'Method options, e.g. {"mu": 0.01} (FedProx) or '
+        '{"alpha": 0.99, "selection": "lowest"} (FedCross).',
+        factory=dict,
+    )
 
     def __post_init__(self) -> None:
-        if self.num_clients <= 0:
-            raise ValueError("num_clients must be positive")
-        if not 0.0 < self.participation <= 1.0:
-            raise ValueError("participation must be in (0, 1]")
-        if self.k_active is not None and not 1 <= self.k_active <= self.num_clients:
-            raise ValueError("k_active must be in [1, num_clients]")
-        if self.rounds <= 0:
-            raise ValueError("rounds must be positive")
-        if self.local_epochs <= 0:
-            raise ValueError("local_epochs must be positive")
-        if not isinstance(self.backend, str) or not self.backend:
-            raise ValueError("backend must be a non-empty backend name")
-        if self.shards is not None and self.shards < 1:
-            raise ValueError("shards must be None or >= 1")
-        if self.shard_placement is not None and (
-            not isinstance(self.shard_placement, str) or not self.shard_placement
-        ):
-            raise ValueError("shard_placement must be None or a backend name")
-        if self.hosts is not None and self.hosts < 1:
-            raise ValueError("hosts must be None or >= 1")
-        if not isinstance(self.execution, str) or not self.execution:
-            raise ValueError("execution must be a non-empty backend name")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be None or >= 1")
-        if self.array_backend is not None and (
-            not isinstance(self.array_backend, str) or not self.array_backend
-        ):
-            raise ValueError("array_backend must be None or a backend name")
-        if self.round_mode not in ("sync", "async"):
-            raise ValueError(
-                f"round_mode must be 'sync' or 'async', got {self.round_mode!r}"
-            )
-        if self.max_staleness < 0:
-            raise ValueError("max_staleness must be >= 0")
-        if self.faults is not None and not isinstance(self.faults, (str, Mapping)):
-            raise ValueError(
-                "faults must be None, a scenario mapping, inline JSON or a "
-                "scenario file path"
-            )
-        # quorum / failure_policy / leg_timeout / leg_retries /
-        # leg_backoff: the RoundPolicy they become holds their checks.
+        for f in fields(self):
+            error = knob_error(f, getattr(self, f.name))
+            if error is not None:
+                raise ValueError(error)
         from repro.faults.policy import RoundPolicy  # lazy: avoids import cycle
 
         RoundPolicy.from_config(self)
-        if not isinstance(self.aggregator, str) or not self.aggregator:
-            raise ValueError("aggregator must be a non-empty operator name")
-        if not isinstance(self.aggregator_params, Mapping):
-            raise ValueError("aggregator_params must be a mapping of knobs")
-        if self.screen not in (None, "flag", "carry"):
-            raise ValueError(
-                f"screen must be None, 'flag' or 'carry', got {self.screen!r}"
-            )
+        for knobs, requirement, holds in RULES:
+            if not holds(self):
+                got = ", ".join(f"{k}={getattr(self, k)!r}" for k in knobs)
+                raise ValueError(f"{requirement} (got {got})")
 
     @property
     def clients_per_round(self) -> int:
@@ -267,3 +317,28 @@ class FLConfig:
     def replace(self, **changes) -> "FLConfig":
         """Dataclass ``replace`` with a friendlier name."""
         return replace(self, **changes)
+
+
+#: Cross-field rules ``(knobs, requirement, holds(config))``, checked at
+#: construction after every knob's own check; the error names each knob.
+RULES: tuple = (
+    (("k_active", "num_clients"), "k_active must not exceed num_clients",
+     lambda c: c.k_active is None or c.k_active <= c.num_clients),
+    (("execution", "backend"), "execution='distributed' requires backend='distributed'",
+     lambda c: c.execution != "distributed" or c.backend == "distributed"),
+    (("shards", "backend"), "shards requires backend='sharded'",
+     lambda c: c.shards is None or c.backend == "sharded"),
+    (("hosts", "backend"), "hosts requires backend='distributed'",
+     lambda c: c.hosts is None or c.backend == "distributed"),
+    (("shard_placement", "backend"),
+     "shard_placement requires backend='sharded' or 'distributed'",
+     lambda c: c.shard_placement is None or c.backend in ("sharded", "distributed")),
+    (("max_staleness", "round_mode"), "max_staleness > 0 requires round_mode='async'",
+     lambda c: c.max_staleness == 0 or c.round_mode == "async"),
+    # Shard-host failover (RoundFaults.lost) is fed by the sync engine only.
+    (("round_mode", "max_staleness", "backend", "failure_policy"),
+     "round_mode='async' with max_staleness > 0 on backend='distributed' "
+     "supports only failure_policy='fail'",
+     lambda c: c.round_mode != "async" or c.max_staleness == 0
+     or c.backend != "distributed" or c.failure_policy == "fail"),
+)

@@ -99,9 +99,8 @@ def register_round_scheduler(name: str):
 
 
 def build_round_scheduler(config) -> "RoundScheduler":
-    """Scheduler instance for ``config.round_mode`` (default ``sync``)."""
-    mode = getattr(config, "round_mode", "sync") or "sync"
-    return ROUND_SCHEDULERS.resolve(mode).from_config(config)
+    """Scheduler instance for ``config.round_mode``."""
+    return ROUND_SCHEDULERS.resolve(config.round_mode).from_config(config)
 
 
 def run_sync_round(server, cbs, local_round: int, rounds: int, eval_every: int) -> None:
@@ -232,7 +231,7 @@ class AsyncRoundScheduler(RoundScheduler):
 
     @classmethod
     def from_config(cls, config) -> "AsyncRoundScheduler":
-        return cls(max_staleness=getattr(config, "max_staleness", 0))
+        return cls(max_staleness=config.max_staleness)
 
     def run(self, server, rounds, cbs) -> None:
         if self.max_staleness == 0:

@@ -151,18 +151,17 @@ class FederatedServer:
         self.model_size = model.num_parameters()
         self.round_idx = 0
         self.stop_training = False
-        self.backend = getattr(config, "backend", "dense")
+        self.backend = config.backend
         # Resilience: the seeded fault model (None without a scenario)
         # and the round policy the engine enforces.  Built before the
         # storage options so an engaged non-`fail` policy can ask the
         # distributed backend for replicated (failover-capable) buffers.
-        faults = getattr(config, "faults", None)
-        if faults is not None:
+        if config.faults is not None:
             from repro.faults.model import ClientPopulation  # lazy
 
             self.fault_model = ClientPopulation(
-                faults,
-                seed=getattr(config, "seed", 0),
+                config.faults,
+                seed=config.seed,
                 num_clients=len(self.clients),
             )
         else:
@@ -193,24 +192,19 @@ class FederatedServer:
         # the pre-registry reference path.
         from repro.robust.operators import build_operator  # lazy
 
-        self.aggregator = build_operator(
-            getattr(config, "aggregator", "mean"),
-            getattr(config, "aggregator_params", None),
-        )
-        self.screen = getattr(config, "screen", None)
+        self.aggregator = build_operator(config.aggregator, config.aggregator_params)
+        self.screen = config.screen
         self.last_suspects: list = []
         # Storage options forwarded to the pool backend's allocate();
         # only option-accepting backends (sharded) see a non-empty dict.
         self.backend_options: dict = {}
-        shards = getattr(config, "shards", None)
-        if shards is not None:
-            self.backend_options["shards"] = shards
-        placement = getattr(config, "shard_placement", None)
-        if placement is not None:
-            self.backend_options["placement"] = placement
-        hosts = getattr(config, "hosts", None)
-        if hosts is not None:
-            self.backend_options["hosts"] = hosts
+        for option, value in (
+            ("shards", config.shards),
+            ("placement", config.shard_placement),
+            ("hosts", config.hosts),
+        ):
+            if value is not None:
+                self.backend_options[option] = value
         if (
             self.backend == "distributed"
             and self.fault_policy.engaged
@@ -220,12 +214,12 @@ class FederatedServer:
             # respawned and its rows restored instead of raising.
             self.backend_options["replicate"] = True
         self.executor = executor or ClientExecutor(
-            getattr(config, "execution", "serial"),
+            config.execution,
             trainer=trainer,
             clients=self.clients,
             model_factory=model_factory,
-            workers=getattr(config, "workers", None),
-            array_backend=getattr(config, "array_backend", None),
+            workers=config.workers,
+            array_backend=config.array_backend,
             ledger=self.ledger,
         )
         self._layout = StateLayout.from_state(model.state_dict())

@@ -1,6 +1,7 @@
 """CLI entry points (direct main() calls; no subprocess overhead)."""
 
 import json
+import re
 
 import pytest
 
@@ -200,3 +201,95 @@ class TestAsyncRoundMode:
         payload = json.loads(capsys.readouterr().out)
         assert payload["method"] == "fedcross"
         assert len(payload["accuracies"]) == 2
+
+
+#: The ``run`` / ``compare`` option strings and defaults recorded from the
+#: hand-written parser this one replaced.  The only intended differences
+#: are ``--alpha`` / ``--selection`` (0.9 / "lowest" there), now unset so
+#: FedCross's own defaults apply.
+_SHARED_SURFACE = {
+    "--aggregator": "mean", "--aggregator-params": None, "--alpha": None,
+    "--array-backend": None, "--backend": "dense", "--batch-size": 50,
+    "--beta": "iid", "--clients": 20, "--dataset": "synth_cifar10",
+    "--early-stop-patience": None, "--eval-batch-size": 256, "--eval-every": 1,
+    "--execution": "serial", "--failure-policy": "fail", "--faults": None,
+    "--hosts": None, "--json": False, "--k-active": None, "--leg-backoff": 0.05,
+    "--leg-retries": 0, "--leg-timeout": None, "--local-epochs": 5, "--lr": 0.01,
+    "--max-staleness": 0, "--model": "mlp", "--momentum": 0.5,
+    "--participation": 0.5, "--progress": False, "--quorum": 1.0,
+    "--round-mode": "sync", "--rounds": 20, "--screen": None, "--seed": 0,
+    "--selection": None, "--shard-placement": None, "--shards": None,
+    "--weight-decay": 0.0, "--workers": None,
+}
+_SURFACE = {
+    "run": {**_SHARED_SURFACE, "--method": "fedcross"},
+    "compare": {**_SHARED_SURFACE, "--methods": "fedavg,fedcross"},
+}
+
+
+def _surface(command):
+    import argparse
+
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        action.option_strings[0]: action.default
+        for action in sub.choices[command]._actions
+        if action.option_strings and action.dest != "help"
+    }
+
+
+class TestFlagSurface:
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_option_strings_and_defaults_unchanged(self, command):
+        assert _surface(command) == _SURFACE[command]
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_fedcross_keeps_its_own_defaults(self, command, monkeypatch):
+        from repro.core.fedcross import FedCrossServer
+
+        built = []
+        init = FedCrossServer.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append((self.alpha, self.selector.strategy))
+
+        monkeypatch.setattr(FedCrossServer, "__init__", spy)
+        argv = ["--clients", "4", "--rounds", "1", "--local-epochs", "1", "--json"]
+        if command == "compare":
+            argv += ["--methods", "fedcross"]
+        assert main([command, *argv]) == 0
+        assert built == [(0.99, "lowest")]
+
+    def test_readme_flag_table_is_generated(self):
+        from pathlib import Path
+
+        from repro.cli import flag_table
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        begin, end = "<!-- flag-table:begin -->\n", "<!-- flag-table:end -->"
+        block = readme[readme.index(begin) + len(begin):readme.index(end)]
+        assert block == flag_table(), (
+            "README flag table is stale; regenerate it with "
+            "repro.cli.flag_table()"
+        )
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["--quorum", "2"], "--quorum"),
+            (["--leg-retries", "-1"], "--leg-retries"),
+            (["--aggregator-params", "{bad"], "--aggregator-params"),
+            (["--execution", "distributed"], "--execution"),
+        ],
+    )
+    def test_bad_knob_is_a_usage_error_naming_the_flag(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--rounds", "1", *argv])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        named = re.search(r"error: argument (\S+):", err)
+        assert named and flag in named.group(1).split("/"), err
