@@ -56,7 +56,6 @@ class FedClusterServer(FederatedServer):
         reduction over the packed uploads.
         """
         per_cluster = max(1, len(active) // self.num_clusters)
-        state = self._global
         losses = []
         total_clients = 0
         start = self.round_idx % self.num_clusters
@@ -66,10 +65,11 @@ class FedClusterServer(FederatedServer):
                 cluster, size=min(per_cluster, len(cluster)), replace=False
             )
             members = [self.clients[i] for i in pick]
+            flat = self.global_row()
             results, buf = self.train_cohort(
-                members, [DispatchPlan(state) for _ in members]
+                members, [DispatchPlan(flat) for _ in members]
             )
-            state = buf.mean_state(
+            self._global = buf.mean_state(
                 [r.num_samples for r in results], precise=False
             )
             losses.extend(r.mean_loss for r in results)
@@ -77,7 +77,6 @@ class FedClusterServer(FederatedServer):
             # Per visit, by the shared rule: analytic unless the
             # execution backend measured the legs itself.
             self.charge_round_communication(members)
-        self._global = state
         return {
             "train_loss": float(np.mean(losses)) if losses else None,
             # The cyclic schedule trains per_cluster clients per visit,

@@ -165,7 +165,7 @@ class FedGenServer(FederatedServer):
         are identical whether clients train in sequence or in parallel.
         """
         if self.round_idx == 0 or self.gen_weight <= 0:
-            return [DispatchPlan(self._global) for _ in active]
+            return super().dispatch(active)
         generator_state = self.generator.state_dict()
         label_probs = self._label_counts / self._label_counts.sum()
         seeds = self._hook_seq.spawn(len(active))
@@ -191,7 +191,8 @@ class FedGenServer(FederatedServer):
         shared_generator = specs[0]._build_generator()
         for spec in specs[1:]:
             spec._generator = shared_generator
-        return [DispatchPlan(self._global, loss_hook=spec) for spec in specs]
+        flat = self.global_row()
+        return [DispatchPlan(flat, loss_hook=spec) for spec in specs]
 
     def aggregate(
         self,

@@ -41,7 +41,8 @@ class FedProxServer(FederatedServer):
         the anchor never ships twice.
         """
         spec = ProximalSpec(self.mu)
-        return [DispatchPlan(self._global, loss_hook=spec) for _ in active]
+        flat = self.global_row()
+        return [DispatchPlan(flat, loss_hook=spec) for _ in active]
 
     def aggregate(
         self,

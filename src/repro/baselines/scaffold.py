@@ -44,6 +44,7 @@ class ScaffoldServer(FederatedServer):
         :class:`~repro.fl.hooks.ControlVariateSpec`; ``context`` keeps
         the server-side handle on ``c_i`` for the variate refresh.
         """
+        flat = self.global_row()
         plans = []
         for client in active:
             c_local = self._c_clients.get(client.client_id)
@@ -51,7 +52,7 @@ class ScaffoldServer(FederatedServer):
                 c_local = zeros_like_state(self._c_global)
             plans.append(
                 DispatchPlan(
-                    self._global,
+                    flat,
                     grad_hook=ControlVariateSpec(self._c_global, c_local),
                     context={"c_local": c_local},
                 )

@@ -66,7 +66,6 @@ from repro.fl.metrics import TrainingHistory
 from repro.fl.registry import register_method
 from repro.fl.server import DispatchPlan, FederatedServer
 from repro.fl.trainer import LocalResult
-from repro.utils.layout import StateLayout
 
 __all__ = ["FedCrossServer"]
 
@@ -101,10 +100,8 @@ class FedCrossServer(FederatedServer):
         # same deterministic init (so FedCross and the baselines share a
         # starting point for fair curves).  The pool is one (K, P)
         # float32 matrix, kept in buffer form for the whole run.
-        init_state = self.model.state_dict()
-        self._layout = StateLayout.from_state(init_state)
         self._pool = PoolBuffer.broadcast(
-            init_state, k, dtype=np.float32, backend=self.backend,
+            self.model.state_dict(), k, dtype=np.float32, backend=self.backend,
             backend_options=self.backend_options,
         )
         self.result_extras: dict = {}
@@ -164,9 +161,10 @@ class FedCrossServer(FederatedServer):
     def dispatch(self, active: list[Client]) -> list[DispatchPlan]:
         """Lines 4-5: shuffle the model → client assignment.
 
-        Middleware model i goes to client ``active[assignment[i]]``;
-        each plan carries its model index as the upload-buffer ``row``
-        so the default ``collect`` packs uploads back in model order.
+        Middleware model i goes to client ``active[assignment[i]]``:
+        the plan carries pool row i itself and its model index as the
+        upload-buffer ``row``, so the default ``collect`` packs uploads
+        back in model order.
         """
         k = len(self._pool)
         if len(active) != k:
@@ -177,8 +175,8 @@ class FedCrossServer(FederatedServer):
         if self.shuffle:
             self.rng.shuffle(assignment)
         plans: list[DispatchPlan | None] = [None] * k
-        for i, state in enumerate(self._pool.states()):
-            plans[assignment[i]] = DispatchPlan(state, context={"row": i})
+        for i, flat in enumerate(self._pool.rows()):
+            plans[assignment[i]] = DispatchPlan(flat, context={"row": i})
         return plans
 
     def on_upload(self, row: int, result: LocalResult) -> None:
@@ -276,7 +274,7 @@ class FedCrossServer(FederatedServer):
                 )
             )
             if mode == "carry" and plan is not None:
-                uploaded.set_state(row, plan.state)
+                uploaded.set_row(row, plan.flat)
                 if tracker is not None:
                     # aggregate() reads the Gram after this: selection
                     # sees the quarantined row, not the suspect one.
@@ -518,9 +516,9 @@ class FedCrossAsyncAdapter:
         self._last_eval_pool: PoolBuffer | None = None
 
     # -- scheduler-facing API ----------------------------------------------
-    def plan_state(self, row: int) -> dict:
+    def plan_row(self, row: int) -> np.ndarray:
         """Private copy of pool row ``row`` (speculation-race safe)."""
-        return self.server._pool.as_state(int(row), copy=True)
+        return self.server._pool.row(int(row)).copy()
 
     def version_of(self, row: int) -> int:
         return self.row_version[int(row)]

@@ -370,22 +370,18 @@ class PoolBuffer:
         """
         return self.layout.unflatten(self.storage.row(index), copy=copy)
 
-    def states(self, copy: bool = False) -> list[dict[str, np.ndarray]]:
-        """All pool members as state dicts (views unless ``copy``).
-
-        Rows are read in shard-aligned ``row_block`` spans: live views
-        on local storages, one fetch per shard (not per row) on remote
-        ones.
-        """
+    def rows(self) -> list[np.ndarray]:
+        """All pool members as flat ``(P,)`` rows, read in shard-aligned
+        ``row_block`` spans: live views on local storages, one fetch per
+        shard (not per row) on remote ones."""
         k, p = self.storage.shape
         block_rows = max(1, _block_budget() // max(1, p * self.dtype.itemsize))
-        out = []
-        for start, stop in iter_row_spans(
-            k, block_rows, self.storage.shard_boundaries()
-        ):
-            block = self.storage.row_block(start, stop)
-            out.extend(self.layout.unflatten(row, copy=copy) for row in block)
-        return out
+        spans = iter_row_spans(k, block_rows, self.storage.shard_boundaries())
+        return [row for span in spans for row in self.storage.row_block(*span)]
+
+    def states(self, copy: bool = False) -> list[dict[str, np.ndarray]]:
+        """All pool members as state dicts over :meth:`rows` (views unless ``copy``)."""
+        return [self.layout.unflatten(row, copy=copy) for row in self.rows()]
 
     # -- similarity (CoModelSel, Section III-B1) ---------------------------
     def _mask_info(

@@ -330,11 +330,11 @@ class HostCluster:
             with self._recover_lock:
                 self._trainer_payload = payload
 
-    def train_leg(self, host: int, meta: Mapping, state: np.ndarray,
+    def train_leg(self, host: int, meta: Mapping, flat: np.ndarray,
                   hooks_blob: bytes):
-        """Run one training leg on ``host``'s exec channel (blocking)."""
+        """Run one training leg from row ``flat`` on ``host`` (blocking)."""
         reply, _arrays, _blob = self.call(
-            host, "train_leg", meta, {"state": state}, hooks_blob, purpose="exec"
+            host, "train_leg", meta, {"flat": flat}, hooks_blob, purpose="exec"
         )
         return reply
 

@@ -4,8 +4,8 @@
 execution-backend registry: each client's local-training leg runs **on
 the shard host that owns its upload row**, so the trained ``P`` floats
 are packed straight into the host-resident shard and never transit the
-coordinator.  Per leg, the coordinator ships the dispatched state (one
-buffer-dtype row), the hook specs and the client's RNG state; only
+coordinator.  Per leg, the coordinator ships the plan's dispatch row as
+it is (one buffer-dtype row), the hook specs and the client's RNG state; only
 scalars — loss, sample/step counts, the advanced RNG state — ride
 back.  A host's legs overlap on its ``exec`` channel: every request is
 written at submit, so the host finds its next leg in the socket buffer
@@ -51,7 +51,7 @@ from repro.fl.execution import (
     UploadState,
     _check_cohort,
     _trainer_hypers,
-    _validated_states,
+    _validated_rows,
     register_execution,
 )
 from repro.fl.hooks import HookSpec
@@ -137,8 +137,8 @@ class DistributedExecution(ExecutionBackend):
                 "distributed execution backend needs a TrainerSpec to build "
                 "host-side trainer templates"
             )
-        layout = uploads.layout
-        states = _validated_states(plans, layout, uploads.dtype, "distributed")
+        _validated_rows(plans, uploads)
+        p = uploads.layout.total_size
         cluster = storage.cluster
         try:
             cluster.ensure_trainer(
@@ -153,14 +153,6 @@ class DistributedExecution(ExecutionBackend):
             for future in failed:
                 future.set_exception(exc)
             return LegGroup(failed)
-        # Flatten each unique dispatched state once — the packed row is
-        # what rides the wire to each leg's host.
-        packed = {
-            key: layout.flatten_into(
-                state, np.empty(layout.total_size, dtype=uploads.dtype)
-            )
-            for key, state in states.items()
-        }
         hypers = _trainer_hypers(trainer)
         ledger = self.ledger
         self._ensure_pool(len(plans))
@@ -191,12 +183,12 @@ class DistributedExecution(ExecutionBackend):
                 # K clients receiving the same global state still cost
                 # K model downloads) plus declared hook payloads.
                 ledger.record_down(
-                    layout.total_size + _hook_comm_extra(plan, "comm_down_fields")
+                    p + _hook_comm_extra(plan, "comm_down_fields")
                 )
             up_extras.append(_hook_comm_extra(plan, "comm_up_fields"))
             futures.append(
                 self._pool.submit(
-                    cluster.train_leg, host, meta, packed[id(plan.state)], blob
+                    cluster.train_leg, host, meta, plan.flat, blob
                 )
             )
 
@@ -207,7 +199,7 @@ class DistributedExecution(ExecutionBackend):
                 # Measured upload: the trained model landed in its shard
                 # (K·P scalars of client→storage movement, the paper's
                 # unit) plus declared hook payloads echoed upward.
-                ledger.record_up(layout.total_size + up_extras[i])
+                ledger.record_up(p + up_extras[i])
             # Replicated storage: the row now holds a trained state the
             # coordinator mirror does not — mark it dirty so a host
             # death before aggregation reports it as lost.

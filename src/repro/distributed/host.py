@@ -221,7 +221,7 @@ class _HostState:
         scalars = run_leg(
             trainer,
             layout,
-            layout.unflatten(arrays["state"], copy=True),
+            arrays["flat"],
             self._storage(meta["buffer"]).row(int(meta["local_row"])),
             self.datasets[meta["client_id"]],
             rng,

@@ -37,7 +37,7 @@ def resilient_collect(server, active, plans, rows, uploads, *, sleep=None):
     """``FederatedServer.collect`` under an engaged round policy.
 
     Returns results in plan order — every index filled, carried legs
-    holding their stale dispatched state at ``num_samples=0``.  Raises
+    holding their stale dispatched row at ``num_samples=0``.  Raises
     :class:`~repro.faults.policy.FaultError` /
     :class:`~repro.faults.policy.QuorumError` as the round's record
     decides.
@@ -126,5 +126,5 @@ def resilient_collect(server, active, plans, rows, uploads, *, sleep=None):
             attempts=record.tries[i],
         )
 
-    record.close(server, uploads, [plan.state for plan in plans], results)
+    record.close(server, uploads, [plan.flat for plan in plans], results)
     return results

@@ -272,13 +272,13 @@ class RoundFaults:
         self.failures[i] = replace(failure, index=i, attempts=self.tries[i])
         return None
 
-    def close(self, server, uploads, states, results) -> None:
+    def close(self, server, uploads, dispatched, results) -> None:
         """Settle the round, filling ``results`` for the carried legs.
 
         Raises :class:`FaultError` under the ``fail`` policy and
         :class:`QuorumError` when fewer fresh uploads landed than
         ``quorum`` requires.  Otherwise every failed leg is carried:
-        ``states[i]``, its dispatched state, re-lands in the upload row
+        ``dispatched[i]``, its dispatch row, re-lands in the upload row
         (CrossAggr / GramTracker keep a consistent K-row view) as a
         ``num_samples=0`` result, which loss averaging and sample
         weighting ignore naturally, and ``on_upload`` fires for the row.
@@ -286,7 +286,8 @@ class RoundFaults:
         record closes: ``server.last_leg_failures`` in plan order, one
         ``on_leg_failure`` each.
         """
-        from repro.fl.trainer import LocalResult  # lazy: keeps imports light
+        from repro.fl.execution import UploadState  # lazy: import cycle
+        from repro.fl.trainer import LocalResult
 
         self._abort_under_fail()
         n = len(self.active)
@@ -301,11 +302,10 @@ class RoundFaults:
         order = sorted(self.failures)
         server.last_leg_failures = [self.failures[i] for i in order]
         for i in order:
-            uploads.set_state(self.rows[i], states[i])
-            results[i] = LocalResult(
-                state=states[i], num_samples=0, num_steps=0, mean_loss=0.0
-            )
-            server.on_upload(self.rows[i], results[i])
+            row = self.rows[i]
+            uploads.set_row(row, dispatched[i])
+            results[i] = LocalResult(UploadState(uploads, row), 0, 0, 0.0)
+            server.on_upload(row, results[i])
         for failure in server.last_leg_failures:
             for cb in server.callbacks:
                 cb.on_leg_failure(server, failure)

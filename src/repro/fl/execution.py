@@ -26,12 +26,12 @@ same registry style as :mod:`repro.core.storage`'s pool backends:
     whose workers each hold a reusable model/trainer template (built
     once from a picklable :class:`TrainerSpec`) plus the full client
     shard table (shipped once at pool start-up, inherited for free
-    under the ``fork`` start method).  States cross the process
+    under the ``fork`` start method).  Models cross the process
     boundary through :mod:`multiprocessing.shared_memory` ``(K, P)``
-    buffers: the server packs each unique dispatched state into a
-    shared dispatch row and the worker's :func:`run_leg` lands in a
-    shared upload row — the ``P`` floats per client are written exactly
-    once, never pickled through the result queue.  Only scalars (sample
+    buffers: the server copies each unique dispatch row into a shared
+    dispatch row and the worker's :func:`run_leg` lands in a shared
+    upload row — the ``P`` floats per client are written exactly once,
+    never pickled through the result queue.  Only scalars (sample
     counts, loss, the client's advanced RNG state) ride back through
     the future.  Each worker caps its BLAS pool at ``usable cores //
     workers`` threads (never above what it inherited — see
@@ -48,11 +48,14 @@ same registry style as :mod:`repro.core.storage`'s pool backends:
 One primitive, three drivers
 ----------------------------
 A round is K *legs* (Algorithm 1, lines 6-10) and a leg is one function
-whatever the substrate: :func:`run_leg` trains one dispatched state on
-one client's shard and lands the upload in one buffer row.  A backend
-decides *where* that call runs by implementing exactly one thing,
-:meth:`ExecutionBackend.submit_group`, which validates the whole
-cohort, starts every leg without blocking and returns a
+whatever the substrate: :func:`run_leg` trains one dispatched model on
+one client's shard and lands the upload in one buffer row.  The model
+is a ``(P,)`` upload-dtype row both ways (in: :attr:`~repro.fl.server
+.DispatchPlan.flat`); :func:`run_leg` alone turns it into a state dict
+and back, and backends only move rows.  A backend decides *where*
+that call runs by implementing exactly one thing,
+:meth:`ExecutionBackend.submit_group`, which validates the whole cohort,
+starts every leg without blocking and returns a
 :class:`LegGroup`: one future per plan (``serial`` trains inline and
 returns them already resolved), a ``finalize(j, raw)`` that books leg
 ``j`` on the caller's thread (client-RNG restore, the copy out of a
@@ -103,9 +106,8 @@ Determinism contract
 All backends produce **bit-identical** training histories and upload
 buffers for the same config/seed: each client's batch shuffling draws
 from its own generator (round-tripped through workers by state), hook
-specs own their RNG streams, float32 states survive the shared-memory
-round trip exactly, and results are returned in plan order regardless
-of completion order.  Two carve-outs: models whose *layers* own RNG
+specs own their RNG streams, models move as buffer-dtype rows, and
+results are returned in plan order regardless of completion order.  Two carve-outs: models whose *layers* own RNG
 streams shared across clients via the serial trainer template (e.g.
 ``nn.Dropout``'s mask stream) consume that stream in client order under
 ``serial`` — such models are only reproducible on the serial backend —
@@ -598,13 +600,12 @@ class UploadState(Mapping):
 def _check_roundtrip(layout, state, dtype) -> None:
     """Refuse a state that a ``dtype`` buffer row would not carry exactly.
 
-    A state crosses a buffer-dtype row on its way to a worker (shm
-    dispatch row, wire row) and on its way back (the upload row).  An
+    A model is a buffer-dtype row on its way to a leg (cut by the
+    server's ``global_row()``) and back (packed by :func:`run_leg`).  An
     integer field outside the dtype's exact range, or a float field
-    *wider* than it whose values do not survive, would make a worker
-    train from different weights than serial, or an upload differ from
-    what was trained — a silent break of the bit-identical contract —
-    so fail loudly instead (all-float32 states skip the float pass).
+    *wider* than it whose values do not survive, would silently break
+    the bit-identical contract, so fail loudly instead (all-float32
+    states skip the float pass).
     """
     from repro.core.pool import _check_integer_roundtrip
 
@@ -619,16 +620,15 @@ def _check_roundtrip(layout, state, dtype) -> None:
         ):
             raise ValueError(
                 f"float field {spec.key!r} ({value.dtype}) does not survive the "
-                f"{buffer_dtype} buffer row (shared-memory round trip, wire row "
-                f"or upload row); use {buffer_dtype}-exact states or a wider "
-                "pool dtype"
+                f"{buffer_dtype} buffer row (dispatch row or upload row); use "
+                f"{buffer_dtype}-exact states or a wider pool dtype"
             )
 
 
 def run_leg(
     trainer: LocalTrainer,
     layout: StateLayout,
-    state: Mapping[str, np.ndarray],
+    flat: np.ndarray,
     dst: np.ndarray,
     dataset,
     rng: np.random.Generator,
@@ -639,24 +639,26 @@ def run_leg(
     hypers: dict | None = None,
     attack: "AttackSpec | None" = None,
 ) -> tuple[int, int, float]:
-    """One leg: train ``state`` on ``dataset``, land the upload in ``dst``.
+    """One leg: train ``flat`` on ``dataset``, land the upload in ``dst``.
 
-    The body every backend runs, wherever the leg happens.  ``hypers``
-    (the live trainer's settings) are applied to a private template and
-    the hook specs resolved against the dispatched ``state``; the
-    trained state must survive ``dst``'s dtype exactly — no backend
-    narrows an upload silently — and is packed into ``dst``, a ``(P,)``
-    row of the upload buffer or of the transport that feeds it.  A
-    Byzantine leg (``attack``) trains honestly, then overwrites ``dst``
-    with the poisoned row — the upload boundary, so every per-upload
-    consumer sees the attack.  The dispatched row is taken in ``dst``'s
-    dtype and the transform is a pure float64 function of its inputs,
-    so the poisoned bytes are the same on every backend and on a retry.
+    The body every backend runs, wherever the leg happens.  ``flat``,
+    the dispatched ``(P,)`` row in ``dst``'s dtype, is unflattened once
+    (views: the trainer copies what it loads) and the hook specs resolve
+    against that state; ``hypers`` (the live trainer's settings) are
+    applied to a private template.  The trained state must survive
+    ``dst``'s dtype exactly — no backend narrows an upload silently —
+    and is packed into ``dst``, a ``(P,)`` row of the upload buffer or
+    of the transport that feeds it.  A Byzantine leg (``attack``) trains
+    honestly, then overwrites ``dst`` with the poisoned row — the upload
+    boundary, so every per-upload consumer sees the attack.  The
+    transform is a pure float64 function of ``flat`` and the trained
+    row, so the poisoned bytes are the same on every backend and retry.
 
     Returns ``(num_samples, num_steps, mean_loss)``; advances ``rng``.
     """
     for field, value in (hypers or {}).items():
         setattr(trainer, field, value)
+    state = layout.unflatten(flat)
     result = trainer.train(
         state,
         dataset,
@@ -670,7 +672,7 @@ def run_leg(
     if attack is not None:
         from repro.robust.attacks import attacked_row
 
-        dst[:] = attacked_row(attack, layout, layout.flatten(state, dtype=dst.dtype), dst)
+        dst[:] = attacked_row(attack, layout, flat, dst)
     return result.num_samples, result.num_steps, result.mean_loss
 
 
@@ -679,7 +681,7 @@ def _leg_in_place(trainer, client, plan, row, uploads, attack, hypers=None) -> L
     storage = uploads.storage
     dst = storage.open_row(row)
     scalars = run_leg(
-        trainer, uploads.layout, plan.state, dst, client.dataset, client.rng,
+        trainer, uploads.layout, plan.flat, dst, client.dataset, client.rng,
         loss_hook=plan.loss_hook, grad_hook=plan.grad_hook,
         lr_override=plan.lr_override, hypers=hypers, attack=attack,
     )
@@ -1090,7 +1092,6 @@ def _process_leg(task: dict):
     shared dispatch row into the shared upload row, on the worker's
     cached shard with the client's shipped RNG state.  Only the scalars
     and the advanced RNG state return."""
-    layout = _WORKER["layout"]
     live = {task["dispatch_ref"][0], task["upload_ref"][0]}
     live.update(task["payload_names"])
     _worker_prune_shm(live)
@@ -1100,8 +1101,8 @@ def _process_leg(task: dict):
     rng.bit_generator.state = task["rng_state"]
     scalars = run_leg(
         _WORKER["trainer"],
-        layout,
-        layout.unflatten(dispatch[task["dispatch_row"]], copy=True),
+        _WORKER["layout"],
+        dispatch[task["dispatch_row"]],
         upload[task["upload_row"]],
         _WORKER["datasets"][task["client_id"]],
         rng,
@@ -1124,30 +1125,30 @@ def _require_spec_hook(hook, which: str) -> None:
     )
 
 
-def _validated_states(plans, layout, dtype, backend: str) -> dict:
-    """The distinct dispatched states, every plan checked for transit.
+def _validated_rows(plans, uploads) -> dict:
+    """The distinct dispatch rows, every plan checked for transit.
 
     Keyed by object identity in first-use order (FedAvg-family plans
-    all share one global-state dict; FedCross plans are distinct pool
-    rows), so each unique state is validated — and later packed — once.
-    Run over the *whole* cohort before anything is packed or submitted:
-    hooks must be picklable specs, states model-shaped, and every value
-    must survive the buffer dtype exactly.
+    all share one global row; FedCross plans are distinct pool rows),
+    so each unique row ships once.  Run over the *whole* cohort before
+    anything is copied or submitted: hooks must be picklable specs and
+    rows upload-buffer rows — another dtype is refused, never cast.
     """
-    states: dict = {}
+    shape, dtype = (uploads.layout.total_size,), uploads.dtype
+    flats: dict = {}
     for plan in plans:
         _require_spec_hook(plan.loss_hook, "DispatchPlan.loss_hook")
         _require_spec_hook(plan.grad_hook, "DispatchPlan.grad_hook")
-        if id(plan.state) in states:
+        flat = plan.flat
+        if id(flat) in flats:
             continue
-        if set(plan.state) != set(layout.keys):
-            raise KeyError(
-                "dispatched state keys do not match the model layout; "
-                f"the {backend} backend can only ship model-shaped states"
+        if flat.shape != shape or flat.dtype != dtype:
+            raise ValueError(
+                f"dispatch row {flat.shape} {flat.dtype} is not a row of the "
+                f"{shape} {dtype} upload buffer"
             )
-        _check_roundtrip(layout, plan.state, dtype)
-        states[id(plan.state)] = plan.state
-    return states
+        flats[id(flat)] = flat
+    return flats
 
 
 @register_execution("process")
@@ -1227,7 +1228,7 @@ class ProcessExecution(ExecutionBackend):
     ) -> LegGroup:
         """Pack a private shm block pair, submit one future per leg.
 
-        Dispatch rows hold each *unique* dispatched state once; upload
+        Dispatch rows hold each *unique* dispatched row once; upload
         rows are indexed by plan position ``j``, not pool row (two
         in-flight groups may target the same pool row across a carry)
         — :meth:`LegGroup.finalize` copies row ``j`` into the server's
@@ -1236,17 +1237,16 @@ class ProcessExecution(ExecutionBackend):
         segments, never pickled per client.
         """
         _check_cohort(active, plans, rows, parallel=True)
-        layout = uploads.layout
-        states = _validated_states(plans, layout, uploads.dtype, "process")
+        flats = _validated_rows(plans, uploads)
         self._ensure_pool()
         hook_pairs = self._payloads.pack_round(plans)
         payload_names = sorted(self._payloads.live_names())
         pair = dispatch, upload = self._acquire_blocks(
-            len(plans), layout.total_size, uploads.dtype
+            len(plans), uploads.layout.total_size, uploads.dtype
         )
         slots = {}
-        for slot, (key, state) in enumerate(states.items()):
-            layout.flatten_into(state, dispatch.array[slot])
+        for slot, (key, flat) in enumerate(flats.items()):
+            dispatch.array[slot] = flat
             slots[key] = slot
         hypers = _trainer_hypers(trainer)
         attacks = attacks or {}
@@ -1256,7 +1256,7 @@ class ProcessExecution(ExecutionBackend):
                 {
                     "client_id": active[j].client_id,
                     "rng_state": active[j].rng.bit_generator.state,
-                    "dispatch_row": slots[id(plan.state)],
+                    "dispatch_row": slots[id(plan.flat)],
                     "upload_row": j,
                     "dispatch_ref": dispatch.ref,
                     "upload_ref": upload.ref,

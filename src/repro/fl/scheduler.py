@@ -202,7 +202,7 @@ class _Round:
     ctx: Any
     results: list
     faults: Any  # the round's RoundFaults record (owns cohort and rows)
-    carry: dict = field(default_factory=dict)  # plan index -> dispatched state
+    carry: dict = field(default_factory=dict)  # plan index -> dispatched row
     resolved: int = 0
     max_stale: int = 0
 
@@ -315,10 +315,10 @@ class AsyncRoundScheduler(RoundScheduler):
         for i in range(n):
             if i in rs.faults.failures:
                 # Pre-decided simulated fault: never dispatched.  Copy
-                # the dispatched state *now* — a later round's
+                # the dispatched row *now* — a later round's
                 # speculative blend may rewrite the live pool row
                 # before this round's carry lands.
-                rs.carry[i] = adapter.plan_state(rows[i])
+                rs.carry[i] = adapter.plan_row(rows[i])
                 rs.resolved += 1
             else:
                 ready.append(
@@ -357,15 +357,15 @@ class AsyncRoundScheduler(RoundScheduler):
                 rs.faults.submitted(leg.i)
                 if leg.i not in rs.carry:
                     # First submission: read (and privately copy) the
-                    # row's *current* state — retries re-train this
-                    # exact state, and the carry degradation restores
+                    # row as it is *now* — retries re-train these exact
+                    # bytes, and the carry degradation restores
                     # it, even if speculative blends move the live row
                     # under the in-flight leg.
-                    rs.carry[leg.i] = adapter.plan_state(leg.row)
+                    rs.carry[leg.i] = adapter.plan_row(leg.row)
                     rs.max_stale = max(
                         rs.max_stale, (rs.t - 1) - adapter.version_of(leg.row)
                     )
-                sub_plans.append(replace(leg.plan, state=rs.carry[leg.i]))
+                sub_plans.append(replace(leg.plan, flat=rs.carry[leg.i]))
             attacks = rs.faults.attacks
             sub_attacks = {
                 j: attacks[leg.i] for j, leg in enumerate(legs) if leg.i in attacks
@@ -474,7 +474,7 @@ class AsyncRoundScheduler(RoundScheduler):
                 # newer round already speculatively owns it, in which
                 # case the creation-time snapshot stays the closest
                 # thing to "the state this round dispatched".
-                rs.carry[i] = adapter.plan_state(row)
+                rs.carry[i] = adapter.plan_row(row)
         rs.faults.close(server, rs.uploads, rs.carry, rs.results)
         active = rs.faults.active
         extras = adapter.complete_round(rs.ctx, active, rs.results, rs.plans) or {}

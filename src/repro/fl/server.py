@@ -8,7 +8,7 @@ the shared :meth:`FederatedServer.fit` loop:
     Pick the round's active clients (uniform sampling by default;
     CluSamp overrides with cluster-stratified sampling).
 ``dispatch(active)``
-    Build one :class:`DispatchPlan` per active client: the state to
+    Build one :class:`DispatchPlan` per active client: the model row to
     train from plus optional loss/grad hooks (FedProx's proximal term,
     SCAFFOLD's control variates, FedGen's distillation) and free-form
     ``context`` carried through to aggregation.
@@ -51,7 +51,7 @@ from repro.data.federated import FederatedDataset
 from repro.fl.client import Client
 from repro.fl.comm import CommunicationLedger
 from repro.fl.config import FLConfig
-from repro.fl.execution import ClientExecutor
+from repro.fl.execution import ClientExecutor, _check_roundtrip
 from repro.fl.hooks import HookSpec
 from repro.fl.metrics import RoundRecord, TrainingHistory, evaluate_model
 from repro.fl.trainer import GradHook, LocalResult, LocalTrainer, LossHook
@@ -68,6 +68,9 @@ __all__ = ["DispatchPlan", "FederatedServer"]
 @dataclass
 class DispatchPlan:
     """What one active client receives for its local-training leg.
+
+    ``flat`` is the model as one ``(P,)`` upload-buffer row: cut by
+    :meth:`FederatedServer.global_row`, or a FedCross pool row as is.
 
     ``context`` is free-form method state threaded from ``dispatch`` to
     ``aggregate`` (e.g. SCAFFOLD's per-client control variate); it stays
@@ -86,7 +89,7 @@ class DispatchPlan:
     bit-identical.
     """
 
-    state: Mapping[str, np.ndarray]
+    flat: np.ndarray
     loss_hook: "LossHook | HookSpec | None" = None
     grad_hook: "GradHook | HookSpec | None" = None
     lr_override: float | None = None
@@ -250,8 +253,8 @@ class FederatedServer:
 
     def dispatch(self, active: list[Client]) -> list[DispatchPlan]:
         """One plan per active client; default: the global model, no hooks."""
-        state = self.global_state()
-        return [DispatchPlan(state) for _ in active]
+        flat = self.global_row()
+        return [DispatchPlan(flat) for _ in active]
 
     def collect(
         self, active: list[Client], plans: list[DispatchPlan]
@@ -325,6 +328,13 @@ class FederatedServer:
     def global_state(self) -> dict:
         """State dict of the deployable global model."""
         raise NotImplementedError
+
+    def global_row(self) -> np.ndarray:
+        """The global model as one float32 upload row for a round's plans:
+        the one dict→row boundary, refusing (by field) what it would narrow."""
+        state = self.global_state()
+        _check_roundtrip(self._layout, state, np.float32)
+        return self._layout.flatten(state, dtype=np.float32)
 
     def set_global_state(self, state: Mapping[str, np.ndarray]) -> None:
         """Install ``state`` (deep-copied) as the deployable global model.

@@ -357,7 +357,7 @@ class TestEngineGuards:
         # legs are submitted, naming both lengths, on every backend and
         # through every driver, before anything trains.
         active = [SimpleNamespace(client_id=0), SimpleNamespace(client_id=1)]
-        plans = [SimpleNamespace(state={})]
+        plans = [SimpleNamespace(flat=None)]
         with pytest.raises(
             ValueError, match="2 active clients but 1 dispatch plans"
         ):

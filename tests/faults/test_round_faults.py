@@ -20,9 +20,11 @@ from repro.faults import ClientPopulation, FaultError, LegFailure, QuorumError
 from repro.faults.policy import RoundPolicy
 from repro.fl.callbacks import ServerCallback
 from repro.fl.config import FLConfig
-from repro.fl.execution import ExecutionBackend, LegGroup
+from repro.core.pool import PoolBuffer
+from repro.fl.execution import ExecutionBackend, LegGroup, UploadState
 from repro.fl.scheduler import AsyncRoundScheduler
 from repro.fl.simulation import FLSimulation
+from repro.utils.layout import StateLayout
 
 BACKOFF = 0.5
 
@@ -49,8 +51,8 @@ class _Uploads:
     def __init__(self):
         self.written = []
 
-    def set_state(self, row, state):
-        self.written.append((row, state))
+    def set_row(self, row, flat):
+        self.written.append((row, flat))
 
 
 class _Server:
@@ -171,15 +173,21 @@ class TestRecordClose:
 
     def test_carried_results_land_in_plan_order(self):
         record = self._record("carry", 0.5, failed=(3, 1))
-        server, uploads = _Server(), _Uploads()
-        states = [{"w": i} for i in range(4)]
+        server = _Server()
+        uploads = PoolBuffer.zeros(StateLayout.from_state({"w": np.zeros(2, np.float32)}), 4)
+        dispatched = [np.full(2, i + 1, dtype=np.float32) for i in range(4)]
         results = ["fresh0", None, "fresh2", None]
-        record.close(server, uploads, states, results)
+        record.close(server, uploads, dispatched, results)
         assert results[0] == "fresh0" and results[2] == "fresh2"
         for i in (1, 3):
-            assert results[i].state is states[i]
+            # A carried leg reads like a landed one: a view of its
+            # upload row, which now holds the row it was dispatched.
+            assert isinstance(results[i].state, UploadState)
+            np.testing.assert_array_equal(results[i].state["w"], dispatched[i])
             assert (results[i].num_samples, results[i].num_steps) == (0, 0)
-        assert uploads.written == [(1, states[1]), (3, states[3])]
+        np.testing.assert_array_equal(
+            uploads.storage.row_block(0, 4), [[0, 0], dispatched[1], [0, 0], dispatched[3]]
+        )
         assert server.uploaded == [(1, 0), (3, 0)]
         assert [f.index for f in server.last_leg_failures] == [1, 3]
         assert server.reported == [1, 3]

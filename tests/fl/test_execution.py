@@ -85,7 +85,7 @@ class TestRegistry:
                 calls.append(len(plans))
                 futures = []
                 for client, plan, row in zip(active, plans, rows):
-                    result = client.train(trainer, plan.state)
+                    result = client.train(trainer, uploads.layout.unflatten(plan.flat))
                     uploads.set_state(row, result.state)
                     futures.append(Future())
                     futures[-1].set_result(result)
@@ -220,23 +220,21 @@ class TestHookSpecs:
         extra = hook(sim.model, None, None)
         assert np.isfinite(float(extra.item()))
 
-    def test_process_backend_rejects_lossy_float64_states(self, tiny_config):
-        """A float64 dispatch state that would be narrowed by the
-        float32 shm row must fail loudly, not silently diverge."""
-        import numpy as np
-
-        sim = FLSimulation(tiny_config.replace(execution="process", workers=1))
+    @pytest.mark.parametrize("execution", ["serial", "thread", "process"])
+    def test_lossy_global_state_is_refused_at_dispatch(self, tiny_config, execution):
+        """A float64 global state the float32 dispatch row would narrow
+        fails loudly at ``dispatch``, naming the field, before any
+        backend sees a plan — the same boundary on every backend."""
+        sim = FLSimulation(tiny_config.replace(execution=execution, workers=1))
         server = sim.server
-        active = server.select_cohort()
-        plans = server.dispatch(active)
-        lossy = {
-            k: np.asarray(v, dtype=np.float64) + 1e-12
-            for k, v in plans[0].state.items()
-        }
-        for plan in plans:
-            plan.state = lossy
-        with pytest.raises(ValueError, match="shared-memory round trip"):
-            server.collect(active, plans)
+        lossy = {k: np.asarray(v, dtype=np.float64) for k, v in server.global_state().items()}
+        key = sorted(lossy)[0]
+        lossy[key] = lossy[key] + 1e-12
+        server._global = lossy
+        with pytest.raises(
+            ValueError, match=rf"float field '{key}' \(float64\) does not survive the float32"
+        ):
+            server.dispatch(server.select_cohort())
         server.executor.close()
 
     def test_process_backend_rejects_raw_callable_hooks(self, tiny_config):
@@ -339,7 +337,7 @@ class TestSharedPayloadDedup:
             packer.hold(group)
             with pytest.raises(RuntimeError, match="still in flight"):
                 packer.pack_round(plans)
-            packer.pack_round([DispatchPlan(plans[0].state)])  # nothing shared
+            packer.pack_round([DispatchPlan(plans[0].flat)])  # nothing shared
             group.leg_done()
             packer.pack_round(plans)
         finally:
@@ -509,14 +507,11 @@ class TestParallelMechanics:
         backend._pool = counting = CountingPool(backend._pool)
         active = server.select_cohort()
         plans = server.dispatch(active)
-        plans[-1].state = {
-            k: np.asarray(v, dtype=np.float64) + 1e-12
-            for k, v in plans[-1].state.items()
-        }
+        plans[-1].flat = plans[-1].flat.astype(np.float64)
         rows = list(range(len(plans)))
         uploads = server._round_uploads(len(active))
         rng_before = [c.rng.bit_generator.state for c in active]
-        with pytest.raises(ValueError, match="shared-memory round trip"):
+        with pytest.raises(ValueError, match="is not a row of the"):
             backend.submit_group(server.trainer, active, plans, rows, uploads)
         assert counting.submitted == 0
         assert [c.rng.bit_generator.state for c in active] == rng_before
@@ -530,7 +525,7 @@ class TestParallelMechanics:
         sim = FLSimulation(tiny_config)
         server = sim.server
         members = server.clients[:2]
-        plans = [DispatchPlan(server.global_state()) for _ in members]
+        plans = [DispatchPlan(server.global_row()) for _ in members]
         _, buf1 = server.train_cohort(members, plans)
         _, buf2 = server.train_cohort(members, plans)
         assert buf1 is buf2
@@ -553,11 +548,12 @@ class TestUploadBoundary:
         name, param = list(sim.model.named_parameters())[-1]
         param.data = param.data.astype(np.float64)  # float32-exact until trained
         trainer = LocalTrainer(sim.model, local_epochs=1, batch_size=16)
-        state = sim.model.state_dict()
+        layout = StateLayout.from_state(sim.model.state_dict())
         uploads = PoolBuffer.zeros(
-            StateLayout.from_state(state), 1, dtype=np.float32,
+            layout, 1, dtype=np.float32,
             backend="distributed" if execution == "distributed" else "dense",
         )
+        flat = layout.flatten(sim.model.state_dict(), dtype=np.float32)
         backend = resolve_execution(execution)(
             spec=TrainerSpec.from_trainer(trainer), clients=sim.clients, workers=1
         )
@@ -568,11 +564,55 @@ class TestUploadBoundary:
                 match=rf"float field '{name}' \(float64\) does not survive the float32",
             ):
                 backend.run(
-                    trainer, sim.clients[:1], [DispatchPlan(state)], [0], uploads
+                    trainer, sim.clients[:1], [DispatchPlan(flat)], [0], uploads
                 )
             assert not uploads.storage.row_block(0, 1).any()  # nothing landed
         finally:
             backend.close()
+            if execution == "distributed":
+                shutdown_clusters()
+
+
+class TestDispatchRow:
+    """A dispatched model is one pool-dtype row from dispatch to leg."""
+
+    @pytest.mark.parametrize(
+        "execution", ["serial", "thread", "process", "distributed"]
+    )
+    def test_fedcross_round_never_flattens_a_dispatched_model(
+        self, tiny_config, monkeypatch, execution
+    ):
+        """Between ``dispatch`` and the last land the coordinator packs
+        no dispatched model into a row: the only ``flatten_into`` calls
+        (``flatten`` packs through it) are in-process upload landings.
+        On dense storage the plans *are* the pool's rows."""
+        from repro.distributed.cluster import shutdown_clusters
+
+        fleet = dict(backend="distributed", hosts=2) if execution == "distributed" else {}
+        config = tiny_config.with_method("fedcross").replace(
+            execution=execution, workers=2, **fleet
+        )
+        server = FLSimulation(config).server
+        active = server.select_cohort()
+        uploads = server._round_uploads(len(active))
+        outs, original = [], StateLayout.flatten_into
+
+        def counting(self, state, out):
+            outs.append(out)
+            return original(self, state, out)
+
+        try:
+            monkeypatch.setattr(StateLayout, "flatten_into", counting)
+            plans = server.dispatch(active)
+            server.collect(active, plans)
+            monkeypatch.undo()
+            in_process = execution in ("serial", "thread")
+            assert len(outs) == (len(active) if in_process else 0)
+            assert all(np.shares_memory(out, uploads.matrix) for out in outs)
+            if execution != "distributed":
+                assert all(np.shares_memory(p.flat, server.pool.matrix) for p in plans)
+        finally:
+            server.executor.close()
             if execution == "distributed":
                 shutdown_clusters()
 
@@ -618,14 +658,15 @@ class TestUploadState:
             return server, active, server.dispatch(active)
 
         server, active, plans = cohort()
+        states = [server._layout.unflatten(plan.flat) for plan in plans]
         trained = [
             client.train(
                 server.trainer,
-                plan.state,
-                loss_hook=resolve_hook(plan.loss_hook, plan.state),
-                grad_hook=resolve_hook(plan.grad_hook, plan.state),
+                state,
+                loss_hook=resolve_hook(plan.loss_hook, state),
+                grad_hook=resolve_hook(plan.grad_hook, state),
             ).state
-            for client, plan in zip(active, plans)
+            for client, plan, state in zip(active, plans, states)
         ]
         for overrides in ({}, {"execution": "process", "workers": 2}):
             server, active, plans = cohort(**overrides)

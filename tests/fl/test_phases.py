@@ -5,6 +5,7 @@ import pytest
 
 from repro.fl.server import DispatchPlan
 from repro.fl.simulation import FLSimulation
+from repro.utils.layout import StateLayout
 
 
 class TestPhaseDriver:
@@ -37,11 +38,15 @@ class TestPhaseDriver:
         active = sim.server.select_cohort()
         plans = sim.server.dispatch(active)
         assert len(plans) == len(active)
+        layout = StateLayout.from_state(sim.server.global_state())
         for plan in plans:
             assert isinstance(plan, DispatchPlan)
             assert plan.loss_hook is None and plan.grad_hook is None
+            # One float32 row, cut once and shared by the round's plans.
+            assert plan.flat is plans[0].flat
+            assert plan.flat.dtype == np.float32
             for key, value in sim.server.global_state().items():
-                np.testing.assert_array_equal(plan.state[key], value)
+                np.testing.assert_array_equal(layout.unflatten(plan.flat)[key], value)
 
     def test_collect_packs_uploads_into_pool_rows(self, tiny_config):
         sim = FLSimulation(tiny_config)
@@ -75,11 +80,9 @@ class TestPhaseDriver:
         plans = server.dispatch(active)
         rows = sorted(plan.context["row"] for plan in plans)
         assert rows == list(range(len(active)))
-        # Each plan's state is middleware model `row`.
+        # Each plan's row is middleware model `row`.
         for plan in plans:
-            expected = server.pool.as_state(plan.context["row"])
-            for key in expected:
-                np.testing.assert_array_equal(plan.state[key], expected[key])
+            np.testing.assert_array_equal(plan.flat, server.pool.row(plan.context["row"]))
 
     def test_fedcross_rejects_wrong_cohort_size(self, tiny_config):
         sim = FLSimulation(tiny_config.with_method("fedcross"))

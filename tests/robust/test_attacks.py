@@ -164,9 +164,7 @@ class TestAttackedLeg:
         before = honest.storage.row_block(0, 3)
         after = uploads.storage.row_block(0, 3)
         layout = uploads.layout
-        expected = attacked_row(
-            attack, layout, layout.flatten(plans[1].state, dtype=np.float32), before[1]
-        )
+        expected = attacked_row(attack, layout, plans[1].flat, before[1])
         np.testing.assert_array_equal(after[0], before[0])
         np.testing.assert_array_equal(after[2], before[2])
         np.testing.assert_array_equal(after[1], expected)

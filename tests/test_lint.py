@@ -1,5 +1,6 @@
-"""Import lints: nn/optim stay on the dispatch layer; a FedCross run's cold start stays numpy-only."""
+"""Lints: nn/optim stay on the dispatch layer; a FedCross run's cold start stays numpy-only; legs move rows."""
 
+import ast
 import json
 import os
 import re
@@ -127,3 +128,39 @@ def test_cold_start_src_calls_nothing_that_imports_numpy_ma():
         if lazy.search(line.split("#")[0]) and "``" not in line
     ]
     assert hits == []
+
+
+def _flatten_sites(path: Path) -> list[str]:
+    """Qualified names of the functions calling ``.flatten`` / ``.flatten_into``."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in ("flatten", "flatten_into")
+            ):
+                sites.append(".".join(scope))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), [])
+    return sites
+
+
+def test_execution_backends_convert_no_dispatched_model():
+    """A dispatched model reaches a leg as the plan's row: the execution
+    modules pack a state into a row only where a leg lands its upload
+    (``run_leg``) and for round-shared hook payloads (``_PayloadPacker``)."""
+    src = REPO_ROOT / "src" / "repro"
+    sites = {
+        rel: _flatten_sites(src / rel)
+        for rel in ("fl/execution.py", "distributed/execution.py")
+    }
+    assert sites == {
+        "fl/execution.py": ["run_leg", "_PayloadPacker.pack_round"],
+        "distributed/execution.py": [],
+    }
