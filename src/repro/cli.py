@@ -310,14 +310,12 @@ def _cmd_list() -> int:
     from repro.core.storage import available_backends
     from repro.fl.execution import available_executions
     from repro.robust.operators import available_operators
-    from repro.tensor.backend import available_array_backends
 
     print("methods:    ", ", ".join(available_methods()))
     print("models:     ", ", ".join(available_models()))
     print("datasets:   ", ", ".join(sorted(DATASET_BUILDERS)))
     print("backends:   ", ", ".join(available_backends()))
     print("execution:  ", ", ".join(available_executions()))
-    print("arrays:     ", ", ".join(available_array_backends()))
     print("aggregators:", ", ".join(available_operators()))
     return 0
 

@@ -85,7 +85,7 @@ from repro.utils.layout import StateLayout
 
 __all__ = [
     "PoolBuffer",
-    "VECTORIZED_MEASURES",
+    "MEASURES",
     "blend_row",
     "cosine_from_gram",
     "iter_row_spans",
@@ -112,11 +112,8 @@ def cosine_from_gram(gram: np.ndarray) -> np.ndarray:
         sim[:, zero] = 0.0
     return sim
 
-# Measures with a vectorized whole-pool implementation.  Custom measures
-# registered on repro.core.selection.SIMILARITY_MEASURES fall back to
-# the per-pair reference loop there.
-VECTORIZED_MEASURES = ("cosine", "euclidean")
-_VALID_MEASURES = VECTORIZED_MEASURES
+#: The similarity measures of the pool engine, and so of ``CoModelSel``.
+MEASURES = ("cosine", "euclidean")
 
 # Soft cap on the temporaries of blocked whole-pool operations
 # (cross-aggregation's buffer-dtype row blocks, float64 Gram row blocks,
@@ -482,7 +479,7 @@ class PoolBuffer:
         :meth:`cross_aggregate`, whose elementwise math is bit-identical
         for every block size.
         """
-        if measure not in _VALID_MEASURES:
+        if measure not in MEASURES:
             raise KeyError(measure)
         if measure == "cosine":
             return cosine_from_gram(
@@ -521,7 +518,7 @@ class PoolBuffer:
         measure materialises a float64 copy of the whole masked pool,
         so single-model queries work out-of-core too.
         """
-        if measure not in _VALID_MEASURES:
+        if measure not in MEASURES:
             raise KeyError(measure)
         k = len(self)
         mask, masked, p_eff = self._mask_info(param_keys)

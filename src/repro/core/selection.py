@@ -21,18 +21,17 @@ extension ablation).
 The public dict-taking functions are thin wrappers over the vectorized
 :class:`repro.core.pool.PoolBuffer` engine (one Gram matmul instead of
 O(K²) pairwise flatten+dot passes).  The original per-pair loops are
-kept as ``_reference_*`` implementations — the ground truth the
-property tests check the engine against.
+the test oracle the property tests check the engine against
+(``tests/core/_selection_oracle.py``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.pool import VECTORIZED_MEASURES, PoolBuffer
-from repro.utils.params import flatten_state_dict
+from repro.core.pool import MEASURES, PoolBuffer
 
 __all__ = [
     "cosine_similarity",
@@ -44,18 +43,7 @@ __all__ = [
     "CoModelSel",
 ]
 
-SIMILARITY_MEASURES: dict[str, Callable[[np.ndarray, np.ndarray], float]] = {}
 
-
-def _register_measure(name: str):
-    def decorator(fn):
-        SIMILARITY_MEASURES[name] = fn
-        return fn
-
-    return decorator
-
-
-@_register_measure("cosine")
 def cosine_similarity(x: np.ndarray, y: np.ndarray) -> float:
     """Standard cosine similarity of two flattened parameter vectors."""
     nx = np.linalg.norm(x)
@@ -65,7 +53,6 @@ def cosine_similarity(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(x, y) / (nx * ny))
 
 
-@_register_measure("euclidean")
 def euclidean_similarity(x: np.ndarray, y: np.ndarray) -> float:
     """Negative Euclidean distance (higher = more similar).
 
@@ -73,17 +60,6 @@ def euclidean_similarity(x: np.ndarray, y: np.ndarray) -> float:
     similarity-measure ablation bench.
     """
     return -float(np.linalg.norm(x - y))
-
-
-def _flatten_all(
-    states: Sequence[Mapping[str, np.ndarray]], param_keys: set[str] | None
-) -> np.ndarray:
-    vectors = []
-    for state in states:
-        if param_keys is not None:
-            state = {k: v for k, v in state.items() if k in param_keys}
-        vectors.append(flatten_state_dict(state))
-    return np.stack(vectors)
 
 
 def _as_pool(
@@ -111,31 +87,9 @@ def similarity_matrix(
     the cosine).  Computed by the vectorized pool engine; accepts a
     :class:`PoolBuffer` directly to skip the packing step.
     """
-    if measure not in SIMILARITY_MEASURES:
+    if measure not in MEASURES:
         raise KeyError(measure)
-    if measure not in VECTORIZED_MEASURES:
-        # Custom registered measures keep working through the per-pair
-        # reference loop.
-        states = states.states() if isinstance(states, PoolBuffer) else states
-        return _reference_similarity_matrix(states, measure, param_keys)
     return _as_pool(states).similarity_matrix(measure=measure, param_keys=param_keys)
-
-
-def _reference_similarity_matrix(
-    states: Sequence[Mapping[str, np.ndarray]],
-    measure: str = "cosine",
-    param_keys: set[str] | None = None,
-) -> np.ndarray:
-    """Original per-pair loop — ground truth for the engine tests."""
-    fn = SIMILARITY_MEASURES[measure]
-    vectors = _flatten_all(states, param_keys)
-    k = len(vectors)
-    out = np.zeros((k, k))
-    for i in range(k):
-        out[i, i] = fn(vectors[i], vectors[i])
-        for j in range(i + 1, k):
-            out[i, j] = out[j, i] = fn(vectors[i], vectors[j])
-    return out
 
 
 def select_in_order(index: int, round_idx: int, k: int) -> int:
@@ -156,13 +110,8 @@ def _select_by_similarity(
     param_keys: set[str] | None,
     want_highest: bool,
 ) -> int:
-    if measure not in SIMILARITY_MEASURES:
+    if measure not in MEASURES:
         raise KeyError(measure)
-    if measure not in VECTORIZED_MEASURES:
-        states = states.states() if isinstance(states, PoolBuffer) else states
-        return _reference_select_by_similarity(
-            index, states, measure, param_keys, want_highest
-        )
     pool = _as_pool(states)
     k = len(pool)
     if k <= 1:
@@ -173,30 +122,6 @@ def _select_by_similarity(
         return int(sims.argmax())
     sims[index] = np.inf
     return int(sims.argmin())
-
-
-def _reference_select_by_similarity(
-    index: int,
-    states: Sequence[Mapping[str, np.ndarray]],
-    measure: str,
-    param_keys: set[str] | None,
-    want_highest: bool,
-) -> int:
-    """Original per-pair loop — ground truth for the engine tests."""
-    k = len(states)
-    if k <= 1:
-        return index
-    fn = SIMILARITY_MEASURES[measure]
-    vectors = _flatten_all(states, param_keys)
-    best_idx = -1
-    best_val = -np.inf if want_highest else np.inf
-    for j in range(k):
-        if j == index:
-            continue
-        val = fn(vectors[index], vectors[j])
-        if (want_highest and val > best_val) or (not want_highest and val < best_val):
-            best_val, best_idx = val, j
-    return best_idx
 
 
 def select_highest_similarity(
@@ -244,9 +169,9 @@ class CoModelSel:
         strategy = strategy.lower()
         if strategy not in self.STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; expected one of {self.STRATEGIES}")
-        if measure not in SIMILARITY_MEASURES:
+        if measure not in MEASURES:
             raise ValueError(
-                f"unknown measure {measure!r}; expected one of {sorted(SIMILARITY_MEASURES)}"
+                f"unknown measure {measure!r}; expected one of {sorted(MEASURES)}"
             )
         self.strategy = strategy
         self.measure = measure
@@ -271,8 +196,7 @@ class CoModelSel:
         """Collaborator indices for the whole pool in one engine call.
 
         The server hot path: one Gram matmul covers all K queries,
-        instead of K independent ``__call__`` invocations.  Custom
-        registered measures fall back to the per-pair reference loop.
+        instead of K independent ``__call__`` invocations.
 
         ``gram`` may carry a precomputed raw ``(K, K)`` Gram of the
         masked pool — e.g. one maintained incrementally by a
@@ -282,12 +206,6 @@ class CoModelSel:
         non-cosine measures (see
         :meth:`~repro.core.pool.PoolBuffer.select_collaborators`).
         """
-        if self.strategy != "in_order" and self.measure not in VECTORIZED_MEASURES:
-            states = pool.states()
-            return np.asarray(
-                [self(i, states, round_idx) for i in range(len(pool))],
-                dtype=np.int64,
-            )
         return pool.select_collaborators(
             self.strategy,
             round_idx=round_idx,

@@ -194,13 +194,6 @@ class FLConfig:
         "usable core; process workers share them). Serial ignores it.",
         type=int, check=_POSITIVE,
     )
-    array_backend: str | None = knob(
-        "--array-backend", None, "execution",
-        "Array backend client tensor math dispatches through, process workers "
-        "included: numpy, cupy when installed, ... (default: the process-wide "
-        "one, REPRO_ARRAY_BACKEND or numpy). numpy is bitwise direct numpy.",
-        registry="repro.tensor.backend:resolve_array_backend",
-    )
     round_mode: str = knob(
         "--round-mode", "sync", "schedule",
         "Round schedule: sync (each round blocks on its slowest leg) or async "

@@ -211,14 +211,6 @@ class TrainerSpec:
     a fresh :class:`~repro.nn.module.Module` (the simulation passes a
     :func:`functools.partial` over the model registry); the remaining
     fields mirror :class:`~repro.fl.trainer.LocalTrainer`'s settings.
-
-    ``array_backend`` pins the array backend (see
-    :mod:`repro.tensor.backend`) the template is built — and every leg
-    trained — on.  Because the spec travels to process workers and
-    :meth:`build` runs inside them, this is how a run's backend choice
-    reaches worker processes that never saw the server's
-    ``set_array_backend`` call.  ``None`` keeps each process's active
-    backend.
     """
 
     model_factory: Callable[[], "Module"]
@@ -227,14 +219,9 @@ class TrainerSpec:
     lr: float = 0.01
     momentum: float = 0.5
     weight_decay: float = 0.0
-    array_backend: str | None = None
 
     def build(self) -> LocalTrainer:
         """Materialise a private trainer around a fresh model."""
-        if self.array_backend is not None:
-            from repro.tensor.backend import set_array_backend
-
-            set_array_backend(self.array_backend)
         return LocalTrainer(
             self.model_factory(),
             local_epochs=self.local_epochs,
@@ -249,7 +236,6 @@ class TrainerSpec:
         cls,
         trainer: LocalTrainer,
         model_factory: "Callable[[], Module] | None" = None,
-        array_backend: str | None = None,
     ) -> "TrainerSpec":
         """Spec mirroring ``trainer``; falls back to deep-copying its
         model template when no explicit factory is supplied."""
@@ -265,7 +251,6 @@ class TrainerSpec:
             lr=trainer.lr,
             momentum=trainer.momentum,
             weight_decay=trainer.weight_decay,
-            array_backend=array_backend,
         )
 
 
@@ -1323,11 +1308,10 @@ class ClientExecutor:
         clients: "Sequence[Client]" = (),
         model_factory: "Callable[[], Module] | None" = None,
         workers: int | None = None,
-        array_backend: str | None = None,
         ledger=None,
     ) -> None:
         spec = (
-            TrainerSpec.from_trainer(trainer, model_factory, array_backend=array_backend)
+            TrainerSpec.from_trainer(trainer, model_factory)
             if trainer is not None
             else None
         )

@@ -73,11 +73,8 @@ class HookSpec:
     restoring it from a per-worker cache on the other side.  In-process
     backends ignore it (the mapping is already shared by reference).
 
-    Specs need no array-backend awareness of their own: workers resolve
-    them *after* :meth:`~repro.fl.execution.TrainerSpec.build` has
-    activated the run's array backend, so any tensors a hook builds land
-    on the active backend automatically.  Spec fields themselves carry
-    host ``ndarray`` payloads (they must pickle and ride shared memory).
+    Spec fields carry plain ``ndarray`` payloads: they must pickle and
+    ride shared memory.
     """
 
     shared_fields: tuple[str, ...] = ()

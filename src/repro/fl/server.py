@@ -222,7 +222,6 @@ class FederatedServer:
             clients=self.clients,
             model_factory=model_factory,
             workers=config.workers,
-            array_backend=config.array_backend,
             ledger=self.ledger,
         )
         self._layout = StateLayout.from_state(model.state_dict())

@@ -83,14 +83,6 @@ class FLSimulation:
         callbacks: "Sequence | None" = None,
     ) -> None:
         self.config = config
-        if config.array_backend is not None:
-            # Activate before any model/tensor construction so templates,
-            # init and training all live on the configured backend; the
-            # executor's TrainerSpec carries the same name to process
-            # workers, which activate it in spec.build().
-            from repro.tensor.backend import set_array_backend
-
-            set_array_backend(config.array_backend)
         root_streams = spawn_rng(config.seed, 3)
         self._server_rng, self._client_root, _ = root_streams
 

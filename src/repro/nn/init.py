@@ -4,12 +4,6 @@ All initialisers are pure functions from an explicit RNG to an ndarray,
 so model construction is fully deterministic given a seed — a property
 the FL experiments rely on: every method under comparison starts from
 identical weights.
-
-This module is a documented **host-numpy boundary** (allowlisted by
-``tools/check_numpy_imports.py``): weights are always drawn on the host
-``numpy.random.Generator`` so the bit-stream is identical on every
-array backend; :class:`~repro.tensor.Tensor` construction moves them to
-the active backend's device.
 """
 
 from __future__ import annotations

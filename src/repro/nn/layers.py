@@ -1,9 +1,7 @@
 """Core trainable layers: Linear, Conv2d, Embedding, Dropout, Flatten.
 
-No direct ``numpy`` here: weight initialisation goes through
-:mod:`repro.nn.init` (the host-RNG boundary) and all math through the
-:class:`~repro.tensor.Tensor` dispatch layer, so layers run unchanged
-on every registered array backend.
+Weight initialisation goes through :mod:`repro.nn.init` and all math
+through :class:`~repro.tensor.Tensor` ops.
 """
 
 from __future__ import annotations
@@ -107,8 +105,7 @@ class Embedding(Module):
 
     def forward(self, indices) -> Tensor:
         # Normalise like every other layer: indices become an integer
-        # Tensor, so the lookup flows through the array-backend dispatch
-        # instead of special-casing raw ndarrays.
+        # Tensor instead of special-casing raw ndarrays.
         return F.embedding(as_tensor(indices), self.weight)
 
     def __repr__(self) -> str:

@@ -8,13 +8,8 @@
 * train/eval mode switching (batch-norm, dropout),
 * ``zero_grad`` between optimiser steps.
 
-This module is a documented **host-numpy boundary** (allowlisted by
-``tools/check_numpy_imports.py``): state dicts and buffers are always
-host ``np.ndarray`` mappings — the currency of aggregation, the pool
-matrix and shared-memory upload rows — regardless of which array
-backend executes the math.  ``state_dict`` brings parameters to the
-host via :func:`~repro.tensor.backend.to_host` (free on numpy);
-``load_state_dict`` places them back on the active backend's device.
+State dicts are ``{name: np.ndarray}`` copies — the currency of
+aggregation, the pool matrix and shared-memory upload rows.
 """
 
 from __future__ import annotations
@@ -24,7 +19,6 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from repro.tensor.backend import active_backend, to_host
 from repro.tensor.tensor import Tensor
 
 __all__ = ["Parameter", "Module", "Sequential", "ModuleList"]
@@ -134,11 +128,10 @@ class Module:
 
     # -- state dicts -----------------------------------------------------
     def state_dict(self) -> dict[str, np.ndarray]:
-        """Host-ndarray copy of all parameters and buffers, keyed by
-        dotted path (device parameters are transferred)."""
+        """Ndarray copy of all parameters and buffers, keyed by dotted path."""
         out: dict[str, np.ndarray] = {}
         for name, p in self.named_parameters():
-            out[name] = to_host(p.data).copy()
+            out[name] = np.asarray(p.data).copy()
         for name, b in self.named_buffers():
             out[name] = np.asarray(b).copy()
         return out
@@ -159,19 +152,16 @@ class Module:
                 f"load_state_dict mismatch: missing={sorted(missing)} "
                 f"unexpected={sorted(unexpected)}"
             )
-        backend = active_backend()
         for name, value in state.items():
             if name in own_params:
                 param = own_params[name]
-                value = np.asarray(to_host(value), dtype=param.data.dtype)
+                value = np.asarray(value, dtype=param.data.dtype)
                 if value.shape != param.data.shape:
                     raise ValueError(
                         f"shape mismatch for {name!r}: "
                         f"model {param.data.shape} vs state {value.shape}"
                     )
-                # asarray of the fresh copy is the copy itself on numpy
-                # (never aliasing ``state``); device backends transfer.
-                param.data = backend.asarray(value.copy())
+                param.data = value.copy()  # never aliases ``state``
             elif name in own_buffer_owners:
                 module, buf_name = own_buffer_owners[name]
                 module._set_buffer(buf_name, np.asarray(value).copy())

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.tensor.backend import to_host
 from repro.tensor.tensor import Tensor
 
 __all__ = ["BatchNorm2d", "GroupNorm", "LayerNorm"]
@@ -36,11 +35,10 @@ class BatchNorm2d(Module):
         if self.training:
             mean = x.mean(axis=(0, 2, 3), keepdims=True)
             var = x.var(axis=(0, 2, 3), keepdims=True)
-            # Track running statistics with detached batch moments
-            # (buffers live on the host; ``to_host`` is free on numpy).
+            # Track running statistics with detached batch moments.
             m = self.momentum
-            batch_mean = to_host(mean.data).reshape(-1)
-            batch_var = to_host(var.data).reshape(-1)
+            batch_mean = mean.data.reshape(-1)
+            batch_var = var.data.reshape(-1)
             self._set_buffer("running_mean", (1 - m) * self.running_mean + m * batch_mean)
             self._set_buffer("running_var", (1 - m) * self.running_var + m * batch_var)
         else:

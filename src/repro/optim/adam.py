@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
+
+import numpy as np
 
 from repro.nn.module import Parameter
-from repro.tensor.backend import active_backend
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
 
 __all__ = ["Adam"]
 
@@ -41,7 +39,6 @@ class Adam:
 
     def step(self) -> None:
         self._t += 1
-        backend = active_backend()
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self._t
         bias2 = 1.0 - b2**self._t
@@ -58,7 +55,7 @@ class Adam:
             self._m[i], self._v[i] = m, v
             m_hat = m / bias1
             v_hat = v / bias2
-            p.data = p.data - self.lr * m_hat / (backend.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def reset_state(self) -> None:
         self._m = [None] * len(self.params)

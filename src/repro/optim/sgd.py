@@ -7,13 +7,11 @@ update ``p <- p - lr b``; Nesterov variant supported) so the paper's
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
+
+import numpy as np
 
 from repro.nn.module import Parameter
-from repro.tensor.backend import active_backend
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
 
 __all__ = ["SGD"]
 
@@ -71,7 +69,6 @@ class SGD:
         clients previously touched the template (and breaking
         bit-reproducibility across execution backends).
         """
-        bk = active_backend()
         for i, p in enumerate(self.params):
             grad = p.grad
             if grad is None:
@@ -95,8 +92,8 @@ class SGD:
                 grad = grad + self.momentum * buf if self.nesterov else buf
             scratch = self._scratch[i]
             if scratch is None or scratch.dtype != grad.dtype:
-                scratch = self._scratch[i] = bk.empty_like(grad)
-            bk.multiply(grad, self.lr, out=scratch)
+                scratch = self._scratch[i] = np.empty_like(grad)
+            np.multiply(grad, self.lr, out=scratch)
             # Computed in the wider of the two dtypes, rounded once into
             # the parameter's own array.
             if (

@@ -4,7 +4,7 @@ The server's two aggregation sites — the CrossAggr collaborator blend
 and GlobalModelGen / upload averaging — historically hard-coded the
 linear mean (``PoolBuffer.cross_aggregate`` / ``mean_state``).  This
 module extracts that choice into an :class:`AggregationOperator`
-registry mirroring the storage / execution / array-backend plugins:
+registry mirroring the storage / execution plugins:
 
 ========================  ====================================================
 ``mean``                  the reference — delegates to ``mean_state`` /

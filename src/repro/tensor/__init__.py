@@ -1,4 +1,4 @@
-"""Reverse-mode autograd engine on pluggable array backends.
+"""Reverse-mode autograd engine on NumPy.
 
 This package is the compute substrate for the FedCross reproduction: a
 minimal but complete tensor library with automatic differentiation,
@@ -8,35 +8,18 @@ the paper's evaluation.
 Public API
 ----------
 ``Tensor``
-    The autograd tensor type. Wraps an array of the active
-    :class:`~repro.tensor.backend.ArrayBackend` (``numpy.ndarray`` by
-    default) and records the operations applied to it so that
-    :meth:`Tensor.backward` can compute gradients for every tensor with
-    ``requires_grad=True``.
+    The autograd tensor type. Wraps a ``numpy.ndarray`` and records the
+    operations applied to it so that :meth:`Tensor.backward` can compute
+    gradients for every tensor with ``requires_grad=True``.
 ``no_grad`` / ``is_grad_enabled``
     Context manager disabling graph construction (used for evaluation).
 ``functional``
     Higher-level differentiable functions (softmax, losses, conv2d, ...).
 ``gradcheck``
     Numerical gradient verification used heavily by the test-suite.
-``active_backend`` / ``set_array_backend`` / ``use_array_backend``
-    Array-backend selection (also via ``FLConfig.array_backend`` /
-    ``--array-backend`` / ``REPRO_ARRAY_BACKEND``); ``to_host`` brings
-    backend arrays to host memory at state-dict/upload boundaries.
 """
 
 from repro.tensor.autograd import is_grad_enabled, no_grad
-from repro.tensor.backend import (
-    ARRAY_BACKENDS,
-    ArrayBackend,
-    active_backend,
-    available_array_backends,
-    register_array_backend,
-    resolve_array_backend,
-    set_array_backend,
-    to_host,
-    use_array_backend,
-)
 from repro.tensor.tensor import Tensor, as_tensor
 from repro.tensor import functional
 from repro.tensor.gradcheck import gradcheck
@@ -48,13 +31,4 @@ __all__ = [
     "is_grad_enabled",
     "functional",
     "gradcheck",
-    "ArrayBackend",
-    "ARRAY_BACKENDS",
-    "register_array_backend",
-    "resolve_array_backend",
-    "available_array_backends",
-    "active_backend",
-    "set_array_backend",
-    "use_array_backend",
-    "to_host",
 ]

@@ -11,19 +11,15 @@ matrix multiply. The windows are a strided *view* of the (padded)
 input, copied straight into the layout each GEMM wants; on small
 CIFAR-scale inputs this is the fastest pure-NumPy strategy by a wide
 margin.
-
-Array math dispatches through the active
-:class:`~repro.tensor.backend.ArrayBackend`.  One documented host-side
-exception keeps raw NumPy: :func:`one_hot` (a host-label helper whose
-output feeds host-side pipelines, not the training hot path).
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.tensor.autograd import is_grad_enabled
-from repro.tensor.backend import active_backend
 from repro.tensor.tensor import Tensor, as_tensor
 
 __all__ = [
@@ -62,6 +58,51 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 def _require_nchw(op: str, what: str, shape: tuple[int, ...]) -> None:
     if len(shape) != 4:
         raise ValueError(f"{op} expects a 4-D {what}, got shape {shape}")
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def window_plan(shape, strides, kh, kw, stride):
+    """Shape and strides of the sliding-window view of an NCHW array.
+
+    ``(shape, strides)`` describe the ``(N, out_h, out_w, C, kh, kw)``
+    view of an array with the given ``shape`` / ``strides`` whose
+    ``[n, y, x, c, i, j]`` element is ``array[n, c, y*stride + i,
+    x*stride + j]``.  This is the memory-safety boundary of
+    :func:`sliding_windows`: geometry that would index outside the array
+    is rejected here, before any view exists.  The cache holds these
+    integer tuples only — never an array — so plans are safe to share
+    between calls and threads.
+    """
+    if len(shape) != 4:
+        raise ValueError(f"sliding windows need a 4-D NCHW array, got shape {shape}")
+    n, c, h, w = shape
+    if stride < 1 or kh < 1 or kw < 1:
+        raise ValueError(
+            f"sliding windows need kernel and stride >= 1, got kernel ({kh}, {kw}), "
+            f"stride {stride} (input shape {shape})"
+        )
+    if kh > h or kw > w:
+        raise ValueError(
+            f"kernel ({kh}, {kw}) is larger than the (padded) input: shape {shape}"
+        )
+    s_n, s_c, s_h, s_w = strides
+    out_h = (h - kh) // stride + 1
+    out_w = (w - kw) // stride + 1
+    return (n, out_h, out_w, c, kh, kw), (s_n, stride * s_h, stride * s_w, s_c, s_h, s_w)
+
+
+def sliding_windows(array, kh: int, kw: int, stride: int):
+    """Read-only ``(N, out_h, out_w, C, kh, kw)`` view of NCHW ``array``.
+
+    No data moves: every ``kh x kw`` window at ``stride`` is a stride
+    pattern over ``array``'s own memory (:func:`window_plan` checks it
+    stays inside it).  The im2col lowering of :func:`conv2d` and the
+    general :func:`max_pool2d` path copy out of this view once.
+    """
+    shape, strides = window_plan(array.shape, array.strides, kh, kw, stride)
+    return np.lib.stride_tricks.as_strided(
+        array, shape=shape, strides=strides, writeable=False
+    )
 
 
 def _scatter_windows(grad, grad_windows, stride: int) -> None:
@@ -109,7 +150,6 @@ def conv2d(
     that usually follows reduces over more than 10x faster than a
     C-ordered copy.
     """
-    bk = active_backend()
     x = as_tensor(x)
     weight = as_tensor(weight)
     _require_nchw("conv2d", "input (N, C_in, H, W)", x.shape)
@@ -122,12 +162,12 @@ def conv2d(
         raise ValueError(f"conv2d padding must be >= 0, got {padding} (input shape {x.shape})")
 
     if padding:
-        x_pad = bk.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        x_pad = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
         x_pad = x.data
     hp, wp = x_pad.shape[2], x_pad.shape[3]
     # Rejects a stride or kernel that does not fit before any view exists.
-    windows = bk.sliding_windows(x_pad, kh, kw, stride)  # (N, out_h, out_w, C, kh, kw)
+    windows = sliding_windows(x_pad, kh, kw, stride)  # (N, out_h, out_w, C, kh, kw)
     out_h, out_w = windows.shape[1], windows.shape[2]
     p, k = out_h * out_w, c_in * kh * kw
 
@@ -154,8 +194,7 @@ def conv2d(
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g) -> None:
-        bk = active_backend()
-        g = bk.asarray(g)  # (N, C_out, out_h, out_w)
+        g = np.asarray(g)  # (N, C_out, out_h, out_w)
         # A view when g is channels-last like ``out`` (the ReLU and
         # pool that usually follow hand it back that way); one copy
         # otherwise.  Either way the GEMMs see the same operand layout.
@@ -167,10 +206,10 @@ def conv2d(
             # A reduction sums in memory order: it must see g C-ordered,
             # the layout the goldens were recorded with, whatever layout
             # g arrived in.
-            bias._accumulate(bk.ascontiguousarray(g).sum(axis=(0, 2, 3)), fresh=True)
+            bias._accumulate(np.ascontiguousarray(g).sum(axis=(0, 2, 3)), fresh=True)
         if x.requires_grad:
             grad_cols = g_mat @ w_mat  # (N*P, K)
-            grad_pad = bk.zeros((n, c_in, hp, wp), dtype=x.data.dtype)
+            grad_pad = np.zeros((n, c_in, hp, wp), dtype=x.data.dtype)
             _scatter_windows(
                 grad_pad, grad_cols.reshape(n, out_h, out_w, c_in, kh, kw), stride
             )
@@ -197,7 +236,6 @@ def _layout_free_to_conv(t: Tensor) -> bool:
 
 def max_pool2d(x: Tensor, kernel_size: int = 2, stride: int | None = None) -> Tensor:
     """Max pooling over non-overlapping (or strided) windows, NCHW."""
-    bk = active_backend()
     x = as_tensor(x)
     _require_nchw("max_pool2d", "input (N, C, H, W)", x.shape)
     stride = stride or kernel_size
@@ -223,17 +261,16 @@ def max_pool2d(x: Tensor, kernel_size: int = 2, stride: int | None = None) -> Te
         own_layout = _layout_free_to_conv(x)
 
         def backward(g) -> None:
-            bk = active_backend()
-            g = bk.asarray(g)
+            g = np.asarray(g)
             if own_layout:
                 # Everything in x's layout (channels-last after a conv):
                 # this product runs over matched layouts, and so do the
                 # ReLU and the conv upstream.  Only g, a quarter of the
                 # size, is copied across.
-                g_own = bk.empty_like(out)
+                g_own = np.empty_like(out)
                 g_own[...] = g
-                grad = bk.empty_like(x.data)
-                bk.multiply(share, g_own[:, :, :, None, :, None], out=grad.reshape(tiles))
+                grad = np.empty_like(x.data)
+                np.multiply(share, g_own[:, :, :, None, :, None], out=grad.reshape(tiles))
             else:
                 # NumPy's choice of layout, which reductions upstream
                 # (a norm layer's) were recorded summing over.
@@ -243,22 +280,21 @@ def max_pool2d(x: Tensor, kernel_size: int = 2, stride: int | None = None) -> Te
         return Tensor._make(out, (x,), backward, "max_pool2d")
 
     # General strided path over the same window view conv2d unrolls.
-    windows = bk.sliding_windows(x.data, kernel_size, kernel_size, stride)
+    windows = sliding_windows(x.data, kernel_size, kernel_size, stride)
     out_h, out_w = windows.shape[1], windows.shape[2]
     # (N, C, k*k, P): window elements in ascending (i, j) order, so a
     # tie goes to the first maximum in that order.
     cols = windows.transpose(0, 3, 4, 5, 1, 2).reshape(n, c, kernel_size * kernel_size, -1)
     arg = cols.argmax(axis=2)  # (N, C, P)
-    out = bk.take_along_axis(cols, arg[:, :, None, :], axis=2).squeeze(2)
+    out = np.take_along_axis(cols, arg[:, :, None, :], 2).squeeze(2)
     out = out.reshape(n, c, out_h, out_w)
 
     def backward_general(g) -> None:
-        bk = active_backend()
-        g = bk.asarray(g).reshape(n, c, -1)
-        grad_cols = bk.zeros((n, c, kernel_size * kernel_size, g.shape[-1]), dtype=x.data.dtype)
-        bk.put_along_axis(grad_cols, arg[:, :, None, :], g[:, :, None, :], axis=2)
+        g = np.asarray(g).reshape(n, c, -1)
+        grad_cols = np.zeros((n, c, kernel_size * kernel_size, g.shape[-1]), dtype=x.data.dtype)
+        np.put_along_axis(grad_cols, arg[:, :, None, :], g[:, :, None, :], 2)
         grad_cols = grad_cols.reshape(n, c, kernel_size, kernel_size, out_h, out_w)
-        grad = bk.zeros_like(x.data)
+        grad = np.zeros_like(x.data)
         _scatter_windows(grad, grad_cols.transpose(0, 4, 5, 1, 2, 3), stride)
         x._accumulate(grad, fresh=True)
 
@@ -283,9 +319,8 @@ def avg_pool2d(x: Tensor, kernel_size: int = 2, stride: int | None = None) -> Te
         scale = 1.0 / (kernel_size * kernel_size)
 
         def backward(g) -> None:
-            bk = active_backend()
-            g6 = bk.asarray(g)[:, :, :, None, :, None]
-            grad = bk.broadcast_to(g6 * scale, (n, c, out_h, kernel_size, out_w, kernel_size))
+            g6 = np.asarray(g)[:, :, :, None, :, None]
+            grad = np.broadcast_to(g6 * scale, (n, c, out_h, kernel_size, out_w, kernel_size))
             x._accumulate(grad.reshape(n, c, h, w))
 
         return Tensor._make(out, (x,), backward, "avg_pool2d")
@@ -305,15 +340,14 @@ def global_avg_pool2d(x: Tensor) -> Tensor:
 # ----------------------------------------------------------------------
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically-stable log-softmax with a fused backward pass."""
-    bk = active_backend()
     x = as_tensor(x)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    log_z = bk.log(bk.exp(shifted).sum(axis=axis, keepdims=True))
+    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out = shifted - log_z
-    softmax_vals = bk.exp(out)
+    softmax_vals = np.exp(out)
 
     def backward(g) -> None:
-        g = active_backend().asarray(g)
+        g = np.asarray(g)
         x._accumulate(g - softmax_vals * g.sum(axis=axis, keepdims=True), fresh=True)
 
     return Tensor._make(out, (x,), backward, "log_softmax")
@@ -321,14 +355,13 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically-stable softmax with a fused backward pass."""
-    bk = active_backend()
     x = as_tensor(x)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = bk.exp(shifted)
+    e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
 
     def backward(g) -> None:
-        g = active_backend().asarray(g)
+        g = np.asarray(g)
         inner = (g * out).sum(axis=axis, keepdims=True)
         x._accumulate(out * (g - inner), fresh=True)
 
@@ -348,13 +381,12 @@ def nll_loss(log_probs: Tensor, targets, reduction: str = "mean") -> Tensor:
 
     ``targets`` is an integer array (or integer Tensor) of shape ``(N,)``.
     """
-    bk = active_backend()
     log_probs = as_tensor(log_probs)
-    targets = bk.asarray(
+    targets = np.asarray(
         targets.data if isinstance(targets, Tensor) else targets, dtype=np.int64
     )
     n = log_probs.shape[0]
-    rows = bk.arange(n)
+    rows = np.arange(n)
     picked = log_probs.data[rows, targets]
     if reduction == "mean":
         value = -picked.mean()
@@ -366,14 +398,13 @@ def nll_loss(log_probs: Tensor, targets, reduction: str = "mean") -> Tensor:
         raise ValueError(f"unknown reduction {reduction!r}")
 
     def backward(g) -> None:
-        bk = active_backend()
-        g = float(bk.to_numpy(bk.asarray(g)))
-        grad = bk.zeros_like(log_probs.data)
+        g = float(np.asarray(g))
+        grad = np.zeros_like(log_probs.data)
         grad[rows, targets] = -g * scale
         log_probs._accumulate(grad, fresh=True)
 
     return Tensor._make(
-        bk.asarray(value, dtype=log_probs.dtype), (log_probs,), backward, "nll"
+        np.asarray(value, dtype=log_probs.dtype), (log_probs,), backward, "nll"
     )
 
 
@@ -393,25 +424,23 @@ def mse_loss(pred: Tensor, target, reduction: str = "mean") -> Tensor:
 
 def binary_cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
     """Stable BCE from logits: ``max(z,0) - z*y + log(1 + exp(-|z|))``."""
-    bk = active_backend()
     logits = as_tensor(logits)
     z = logits.data
-    y = bk.asarray(
+    y = np.asarray(
         targets.data if isinstance(targets, Tensor) else targets, dtype=z.dtype
     )
-    value = bk.maximum(z, 0) - z * y + bk.log1p(bk.exp(-bk.abs(z)))
+    value = np.maximum(z, 0) - z * y + np.log1p(np.exp(-np.abs(z)))
     out_val = value.mean()
     # Stable sigmoid: exp only ever sees non-positive arguments.
     pos = z >= 0
-    ez = bk.exp(bk.where(pos, -z, z))
-    sig = bk.where(pos, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    ez = np.exp(np.where(pos, -z, z))
+    sig = np.where(pos, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
     def backward(g) -> None:
-        bk = active_backend()
-        g = float(bk.to_numpy(bk.asarray(g)))
+        g = float(np.asarray(g))
         logits._accumulate(g * (sig - y) / z.size, fresh=True)
 
-    return Tensor._make(bk.asarray(out_val, dtype=z.dtype), (logits,), backward, "bce_logits")
+    return Tensor._make(np.asarray(out_val, dtype=z.dtype), (logits,), backward, "bce_logits")
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
@@ -420,14 +449,13 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
         return as_tensor(x)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    bk = active_backend()
     x = as_tensor(x)
     keep = 1.0 - p
-    mask = (bk.random_uniform(rng, x.shape) < keep).astype(x.data.dtype) / keep
+    mask = (rng.random(x.shape) < keep).astype(x.data.dtype) / keep
     out = x.data * mask
 
     def backward(g) -> None:
-        x._accumulate(active_backend().asarray(g) * mask, fresh=True)
+        x._accumulate(np.asarray(g) * mask, fresh=True)
 
     return Tensor._make(out, (x,), backward, "dropout")
 
@@ -436,20 +464,17 @@ def embedding(indices, weight: Tensor) -> Tensor:
     """Lookup rows of ``weight`` (``(vocab, dim)``) by integer ``indices``.
 
     ``indices`` may be an integer array or an integer :class:`Tensor`
-    (layers normalise through :func:`~repro.tensor.tensor.as_tensor`, so
-    indices flow through the dispatch layer like every other input).
+    (layers normalise through :func:`~repro.tensor.tensor.as_tensor`).
     """
-    bk = active_backend()
     weight = as_tensor(weight)
-    idx = bk.asarray(
+    idx = np.asarray(
         indices.data if isinstance(indices, Tensor) else indices, dtype=np.int64
     )
     out = weight.data[idx]
 
     def backward(g) -> None:
-        bk = active_backend()
-        grad = bk.zeros_like(weight.data)
-        bk.add_at(grad, idx.reshape(-1), bk.asarray(g).reshape(-1, weight.shape[1]))
+        grad = np.zeros_like(weight.data)
+        np.add.at(grad, idx.reshape(-1), np.asarray(g).reshape(-1, weight.shape[1]))
         weight._accumulate(grad, fresh=True)
 
     return Tensor._make(out, (weight,), backward, "embedding")

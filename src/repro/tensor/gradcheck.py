@@ -12,7 +12,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.tensor.backend import to_host
 from repro.tensor.tensor import Tensor
 
 __all__ = ["gradcheck"]
@@ -55,7 +54,7 @@ def gradcheck(
     out = fn(*inputs)
     loss = out.sum() if out.size != 1 else out
     loss.backward()
-    analytic = [None if t.grad is None else to_host(t.grad).copy() for t in inputs]
+    analytic = [None if t.grad is None else np.asarray(t.grad).copy() for t in inputs]
 
     for idx, t in enumerate(inputs):
         numeric = np.zeros(t.data.shape, dtype=np.float64)
@@ -85,4 +84,4 @@ def gradcheck(
 def _eval_sum(fn: Callable[..., Tensor], inputs: Sequence[Tensor]) -> float:
     """Evaluate ``sum(fn(*inputs))`` without touching existing gradients."""
     out = fn(*inputs)
-    return float(np.asarray(to_host(out.data), dtype=np.float64).sum())
+    return float(np.asarray(out.data, dtype=np.float64).sum())

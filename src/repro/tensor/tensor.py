@@ -1,28 +1,20 @@
 """The autograd ``Tensor`` type.
 
-A ``Tensor`` wraps an array owned by the active
-:class:`~repro.tensor.backend.ArrayBackend` (a ``numpy.ndarray`` on the
-default backend) and, while gradient mode is enabled (see
-:mod:`repro.tensor.autograd`), records enough information to run
-reverse-mode automatic differentiation: the parent tensors and a
+A ``Tensor`` wraps a ``numpy.ndarray`` and, while gradient mode is
+enabled (see :mod:`repro.tensor.autograd`), records enough information
+to run reverse-mode automatic differentiation: the parent tensors and a
 closure that maps the output gradient onto each parent's gradient.
 
 Design notes
 ------------
-* Gradients accumulate into ``tensor.grad`` (a raw backend array),
-  mirroring the PyTorch convention the paper's implementation relies on
+* Gradients accumulate into ``tensor.grad`` (a raw ndarray), mirroring
+  the PyTorch convention the paper's implementation relies on
   (``zero_grad`` between steps, ``+=`` accumulation inside a step).
 * Broadcasting is fully supported: ``_unbroadcast`` reduces an upstream
   gradient back onto a parent's shape by summing over broadcast axes.
 * The graph is a DAG of ``Tensor`` nodes; ``backward`` runs a
   depth-first topological sort and applies each node's backward closure
   exactly once.
-* All array *math* dispatches through :func:`active_backend`; only
-  array **methods** (``.sum``, ``.reshape``, ``@`` …), which every
-  backend's array type shares, are called directly.  On the ``numpy``
-  backend every dispatched call is the identical NumPy call the
-  pre-dispatch code made, so results are bit-identical to the seed
-  direct-numpy path.
 """
 
 from __future__ import annotations
@@ -34,7 +26,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.tensor.autograd import is_grad_enabled
-from repro.tensor.backend import active_backend
 
 __all__ = ["Tensor", "as_tensor"]
 
@@ -64,7 +55,7 @@ def _unbroadcast(grad, shape: tuple[int, ...]):
     return grad.reshape(shape)
 
 
-def _compact(array, bk) -> bool:
+def _compact(array) -> bool:
     """Whether ``array`` spans its elements with no gaps or padding.
 
     That is, its strides are the ones ``empty_like`` gives it, so
@@ -74,32 +65,29 @@ def _compact(array, bk) -> bool:
     flags = array.flags
     if flags.c_contiguous or flags.f_contiguous:
         return True
-    return array.strides == bk.empty_like(array).strides
+    return array.strides == np.empty_like(array).strides
 
 
 def _coerce(value):
-    """Convert ``value`` to a backend array without copying when possible.
+    """Convert ``value`` to an ndarray without copying when possible.
 
     Float/complex/integer arrays keep their dtype (integer tensors feed
     index ops such as :func:`repro.tensor.functional.embedding`); bool
-    and everything else coerces to the default float dtype.  On the
-    numpy backend an already-suitable ndarray passes through untouched.
+    and everything else coerces to the default float dtype.  An
+    already-suitable ndarray passes through untouched.
     """
-    bk = active_backend()
-    if isinstance(value, (np.ndarray, bk.array_type)):
-        if value.dtype.kind in "fcui":
-            return bk.asarray(value, dtype=value.dtype)
-        return bk.asarray(value, dtype=_DEFAULT_DTYPE)
-    return bk.asarray(value, dtype=_DEFAULT_DTYPE)
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fcui":
+        return np.asarray(value, dtype=value.dtype)
+    return np.asarray(value, dtype=_DEFAULT_DTYPE)
 
 
 class Tensor:
-    """A backend-array tensor with reverse-mode automatic differentiation.
+    """An ndarray tensor with reverse-mode automatic differentiation.
 
     Parameters
     ----------
     data:
-        Anything convertible to a float array on the active backend.
+        Anything convertible to a float ndarray.
     requires_grad:
         When True (and grad mode is on), operations involving this
         tensor extend the autograd graph and ``backward`` will populate
@@ -168,9 +156,8 @@ class Tensor:
         return self.transpose()
 
     def numpy(self) -> np.ndarray:
-        """Return the underlying data as a host ndarray (no copy on the
-        numpy backend; a device→host transfer elsewhere)."""
-        return active_backend().to_numpy(self.data)
+        """Return the underlying data as an ndarray (no copy)."""
+        return np.asarray(self.data)
 
     def item(self) -> float:
         """Return the value of a single-element tensor as a Python float."""
@@ -210,7 +197,6 @@ class Tensor:
             Upstream gradient; defaults to ones (only valid for scalar
             outputs, matching the usual loss.backward() idiom).
         """
-        bk = active_backend()
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
         if grad is None:
@@ -219,11 +205,11 @@ class Tensor:
                     "backward() without an explicit gradient is only supported for "
                     f"scalar outputs; this tensor has shape {self.shape}"
                 )
-            grad = bk.ones_like(self.data)
+            grad = np.ones_like(self.data)
         else:
             # A copy: view ops hand this array on to be adopted, and the
             # caller's array must never become some parameter's ``.grad``.
-            grad = bk.asarray(grad, dtype=self.data.dtype).astype(self.data.dtype, copy=True)
+            grad = np.asarray(grad, dtype=self.data.dtype).astype(self.data.dtype, copy=True)
 
         topo: list[Tensor] = []
         visited: set[int] = set()
@@ -263,11 +249,10 @@ class Tensor:
         """
         if not self.requires_grad:
             return
-        bk = active_backend()
-        grad = _unbroadcast(bk.asarray(grad), self.data.shape)
+        grad = _unbroadcast(np.asarray(grad), self.data.shape)
         if self.grad is not None:
             self.grad = self.grad + grad.astype(self.data.dtype, copy=False)
-        elif fresh and grad.dtype == self.data.dtype and _compact(grad, bk):
+        elif fresh and grad.dtype == self.data.dtype and _compact(grad):
             self.grad = grad
         else:
             self.grad = grad.astype(self.data.dtype, copy=True)
@@ -366,7 +351,7 @@ class Tensor:
     # Transcendental / unary ops
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
-        out_data = active_backend().exp(self.data)
+        out_data = np.exp(self.data)
 
         def backward(g) -> None:
             self._accumulate(g * out_data, fresh=True)
@@ -374,7 +359,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward, "exp")
 
     def log(self) -> "Tensor":
-        out_data = active_backend().log(self.data)
+        out_data = np.log(self.data)
 
         def backward(g) -> None:
             self._accumulate(g / self.data, fresh=True)
@@ -382,7 +367,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward, "log")
 
     def sqrt(self) -> "Tensor":
-        out_data = active_backend().sqrt(self.data)
+        out_data = np.sqrt(self.data)
 
         def backward(g) -> None:
             self._accumulate(g * 0.5 / out_data, fresh=True)
@@ -390,16 +375,15 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward, "sqrt")
 
     def abs(self) -> "Tensor":
-        bk = active_backend()
-        out_data = bk.abs(self.data)
+        out_data = np.abs(self.data)
 
         def backward(g) -> None:
-            self._accumulate(g * bk.sign(self.data), fresh=True)
+            self._accumulate(g * np.sign(self.data), fresh=True)
 
         return Tensor._make(out_data, (self,), backward, "abs")
 
     def tanh(self) -> "Tensor":
-        out_data = active_backend().tanh(self.data)
+        out_data = np.tanh(self.data)
 
         def backward(g) -> None:
             self._accumulate(g * (1.0 - out_data * out_data), fresh=True)
@@ -407,13 +391,12 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward, "tanh")
 
     def sigmoid(self) -> "Tensor":
-        bk = active_backend()
         # Numerically stable logistic: exp only ever sees non-positive values.
-        out_data = bk.where(
+        out_data = np.where(
             self.data >= 0,
-            1.0 / (1.0 + bk.exp(-bk.clip(self.data, 0, None))),
-            bk.exp(bk.clip(self.data, None, 0))
-            / (1.0 + bk.exp(bk.clip(self.data, None, 0))),
+            1.0 / (1.0 + np.exp(-np.clip(self.data, 0, None))),
+            np.exp(np.clip(self.data, None, 0))
+            / (1.0 + np.exp(np.clip(self.data, None, 0))),
         ).astype(self.data.dtype, copy=False)
 
         def backward(g) -> None:
@@ -425,7 +408,7 @@ class Tensor:
         # Branch-free, and bitwise ``where(x > 0, x, 0)`` on every input:
         # fmax drops NaN for the 0, and ``+= 0`` turns the -0.0 that some
         # of NumPy's fmax loops return for a -0.0 input into +0.0.
-        out_data = active_backend().fmax(self.data, 0)
+        out_data = np.fmax(self.data, 0)
         out_data += 0
         # The mask is graph work: built only when backward can run.
         mask = self.data > 0 if is_grad_enabled() and self.requires_grad else None
@@ -436,19 +419,18 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward, "relu")
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        bk = active_backend()
         mask = self.data > 0
-        out_data = bk.where(mask, self.data, negative_slope * self.data).astype(
+        out_data = np.where(mask, self.data, negative_slope * self.data).astype(
             self.data.dtype, copy=False
         )
 
         def backward(g) -> None:
-            self._accumulate(g * bk.where(mask, 1.0, negative_slope), fresh=True)
+            self._accumulate(g * np.where(mask, 1.0, negative_slope), fresh=True)
 
         return Tensor._make(out_data, (self,), backward, "leaky_relu")
 
     def clip(self, low: float, high: float) -> "Tensor":
-        out_data = active_backend().clip(self.data, low, high)
+        out_data = np.clip(self.data, low, high)
         mask = (self.data >= low) & (self.data <= high)
 
         def backward(g) -> None:
@@ -463,13 +445,12 @@ class Tensor:
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(g) -> None:
-            bk = active_backend()
-            grad = bk.asarray(g)
+            grad = np.asarray(g)
             if axis is not None and not keepdims:
                 axes = (axis,) if isinstance(axis, int) else tuple(axis)
                 for ax in sorted(a % self.data.ndim for a in axes):
-                    grad = bk.expand_dims(grad, ax)
-            self._accumulate(bk.broadcast_to(grad, self.data.shape))
+                    grad = np.expand_dims(grad, ax)
+            self._accumulate(np.broadcast_to(grad, self.data.shape))
 
         return Tensor._make(out_data, (self,), backward, "sum")
 
@@ -490,10 +471,9 @@ class Tensor:
         out_data = self.data.max(axis=axis, keepdims=keepdims)
 
         def backward(g) -> None:
-            bk = active_backend()
-            grad = bk.asarray(g)
+            grad = np.asarray(g)
             if axis is not None and not keepdims:
-                grad = bk.expand_dims(grad, axis)
+                grad = np.expand_dims(grad, axis)
                 maxes = self.data.max(axis=axis, keepdims=True)
             else:
                 maxes = out_data if keepdims or axis is None else None
@@ -520,7 +500,7 @@ class Tensor:
 
         def backward(g) -> None:
             # ``g`` is this node's own gradient: hand a view of it over.
-            self._accumulate(active_backend().asarray(g).reshape(original), fresh=True)
+            self._accumulate(np.asarray(g).reshape(original), fresh=True)
 
         return Tensor._make(out_data, (self,), backward, "reshape")
 
@@ -537,7 +517,7 @@ class Tensor:
         inverse = tuple(sorted(range(len(perm)), key=perm.__getitem__))
 
         def backward(g) -> None:
-            self._accumulate(active_backend().asarray(g).transpose(inverse), fresh=True)
+            self._accumulate(np.asarray(g).transpose(inverse), fresh=True)
 
         return Tensor._make(out_data, (self,), backward, "transpose")
 
@@ -545,9 +525,8 @@ class Tensor:
         out_data = self.data[index]
 
         def backward(g) -> None:
-            bk = active_backend()
-            grad = bk.zeros_like(self.data)
-            bk.add_at(grad, index, g)
+            grad = np.zeros_like(self.data)
+            np.add.at(grad, index, g)
             self._accumulate(grad, fresh=True)
 
         return Tensor._make(out_data, (self,), backward, "getitem")
@@ -557,11 +536,11 @@ class Tensor:
         if padding == 0:
             return self
         pad_width = [(0, 0)] * (self.data.ndim - 2) + [(padding, padding), (padding, padding)]
-        out_data = active_backend().pad(self.data, pad_width)
+        out_data = np.pad(self.data, pad_width)
         sl = (Ellipsis, slice(padding, -padding), slice(padding, -padding))
 
         def backward(g) -> None:
-            self._accumulate(active_backend().asarray(g)[sl])
+            self._accumulate(np.asarray(g)[sl])
 
         return Tensor._make(out_data, (self,), backward, "pad2d")
 
@@ -573,8 +552,7 @@ class Tensor:
         out_data = self.data @ other.data
 
         def backward(g) -> None:
-            bk = active_backend()
-            g = bk.asarray(g)
+            g = np.asarray(g)
             a, b = self.data, other.data
             if a.ndim == 1 and b.ndim == 1:  # dot product -> scalar
                 self._accumulate(g * b, fresh=True)
@@ -582,16 +560,16 @@ class Tensor:
                 return
             if a.ndim == 1:  # (k,) @ (..., k, n)
                 self._accumulate(
-                    (bk.expand_dims(g, -2) @ bk.swapaxes(b, -1, -2)).reshape(a.shape), fresh=True
+                    (np.expand_dims(g, -2) @ np.swapaxes(b, -1, -2)).reshape(a.shape), fresh=True
                 )
-                other._accumulate(bk.expand_dims(a, -1) @ bk.expand_dims(g, -2), fresh=True)
+                other._accumulate(np.expand_dims(a, -1) @ np.expand_dims(g, -2), fresh=True)
                 return
             if b.ndim == 1:  # (..., m, k) @ (k,)
-                self._accumulate(bk.expand_dims(g, -1) @ bk.expand_dims(b, -2), fresh=True)
-                other._accumulate(_unbroadcast(bk.swapaxes(a, -1, -2) @ bk.expand_dims(g, -1), b.shape + (1,)).reshape(b.shape), fresh=True)
+                self._accumulate(np.expand_dims(g, -1) @ np.expand_dims(b, -2), fresh=True)
+                other._accumulate(_unbroadcast(np.swapaxes(a, -1, -2) @ np.expand_dims(g, -1), b.shape + (1,)).reshape(b.shape), fresh=True)
                 return
-            grad_a = g @ bk.swapaxes(b, -1, -2)
-            grad_b = bk.swapaxes(a, -1, -2) @ g
+            grad_a = g @ np.swapaxes(b, -1, -2)
+            grad_b = np.swapaxes(a, -1, -2) @ g
             self._accumulate(_unbroadcast(grad_a, a.shape), fresh=True)
             other._accumulate(_unbroadcast(grad_b, b.shape), fresh=True)
 
@@ -615,12 +593,12 @@ def as_tensor(value) -> Tensor:
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Differentiable concatenation along ``axis``."""
     tensors = [as_tensor(t) for t in tensors]
-    out_data = active_backend().concatenate([t.data for t in tensors], axis=axis)
+    out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = list(itertools.accumulate(sizes, initial=0))
 
     def backward(g) -> None:
-        g = active_backend().asarray(g)
+        g = np.asarray(g)
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(start, stop)
@@ -632,28 +610,25 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Differentiable stack along a new ``axis``."""
     tensors = [as_tensor(t) for t in tensors]
-    out_data = active_backend().stack([t.data for t in tensors], axis=axis)
+    out_data = np.stack([t.data for t in tensors], axis=axis)
 
     def backward(g) -> None:
-        bk = active_backend()
-        g = bk.asarray(g)
+        g = np.asarray(g)
         for i, t in enumerate(tensors):
-            t._accumulate(bk.take(g, i, axis=axis), fresh=True)
+            t._accumulate(np.take(g, i, axis=axis), fresh=True)
 
     return Tensor._make(out_data, tuple(tensors), backward, "stack")
 
 
 def where(condition, a, b) -> Tensor:
     """Differentiable selection: ``condition`` is a plain boolean array."""
-    bk = active_backend()
     a, b = as_tensor(a), as_tensor(b)
-    cond = bk.asarray(condition, dtype=bool)
-    out_data = bk.where(cond, a.data, b.data)
+    cond = np.asarray(condition, dtype=bool)
+    out_data = np.where(cond, a.data, b.data)
 
     def backward(g) -> None:
-        bk = active_backend()
-        g = bk.asarray(g)
-        a._accumulate(bk.where(cond, g, 0.0), fresh=True)
-        b._accumulate(bk.where(cond, 0.0, g), fresh=True)
+        g = np.asarray(g)
+        a._accumulate(np.where(cond, g, 0.0), fresh=True)
+        b._accumulate(np.where(cond, 0.0, g), fresh=True)
 
     return Tensor._make(out_data, (a, b), backward, "where")

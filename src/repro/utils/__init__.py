@@ -1,11 +1,10 @@
 """Shared utilities: deterministic RNG streams, parameter flattening,
 cached flat-vector state layouts, and the generic plugin registry.
 
-Exports resolve lazily (PEP 562): :mod:`repro.utils.layout` and
-:mod:`repro.utils.params` import the array-backend module for their
-device→host boundaries, while :mod:`repro.tensor.backend` imports
-:mod:`repro.utils.registry` — eager package-level imports here would
-close that loop into a cycle.
+Exports resolve lazily (PEP 562), so importing one utility module loads
+only that one: ``import repro.cli`` needs :mod:`repro.utils.layout` but
+not :mod:`repro.utils.params`, and eager package-level imports here
+would add the latter to the set-up every run pays.
 """
 
 from typing import TYPE_CHECKING

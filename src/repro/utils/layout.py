@@ -20,8 +20,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.tensor.backend import to_host
-
 __all__ = ["FieldSpec", "StateLayout"]
 
 
@@ -121,18 +119,12 @@ class StateLayout:
 
     # -- flat <-> dict -----------------------------------------------------
     def flatten_into(self, state: Mapping[str, np.ndarray], out: np.ndarray) -> np.ndarray:
-        """Pack ``state`` into the preallocated flat row ``out``.
-
-        This is the device→host upload boundary: entries may live on a
-        non-numpy array backend, and land in the (host shared-memory /
-        shard) row through :func:`~repro.tensor.backend.to_host` — an
-        identity for host arrays, so the numpy path is byte-for-byte
-        the pre-dispatch behaviour.
-        """
+        """Pack ``state`` into the preallocated flat row ``out`` (a
+        shared-memory, shard or upload row)."""
         if out.shape != (self.total_size,):
             raise ValueError(f"row of shape {out.shape} != ({self.total_size},)")
         for f in self.fields:
-            out[f.offset : f.stop] = np.asarray(to_host(state[f.key])).reshape(-1)
+            out[f.offset : f.stop] = np.asarray(state[f.key]).reshape(-1)
         return out
 
     def flatten(self, state: Mapping[str, np.ndarray], dtype=np.float64) -> np.ndarray:

@@ -4,12 +4,6 @@ All federated aggregation in this repo operates on *state dicts* — flat
 ``{name: ndarray}`` mappings detached from any live module — exactly as
 the paper's server-side pseudo-code manipulates model parameter lists.
 These helpers flatten/unflatten and combine state dicts.
-
-State dicts are normally already host arrays (``Module.state_dict``
-transfers), but every entry point here also accepts device arrays from
-a non-numpy :class:`~repro.tensor.backend.ArrayBackend` and brings them
-to the host via :func:`~repro.tensor.backend.to_host` — a free identity
-on the default backend — so aggregation math always runs host-side.
 """
 
 from __future__ import annotations
@@ -17,8 +11,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
-
-from repro.tensor.backend import to_host
 
 __all__ = [
     "flatten_state_dict",
@@ -42,7 +34,7 @@ def flatten_state_dict(state: Mapping[str, np.ndarray]) -> np.ndarray:
     if not state:
         return np.zeros(0, dtype=np.float64)
     return np.concatenate(
-        [np.asarray(to_host(state[k]), dtype=np.float64).reshape(-1) for k in sorted(state)]
+        [np.asarray(state[k], dtype=np.float64).reshape(-1) for k in sorted(state)]
     )
 
 
@@ -50,11 +42,11 @@ def unflatten_state_dict(
     vector: np.ndarray, reference: Mapping[str, np.ndarray]
 ) -> dict[str, np.ndarray]:
     """Inverse of :func:`flatten_state_dict` using ``reference`` shapes."""
-    vector = np.asarray(to_host(vector))
+    vector = np.asarray(vector)
     out: dict[str, np.ndarray] = {}
     offset = 0
     for key in sorted(reference):
-        ref = np.asarray(to_host(reference[key]))
+        ref = np.asarray(reference[key])
         size = ref.size
         out[key] = vector[offset : offset + size].reshape(ref.shape).astype(ref.dtype)
         offset += size
@@ -69,7 +61,7 @@ def state_dict_like(
     reference: Mapping[str, np.ndarray], fill: Callable[[np.ndarray], np.ndarray]
 ) -> dict[str, np.ndarray]:
     """Build a new state dict by applying ``fill`` to each reference array."""
-    return {k: fill(np.asarray(to_host(v))) for k, v in reference.items()}
+    return {k: fill(np.asarray(v)) for k, v in reference.items()}
 
 
 def zeros_like_state(reference: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -92,7 +84,7 @@ def tree_map(
     for s in states[1:]:
         if set(s) != keys:
             raise KeyError("state dicts have mismatched keys")
-    return {k: fn(*(np.asarray(to_host(s[k])) for s in states)) for k in states[0]}
+    return {k: fn(*(np.asarray(s[k]) for s in states)) for k in states[0]}
 
 
 def weighted_average(
@@ -120,12 +112,12 @@ def weighted_average(
         w = w / total
     out: dict[str, np.ndarray] = {}
     for key in states[0]:
-        first = np.asarray(to_host(states[0][key]))
+        first = np.asarray(states[0][key])
         if first.dtype.kind in "iub":
             out[key] = first.copy()
             continue
         acc = np.zeros_like(first, dtype=np.float64)
         for wi, state in zip(w, states):
-            acc += wi * np.asarray(to_host(state[key]), dtype=np.float64)
+            acc += wi * np.asarray(state[key], dtype=np.float64)
         out[key] = acc.astype(first.dtype)
     return out

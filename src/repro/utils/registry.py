@@ -1,8 +1,9 @@
 """Generic name → class registry.
 
-Three subsystems follow the same plugin pattern — pool storage
-(:mod:`repro.core.storage`), client execution (:mod:`repro.fl.execution`)
-and array backends (:mod:`repro.tensor.backend`): a module-level mapping
+Four subsystems follow the same plugin pattern — pool storage
+(:mod:`repro.core.storage`), client execution (:mod:`repro.fl.execution`),
+round schedulers (:mod:`repro.fl.scheduler`) and aggregation operators
+(:mod:`repro.robust.operators`): a module-level mapping
 of lowercase names to classes, a ``register_*`` class decorator that
 rejects duplicates and stamps ``cls.name``, a ``resolve_*`` lookup whose
 error names every registered option, and an ``available_*`` listing.

@@ -242,35 +242,6 @@ class TestVectorizedAggregation:
         np.testing.assert_array_equal(buf.as_state(0)["c.steps"], [2**24 + 1])
 
 
-class TestCustomMeasureFallback:
-    def test_registered_measure_still_works_via_reference_loop(self, rng):
-        """Custom measures on SIMILARITY_MEASURES (the module's
-        extension point) must keep working even though the vectorized
-        engine only knows cosine/euclidean."""
-        from repro.core import selection
-
-        def manhattan(x, y):
-            return -float(np.abs(x - y).sum())
-
-        selection.SIMILARITY_MEASURES["manhattan"] = manhattan
-        try:
-            pool = make_pool(rng, k=4)
-            sim = selection.similarity_matrix(pool, measure="manhattan")
-            assert sim.shape == (4, 4)
-            ref = selection._reference_similarity_matrix(pool, "manhattan", None)
-            np.testing.assert_array_equal(sim, ref)
-
-            sel = selection.CoModelSel("lowest", measure="manhattan")
-            buf = PoolBuffer.from_states(pool, dtype=np.float64)
-            co = sel.select_all(buf, round_idx=0)
-            for i in range(4):
-                assert co[i] == selection._reference_select_by_similarity(
-                    i, pool, "manhattan", None, want_highest=False
-                )
-        finally:
-            del selection.SIMILARITY_MEASURES["manhattan"]
-
-
 class TestBlockwiseOps:
     """Row-blocked cross-aggregation / euclidean similarity must be
     bit-identical for every block size (the out-of-core guarantee)."""

@@ -153,25 +153,6 @@ class TestFedCrossBackendMatrix:
         )
 
 
-class TestArrayBackendLeg:
-    """The array-backend dimension of the matrix (ISSUE 6): a FedCross
-    fit pinned to ``array_backend="numpy"`` must be bit-identical to
-    the reference leg, whose tensor math predates explicit selection —
-    i.e. dispatched numpy *is* the seed direct-numpy path.  The
-    ``process`` cell additionally proves the backend name rides the
-    TrainerSpec into worker processes."""
-
-    @pytest.mark.parametrize("execution", ["serial", "process"])
-    def test_numpy_dispatch_bit_identical(self, fedcross_reference, execution):
-        config = _config("fedcross", "dense", execution).replace(
-            array_backend="numpy"
-        )
-        got = _run(config)
-        _assert_identical(
-            fedcross_reference, got, f"fedcross/array-numpy/{execution}"
-        )
-
-
 class TestConvKernelLeg:
     """The conv path under concurrent legs: ``conv2d`` caches window
     *plans* (shape/stride tuples) process-wide but keeps its window view

@@ -6,19 +6,24 @@ similarity values, selected collaborator indices, and aggregated states
 and with/without ``param_keys`` masks.
 """
 
+import os
+import sys
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.aggregation import cross_aggregate, global_model_generation
 from repro.core.pool import PoolBuffer
-from repro.core.selection import (
-    CoModelSel,
-    _reference_select_by_similarity,
-    _reference_similarity_matrix,
-    similarity_matrix,
-)
+from repro.core.selection import CoModelSel, similarity_matrix
 from repro.utils.params import weighted_average
+
+# The per-pair similarity loops, the oracle of the engine.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "core"))
+from _selection_oracle import (  # noqa: E402
+    reference_select_by_similarity,
+    reference_similarity_matrix,
+)
 
 finite = st.floats(
     min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False, width=32
@@ -49,7 +54,7 @@ class TestSimilarityEquivalence:
     @given(pool=pools(), measure=measures, keys=masks)
     @settings(max_examples=60, deadline=None)
     def test_matrix_matches_reference(self, pool, measure, keys):
-        ref = _reference_similarity_matrix(pool, measure, keys)
+        ref = reference_similarity_matrix(pool, measure, keys)
         got = similarity_matrix(pool, measure, keys)
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
 
@@ -84,9 +89,9 @@ class TestSelectionEquivalence:
         # pairwise dot/(nx*ny) does not), which flips argmin/argmax
         # tie-breaks. Selected *indices* may then differ legitimately —
         # what must match is the achieved reference similarity value.
-        ref_sim = _reference_similarity_matrix(pool, measure, keys)
+        ref_sim = reference_similarity_matrix(pool, measure, keys)
         for i in range(len(pool)):
-            ref = _reference_select_by_similarity(
+            ref = reference_select_by_similarity(
                 i, pool, measure, keys, want_highest=want_highest
             )
             for picked in (int(vectorized[i]), sel(i, pool, 0)):
@@ -181,7 +186,7 @@ class TestBlockwiseEquivalence:
         fixed block size is exactly reproducible."""
         buf = PoolBuffer.from_states(pool, dtype=np.float64)
         got = buf.similarity_matrix("cosine", param_keys=keys, block_rows=block)
-        ref = _reference_similarity_matrix(pool, "cosine", keys)
+        ref = reference_similarity_matrix(pool, "cosine", keys)
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
         unblocked = buf.similarity_matrix("cosine", param_keys=keys)
         np.testing.assert_allclose(got, unblocked, rtol=1e-12, atol=1e-13)
@@ -212,7 +217,7 @@ class TestBlockwiseEquivalence:
     def test_euclidean_blocked_matches_reference(self, pool, keys, block):
         buf = PoolBuffer.from_states(pool, dtype=np.float64)
         got = buf.similarity_matrix("euclidean", param_keys=keys, block_rows=block)
-        ref = _reference_similarity_matrix(pool, "euclidean", keys)
+        ref = reference_similarity_matrix(pool, "euclidean", keys)
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
         # Across block sizes the P-axis reduction may legitimately move
         # by the last ulp (SIMD summation order varies with operand

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from _seed_kernels import seed_conv2d, seed_max_pool2d_general
 
-from repro.tensor import Tensor, active_backend, functional as F
-from repro.tensor.backend import window_plan
+from repro.tensor import Tensor, functional as F
+from repro.tensor.functional import window_plan
 
 
 def _channels_last(x):
@@ -213,7 +213,7 @@ class TestWindowGuards:
 
     def test_window_view_is_read_only_and_in_bounds(self, rng):
         x = rng.standard_normal((2, 3, 7, 9))
-        windows = active_backend().sliding_windows(x, 3, 2, 2)
+        windows = F.sliding_windows(x, 3, 2, 2)
         assert windows.shape == (2, 3, 4, 3, 3, 2)
         assert not windows.flags.writeable
         assert np.shares_memory(windows, x)

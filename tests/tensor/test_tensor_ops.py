@@ -260,6 +260,12 @@ class TestMatmul:
             [Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((4, 2)))],
         )
 
+    def test_matmul_relu_gradcheck(self, rng):
+        gradcheck(
+            lambda x, y: (x @ y).relu().sum(),
+            [Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((4, 2)))],
+        )
+
     def test_batched_matmul_gradcheck(self, rng):
         gradcheck(
             lambda x, y: x @ y,

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
+from repro.fl.config import FLConfig
 
 
 class TestParser:
@@ -209,7 +210,7 @@ class TestAsyncRoundMode:
 #: FedCross's own defaults apply.
 _SHARED_SURFACE = {
     "--aggregator": "mean", "--aggregator-params": None, "--alpha": None,
-    "--array-backend": None, "--backend": "dense", "--batch-size": 50,
+    "--backend": "dense", "--batch-size": 50,
     "--beta": "iid", "--clients": 20, "--dataset": "synth_cifar10",
     "--early-stop-patience": None, "--eval-batch-size": 256, "--eval-every": 1,
     "--execution": "serial", "--failure-policy": "fail", "--faults": None,
@@ -293,3 +294,12 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         named = re.search(r"error: argument (\S+):", err)
         assert named and flag in named.group(1).split("/"), err
+
+    def test_array_backend_knob_is_gone(self, capsys):
+        """Client math is NumPy: there is no array-backend flag or field."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--rounds", "1", "--array-backend", "numpy"])
+        assert exit_.value.code == 2
+        assert "--array-backend" in capsys.readouterr().err
+        with pytest.raises(TypeError, match="array_backend"):
+            FLConfig(array_backend="numpy")
