@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from _selection_oracle import reference_select_by_similarity, reference_similarity_matrix
 
+from repro.core.pool import PoolBuffer
 from repro.core.selection import (
     CoModelSel,
     cosine_similarity,
@@ -128,6 +130,58 @@ class TestSimilarityMatrix:
         sim = similarity_matrix(states)
         assert (sim <= 1.0 + 1e-9).all() and (sim >= -1.0 - 1e-9).all()
 
+    @pytest.mark.parametrize("measure", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("param_keys", [None, {"w"}])
+    def test_matches_per_pair_oracle(self, rng, measure, param_keys):
+        states = [
+            {"w": rng.standard_normal(6), "buf": rng.standard_normal(2) * 100}
+            for _ in range(5)
+        ]
+        np.testing.assert_allclose(
+            similarity_matrix(states, measure, param_keys),
+            reference_similarity_matrix(states, measure, param_keys),
+            rtol=1e-10,
+            atol=1e-10,
+        )
+
+
+class TestUnknownMeasure:
+    """Only the built-in measures exist; every entry point says so."""
+
+    @pytest.mark.parametrize(
+        "select",
+        [
+            lambda states: similarity_matrix(states, "manhattan"),
+            lambda states: select_highest_similarity(0, states, "manhattan"),
+            lambda states: select_lowest_similarity(0, states, "manhattan"),
+        ],
+        ids=["similarity_matrix", "highest", "lowest"],
+    )
+    def test_rejected_by_name(self, select):
+        states = states_from_vectors([[1, 0], [0, 1]])
+        with pytest.raises(KeyError, match="manhattan"):
+            select(states)
+
+
+class TestSelectAll:
+    """The whole-pool engine call agrees with one query per model."""
+
+    @pytest.mark.parametrize("measure", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("strategy", CoModelSel.STRATEGIES)
+    def test_matches_per_index_selection(self, rng, strategy, measure):
+        states = states_from_vectors(rng.standard_normal((6, 5)))
+        sel = CoModelSel(strategy, measure=measure)
+        pool = PoolBuffer.from_states(states, dtype=np.float64)
+        for round_idx in (0, 3):
+            expected = [sel(i, states, round_idx) for i in range(len(states))]
+            assert sel.select_all(pool, round_idx).tolist() == expected
+        if strategy != "in_order":
+            want_highest = strategy == "highest"
+            assert expected == [
+                reference_select_by_similarity(i, states, measure, None, want_highest)
+                for i in range(len(states))
+            ]
+
 
 class TestCoModelSelWrapper:
     def test_strategy_dispatch(self):
@@ -144,5 +198,8 @@ class TestCoModelSelWrapper:
         with pytest.raises(ValueError, match="unknown measure"):
             CoModelSel("lowest", measure="manhattan")
 
+    def test_invalid_measure_names_the_built_in_ones(self):
+        with pytest.raises(ValueError, match=r"expected one of \['cosine', 'euclidean'\]"):
+            CoModelSel("highest", measure="manhattan")
     def test_case_insensitive_strategy(self):
         assert CoModelSel("LOWEST").strategy == "lowest"

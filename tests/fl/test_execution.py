@@ -146,6 +146,12 @@ class TestConfigWiring:
         with pytest.raises(ValueError, match="workers"):
             ClientExecutor("thread", workers=-1)
 
+    def test_no_array_backend_keyword(self):
+        """Client math is NumPy: no executor or spec names an array backend."""
+        with pytest.raises(TypeError, match="array_backend"):
+            ClientExecutor("serial", array_backend="numpy")
+        assert "array_backend" not in TrainerSpec.__dataclass_fields__
+
 
 class TestTrainerSpec:
     def test_from_trainer_mirrors_hyperparams(self, tiny_config):

@@ -220,6 +220,54 @@ class TestWindowGuards:
         # the last window ends on the array's last element it may touch
         assert np.array_equal(windows[1, 2, 3, 2], x[1, 2, 4:7, 6:8])
 
+    @pytest.mark.parametrize("shape", [(8, 8), (1, 3, 8), (1, 1, 3, 8, 8)])
+    def test_plan_rejects_non_4d(self, shape):
+        strides = tuple(8 * s for s in range(len(shape), 0, -1))
+        with pytest.raises(ValueError, match=r"4-D NCHW array"):
+            window_plan(shape, strides, 2, 2, 1)
+
+    @pytest.mark.parametrize("kh,kw,stride", [(0, 2, 1), (2, 0, 1), (2, 2, 0), (2, 2, -3)])
+    def test_plan_rejects_kernel_or_stride_below_one(self, kh, kw, stride):
+        with pytest.raises(ValueError, match=rf"kernel \({kh}, {kw}\), stride {stride}"):
+            window_plan((1, 1, 4, 6), (192, 192, 48, 8), kh, kw, stride)
+
+    @pytest.mark.parametrize("kh,kw", [(5, 2), (2, 7), (5, 7)])
+    def test_plan_rejects_kernel_larger_than_input(self, kh, kw):
+        with pytest.raises(ValueError, match=rf"kernel \({kh}, {kw}\) is larger"):
+            window_plan((1, 1, 4, 6), (192, 192, 48, 8), kh, kw, 1)
+
+    def test_plan_is_integer_tuples_and_cached(self):
+        x = np.zeros((2, 3, 7, 9))
+        args = (x.shape, x.strides, 3, 2, 2)
+        shape, strides = window_plan(*args)
+        assert shape == (2, 3, 4, 3, 3, 2)
+        assert all(type(v) is int for v in shape + strides)
+        hits = window_plan.cache_info().hits
+        assert window_plan(*args) == (shape, strides)
+        assert window_plan.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize(
+        "kh,kw,stride", [(1, 1, 1), (3, 3, 1), (2, 3, 2), (3, 2, 3), (7, 9, 1)]
+    )
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    def test_every_window_matches_slicing(self, rng, kh, kw, stride, layout):
+        """Each ``[n, y, x, c]`` window is the slice it names, for a
+        C-ordered input and for the channels-last view conv2d hands out."""
+        x = rng.standard_normal((2, 3, 7, 9))
+        if layout == "channels_last":
+            x = _channels_last(x)
+        windows = F.sliding_windows(x, kh, kw, stride)
+        n, out_h, out_w, c = windows.shape[:4]
+        assert (out_h, out_w) == ((7 - kh) // stride + 1, (9 - kw) // stride + 1)
+        for b in range(n):
+            for y in range(out_h):
+                for col in range(out_w):
+                    for ch in range(c):
+                        np.testing.assert_array_equal(
+                            windows[b, y, col, ch],
+                            x[b, ch, y * stride : y * stride + kh, col * stride : col * stride + kw],
+                        )
+
     def test_plan_cache_holds_tuples_not_arrays(self, rng):
         x = rng.standard_normal((2, 3, 7, 9))
         plan = window_plan(x.shape, x.strides, 3, 3, 1)
