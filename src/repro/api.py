@@ -43,7 +43,8 @@ worker pool with shared-memory upload packing — see
 Every execution backend reproduces the serial schedule **bit-for-bit**
 (each client owns an independent RNG stream and a dedicated
 upload-buffer row), so parallelism never changes the science — only
-the wall-clock.
+the wall-clock.  Nor does it change the communication columns: the
+server bills each round from its leg counts, whatever the backend.
 """
 
 from __future__ import annotations

@@ -211,10 +211,8 @@ class FedGenServer(FederatedServer):
         gen_loss = self._train_generator(states, sizes)
         self._global = self.aggregate_uploads(results)
 
-        # Table I: model both ways + one generator down per client.
-        self.charge_round_communication(
-            active, extra_down=len(active) * self.generator_size
-        )
+        # Table I: model both ways + one generator down per leg.
+        self.charge_round_communication(active, down_surcharge=self.generator_size)
         return {"train_loss": self.mean_local_loss(results), "gen_loss": gen_loss}
 
     def global_state(self) -> dict:

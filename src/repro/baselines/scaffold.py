@@ -99,12 +99,10 @@ class ScaffoldServer(FederatedServer):
         )
         self._c_global = tree_map(lambda c, d: c + frac * d, self._c_global, mean_delta)
 
-        # Control variates ride alongside the models in both directions.
+        # A control variate rides alongside every leg's model, both ways.
         variate_size = sum(int(np.asarray(v).size) for v in self._c_global.values())
         self.charge_round_communication(
-            active,
-            extra_down=len(active) * variate_size,
-            extra_up=len(active) * variate_size,
+            active, down_surcharge=variate_size, up_surcharge=variate_size
         )
         return {"train_loss": self.mean_local_loss(results)}
 

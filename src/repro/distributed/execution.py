@@ -16,19 +16,8 @@ storage), so nothing competes with a training host for its cores.
 The backend requires the upload buffer to live on
 :class:`~repro.distributed.storage.DistributedStorage` — co-location
 is meaningless against a coordinator-local matrix — and reuses that
-buffer's :class:`~repro.distributed.cluster.HostCluster`.
-
-Measured communication
-----------------------
-When the server attaches its :class:`~repro.fl.comm
-.CommunicationLedger` (the ``ledger`` attribute every backend
-carries), this backend records *measured* per-leg parameter counts —
-one model down plus any hook payloads the spec declares in
-``comm_down_fields`` at dispatch, one model up plus ``comm_up_fields``
-at completion — and reports ``measures_comm`` so neither the server nor
-the async driver adds an analytic charge on top.  For FedCross and SCAFFOLD the measured
-totals equal :func:`~repro.fl.comm.analytic_round_cost` exactly, which
-the communication tests assert.
+buffer's :class:`~repro.distributed.cluster.HostCluster`.  Like every
+backend it only runs legs; the server bills the round's communication.
 
 Determinism: a host runs the same :func:`~repro.fl.execution.run_leg`
 as every other backend, from the dispatched row and the client's
@@ -40,9 +29,6 @@ from __future__ import annotations
 
 import pickle
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Mapping
-
-import numpy as np
 
 from repro.distributed.rpc import DistributedError
 from repro.fl.execution import (
@@ -54,29 +40,9 @@ from repro.fl.execution import (
     _validated_rows,
     register_execution,
 )
-from repro.fl.hooks import HookSpec
 from repro.fl.trainer import LocalResult
 
 __all__ = ["DistributedExecution"]
-
-
-def _hook_comm_extra(plan, attr: str) -> int:
-    """Scalars a plan's hook payloads add to one transfer direction.
-
-    Sums the sizes of the state mappings each spec declares under
-    ``comm_down_fields`` / ``comm_up_fields`` — SCAFFOLD's control
-    variate, FedGen's generator snapshot.  Raw-callable hooks never
-    reach here (the spec guard rejects them first).
-    """
-    total = 0
-    for hook in (plan.loss_hook, plan.grad_hook):
-        if not isinstance(hook, HookSpec):
-            continue
-        for name in getattr(hook, attr, ()):
-            value = getattr(hook, name, None)
-            if isinstance(value, Mapping):
-                total += sum(int(np.asarray(v).size) for v in value.values())
-    return total
 
 
 @register_execution("distributed")
@@ -91,13 +57,6 @@ class DistributedExecution(ExecutionBackend):
         super().__init__(spec, clients, workers)
         self._pool: ThreadPoolExecutor | None = None
         self._pool_width = 0
-
-    @property
-    def measures_comm(self) -> bool:
-        # Transfers are measured at the sockets (down at submit, up at
-        # land) whenever a ledger is attached; with rounds overlapping,
-        # the per-round attribution is the landing window.
-        return self.ledger is not None
 
     def _ensure_pool(self, width: int) -> None:
         # One dispatcher thread per in-flight leg: each writes its
@@ -138,7 +97,6 @@ class DistributedExecution(ExecutionBackend):
                 "host-side trainer templates"
             )
         _validated_rows(plans, uploads)
-        p = uploads.layout.total_size
         cluster = storage.cluster
         try:
             cluster.ensure_trainer(
@@ -154,10 +112,8 @@ class DistributedExecution(ExecutionBackend):
                 future.set_exception(exc)
             return LegGroup(failed)
         hypers = _trainer_hypers(trainer)
-        ledger = self.ledger
         self._ensure_pool(len(plans))
         futures = []
-        up_extras = []
         for i, plan in enumerate(plans):
             client = active[i]
             host, local = storage.owner_of(int(rows[i]))
@@ -178,14 +134,6 @@ class DistributedExecution(ExecutionBackend):
                 # run_leg poisons the landed row on its host: no upload,
                 # honest or not, transits the coordinator.
                 meta["attack"] = attacks[i].to_wire()
-            if ledger is not None:
-                # Measured download: the dispatched model (no dedup —
-                # K clients receiving the same global state still cost
-                # K model downloads) plus declared hook payloads.
-                ledger.record_down(
-                    p + _hook_comm_extra(plan, "comm_down_fields")
-                )
-            up_extras.append(_hook_comm_extra(plan, "comm_up_fields"))
             futures.append(
                 self._pool.submit(
                     cluster.train_leg, host, meta, plan.flat, blob
@@ -193,13 +141,8 @@ class DistributedExecution(ExecutionBackend):
             )
 
         def land(i: int, reply) -> LocalResult:
-            """Book one completed leg: RNG, measured upload, replica note."""
+            """Book one completed leg: RNG restore, replica note."""
             active[i].rng.bit_generator.state = reply["rng_state"]
-            if ledger is not None:
-                # Measured upload: the trained model landed in its shard
-                # (K·P scalars of client→storage movement, the paper's
-                # unit) plus declared hook payloads echoed upward.
-                ledger.record_up(p + up_extras[i])
             # Replicated storage: the row now holds a trained state the
             # coordinator mirror does not — mark it dirty so a host
             # death before aggregation reports it as lost.

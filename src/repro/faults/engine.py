@@ -60,7 +60,7 @@ def resilient_collect(server, active, plans, rows, uploads, *, sleep=None):
     record = server.round_faults = policy.open_round(
         server.fault_model, server.round_idx, active, rows
     )
-    backend = server.executor.backend
+    backend = server.executor
     pending = [i for i in range(n) if i not in record.failures]
     storage = getattr(uploads, "storage", None)
     can_recover = (
@@ -90,7 +90,7 @@ def resilient_collect(server, active, plans, rows, uploads, *, sleep=None):
         ):
             i = sub[j]
             if isinstance(out, LegFailure):
-                delays[i] = record.failed(i, out, server.ledger)
+                delays[i] = record.failed(i, out)
             else:
                 results[i] = out
                 record.ups += 1

@@ -138,7 +138,7 @@ class DelaySpec(HookSpec):
 class UploadDropper:
     """Execution-backend wrapper dropping chosen clients' uploads.
 
-    Wrap a server's live backend (``server.executor._backend``) and the
+    Wrap a server's live backend (``server.executor``) and the
     first ``times`` successful legs of each client in ``client_ids``
     come back as ``kind="error"`` :class:`LegFailure` instead — as if
     the upload was lost after training.  Keyed by client id, not plan

@@ -204,8 +204,7 @@ class RoundFaults:
     settles the round.  ``downs`` / ``ups`` count leg traffic (one down
     per (re)submission, one up per fresh landing; simulated faults and
     carried legs move nothing): what ``charge_round_communication``
-    bills, and what the distributed transport measures for the same
-    fault pattern.
+    bills, on every execution backend.
     """
 
     def __init__(self, policy: RoundPolicy, population, round_idx: int, active, rows) -> None:
@@ -250,7 +249,7 @@ class RoundFaults:
         self.ups -= 1
         restore_rng(self.active[i], self._snapshots[i])
 
-    def failed(self, i: int, failure: LegFailure, ledger) -> "float | None":
+    def failed(self, i: int, failure: LegFailure) -> "float | None":
         """Leg ``i`` failed: the delay to resubmit it after, or ``None``
         when the failure is final.
 
@@ -262,7 +261,6 @@ class RoundFaults:
         reissue; simulated faults are never retried.
         """
         restore_rng(self.active[i], self._snapshots[i])
-        ledger.note_leg_failure()
         if failure.retryable:
             if self.tries[i] <= self.policy.leg_retries:
                 return self.policy.backoff_delay(self.tries[i])

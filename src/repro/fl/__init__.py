@@ -16,7 +16,6 @@ from repro.fl.config import FLConfig
 from repro.fl.client import Client
 from repro.fl.trainer import LocalTrainer, LocalResult
 from repro.fl.execution import (
-    ClientExecutor,
     ExecutionBackend,
     available_executions,
     register_execution,
@@ -39,7 +38,6 @@ __all__ = [
     "Client",
     "LocalTrainer",
     "LocalResult",
-    "ClientExecutor",
     "ExecutionBackend",
     "available_executions",
     "register_execution",

@@ -29,16 +29,14 @@ COMM_OVERHEAD_CLASS = {
 class CommunicationLedger:
     """Per-round upload/download parameter counters.
 
-    Filled either analytically by the server or, under an execution
-    backend that reports ``measures_comm`` (``distributed`` counts the
-    parameters actually crossing its sockets), by the transport itself
-    — never both, so the two accounting paths cannot double-count.
+    Written by one site only, the server's
+    :meth:`~repro.fl.server.FederatedServer.charge_round_communication`,
+    which bills the round's counted legs on every execution backend.
     """
 
     up_params: int = 0
     down_params: int = 0
     history: list = field(default_factory=list)
-    failed_legs: int = 0
 
     def record_down(self, num_params: int) -> None:
         """Server → client transfer of ``num_params`` scalars."""
@@ -48,23 +46,12 @@ class CommunicationLedger:
         """Client → server transfer of ``num_params`` scalars."""
         self.up_params += int(num_params)
 
-    def note_leg_failure(self) -> None:
-        """Count one leg failure observed this round (any kind).
-
-        A diagnostic counter for the resilience engine — failures cost
-        communication (a dispatched model that never uploads), and the
-        counter lets benches report wasted downlink alongside the
-        up/down totals.  Resets at :meth:`end_round`.
-        """
-        self.failed_legs += 1
-
     def end_round(self) -> tuple[int, int]:
         """Close the round; returns ``(up, down)`` and resets counters."""
         snapshot = (self.up_params, self.down_params)
         self.history.append(snapshot)
         self.up_params = 0
         self.down_params = 0
-        self.failed_legs = 0
         return snapshot
 
     def total(self) -> int:

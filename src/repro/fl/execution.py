@@ -124,7 +124,12 @@ accept both (``process`` rejects raw callables loudly).
 Backends register on :data:`EXECUTION_BACKENDS` via
 :func:`register_execution`; selection is wired through
 ``FLConfig.execution`` / ``FLConfig.workers`` and the CLI flags
-``--execution`` / ``--workers``.
+``--execution`` / ``--workers``.  The server resolves that name, builds
+the backend with a :class:`TrainerSpec` of its trainer and holds it as
+``server.executor``.  A backend only runs legs and keeps no
+communication books: the server bills every backend's rounds alike,
+from the round's leg counts (:meth:`~repro.fl.server.FederatedServer
+.charge_round_communication`).
 """
 
 from __future__ import annotations
@@ -177,7 +182,6 @@ __all__ = [
     "SerialExecution",
     "ThreadExecution",
     "ProcessExecution",
-    "ClientExecutor",
     "EXECUTION_BACKENDS",
     "register_execution",
     "resolve_execution",
@@ -435,18 +439,6 @@ class ExecutionBackend:
     """
 
     name = "abstract"
-
-    #: Optional :class:`~repro.fl.comm.CommunicationLedger` attached by
-    #: the server (via ``ClientExecutor(ledger=...)``).  Backends that
-    #: *measure* real transfers record into it; in-process backends
-    #: ignore it (nothing moves).
-    ledger = None
-
-    #: True when the backend itself *measures* real transfers into the
-    #: ledger (the ``distributed`` backend records per-socket traffic at
-    #: submit/land time).  Neither the server nor the async driver adds
-    #: an analytic charge on top of a measuring backend.
-    measures_comm = False
 
     def __init__(
         self,
@@ -1284,57 +1276,6 @@ class ProcessExecution(ExecutionBackend):
                     block.close()
             self._free_pairs.clear()
             self._payloads.close()
-
-
-# -- facade -----------------------------------------------------------------
-class ClientExecutor:
-    """The server's handle on its execution backend: factory and owner.
-
-    Resolves ``backend`` against the registry, builds it with a
-    :class:`TrainerSpec` derived from the live trainer (plus an optional
-    explicit ``model_factory`` — required to be picklable for
-    ``process``), attaches the server's ledger and closes the backend
-    when collected.  Legs are driven on :attr:`backend` directly.
-    Servers construct one from ``FLConfig.execution`` /
-    ``FLConfig.workers`` by default; callers may inject a custom
-    instance through the server's ``executor=`` keyword.
-    """
-
-    def __init__(
-        self,
-        backend: str = "serial",
-        *,
-        trainer: LocalTrainer | None = None,
-        clients: "Sequence[Client]" = (),
-        model_factory: "Callable[[], Module] | None" = None,
-        workers: int | None = None,
-        ledger=None,
-    ) -> None:
-        spec = (
-            TrainerSpec.from_trainer(trainer, model_factory)
-            if trainer is not None
-            else None
-        )
-        self._backend = resolve_execution(backend)(
-            spec=spec, clients=clients, workers=workers
-        )
-        if ledger is not None:
-            self._backend.ledger = ledger
-        self._finalizer = weakref.finalize(self, self._backend.close)
-
-    @property
-    def name(self) -> str:
-        """Registered name of the active backend."""
-        return self._backend.name
-
-    @property
-    def backend(self) -> ExecutionBackend:
-        return self._backend
-
-    def close(self) -> None:
-        """Shut down worker pools and release shared buffers (idempotent;
-        the backend transparently re-creates them on the next run)."""
-        self._backend.close()
 
 
 # The socket-RPC backend lives in its own package and is imported only

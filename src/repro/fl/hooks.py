@@ -74,20 +74,12 @@ class HookSpec:
     backends ignore it (the mapping is already shared by reference).
 
     Spec fields carry plain ``ndarray`` payloads: they must pickle and
-    ride shared memory.
+    ride shared memory.  A spec declares no communication cost: the
+    method bills its per-leg surcharge (SCAFFOLD's variates, FedGen's
+    generator) through the server's ``charge_round_communication``.
     """
 
     shared_fields: tuple[str, ...] = ()
-
-    #: Fields whose state mappings ride server → client alongside the
-    #: dispatched model (``comm_down_fields``) or are echoed client →
-    #: server with the upload (``comm_up_fields``) — the per-leg
-    #: communication surcharge of the method, in field names.  Measured
-    #: accounting (the ``distributed`` execution backend) sums their
-    #: sizes per leg; fields that are ``None`` or absent cost nothing.
-    #: Purely declarative: in-process backends ignore both.
-    comm_down_fields: tuple[str, ...] = ()
-    comm_up_fields: tuple[str, ...] = ()
 
     def build(self, state: Mapping[str, np.ndarray]) -> Callable:
         """Resolve into a runnable hook.
@@ -125,11 +117,6 @@ class ProximalSpec(HookSpec):
     mu: float
     anchor: Mapping[str, np.ndarray] | None = None
 
-    # An explicit anchor is extra dispatched state; the default
-    # (anchor=None, anchoring to the dispatched model itself) costs
-    # nothing — matching the paper's "Low" class for FedProx.
-    comm_down_fields = ("anchor",)
-
     def build(self, state: Mapping[str, np.ndarray]) -> Callable:
         mu = float(self.mu)
         source = self.anchor if self.anchor is not None else state
@@ -163,13 +150,6 @@ class ControlVariateSpec(HookSpec):
     c_local: Mapping[str, np.ndarray]
 
     shared_fields = ("c_global",)
-    # SCAFFOLD moves a model-sized control variate in each direction on
-    # top of the model itself (``c_local`` already lives client-side in
-    # the paper's protocol — only the global variate goes down, and an
-    # equally sized variate delta comes back up), doubling both legs:
-    # the paper's "High" communication class.
-    comm_down_fields = ("c_global",)
-    comm_up_fields = ("c_global",)
 
     def build(self, state: Mapping[str, np.ndarray]) -> Callable:
         c_global, c_local = self.c_global, self.c_local
@@ -209,9 +189,6 @@ class DistillationSpec(HookSpec):
     # (one state_dict() call in dispatch): shipped via shared memory
     # once per round by the process backend, never pickled per client.
     shared_fields = ("generator_state",)
-    # Each client downloads the generator with its model; nothing extra
-    # comes back up — the paper's "Medium" class.
-    comm_down_fields = ("generator_state",)
 
     def __getstate__(self):
         # The rebuilt generator is a per-process cache, never shipped.

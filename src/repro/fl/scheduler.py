@@ -51,12 +51,10 @@ Overlapped-driver semantics (``max_staleness`` = S > 0)
   other legs could progress — and the failed leg's client stays
   reserved for it.  (No shard-host failover here: that is the sync
   engine's.)
-* **Communication.**  In-process backends are charged analytically per
-  completed round from the record's counted submissions/landings;
-  backends that measure real transfers (``distributed``) are never
-  analytically charged (``measures_comm``), so totals stay
-  measured-exact — with overlap, per-round ledger attribution follows
-  landing windows.
+* **Communication.**  Each completed round is billed by the server
+  from its record's counted submissions/landings, on every execution
+  backend alike — a round's bill is its own legs', however the rounds
+  overlapped.
 
 The driver is single-threaded: all server/adapter state is touched
 from the caller's thread, with the execution backend's futures as the
@@ -249,7 +247,7 @@ class AsyncRoundScheduler(RoundScheduler):
                 f"{server.method_name!r} provides no async_adapter() "
                 "(run with max_staleness=0 for the sequential async window)"
             )
-        backend = server.executor.backend
+        backend = server.executor
         adapter = adapter_factory()
         S = self.max_staleness
         k = server.config.clients_per_round
@@ -348,7 +346,7 @@ class AsyncRoundScheduler(RoundScheduler):
         if not eligible:
             return
         policy = server.fault_policy
-        backend = server.executor.backend
+        backend = server.executor
         for t in sorted(eligible):
             legs = eligible[t]
             rs = states[t]
@@ -452,7 +450,7 @@ class AsyncRoundScheduler(RoundScheduler):
 
     def _fail(self, server, leg, failure, ready, busy, states) -> None:
         rs = states[leg.t]
-        delay = rs.faults.failed(leg.i, failure, server.ledger)
+        delay = rs.faults.failed(leg.i, failure)
         if delay is None:  # final: the round carries it at completion
             busy.discard(leg.client.client_id)
             rs.resolved += 1

@@ -14,9 +14,9 @@ the shared :meth:`FederatedServer.fit` loop:
     ``context`` carried through to aggregation.
 ``collect(active, plans)``
     Run local training and gather uploads.  The default implementation
-    hands the cohort to the execution backend its :class:`~repro.fl
-    .execution.ClientExecutor` owns (``serial`` | ``thread`` |
-    ``process`` | ``distributed``, selected by ``config.execution`` /
+    hands the cohort to the server's execution backend,
+    ``server.executor`` (``serial`` | ``thread`` | ``process`` |
+    ``distributed``, selected by ``config.execution`` /
     ``config.workers``), which trains each plan
     and packs the uploaded state into a reused server-side
     :class:`~repro.core.pool.PoolBuffer` row (``plan.context["row"]``,
@@ -42,6 +42,7 @@ buffers live on the storage backend named by ``config.backend``
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -51,7 +52,12 @@ from repro.data.federated import FederatedDataset
 from repro.fl.client import Client
 from repro.fl.comm import CommunicationLedger
 from repro.fl.config import FLConfig
-from repro.fl.execution import ClientExecutor, _check_roundtrip
+from repro.fl.execution import (
+    ExecutionBackend,
+    TrainerSpec,
+    _check_roundtrip,
+    resolve_execution,
+)
 from repro.fl.hooks import HookSpec
 from repro.fl.metrics import RoundRecord, TrainingHistory, evaluate_model
 from repro.fl.trainer import GradHook, LocalResult, LocalTrainer, LossHook
@@ -117,9 +123,10 @@ class FederatedServer:
         :class:`~repro.fl.callbacks.ServerCallback` hooks observing the
         ``fit`` loop.
     executor:
-        Optional pre-built :class:`~repro.fl.execution.ClientExecutor`;
-        by default one is assembled from ``config.execution`` /
-        ``config.workers``.
+        Optional pre-built :class:`~repro.fl.execution.ExecutionBackend`;
+        by default the backend named by ``config.execution`` is built
+        with ``config.workers``.  Either way the server holds it as
+        ``self.executor`` and closes it when collected.
     model_factory:
         Zero-argument picklable callable rebuilding the model template —
         used by parallel execution backends to give every worker its own
@@ -139,7 +146,7 @@ class FederatedServer:
         clients: Sequence[Client],
         rng: np.random.Generator,
         callbacks: "Iterable[ServerCallback] | None" = None,
-        executor: ClientExecutor | None = None,
+        executor: ExecutionBackend | None = None,
         model_factory=None,
     ) -> None:
         self.config = config
@@ -216,14 +223,12 @@ class FederatedServer:
             # Coordinator-side row mirror: a killed shard host can be
             # respawned and its rows restored instead of raising.
             self.backend_options["replicate"] = True
-        self.executor = executor or ClientExecutor(
-            config.execution,
-            trainer=trainer,
+        self.executor = executor or resolve_execution(config.execution)(
+            spec=TrainerSpec.from_trainer(trainer, model_factory),
             clients=self.clients,
-            model_factory=model_factory,
             workers=config.workers,
-            ledger=self.ledger,
         )
+        weakref.finalize(self, self.executor.close)
         self._layout = StateLayout.from_state(model.state_dict())
         self._uploads: "PoolBuffer | None" = None
         self._upload_rows: list[int] = []
@@ -288,7 +293,7 @@ class FederatedServer:
 
             return resilient_collect(self, active, plans, rows, uploads)
         results: list[LocalResult | None] = [None] * len(plans)
-        for i, result in self.executor.backend.run_streaming(
+        for i, result in self.executor.run_streaming(
             self.trainer, active, plans, rows, uploads
         ):
             results[i] = result
@@ -418,7 +423,7 @@ class FederatedServer:
         """
         buf = self._model_buffer("cohort", len(members))
         rows = [plan.context.get("row", i) for i, plan in enumerate(plans)]
-        results = self.executor.backend.run(self.trainer, members, plans, rows, buf)
+        results = self.executor.run(self.trainer, members, plans, rows, buf)
         return results, buf
 
     def aggregate_uploads(self, results: Sequence[LocalResult]) -> dict:
@@ -495,21 +500,22 @@ class FederatedServer:
             return float("nan")
         return sum(r.mean_loss * r.num_samples for r in results) / total
 
-    def charge_round_communication(self, active: list[Client], extra_down: int = 0, extra_up: int = 0) -> None:
-        """Charge the round's leg traffic plus method extras.
+    def charge_round_communication(
+        self, active: list[Client], down_surcharge: int = 0, up_surcharge: int = 0
+    ) -> None:
+        """Bill the round's leg traffic — the ledger's one writer.
 
-        One model down and one up per leg of ``active`` — or, when the
-        round ran under a fault record, the legs it counted (one down
-        per (re)submission, one up per fresh landing).  A no-op when
-        the execution backend *measures* its transfers (the
-        ``distributed`` backend records the parameters actually
-        crossing its sockets per leg) — the analytic charge would
-        double-count what the transport already recorded.
+        Every counted leg moves one model plus the method's per-leg
+        surcharge (SCAFFOLD's control variate both ways, FedGen's
+        generator down): ``downs × (P + down_surcharge)`` down and
+        ``ups × (P + up_surcharge)`` up.  ``downs`` / ``ups`` are the
+        round's fault record counts (one down per (re)submission, one
+        up per fresh landing; pre-dropped and carried legs move
+        nothing), or ``len(active)`` each for a round without one.  The
+        same on every execution backend, sync or async.
         """
-        if self.executor.backend.measures_comm:
-            return
         downs = ups = len(active)
         if self.round_faults is not None:
             downs, ups = self.round_faults.downs, self.round_faults.ups
-        self.ledger.record_down(downs * self.model_size + extra_down)
-        self.ledger.record_up(ups * self.model_size + extra_up)
+        self.ledger.record_down(downs * (self.model_size + down_surcharge))
+        self.ledger.record_up(ups * (self.model_size + up_surcharge))

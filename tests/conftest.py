@@ -83,7 +83,7 @@ def _use_gathered_collect(server) -> None:
         uploads = server._round_uploads(len(active))
         rows = [plan.context.get("row", i) for i, plan in enumerate(plans)]
         server._upload_rows = rows
-        results = server.executor.backend.run(
+        results = server.executor.run(
             server.trainer, active, plans, rows, uploads
         )
         for i, result in enumerate(results):

@@ -1,5 +1,5 @@
 """Runtime behaviour of the shard-actor fleet: failure surfacing,
-measured communication accounting, and the co-location acceptance
+communication billed as on every backend, and the co-location acceptance
 property (trained upload rows never transit the coordinator).
 """
 
@@ -39,11 +39,11 @@ def _config(method="fedcross", execution="distributed", rounds=2):
 
 
 class TestMeasuredLedger:
-    """Satellite 1: the distributed execution backend *measures* the
-    parameters crossing its dispatch/collect paths, and the measured
-    per-round totals must equal :func:`analytic_round_cost` exactly —
-    FedCross moves K models each way, SCAFFOLD doubles both directions
-    with its control variates."""
+    """Distributed bills the analytic cost: the server's
+    ``charge_round_communication`` is the ledger's one writer on every
+    execution backend, so a distributed round's totals equal
+    :func:`analytic_round_cost` exactly — FedCross moves K models each
+    way, SCAFFOLD doubles both directions with its control variates."""
 
     @pytest.mark.parametrize("method", ["fedcross", "scaffold"])
     def test_measured_matches_analytic(self, method):
@@ -58,8 +58,7 @@ class TestMeasuredLedger:
 
     def test_serial_execution_keeps_analytic_charge(self):
         """Distributed *storage* under the serial execution backend
-        still uses the server's analytic charge (the backend does not
-        measure its transfers) — and lands on the same numbers."""
+        lands on the same numbers."""
         sim = FLSimulation(_config(execution="serial"))
         result = sim.run()
         k = sim.config.clients_per_round
@@ -91,6 +90,80 @@ class TestMeasuredLedger:
             ledgers.append([(r.comm_up_params, r.comm_down_params) for r in records])
         assert ledgers[0] == ledgers[1]
         assert all(up == down > 0 for up, down in ledgers[0])
+
+    def test_surcharge_is_billed_per_counted_leg(self):
+        """SCAFFOLD's control variate rides only the legs that moved: a
+        pre-dropped or carried leg received no variate, so each record
+        is ``downs·(P+V)`` down and ``ups·(P+V)`` up on both backends
+        (serial used to bill ``len(active)·V`` on top of the counted
+        models, distributed only what its legs carried)."""
+
+        class Counts(ServerCallback):
+            def __init__(self):
+                self.legs = []
+
+            def on_round_end(self, server, record):
+                faults = server.round_faults
+                self.legs.append((faults.downs, faults.ups))
+
+        base = FLConfig(
+            method="scaffold",
+            model="logreg",
+            num_clients=8,
+            k_active=4,
+            rounds=3,
+            local_epochs=1,
+            seed=7,
+            faults={"dropout": 0.3},
+            failure_policy="carry",
+            quorum=0.25,
+            dataset_params={"samples_per_client": 20, "num_test": 40},
+        )
+        ledgers = []
+        for config in (
+            base,
+            base.replace(backend="distributed", hosts=HOSTS, execution="distributed"),
+        ):
+            counts = Counts()
+            sim = FLSimulation(config, callbacks=[counts])
+            records = sim.run().history.records
+            leg = sim.server.model_size + sum(
+                v.size for v in sim.server._c_global.values()
+            )
+            ledger = [(r.comm_down_params, r.comm_up_params) for r in records]
+            assert ledger == [(downs * leg, ups * leg) for downs, ups in counts.legs]
+            assert any(downs < config.clients_per_round for downs, _ in counts.legs)
+            ledgers.append(ledger)
+        assert ledgers[0] == ledgers[1]
+
+    @pytest.mark.parametrize("execution", ["thread", "distributed"])
+    def test_async_rounds_bill_their_own_legs(self, execution):
+        """Overlapped rounds (S=1) are billed per round on every
+        backend: 2·K·P each, not whatever landed in the round's
+        window."""
+        placement = {"backend": "distributed", "hosts": HOSTS}
+        config = FLConfig(
+            method="fedcross",
+            model="mlp",
+            num_clients=8,
+            k_active=4,
+            rounds=6,
+            local_epochs=1,
+            seed=3,
+            round_mode="async",
+            max_staleness=1,
+            execution=execution,
+            dataset_params={"samples_per_client": 20, "num_test": 40},
+            **(placement if execution == "distributed" else {}),
+        )
+        sim = FLSimulation(config)
+        records = sim.run().history.records
+        per_direction = config.clients_per_round * sim.server.model_size
+        assert len(records) == config.rounds
+        for record in records:
+            assert (record.comm_down_params, record.comm_up_params) == (
+                per_direction, per_direction
+            )
 
 
 class TestNoCoordinatorTransit:
@@ -179,7 +252,7 @@ class TestFaultSurfacing:
         try:
             sim = FLSimulation(_config())
             server = sim.server
-            backend = server.executor.backend
+            backend = server.executor
             active = server.select_cohort()
             plans = server.dispatch(active)
             rows = [plan.context.get("row", i) for i, plan in enumerate(plans)]

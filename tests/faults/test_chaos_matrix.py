@@ -7,7 +7,8 @@ Three tiers of assertion, strongest first:
 2. Committed seeded scenarios → serial and distributed complete
    identically under quorum with carry/redispatch, communication
    included (simulated faults are decided server-side and never
-   dispatched, so the measured ledger matches the analytic one).
+   dispatched, and the server bills both backends from the same leg
+   counts).
 3. A shard host SIGKILLed at a round boundary → the coordinator
    restores the shard from its replica before any leg dispatches, so
    even the kill run stays bitwise identical to serial.  The mid-leg
@@ -157,7 +158,7 @@ class TestHostKill:
         # the fleet recovers, lost rows are retrained from their RNG
         # snapshots.  Accuracies and the final state match the serial
         # reference exactly; the communication bill is larger because
-        # the measured ledger counts the failed dispatches.
+        # the ledger bills the failed dispatches.
         class InjectHook(ServerCallback):
             def __init__(self, spec):
                 self.spec = spec

@@ -143,9 +143,9 @@ class _InstallDropper(ServerCallback):
     def on_round_start(self, server, round_idx):
         if self.dropper is None:
             self.dropper = UploadDropper(
-                server.executor._backend, self.client_ids, self.times
+                server.executor, self.client_ids, self.times
             )
-            server.executor._backend = self.dropper
+            server.executor = self.dropper
 
 
 class TestRetries:
@@ -185,9 +185,9 @@ class TestRetries:
             dropped = 0
 
             def on_round_start(cb, server, round_idx):
-                if getattr(server.executor._backend, "_chaos", False):
+                if getattr(server.executor, "_chaos", False):
                     return
-                inner = server.executor._backend
+                inner = server.executor
                 outer = cb
 
                 class Wrapper:
@@ -218,7 +218,7 @@ class TestRetries:
                                 )
                             yield i, out
 
-                server.executor._backend = Wrapper()
+                server.executor = Wrapper()
 
         dropper = DropFirstLegForever()
         result = _run(

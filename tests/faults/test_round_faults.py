@@ -40,13 +40,6 @@ def _failure(kind, i=0):
     return LegFailure(index=99, client_id=10 + i, row=i, kind=kind)
 
 
-class _Ledger:
-    noted = 0
-
-    def note_leg_failure(self):
-        self.noted += 1
-
-
 class _Uploads:
     def __init__(self):
         self.written = []
@@ -113,13 +106,11 @@ class TestRecordDecisions:
             record.reissued.add(0)
         at_submission = active[0].rng.bit_generator.state
         active[0].rng.random(7)  # the failed attempt half-trained
-        ledger = _Ledger()
 
-        got = record.failed(0, _failure(kind), ledger)
+        got = record.failed(0, _failure(kind))
 
         # The RNG is rewound before the verdict comes back.
         assert active[0].rng.bit_generator.state == at_submission
-        assert ledger.noted == 1
         assert got == verdict
         assert (record.downs, record.ups) == (tries, 0)
         if verdict is None:
@@ -148,7 +139,7 @@ class TestRecordClose:
         for i in range(n):
             record.submitted(i)
         for i in failed:
-            assert record.failed(i, _failure("error", i), _Ledger()) is None
+            assert record.failed(i, _failure("error", i)) is None
         record.ups += n - len(failed)
         return record
 
@@ -217,7 +208,6 @@ class _ScriptedFailures(ExecutionBackend):
     def __init__(self, inner, script):
         self.inner = inner
         self.script = dict(script)
-        self.measures_comm = inner.measures_comm
 
     def reserve(self, width):
         self.inner.reserve(width)
@@ -289,8 +279,8 @@ class TestSameScriptBothDrivers:
 
     def _run(self, **overrides):
         sim = FLSimulation(FLConfig(**{**SCRIPTED, **overrides}))
-        sim.server.executor._backend = _ScriptedFailures(
-            sim.server.executor._backend, self.SCRIPT
+        sim.server.executor = _ScriptedFailures(
+            sim.server.executor, self.SCRIPT
         )
         return sim
 

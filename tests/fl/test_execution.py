@@ -13,7 +13,6 @@ import repro
 from repro.core.pool import PoolBuffer
 from repro.fl.config import FLConfig
 from repro.fl.execution import (
-    ClientExecutor,
     ExecutionBackend,
     TrainerSpec,
     available_executions,
@@ -140,16 +139,43 @@ class TestConfigWiring:
 
     def test_server_builds_executor_from_config(self, tiny_config):
         sim = FLSimulation(tiny_config.replace(execution="thread", workers=2))
-        assert sim.server.executor.name == "thread"
+        backend = sim.server.executor
+        assert isinstance(backend, resolve_execution("thread"))
+        assert backend.name == "thread" and backend.workers == 2
+        assert backend.spec.lr == sim.trainer.lr
+        assert backend.spec.model_factory is sim.model_factory
+
+    def test_injected_backend_is_held_and_closed_with_the_server(self, tiny_config):
+        import gc
+
+        from repro.fl.registry import build_server
+
+        closed = []
+
+        class Probe(resolve_execution("serial")):
+            def close(self):
+                closed.append(True)
+
+        sim = FLSimulation(tiny_config)
+        probe = Probe()
+        server = build_server(
+            sim.config.method, sim.config, sim.fed_dataset, sim.model, sim.trainer,
+            sim.clients, np.random.default_rng(0), executor=probe,
+        )
+        assert server.executor is probe
+        server.run_round(server.select_cohort())
+        del server
+        gc.collect()
+        assert closed == [True]
 
     def test_workers_validated_at_backend_build(self, tiny_config):
         with pytest.raises(ValueError, match="workers"):
-            ClientExecutor("thread", workers=-1)
+            resolve_execution("thread")(workers=-1)
 
     def test_no_array_backend_keyword(self):
-        """Client math is NumPy: no executor or spec names an array backend."""
+        """Client math is NumPy: no backend or spec names an array backend."""
         with pytest.raises(TypeError, match="array_backend"):
-            ClientExecutor("serial", array_backend="numpy")
+            resolve_execution("serial")(array_backend="numpy")
         assert "array_backend" not in TrainerSpec.__dataclass_fields__
 
 
@@ -496,7 +522,7 @@ class TestParallelMechanics:
             tiny_config.replace(method="fedcross", execution="process", workers=1)
         )
         server = sim.server
-        backend = server.executor.backend
+        backend = server.executor
         server.run_round(server.select_cohort())  # warm: pool + one block pair
 
         class CountingPool:
@@ -806,7 +832,7 @@ class TestCpuBudget:
     @staticmethod
     def _backend(tiny_config, workers):
         sim = FLSimulation(tiny_config.replace(execution="process", workers=workers))
-        return sim.server.executor.backend
+        return sim.server.executor
 
     def test_every_worker_reports_its_share(self, tiny_config, monkeypatch):
         monkeypatch.setattr(cpu, "usable_cores", lambda: 8)
@@ -883,7 +909,7 @@ class TestCpuBudget:
             method="fedcross", execution="process", workers=2,
             faults={"dropout": 0.5}, failure_policy="carry", quorum=1.0,
         ))
-        backend = sim.server.executor.backend
+        backend = sim.server.executor
         try:
             with pytest.raises(QuorumError):
                 sim.server.fit()
@@ -896,7 +922,7 @@ class TestCpuBudget:
         sim = FLSimulation(sim.config)
         with pytest.raises(QuorumError):
             sim.run()
-        assert sim.server.executor.backend._pool is None
+        assert sim.server.executor._pool is None
         assert cpu.blas_threads() == inherited
 
     def test_close_interrupted_mid_shutdown_still_restores(
@@ -958,7 +984,7 @@ class TestCpuBudget:
             "config = FLConfig(method='fedavg', dataset='synth_cifar10', model='mlp',\n"
             "    num_clients=4, rounds=1, execution='process', workers=2, seed=7,\n"
             "    dataset_params={'samples_per_client': 20, 'num_test': 40})\n"
-            "backend = FLSimulation(config).server.executor.backend\n"
+            "backend = FLSimulation(config).server.executor\n"
             "print(cpu.blas_share(2), backend.worker_blas_threads())\n"
             "backend.close()\n"
         )

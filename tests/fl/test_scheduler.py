@@ -300,8 +300,8 @@ class TestInjectableClock:
             sim.server.round_scheduler = AsyncRoundScheduler(
                 max_staleness=2, clock=vt.clock, sleep=vt.sleep
             )
-            sim.server.executor._backend = _FailFirstLeg(
-                sim.server.executor._backend
+            sim.server.executor = _FailFirstLeg(
+                sim.server.executor
             )
 
         started = time.monotonic()

@@ -11,8 +11,8 @@ FedCross fit must be **bit-identical** across the full grid
 plus the ``distributed`` leg (ISSUE 7): the same fit over two localhost
 shard-host processes, with either coordinator-side ``serial`` execution
 or the co-located ``distributed`` execution backend (legs train on the
-host owning their upload row, and the communication ledger switches to
-measured counters) must land in the same cell of the matrix
+host owning their upload row; the server bills communication as on
+every backend) must land in the same cell of the matrix
 
 — same histories (accuracy/loss/train-loss/communication), same final
 global state, same final pool matrix — against one reference leg
@@ -180,8 +180,8 @@ class TestDistributedLeg:
     coordinator; with ``execution="distributed"`` each leg trains on
     the host owning its upload row and only scalars come back.  Both
     must be bit-identical to the single-process reference — including
-    the communication columns, which the distributed execution backend
-    *measures* instead of charging analytically."""
+    the communication columns, which the server bills from the round's
+    leg counts whatever the execution backend."""
 
     @pytest.mark.parametrize("execution", ["serial", "distributed"])
     @pytest.mark.parametrize(
@@ -212,7 +212,7 @@ class TestDistributedLeg:
     def test_scaffold_with_colocated_execution(self):
         """SCAFFOLD reads every upload state back on the coordinator
         (control-variate updates), driving the lazy remote-row fetch
-        path — and its measured comm must match the analytic charge."""
+        path — and its comm must match the serial reference's."""
         ref = _run(_config("scaffold", "dense", "serial"))
         got = _run(_config("scaffold", "distributed", "distributed"))
         _assert_identical(ref, got, "scaffold/distributed/distributed")
@@ -236,7 +236,7 @@ class TestAsyncRoundLeg:
 
     ``round_mode="async"`` with ``max_staleness=0`` must be bit-identical
     to the sync reference on every backend — including the distributed
-    cell, whose communication columns are *measured* at the sockets.
+    cell, communication columns and all.
     With ``max_staleness=2`` the serial cell stays bitwise (groups
     complete eagerly, so rounds never truly overlap), while genuinely
     overlapped cells (process workers, co-located distributed

@@ -72,9 +72,9 @@ class _InstallDropper(ServerCallback):
     def on_round_start(self, server, round_idx):
         if self.dropper is None:
             self.dropper = UploadDropper(
-                server.executor._backend, self.client_ids, self.times
+                server.executor, self.client_ids, self.times
             )
-            server.executor._backend = self.dropper
+            server.executor = self.dropper
 
 
 class TestBenignIdentity:

@@ -99,3 +99,38 @@ def test_execution_backends_convert_no_dispatched_model():
         "fl/execution.py": ["run_leg", "_PayloadPacker.pack_round"],
         "distributed/execution.py": [],
     }
+
+
+def _src_files():
+    src = REPO_ROOT / "src" / "repro"
+    return {path.relative_to(src).as_posix(): path.read_text() for path in src.rglob("*.py")}
+
+
+def test_only_the_server_writes_the_comm_ledger():
+    """Communication has one emission site, ``charge_round_communication``:
+    ``record_down`` / ``record_up`` are called from ``fl/server.py`` only."""
+    callers = sorted(
+        rel
+        for rel, text in _src_files().items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("record_down", "record_up")
+    )
+    assert callers == ["fl/server.py", "fl/server.py"]
+
+
+def test_execution_backends_and_hooks_keep_no_comm_books():
+    """Backends run legs and hook specs describe them; neither sees a ledger."""
+    files = _src_files()
+    mentions = [
+        rel
+        for rel in ("fl/execution.py", "distributed/execution.py", "fl/hooks.py")
+        if "ledger" in files[rel].lower()
+    ]
+    assert mentions == []
+
+
+def test_no_executor_facade_between_server_and_backend():
+    """The server holds its execution backend as ``server.executor``."""
+    assert [rel for rel, text in _src_files().items() if "ClientExecutor" in text] == []
