@@ -40,9 +40,11 @@ class ScaffoldServer(FederatedServer):
     def dispatch(self, active: list[Client]) -> list[DispatchPlan]:
         """Global model plus each client's control-variate grad spec.
 
-        The correction ``g <- g - c_i + c`` rides as a picklable
-        :class:`~repro.fl.hooks.ControlVariateSpec`; ``context`` keeps
-        the server-side handle on ``c_i`` for the variate refresh.
+        The correction ``c - c_i`` is computed once per client here and
+        rides as a picklable :class:`~repro.fl.hooks.ControlVariateSpec`
+        (one variate-sized mapping per leg); every local step adds it to
+        the gradient.  ``context`` keeps the server-side handle on
+        ``c_i`` for the variate refresh.
         """
         flat = self.global_row()
         plans = []
@@ -50,10 +52,11 @@ class ScaffoldServer(FederatedServer):
             c_local = self._c_clients.get(client.client_id)
             if c_local is None:
                 c_local = zeros_like_state(self._c_global)
+            correction = tree_map(lambda c, ci: c - ci, self._c_global, c_local)
             plans.append(
                 DispatchPlan(
                     flat,
-                    grad_hook=ControlVariateSpec(self._c_global, c_local),
+                    grad_hook=ControlVariateSpec(correction),
                     context={"c_local": c_local},
                 )
             )

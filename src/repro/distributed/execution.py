@@ -97,6 +97,14 @@ class DistributedExecution(ExecutionBackend):
                 "host-side trainer templates"
             )
         _validated_rows(plans, uploads)
+        # Every hook blob is built before the first leg is submitted, so
+        # an unpicklable spec on plan n raises with no leg training.
+        blobs = [
+            pickle.dumps((plan.loss_hook, plan.grad_hook))
+            if plan.loss_hook is not None or plan.grad_hook is not None
+            else b""
+            for plan in plans
+        ]
         cluster = storage.cluster
         try:
             cluster.ensure_trainer(
@@ -117,11 +125,6 @@ class DistributedExecution(ExecutionBackend):
         for i, plan in enumerate(plans):
             client = active[i]
             host, local = storage.owner_of(int(rows[i]))
-            blob = (
-                pickle.dumps((plan.loss_hook, plan.grad_hook))
-                if plan.loss_hook is not None or plan.grad_hook is not None
-                else b""
-            )
             meta = {
                 "buffer": storage.buffer_id,
                 "local_row": int(local),
@@ -136,7 +139,7 @@ class DistributedExecution(ExecutionBackend):
                 meta["attack"] = attacks[i].to_wire()
             futures.append(
                 self._pool.submit(
-                    cluster.train_leg, host, meta, plan.flat, blob
+                    cluster.train_leg, host, meta, plan.flat, blobs[i]
                 )
             )
 

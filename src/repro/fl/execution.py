@@ -31,12 +31,13 @@ same registry style as :mod:`repro.core.storage`'s pool backends:
     buffers: the server copies each unique dispatch row into a shared
     dispatch row and the worker's :func:`run_leg` lands in a shared
     upload row — the ``P`` floats per client are written exactly once,
-    never pickled through the result queue.  Only scalars (sample
-    counts, loss, the client's advanced RNG state) ride back through
-    the future.  Each worker caps its BLAS pool at ``usable cores //
-    workers`` threads (never above what it inherited — see
-    :mod:`repro.utils.cpu`), so the workers together use the cores once
-    instead of ``workers`` times.
+    never pickled through the result queue.  Hook specs ride the task
+    pickle, as on ``distributed``.  Only scalars (sample counts, loss,
+    the client's advanced RNG state) ride back through the future.
+    Each worker caps its BLAS pool at ``usable cores // workers``
+    threads (never above what it inherited — see :mod:`repro.utils.cpu`),
+    so the workers together use the cores once instead of ``workers``
+    times.
 ``distributed``
     :class:`~repro.distributed.execution.DistributedExecution` (lazy —
     lives in :mod:`repro.distributed`, imported on first selection) —
@@ -89,37 +90,21 @@ at once and calls ``submit_group`` directly.  A third-party backend
 therefore implements ``submit_group`` (plus ``reserve`` / ``close`` if
 it pools anything) and serves all four schedules.
 
-Dispatch dedup for round-shared payloads
-----------------------------------------
-Hook specs may declare :attr:`~repro.fl.hooks.HookSpec.shared_fields`
-— state mappings identical across a round's plans (SCAFFOLD's
-``c_global``, FedGen's generator snapshot).  The ``process`` backend
-packs each unique payload into a shared-memory row once per round
-(:class:`_PayloadPacker`) and ships a tiny :class:`SharedStateRef` per
-task instead; workers rebuild the mapping once per round from a
-per-worker cache.  The arrays cross the process boundary zero times
-after the segment mapping — previously they were pickled once per
-client per round.
-
 Determinism contract
 --------------------
 All backends produce **bit-identical** training histories and upload
 buffers for the same config/seed: each client's batch shuffling draws
 from its own generator (round-tripped through workers by state), hook
 specs own their RNG streams, models move as buffer-dtype rows, and
-results are returned in plan order regardless of completion order.  Two carve-outs: models whose *layers* own RNG
-streams shared across clients via the serial trainer template (e.g.
-``nn.Dropout``'s mask stream) consume that stream in client order under
-``serial`` — such models are only reproducible on the serial backend —
-and *raw-callable* hooks that close over shared mutable state (a
-server-side RNG, an accumulator) are invoked in completion order by
-``thread``, so only stateless raw hooks keep the guarantee there; make
-shared-state hooks a :class:`~repro.fl.hooks.HookSpec` with per-client
-streams (as FedGen's distillation spec does) or run them on ``serial``.
+results are returned in plan order regardless of completion order.  One
+carve-out: models whose *layers* own RNG streams shared across clients
+via the serial trainer template (e.g. ``nn.Dropout``'s mask stream)
+consume that stream in client order under ``serial`` — such models are
+only reproducible on the serial backend.
 
-Hooks must be :class:`~repro.fl.hooks.HookSpec` instances (not raw
-closures) to cross the process boundary; ``serial`` and ``thread``
-accept both (``process`` rejects raw callables loudly).
+A plan's hooks are :class:`~repro.fl.hooks.HookSpec` instances (plain,
+picklable data) on every backend: :func:`_check_cohort` refuses
+anything else before any leg runs.
 
 Backends register on :data:`EXECUTION_BACKENDS` via
 :func:`register_execution`; selection is wired through
@@ -173,7 +158,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "TrainerSpec",
-    "SharedStateRef",
     "LegGroup",
     "UploadState",
     "run_leg",
@@ -290,7 +274,9 @@ def _check_cohort(active, plans, rows, parallel: bool = False) -> None:
     duplicate rows would race on one buffer slice; a duplicate client
     would train both legs from the same RNG snapshot (serial advances
     the stream between legs), silently breaking the bit-identical
-    contract — so both are errors rather than divergences.
+    contract — so both are errors rather than divergences.  On every
+    backend a plan's hooks must be :class:`~repro.fl.hooks.HookSpec`
+    instances (or ``None``): plain data, resolved where the leg runs.
     """
     if not len(active) == len(plans) == len(rows):
         raise ValueError(
@@ -298,6 +284,13 @@ def _check_cohort(active, plans, rows, parallel: bool = False) -> None:
             f"{len(plans)} dispatch plans (and {len(rows)} upload rows); "
             "cohort, plans and rows must align"
         )
+    for plan in plans:
+        for which, hook in (("loss_hook", plan.loss_hook), ("grad_hook", plan.grad_hook)):
+            if hook is not None and not isinstance(hook, HookSpec):
+                raise TypeError(
+                    f"DispatchPlan.{which} is a {type(hook).__name__}, not a "
+                    "repro.fl.hooks.HookSpec; dispatch hooks as picklable specs"
+                )
     if not parallel:
         return
     if len(set(rows)) != len(rows):
@@ -833,156 +826,9 @@ class _SharedBlock:
         self._finalizer()
 
 
-@dataclass(frozen=True)
-class SharedStateRef:
-    """Picklable pointer to a round-shared state dict in shared memory.
-
-    The dispatch-dedup transport for :attr:`HookSpec.shared_fields`
-    payloads (SCAFFOLD's ``c_global``, FedGen's generator state): the
-    server packs each unique payload into one float64 row of a payload
-    segment and ships this tiny ref per task instead of re-pickling
-    the arrays per client.  Workers rebuild the mapping from
-    ``signature`` via :meth:`repro.utils.layout.StateLayout
-    .from_signature` and cache it per ``(segment, row)`` until
-    ``version`` moves on — one unflatten per worker per round.
-    """
-
-    ref: tuple  # (shm name, shape, dtype str) — _SharedBlock.ref
-    row: int
-    version: int
-    signature: tuple
-
-
-class _PayloadPacker:
-    """Server-side owner of the round-shared payload segments.
-
-    One :class:`_SharedBlock` per payload layout signature, reused
-    across rounds and regrown when a round needs more rows; rows are
-    float64 so narrower float payloads round-trip exactly (SCAFFOLD's
-    variates *are* float64 and must not be narrowed — the same guard
-    rails as the dispatch rows apply).
-    """
-
-    def __init__(self) -> None:
-        self._blocks: dict[tuple, _SharedBlock] = {}
-        self._version = 0
-        # The group whose tasks reference the rows of the latest
-        # non-empty pack (see pack_round / hold).
-        self._holder: LegGroup | None = None
-        self._packed = False
-
-    def pack_round(self, plans) -> list[tuple]:
-        """Strip shared payloads from every plan's hooks for transit.
-
-        Returns one ``(loss_hook, grad_hook)`` pair per plan where each
-        spec carrying shared payloads is replaced by a shallow copy
-        holding :class:`SharedStateRef` placeholders (originals are
-        never mutated — the server reuses them across rounds).
-
-        The segments are rewritten (and regrown) in place, so packing
-        while an earlier group's legs may still read them would hand
-        those legs the wrong payload.  No shipped schedule does that —
-        sync drivers drain a group before the next submission and the
-        only async adapter (FedCross) dispatches no shared payloads —
-        so it raises instead of keeping a second transport.
-        """
-        self._version += 1
-        unique: dict[int, tuple] = {}  # id(payload) -> (payload, layout)
-        counts: dict[tuple, int] = {}
-        for plan in plans:
-            for hook in (plan.loss_hook, plan.grad_hook):
-                for _, value in self._shared_items(hook):
-                    if id(value) not in unique:
-                        layout = StateLayout.from_state(value)
-                        unique[id(value)] = (value, layout)
-                        sig = layout.signature
-                        counts[sig] = counts.get(sig, 0) + 1
-        self._packed = bool(unique)
-        if unique and self._holder is not None and self._holder.outstanding > 0:
-            raise RuntimeError(
-                "round-shared hook payloads (HookSpec.shared_fields) cannot be "
-                "repacked while an earlier submission's legs are still in "
-                "flight; the process backend does not support them under "
-                "overlapping rounds (round_mode='async', max_staleness > 0)"
-            )
-        refs: dict[int, SharedStateRef] = {}
-        next_row: dict[tuple, int] = {}
-        for sig, count in counts.items():
-            self._ensure_block(sig, count)
-        for key, (value, layout) in unique.items():
-            sig = layout.signature
-            block = self._blocks[sig]
-            row = next_row.get(sig, 0)
-            next_row[sig] = row + 1
-            _check_roundtrip(layout, value, block.array.dtype)
-            layout.flatten_into(value, block.array[row])
-            refs[key] = SharedStateRef(
-                ref=block.ref, row=row, version=self._version, signature=sig
-            )
-        return [
-            (
-                self._strip(plan.loss_hook, refs),
-                self._strip(plan.grad_hook, refs),
-            )
-            for plan in plans
-        ]
-
-    @staticmethod
-    def _shared_items(hook):
-        if not isinstance(hook, HookSpec):
-            return
-        for name in getattr(hook, "shared_fields", ()):
-            value = getattr(hook, name, None)
-            if isinstance(value, Mapping) and len(value):
-                yield name, value
-
-    def _strip(self, hook, refs: dict):
-        clone = None
-        for name, value in self._shared_items(hook):
-            ref = refs.get(id(value))
-            if ref is None:  # pragma: no cover - pack_round covers all plans
-                continue
-            if clone is None:
-                clone = copy.copy(hook)
-            setattr(clone, name, ref)
-        return clone if clone is not None else hook
-
-    def _ensure_block(self, sig: tuple, rows: int) -> None:
-        layout = StateLayout.from_signature(sig)
-        block = self._blocks.get(sig)
-        if (
-            block is not None
-            and block.array is not None
-            and block.array.shape[0] >= rows
-        ):
-            return
-        if block is not None:
-            block.close()
-        self._blocks[sig] = _SharedBlock((rows, layout.total_size), np.float64)
-
-    def hold(self, group: LegGroup) -> None:
-        """``group``'s tasks carry refs into the latest pack's rows."""
-        if self._packed:
-            self._holder = group
-
-    def live_names(self) -> set[str]:
-        return {
-            block.shm.name
-            for block in self._blocks.values()
-            if block.array is not None
-        }
-
-    def close(self) -> None:
-        for block in self._blocks.values():
-            block.close()
-        self._blocks.clear()
-        self._holder = None
-
-
-# Worker-process state: trainer template, layout, client shards,
-# attached shared-memory segments, and reconstructed round-shared
-# payloads — built once per worker, reused for every (client, round)
-# task.
+# Worker-process state: trainer template, layout, client shards and
+# attached shared-memory segments — built once per worker, reused for
+# every (client, round) task.
 _WORKER: dict = {}
 
 
@@ -992,7 +838,6 @@ def _worker_init(spec: TrainerSpec, datasets: dict, blas_cap: int) -> None:
     _WORKER["trainer"] = trainer
     _WORKER["datasets"] = datasets
     _WORKER["shm"] = {}
-    _WORKER["payloads"] = {}
     _WORKER["layout"] = StateLayout.from_state(trainer.model.state_dict())
 
 
@@ -1025,43 +870,6 @@ def _worker_prune_shm(live_names: set[str]) -> None:
             shm.close()
         except Exception:  # pragma: no cover
             pass
-    payloads = _WORKER.setdefault("payloads", {})
-    for key in [k for k in payloads if k[0] not in live_names]:
-        del payloads[key]
-
-
-def _worker_payload(ref: SharedStateRef) -> Mapping[str, np.ndarray]:
-    """Reconstruct (and cache) one round-shared payload from its ref.
-
-    Cached per ``(segment, row)`` with the packer's version as the
-    freshness token, so each worker unflattens a given payload once
-    per round regardless of how many of its tasks reference it.
-    """
-    payloads = _WORKER.setdefault("payloads", {})
-    key = (ref.ref[0], ref.row)
-    hit = payloads.get(key)
-    if hit is not None and hit[0] == ref.version:
-        return hit[1]
-    layout = StateLayout.from_signature(ref.signature)
-    block = _worker_attach(ref.ref)
-    value = layout.unflatten(block[ref.row], copy=True)
-    payloads[key] = (ref.version, value)
-    return value
-
-
-def _worker_restore_shared(hook):
-    """Swap :class:`SharedStateRef` placeholders back for real mappings.
-
-    The spec instance arrived pickled and is private to this task, so
-    in-place restoration is safe.
-    """
-    if not isinstance(hook, HookSpec):
-        return hook
-    for name in getattr(hook, "shared_fields", ()):
-        value = getattr(hook, name, None)
-        if isinstance(value, SharedStateRef):
-            setattr(hook, name, _worker_payload(value))
-    return hook
 
 
 def _process_leg(task: dict):
@@ -1069,9 +877,7 @@ def _process_leg(task: dict):
     shared dispatch row into the shared upload row, on the worker's
     cached shard with the client's shipped RNG state.  Only the scalars
     and the advanced RNG state return."""
-    live = {task["dispatch_ref"][0], task["upload_ref"][0]}
-    live.update(task["payload_names"])
-    _worker_prune_shm(live)
+    _worker_prune_shm({task["dispatch_ref"][0], task["upload_ref"][0]})
     dispatch = _worker_attach(task["dispatch_ref"])
     upload = _worker_attach(task["upload_ref"])
     rng = np.random.default_rng()
@@ -1083,8 +889,8 @@ def _process_leg(task: dict):
         upload[task["upload_row"]],
         _WORKER["datasets"][task["client_id"]],
         rng,
-        loss_hook=_worker_restore_shared(task["loss_hook"]),
-        grad_hook=_worker_restore_shared(task["grad_hook"]),
+        loss_hook=task["loss_hook"],
+        grad_hook=task["grad_hook"],
         lr_override=task["lr_override"],
         hypers=task["hypers"],
         attack=task["attack"],
@@ -1092,30 +898,18 @@ def _process_leg(task: dict):
     return (*scalars, rng.bit_generator.state)
 
 
-def _require_spec_hook(hook, which: str) -> None:
-    if hook is None or isinstance(hook, HookSpec):
-        return
-    raise TypeError(
-        f"{which} is a raw callable, which cannot cross the process "
-        "boundary; dispatch a picklable repro.fl.hooks.HookSpec instead "
-        "(or use the 'serial'/'thread' execution backend)"
-    )
-
-
 def _validated_rows(plans, uploads) -> dict:
-    """The distinct dispatch rows, every plan checked for transit.
+    """The distinct dispatch rows, every plan's row checked for transit.
 
     Keyed by object identity in first-use order (FedAvg-family plans
     all share one global row; FedCross plans are distinct pool rows),
     so each unique row ships once.  Run over the *whole* cohort before
-    anything is copied or submitted: hooks must be picklable specs and
-    rows upload-buffer rows — another dtype is refused, never cast.
+    anything is copied or submitted: rows must be upload-buffer rows —
+    another dtype is refused, never cast.
     """
     shape, dtype = (uploads.layout.total_size,), uploads.dtype
     flats: dict = {}
     for plan in plans:
-        _require_spec_hook(plan.loss_hook, "DispatchPlan.loss_hook")
-        _require_spec_hook(plan.grad_hook, "DispatchPlan.grad_hook")
         flat = plan.flat
         if id(flat) in flats:
             continue
@@ -1142,7 +936,6 @@ class ProcessExecution(ExecutionBackend):
         # This process's claim on the CPU budget while the pool lives:
         # the coordinator keeps what its workers leave (repro.utils.cpu).
         self._cpu_hold = None
-        self._payloads = _PayloadPacker()
         # Free-list of (dispatch, upload) block pairs, one pair per
         # in-flight group: overlapping rounds must not share a pair, or
         # round t+1's pack would overwrite rows round t's workers are
@@ -1209,15 +1002,11 @@ class ProcessExecution(ExecutionBackend):
         rows are indexed by plan position ``j``, not pool row (two
         in-flight groups may target the same pool row across a carry)
         — :meth:`LegGroup.finalize` copies row ``j`` into the server's
-        buffer.  Round-shared hook payloads ride as
-        :class:`SharedStateRef` s into the :class:`_PayloadPacker`
-        segments, never pickled per client.
+        buffer.  Hook specs ride each task's pickle as they are.
         """
         _check_cohort(active, plans, rows, parallel=True)
         flats = _validated_rows(plans, uploads)
         self._ensure_pool()
-        hook_pairs = self._payloads.pack_round(plans)
-        payload_names = sorted(self._payloads.live_names())
         pair = dispatch, upload = self._acquire_blocks(
             len(plans), uploads.layout.total_size, uploads.dtype
         )
@@ -1237,9 +1026,8 @@ class ProcessExecution(ExecutionBackend):
                     "upload_row": j,
                     "dispatch_ref": dispatch.ref,
                     "upload_ref": upload.ref,
-                    "payload_names": payload_names,
-                    "loss_hook": hook_pairs[j][0],
-                    "grad_hook": hook_pairs[j][1],
+                    "loss_hook": plan.loss_hook,
+                    "grad_hook": plan.grad_hook,
                     "lr_override": plan.lr_override,
                     "hypers": hypers,
                     "attack": attacks.get(j),
@@ -1258,14 +1046,12 @@ class ProcessExecution(ExecutionBackend):
             uploads.set_row(row, upload.array[j])
             return LocalResult(UploadState(uploads, row), *scalars)
 
-        group = LegGroup(futures, land, lambda: self._free_pairs.append(pair))
-        self._payloads.hold(group)
-        return group
+        return LegGroup(futures, land, lambda: self._free_pairs.append(pair))
 
     def close(self) -> None:
         # Release the shared segments even when the pool shutdown is
         # interrupted (Ctrl-C while workers drain): pool teardown runs
-        # first, but block/payload unlinking sits in the finally so a
+        # first, but block unlinking sits in the finally so a
         # KeyboardInterrupt unwinding through shutdown() cannot leak
         # /dev/shm segments until reboot.
         try:
@@ -1275,7 +1061,6 @@ class ProcessExecution(ExecutionBackend):
                 for block in pair:
                     block.close()
             self._free_pairs.clear()
-            self._payloads.close()
 
 
 # The socket-RPC backend lives in its own package and is imported only

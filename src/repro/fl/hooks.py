@@ -11,13 +11,14 @@ A :class:`HookSpec` is the closure's picklable twin: a small value
 object carrying exactly the data the hook needs, resolved into a plain
 callable *where the training runs* via :meth:`HookSpec.build`.  The
 ``serial`` and ``thread`` backends resolve specs in-process (so the
-arithmetic is identical to the old closures); the ``process`` backend
-pickles the spec to a persistent worker and resolves it there.
+arithmetic is identical to the old closures); the ``process`` and
+``distributed`` backends pickle the spec with its leg and resolve it on
+the worker or shard host.
 
 A :class:`~repro.fl.server.DispatchPlan`'s ``loss_hook`` / ``grad_hook``
-fields accept either a raw callable (backwards compatible, but
-``serial``/``thread`` only) or a spec.  :func:`resolve_hook` is the
-single resolution point used by every execution backend.
+fields hold a spec (or ``None``) on every backend.  :func:`resolve_hook`
+is the single resolution point, inside :func:`~repro.fl.execution
+.run_leg`.
 
 Shipped specs
 -------------
@@ -27,7 +28,8 @@ Shipped specs
     which is what FedProx wants and avoids shipping the same ``P``
     floats twice.
 :class:`ControlVariateSpec`
-    SCAFFOLD — per-step gradient correction ``g ← g + (c − c_i)``.
+    SCAFFOLD — per-step gradient correction ``g ← g + (c − c_i)``, the
+    difference computed once at dispatch.
 :class:`DistillationSpec`
     FedGen — ``λ·CE(model(G(z, y)), y)`` with a frozen generator.  Each
     spec owns an independent RNG stream (spawned per client at dispatch
@@ -61,25 +63,13 @@ class HookSpec:
     Subclasses implement :meth:`build`, returning the runnable hook
     (a ``LossHook`` or ``GradHook`` callable, matching the trainer's
     hook protocol).  Specs must be plain data — anything reachable from
-    their fields is pickled to worker processes by the ``process``
-    execution backend.
-
-    ``shared_fields`` names fields holding a ``{name: ndarray}`` state
-    mapping that is *shared across a round's plans* (SCAFFOLD's global
-    control variate, FedGen's frozen generator state).  The ``process``
-    backend ships each such payload through shared memory **once per
-    round** instead of pickling it once per client, swapping the field
-    for a :class:`~repro.fl.execution.SharedStateRef` in transit and
-    restoring it from a per-worker cache on the other side.  In-process
-    backends ignore it (the mapping is already shared by reference).
-
-    Spec fields carry plain ``ndarray`` payloads: they must pickle and
-    ride shared memory.  A spec declares no communication cost: the
-    method bills its per-leg surcharge (SCAFFOLD's variates, FedGen's
-    generator) through the server's ``charge_round_communication``.
+    their fields is pickled with every leg by the ``process`` and
+    ``distributed`` execution backends, so a spec carries one leg's
+    payload and nothing the leg does not read.  A spec declares no
+    communication cost: the method bills its per-leg surcharge
+    (SCAFFOLD's variate, FedGen's generator) through the server's
+    ``charge_round_communication``.
     """
-
-    shared_fields: tuple[str, ...] = ()
 
     def build(self, state: Mapping[str, np.ndarray]) -> Callable:
         """Resolve into a runnable hook.
@@ -94,16 +84,10 @@ class HookSpec:
 
 
 def resolve_hook(
-    hook: "Callable | HookSpec | None", state: Mapping[str, np.ndarray]
+    hook: "HookSpec | None", state: Mapping[str, np.ndarray]
 ) -> Callable | None:
-    """Turn a plan's hook field into a runnable callable (or ``None``).
-
-    Raw callables pass through untouched — the pre-spec idiom, still
-    supported for in-process execution backends.
-    """
-    if isinstance(hook, HookSpec):
-        return hook.build(state)
-    return hook
+    """Turn a plan's hook spec into a runnable callable (or ``None``)."""
+    return None if hook is None else hook.build(state)
 
 
 @dataclass
@@ -137,28 +121,23 @@ class ProximalSpec(HookSpec):
 
 @dataclass
 class ControlVariateSpec(HookSpec):
-    """SCAFFOLD gradient hook: ``g ← g + (c − c_i)`` on every step.
+    """SCAFFOLD gradient hook: ``g ← g + correction`` on every step.
 
-    ``c_global`` is one server-side mapping shared by every plan in a
-    round, so it is declared a shared field — the ``process`` backend
-    ships it through shared memory once per round rather than pickling
-    it per client (``c_local`` is genuinely per-client and still rides
-    the task).
+    ``correction`` is the client's ``c − c_i``, computed once at
+    dispatch: a leg ships one variate-sized mapping and every step adds
+    the same array.
     """
 
-    c_global: Mapping[str, np.ndarray]
-    c_local: Mapping[str, np.ndarray]
-
-    shared_fields = ("c_global",)
+    correction: Mapping[str, np.ndarray]
 
     def build(self, state: Mapping[str, np.ndarray]) -> Callable:
-        c_global, c_local = self.c_global, self.c_local
+        correction = self.correction
 
         def hook(named_params: dict) -> None:
             for name, param in named_params.items():
                 if param.grad is None:
                     continue
-                param.grad = param.grad + (c_global[name] - c_local[name])
+                param.grad = param.grad + correction[name]
 
         return hook
 
@@ -170,7 +149,9 @@ class DistillationSpec(HookSpec):
     Carries the frozen generator (architecture numbers + state dict),
     the label-sampling distribution, and a dedicated seed.  The hook's
     RNG stream is private to this spec, so draws are identical whether
-    clients train sequentially or in parallel.
+    clients train sequentially or in parallel.  A round's specs share
+    one ``generator_state`` snapshot in-process; each pickled leg
+    carries its own copy.
     """
 
     num_classes: int
@@ -184,11 +165,6 @@ class DistillationSpec(HookSpec):
     seed: Any  # int or np.random.SeedSequence
     embedded: bool = False
     _generator: Any = field(default=None, repr=False, compare=False)
-
-    # The frozen generator snapshot is identical across a round's specs
-    # (one state_dict() call in dispatch): shipped via shared memory
-    # once per round by the process backend, never pickled per client.
-    shared_fields = ("generator_state",)
 
     def __getstate__(self):
         # The rebuilt generator is a per-process cache, never shipped.

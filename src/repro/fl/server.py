@@ -60,7 +60,7 @@ from repro.fl.execution import (
 )
 from repro.fl.hooks import HookSpec
 from repro.fl.metrics import RoundRecord, TrainingHistory, evaluate_model
-from repro.fl.trainer import GradHook, LocalResult, LocalTrainer, LossHook
+from repro.fl.trainer import LocalResult, LocalTrainer
 from repro.nn.module import Module
 from repro.utils.layout import StateLayout
 
@@ -85,19 +85,16 @@ class DispatchPlan:
     result is packed into (defaults to the client's cohort position;
     FedCross uses it to keep rows in middleware-model order).
 
-    ``loss_hook`` / ``grad_hook`` accept either a raw callable (runs on
-    ``serial``/``thread`` backends only) or a picklable
-    :class:`~repro.fl.hooks.HookSpec`, resolved where the training
-    executes — required for the ``process`` backend.  A raw callable
-    that closes over shared mutable state (an RNG, an accumulator) is
-    only deterministic on ``serial``: ``thread`` invokes hooks in
-    completion order.  Specs with per-client state keep every backend
-    bit-identical.
+    ``loss_hook`` / ``grad_hook`` are picklable
+    :class:`~repro.fl.hooks.HookSpec` s (or ``None``) on every execution
+    backend, resolved where the training executes; any other value is
+    refused before a leg runs.  Specs with per-client state keep every
+    backend bit-identical.
     """
 
     flat: np.ndarray
-    loss_hook: "LossHook | HookSpec | None" = None
-    grad_hook: "GradHook | HookSpec | None" = None
+    loss_hook: "HookSpec | None" = None
+    grad_hook: "HookSpec | None" = None
     lr_override: float | None = None
     context: dict = field(default_factory=dict)
 

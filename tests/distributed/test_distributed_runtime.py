@@ -4,6 +4,7 @@ property (trained upload rows never transit the coordinator).
 """
 
 import socket
+import threading
 
 import pytest
 
@@ -12,10 +13,21 @@ from repro.distributed.cluster import get_cluster, shutdown_clusters
 from repro.fl.callbacks import ServerCallback
 from repro.fl.comm import analytic_round_cost
 from repro.fl.config import FLConfig
+from repro.fl.hooks import HookSpec
 from repro.fl.simulation import FLSimulation
 from repro.utils import cpu
 
 HOSTS = 2
+
+
+class LockedSpec(HookSpec):
+    """A hook spec that cannot be pickled: it holds a lock."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+
+    def build(self, state):
+        return lambda model, logits, targets: None
 
 
 def _config(method="fedcross", execution="distributed", rounds=2):
@@ -280,6 +292,29 @@ class TestFaultSurfacing:
                 assert "shard host 1/2" in failure.message
         finally:
             shutdown_clusters()
+
+    def test_unpicklable_spec_raises_before_any_leg_starts(self, monkeypatch):
+        """``submit_group`` builds every leg's hook blob before the first
+        submit: a spec that cannot be pickled on plan 2 raises, and no
+        leg — not even plans 0 and 1 — has gone to a host."""
+        sim = FLSimulation(_config(method="fedavg"))
+        server = sim.server
+        backend = server.executor
+        active = server.select_cohort()
+        plans = server.dispatch(active)
+        plans[2].loss_hook = LockedSpec()
+        rows = [plan.context.get("row", i) for i, plan in enumerate(plans)]
+        uploads = server._round_uploads(len(active))
+        calls = []
+        monkeypatch.setattr(
+            uploads.storage.cluster, "train_leg", lambda *args: calls.append(args)
+        )
+        try:
+            with pytest.raises(TypeError, match="pickle"):
+                backend.submit_group(server.trainer, active, plans, rows, uploads)
+        finally:
+            backend.close()  # waits out any leg that did start
+        assert calls == []
 
     def test_remote_exception_carries_type_and_no_retry(self):
         cluster = get_cluster(HOSTS)

@@ -213,11 +213,6 @@ class TestTrainerSpec:
 
 
 class TestHookSpecs:
-    def test_raw_callables_pass_through_resolve(self):
-        fn = lambda *a: None  # noqa: E731
-        assert resolve_hook(fn, {}) is fn
-        assert resolve_hook(None, {}) is None
-
     def test_proximal_spec_anchors_to_dispatched_state(self, tiny_config):
         from repro.tensor import functional as F  # noqa: F401 (import check)
 
@@ -269,145 +264,77 @@ class TestHookSpecs:
             server.dispatch(server.select_cohort())
         server.executor.close()
 
-    def test_process_backend_rejects_raw_callable_hooks(self, tiny_config):
-        sim = FLSimulation(tiny_config.replace(execution="process", workers=1))
+    @pytest.mark.parametrize("execution", ["serial", "thread", "process", "distributed"])
+    def test_raw_callable_hooks_are_refused_before_any_leg(self, tiny_config, execution):
+        """A plan's hooks are HookSpecs on every backend: a raw callable
+        on the last plan raises the same TypeError before any leg runs,
+        so no client RNG has moved."""
+        overrides = {"execution": execution, "workers": 1}
+        if execution == "distributed":
+            overrides.update(backend="distributed", hosts=2)
+        sim = FLSimulation(tiny_config.replace(**overrides))
         server = sim.server
         active = server.select_cohort()
         plans = server.dispatch(active)
-        plans[0].loss_hook = lambda model, logits, targets: None
-        with pytest.raises(TypeError, match="HookSpec"):
-            server.collect(active, plans)
-        server.executor.close()
+        plans[-1].loss_hook = lambda model, logits, targets: None
+        before = [client.rng.bit_generator.state for client in active]
+        try:
+            with pytest.raises(
+                TypeError, match=r"loss_hook is a function, not a repro\.fl\.hooks\.HookSpec"
+            ):
+                server.collect(active, plans)
+        finally:
+            server.executor.close()
+        assert [client.rng.bit_generator.state for client in active] == before
 
 
-class TestSharedPayloadDedup:
-    """Round-shared spec payloads ship through shm once, not per client."""
+class TestControlVariateSpec:
+    """SCAFFOLD dispatches one correction ``c - c_i`` per leg."""
 
-    def _scaffold_plans(self, tiny_config):
-        sim = FLSimulation(tiny_config.with_method("scaffold"))
+    @pytest.fixture()
+    def scaffold_round_two(self, tiny_config):
+        """A SCAFFOLD server after one full-participation round, so
+        every client's variate (and the global one) is non-zero."""
+        sim = FLSimulation(tiny_config.with_method("scaffold").replace(participation=1.0))
         server = sim.server
+        server.run_round(server.select_cohort())
         active = server.select_cohort()
         return server, active, server.dispatch(active)
 
-    def test_pack_round_dedups_shared_c_global(self, tiny_config):
-        from repro.fl.execution import SharedStateRef, _PayloadPacker
+    def test_each_plan_carries_exactly_its_correction(self, scaffold_round_two):
+        server, active, plans = scaffold_round_two
+        for client, plan in zip(active, plans):
+            spec = plan.grad_hook
+            assert list(vars(spec)) == ["correction"]
+            c_local = server._c_clients[client.client_id]
+            assert list(spec.correction) == list(server._c_global)
+            for key, c in server._c_global.items():
+                assert spec.correction[key].tobytes() == (c - c_local[key]).tobytes()
+            assert any(np.any(v != 0) for v in spec.correction.values())
 
-        _, _, plans = self._scaffold_plans(tiny_config)
-        packer = _PayloadPacker()
-        try:
-            pairs = packer.pack_round(plans)
-            refs = [pair[1].c_global for pair in pairs]
-            assert all(isinstance(ref, SharedStateRef) for ref in refs)
-            # One shared payload -> every plan points at the same row of
-            # the same segment.
-            assert len({(ref.ref[0], ref.row) for ref in refs}) == 1
-            # c_local is per-client and must still ride the spec.
-            assert all(
-                not isinstance(pair[1].c_local, SharedStateRef) for pair in pairs
-            )
-        finally:
-            packer.close()
+    def test_hook_adds_the_correction_bit_for_bit(self, scaffold_round_two):
+        server, active, plans = scaffold_round_two
+        c_local = server._c_clients[active[0].client_id]
+        hook = plans[0].grad_hook.build({})
+        params = dict(server.model.named_parameters())
+        rng = np.random.default_rng(0)
+        grads = {
+            name: rng.standard_normal(param.data.shape).astype(param.data.dtype)
+            for name, param in params.items()
+        }
+        for name, param in params.items():
+            param.grad = grads[name].copy()
+        hook(params)
+        for name, param in params.items():
+            expected = grads[name] + (server._c_global[name] - c_local[name])
+            assert param.grad.dtype == expected.dtype
+            assert param.grad.tobytes() == expected.tobytes()
 
-    def test_pack_round_leaves_originals_untouched(self, tiny_config):
-        from repro.fl.execution import _PayloadPacker
-
-        server, _, plans = self._scaffold_plans(tiny_config)
-        packer = _PayloadPacker()
-        try:
-            packer.pack_round(plans)
-            for plan in plans:
-                assert plan.grad_hook.c_global is server._c_global
-        finally:
-            packer.close()
-
-    def test_shared_payload_roundtrips_exactly(self, tiny_config):
-        from repro.fl.execution import _PayloadPacker
-        from repro.utils.layout import StateLayout
-
-        _, _, plans = self._scaffold_plans(tiny_config)
-        packer = _PayloadPacker()
-        try:
-            pairs = packer.pack_round(plans)
-            ref = pairs[0][1].c_global
-            layout = StateLayout.from_signature(ref.signature)
-            block = packer._blocks[ref.signature]
-            rebuilt = layout.unflatten(block.array[ref.row], copy=True)
-            original = plans[0].grad_hook.c_global
-            assert set(rebuilt) == set(original)
-            for key in original:
-                assert rebuilt[key].dtype == np.asarray(original[key]).dtype
-                np.testing.assert_array_equal(rebuilt[key], original[key])
-        finally:
-            packer.close()
-
-    def test_version_advances_per_round(self, tiny_config):
-        from repro.fl.execution import _PayloadPacker
-
-        _, _, plans = self._scaffold_plans(tiny_config)
-        packer = _PayloadPacker()
-        try:
-            first = packer.pack_round(plans)[0][1].c_global
-            second = packer.pack_round(plans)[0][1].c_global
-            assert second.version == first.version + 1
-        finally:
-            packer.close()
-
-    def test_repack_while_a_group_still_reads_the_payloads_raises(self, tiny_config):
-        """Payload segments are rewritten in place, so packing under a
-        group whose legs may still read them must fail loudly (no
-        shipped schedule does it); once that group is fully accounted
-        for — or for payload-free plans — packing proceeds."""
-        from concurrent.futures import Future
-
-        from repro.fl.execution import LegGroup, _PayloadPacker
-
-        _, _, plans = self._scaffold_plans(tiny_config)
-        packer = _PayloadPacker()
-        try:
-            packer.pack_round(plans)
-            group = LegGroup([Future()])
-            packer.hold(group)
-            with pytest.raises(RuntimeError, match="still in flight"):
-                packer.pack_round(plans)
-            packer.pack_round([DispatchPlan(plans[0].flat)])  # nothing shared
-            group.leg_done()
-            packer.pack_round(plans)
-        finally:
-            packer.close()
-
-    def test_hookless_plans_pack_nothing(self, tiny_config):
-        from repro.fl.execution import _PayloadPacker
-
-        sim = FLSimulation(tiny_config)  # fedavg: no hooks at all
-        server = sim.server
-        active = server.select_cohort()
-        plans = server.dispatch(active)
-        packer = _PayloadPacker()
-        try:
-            pairs = packer.pack_round(plans)
-            assert packer.live_names() == set()
-            assert [p[0] for p in pairs] == [plan.loss_hook for plan in plans]
-        finally:
-            packer.close()
-
-    def test_scaffold_process_round_matches_serial(self, tiny_config):
-        """End to end through the worker-side cache: the deduped payload
-        transport must not change a single bit."""
-
-        def run(cfg):
-            sim = FLSimulation(cfg.with_method("scaffold"))
-            sim.server.run_round(sim.server.select_cohort())
-            state = sim.server.global_state()
-            c_global = dict(sim.server._c_global)
-            sim.server.executor.close()
-            return state, c_global
-
-        ref_state, ref_c = run(tiny_config)
-        got_state, got_c = run(tiny_config.replace(execution="process", workers=2))
-        for key in ref_state:
-            np.testing.assert_array_equal(ref_state[key], got_state[key])
-        for key in ref_c:
-            np.testing.assert_array_equal(ref_c[key], got_c[key])
+    def test_pickled_spec_is_one_variate(self, scaffold_round_two):
+        server, _, plans = scaffold_round_two
+        variate_bytes = sum(v.nbytes for v in server._c_global.values())
+        size = len(pickle.dumps(plans[0].grad_hook))
+        assert variate_bytes < size < variate_bytes + 4096
 
 
 class ExplodingSpec(HookSpec):

@@ -18,7 +18,9 @@ every backend) must land in the same cell of the matrix
 global state, same final pool matrix — against one reference leg
 (dense / serial / gathered).  A smaller method-coverage class keeps the
 storage grid honest for a FedAvg-family method (``fedavg``) and a
-hook-heavy one (``scaffold``) too.
+hook-heavy one (``scaffold``) too, and the hook-carrying methods
+(``scaffold``, ``fedgen``, ``fedprox``) are held to their serial fit on
+the ``thread``, ``process`` and ``distributed`` execution backends.
 
 Why this is expected to hold exactly: selection runs on the incremental
 GramTracker (per-pair contiguous float64 dots — bitwise independent of
@@ -229,6 +231,53 @@ class TestMethodCoverageAcrossStorage:
         ref = _run(_config(method, "dense", "serial"))
         got = _run(_config(method, backend, "serial"))
         _assert_identical(ref, got, f"{method}/{backend}")
+
+
+HOOK_METHODS = ("scaffold", "fedgen", "fedprox")
+
+
+def _run_hooked(config: FLConfig):
+    """A fit plus SCAFFOLD's final global control variate (or ``None``)."""
+    sim = FLSimulation(config)
+    result = sim.run()
+    c_global = getattr(sim.server, "_c_global", None)
+    return (result, None), c_global
+
+
+@pytest.fixture(scope="module")
+def hook_references():
+    """Each hook-carrying method's dense / serial fit, run once."""
+    cache = {}
+
+    def reference(method):
+        if method not in cache:
+            cache[method] = _run_hooked(_config(method, "dense", "serial"))
+        return cache[method]
+
+    return reference
+
+
+class TestHookMethodsAcrossExecution:
+    """Hook specs are plain data, pickled with each leg on ``process``
+    and ``distributed``: SCAFFOLD (one control-variate correction per
+    leg), FedGen (the frozen generator) and FedProx (the proximal term)
+    must land in the dense / serial cell on every parallel backend —
+    histories, communication columns included, and final state.  Full
+    participation over two rounds makes round 1's variates non-zero and
+    round 1's FedGen legs carry a generator."""
+
+    @pytest.mark.parametrize("execution", ["thread", "process", "distributed"])
+    @pytest.mark.parametrize("method", HOOK_METHODS)
+    def test_fit_bit_identical_to_serial(self, hook_references, method, execution):
+        backend = "distributed" if execution == "distributed" else "dense"
+        ref, ref_c = hook_references(method)
+        got, got_c = _run_hooked(_config(method, backend, execution))
+        label = f"{method}/{backend}/{execution}"
+        _assert_identical(ref, got, label)
+        if method == "scaffold":
+            assert any(np.any(value != 0) for value in ref_c.values()), label
+            for key, value in ref_c.items():
+                np.testing.assert_array_equal(value, got_c[key], err_msg=label)
 
 
 class TestAsyncRoundLeg:

@@ -89,14 +89,14 @@ def _flatten_sites(path: Path) -> list[str]:
 def test_execution_backends_convert_no_dispatched_model():
     """A dispatched model reaches a leg as the plan's row: the execution
     modules pack a state into a row only where a leg lands its upload
-    (``run_leg``) and for round-shared hook payloads (``_PayloadPacker``)."""
+    (``run_leg``)."""
     src = REPO_ROOT / "src" / "repro"
     sites = {
         rel: _flatten_sites(src / rel)
         for rel in ("fl/execution.py", "distributed/execution.py")
     }
     assert sites == {
-        "fl/execution.py": ["run_leg", "_PayloadPacker.pack_round"],
+        "fl/execution.py": ["run_leg"],
         "distributed/execution.py": [],
     }
 
@@ -104,6 +104,18 @@ def test_execution_backends_convert_no_dispatched_model():
 def _src_files():
     src = REPO_ROOT / "src" / "repro"
     return {path.relative_to(src).as_posix(): path.read_text() for path in src.rglob("*.py")}
+
+
+def test_hook_specs_have_no_shared_payload_transport():
+    """A hook spec is plain data pickled with its leg on every backend:
+    no spec declares round-shared fields and no shared-memory ref for
+    them exists."""
+    hits = sorted(
+        rel
+        for rel, text in _src_files().items()
+        if "shared_fields" in text or "SharedStateRef" in text
+    )
+    assert hits == []
 
 
 def test_only_the_server_writes_the_comm_ledger():
