@@ -69,13 +69,13 @@ def main() -> None:
             hook = make_dp_grad_hook(dp)
             original_train = sim.trainer.train
 
-            def train_with_dp(state, dataset, rng, loss_hook=None, grad_hook=None,
+            def train_with_dp(flat, dataset, rng, *, loss_hook=None, grad_hook=None,
                               lr_override=None, _orig=original_train, _hook=hook):
                 def combined(named):
                     if grad_hook is not None:
                         grad_hook(named)
                     _hook(named)
-                return _orig(state, dataset, rng, loss_hook=loss_hook,
+                return _orig(flat, dataset, rng, loss_hook=loss_hook,
                              grad_hook=combined, lr_override=lr_override)
 
             sim.trainer.train = train_with_dp

@@ -38,7 +38,6 @@ class CluSampServer(FederatedServer):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._global = self.model.state_dict()
         self._param_keys = {name for name, _ in self.model.named_parameters()}
         # Last parameter-update direction per client id (flattened).
         self._updates: dict[int, np.ndarray] = {}
@@ -104,6 +103,3 @@ class CluSampServer(FederatedServer):
         self._global = self.aggregate_uploads(results)
         self.charge_round_communication(active)
         return {"train_loss": self.mean_local_loss(results)}
-
-    def global_state(self) -> dict:
-        return self._global

@@ -31,10 +31,6 @@ __all__ = ["FedAvgServer"]
 class FedAvgServer(FederatedServer):
     """One-to-multi training with weighted-average aggregation."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._global = self.model.state_dict()
-
     def aggregate(
         self,
         active: list[Client],
@@ -44,6 +40,3 @@ class FedAvgServer(FederatedServer):
         self._global = self.aggregate_uploads(results)
         self.charge_round_communication(active)
         return {"train_loss": self.mean_local_loss(results)}
-
-    def global_state(self) -> dict:
-        return self._global

@@ -31,7 +31,6 @@ class FedClusterServer(FederatedServer):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._global = self.model.state_dict()
         self.num_clusters = int(self.config.method_params.get("num_clusters", 2))
         if self.num_clusters < 1:
             raise ValueError("num_clusters must be >= 1")
@@ -84,6 +83,3 @@ class FedClusterServer(FederatedServer):
             # for throughput accounting.
             "clients_trained": total_clients,
         }
-
-    def global_state(self) -> dict:
-        return self._global

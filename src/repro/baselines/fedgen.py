@@ -73,7 +73,6 @@ class FedGenServer(FederatedServer):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._global = self.model.state_dict()
         params = self.config.method_params
         self.gen_weight = float(params.get("gen_weight", 0.2))
         self.gen_steps = int(params.get("gen_steps", 10))
@@ -214,6 +213,3 @@ class FedGenServer(FederatedServer):
         # Table I: model both ways + one generator down per leg.
         self.charge_round_communication(active, down_surcharge=self.generator_size)
         return {"train_loss": self.mean_local_loss(results), "gen_loss": gen_loss}
-
-    def global_state(self) -> dict:
-        return self._global

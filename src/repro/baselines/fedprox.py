@@ -29,7 +29,6 @@ class FedProxServer(FederatedServer):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._global = self.model.state_dict()
         self.mu = float(self.config.method_params.get("mu", 0.01))
         if self.mu < 0:
             raise ValueError(f"FedProx mu must be non-negative, got {self.mu}")
@@ -53,6 +52,3 @@ class FedProxServer(FederatedServer):
         self._global = self.aggregate_uploads(results)
         self.charge_round_communication(active)
         return {"train_loss": self.mean_local_loss(results)}
-
-    def global_state(self) -> dict:
-        return self._global

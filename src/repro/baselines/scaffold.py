@@ -30,7 +30,6 @@ class ScaffoldServer(FederatedServer):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._global = self.model.state_dict()
         self._param_keys = {name for name, _ in self.model.named_parameters()}
         param_only = {k: v for k, v in self._global.items() if k in self._param_keys}
         self._c_global = zeros_like_state(param_only)
@@ -108,6 +107,3 @@ class ScaffoldServer(FederatedServer):
             active, down_surcharge=variate_size, up_surcharge=variate_size
         )
         return {"train_loss": self.mean_local_loss(results)}
-
-    def global_state(self) -> dict:
-        return self._global

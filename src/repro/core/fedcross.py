@@ -99,11 +99,13 @@ class FedCrossServer(FederatedServer):
         # Line 2 of Algorithm 1: all K middleware models start from the
         # same deterministic init (so FedCross and the baselines share a
         # starting point for fair curves).  The pool is one (K, P)
-        # float32 matrix, kept in buffer form for the whole run.
+        # float32 matrix, kept in buffer form for the whole run: it
+        # replaces the base class's single global state.
         self._pool = PoolBuffer.broadcast(
-            self.model.state_dict(), k, dtype=np.float32, backend=self.backend,
+            self._global, k, dtype=np.float32, backend=self.backend,
             backend_options=self.backend_options,
         )
+        self._global = None
         self.result_extras: dict = {}
         # Incremental-similarity engine: when cosine similarity drives
         # CoModelSel, a GramTracker follows the upload buffer row by

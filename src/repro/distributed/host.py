@@ -64,7 +64,6 @@ class _HostState:
         self.trainer = None
         self.trainer_version: int | None = None
         self.datasets: dict = {}
-        self.layout = None
         self.stop = threading.Event()
 
     # -- storage ops -------------------------------------------------------
@@ -183,8 +182,6 @@ class _HostState:
 
     # -- co-located execution ----------------------------------------------
     def op_init_trainer(self, meta, arrays, blob):
-        from repro.utils.layout import StateLayout
-
         version = int(meta["version"])
         with self.lock:
             if self.trainer_version == version:
@@ -192,7 +189,6 @@ class _HostState:
             spec, datasets = pickle.loads(blob)
             self.trainer = spec.build()
             self.datasets = datasets
-            self.layout = StateLayout.from_state(self.trainer.model.state_dict())
             self.trainer_version = version
         return {}, {}, b""
 
@@ -208,7 +204,6 @@ class _HostState:
 
         with self.lock:
             trainer = self.trainer
-            layout = self.layout
         if trainer is None:
             raise RuntimeError(
                 f"shard host {self.index} has no trainer; init_trainer first"
@@ -220,7 +215,6 @@ class _HostState:
         loss_hook, grad_hook = pickle.loads(blob) if blob else (None, None)
         scalars = run_leg(
             trainer,
-            layout,
             arrays["flat"],
             self._storage(meta["buffer"]).row(int(meta["local_row"])),
             self.datasets[meta["client_id"]],

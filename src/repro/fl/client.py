@@ -1,19 +1,16 @@
 """The client abstraction.
 
 A :class:`Client` owns a private shard and an independent RNG stream.
-It never exposes raw data to the server — only trained state dicts —
+It never exposes raw data to the server — only trained models —
 matching the paper's privacy constraint that "none of the clients send
 their raw data to the cloud server".
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
 from repro.data.dataset import ArrayDataset
-from repro.fl.trainer import GradHook, LocalResult, LocalTrainer, LossHook
 
 __all__ = ["Client"]
 
@@ -47,24 +44,6 @@ class Client:
         """Label histogram — the only distribution statistic a client may
         share (used by FedGen; CluSamp deliberately avoids even this)."""
         return self.dataset.class_counts(num_classes)
-
-    def train(
-        self,
-        trainer: LocalTrainer,
-        state: Mapping[str, np.ndarray],
-        loss_hook: LossHook | None = None,
-        grad_hook: GradHook | None = None,
-        lr_override: float | None = None,
-    ) -> LocalResult:
-        """Run local training from ``state`` on this client's shard."""
-        return trainer.train(
-            state,
-            self.dataset,
-            self.rng,
-            loss_hook=loss_hook,
-            grad_hook=grad_hook,
-            lr_override=lr_override,
-        )
 
     def __repr__(self) -> str:
         return f"Client(id={self.client_id}, n={len(self.dataset)})"

@@ -51,10 +51,10 @@ One primitive, three drivers
 A round is K *legs* (Algorithm 1, lines 6-10) and a leg is one function
 whatever the substrate: :func:`run_leg` trains one dispatched model on
 one client's shard and lands the upload in one buffer row.  The model
-is a ``(P,)`` upload-dtype row both ways (in: :attr:`~repro.fl.server
-.DispatchPlan.flat`); :func:`run_leg` alone turns it into a state dict
-and back, and backends only move rows.  A backend decides *where*
-that call runs by implementing exactly one thing,
+is a ``(P,)`` float32 row both ways (in: :attr:`~repro.fl.server
+.DispatchPlan.flat`; out: the trainer's ``row``, which the model trains
+inside), so no leg converts a model and backends only move rows.  A
+backend decides *where* that call runs by implementing exactly one thing,
 :meth:`ExecutionBackend.submit_group`, which validates the whole cohort,
 starts every leg without blocking and returns a
 :class:`LegGroup`: one future per plan (``serial`` trains inline and
@@ -138,7 +138,7 @@ import numpy as np
 
 from repro.faults.policy import LegFailure
 from repro.fl.hooks import HookSpec, resolve_hook
-from repro.fl.trainer import LocalResult, LocalTrainer
+from repro.fl.trainer import LocalResult, LocalTrainer, TrainStats
 from repro.utils.cpu import (
     blas_share,
     blas_threads,
@@ -146,7 +146,6 @@ from repro.utils.cpu import (
     reserve_for_children,
     usable_cores,
 )
-from repro.utils.layout import StateLayout
 from repro.utils.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -421,8 +420,8 @@ def stream_legs(
 class ExecutionBackend:
     """Runs one round's local-training legs and packs the uploads.
 
-    The contract of a leg: train ``active[i]`` from ``plans[i]``, pack
-    the trained state into ``uploads`` row ``rows[i]`` and advance the
+    The contract of a leg: train ``active[i]`` from ``plans[i]``, land
+    the trained row in ``uploads`` row ``rows[i]`` and advance the
     client's RNG exactly as serial training would.  A backend implements
     :meth:`submit_group` (and :meth:`reserve` / :meth:`close` when it
     owns pools); the gathered, streaming and fault-capturing schedules
@@ -567,37 +566,8 @@ class UploadState(Mapping):
         return key in self._uploads.layout.keys
 
 
-def _check_roundtrip(layout, state, dtype) -> None:
-    """Refuse a state that a ``dtype`` buffer row would not carry exactly.
-
-    A model is a buffer-dtype row on its way to a leg (cut by the
-    server's ``global_row()``) and back (packed by :func:`run_leg`).  An
-    integer field outside the dtype's exact range, or a float field
-    *wider* than it whose values do not survive, would silently break
-    the bit-identical contract, so fail loudly instead (all-float32
-    states skip the float pass).
-    """
-    from repro.core.pool import _check_integer_roundtrip
-
-    buffer_dtype = np.dtype(dtype)
-    _check_integer_roundtrip(layout, state, buffer_dtype)
-    for spec in layout.fields:
-        value = np.asarray(state[spec.key])
-        if value.dtype.kind != "f" or value.dtype.itemsize <= buffer_dtype.itemsize:
-            continue
-        if value.size and not np.array_equal(
-            value.astype(buffer_dtype).astype(value.dtype), value
-        ):
-            raise ValueError(
-                f"float field {spec.key!r} ({value.dtype}) does not survive the "
-                f"{buffer_dtype} buffer row (dispatch row or upload row); use "
-                f"{buffer_dtype}-exact states or a wider pool dtype"
-            )
-
-
 def run_leg(
     trainer: LocalTrainer,
-    layout: StateLayout,
     flat: np.ndarray,
     dst: np.ndarray,
     dataset,
@@ -608,42 +578,38 @@ def run_leg(
     lr_override: float | None = None,
     hypers: dict | None = None,
     attack: "AttackSpec | None" = None,
-) -> tuple[int, int, float]:
+) -> TrainStats:
     """One leg: train ``flat`` on ``dataset``, land the upload in ``dst``.
 
-    The body every backend runs, wherever the leg happens.  ``flat``,
-    the dispatched ``(P,)`` row in ``dst``'s dtype, is unflattened once
-    (views: the trainer copies what it loads) and the hook specs resolve
-    against that state; ``hypers`` (the live trainer's settings) are
-    applied to a private template.  The trained state must survive
-    ``dst``'s dtype exactly — no backend narrows an upload silently —
-    and is packed into ``dst``, a ``(P,)`` row of the upload buffer or
-    of the transport that feeds it.  A Byzantine leg (``attack``) trains
-    honestly, then overwrites ``dst`` with the poisoned row — the upload
-    boundary, so every per-upload consumer sees the attack.  The
-    transform is a pure float64 function of ``flat`` and the trained
-    row, so the poisoned bytes are the same on every backend and retry.
+    The body every backend runs, wherever the leg happens.  ``flat`` is
+    the dispatched ``(P,)`` float32 row; the trainer trains its model
+    inside ``trainer.row`` and the trained row is copied into ``dst``,
+    a ``(P,)`` row of the upload buffer or of the transport that feeds
+    it.  Hook specs resolve against the dispatched state (views of
+    ``flat``); ``hypers`` (the live trainer's settings) are applied to a
+    private template.  A Byzantine leg (``attack``) trains honestly,
+    then overwrites ``dst`` with the poisoned row — the upload boundary,
+    so every per-upload consumer sees the attack.  The transform is a
+    pure float64 function of ``flat`` and the trained row, so the
+    poisoned bytes are the same on every backend and retry.
 
-    Returns ``(num_samples, num_steps, mean_loss)``; advances ``rng``.
+    Returns the leg's :class:`~repro.fl.trainer.TrainStats`; advances
+    ``rng``.
     """
     for field, value in (hypers or {}).items():
         setattr(trainer, field, value)
-    state = layout.unflatten(flat)
-    result = trainer.train(
-        state,
-        dataset,
-        rng,
-        loss_hook=resolve_hook(loss_hook, state),
-        grad_hook=resolve_hook(grad_hook, state),
-        lr_override=lr_override,
+    if loss_hook is not None or grad_hook is not None:
+        state = trainer.layout.unflatten(flat)
+        loss_hook, grad_hook = resolve_hook(loss_hook, state), resolve_hook(grad_hook, state)
+    stats = trainer.train(
+        flat, dataset, rng, loss_hook=loss_hook, grad_hook=grad_hook, lr_override=lr_override
     )
-    _check_roundtrip(layout, result.state, dst.dtype)
-    layout.flatten_into(result.state, dst)
+    dst[:] = trainer.row
     if attack is not None:
         from repro.robust.attacks import attacked_row
 
-        dst[:] = attacked_row(attack, layout, flat, dst)
-    return result.num_samples, result.num_steps, result.mean_loss
+        dst[:] = attacked_row(attack, trainer.layout, flat, dst)
+    return stats
 
 
 def _leg_in_place(trainer, client, plan, row, uploads, attack, hypers=None) -> LocalResult:
@@ -651,7 +617,7 @@ def _leg_in_place(trainer, client, plan, row, uploads, attack, hypers=None) -> L
     storage = uploads.storage
     dst = storage.open_row(row)
     scalars = run_leg(
-        trainer, uploads.layout, plan.flat, dst, client.dataset, client.rng,
+        trainer, plan.flat, dst, client.dataset, client.rng,
         loss_hook=plan.loss_hook, grad_hook=plan.grad_hook,
         lr_override=plan.lr_override, hypers=hypers, attack=attack,
     )
@@ -706,7 +672,6 @@ class ThreadExecution(ExecutionBackend):
         super().__init__(spec, clients, workers)
         self._num_workers = _default_workers(workers)
         self._pool: ThreadPoolExecutor | None = None
-        self._templates: list[LocalTrainer] = []
         self._free: list[LocalTrainer] = []
 
     def _ensure_pool(self) -> None:
@@ -729,9 +694,7 @@ class ThreadExecution(ExecutionBackend):
                 "thread execution backend needs a TrainerSpec to build "
                 "per-worker trainer templates"
             )
-        trainer = self.spec.build()
-        self._templates.append(trainer)
-        return trainer
+        return self.spec.build()
 
     def _leg(self, client, plan, row, uploads, attack, hypers) -> LocalResult:
         trainer = self._acquire_trainer()
@@ -769,7 +732,6 @@ class ThreadExecution(ExecutionBackend):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        self._templates.clear()
         self._free.clear()
 
 
@@ -826,19 +788,17 @@ class _SharedBlock:
         self._finalizer()
 
 
-# Worker-process state: trainer template, layout, client shards and
-# attached shared-memory segments — built once per worker, reused for
-# every (client, round) task.
+# Worker-process state: trainer template, client shards and attached
+# shared-memory segments — built once per worker, reused for every
+# (client, round) task.
 _WORKER: dict = {}
 
 
 def _worker_init(spec: TrainerSpec, datasets: dict, blas_cap: int) -> None:
     limit_blas_threads(blas_cap)
-    trainer = spec.build()
-    _WORKER["trainer"] = trainer
+    _WORKER["trainer"] = spec.build()
     _WORKER["datasets"] = datasets
     _WORKER["shm"] = {}
-    _WORKER["layout"] = StateLayout.from_state(trainer.model.state_dict())
 
 
 def _worker_attach(ref: tuple) -> np.ndarray:
@@ -884,7 +844,6 @@ def _process_leg(task: dict):
     rng.bit_generator.state = task["rng_state"]
     scalars = run_leg(
         _WORKER["trainer"],
-        _WORKER["layout"],
         dispatch[task["dispatch_row"]],
         upload[task["upload_row"]],
         _WORKER["datasets"][task["client_id"]],

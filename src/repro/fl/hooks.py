@@ -77,8 +77,9 @@ class HookSpec:
         Parameters
         ----------
         state:
-            The state dict dispatched to the client — available so specs
-            can anchor to it without carrying a second copy.
+            The model dispatched to the client, as views of its row —
+            available so specs can anchor to it without carrying a
+            second copy.
         """
         raise NotImplementedError
 

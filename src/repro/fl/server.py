@@ -52,12 +52,7 @@ from repro.data.federated import FederatedDataset
 from repro.fl.client import Client
 from repro.fl.comm import CommunicationLedger
 from repro.fl.config import FLConfig
-from repro.fl.execution import (
-    ExecutionBackend,
-    TrainerSpec,
-    _check_roundtrip,
-    resolve_execution,
-)
+from repro.fl.execution import ExecutionBackend, TrainerSpec, resolve_execution
 from repro.fl.hooks import HookSpec
 from repro.fl.metrics import RoundRecord, TrainingHistory, evaluate_model
 from repro.fl.trainer import LocalResult, LocalTrainer
@@ -69,6 +64,34 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fl.callbacks import ServerCallback
 
 __all__ = ["DispatchPlan", "FederatedServer"]
+
+
+def _check_roundtrip(layout, state, dtype) -> None:
+    """Refuse a state that a ``dtype`` row would not carry exactly.
+
+    A dispatched model is a buffer-dtype row (cut by
+    :meth:`FederatedServer.global_row`).  An integer field outside the
+    dtype's exact range, or a float field *wider* than it whose values
+    do not survive, would silently break the bit-identical contract, so
+    fail loudly instead (all-float32 states skip the float pass).  The
+    way back needs no check: a trainer trains float32 models only.
+    """
+    from repro.core.pool import _check_integer_roundtrip
+
+    buffer_dtype = np.dtype(dtype)
+    _check_integer_roundtrip(layout, state, buffer_dtype)
+    for spec in layout.fields:
+        value = np.asarray(state[spec.key])
+        if value.dtype.kind != "f" or value.dtype.itemsize <= buffer_dtype.itemsize:
+            continue
+        if value.size and not np.array_equal(
+            value.astype(buffer_dtype).astype(value.dtype), value
+        ):
+            raise ValueError(
+                f"float field {spec.key!r} ({value.dtype}) does not survive the "
+                f"{buffer_dtype} dispatch row; use "
+                f"{buffer_dtype}-exact states or a wider pool dtype"
+            )
 
 
 @dataclass
@@ -226,7 +249,10 @@ class FederatedServer:
             workers=config.workers,
         )
         weakref.finalize(self, self.executor.close)
-        self._layout = StateLayout.from_state(model.state_dict())
+        # The FedAvg family's deployable global model, replaced by each
+        # round's aggregate; FedCross deploys its pool instead.
+        self._global = model.state_dict()
+        self._layout = StateLayout.from_state(self._global)
         self._uploads: "PoolBuffer | None" = None
         self._upload_rows: list[int] = []
         self._pack_cache: dict = {}
@@ -328,7 +354,7 @@ class FederatedServer:
 
     def global_state(self) -> dict:
         """State dict of the deployable global model."""
-        raise NotImplementedError
+        return self._global
 
     def global_row(self) -> np.ndarray:
         """The global model as one float32 upload row for a round's plans:

@@ -1,19 +1,28 @@
 """Client-side local training.
 
-``LocalTrainer`` owns a single reusable model instance: for each
-(client, round) it loads the dispatched state dict, runs E epochs of
-minibatch SGD, and returns the trained state dict — the "local
-updating" step of the standard FL iteration. Method-specific behaviour
-(FedProx's proximal term, SCAFFOLD's control-variate correction,
-FedGen's distillation term) is injected through two hooks rather than
+``LocalTrainer`` owns a single reusable model instance and one float32
+``row`` holding that model's parameters and buffers in
+:class:`~repro.utils.layout.StateLayout` order.  A training leg is row
+in, row out: :meth:`LocalTrainer.train` copies the dispatched ``(P,)``
+row into ``trainer.row``, binds every parameter and buffer of the model
+as its view of that row, runs E epochs of minibatch SGD in place, and
+leaves the trained model in ``trainer.row`` — the "local updating" step
+of the standard FL iteration.  Method-specific behaviour (FedProx's
+proximal term, SCAFFOLD's control-variate correction, FedGen's
+distillation term) is injected through two hooks rather than
 subclassing, so every method shares the exact same training loop.
+
+The binding is redone on every ``train`` call: the server's evaluation
+and FedGen's teacher pass load states into the shared serial model with
+:meth:`~repro.nn.module.Module.load_state_dict`, which rebinds it to
+private copies between legs.
 
 The serial execution backend drives one trainer per simulation; the
 parallel backends (:mod:`repro.fl.execution`) build one private
 trainer per worker from a picklable
 :class:`~repro.fl.execution.TrainerSpec` and hand each ``train`` call
 the client's own RNG stream, which is why a training leg must depend
-only on its ``(state, dataset, rng, hooks)`` arguments — never on
+only on its ``(flat, dataset, rng, hooks)`` arguments — never on
 residue the template carries from a previous leg (see ``SGD.step``'s
 dtype-stability note for the one case where that used to happen).
 """
@@ -21,17 +30,18 @@ dtype-stability note for the one case where that used to happen).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from repro.data.dataset import ArrayDataset, DataLoader
-from repro.nn.module import Module
+from repro.nn.module import Module, Parameter
 from repro.optim.sgd import SGD
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
+from repro.utils.layout import StateLayout
 
-__all__ = ["LocalTrainer", "LocalResult"]
+__all__ = ["LocalTrainer", "LocalResult", "TrainStats"]
 
 # loss_hook(model, logits, targets) -> extra loss Tensor or None
 LossHook = Callable[[Module, Tensor, np.ndarray], "Tensor | None"]
@@ -39,11 +49,23 @@ LossHook = Callable[[Module, Tensor, np.ndarray], "Tensor | None"]
 GradHook = Callable[[dict], None]
 
 
+class TrainStats(NamedTuple):
+    """Scalars of one training leg; the trained model is ``trainer.row``."""
+
+    num_samples: int
+    num_steps: int
+    mean_loss: float
+
+
 @dataclass
 class LocalResult:
-    """Outcome of one local-training call."""
+    """Outcome of one landed leg.
 
-    state: dict
+    ``state`` is an :class:`~repro.fl.execution.UploadState`: a
+    read-only mapping view of the upload-buffer row the leg landed in.
+    """
+
+    state: Mapping[str, np.ndarray]
     num_samples: int
     num_steps: int
     mean_loss: float
@@ -55,8 +77,11 @@ class LocalTrainer:
     Parameters
     ----------
     model:
-        The shared model instance; its weights are overwritten on every
-        ``train`` call, so callers must treat it as scratch space.
+        The shared model instance; it is rebound into ``trainer.row`` on
+        every ``train`` call, so callers must treat it as scratch space.
+        Every parameter and buffer must be float32 and registered under
+        one name (no tied weights), or construction raises naming the
+        field.
     local_epochs / batch_size / lr / momentum / weight_decay:
         SGD settings (paper defaults: 5 / 50 / 0.01 / 0.5 / 0).
     """
@@ -76,24 +101,62 @@ class LocalTrainer:
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
+        arrays: dict[str, np.ndarray] = {}
+        owners: dict[str, tuple[Module, str, Parameter | np.ndarray]] = {}
+        seen: dict[int, str] = {}
+        for prefix, module in model.named_modules():
+            for name, value in (*module._parameters.items(), *module._buffers.items()):
+                key = f"{prefix}.{name}" if prefix else name
+                array = value.data if isinstance(value, Parameter) else value
+                if array.dtype != np.float32:
+                    raise ValueError(
+                        f"field {key!r} is {array.dtype}: a trainer trains its "
+                        "model inside one float32 row"
+                    )
+                if id(value) in seen:
+                    raise ValueError(
+                        f"field {key!r} is also registered as {seen[id(value)]!r}: "
+                        "only one of its two row slots would train"
+                    )
+                seen[id(value)] = key
+                arrays[key] = array
+                owners[key] = (module, name, value)
+        self.layout = StateLayout.from_state(arrays)
+        # Holds the model as built until the first leg binds it here.
+        self.row = np.empty(self.layout.total_size, dtype=np.float32)
+        self._params: list[tuple[Parameter, np.ndarray]] = []
+        self._buffers: list[tuple[Module, str, np.ndarray]] = []
+        for spec in self.layout.fields:
+            view = self.row[spec.offset : spec.stop].reshape(spec.shape)
+            view[...] = arrays[spec.key]
+            module, name, value = owners[spec.key]
+            if isinstance(value, Parameter):
+                self._params.append((value, view))
+            else:
+                self._buffers.append((module, name, view))
 
     def train(
         self,
-        state: Mapping[str, np.ndarray],
+        flat: np.ndarray,
         dataset: ArrayDataset,
         rng: np.random.Generator,
+        *,
         loss_hook: LossHook | None = None,
         grad_hook: GradHook | None = None,
         lr_override: float | None = None,
-    ) -> LocalResult:
-        """Train from ``state`` on ``dataset`` and return the new state.
+    ) -> TrainStats:
+        """Train from the ``(P,)`` row ``flat`` on ``dataset``, in ``self.row``.
 
         The optimiser (and its momentum buffers) is created fresh per
         call: clients are stateless between rounds, as in the paper's
         cross-device setting.
         """
         model = self.model
-        model.load_state_dict(dict(state))
+        self.row[:] = flat
+        for param, view in self._params:
+            param.data = view
+        for module, name, view in self._buffers:
+            module._set_buffer(name, view)
         model.train()
         optimizer = SGD(
             model.parameters(),
@@ -123,9 +186,4 @@ class LocalTrainer:
                 total_loss += float(loss.item())
                 steps += 1
 
-        return LocalResult(
-            state=model.state_dict(),
-            num_samples=len(dataset),
-            num_steps=steps,
-            mean_loss=total_loss / max(steps, 1),
-        )
+        return TrainStats(len(dataset), steps, total_loss / max(steps, 1))

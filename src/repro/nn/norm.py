@@ -39,8 +39,9 @@ class BatchNorm2d(Module):
             m = self.momentum
             batch_mean = mean.data.reshape(-1)
             batch_var = var.data.reshape(-1)
-            self._set_buffer("running_mean", (1 - m) * self.running_mean + m * batch_mean)
-            self._set_buffer("running_var", (1 - m) * self.running_var + m * batch_var)
+            # In place: a trainer's buffers are views of its row.
+            self.running_mean[...] = (1 - m) * self.running_mean + m * batch_mean
+            self.running_var[...] = (1 - m) * self.running_var + m * batch_var
         else:
             mean = Tensor(self.running_mean.reshape(1, -1, 1, 1))
             var = Tensor(self.running_var.reshape(1, -1, 1, 1))

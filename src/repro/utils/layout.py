@@ -87,35 +87,18 @@ class StateLayout:
     @classmethod
     def from_state(cls, state: Mapping[str, np.ndarray]) -> "StateLayout":
         """Layout for ``state``, cached by structural signature."""
-        return cls.from_signature(cls._signature(state))
-
-    @classmethod
-    def from_signature(cls, signature) -> "StateLayout":
-        """Layout for a structural signature (``(key, shape, dtype)``
-        triples in sorted-key order), cached like :meth:`from_state`.
-
-        Signatures are small picklable tuples, so a layout can be
-        rebuilt on the far side of a process boundary without shipping
-        a template state dict — the execution engine's shared-payload
-        transport relies on this.
-        """
-        sig = tuple((key, tuple(shape), str(dtype)) for key, shape, dtype in signature)
+        sig = cls._signature(state)
         layout = _LAYOUT_CACHE.get(sig)
         if layout is None:
             fields = []
             offset = 0
             for key, shape, dtype_str in sig:
-                spec = FieldSpec(key, offset, tuple(shape), np.dtype(dtype_str))
+                spec = FieldSpec(key, offset, shape, np.dtype(dtype_str))
                 fields.append(spec)
                 offset = spec.stop
             layout = cls(fields)
             _LAYOUT_CACHE[sig] = layout
         return layout
-
-    @property
-    def signature(self) -> tuple:
-        """The structural signature this layout was interned under."""
-        return tuple((f.key, f.shape, f.dtype.str) for f in self.fields)
 
     # -- flat <-> dict -----------------------------------------------------
     def flatten_into(self, state: Mapping[str, np.ndarray], out: np.ndarray) -> np.ndarray:

@@ -25,9 +25,8 @@ def trained_setup(rng):
     from repro.fl.trainer import LocalTrainer
 
     trainer = LocalTrainer(model, local_epochs=20, batch_size=30, lr=0.5, momentum=0.9)
-    result = trainer.train(model.state_dict(), ds, np.random.default_rng(0))
-    model.load_state_dict(result.state)
-    return model, result.state, ds
+    trainer.train(trainer.row.copy(), ds, np.random.default_rng(0))
+    return model, model.state_dict(), ds
 
 
 class TestDirections:

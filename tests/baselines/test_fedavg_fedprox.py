@@ -1,11 +1,19 @@
 """FedAvg and FedProx: aggregation math and proximal behaviour."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FLSimulation, run_simulation
 from repro.utils.params import flatten_state_dict, weighted_average
+
+# The dict-path leg (load_state_dict / SGD / state_dict), the oracle the
+# row-bound trainer is held to.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "fl"))
+from _dict_leg import dict_leg  # noqa: E402
 
 
 @pytest.fixture
@@ -29,9 +37,9 @@ class TestFedAvg:
         uploads = []
         for client, state in zip(active, rng_states):
             client.rng.bit_generator.state = state
-            uploads.append(client.train(sim.trainer, global_before))
+            uploads.append(dict_leg(sim.trainer, global_before, client.dataset, client.rng))
         expected = weighted_average(
-            [u.state for u in uploads], [u.num_samples for u in uploads]
+            [state for state, _ in uploads], [stats.num_samples for _, stats in uploads]
         )
         for k in expected:
             np.testing.assert_allclose(after[k], expected[k], rtol=1e-5, atol=1e-6)

@@ -1,9 +1,16 @@
 """FedCross server: Algorithm 1 mechanics end to end."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from repro.fl.simulation import FLSimulation, run_simulation
+
+# The dict-path leg (load_state_dict / SGD / state_dict).
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "fl"))
+from _dict_leg import dict_leg  # noqa: E402
 
 
 @pytest.fixture
@@ -158,7 +165,10 @@ class TestSimilarityTrend:
         server = sim.server
         active = server.select_cohort()
         # reproduce the uploads manually, then compare dispersions
-        uploads = [c.train(sim.trainer, server.middleware[i]).state for i, c in enumerate(active)]
+        uploads = [
+            dict_leg(sim.trainer, server.middleware[i], c.dataset, c.rng)[0]
+            for i, c in enumerate(active)
+        ]
         import copy
 
         server2 = FLSimulation(cfg).server

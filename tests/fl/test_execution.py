@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import repro
+from _dict_leg import dict_plan_leg
 from repro.core.pool import PoolBuffer
 from repro.fl.config import FLConfig
 from repro.fl.execution import (
@@ -19,10 +20,9 @@ from repro.fl.execution import (
     register_execution,
     resolve_execution,
 )
-from repro.fl.hooks import ControlVariateSpec, HookSpec, ProximalSpec, resolve_hook
+from repro.fl.hooks import ControlVariateSpec, HookSpec, ProximalSpec
 from repro.fl.server import DispatchPlan
 from repro.fl.simulation import FLSimulation
-from repro.fl.trainer import LocalTrainer
 from repro.utils import cpu
 from repro.utils.layout import StateLayout
 
@@ -71,7 +71,9 @@ class TestRegistry:
         """The extension contract: a third-party backend implementing
         nothing but ``submit_group`` serves the gathered, streaming and
         fault-capturing drivers and the async scheduler (S=1) — each
-        bit-identical to the built-in serial backend."""
+        bit-identical to the built-in serial backend.  Its legs take the
+        dict path (:func:`_dict_leg.dict_plan_leg`), so a backend written
+        against the dict API is held to the row-bound trainer."""
         from concurrent.futures import Future
 
         from repro.fl.execution import EXECUTION_BACKENDS, LegGroup
@@ -84,7 +86,7 @@ class TestRegistry:
                 calls.append(len(plans))
                 futures = []
                 for client, plan, row in zip(active, plans, rows):
-                    result = client.train(trainer, uploads.layout.unflatten(plan.flat))
+                    result = dict_plan_leg(trainer, client, plan, uploads.layout)
                     uploads.set_state(row, result.state)
                     futures.append(Future())
                     futures[-1].set_result(result)
@@ -491,47 +493,6 @@ class TestParallelMechanics:
         assert len(buf1) == 2
 
 
-class TestUploadBoundary:
-    """``run_leg``'s guards hold wherever the leg runs."""
-
-    @pytest.mark.parametrize(
-        "execution", ["serial", "thread", "process", "distributed"]
-    )
-    def test_float64_upload_into_a_float32_buffer_is_refused(
-        self, tiny_config, execution
-    ):
-        from repro.distributed import DistributedError
-        from repro.distributed.cluster import shutdown_clusters
-
-        sim = FLSimulation(tiny_config)
-        name, param = list(sim.model.named_parameters())[-1]
-        param.data = param.data.astype(np.float64)  # float32-exact until trained
-        trainer = LocalTrainer(sim.model, local_epochs=1, batch_size=16)
-        layout = StateLayout.from_state(sim.model.state_dict())
-        uploads = PoolBuffer.zeros(
-            layout, 1, dtype=np.float32,
-            backend="distributed" if execution == "distributed" else "dense",
-        )
-        flat = layout.flatten(sim.model.state_dict(), dtype=np.float32)
-        backend = resolve_execution(execution)(
-            spec=TrainerSpec.from_trainer(trainer), clients=sim.clients, workers=1
-        )
-        try:
-            # The shard host reports its ValueError through the RPC reply.
-            with pytest.raises(
-                (ValueError, DistributedError),
-                match=rf"float field '{name}' \(float64\) does not survive the float32",
-            ):
-                backend.run(
-                    trainer, sim.clients[:1], [DispatchPlan(flat)], [0], uploads
-                )
-            assert not uploads.storage.row_block(0, 1).any()  # nothing landed
-        finally:
-            backend.close()
-            if execution == "distributed":
-                shutdown_clusters()
-
-
 class TestDispatchRow:
     """A dispatched model is one pool-dtype row from dispatch to leg."""
 
@@ -541,10 +502,10 @@ class TestDispatchRow:
     def test_fedcross_round_never_flattens_a_dispatched_model(
         self, tiny_config, monkeypatch, execution
     ):
-        """Between ``dispatch`` and the last land the coordinator packs
-        no dispatched model into a row: the only ``flatten_into`` calls
-        (``flatten`` packs through it) are in-process upload landings.
-        On dense storage the plans *are* the pool's rows."""
+        """Between ``dispatch`` and the last land no model is packed
+        into a row (``flatten`` packs through ``flatten_into``): a leg
+        trains inside its trainer's row and lands it with one copy.  On
+        dense storage the plans *are* the pool's rows."""
         from repro.distributed.cluster import shutdown_clusters
 
         fleet = dict(backend="distributed", hosts=2) if execution == "distributed" else {}
@@ -553,7 +514,6 @@ class TestDispatchRow:
         )
         server = FLSimulation(config).server
         active = server.select_cohort()
-        uploads = server._round_uploads(len(active))
         outs, original = [], StateLayout.flatten_into
 
         def counting(self, state, out):
@@ -565,9 +525,7 @@ class TestDispatchRow:
             plans = server.dispatch(active)
             server.collect(active, plans)
             monkeypatch.undo()
-            in_process = execution in ("serial", "thread")
-            assert len(outs) == (len(active) if in_process else 0)
-            assert all(np.shares_memory(out, uploads.matrix) for out in outs)
+            assert outs == []
             if execution != "distributed":
                 assert all(np.shares_memory(p.flat, server.pool.matrix) for p in plans)
         finally:
@@ -607,8 +565,8 @@ class TestUploadState:
         assert not any(buffer is sim.server.uploads for buffer in unpacked)
 
     def test_scaffold_reads_the_trained_values(self, tiny_config, unpacked):
-        """On serial and process alike ``result.state[k]`` is what
-        ``Client.train`` returns, read out of the upload row."""
+        """On serial and process alike ``result.state[k]`` is what the
+        dict-path oracle trains, read out of the upload row."""
         config = tiny_config.with_method("scaffold")
 
         def cohort(**overrides):
@@ -617,15 +575,9 @@ class TestUploadState:
             return server, active, server.dispatch(active)
 
         server, active, plans = cohort()
-        states = [server._layout.unflatten(plan.flat) for plan in plans]
         trained = [
-            client.train(
-                server.trainer,
-                state,
-                loss_hook=resolve_hook(plan.loss_hook, state),
-                grad_hook=resolve_hook(plan.grad_hook, state),
-            ).state
-            for client, plan, state in zip(active, plans, states)
+            dict_plan_leg(server.trainer, client, plan, server._layout).state
+            for client, plan in zip(active, plans)
         ]
         for overrides in ({}, {"execution": "process", "workers": 2}):
             server, active, plans = cohort(**overrides)

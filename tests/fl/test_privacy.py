@@ -98,7 +98,7 @@ class TestEndToEnd:
         trainer = LocalTrainer(model, local_epochs=5, batch_size=16, lr=0.1, momentum=0.5)
         hook = make_dp_grad_hook(DPConfig(clip_norm=5.0, noise_multiplier=0.01, seed=0))
         result = trainer.train(
-            model.state_dict(), tiny_linear_dataset, np.random.default_rng(0),
+            trainer.row.copy(), tiny_linear_dataset, np.random.default_rng(0),
             grad_hook=hook,
         )
         assert result.mean_loss < np.log(3)
@@ -109,12 +109,10 @@ class TestEndToEnd:
 
         model = build_model("mlp", seed=0, input_dim=6, num_classes=3, hidden_sizes=(16,))
         trainer = LocalTrainer(model, local_epochs=5, batch_size=16, lr=0.1, momentum=0.5)
-        clean = trainer.train(
-            model.state_dict(), tiny_linear_dataset, np.random.default_rng(0)
-        )
+        init = trainer.row.copy()
+        clean = trainer.train(init, tiny_linear_dataset, np.random.default_rng(0))
         noisy_hook = make_dp_grad_hook(DPConfig(clip_norm=1.0, noise_multiplier=5.0, seed=0))
         noisy = trainer.train(
-            model.state_dict(), tiny_linear_dataset, np.random.default_rng(0),
-            grad_hook=noisy_hook,
+            init, tiny_linear_dataset, np.random.default_rng(0), grad_hook=noisy_hook
         )
         assert noisy.mean_loss > clean.mean_loss

@@ -118,5 +118,6 @@ class TestServerBase:
         )
         with pytest.raises(NotImplementedError):
             base.run_round([])
-        with pytest.raises(NotImplementedError):
-            base.global_state()
+        # The FedAvg family's global model lives in the base class.
+        for key, value in sim.model.state_dict().items():
+            np.testing.assert_array_equal(base.global_state()[key], value)

@@ -10,7 +10,7 @@ ships; ISSUE 20) — same histories, same final state, same pool
 matrices, same RNG advancement.  All seven registered methods are checked on the serial
 backend; the parallel backends are checked on the methods that
 exercise their hardest paths (FedCross's incremental Gram, SCAFFOLD's
-and FedGen's shared-payload specs).
+and FedGen's hook specs).
 """
 
 import numpy as np

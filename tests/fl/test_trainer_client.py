@@ -3,49 +3,56 @@
 import numpy as np
 import pytest
 
-from repro.data.dataset import ArrayDataset
+from _dict_leg import dict_leg
 from repro.fl.client import Client
 from repro.fl.trainer import LocalTrainer
 from repro.models import build_model
-from repro.tensor.tensor import Tensor
 
 
 @pytest.fixture
 def setup(tiny_linear_dataset):
     model = build_model("mlp", seed=0, input_dim=6, num_classes=3, hidden_sizes=(16,))
     trainer = LocalTrainer(model, local_epochs=3, batch_size=16, lr=0.1, momentum=0.5)
-    return model, trainer, tiny_linear_dataset
+    return trainer, trainer.row.copy(), tiny_linear_dataset
 
 
 class TestLocalTrainer:
     def test_training_reduces_loss(self, setup, rng):
-        model, trainer, ds = setup
-        state0 = model.state_dict()
-        result = trainer.train(state0, ds, rng)
-        assert result.mean_loss < np.log(3)  # better than uniform guessing
-        assert result.num_samples == len(ds)
-        assert result.num_steps == 3 * int(np.ceil(len(ds) / 16))
+        trainer, flat0, ds = setup
+        stats = trainer.train(flat0, ds, rng)
+        assert stats.mean_loss < np.log(3)  # better than uniform guessing
+        assert stats.num_samples == len(ds)
+        assert stats.num_steps == 3 * int(np.ceil(len(ds) / 16))
 
     def test_returns_new_state_without_mutating_input(self, setup, rng):
-        model, trainer, ds = setup
-        state0 = model.state_dict()
-        frozen = {k: v.copy() for k, v in state0.items()}
-        trainer.train(state0, ds, rng)
-        for k in state0:
-            np.testing.assert_array_equal(state0[k], frozen[k])
+        trainer, flat0, ds = setup
+        frozen = flat0.copy()
+        trainer.train(flat0, ds, rng)
+        np.testing.assert_array_equal(flat0, frozen)
+        assert not np.array_equal(trainer.row, frozen)
+        assert not np.shares_memory(trainer.row, flat0)
 
     def test_training_is_deterministic_given_rng(self, setup):
-        model, trainer, ds = setup
-        state0 = model.state_dict()
-        r1 = trainer.train(state0, ds, np.random.default_rng(3))
-        r2 = trainer.train(state0, ds, np.random.default_rng(3))
-        for k in r1.state:
-            np.testing.assert_array_equal(r1.state[k], r2.state[k])
+        trainer, flat0, ds = setup
+        trainer.train(flat0, ds, np.random.default_rng(3))
+        first = trainer.row.copy()
+        trainer.train(flat0, ds, np.random.default_rng(3))
+        np.testing.assert_array_equal(trainer.row, first)
+
+    def test_equals_the_dict_path_oracle(self, setup):
+        """Row in, row out is the load / train / state_dict leg, bit for bit."""
+        trainer, flat0, ds = setup
+        stats = trainer.train(flat0, ds, np.random.default_rng(4))
+        trained, oracle = dict_leg(
+            trainer, trainer.layout.unflatten(flat0), ds, np.random.default_rng(4)
+        )
+        assert stats == oracle
+        np.testing.assert_array_equal(trainer.row, trainer.layout.flatten(trained, np.float32))
 
     def test_loss_hook_affects_update(self, setup, rng):
-        model, trainer, ds = setup
-        state0 = model.state_dict()
-        plain = trainer.train(state0, ds, np.random.default_rng(0))
+        trainer, flat0, ds = setup
+        trainer.train(flat0, ds, np.random.default_rng(0))
+        plain = trainer.row.copy()
 
         def hook(m, logits, y):
             # heavy L2 pull toward zero changes the trajectory
@@ -55,34 +62,47 @@ class TestLocalTrainer:
                 penalty = term if penalty is None else penalty + term
             return penalty * 10.0
 
-        hooked = trainer.train(state0, ds, np.random.default_rng(0), loss_hook=hook)
-        diffs = [
-            np.abs(plain.state[k] - hooked.state[k]).max() for k in plain.state
-        ]
-        assert max(diffs) > 1e-4
+        trainer.train(flat0, ds, np.random.default_rng(0), loss_hook=hook)
+        assert np.abs(plain - trainer.row).max() > 1e-4
 
     def test_grad_hook_applied(self, setup, rng):
-        model, trainer, ds = setup
-        state0 = model.state_dict()
+        trainer, flat0, ds = setup
 
         def zero_grads(named):
             for p in named.values():
                 if p.grad is not None:
                     p.grad = np.zeros_like(p.grad)
 
-        result = trainer.train(state0, ds, rng, grad_hook=zero_grads)
+        trainer.train(flat0, ds, rng, grad_hook=zero_grads)
         # all gradients zeroed -> no movement at all
-        for k in state0:
-            np.testing.assert_allclose(result.state[k], state0[k], atol=1e-7)
+        np.testing.assert_allclose(trainer.row, flat0, atol=1e-7)
 
     def test_lr_override(self, setup):
-        model, trainer, ds = setup
-        state0 = model.state_dict()
-        moved = trainer.train(state0, ds, np.random.default_rng(0))
-        frozen = trainer.train(state0, ds, np.random.default_rng(0), lr_override=1e-12)
-        move_dist = sum(np.abs(moved.state[k] - state0[k]).sum() for k in state0)
-        frozen_dist = sum(np.abs(frozen.state[k] - state0[k]).sum() for k in state0)
+        trainer, flat0, ds = setup
+        trainer.train(flat0, ds, np.random.default_rng(0))
+        move_dist = np.abs(trainer.row - flat0).sum()
+        trainer.train(flat0, ds, np.random.default_rng(0), lr_override=1e-12)
+        frozen_dist = np.abs(trainer.row - flat0).sum()
         assert frozen_dist < move_dist * 1e-3
+
+
+class TestConstruction:
+    """What a float32 row cannot train is refused when the trainer is
+    built, naming the field — never per leg."""
+
+    def test_float64_field_is_refused(self):
+        model = build_model("mlp", seed=0, input_dim=6, num_classes=3, hidden_sizes=(16,))
+        name, param = list(model.named_parameters())[-1]
+        param.data = param.data.astype(np.float64)
+        with pytest.raises(ValueError, match=rf"field '{name}' is float64"):
+            LocalTrainer(model)
+
+    def test_tied_parameter_is_refused(self):
+        model = build_model("mlp", seed=0, input_dim=6, num_classes=3, hidden_sizes=(16,))
+        name, param = list(model.named_parameters())[0]
+        model.tied = param  # one Parameter under two names
+        with pytest.raises(ValueError, match=rf"field '{name}' is also registered as 'tied'"):
+            LocalTrainer(model)
 
 
 class TestClient:
@@ -96,12 +116,6 @@ class TestClient:
         client = Client(0, tiny_linear_dataset, rng)
         counts = client.class_counts(3)
         assert counts.sum() == len(tiny_linear_dataset)
-
-    def test_client_train_delegates(self, setup, rng):
-        model, trainer, ds = setup
-        client = Client(0, ds, np.random.default_rng(1))
-        result = client.train(trainer, model.state_dict())
-        assert result.num_samples == len(ds)
 
     def test_repr(self, tiny_linear_dataset, rng):
         assert "Client(id=2" in repr(Client(2, tiny_linear_dataset, rng))

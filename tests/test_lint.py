@@ -65,8 +65,9 @@ def test_cold_start_src_calls_nothing_that_imports_numpy_ma():
     assert hits == []
 
 
-def _flatten_sites(path: Path) -> list[str]:
-    """Qualified names of the functions calling ``.flatten`` / ``.flatten_into``."""
+def _call_sites(path: Path, names) -> list[str]:
+    """Qualified names of the functions calling any of ``names`` (as a
+    function or a method)."""
     sites = []
 
     def visit(node, scope):
@@ -74,31 +75,36 @@ def _flatten_sites(path: Path) -> list[str]:
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = scope + [child.name]
-            elif (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr in ("flatten", "flatten_into")
-            ):
-                sites.append(".".join(scope))
+            elif isinstance(child, ast.Call):
+                func = child.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called in names:
+                    sites.append(".".join(scope))
             visit(child, inner)
 
     visit(ast.parse(path.read_text()), [])
     return sites
 
 
+_CONVERSIONS = ("flatten", "flatten_into", "state_dict", "load_state_dict", "_check_roundtrip")
+
+
 def test_execution_backends_convert_no_dispatched_model():
-    """A dispatched model reaches a leg as the plan's row: the execution
-    modules pack a state into a row only where a leg lands its upload
-    (``run_leg``)."""
+    """A leg is row in, row out: the trainer trains its model inside its
+    own float32 row and ``run_leg`` lands it with one copy.  Neither the
+    execution modules, nor the shard host, nor ``LocalTrainer.train``
+    packs, loads or re-checks a model."""
     src = REPO_ROOT / "src" / "repro"
     sites = {
-        rel: _flatten_sites(src / rel)
-        for rel in ("fl/execution.py", "distributed/execution.py")
+        rel: _call_sites(src / rel, _CONVERSIONS)
+        for rel in ("fl/execution.py", "distributed/execution.py", "distributed/host.py")
     }
     assert sites == {
-        "fl/execution.py": ["run_leg"],
+        "fl/execution.py": [],
         "distributed/execution.py": [],
+        "distributed/host.py": [],
     }
+    assert "LocalTrainer.train" not in _call_sites(src / "fl/trainer.py", _CONVERSIONS)
 
 
 def _src_files():
