@@ -20,7 +20,7 @@ import functools
 import numpy as np
 
 from repro.tensor.autograd import is_grad_enabled
-from repro.tensor.tensor import Tensor, as_tensor
+from repro.tensor.tensor import Tensor, _unbroadcast, as_tensor
 
 __all__ = [
     "linear",
@@ -45,11 +45,48 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     ``weight`` has shape ``(out_features, in_features)`` so that model
     state-dicts match the layout the paper's PyTorch code would produce.
+
+    One graph node for 2-D and batched ``x``.  It issues the NumPy calls
+    of the ``matmul(x, weight.T) + bias`` graph it replaces, on operands
+    in the same memory order: forward ``x @ weight.T`` then ``+ bias``;
+    backward the bias gradient summed as the add node summed it, then
+    ``g @ weight`` and ``(x.T @ g).T`` (batched inputs summed over their
+    leading axes first, as ``_unbroadcast`` does).  The weight's share
+    is the node's ``late`` closure, delivered where the unfused graph's
+    transpose node delivered it, so a weight several nodes share sums
+    its gradients in the same order.  Every value and every gradient is
+    the unfused graph's, bit for bit.  A 1-D ``x`` takes the unfused
+    graph.
     """
-    out = x.matmul(weight.transpose())
-    if bias is not None:
-        out = out + bias
-    return out
+    x, weight = as_tensor(x), as_tensor(weight)
+    bias = None if bias is None else as_tensor(bias)
+    if x.ndim < 2 or weight.ndim != 2:
+        out = x.matmul(weight.transpose())
+        return out if bias is None else out + bias
+    # The arrays as they are now: a caller may rebind ``weight.data``
+    # before backward runs (FedGen's teacher pass loads each client's
+    # state into one model between forwards), and the unfused graph's
+    # transpose node kept the array it was built from.
+    x_data, w_data = x.data, weight.data
+    product = x_data @ w_data.T
+    out = product if bias is None else product + bias.data
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(g) -> None:
+        if bias is not None:
+            bias._accumulate(g)
+        if x.requires_grad:
+            # The product's own gradient is ``g`` in the product's dtype
+            # (the add node's ``_accumulate`` cast it there).
+            x._accumulate(g.astype(product.dtype, copy=False) @ w_data, fresh=True)
+
+    def backward_weight(g) -> None:
+        if weight.requires_grad:
+            g = g.astype(product.dtype, copy=False)
+            grad_t = _unbroadcast(np.swapaxes(x_data, -1, -2) @ g, w_data.T.shape)
+            weight._accumulate(grad_t.T, fresh=True)
+
+    return Tensor._make(out, parents, backward, "linear", late=backward_weight)
 
 
 # ----------------------------------------------------------------------
@@ -338,13 +375,25 @@ def global_avg_pool2d(x: Tensor) -> Tensor:
 # ----------------------------------------------------------------------
 # Softmax family
 # ----------------------------------------------------------------------
+def _tracks(x: Tensor) -> bool:
+    """Whether an op on ``x`` builds a graph node (its backward can run)."""
+    return is_grad_enabled() and x.requires_grad
+
+
+def _log_softmax_values(x, axis: int):
+    """Numerically-stable log-softmax of the array ``x`` along ``axis``."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    return shifted - log_z
+
+
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically-stable log-softmax with a fused backward pass."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - log_z
-    softmax_vals = np.exp(out)
+    out = _log_softmax_values(x.data, axis)
+    if not _tracks(x):
+        return Tensor(out)
+    softmax_vals = np.exp(out)  # backward-only work
 
     def backward(g) -> None:
         g = np.asarray(g)
@@ -359,6 +408,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
+    if not _tracks(x):
+        return Tensor(out)
 
     def backward(g) -> None:
         g = np.asarray(g)
@@ -376,41 +427,67 @@ def one_hot(labels: np.ndarray, num_classes: int, dtype=np.float32) -> np.ndarra
     return out.reshape(labels.shape + (num_classes,))
 
 
+def _nll_terms(log_probs, targets, reduction: str):
+    """``(value, rows, targets, scale)`` of the NLL of ``log_probs`` (an array)."""
+    targets = np.asarray(
+        targets.data if isinstance(targets, Tensor) else targets, dtype=np.int64
+    )
+    n = log_probs.shape[0]
+    rows = np.arange(n)
+    picked = log_probs[rows, targets]
+    if reduction == "mean":
+        value, scale = -picked.mean(), 1.0 / n
+    elif reduction == "sum":
+        value, scale = -picked.sum(), 1.0
+    else:
+        raise ValueError(f"unknown reduction {reduction!r}")
+    return np.asarray(value, dtype=log_probs.dtype), rows, targets, scale
+
+
+def _nll_grad(g, like, rows, targets, scale):
+    """The NLL node's gradient with respect to its log-probabilities."""
+    grad = np.zeros_like(like)
+    grad[rows, targets] = -float(np.asarray(g)) * scale
+    return grad
+
+
 def nll_loss(log_probs: Tensor, targets, reduction: str = "mean") -> Tensor:
     """Negative log likelihood given ``log_softmax`` outputs.
 
     ``targets`` is an integer array (or integer Tensor) of shape ``(N,)``.
     """
     log_probs = as_tensor(log_probs)
-    targets = np.asarray(
-        targets.data if isinstance(targets, Tensor) else targets, dtype=np.int64
-    )
-    n = log_probs.shape[0]
-    rows = np.arange(n)
-    picked = log_probs.data[rows, targets]
-    if reduction == "mean":
-        value = -picked.mean()
-        scale = 1.0 / n
-    elif reduction == "sum":
-        value = -picked.sum()
-        scale = 1.0
-    else:
-        raise ValueError(f"unknown reduction {reduction!r}")
+    value, rows, targets, scale = _nll_terms(log_probs.data, targets, reduction)
 
     def backward(g) -> None:
-        g = float(np.asarray(g))
-        grad = np.zeros_like(log_probs.data)
-        grad[rows, targets] = -g * scale
-        log_probs._accumulate(grad, fresh=True)
+        log_probs._accumulate(
+            _nll_grad(g, log_probs.data, rows, targets, scale), fresh=True
+        )
 
-    return Tensor._make(
-        np.asarray(value, dtype=log_probs.dtype), (log_probs,), backward, "nll"
-    )
+    return Tensor._make(value, (log_probs,), backward, "nll")
 
 
 def cross_entropy(logits: Tensor, targets, reduction: str = "mean") -> Tensor:
-    """Softmax cross-entropy from raw logits (the paper's classification loss)."""
-    return nll_loss(log_softmax(logits, axis=-1), targets, reduction=reduction)
+    """Softmax cross-entropy from raw logits (the paper's classification loss).
+
+    One graph node computing ``nll_loss(log_softmax(logits), targets)``
+    with both nodes' arithmetic in their order — forward and backward,
+    ``-g * scale`` scattered then ``grad - softmax * grad.sum`` — so the
+    loss and the logits' gradient are the two-node graph's, bit for bit.
+    The softmax backward reads is computed only when grad is on.
+    """
+    logits = as_tensor(logits)
+    log_probs = _log_softmax_values(logits.data, -1)
+    value, rows, targets, scale = _nll_terms(log_probs, targets, reduction)
+    if not _tracks(logits):
+        return Tensor(value)
+    softmax_vals = np.exp(log_probs)
+
+    def backward(g) -> None:
+        grad = _nll_grad(g, log_probs, rows, targets, scale)
+        logits._accumulate(grad - softmax_vals * grad.sum(axis=-1, keepdims=True), fresh=True)
+
+    return Tensor._make(value, (logits,), backward, "cross_entropy")
 
 
 def mse_loss(pred: Tensor, target, reduction: str = "mean") -> Tensor:

@@ -2,18 +2,28 @@
 
 After a leg every parameter and buffer of the template is a view of
 ``trainer.row``, and the row holds what the dict-path oracle
-(:mod:`_dict_leg`: ``load_state_dict``, the same SGD loop,
-``state_dict``) trains, bit for bit.  The binding is redone on every
-leg, so a template the server rebinds between legs (evaluation,
-FedGen's teacher pass) still uploads its trained row.
+(:mod:`_dict_leg`: ``load_state_dict``, a per-parameter SGD loop,
+``state_dict``) trains, bit for bit — with the gradients landing in
+``trainer.grad_row`` and one update over the rows, or, with a grad
+hook, per parameter.  The binding is redone on every leg, so a template
+the server rebinds between legs (evaluation, FedGen's teacher pass)
+still uploads its trained row; the gradient binding is undone after
+each leg, so nothing between legs writes into ``grad_row`` or carries
+it.  The optimiser is built once per trainer and reads the trainer's
+settings on every leg.
 """
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
 
 from _dict_leg import dict_leg
 from repro.data.dataset import ArrayDataset
-from repro.fl.execution import run_leg
+from repro.fl.execution import TrainerSpec, run_leg
+from repro.fl.hooks import ControlVariateSpec, ProximalSpec
+from repro.fl.privacy import DPConfig, make_dp_grad_hook
 from repro.fl.simulation import FLSimulation
 from repro.fl.trainer import LocalTrainer
 from repro.models import available_models, build_model
@@ -101,3 +111,106 @@ def test_serial_template_uploads_its_trained_row_after_evaluate_and_teacher_pass
 
     rebound_by(lambda: server.run_round(server.select_cohort()))  # the teacher pass
     rebound_by(server.evaluate)
+
+
+def _hooks(kind, model, state):
+    """A fresh hook of ``kind`` (each call starts its own noise stream)."""
+    if kind == "scaffold":  # a float64 correction widens every gradient
+        rng = np.random.default_rng(3)
+        correction = {
+            name: rng.standard_normal(p.data.shape) * 0.1 for name, p in model.named_parameters()
+        }
+        return {"grad_hook": ControlVariateSpec(correction).build(state)}
+    if kind == "dp":  # rebinds every .grad after a norm over them
+        return {"grad_hook": make_dp_grad_hook(DPConfig(clip_norm=0.5, noise_multiplier=0.2, seed=5))}
+    return {"loss_hook": ProximalSpec(mu=0.5).build(state)}
+
+
+@pytest.mark.parametrize("kind", ["scaffold", "dp", "fedprox"])
+@pytest.mark.parametrize("name", ["mlp", "cnn"])
+def test_a_hook_leg_equals_the_oracle(name, kind):
+    """Grad-hook legs update per parameter, FedProx's loss-hook legs over
+    the rows (two gradients land in each parameter's view)."""
+    model, ds = _model_and_data(name, {})
+    trainer = LocalTrainer(model, local_epochs=2, batch_size=4, lr=0.05, momentum=0.5)
+    flat = trainer.row + np.float32(0.01)
+    state = trainer.layout.unflatten(flat)
+    stats = trainer.train(flat, ds, np.random.default_rng(2), **_hooks(kind, model, state))
+    trained_row = trainer.row.copy()
+    assert trainer.optimizer._per_param == (kind != "fedprox")
+
+    trained, oracle = dict_leg(
+        trainer, state, ds, np.random.default_rng(2), **_hooks(kind, model, state)
+    )
+    assert stats == oracle
+    np.testing.assert_array_equal(trained_row, trainer.layout.flatten(trained, np.float32))
+
+
+def _unbound(model, grad_row):
+    """No parameter of ``model`` carries a gradient binding or a view of ``grad_row``."""
+    for param in model.parameters():
+        assert "_grad_sink" not in vars(param)
+        assert param.grad is None or not np.shares_memory(param.grad, grad_row)
+    return True
+
+
+def test_the_gradient_binding_lasts_for_the_leg_only(tiny_config):
+    """After a leg, evaluation, FedGen's teacher pass, a deep copy of the
+    template and a pickled trainer spec leave ``grad_row``'s bytes as
+    the leg left them and carry no binding."""
+    sim = FLSimulation(tiny_config.with_method("fedgen"))
+    server, trainer = sim.server, sim.trainer
+    server.run_round(server.select_cohort())
+    client = sim.clients[0]
+    flat = server.global_row()
+    run_leg(trainer, flat, np.zeros_like(flat), client.dataset, client.rng)
+    after_leg = trainer.grad_row.copy()
+    assert after_leg.any()  # the leg's gradients landed there
+    assert _unbound(trainer.model, trainer.grad_row)
+
+    server.evaluate()
+    server._train_generator([server.global_state()] * 2, np.array([1.0, 3.0]))  # teacher pass
+    assert any(p.grad is not None for p in trainer.model.parameters())  # it did backprop
+    clone = copy.deepcopy(trainer.model)
+    rebuilt = pickle.loads(pickle.dumps(TrainerSpec.from_trainer(trainer))).build()
+
+    assert trainer.grad_row.tobytes() == after_leg.tobytes()
+    for model in (trainer.model, clone, rebuilt.model):
+        assert _unbound(model, trainer.grad_row)
+
+
+@pytest.mark.parametrize("execution", ["serial", "thread", "process"])
+def test_live_settings_reach_the_once_built_optimizer(tiny_config, execution):
+    """``sim.trainer.lr`` / ``momentum`` changed between rounds and a
+    per-leg ``lr_override`` reach the optimiser every trainer builds
+    once: each leg equals a trainer freshly built with those values."""
+    if execution != "serial":
+        tiny_config = tiny_config.replace(execution=execution, workers=2)
+    sim = FLSimulation(tiny_config)
+    server, trainer = sim.server, sim.trainer
+    template = copy.deepcopy(trainer.model)
+    try:
+        for lr, momentum, override in ((0.05, 0.0, None), (0.002, 0.9, 0.3)):
+            trainer.lr, trainer.momentum = lr, momentum
+            active = server.select_cohort()
+            plans = server.dispatch(active)
+            plans[-1].lr_override = override
+            legs = [(p.flat.copy(), copy.deepcopy(c.rng)) for c, p in zip(active, plans)]
+            results = server.collect(active, plans)
+            for client, plan, (flat, rng), result in zip(active, plans, legs, results):
+                fresh = LocalTrainer(
+                    copy.deepcopy(template),
+                    local_epochs=trainer.local_epochs,
+                    batch_size=trainer.batch_size,
+                    lr=lr,
+                    momentum=momentum,
+                    weight_decay=trainer.weight_decay,
+                )
+                fresh.train(flat, client.dataset, rng, lr_override=plan.lr_override)
+                np.testing.assert_array_equal(
+                    trainer.layout.flatten(result.state, np.float32), fresh.row
+                )
+            server.aggregate(active, results, plans)
+            server.round_idx += 1
+    finally:
+        server.executor.close()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.nn.module import Parameter
 from repro.optim import SGD, Adam, ConstantLR, CosineLR, InverseTimeLR, StepLR
+from repro.optim.sgd import ParamRows
 
 
 def make_param(value=1.0):
@@ -144,8 +145,8 @@ class TestSGDInPlace:
 
     @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64], ids=["f32", "f64-grad"])
     def test_blocked_cross_layout_update_bit_equal(self, rng, grad_dtype):
-        """A weight gradient past 2 MiB arriving F-ordered is applied in
-        column blocks (1030 columns: a partial last block)."""
+        """A weight gradient past 2 MiB arriving F-ordered onto a C-ordered
+        parameter (1030 columns)."""
         (p,) = params = [Parameter(rng.standard_normal((512, 1030)).astype(np.float32))]
         ref = [Parameter(p.data.copy())]
         ref_buffers = [None]
@@ -205,6 +206,163 @@ class TestSGDInPlace:
         opt.reset_state()
         assert opt._buffers == [None] * len(params)
         assert opt._scratch == [None] * len(params)
+
+
+class TestSGDRows:
+    """The update over rows (``ParamRows``) against the per-parameter one.
+
+    The parameters are views of one data row and their gradients land in
+    views of a grad row beside it, with a buffer slot between two of
+    them that no update may touch; the optimiser lists them in another
+    order than the row does.  Elementwise arithmetic, so the bits must
+    be the per-parameter update's.
+    """
+
+    SHAPES = ((7, 5), (5,), (3, 2, 3, 3))
+    GAP = 4
+
+    def _bound(self, rng):
+        sizes = [int(np.prod(s)) for s in self.SHAPES]
+        starts = [0, sizes[0], sizes[0] + sizes[1] + self.GAP]
+        total = starts[-1] + sizes[-1]
+        data = rng.standard_normal(total).astype(np.float32)
+        grad_row = np.zeros(total, dtype=np.float32)
+        fields = [slice(a, a + n) for a, n in zip(starts, sizes)]
+        params = []
+        for field, shape in zip(fields, self.SHAPES):
+            p = Parameter(np.zeros(shape, dtype=np.float32))
+            p.data = data[field].reshape(shape)
+            params.append(p)
+        order = [2, 0, 1]
+        sinks = [grad_row[fields[i]].reshape(self.SHAPES[i]) for i in order]
+        rows = ParamRows(data, grad_row, tuple(fields[i] for i in order), tuple(sinks))
+        self.gap = slice(fields[1].stop, fields[2].start)
+        return [params[i] for i in order], sinks, rows
+
+    @staticmethod
+    def _land(params, sinks, grads):
+        for p, sink, g in zip(params, sinks, grads):
+            if g is None:
+                p.grad = None
+            else:
+                np.copyto(sink, g)
+                p.grad = sink
+
+    def _leg(self, rng, steps, *, momentum=0.5, weight_decay=0.0, nesterov=False,
+             missing=None, hook=None, signed_zeros=False):
+        """Run ``steps`` on a row-bound optimiser and on a per-parameter
+        one from the same values; return both parameter lists and the
+        row-bound optimiser.  ``missing[step]`` is a parameter index
+        without a gradient that step; ``hook`` rebinds ``.grad`` on both."""
+        params, sinks, rows = self._bound(rng)
+        if signed_zeros:  # where -0.0 and +0.0 part ways
+            rows.data[::3] = -0.0
+        gap = rows.data[self.gap].copy()
+        ref = [Parameter(p.data.copy()) for p in params]
+        kwargs = dict(lr=0.05, momentum=momentum, weight_decay=weight_decay, nesterov=nesterov)
+        opt, ref_opt = SGD(params, rows=rows, **kwargs), SGD(ref, **kwargs)
+        for step in range(steps):
+            grads = [rng.standard_normal(p.data.shape).astype(np.float32) for p in params]
+            if signed_zeros:
+                for g in grads:
+                    g.reshape(-1)[::2] = -0.0
+            if missing and step in missing:
+                grads[missing[step]] = None
+            self._land(params, sinks, grads)
+            for r, g in zip(ref, grads):
+                r.grad = None if g is None else g.copy()
+            if hook is not None:
+                hook(params)
+                hook(ref)
+            opt.step()
+            ref_opt.step()
+        assert np.array_equal(rows.data[self.gap], gap), "a buffer slot moved"
+        return params, ref, opt
+
+    @pytest.mark.parametrize(
+        "momentum,nesterov", [(0.0, False), (0.5, False), (0.5, True)],
+        ids=["plain", "momentum", "nesterov"],
+    )
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    def test_row_steps_bit_equal_per_parameter_steps(self, rng, momentum, nesterov, weight_decay):
+        params, ref, opt = self._leg(
+            rng, 3, momentum=momentum, weight_decay=weight_decay, nesterov=nesterov
+        )
+        assert not opt._per_param and opt._buffers == [None] * len(params)  # rows only
+        for p, r in zip(params, ref):
+            assert p.data.tobytes() == r.data.tobytes()
+
+    def test_signed_zero_gradients_start_the_momentum_as_a_copy(self, rng):
+        """The first row step copies the gradient into the momentum row, as
+        the per-parameter step does: ``0 * m + g`` would turn a -0.0
+        gradient into +0.0 and move a -0.0 parameter's sign."""
+        params, ref, opt = self._leg(rng, 2, signed_zeros=True)
+        assert not opt._per_param
+        for p, r in zip(params, ref):
+            assert p.data.tobytes() == r.data.tobytes()
+
+    def test_a_missing_gradient_sends_the_rest_of_the_leg_per_parameter(self, rng):
+        """A parameter the loss did not reach is skipped, as per parameter;
+        the momentum the row steps built carries over."""
+        params, ref, opt = self._leg(rng, 4, missing={1: 0, 3: 2})
+        assert opt._per_param
+        for p, r in zip(params, ref):
+            assert p.data.tobytes() == r.data.tobytes()
+
+    def test_scaffold_float64_correction_steps_per_parameter(self, rng):
+        corrections = [rng.standard_normal(s) for s in (self.SHAPES[i] for i in (2, 0, 1))]
+
+        def scaffold(params):
+            for p, c in zip(params, corrections):
+                p.grad = p.grad + c
+
+        params, ref, opt = self._leg(rng, 3, hook=scaffold)
+        assert opt._per_param and all(b.dtype == np.float64 for b in opt._buffers)
+        for p, r in zip(params, ref):
+            assert p.data.dtype == np.float32 and p.data.tobytes() == r.data.tobytes()
+
+    def test_dp_rebinding_steps_per_parameter(self, rng):
+        from repro.fl.privacy import DPConfig, make_dp_grad_hook
+
+        hooks = [
+            make_dp_grad_hook(DPConfig(clip_norm=0.5, noise_multiplier=0.3, seed=4))
+            for _ in range(2)
+        ]
+        calls = iter(range(10**6))
+
+        def dp(params):
+            hooks[next(calls) % 2]({str(i): p for i, p in enumerate(params)})
+
+        params, ref, opt = self._leg(rng, 3, hook=dp)
+        assert opt._per_param
+        for p, r in zip(params, ref):
+            assert p.data.tobytes() == r.data.tobytes()
+
+    def test_reset_state_starts_the_next_leg_afresh(self, rng):
+        params, sinks, rows = self._bound(rng)
+        opt = SGD(params, lr=0.1, momentum=0.9, rows=rows)
+        self._land(params, sinks, [np.ones(p.data.shape, np.float32) for p in params])
+        opt.step()
+        opt.reset_state()
+        start = rows.data.copy()
+        self._land(params, sinks, [np.ones(p.data.shape, np.float32) for p in params])
+        opt.step()  # a first step again: p -= lr * g, no carried momentum
+        for field in rows.fields:
+            assert np.array_equal(rows.data[field], start[field] - np.float32(0.1))
+
+    def test_configure_checks_as_the_constructor_does(self):
+        opt = SGD([make_param()], lr=0.1, momentum=0.5, nesterov=True)
+        opt.configure(lr=0.2, momentum=0.9, weight_decay=1e-3)
+        assert (opt.lr, opt.momentum, opt.weight_decay) == (0.2, 0.9, 1e-3)
+        with pytest.raises(ValueError, match="learning rate"):
+            opt.configure(lr=0.0, momentum=0.5, weight_decay=0.0)
+        with pytest.raises(ValueError, match="nesterov"):
+            opt.configure(lr=0.1, momentum=0.0, weight_decay=0.0)
+
+    def test_rows_must_describe_every_parameter(self, rng):
+        params, sinks, rows = self._bound(rng)
+        with pytest.raises(ValueError, match="rows describe 3 parameters"):
+            SGD(params[:2], lr=0.1, rows=rows)
 
 
 class TestAdam:

@@ -1,12 +1,17 @@
-"""The seed conv / general-path max-pool kernels, kept as the test oracle.
+"""The seed kernels, kept as the test oracle.
 
-These are the kernels ``repro.tensor.functional`` shipped before the
-strided-window lowering: fancy-index im2col, three
+The conv / general-path max-pool kernels ``repro.tensor.functional``
+shipped before the strided-window lowering: fancy-index im2col, three
 ``einsum(optimize=True)`` contractions and an ``np.add.at`` scatter.
 They are slow and allocate a lot, but they define the bits every golden
 in the repository was recorded with, so ``test_conv_oracle.py`` holds
 the shipped kernels to them with ``np.array_equal`` — output, input
 gradient, weight gradient, bias gradient.
+
+The unfused ``linear`` and ``cross_entropy`` graphs: matmul, transpose
+and add nodes; a log-softmax node and an NLL node.  The shipped fused
+nodes issue the same NumPy calls in the same order, so
+``test_fused_oracle.py`` holds them to these with ``np.array_equal``.
 
 Raw NumPy on purpose (this is the pre-dispatch code path); not
 collected by pytest (no ``test_`` prefix).
@@ -109,3 +114,54 @@ def seed_max_pool2d_general(x, kernel_size=2, stride=None) -> Tensor:
         x._accumulate(grad)
 
     return Tensor._make(out, (x,), backward, "max_pool2d")
+
+
+def seed_linear(x, weight, bias=None) -> Tensor:
+    """The seed ``linear``: ``matmul(x, weight.transpose()) + bias``, three nodes."""
+    out = as_tensor(x).matmul(as_tensor(weight).transpose())
+    return out if bias is None else out + bias
+
+
+def seed_log_softmax(x, axis=-1) -> Tensor:
+    """The seed ``log_softmax`` node (softmax kept for backward even without grad)."""
+    x = as_tensor(x)
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    out = shifted - log_z
+    softmax_vals = np.exp(out)
+
+    def backward(g) -> None:
+        g = np.asarray(g)
+        x._accumulate(g - softmax_vals * g.sum(axis=axis, keepdims=True), fresh=True)
+
+    return Tensor._make(out, (x,), backward, "log_softmax")
+
+
+def seed_nll_loss(log_probs, targets, reduction="mean") -> Tensor:
+    """The seed ``nll_loss`` node."""
+    log_probs = as_tensor(log_probs)
+    targets = np.asarray(targets, dtype=np.int64)
+    n = log_probs.shape[0]
+    rows = np.arange(n)
+    picked = log_probs.data[rows, targets]
+    if reduction == "mean":
+        value = -picked.mean()
+        scale = 1.0 / n
+    elif reduction == "sum":
+        value = -picked.sum()
+        scale = 1.0
+    else:
+        raise ValueError(f"unknown reduction {reduction!r}")
+
+    def backward(g) -> None:
+        g = float(np.asarray(g))
+        grad = np.zeros_like(log_probs.data)
+        grad[rows, targets] = -g * scale
+        log_probs._accumulate(grad, fresh=True)
+
+    return Tensor._make(np.asarray(value, dtype=log_probs.dtype), (log_probs,), backward, "nll")
+
+
+def seed_cross_entropy(logits, targets, reduction="mean") -> Tensor:
+    """The seed ``cross_entropy``: a log-softmax node, then an NLL node."""
+    return seed_nll_loss(seed_log_softmax(logits, axis=-1), targets, reduction=reduction)

@@ -1,23 +1,29 @@
 #!/usr/bin/env python
 """Where does a client step's time go?  ``python tools/step_profile.py [--steps N] [--model M]``
 
-Runs N momentum-SGD steps of the benchmark-shape client step — the
-``cnn`` on ``(3, 16, 16)`` inputs with batch 20 (``cnn_serial``) and the
-``mlp`` with batch 50 (``pool_k50``) — and prints, per graph node, the
-median forward and backward milliseconds, then the step's totals:
-forward, backward (nodes plus the engine's own sort-and-dispatch),
-``SGD.step`` and the whole step.
+Runs one leg of N momentum-SGD steps through a ``LocalTrainer`` — the
+step every leg runs: parameters bound into ``trainer.row``, gradients
+landing in ``trainer.grad_row``, one ``SGD.step`` over the rows — on the
+benchmark-shape client: the ``cnn`` on ``(3, 16, 16)`` inputs with
+batch 20 (``cnn_serial``) and the ``mlp`` with batch 50 (``pool_k50``).
+It prints, per graph node, the median forward and backward
+milliseconds, then the step's totals: forward (the model call and the
+loss), backward (nodes plus the engine's own sort-and-dispatch),
+``SGD.step`` and the whole step (the leg's wall-clock over its steps).
 
 A node's forward time is the wall-clock from the previous node's
-creation to its own, so module-call overhead lands on the node that
-follows it.  Its backward time is its closure, including the
-``_accumulate`` into its parents.  Set ``OPENBLAS_NUM_THREADS`` to pin
-the BLAS width the GEMM rows see.
+creation (or the step's ``zero_grad``) to its own, so module-call
+overhead lands on the node that follows it.  Its backward time is its
+closure, including the ``_accumulate`` into its parents — a fused
+``linear`` node's weight closure, which the engine runs later, counts
+toward it too.  Set ``OPENBLAS_NUM_THREADS`` to pin the BLAS width the
+GEMM rows see.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import statistics
 import sys
 import time
@@ -28,10 +34,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
+from repro.data.dataset import ArrayDataset  # noqa: E402
+from repro.fl.trainer import LocalTrainer  # noqa: E402
 from repro.models.registry import build_model  # noqa: E402
-from repro.optim import SGD  # noqa: E402
-from repro.tensor import Tensor  # noqa: E402
-from repro.tensor.functional import cross_entropy  # noqa: E402
+from repro.nn.module import Module  # noqa: E402
+from repro.optim.sgd import SGD  # noqa: E402
+from repro.tensor import functional  # noqa: E402
+from repro.tensor.tensor import Tensor  # noqa: E402
 
 SHAPE = (3, 16, 16)
 CASES = {
@@ -57,7 +66,7 @@ class NodeClock:
         self._seen.clear()
         self._mark = time.perf_counter()
 
-    def _wrap(self, data, parents, backward, op):
+    def _wrap(self, data, parents, backward, op, late=None):
         now = time.perf_counter()
         self._seen[op] += 1
         key = f"{op}#{self._seen[op]}"
@@ -66,13 +75,26 @@ class NodeClock:
             self.shapes[key] = tuple(data.shape)
         self.forward[key].append(now - self._mark)
         samples = self.backward[key]
+        # A late closure's time is added to its node's backward sample.
+        pending: list[float] = []
 
-        def timed(g) -> None:
-            t0 = time.perf_counter()
-            backward(g)
-            samples.append(time.perf_counter() - t0)
+        def timed(fn, last):
+            def run(g) -> None:
+                t0 = time.perf_counter()
+                fn(g)
+                pending.append(time.perf_counter() - t0)
+                if last:
+                    samples.append(sum(pending))
 
-        out = self._make.__func__(data, parents, timed, op)
+            return run
+
+        out = self._make.__func__(
+            data,
+            parents,
+            timed(backward, late is None),
+            op,
+            None if late is None else timed(late, True),
+        )
         self._mark = time.perf_counter()
         return out
 
@@ -84,6 +106,40 @@ class NodeClock:
         Tensor._make = self._make
 
 
+class PhaseClock:
+    """Per-call wall-clock of named callables (outermost calls only)."""
+
+    def __init__(self) -> None:
+        self.samples: dict[str, list[float]] = defaultdict(list)
+        self._saved: list[tuple[object, str, object]] = []
+        self._depth: dict[str, int] = defaultdict(int)
+
+    def wrap(self, owner, attr: str, key: str, before=None) -> None:
+        fn = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+        self._saved.append((owner, attr, fn))
+
+        @functools.wraps(fn)
+        def timed(*args, **kwargs):
+            if before is not None:
+                before()
+            self._depth[key] += 1
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                elapsed = time.perf_counter() - t0
+                self._depth[key] -= 1
+                if not self._depth[key]:
+                    self.samples[key].append(elapsed)
+
+        setattr(owner, attr, timed)
+
+    def restore(self) -> None:
+        for owner, attr, fn in reversed(self._saved):
+            setattr(owner, attr, fn)
+        self._saved.clear()
+
+
 def _ms(samples) -> float:
     return 1e3 * statistics.median(samples) if samples else 0.0
 
@@ -91,41 +147,48 @@ def _ms(samples) -> float:
 def profile(name: str, steps: int, warmup: int = 3) -> None:
     kwargs, batch = CASES[name]
     model = build_model(name, seed=0, **kwargs)
-    optimizer = SGD(model.parameters(), lr=0.01, momentum=0.5)
+    trainer = LocalTrainer(model, local_epochs=1, batch_size=batch, lr=0.01, momentum=0.5)
     rng = np.random.default_rng(0)
-    clock = NodeClock()
-    model.train()
 
-    def step() -> dict[str, float]:
-        x = Tensor(rng.standard_normal((batch, *SHAPE)).astype(np.float32))
-        y = rng.integers(0, 10, size=batch)
-        optimizer.zero_grad()
+    def leg(n_steps: int) -> float:
+        n = n_steps * batch
+        data = ArrayDataset(
+            rng.standard_normal((n, *SHAPE)).astype(np.float32), rng.integers(0, 10, size=n)
+        )
         t0 = time.perf_counter()
-        clock.start()
-        loss = cross_entropy(model(x), y)
-        t1 = time.perf_counter()
-        loss.backward()
-        t2 = time.perf_counter()
-        optimizer.step()
-        t3 = time.perf_counter()
-        return {"forward": t1 - t0, "backward": t2 - t1, "SGD.step": t3 - t2, "step": t3 - t0}
+        stats = trainer.train(trainer.row.copy(), data, rng)
+        return (time.perf_counter() - t0) / stats.num_steps
 
-    for _ in range(warmup):
-        step()
-    with clock:
-        runs = [step() for _ in range(steps)]
-    totals = {key: [run[key] for run in runs] for key in runs[0]}
+    leg(warmup)
+    clock = NodeClock()
+    phases = PhaseClock()
+    phases.wrap(SGD, "zero_grad", "zero_grad", before=clock.start)
+    phases.wrap(Module, "__call__", "model")
+    phases.wrap(functional, "cross_entropy", "loss")
+    phases.wrap(Tensor, "backward", "backward")
+    phases.wrap(SGD, "step", "SGD.step")
+    try:
+        with clock:
+            whole = leg(steps)
+    finally:
+        phases.restore()
+    forward = [m + c for m, c in zip(phases.samples["model"], phases.samples["loss"])]
 
-    print(f"\n{name}: batch {batch}, inputs {SHAPE}, median of {steps} steps (ms)")
-    print(f"{'node':<16}{'output shape':<22}{'forward':>9}{'backward':>10}")
+    print(f"\n{name}: batch {batch}, inputs {SHAPE}, one leg of {steps} steps, medians (ms)")
+    print(f"{'node':<18}{'output shape':<22}{'forward':>9}{'backward':>10}")
     node_bwd = 0.0
     for key in clock.order:
         fwd, bwd = _ms(clock.forward[key]), _ms(clock.backward[key])
         node_bwd += bwd
-        print(f"{key:<16}{str(clock.shapes[key]):<22}{fwd:9.3f}{bwd:10.3f}")
-    print(f"{'engine':<38}{'':>9}{_ms(totals['backward']) - node_bwd:10.3f}")
-    print(f"{'total':<38}{_ms(totals['forward']):9.3f}{_ms(totals['backward']):10.3f}")
-    print(f"SGD.step {_ms(totals['SGD.step']):.3f}   whole step {_ms(totals['step']):.3f}")
+        print(f"{key:<18}{str(clock.shapes[key]):<22}{fwd:9.3f}{bwd:10.3f}")
+    backward = _ms(phases.samples["backward"])
+    print(f"{'engine':<40}{'':>9}{backward - node_bwd:10.3f}")
+    print(f"{'total':<40}{_ms(forward):9.3f}{backward:10.3f}")
+    how = "per parameter" if trainer.optimizer._per_param else "one row update"
+    print(
+        f"SGD.step {_ms(phases.samples['SGD.step']):.3f} ({how})   "
+        f"whole step {1e3 * whole:.3f} (mean)"
+    )
 
 
 def main(argv=None) -> None:
