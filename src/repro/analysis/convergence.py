@@ -7,19 +7,19 @@ L-smooth / mu-convex losses with decaying step sizes. These helpers
   (:func:`inverse_t_envelope_fit`) so the convergence bench can check
   the O(1/t) *shape*;
 * verify the Lemma 3.4 contraction — cross-aggregation never moves the
-  pool away from any reference point — directly on state dicts
+  pool away from any reference point — directly on a pool's rows
   (:func:`lemma34_contraction_gap`), which the property-based tests
   exercise with hypothesis.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.aggregation import cross_aggregate
-from repro.utils.params import flatten_state_dict
+from repro.core.fedcross import validate_alpha
+from repro.core.pool import PoolBuffer
 
 __all__ = [
     "inverse_t_envelope_fit",
@@ -66,30 +66,28 @@ def empirical_convergence_rate(losses: Sequence[float], f_star: float = 0.0) -> 
 
 
 def lemma34_contraction_gap(
-    pool: Sequence[Mapping[str, np.ndarray]],
+    pool: PoolBuffer,
     co_indices: Sequence[int],
     alpha: float,
-    reference: Mapping[str, np.ndarray],
+    reference: np.ndarray,
 ) -> float:
     """Lemma 3.4 slack: ``mean ||v_i - w*||^2 - mean ||w_i - w*||^2``.
 
-    ``w_i = alpha v_i + (1-alpha) v_{co(i)}``. When ``co_indices`` is a
-    permutation — every model chosen as collaborator exactly once, as
-    the in-order strategy guarantees (the assumption of the paper's
-    proof) — the returned slack is >= 0 for *any* reference point
-    ``w*``: cross-aggregation never moves the pool away from a target.
-    For non-permutation assignments (possible under the similarity
-    strategies) the inequality can fail; the property tests cover both
-    regimes.
+    The ``v_i`` are the rows of ``pool`` and ``reference`` is the
+    ``(P,)`` row ``w*``.  ``w_i = alpha v_i + (1-alpha) v_{co(i)}`` is
+    the server's own CrossAggr (:meth:`PoolBuffer.cross_aggregate`).
+    When ``co_indices`` is a permutation — every model chosen as
+    collaborator exactly once, as the in-order strategy guarantees (the
+    assumption of the paper's proof) — the returned slack is >= 0 for
+    *any* reference point ``w*``: cross-aggregation never moves the
+    pool away from a target.  For non-permutation assignments (possible
+    under the similarity strategies) the inequality can fail; the
+    property tests cover both regimes.
     """
-    ref = flatten_state_dict(dict(reference))
-    before = np.stack([flatten_state_dict(dict(s)) for s in pool])
-    after = np.stack(
-        [
-            flatten_state_dict(cross_aggregate(pool[i], pool[j], alpha))
-            for i, j in enumerate(co_indices)
-        ]
-    )
+    alpha = validate_alpha(alpha)
+    ref = np.asarray(reference, dtype=np.float64)
+    before = np.asarray(pool.matrix, dtype=np.float64)
+    after = np.asarray(pool.cross_aggregate(co_indices, alpha).matrix, dtype=np.float64)
     d_before = ((before - ref) ** 2).sum(axis=1).mean()
     d_after = ((after - ref) ** 2).sum(axis=1).mean()
     return float(d_before - d_after)

@@ -14,9 +14,8 @@ like FedAvg and clustering sharpens as coverage grows.
 
 Only ``select_cohort`` and ``aggregate`` are custom: local training
 rides the default hook-free collect, so CluSamp runs unchanged on
-every execution backend (the ``result.state`` views its aggregate
-reads for update vectors come from the same upload buffer the
-backends pack into).
+every execution backend (its aggregate reads update vectors straight
+off the upload-buffer rows the backends pack into).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from repro.fl.client import Client
 from repro.fl.registry import register_method
 from repro.fl.server import DispatchPlan, FederatedServer
 from repro.fl.trainer import LocalResult
-from repro.utils.params import flatten_state_dict
 
 __all__ = ["CluSampServer"]
 
@@ -38,7 +36,10 @@ class CluSampServer(FederatedServer):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._param_keys = {name for name, _ in self.model.named_parameters()}
+        # The parameter columns of a model row, in sorted-key order.
+        self._param_mask = self._layout.mask(
+            name for name, _ in self.model.named_parameters()
+        )
         # Last parameter-update direction per client id (flattened).
         self._updates: dict[int, np.ndarray] = {}
 
@@ -92,13 +93,10 @@ class CluSampServer(FederatedServer):
         results: list[LocalResult],
         plans: list[DispatchPlan],
     ) -> dict:
-        before = flatten_state_dict(
-            {k: v for k, v in self._global.items() if k in self._param_keys}
-        )
-        for client, result in zip(active, results):
-            after = flatten_state_dict(
-                {k: v for k, v in result.state.items() if k in self._param_keys}
-            )
+        mask = self._param_mask
+        before = self._global[mask].astype(np.float64)
+        for client, row in zip(active, self._upload_rows):
+            after = self.uploads.row(row)[mask].astype(np.float64)
             self._updates[client.client_id] = after - before
         self._global = self.aggregate_uploads(results)
         self.charge_round_communication(active)

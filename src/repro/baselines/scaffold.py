@@ -14,26 +14,48 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.pool import PoolBuffer
 from repro.fl.client import Client
 from repro.fl.hooks import ControlVariateSpec
 from repro.fl.registry import register_method
 from repro.fl.server import DispatchPlan, FederatedServer
 from repro.fl.trainer import LocalResult
-from repro.utils.params import tree_map, zeros_like_state
+from repro.utils.layout import StateLayout
 
 __all__ = ["ScaffoldServer"]
 
 
 @register_method("scaffold")
 class ScaffoldServer(FederatedServer):
-    """Control-variate-corrected FedAvg."""
+    """Control-variate-corrected FedAvg.
+
+    Control variates are rows over the model's parameter columns
+    (``layout.mask(param_keys)``, sorted-key order).  ``_c_global``
+    starts as float32 zeros and widens to float64 at the first
+    aggregate (NumPy promotion of the float64 refresh), so a first
+    round's correction is float32 and later ones float64.  The variate
+    mean reduces a float64 buffer laid out over the parameters alone,
+    so its row blocks do not depend on the model's buffers.
+    """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._param_keys = {name for name, _ in self.model.named_parameters()}
-        param_only = {k: v for k, v in self._global.items() if k in self._param_keys}
-        self._c_global = zeros_like_state(param_only)
-        self._c_clients: dict[int, dict] = {}
+        param_keys = {name for name, _ in self.model.named_parameters()}
+        self._param_mask = self._layout.mask(param_keys)
+        # Each parameter's (key, span, shape) in a variate row: a
+        # correction row ships as the per-parameter mapping the hook reads.
+        self._variate_fields, offset = [], 0
+        for spec in self._layout.fields:
+            if spec.key in param_keys:
+                span = slice(offset, offset + spec.size)
+                self._variate_fields.append((spec.key, span, spec.shape))
+                offset += spec.size
+        self._c_global = np.zeros(offset, dtype=np.float32)
+        self._c_clients: dict[int, np.ndarray] = {}
+        self._variate_layout = StateLayout.from_state(
+            {key: np.empty(shape) for key, _, shape in self._variate_fields}
+        )
+        self._delta_buffers: dict[int, PoolBuffer] = {}
         self.server_lr = float(self.config.method_params.get("server_lr", 1.0))
 
     def dispatch(self, active: list[Client]) -> list[DispatchPlan]:
@@ -41,24 +63,21 @@ class ScaffoldServer(FederatedServer):
 
         The correction ``c - c_i`` is computed once per client here and
         rides as a picklable :class:`~repro.fl.hooks.ControlVariateSpec`
-        (one variate-sized mapping per leg); every local step adds it to
-        the gradient.  ``context`` keeps the server-side handle on
-        ``c_i`` for the variate refresh.
+        (one variate-sized mapping per leg, views of the correction
+        row); every local step adds it to the gradient.  ``context``
+        keeps the server-side handle on ``c_i`` for the variate refresh.
         """
         flat = self.global_row()
         plans = []
         for client in active:
             c_local = self._c_clients.get(client.client_id)
             if c_local is None:
-                c_local = zeros_like_state(self._c_global)
-            correction = tree_map(lambda c, ci: c - ci, self._c_global, c_local)
-            plans.append(
-                DispatchPlan(
-                    flat,
-                    grad_hook=ControlVariateSpec(correction),
-                    context={"c_local": c_local},
-                )
+                c_local = np.zeros_like(self._c_global)
+            correction = self._c_global - c_local
+            spec = ControlVariateSpec(
+                {key: correction[span].reshape(shape) for key, span, shape in self._variate_fields}
             )
+            plans.append(DispatchPlan(flat, grad_hook=spec, context={"c_local": c_local}))
         return plans
 
     def aggregate(
@@ -67,43 +86,46 @@ class ScaffoldServer(FederatedServer):
         results: list[LocalResult],
         plans: list[DispatchPlan],
     ) -> dict:
-        x = self._global
-        deltas_c = []
-        for client, result, plan in zip(active, results, plans):
+        mask = self._param_mask
+        x = self._global.astype(np.float64)
+        x_params = x[mask]
+        deltas = self._variate_deltas(len(active))
+        for i, (client, result, plan) in enumerate(zip(active, results, plans)):
             c_local = plan.context["c_local"]
             # Option II variate refresh: c_i+ = c_i - c + (x - y_i)/(steps*lr)
             steps = max(result.num_steps, 1)
             scale = 1.0 / (steps * self.trainer.lr)
-            c_new = {
-                k: c_local[k]
-                - self._c_global[k]
-                + scale * (np.asarray(x[k], dtype=np.float64) - result.state[k])
-                for k in self._c_global
-            }
-            deltas_c.append(tree_map(lambda a, b: a - b, c_new, c_local))
+            y = self.uploads.row(self._upload_rows[i])[mask]
+            c_new = c_local - self._c_global + scale * (x_params - y)
+            deltas.set_row(i, c_new - c_local)
             self._c_clients[client.client_id] = c_new
 
         # Model update: x <- x + server_lr * mean(y_i - x) over active clients.
         mean_y = self.aggregate_uploads(results)
-        self._global = {
-            k: np.asarray(x[k], dtype=np.float64) * (1 - self.server_lr)
-            + self.server_lr * np.asarray(mean_y[k], dtype=np.float64)
-            for k in x
-        }
-        self._global = {k: v.astype(np.asarray(x[k]).dtype) for k, v in self._global.items()}
+        self._global = (
+            x * (1 - self.server_lr) + self.server_lr * mean_y.astype(np.float64)
+        ).astype(np.float32)
 
         # Variate update: c <- c + (|S|/N) * mean(delta_c), as one uniform
-        # row reduction over the packed variate deltas (float64 rows —
-        # the variates are float64 and must not be narrowed).
+        # row reduction over the variate deltas (float64 rows — the
+        # variates are float64 and must not be narrowed).
         frac = len(active) / len(self.clients)
-        mean_delta = self.pack_states(deltas_c, dtype=np.float64).mean_state(
-            precise=False
-        )
-        self._c_global = tree_map(lambda c, d: c + frac * d, self._c_global, mean_delta)
+        self._c_global = self._c_global + frac * deltas.mean_state(precise=False)
 
         # A control variate rides alongside every leg's model, both ways.
-        variate_size = sum(int(np.asarray(v).size) for v in self._c_global.values())
+        variate_size = self._c_global.size
         self.charge_round_communication(
             active, down_surcharge=variate_size, up_surcharge=variate_size
         )
         return {"train_loss": self.mean_local_loss(results)}
+
+    def _variate_deltas(self, k: int) -> PoolBuffer:
+        """Reused ``(k, variate size)`` float64 buffer on the backend."""
+        buf = self._delta_buffers.get(k)
+        if buf is None:
+            buf = PoolBuffer.zeros(
+                self._variate_layout, k, dtype=np.float64, backend=self.backend,
+                backend_options=self.backend_options,
+            )
+            self._delta_buffers[k] = buf
+        return buf

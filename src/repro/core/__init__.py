@@ -27,7 +27,6 @@ from repro.core.selection import (
     select_lowest_similarity,
     similarity_matrix,
 )
-from repro.core.aggregation import cross_aggregate, global_model_generation
 from repro.core.acceleration import (
     DynamicAlphaSchedule,
     propeller_index_matrix,
@@ -54,8 +53,6 @@ __all__ = [
     "select_highest_similarity",
     "select_lowest_similarity",
     "similarity_matrix",
-    "cross_aggregate",
-    "global_model_generation",
     "DynamicAlphaSchedule",
     "propeller_index_matrix",
     "propeller_indices",

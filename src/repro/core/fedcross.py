@@ -57,7 +57,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.acceleration import DynamicAlphaSchedule, propeller_index_matrix
-from repro.core.aggregation import validate_alpha
 from repro.core.gram import GramTracker
 from repro.core.pool import PoolBuffer, blend_row
 from repro.core.selection import CoModelSel, select_in_order
@@ -67,7 +66,20 @@ from repro.fl.registry import register_method
 from repro.fl.server import DispatchPlan, FederatedServer
 from repro.fl.trainer import LocalResult
 
-__all__ = ["FedCrossServer"]
+__all__ = ["FedCrossServer", "validate_alpha"]
+
+
+def validate_alpha(alpha: float) -> float:
+    """Check alpha is a valid fusion weight.
+
+    The paper restricts alpha to [0.5, 1.0) in the method description
+    but sweeps {0.5, ..., 0.999} in the ablation (Table III); we accept
+    (0, 1) and leave the [0.5, 1) recommendation to callers.
+    """
+    alpha = float(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    return alpha
 
 
 @register_method("fedcross")
@@ -100,9 +112,9 @@ class FedCrossServer(FederatedServer):
         # same deterministic init (so FedCross and the baselines share a
         # starting point for fair curves).  The pool is one (K, P)
         # float32 matrix, kept in buffer form for the whole run: it
-        # replaces the base class's single global state.
+        # replaces the base class's single global row.
         self._pool = PoolBuffer.broadcast(
-            self._global, k, dtype=np.float32, backend=self.backend,
+            self._layout, self._global, k, backend=self.backend,
             backend_options=self.backend_options,
         )
         self._global = None
@@ -125,10 +137,10 @@ class FedCrossServer(FederatedServer):
         self._pool_gram: GramTracker | None = None
         # Async round support: one tracker per live upload buffer (the
         # overlapped scheduler cycles S+1 buffer slots, each mid-round
-        # at once) and the cached deployment state of the newest
-        # *completed* round (see :meth:`global_state`).
+        # at once) and the cached deployment row of the newest
+        # *completed* round (see :meth:`global_row`).
         self._upload_gram_map: dict[int, GramTracker] = {}
-        self._async_eval_state: dict | None = None
+        self._async_eval_row: np.ndarray | None = None
 
     # -- pool access ---------------------------------------------------------
     @property
@@ -378,38 +390,37 @@ class FedCrossServer(FederatedServer):
         self.result_extras["middleware_similarity"] = self.middleware_similarity()
 
     # -- deployment --------------------------------------------------------------
-    def global_state(self) -> dict:
-        """Line 17: deployment-only global model (GlobalModelGen).
+    def global_row(self) -> np.ndarray:
+        """Line 17: deployment-only global model (GlobalModelGen), a row.
 
         Routed through the configured aggregation operator: ``mean``
-        is the paper's uniform pool average (bitwise the
-        :func:`~repro.core.aggregation.global_model_generation`
-        reference); robust operators deploy their robust center
-        instead, so a poisoned middleware row cannot steer the
-        deployed model even when it slipped past screening.
+        is the paper's uniform pool average; robust operators deploy
+        their robust center instead, so a poisoned middleware row
+        cannot steer the deployed model even when it slipped past
+        screening.
 
         Under the overlapped async schedule the live pool mixes rows
         from several in-flight rounds; evaluation must reflect the
         newest *completed* round exactly, so the adapter caches that
         round's reconciled pool average here and the cache wins.
         """
-        if self._async_eval_state is not None:
-            return self._async_eval_state
+        if self._async_eval_row is not None:
+            return self._async_eval_row
         return self.aggregator.combine(self._pool)
 
     def async_adapter(self) -> "FedCrossAsyncAdapter":
         """Speculative cross-aggregation seam for ``round_mode='async'``."""
         return FedCrossAsyncAdapter(self)
 
-    def set_global_state(self, state: Mapping[str, np.ndarray]) -> None:
-        """Reset the whole pool to ``state`` (checkpoint restore).
+    def _install_global_row(self, row: np.ndarray) -> None:
+        """Reset the whole pool to the checked ``row`` (checkpoint restore).
 
         The deployable model is the uniform pool average, so restoring a
         checkpoint broadcasts it back over all K middleware rows —
         exactly Algorithm 1's line-2 initialisation from a shared state.
         """
         self._pool = PoolBuffer.broadcast(
-            state, len(self._pool), dtype=np.float32, backend=self.backend,
+            self._layout, row, len(self._pool), backend=self.backend,
             backend_options=self.backend_options,
         )
         self._pool_gram = None  # pool replaced outside the tracked flow
@@ -611,7 +622,7 @@ class FedCrossAsyncAdapter:
         self._last_eval_pool = eval_pool
         # Evaluation (and checkpointing) must see the completed round's
         # reconciled pool, not the live pool mid-speculation.
-        server._async_eval_state = server.aggregator.combine(eval_pool)
+        server._async_eval_row = server.aggregator.combine(eval_pool)
         return {
             "train_loss": server.mean_local_loss(results),
             "alpha": float(ctx.alpha),
@@ -630,5 +641,5 @@ class FedCrossAsyncAdapter:
         if self._last_eval_pool is not None:
             server._pool = self._last_eval_pool
             self._last_eval_pool = None
-        server._async_eval_state = None
+        server._async_eval_row = None
         server._pool_gram = None

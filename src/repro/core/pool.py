@@ -28,9 +28,9 @@ line 17 (``GlobalModelGen``) :meth:`mean_state` — weighted row
 
 Float arithmetic is performed in float64 and rounded back to the buffer
 dtype, mirroring the dict-based reference implementations in
-:mod:`repro.core.selection` / :mod:`repro.core.aggregation` /
-:mod:`repro.utils.params` bit-for-bit.  ``param_keys`` masks restrict
-similarity to trainable parameters exactly as the dict path does, and
+:mod:`repro.core.selection` and the tests' dict oracles
+(``tests/core/_dict_oracle.py``) bit-for-bit.  ``param_keys`` masks
+restrict similarity to trainable parameters exactly as the dict path does, and
 integer fields (step counters and other non-float buffers) are carried
 through aggregation unaveraged, never blended in floating point.
 
@@ -294,16 +294,15 @@ class PoolBuffer:
     @classmethod
     def broadcast(
         cls,
-        state: Mapping[str, np.ndarray],
+        layout: StateLayout,
+        row: np.ndarray,
         k: int,
         dtype=np.float32,
         backend: str = "dense",
         backend_options: Mapping | None = None,
     ) -> "PoolBuffer":
-        """K identical copies of one state (Algorithm 1 line 2)."""
-        layout = StateLayout.from_state(state)
-        _check_integer_roundtrip(layout, state, np.dtype(dtype))
-        row = layout.flatten(state, dtype=dtype)
+        """K identical copies of one flat ``row`` (Algorithm 1 line 2)."""
+        _check_integer_roundtrip(layout, layout.unflatten(row), np.dtype(dtype))
         buf = cls.zeros(
             layout, k, dtype=dtype, backend=backend,
             backend_options=backend_options,
@@ -662,12 +661,13 @@ class PoolBuffer:
 
     def mean_state(
         self, weights: Iterable[float] | None = None, *, precise: bool = True
-    ) -> dict[str, np.ndarray]:
-        """Weighted average of the pool as a state dict (line 17).
+    ) -> np.ndarray:
+        """Weighted average of the pool as a fresh ``(P,)`` row (line 17).
 
-        ``None`` means uniform — the paper's ``GlobalModelGen``.
-        Integer fields are taken from row 0 (the "first state"), exactly
-        like the dict-based :func:`repro.utils.params.weighted_average`.
+        ``None`` means uniform — the paper's ``GlobalModelGen``.  The
+        row has the buffer dtype and owns its memory.  Integer fields
+        are taken from row 0 (the "first state"), exactly like the
+        dict-based ``weighted_average`` oracle of the tests.
 
         ``precise=True`` accumulates in float64, sequentially in pool
         order — bit-for-bit the dict reference, streaming one row at a
@@ -726,7 +726,7 @@ class PoolBuffer:
         int_mask = self.layout.integer_mask()
         if int_mask.any():
             row[int_mask] = self.storage.row(0)[int_mask]
-        return self.layout.unflatten(row, copy=True)
+        return row
 
     # -- diagnostics -------------------------------------------------------
     def dispersion(

@@ -28,6 +28,13 @@ the shared :meth:`FederatedServer.fit` loop:
     on the round record.  FedAvg-family methods reduce the upload
     buffer with one BLAS matvec (:meth:`aggregate_uploads`).
 
+The server holds models as rows, like its legs: the FedAvg family's
+global model is one float32 row in ``trainer.layout``
+(:meth:`FederatedServer.global_row`) that aggregates replace and never
+write, so plans share it.  A model crosses between state dict and row
+only at the API boundary, :meth:`~FederatedServer.global_state` and
+:meth:`~FederatedServer.set_global_state`.
+
 ``run_round`` is the phase driver; methods whose round is not the
 dispatch→collect→aggregate shape (FedCluster's cyclic cluster schedule)
 may still override it wholesale — but then the round policy of
@@ -66,31 +73,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["DispatchPlan", "FederatedServer"]
 
 
-def _check_roundtrip(layout, state, dtype) -> None:
-    """Refuse a state that a ``dtype`` row would not carry exactly.
-
-    A dispatched model is a buffer-dtype row (cut by
-    :meth:`FederatedServer.global_row`).  An integer field outside the
-    dtype's exact range, or a float field *wider* than it whose values
-    do not survive, would silently break the bit-identical contract, so
-    fail loudly instead (all-float32 states skip the float pass).  The
-    way back needs no check: a trainer trains float32 models only.
-    """
-    from repro.core.pool import _check_integer_roundtrip
-
-    buffer_dtype = np.dtype(dtype)
-    _check_integer_roundtrip(layout, state, buffer_dtype)
+def _check_roundtrip(layout: StateLayout, state: Mapping[str, np.ndarray]) -> None:
+    """Refuse, naming the field, a key, shape or value (of any dtype but
+    float32) that the float32 row would not carry exactly.  The way back
+    needs no check: a trainer trains float32 models only."""
+    missing = sorted(set(layout.keys) - set(state))
+    extra = sorted(set(state) - set(layout.keys))
+    if missing or extra:
+        raise ValueError(
+            f"state keys do not match the model: missing {missing}, unexpected {extra}"
+        )
     for spec in layout.fields:
         value = np.asarray(state[spec.key])
-        if value.dtype.kind != "f" or value.dtype.itemsize <= buffer_dtype.itemsize:
-            continue
-        if value.size and not np.array_equal(
-            value.astype(buffer_dtype).astype(value.dtype), value
-        ):
+        if value.shape != spec.shape:
             raise ValueError(
-                f"float field {spec.key!r} ({value.dtype}) does not survive the "
-                f"{buffer_dtype} dispatch row; use "
-                f"{buffer_dtype}-exact states or a wider pool dtype"
+                f"field {spec.key!r} has shape {value.shape}, the model's is {spec.shape}"
+            )
+        if value.dtype == np.float32 or not value.size:
+            continue
+        if not np.array_equal(value.astype(np.float32).astype(value.dtype), value):
+            raise ValueError(
+                f"field {spec.key!r} ({value.dtype}) does not survive the float32 "
+                "global row; use float32-exact states"
             )
 
 
@@ -98,8 +102,9 @@ def _check_roundtrip(layout, state, dtype) -> None:
 class DispatchPlan:
     """What one active client receives for its local-training leg.
 
-    ``flat`` is the model as one ``(P,)`` upload-buffer row: cut by
-    :meth:`FederatedServer.global_row`, or a FedCross pool row as is.
+    ``flat`` is the model as one ``(P,)`` float32 row, shared, never
+    copied: :meth:`FederatedServer.global_row` itself for the FedAvg
+    family, or a FedCross pool row as is.
 
     ``context`` is free-form method state threaded from ``dispatch`` to
     ``aggregate`` (e.g. SCAFFOLD's per-client control variate); it stays
@@ -249,16 +254,16 @@ class FederatedServer:
             workers=config.workers,
         )
         weakref.finalize(self, self.executor.close)
-        # The FedAvg family's deployable global model, replaced by each
-        # round's aggregate; FedCross deploys its pool instead.
-        self._global = model.state_dict()
-        self._layout = StateLayout.from_state(self._global)
+        # The FedAvg family's deployable model, replaced (never written)
+        # by each round's aggregate; FedCross deploys its pool instead.
+        self._layout = trainer.layout
+        self._global = trainer.row.copy()
         self._uploads: "PoolBuffer | None" = None
         self._upload_rows: list[int] = []
-        self._pack_cache: dict = {}
-        # Reused model-layout buffers keyed by (tag, size): "round" for
-        # the default collect, "cohort" for ad-hoc train_cohort calls —
-        # distinct tags so the two can never alias within one round.
+        # Reused model-layout buffers keyed by (tag, size, dtype):
+        # "round" for the default collect, "cohort" for ad-hoc
+        # train_cohort calls — distinct tags so the two can never alias
+        # within one round.
         self._buffer_cache: dict = {}
 
     # -- phase hooks ------------------------------------------------------
@@ -352,25 +357,27 @@ class FederatedServer:
         results = self.collect(active, plans)
         return self.aggregate(active, results, plans)
 
-    def global_state(self) -> dict:
-        """State dict of the deployable global model."""
+    def global_row(self) -> np.ndarray:
+        """The deployable model as one float32 row, as held (FedCross
+        overrides this, and only this, with its pool average)."""
         return self._global
 
-    def global_row(self) -> np.ndarray:
-        """The global model as one float32 upload row for a round's plans:
-        the one dict→row boundary, refusing (by field) what it would narrow."""
-        state = self.global_state()
-        _check_roundtrip(self._layout, state, np.float32)
-        return self._layout.flatten(state, dtype=np.float32)
+    def global_state(self) -> dict:
+        """The API boundary's way out: the deployable model as a state
+        dict of views of :meth:`global_row`."""
+        return self._layout.unflatten(self.global_row())
 
     def set_global_state(self, state: Mapping[str, np.ndarray]) -> None:
-        """Install ``state`` (deep-copied) as the deployable global model.
+        """The API boundary's way in (checkpoint restores), on every
+        method: ``state`` is checked (:func:`_check_roundtrip`) before
+        anything on the server changes, then installed as a fresh row."""
+        _check_roundtrip(self._layout, state)
+        self._install_global_row(self._layout.flatten(state, dtype=np.float32))
 
-        Used by checkpointing callbacks to restore a best state.
-        Subclasses holding richer deployables (e.g. FedCross's
-        middleware pool) override.
-        """
-        self._global = {k: np.array(v, copy=True) for k, v in state.items()}
+    def _install_global_row(self, row: np.ndarray) -> None:
+        """Make the checked ``row`` the deployable model (FedCross:
+        broadcast it over the pool)."""
+        self._global = row
 
     # -- pool-backed aggregation helpers -----------------------------------
     def _model_buffer(self, tag: str, k: int) -> "PoolBuffer":
@@ -400,39 +407,6 @@ class FederatedServer:
         """The current round's packed upload buffer (None before round 1)."""
         return self._uploads
 
-    def pack_states(
-        self, states: Sequence[Mapping[str, np.ndarray]], dtype=np.float32
-    ) -> "PoolBuffer":
-        """Pack state dicts into a reused buffer on the backend.
-
-        The layout is derived from the states themselves (cached by
-        structural signature), so this also fits side-channel state like
-        SCAFFOLD's param-only control variates.  Buffers are cached per
-        (layout, size, dtype) and overwritten on each call — one
-        allocation (and, on memmap, one backing file) per shape for the
-        whole run — so the returned buffer is only valid until the next
-        same-shape ``pack_states`` call.
-        """
-        from repro.core.pool import PoolBuffer  # lazy: avoids fl<->core cycle
-
-        states = list(states)
-        if not states:
-            raise ValueError("cannot pack an empty sequence of states")
-        layout = StateLayout.from_state(states[0])
-        # Layouts are interned for the process lifetime (_LAYOUT_CACHE),
-        # so identity is a stable cache key.
-        key = (id(layout), len(states), np.dtype(dtype).str)
-        buf = self._pack_cache.get(key)
-        if buf is None:
-            buf = PoolBuffer.zeros(
-                layout, len(states), dtype=dtype, backend=self.backend,
-                backend_options=self.backend_options,
-            )
-            self._pack_cache[key] = buf
-        for i, state in enumerate(states):
-            buf.set_state(i, state)
-        return buf
-
     def train_cohort(
         self, members: list[Client], plans: list[DispatchPlan]
     ) -> "tuple[list[LocalResult], PoolBuffer]":
@@ -449,14 +423,12 @@ class FederatedServer:
         results = self.executor.run(self.trainer, members, plans, rows, buf)
         return results, buf
 
-    def aggregate_uploads(self, results: Sequence[LocalResult]) -> dict:
-        """Weighted reduction of the collected uploads.
+    def aggregate_uploads(self, results: Sequence[LocalResult]) -> np.ndarray:
+        """Weighted reduction of the collected uploads, as a fresh row.
 
         Routed through the configured aggregation operator; the default
-        ``mean`` is one BLAS matvec over the upload buffer — the
-        vectorized equivalent of FedAvg's ``weighted_average`` dict
-        loop, bitwise the pre-operator path.  Weights follow the
-        buffer-row placement recorded by ``collect`` (the
+        ``mean`` is one BLAS matvec over the upload buffer.  Weights
+        follow the buffer-row placement recorded by ``collect`` (the
         ``plan.context["row"]`` feature), so custom row assignments
         cannot silently misweight the average (rank-based robust
         operators ignore them by design).
@@ -470,8 +442,11 @@ class FederatedServer:
 
     # -- shared machinery ------------------------------------------------
     def evaluate(self) -> tuple[float, float]:
-        """Accuracy/loss of the deployable global model on the test set."""
-        self.model.load_state_dict(self.global_state())
+        """Accuracy/loss of the deployable global model on the test set.
+
+        Binds the global row into ``trainer.row`` as a leg does; no
+        graph is recorded, so no captured view outlives the call."""
+        self.trainer.bind(self.global_row())
         return evaluate_model(
             self.model, self.fed_dataset.test, batch_size=self.config.eval_batch_size
         )

@@ -24,10 +24,10 @@ so every bit, is the same either way.  The gradient binding lasts for
 the leg only: after it, evaluation, FedGen's teacher pass, a deep copy
 or a pickle of the model never touch ``grad_row``.
 
-The model binding is redone on every ``train`` call: the server's
-evaluation and FedGen's teacher pass load states into the shared serial
-model with :meth:`~repro.nn.module.Module.load_state_dict`, which
-rebinds it to private copies between legs.
+The model binding (:meth:`LocalTrainer.bind`) is redone on every
+``train`` call, and by the server's evaluation; FedGen's teacher pass
+loads states with :meth:`~repro.nn.module.Module.load_state_dict`,
+which rebinds the model to private copies between legs.
 
 The serial execution backend drives one trainer per simulation; the
 parallel backends (:mod:`repro.fl.execution`) build one private
@@ -169,6 +169,15 @@ class LocalTrainer:
             ),
         )
 
+    def bind(self, flat: np.ndarray) -> None:
+        """Copy the ``(P,)`` row ``flat`` into ``self.row`` and bind every
+        parameter and buffer of the model as its view of that row."""
+        self.row[:] = flat
+        for param, view, _ in self._params:
+            param.data = view
+        for module, name, view in self._buffers:
+            module._set_buffer(name, view)
+
     def train(
         self,
         flat: np.ndarray,
@@ -187,11 +196,7 @@ class LocalTrainer:
         between rounds, as in the paper's cross-device setting.
         """
         model = self.model
-        self.row[:] = flat
-        for param, view, _ in self._params:
-            param.data = view
-        for module, name, view in self._buffers:
-            module._set_buffer(name, view)
+        self.bind(flat)
         model.train()
         optimizer = self.optimizer
         optimizer.configure(

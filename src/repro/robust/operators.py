@@ -199,8 +199,10 @@ class AggregationOperator:
         for key, value in kwargs.items():
             setattr(self, key, value)
 
-    def combine(self, pool: PoolBuffer, weights=None, *, precise: bool = True) -> dict:
-        """Aggregate all pool rows into one state dict."""
+    def combine(
+        self, pool: PoolBuffer, weights=None, *, precise: bool = True
+    ) -> np.ndarray:
+        """Aggregate all pool rows into one fresh ``(P,)`` row."""
         raise NotImplementedError
 
     def cross_blend(
@@ -287,13 +289,14 @@ class _RobustOperator(AggregationOperator):
             center[c0:c1] = self._from_sorted(vals)
         return center
 
-    def _center_state(self, pool: PoolBuffer, center: np.ndarray) -> dict:
-        row = center.astype(pool.dtype, copy=False)
+    def _center_row(self, pool: PoolBuffer, center: np.ndarray) -> np.ndarray:
+        """The float64 ``center`` as a fresh buffer-dtype row, integer
+        columns carried from row 0."""
+        row = center.astype(pool.dtype)
         int_mask = pool.layout.integer_mask()
         if int_mask.any():
-            row = np.array(row, copy=True)
             row[int_mask] = pool.storage.row(0)[int_mask]
-        return pool.layout.unflatten(np.asarray(row), copy=True)
+        return row
 
     def _trust_region(self, pool: PoolBuffer):
         """``(center, norms, tau, scales, flagged)`` for the blend.
@@ -326,7 +329,7 @@ class _RobustOperator(AggregationOperator):
         # Rank-based combines: weights carry no rank information, so
         # they are deliberately ignored (a zero-weight carried row is
         # just one more order statistic).
-        return self._center_state(pool, self._center(pool))
+        return self._center_row(pool, self._center(pool))
 
     def _detect(self, pool: PoolBuffer) -> np.ndarray:
         """Boolean flag per row: outside the trust region?
@@ -458,4 +461,4 @@ class NormClipOperator(_RobustOperator):
             for i in range(b0, b1):
                 dev = block[i - b0].astype(np.float64, copy=False) - center
                 acc += (w[i] * scales[i]) * dev
-        return self._center_state(pool, center + acc)
+        return self._center_row(pool, center + acc)

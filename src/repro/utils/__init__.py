@@ -1,10 +1,9 @@
-"""Shared utilities: deterministic RNG streams, parameter flattening,
-cached flat-vector state layouts, and the generic plugin registry.
+"""Shared utilities: deterministic RNG streams, cached flat-vector
+state layouts, and the generic plugin registry.
 
 Exports resolve lazily (PEP 562), so importing one utility module loads
-only that one: ``import repro.cli`` needs :mod:`repro.utils.layout` but
-not :mod:`repro.utils.params`, and eager package-level imports here
-would add the latter to the set-up every run pays.
+only that one; eager package-level imports here would add every utility
+to the set-up every run pays.
 """
 
 from typing import TYPE_CHECKING
@@ -15,11 +14,6 @@ _EXPORTS = {
     "seed_sequence": "repro.utils.rng",
     "FieldSpec": "repro.utils.layout",
     "StateLayout": "repro.utils.layout",
-    "flatten_state_dict": "repro.utils.params",
-    "unflatten_state_dict": "repro.utils.params",
-    "state_dict_like": "repro.utils.params",
-    "zeros_like_state": "repro.utils.params",
-    "tree_map": "repro.utils.params",
     "Registry": "repro.utils.registry",
 }
 
@@ -27,13 +21,6 @@ __all__ = list(_EXPORTS)
 
 if TYPE_CHECKING:  # pragma: no cover - static-analysis view of the API
     from repro.utils.layout import FieldSpec, StateLayout
-    from repro.utils.params import (
-        flatten_state_dict,
-        state_dict_like,
-        tree_map,
-        unflatten_state_dict,
-        zeros_like_state,
-    )
     from repro.utils.registry import Registry
     from repro.utils.rng import default_rng, seed_sequence, spawn_rng
 

@@ -1,8 +1,7 @@
 """Cached flat-vector layouts for model state dicts.
 
-:func:`repro.utils.params.flatten_state_dict` re-derives key order,
-shapes and offsets on every call and allocates a fresh concatenated
-vector each time.  That is fine for one-off diagnostics but ruinous on
+Re-deriving key order, shapes and offsets and concatenating a fresh
+vector on every flatten is fine for one-off diagnostics but ruinous on
 the FedCross server hot path, which compares and fuses all K middleware
 models every round.  A :class:`StateLayout` computes the sorted-key
 ``offset/shape/dtype`` spec *once* per model architecture and then
@@ -58,9 +57,8 @@ _LAYOUT_CACHE: dict[tuple, "StateLayout"] = {}
 class StateLayout:
     """Sorted-key ``{name: ndarray}`` ⇄ flat-vector layout of one model.
 
-    Keys are laid out in sorted order — the same convention as
-    :func:`repro.utils.params.flatten_state_dict` — so flat rows built
-    through a layout are interchangeable with legacy flattened vectors.
+    Keys are laid out in sorted order, so the flat rows of two states
+    of the same model always line up column for column.
     """
 
     def __init__(self, fields: Sequence[FieldSpec]) -> None:

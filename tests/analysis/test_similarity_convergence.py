@@ -13,6 +13,7 @@ from repro.analysis.similarity import (
     pairwise_cosine,
     pool_dispersion,
 )
+from repro.core.pool import PoolBuffer
 
 
 def pool_of(vectors):
@@ -35,16 +36,12 @@ class TestSimilarityDiagnostics:
         assert pool_dispersion(tight) < pool_dispersion(loose)
 
     def test_cross_aggregation_raises_similarity(self, rng):
-        from repro.core.aggregation import cross_aggregate
         from repro.core.selection import select_in_order
 
-        pool = pool_of(rng.standard_normal((5, 12)))
+        pool = PoolBuffer.from_states(pool_of(rng.standard_normal((5, 12))), dtype=np.float64)
         before = mean_pairwise_similarity(pool)
         for r in range(6):
-            pool = [
-                cross_aggregate(pool[i], pool[select_in_order(i, r, 5)], 0.7)
-                for i in range(5)
-            ]
+            pool = pool.cross_aggregate([select_in_order(i, r, 5) for i in range(5)], 0.7)
         after = mean_pairwise_similarity(pool)
         assert after > before
 
@@ -80,23 +77,29 @@ class TestLemma34:
     def test_gap_nonnegative_for_inorder_permutation(self, rng):
         from repro.core.selection import select_in_order
 
-        pool = pool_of(rng.standard_normal((6, 10)))
-        reference = {"w": rng.standard_normal(10)}
+        pool = PoolBuffer.from_states(pool_of(rng.standard_normal((6, 10))), dtype=np.float64)
+        reference = rng.standard_normal(10)
         for r in range(5):
             co = [select_in_order(i, r, 6) for i in range(6)]
             gap = lemma34_contraction_gap(pool, co, alpha=0.8, reference=reference)
             assert gap >= -1e-10
 
+    def test_gap_refuses_alpha_outside_unit_interval(self):
+        pool = PoolBuffer.from_states(pool_of([[0.0], [1.0]]), dtype=np.float64)
+        for alpha in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match="alpha"):
+                lemma34_contraction_gap(pool, [1, 0], alpha, np.zeros(1))
+
     def test_gap_zero_for_identical_pool(self, rng):
-        pool = pool_of([np.ones(4)] * 3)
+        pool = PoolBuffer.from_states(pool_of([np.ones(4)] * 3), dtype=np.float64)
         co = [1, 2, 0]
-        gap = lemma34_contraction_gap(pool, co, 0.7, {"w": np.zeros(4)})
+        gap = lemma34_contraction_gap(pool, co, 0.7, np.zeros(4))
         assert gap == pytest.approx(0.0, abs=1e-12)
 
     def test_gap_can_fail_for_non_permutation(self):
         """All models aggregating toward the farthest member can move the
         pool *away* from a reference near the former consensus."""
-        pool = pool_of([[0.0], [0.0], [10.0]])
+        pool = PoolBuffer.from_states(pool_of([[0.0], [0.0], [10.0]]), dtype=np.float64)
         co = [2, 2, 2]  # not a permutation
-        gap = lemma34_contraction_gap(pool, co, 0.5, {"w": np.array([0.0])})
+        gap = lemma34_contraction_gap(pool, co, 0.5, np.array([0.0]))
         assert gap < 0

@@ -8,12 +8,13 @@ import pytest
 
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FLSimulation, run_simulation
-from repro.utils.params import flatten_state_dict, weighted_average
 
-# The dict-path leg (load_state_dict / SGD / state_dict), the oracle the
-# row-bound trainer is held to.
+# The dict-path leg (load_state_dict / SGD / state_dict) and the
+# state-dict aggregation paths, the oracles the row engine is held to.
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "fl"))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "core"))
 from _dict_leg import dict_leg  # noqa: E402
+from _dict_oracle import flatten_state_dict, weighted_average  # noqa: E402
 
 
 @pytest.fixture
@@ -29,10 +30,10 @@ class TestFedAvg:
         # capture uploads by re-running the exact local training
         import copy
 
-        global_before = {k: v.copy() for k, v in server._global.items()}
+        global_before = {k: v.copy() for k, v in server.global_state().items()}
         rng_states = [copy.deepcopy(c.rng.bit_generator.state) for c in active]
         server.run_round(active)
-        after = server._global
+        after = server.global_state()
 
         uploads = []
         for client, state in zip(active, rng_states):

@@ -1,27 +1,22 @@
-"""State-dict utilities.
+"""The state-dict aggregation paths, kept as the test oracle.
 
-All federated aggregation in this repo operates on *state dicts* — flat
-``{name: ndarray}`` mappings detached from any live module — exactly as
-the paper's server-side pseudo-code manipulates model parameter lists.
-These helpers flatten/unflatten and combine state dicts.
+The server used to aggregate on *state dicts* — flat ``{name: ndarray}``
+mappings, key by key, as the paper's server-side pseudo-code
+manipulates model parameter lists.  It now holds models as rows
+(:class:`~repro.core.pool.PoolBuffer` rows and the global row), and
+these dict helpers — flatten/unflatten, ``tree_map``,
+``weighted_average``, ``cross_aggregate`` and
+``global_model_generation`` — are what the row engine is held to, bit
+for bit.  Not used by ``src/``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-__all__ = [
-    "flatten_state_dict",
-    "unflatten_state_dict",
-    "state_dict_like",
-    "zeros_like_state",
-    "tree_map",
-    "weighted_average",
-]
-
-StateDict = dict
+from repro.core.fedcross import validate_alpha
 
 
 def flatten_state_dict(state: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -121,3 +116,38 @@ def weighted_average(
             acc += wi * np.asarray(state[key], dtype=np.float64)
         out[key] = acc.astype(first.dtype)
     return out
+
+
+def cross_aggregate(
+    model: Mapping[str, np.ndarray],
+    collaborator: Mapping[str, np.ndarray],
+    alpha: float,
+) -> dict[str, np.ndarray]:
+    """CrossAggr key-wise: ``alpha * model + (1 - alpha) * collaborator``.
+
+    Integer entries (step counters and other non-float buffers) are
+    carried from ``model`` unchanged — blending them in floating point
+    and truncating back silently corrupts them.
+    """
+    alpha = validate_alpha(alpha)
+    if set(model) != set(collaborator):
+        raise KeyError("model and collaborator state dicts have mismatched keys")
+    out: dict[str, np.ndarray] = {}
+    for key, value in model.items():
+        value = np.asarray(value)
+        if value.dtype.kind in "iub":
+            out[key] = value.copy()
+            continue
+        a = np.asarray(value, dtype=np.float64)
+        b = np.asarray(collaborator[key], dtype=np.float64)
+        out[key] = (alpha * a + (1.0 - alpha) * b).astype(value.dtype)
+    return out
+
+
+def global_model_generation(
+    middleware: Sequence[Mapping[str, np.ndarray]],
+) -> dict[str, np.ndarray]:
+    """GlobalModelGen key-wise: the uniform average of the middleware pool."""
+    if not middleware:
+        raise ValueError("middleware pool is empty")
+    return weighted_average(middleware)

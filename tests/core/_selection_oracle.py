@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.selection import cosine_similarity, euclidean_similarity
-from repro.utils.params import flatten_state_dict
+from _dict_oracle import flatten_state_dict
 
 MEASURES = {"cosine": cosine_similarity, "euclidean": euclidean_similarity}
 

@@ -1,9 +1,12 @@
-"""CrossAggr and GlobalModelGen."""
+"""CrossAggr and GlobalModelGen on state dicts (the oracle the pool
+engine is held to), and the alpha check."""
 
 import numpy as np
 import pytest
 
-from repro.core.aggregation import cross_aggregate, global_model_generation, validate_alpha
+from repro.core.fedcross import validate_alpha
+
+from _dict_oracle import cross_aggregate, global_model_generation
 
 
 class TestValidateAlpha:

@@ -6,6 +6,7 @@ from _eager_gram import EagerGram
 
 from repro.core.gram import GramTracker
 from repro.core.pool import PoolBuffer, cosine_from_gram
+from repro.utils.layout import StateLayout
 
 
 def make_pool(k=5, rng=None, dtype=np.float64):
@@ -101,7 +102,8 @@ class TestAlgebra:
 
     def test_dispersion_zero_for_identical_pool(self, rng):
         state = {"w": rng.standard_normal(6)}
-        pool = PoolBuffer.broadcast(state, 4, dtype=np.float64)
+        layout = StateLayout.from_state(state)
+        pool = PoolBuffer.broadcast(layout, layout.flatten(state), 4, dtype=np.float64)
         # Gram sums cancel to round-off; the clip keeps the sqrt real.
         assert GramTracker.from_pool(pool).dispersion() == pytest.approx(0.0, abs=1e-6)
 
@@ -300,9 +302,8 @@ class TestFloat64Image:
 
         k, p = 24, 40_000
         monkeypatch.setenv("REPRO_POOL_BLOCK_BYTES", str(1 << 20))
-        pool = PoolBuffer.broadcast(
-            {"w": np.zeros(p, dtype=np.float32)}, k, backend="memmap"
-        )
+        layout = StateLayout.from_state({"w": np.zeros(p, dtype=np.float32)})
+        pool = PoolBuffer.broadcast(layout, np.zeros(p), k, backend="memmap")
         for i in range(k):
             pool.row(i)[:] = rng.standard_normal(p).astype(np.float32)
         tracemalloc.start()

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.pool import PoolBuffer
 from repro.utils.layout import StateLayout
-from repro.utils.params import flatten_state_dict
+
+from _dict_oracle import flatten_state_dict  # the state-dict oracle
 
 
 def make_state(rng, with_int=False):
@@ -91,7 +92,8 @@ class TestPoolBufferBasics:
 
     def test_broadcast_replicates_one_state(self, rng):
         state = make_state(rng)
-        buf = PoolBuffer.broadcast(state, 5)
+        layout = StateLayout.from_state(state)
+        buf = PoolBuffer.broadcast(layout, layout.flatten(state), 5)
         assert len(buf) == 5
         np.testing.assert_array_equal(buf.matrix[0], buf.matrix[4])
 
@@ -193,7 +195,7 @@ class TestVectorizedAggregation:
             np.testing.assert_array_equal(
                 out.as_state(i)["c.steps"], pool[i]["c.steps"]
             )
-        mean = buf.mean_state()
+        mean = buf.layout.unflatten(buf.mean_state())
         np.testing.assert_array_equal(mean["c.steps"], pool[0]["c.steps"])
 
     def test_propeller_groups_fuse_with_group_mean(self, rng):
@@ -215,7 +217,7 @@ class TestVectorizedAggregation:
     def test_mean_state_matches_numpy_mean(self, rng):
         pool = make_pool(rng, k=4)
         buf = PoolBuffer.from_states(pool)
-        mean = buf.mean_state()
+        mean = buf.layout.unflatten(buf.mean_state())
         for key in pool[0]:
             expected = np.mean([s[key] for s in pool], axis=0)
             np.testing.assert_allclose(mean[key], expected, rtol=1e-5, atol=1e-7)
@@ -229,16 +231,19 @@ class TestVectorizedAggregation:
 
     def test_dispersion_zero_for_identical_pool(self, rng):
         state = make_state(rng)
-        buf = PoolBuffer.broadcast(state, 4)
+        layout = StateLayout.from_state(state)
+        buf = PoolBuffer.broadcast(layout, layout.flatten(state), 4)
         assert buf.dispersion() == 0.0
 
     def test_float32_pool_rejects_unrepresentable_integers(self, rng):
         state = make_state(rng, with_int=True)
         state["c.steps"] = np.array([2**24 + 1], dtype=np.int64)
+        layout = StateLayout.from_state(state)
+        row = layout.flatten(state)
         with pytest.raises(ValueError, match="round-trip"):
-            PoolBuffer.broadcast(state, 2, dtype=np.float32)
+            PoolBuffer.broadcast(layout, row, 2, dtype=np.float32)
         # a wider pool dtype accepts the same value
-        buf = PoolBuffer.broadcast(state, 2, dtype=np.float64)
+        buf = PoolBuffer.broadcast(layout, row, 2, dtype=np.float64)
         np.testing.assert_array_equal(buf.as_state(0)["c.steps"], [2**24 + 1])
 
 
@@ -327,9 +332,7 @@ class TestBlockwiseOps:
         for i in range(6):
             acc += w[i] * m[i]
         ref = acc.astype(np.float32)
-        got = buf.mean_state(weights, precise=True)
-        flat = np.empty(buf.num_scalars, dtype=np.float32)
-        buf.layout.flatten_into(got, flat)
+        flat = buf.mean_state(weights, precise=True)
         int_mask = buf.layout.integer_mask()
         np.testing.assert_array_equal(flat[~int_mask], ref[~int_mask])
         np.testing.assert_array_equal(flat[int_mask], buf.matrix[0, int_mask])
@@ -369,7 +372,10 @@ class TestOutOfCoreRound:
         }
         param_keys = {"w", "b"}
         monkeypatch.setenv("REPRO_POOL_BLOCK_BYTES", str(1 << 20))
-        pool = PoolBuffer.broadcast(state, k, dtype=np.float32, backend="memmap")
+        layout = StateLayout.from_state(state)
+        pool = PoolBuffer.broadcast(
+            layout, layout.flatten(state), k, dtype=np.float32, backend="memmap"
+        )
         p = pool.num_scalars
         float_cols = ~pool.layout.integer_mask()
         for i in range(k):  # perturb row by row — no (K, P) host copy

@@ -245,15 +245,16 @@ class TestDenseEquivalence:
         weights = [1.0, 2.0, 3.0, 4.0]
         mean_d = dense.mean_state(weights, precise=precise)
         mean_o = other.mean_state(weights, precise=precise)
-        for key in mean_d:
-            np.testing.assert_array_equal(mean_o[key], mean_d[key])
+        np.testing.assert_array_equal(mean_o, mean_d)
 
     @pytest.mark.parametrize("backend", sorted(NON_DENSE))
     def test_broadcast_identical(self, rng, backend):
         state = make_state(rng)
-        d = PoolBuffer.broadcast(state, 3, backend="dense")
+        layout = StateLayout.from_state(state)
+        row = layout.flatten(state)
+        d = PoolBuffer.broadcast(layout, row, 3, backend="dense")
         o = PoolBuffer.broadcast(
-            state, 3, backend=backend, backend_options=NON_DENSE[backend]
+            layout, row, 3, backend=backend, backend_options=NON_DENSE[backend]
         )
         np.testing.assert_array_equal(np.asarray(o.matrix), d.matrix)
 

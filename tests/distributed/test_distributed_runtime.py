@@ -139,9 +139,7 @@ class TestMeasuredLedger:
             counts = Counts()
             sim = FLSimulation(config, callbacks=[counts])
             records = sim.run().history.records
-            leg = sim.server.model_size + sum(
-                v.size for v in sim.server._c_global.values()
-            )
+            leg = sim.server.model_size + sim.server._c_global.size
             ledger = [(r.comm_down_params, r.comm_up_params) for r in records]
             assert ledger == [(downs * leg, ups * leg) for downs, ups in counts.legs]
             assert any(downs < config.clients_per_round for downs, _ in counts.legs)

@@ -249,21 +249,50 @@ class TestHookSpecs:
         extra = hook(sim.model, None, None)
         assert np.isfinite(float(extra.item()))
 
-    @pytest.mark.parametrize("execution", ["serial", "thread", "process"])
-    def test_lossy_global_state_is_refused_at_dispatch(self, tiny_config, execution):
-        """A float64 global state the float32 dispatch row would narrow
-        fails loudly at ``dispatch``, naming the field, before any
-        backend sees a plan — the same boundary on every backend."""
-        sim = FLSimulation(tiny_config.replace(execution=execution, workers=1))
-        server = sim.server
-        lossy = {k: np.asarray(v, dtype=np.float64) for k, v in server.global_state().items()}
+    @pytest.mark.parametrize("method", ["fedavg", "scaffold", "fedcross"])
+    def test_lossy_global_state_is_refused_at_set_global_state(self, tiny_config, method):
+        """``set_global_state`` is the one state boundary on every method:
+        a float64 state the float32 global row would narrow raises,
+        naming the field, and leaves the deployable row untouched; a
+        float32-exact float64 state is installed as float32."""
+        server = FLSimulation(tiny_config.with_method(method)).server
+        server.run_round(server.select_cohort())
+        before = server.global_row().tobytes()
+        exact = {k: v.astype(np.float64) for k, v in server.global_state().items()}
+        lossy = dict(exact)
         key = sorted(lossy)[0]
         lossy[key] = lossy[key] + 1e-12
-        server._global = lossy
         with pytest.raises(
-            ValueError, match=rf"float field '{key}' \(float64\) does not survive the float32"
+            ValueError, match=rf"field '{key}' \(float64\) does not survive the float32"
         ):
-            server.dispatch(server.select_cohort())
+            server.set_global_state(lossy)
+        assert server.global_row().tobytes() == before
+        server.set_global_state(exact)
+        state = server.global_state()
+        assert all(value.dtype == np.float32 for value in state.values())
+        for k, value in exact.items():
+            np.testing.assert_array_equal(state[k], value)
+        server.executor.close()
+
+    @pytest.mark.parametrize(
+        "damage, match",
+        [
+            (lambda s, k: s.pop(k), r"missing \['{key}'\]"),
+            (lambda s, k: s.update(extra=np.zeros(1, np.float32)), r"unexpected \['extra'\]"),
+            (lambda s, k: s.update({k: s[k].reshape(-1)[:1]}), r"field '{key}' has shape"),
+        ],
+    )
+    def test_set_global_state_refuses_keys_and_shapes_by_field(
+        self, tiny_config, damage, match
+    ):
+        server = FLSimulation(tiny_config).server
+        state = {k: v.copy() for k, v in server.global_state().items()}
+        key = sorted(state)[0]
+        damage(state, key)
+        before = server.global_row()
+        with pytest.raises(ValueError, match=match.format(key=key)):
+            server.set_global_state(state)
+        assert server.global_row() is before
         server.executor.close()
 
     @pytest.mark.parametrize("execution", ["serial", "thread", "process", "distributed"])
@@ -305,18 +334,20 @@ class TestControlVariateSpec:
 
     def test_each_plan_carries_exactly_its_correction(self, scaffold_round_two):
         server, active, plans = scaffold_round_two
+        param_keys = sorted(name for name, _ in server.model.named_parameters())
         for client, plan in zip(active, plans):
             spec = plan.grad_hook
             assert list(vars(spec)) == ["correction"]
             c_local = server._c_clients[client.client_id]
-            assert list(spec.correction) == list(server._c_global)
-            for key, c in server._c_global.items():
-                assert spec.correction[key].tobytes() == (c - c_local[key]).tobytes()
-            assert any(np.any(v != 0) for v in spec.correction.values())
+            assert list(spec.correction) == param_keys
+            shipped = np.concatenate([v.reshape(-1) for v in spec.correction.values()])
+            assert shipped.tobytes() == (server._c_global - c_local).tobytes()
+            assert np.any(shipped != 0)
 
     def test_hook_adds_the_correction_bit_for_bit(self, scaffold_round_two):
         server, active, plans = scaffold_round_two
         c_local = server._c_clients[active[0].client_id]
+        correction = server._c_global - c_local
         hook = plans[0].grad_hook.build({})
         params = dict(server.model.named_parameters())
         rng = np.random.default_rng(0)
@@ -327,14 +358,15 @@ class TestControlVariateSpec:
         for name, param in params.items():
             param.grad = grads[name].copy()
         hook(params)
-        for name, param in params.items():
-            expected = grads[name] + (server._c_global[name] - c_local[name])
+        for name, span, shape in server._variate_fields:
+            param = params[name]
+            expected = grads[name] + correction[span].reshape(shape)
             assert param.grad.dtype == expected.dtype
             assert param.grad.tobytes() == expected.tobytes()
 
     def test_pickled_spec_is_one_variate(self, scaffold_round_two):
         server, _, plans = scaffold_round_two
-        variate_bytes = sum(v.nbytes for v in server._c_global.values())
+        variate_bytes = server._c_global.nbytes
         size = len(pickle.dumps(plans[0].grad_hook))
         assert variate_bytes < size < variate_bytes + 4096
 
@@ -566,7 +598,8 @@ class TestUploadState:
 
     def test_scaffold_reads_the_trained_values(self, tiny_config, unpacked):
         """On serial and process alike ``result.state[k]`` is what the
-        dict-path oracle trains, read out of the upload row."""
+        dict-path oracle trains, read out of the upload row — and
+        SCAFFOLD's row-native aggregate unpacks no upload itself."""
         config = tiny_config.with_method("scaffold")
 
         def cohort(**overrides):
@@ -584,7 +617,7 @@ class TestUploadState:
             results = server.collect(active, plans)
             server.aggregate(active, results, plans)
             server.executor.close()
-            assert any(buffer is server.uploads for buffer in unpacked)
+            assert not any(buffer is server.uploads for buffer in unpacked)
             for expected, result in zip(trained, results):
                 assert sorted(result.state) == sorted(expected)
                 for key, value in expected.items():

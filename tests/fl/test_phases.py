@@ -1,11 +1,18 @@
 """Phase protocol: select_cohort → dispatch → collect → aggregate."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from repro.fl.server import DispatchPlan
 from repro.fl.simulation import FLSimulation
 from repro.utils.layout import StateLayout
+
+# The state-dict aggregation paths, the oracle the row engine is held to.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "core"))
+from _dict_oracle import weighted_average  # noqa: E402
 
 
 class TestPhaseDriver:
@@ -118,16 +125,37 @@ class TestPhaseOverride:
         assert calls == [tiny_config.clients_per_round]
 
 
+# One method per way a global row is produced: ``aggregate_uploads``
+# (FedProx, FedGen and CluSamp install it the same way), SCAFFOLD's
+# server_lr blend, FedCluster's per-visit mean and FedCross's pool.
+@pytest.mark.parametrize("method", ["fedavg", "scaffold", "fedcluster", "fedcross"])
+def test_a_global_state_taken_before_a_round_is_unchanged_after_it(tiny_config, method):
+    """Aggregates replace the global row and never write it: a
+    ``global_state()`` (views of the row) and a plan's shared row taken
+    before a round read the same after the round and an evaluation."""
+    sim = FLSimulation(tiny_config.with_method(method))
+    server = sim.server
+    server.run_round(server.select_cohort())
+    state = server.global_state()
+    frozen = {key: value.copy() for key, value in state.items()}
+    flat = server.dispatch(server.select_cohort())[0].flat
+    flat_before = flat.copy()
+    server.run_round(server.select_cohort())
+    server.evaluate()
+    for key, value in frozen.items():
+        np.testing.assert_array_equal(state[key], value)
+    np.testing.assert_array_equal(flat, flat_before)
+    assert not np.array_equal(server.global_row(), sim.trainer.layout.flatten(frozen))
+
+
 class TestPoolBackedAggregation:
     def test_fedavg_aggregate_matches_weighted_average(self, tiny_config):
-        from repro.utils.params import weighted_average
-
         sim = FLSimulation(tiny_config)
         server = sim.server
         active = server.select_cohort()
         plans = server.dispatch(active)
         results = server.collect(active, plans)
-        got = server.aggregate_uploads(results)
+        got = sim.trainer.layout.unflatten(server.aggregate_uploads(results))
         ref = weighted_average(
             [r.state for r in results], [r.num_samples for r in results]
         )

@@ -89,17 +89,20 @@ def test_a_leg_binds_every_field_into_the_row_and_equals_the_oracle(name, extra)
 def test_serial_template_uploads_its_trained_row_after_evaluate_and_teacher_pass(
     tiny_config,
 ):
-    """The server's evaluation and FedGen's teacher pass load states into
-    the shared serial model, rebinding it to private copies; the next
-    leg still trains inside — and uploads — the trainer's row."""
+    """FedGen's teacher pass loads states into the shared serial model,
+    rebinding it to private copies; the server's evaluation binds it to
+    the trainer's row, holding the global row.  Either way the next leg
+    still trains inside — and uploads — the trainer's row."""
     sim = FLSimulation(tiny_config.with_method("fedgen"))
     server, trainer = sim.server, sim.trainer
     assert server.model is trainer.model
     client = sim.clients[0]
 
-    def rebound_by(between):
+    def leg_after(between, bound):
         between()
-        assert not np.shares_memory(next(server.model.parameters()).data, trainer.row)
+        assert np.shares_memory(next(server.model.parameters()).data, trainer.row) == bound
+        if bound:
+            np.testing.assert_array_equal(trainer.row, server.global_row())
         flat = server.global_row()
         dst = np.zeros_like(flat)
         state = client.rng.bit_generator.state
@@ -109,8 +112,8 @@ def test_serial_template_uploads_its_trained_row_after_evaluate_and_teacher_pass
         np.testing.assert_array_equal(dst, trainer.layout.flatten(trained, np.float32))
         assert not np.array_equal(dst, flat)
 
-    rebound_by(lambda: server.run_round(server.select_cohort()))  # the teacher pass
-    rebound_by(server.evaluate)
+    leg_after(lambda: server.run_round(server.select_cohort()), bound=False)  # the teacher pass
+    leg_after(server.evaluate, bound=True)
 
 
 def _hooks(kind, model, state):

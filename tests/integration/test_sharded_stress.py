@@ -24,6 +24,7 @@ import pytest
 from repro.core.gram import GramTracker
 from repro.core.pool import PoolBuffer
 from repro.models import build_model
+from repro.utils.layout import StateLayout
 
 K = 200
 SHARDS = 8
@@ -37,8 +38,9 @@ def test_k200_sharded_memmap_peak_below_one_shard(tmp_path, monkeypatch):
     state = model.state_dict()
     param_keys = {name for name, _ in model.named_parameters()}
 
+    layout = StateLayout.from_state(state)
     pool = PoolBuffer.broadcast(
-        state, K, dtype=np.float32,
+        layout, layout.flatten(state), K, dtype=np.float32,
         backend="sharded",
         backend_options={"shards": SHARDS, "placement": "memmap"},
     )

@@ -80,8 +80,7 @@ class TestDistributedBitIdentity:
         weights = [float(w) for w in range(1, k + 1)]
         ref = sharded.mean_state(weights, precise=precise)
         got = distributed.mean_state(weights, precise=precise)
-        for key in ref:
-            np.testing.assert_array_equal(got[key], ref[key])
+        np.testing.assert_array_equal(got, ref)
 
     @given(data=pools_with_fleet(), keys=st.sampled_from([None, ("w",)]))
     @settings(max_examples=15, deadline=None)

@@ -1,13 +1,20 @@
 """Hypothesis property tests for the FedCross core invariants."""
 
+import os
+import sys
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.analysis.convergence import lemma34_contraction_gap
 from repro.core.acceleration import DynamicAlphaSchedule, propeller_indices
-from repro.core.aggregation import cross_aggregate, global_model_generation
+from repro.core.pool import PoolBuffer
 from repro.core.selection import select_in_order
+
+# The state-dict aggregation paths, the oracle the row engine is held to.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "core"))
+from _dict_oracle import cross_aggregate, global_model_generation  # noqa: E402
 
 finite = st.floats(
     min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False, width=64
@@ -58,8 +65,8 @@ class TestCrossAggregationProperties:
         for any reference point."""
         k = len(pool)
         co = [select_in_order(i, r, k) for i in range(k)]
-        reference = {"w": np.zeros(5)}
-        gap = lemma34_contraction_gap(pool, co, alpha, reference)
+        rows = PoolBuffer.from_states(pool, dtype=np.float64)
+        gap = lemma34_contraction_gap(rows, co, alpha, np.zeros(5))
         assert gap >= -1e-6 * max(1.0, abs(gap))
 
     @given(pool=pools(), alpha=alphas)

@@ -1,10 +1,15 @@
-"""Hypothesis property tests for state-dict utilities."""
+"""Hypothesis property tests for the state-dict oracle's utilities."""
+
+import os
+import sys
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.utils.params import (
+# The state-dict aggregation paths, the oracle the row engine is held to.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "core"))
+from _dict_oracle import (  # noqa: E402
     flatten_state_dict,
     tree_map,
     unflatten_state_dict,

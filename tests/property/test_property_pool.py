@@ -13,13 +13,17 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.aggregation import cross_aggregate, global_model_generation
 from repro.core.pool import PoolBuffer
 from repro.core.selection import CoModelSel, similarity_matrix
-from repro.utils.params import weighted_average
 
-# The per-pair similarity loops, the oracle of the engine.
+# The per-pair similarity loops and the state-dict aggregation paths,
+# the oracles of the engine.
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "core"))
+from _dict_oracle import (  # noqa: E402
+    cross_aggregate,
+    global_model_generation,
+    weighted_average,
+)
 from _selection_oracle import (  # noqa: E402
     reference_select_by_similarity,
     reference_similarity_matrix,
@@ -143,7 +147,7 @@ class TestAggregationEquivalence:
     def test_global_model_generation_bitwise_matches_dict(self, pool):
         buf = PoolBuffer.from_states(pool, dtype=np.float64)
         ref = global_model_generation(pool)
-        got = global_model_generation(buf)
+        got = buf.layout.unflatten(buf.mean_state())
         for key in ref:
             np.testing.assert_array_equal(got[key], ref[key])
 
@@ -157,7 +161,7 @@ class TestAggregationEquivalence:
         ]
         buf = PoolBuffer.from_states(pool32, dtype=np.float32)
         ref = global_model_generation(pool32)
-        got = global_model_generation(buf)
+        got = buf.layout.unflatten(buf.mean_state())
         for key in ref:
             np.testing.assert_allclose(got[key], ref[key], rtol=1e-6, atol=1e-6)
 

@@ -119,8 +119,7 @@ class TestShardedBitIdentity:
         with _budget(budget):
             ref = dense.mean_state(weights, precise=precise)
             got = sharded.mean_state(weights, precise=precise)
-        for key in ref:
-            np.testing.assert_array_equal(got[key], ref[key])
+        np.testing.assert_array_equal(got, ref)
 
     @given(data=pools_with_layout(), keys=st.sampled_from([None, ("w",)]))
     @settings(max_examples=40, deadline=None)

@@ -152,17 +152,14 @@ class TestMeanOperator:
         buf = PoolBuffer.from_states(make_pool(rng, k=5, with_int=True))
         ours = MeanOperator().combine(buf, precise=precise)
         reference = buf.mean_state(precise=precise)
-        assert sorted(ours) == sorted(reference)
-        for key in ours:
-            np.testing.assert_array_equal(ours[key], reference[key])
+        np.testing.assert_array_equal(ours, reference)
 
     def test_weighted_combine_matches(self, rng):
         buf = PoolBuffer.from_states(make_pool(rng, k=4))
         weights = [1.0, 2.0, 3.0, 4.0]
         ours = MeanOperator().combine(buf, weights)
         reference = buf.mean_state(weights)
-        for key in ours:
-            np.testing.assert_array_equal(ours[key], reference[key])
+        np.testing.assert_array_equal(ours, reference)
 
     @pytest.mark.parametrize(
         "co", [[1, 2, 3, 0], [[1, 2], [2, 3], [3, 0], [0, 1]]]
@@ -183,15 +180,15 @@ class TestRobustCombine:
     def test_combine_matches_numpy_reference(self, rng, op):
         buf = crafted_buf(rng, k=6, outliers=(2,), with_int=True)
         expected = reduce_for(op, rows64(buf)).astype(np.float32)
-        state = op.combine(buf)
-        flat = buf.layout.flatten(state, dtype=np.float32)
+        flat = op.combine(buf)
+        assert flat.dtype == np.float32
         cols = ~buf.layout.integer_mask()
         np.testing.assert_array_equal(flat[cols], expected[cols])
 
     def test_combine_carries_ints_from_row_zero(self, rng):
         buf = crafted_buf(rng, k=5, with_int=True)
         for name in ("trimmed_mean", "coordinate_median", "norm_clip"):
-            state = build_operator(name).combine(buf)
+            state = buf.layout.unflatten(build_operator(name).combine(buf))
             np.testing.assert_array_equal(state["c.steps"], [1])
 
     def test_rank_combines_ignore_weights(self, rng):
@@ -199,8 +196,7 @@ class TestRobustCombine:
         op = CoordinateMedianOperator()
         unweighted = op.combine(buf)
         weighted = op.combine(buf, [5.0, 1.0, 1.0, 1.0, 1.0])
-        for key in unweighted:
-            np.testing.assert_array_equal(unweighted[key], weighted[key])
+        np.testing.assert_array_equal(unweighted, weighted)
 
     def test_outlier_row_cannot_move_the_median(self, rng):
         seed = rng.integers(1 << 31)
@@ -210,8 +206,7 @@ class TestRobustCombine:
         )
         op = CoordinateMedianOperator()
         a, b = op.combine(clean), op.combine(poisoned)
-        for key in a:
-            np.testing.assert_allclose(a[key], b[key], atol=0.05)
+        np.testing.assert_allclose(a, b, atol=0.05)
 
     def test_norm_clip_matches_reference_formula(self, rng):
         buf = crafted_buf(rng, k=6, outliers=(1,))
@@ -226,7 +221,7 @@ class TestRobustCombine:
         scales = np.minimum(1.0, tau / norms)
         w = weights / weights.sum()
         expected = center + ((w * scales)[:, None] * diff).sum(axis=0)
-        flat = buf.layout.flatten(op.combine(buf, weights), dtype=np.float32)
+        flat = op.combine(buf, weights)
         np.testing.assert_allclose(flat, expected.astype(np.float32), rtol=1e-6)
 
     @pytest.mark.parametrize("backend", ["memmap", "sharded"])
@@ -242,8 +237,7 @@ class TestRobustCombine:
         for name in ("trimmed_mean", "coordinate_median", "norm_clip"):
             op = build_operator(name)
             a, b = op.combine(dense), op.combine(other)
-            for key in a:
-                np.testing.assert_array_equal(a[key], b[key])
+            np.testing.assert_array_equal(a, b)
 
 
 class TestRobustCrossBlend:
@@ -346,7 +340,8 @@ class TestRobustCrossBlend:
 
     def test_identical_rows_flag_nothing(self, rng):
         state = make_state(rng)
-        buf = PoolBuffer.broadcast(state, 5)
+        layout = StateLayout.from_state(state)
+        buf = PoolBuffer.broadcast(layout, layout.flatten(state), 5)
         for name in ("trimmed_mean", "coordinate_median", "norm_clip"):
             op = build_operator(name)
             out = op.cross_blend(buf, [1, 2, 3, 4, 0], 0.9)

@@ -1,4 +1,4 @@
-"""Lints: a FedCross run's cold start stays numpy-only; legs move rows."""
+"""Lints: a FedCross run's cold start stays numpy-only; legs and the server move rows."""
 
 import ast
 import json
@@ -105,6 +105,36 @@ def test_execution_backends_convert_no_dispatched_model():
         "distributed/host.py": [],
     }
     assert "LocalTrainer.train" not in _call_sites(src / "fl/trainer.py", _CONVERSIONS)
+
+
+_SERVER_CONVERSIONS = (
+    "state_dict", "load_state_dict", "flatten", "flatten_into", "unflatten", "tree_map",
+    "_check_roundtrip",
+)
+
+
+def test_the_server_side_converts_models_at_its_boundary_only():
+    """The server holds rows: the global row, the pool, the upload
+    buffers and SCAFFOLD's variates.  In ``fl/server.py``,
+    ``core/fedcross.py`` and ``baselines/*`` a model crosses between
+    state dict and row only at the API boundary
+    (``FederatedServer.global_state`` / ``set_global_state``) and in
+    FedGen's generator (``dispatch``) and teacher pass."""
+    src = REPO_ROOT / "src" / "repro"
+    paths = [src / "fl/server.py", src / "core/fedcross.py", *sorted(src.glob("baselines/*.py"))]
+    sites = sorted(
+        {
+            f"{path.relative_to(src).as_posix()}:{site}"
+            for path in paths
+            for site in _call_sites(path, _SERVER_CONVERSIONS)
+        }
+    )
+    assert sites == [
+        "baselines/fedgen.py:FedGenServer._teacher_logits",
+        "baselines/fedgen.py:FedGenServer.dispatch",
+        "fl/server.py:FederatedServer.global_state",
+        "fl/server.py:FederatedServer.set_global_state",
+    ]
 
 
 def _src_files():

@@ -8,14 +8,17 @@ import numpy as np
 import pytest
 
 from repro.utils import cpu
-from repro.utils.params import (
+from repro.utils.rng import default_rng, spawn_rng
+
+# The state-dict aggregation paths, the oracle the row engine is held to.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "core"))
+from _dict_oracle import (  # noqa: E402
     flatten_state_dict,
     state_dict_like,
     tree_map,
     unflatten_state_dict,
     weighted_average,
 )
-from repro.utils.rng import default_rng, spawn_rng
 
 
 class TestRng:
