@@ -30,10 +30,11 @@ What the call does depends on where the rows live.
 *Local storages* dot against a float64 *image* of the masked rows, not
 the pool itself: one storage-backed ``(K, p_eff)`` float64 buffer per
 live upload buffer, allocated through the pool's own storage
-(``allocate_like`` — file-backed on ``memmap``, sharded on ``sharded``)
-on the round's first upload.  The tracker keeps the **reported set**:
-the rows ``update_row`` has been called for since the last
-:meth:`~GramTracker.release`.
+(``allocate_like``, so it has the pool's shard count and medium: one
+in-RAM array on ``dense``, one file on ``memmap``, a file per shard on
+``sharded`` with memmap placement) on the round's first upload.  The
+tracker keeps the **reported set**: the rows ``update_row`` has been
+called for since the last :meth:`~GramTracker.release`.
 
 * ``update_row(i)`` re-casts row ``i`` — the only cast it ever makes —
   and dots it against the reported set (itself included), nothing else.

@@ -217,13 +217,13 @@ class PoolBuffer:
     layout:
         The shared :class:`StateLayout` of every pool member.
     data:
-        ``(K, P)`` array (wrapped in :class:`DenseStorage`) or a
+        ``(K, P)`` array (adopted by :class:`DenseStorage`) or a
         :class:`PoolStorage` backend instance; row i is the flattened
         state of model i.
     """
 
     def __init__(self, layout: StateLayout, data: "np.ndarray | PoolStorage") -> None:
-        storage = data if isinstance(data, PoolStorage) else DenseStorage(np.asarray(data))
+        storage = data if isinstance(data, PoolStorage) else DenseStorage.from_array(data)
         shape = storage.shape
         if len(shape) != 2 or shape[1] != layout.total_size:
             raise ValueError(
@@ -237,10 +237,11 @@ class PoolBuffer:
     def matrix(self) -> np.ndarray:
         """The ``(K, P)`` backing array.
 
-        Live and writable on single-medium backends (``dense``,
-        ``memmap``); a gathered **read-only copy** on ``sharded``
-        storage (diagnostic use — library code goes through the row
-        accessors, which write straight into the owning shard).
+        Live and writable when the storage holds the rows in one local
+        array (``dense``, ``memmap``, ``sharded`` at one shard); a
+        gathered **read-only copy** when they are split over several
+        shards or hosts (diagnostic use — library code goes through the
+        row accessors, which write straight into the owning shard).
         """
         return self.storage.array
 

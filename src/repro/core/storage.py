@@ -5,48 +5,42 @@ step as array operations on one ``(K, P)`` matrix; *where that matrix
 lives* is this module's concern.  A :class:`PoolStorage` backend owns
 the allocation and exposes it through a small row-oriented protocol, so
 the pool engine — and everything layered on it — is agnostic to the
-physical medium:
+physical medium.  Two classes implement the protocol: one for every
+local medium and one for shard-host processes.
 
-``dense``
-    :class:`DenseStorage`, a plain in-memory ``np.ndarray`` — today's
-    default and the fastest option while the pool fits in RAM.
-``memmap``
-    :class:`MemmapStorage`, an ``np.memmap`` over a temporary file —
-    keeps the *resident* pool buffers off the heap at the cost of
-    page-cache traffic.  Set ``REPRO_MEMMAP_DIR`` to place the backing
-    files on a specific filesystem (e.g. fast local scratch).
 ``sharded``
     :class:`ShardedStorage`, the ``(K, P)`` matrix split into
-    contiguous **row shards**, each shard itself a ``dense`` or
-    ``memmap`` storage (the ``placement`` option).  No operation on a
-    sharded pool ever requires the full matrix as one allocation: the
-    pool engine reads/writes through the row protocol below, serving
-    shard-local row blocks as zero-copy views and cross-shard blocks
-    as bounded gathered copies.  Shard count comes from the ``shards``
+    contiguous **row shards**, each a plain ``np.ndarray``
+    (``placement="dense"``) or an ``np.memmap`` over its own temporary
+    file (``placement="memmap"``; ``REPRO_MEMMAP_DIR`` places the
+    files, which are removed when their arrays are collected).  No
+    operation ever needs the full matrix as one allocation: shard-local
+    row spans are served as zero-copy views, cross-shard ones as
+    bounded gathered copies.  Shard count comes from the ``shards``
     option (``FLConfig.shards`` / ``--shards``; default
-    ``REPRO_POOL_SHARDS`` or 4) — the single-node rehearsal of the
-    multi-node pool layout the ROADMAP's millions-of-clients north
-    star needs, and the protocol seam a distributed/GPU backend slots
-    in behind.
+    ``REPRO_POOL_SHARDS`` or 4).
+``dense`` / ``memmap``
+    :class:`DenseStorage` / :class:`MemmapStorage`, ``sharded`` at one
+    shard of that medium: the in-RAM default, and one file-backed
+    matrix that keeps the resident pool buffers off the heap at the
+    cost of page-cache traffic.
 ``distributed``
     :class:`repro.distributed.storage.DistributedStorage` (lazily
-    registered), the multi-node realisation of that seam: each
-    contiguous row shard lives in a ``ShardHost`` worker process and
-    the coordinator proxies the row protocol over socket RPC —
-    Gram dots and the CrossAggr blend run on the hosts, only reduced
-    results, indices and bounded row blocks cross the wire.  Host count comes from the
-    ``hosts`` option (``FLConfig.hosts`` / ``--hosts``; default
-    ``REPRO_POOL_HOSTS`` or 2).
+    registered): each contiguous row shard lives in a ``ShardHost``
+    worker process and the coordinator proxies the row protocol over
+    socket RPC — Gram dots and the CrossAggr blend run on the hosts,
+    only reduced results, indices and bounded row blocks cross the
+    wire.  Host count comes from the ``hosts`` option
+    (``FLConfig.hosts`` / ``--hosts``; default ``REPRO_POOL_HOSTS`` or 2).
 
 Row protocol
 ------------
 Beyond ``allocate``/``from_array``/``array``/``clone``, every backend
 serves bounded row access used by the pool engine's blocked
-operations (base-class defaults delegate to ``array``, so pre-existing
-third-party backends keep working unchanged):
+operations:
 
-* :meth:`PoolStorage.row` — one writable row (client uploads land
-  directly in their owning shard through this);
+* :meth:`PoolStorage.row` — one row (client uploads land directly in
+  their owning shard through this on local storages);
 * :meth:`PoolStorage.row_block` — rows ``[start, stop)`` for reading
   (view where the medium allows, copy otherwise);
 * :meth:`PoolStorage.write_rows` / :meth:`PoolStorage.fill_rows` —
@@ -55,6 +49,11 @@ third-party backends keep working unchanged):
   (cross-aggregation collaborator rows);
 * :meth:`PoolStorage.shard_boundaries` — the row spans owned by each
   shard, consumed by the pool engine's shard-aware block iterator.
+
+Every backend refuses an out-of-range request the same way, before
+anything is read or written (:meth:`PoolStorage._check_rows`): a row is
+valid when ``0 <= i < K``, a span when ``0 <= start <= stop <= K``
+(empty spans are legal), and anything else raises :class:`IndexError`.
 
 ``cross_aggregate``, the similarity paths (blocked Gram cosine,
 blocked euclidean differences, ``similarity_to``), the ``dispersion``
@@ -71,16 +70,15 @@ pool's own medium, and answers every query with pure ``(K, K)``
 algebra.
 
 Backends register themselves on :data:`POOL_BACKENDS` via
-:func:`register_backend`; third-party backends (GPU arrays,
-distributed segments) only need to subclass :class:`PoolStorage` and
-register under a new name, then become selectable through
-``FLConfig.backend`` and the ``--backend`` CLI flag.
+:func:`register_backend`; a third-party backend implements
+:class:`PoolStorage`, registers under a new name, and becomes
+selectable through ``FLConfig.backend`` and the ``--backend`` CLI flag.
 
 All backends must be *bit-transparent*: the same sequence of array
 operations over the same values must produce identical results
-regardless of backend (the cross-backend equivalence matrix in
-``tests/integration/test_backend_matrix.py`` enforces this for dense,
-memmap and sharded end to end).
+regardless of backend (``tests/core/test_storage_conformance.py`` holds
+every registered backend to ``dense`` op by op, and
+``tests/integration/test_backend_matrix.py`` end to end).
 """
 
 from __future__ import annotations
@@ -89,7 +87,7 @@ import bisect
 import os
 import tempfile
 import weakref
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -130,16 +128,17 @@ def available_backends() -> list[str]:
 
 
 class PoolStorage:
-    """Owner of one 2-D array; subclasses choose the physical medium.
+    """The row protocol of one ``(K, P)`` matrix; subclasses choose
+    where the rows live.
 
     The core contract is small: allocate, adopt an existing array,
-    expose the live ``array``, and clone.  On top of it sits the row
-    protocol (:meth:`row`, :meth:`row_block`, :meth:`write_rows`,
-    :meth:`gather_rows`, :meth:`fill_rows`, :meth:`shard_boundaries`)
-    whose base-class defaults simply index ``array`` — single-medium
-    backends inherit them for free, while segmented backends like
-    :class:`ShardedStorage` override them so no caller ever needs the
-    whole matrix as one allocation.
+    expose ``array``, and clone.  On top of it sits the row protocol
+    (:meth:`row`, :meth:`row_block`, :meth:`write_rows`,
+    :meth:`gather_rows`, :meth:`fill_rows`, :meth:`shard_boundaries`,
+    :meth:`open_row`/:meth:`commit_row`), through which the pool engine
+    does all its work, so no caller ever needs the whole matrix as one
+    allocation.  Every row op checks its rows with :meth:`_check_rows`
+    before it reads or writes anything.
     """
 
     name = "abstract"
@@ -161,7 +160,7 @@ class PoolStorage:
 
     def clone(self) -> "PoolStorage":
         """Independent storage with the same values, same backend."""
-        return type(self).from_array(np.array(self.array, copy=True))
+        raise NotImplementedError
 
     def allocate_like(self, shape: tuple[int, int], dtype=np.float32) -> "PoolStorage":
         """Fresh zeroed storage preserving this instance's configuration.
@@ -169,53 +168,45 @@ class PoolStorage:
         Derived pools (``cross_aggregate`` outputs, copies) and the
         Gram tracker's float64 row image allocate through the
         *instance* so option-carrying backends (shard count/placement)
-        propagate; the default just calls the class :meth:`allocate`.
+        propagate.
         """
-        return type(self).allocate(shape, dtype=dtype)
+        raise NotImplementedError
 
     # -- row protocol ------------------------------------------------------
     @property
     def shape(self) -> tuple[int, int]:
         """``(K, P)`` without materialising anything."""
-        return tuple(self.array.shape)  # type: ignore[return-value]
+        raise NotImplementedError
 
     @property
     def dtype(self) -> np.dtype:
-        return self.array.dtype
+        raise NotImplementedError
 
     def row(self, index: int) -> np.ndarray:
-        """Writable 1-D view of row ``index`` (lives on its shard)."""
-        return self.array[index]
+        """Row ``index`` (a writable view into its shard where one exists)."""
+        raise NotImplementedError
 
     def row_block(self, start: int, stop: int) -> np.ndarray:
-        """Rows ``[start, stop)`` for reading.
-
-        A zero-copy view where the medium allows (single-medium
-        backends, shard-local spans of a sharded pool); a bounded
-        contiguous copy otherwise.  Callers must not mutate the result.
-        """
-        return self.array[start:stop]
+        """Rows ``[start, stop)`` for reading: a zero-copy view where the
+        medium allows, a bounded copy otherwise.  Do not mutate it."""
+        raise NotImplementedError
 
     def write_rows(self, start: int, values: np.ndarray) -> None:
         """Write the block ``values`` into rows ``start:start+len(values)``."""
-        self.array[start : start + values.shape[0]] = values
+        raise NotImplementedError
 
     def gather_rows(self, indices: np.ndarray) -> np.ndarray:
         """Contiguous copy of the (arbitrary) ``indices`` rows, in order."""
-        return self.array[np.asarray(indices, dtype=np.int64)]
+        raise NotImplementedError
 
     def fill_rows(self, values: np.ndarray) -> None:
         """Broadcast one row's ``values`` over every row."""
-        self.array[:] = values
+        raise NotImplementedError
 
     def shard_boundaries(self) -> tuple[int, ...]:
-        """Row-span fenceposts ``(0, ..., K)`` of the physical shards.
-
-        Single-medium backends are one shard: ``(0, K)``.  The pool
-        engine's shard-aware block iterator splits shard-local
-        operations on these.
-        """
-        return (0, self.shape[0])
+        """Row-span fenceposts ``(0, ..., K)`` of the physical shards,
+        on which the pool engine splits shard-local operations."""
+        raise NotImplementedError
 
     def open_row(self, index: int) -> np.ndarray:
         """Writable staging buffer for a full overwrite of row ``index``.
@@ -227,14 +218,19 @@ class PoolStorage:
         return scratch and ship the committed row in **one** message
         instead of per-field writes.
         """
-        return self.row(index)
+        raise NotImplementedError
 
     def commit_row(self, index: int, staged: np.ndarray) -> None:
-        """Publish a row staged via :meth:`open_row` (no-op when the
-        staging buffer is the live row view)."""
-        row = self.row(index)
-        if staged is not row:  # pragma: no cover - defensive for 3rd parties
-            row[:] = staged
+        """Publish a row staged via :meth:`open_row`."""
+        raise NotImplementedError
+
+    def _check_rows(self, lo: int, hi: int) -> None:
+        """Refuse rows ``[lo, hi)`` unless ``0 <= lo <= hi <= K``: row
+        ``i`` is checked as ``[i, i + 1)``, a span as itself, a gather
+        as ``[min, max + 1)`` of its indices."""
+        k = self.shape[0]
+        if not 0 <= lo <= hi <= k:
+            raise IndexError(f"rows [{lo}, {hi}) out of range for a pool of K={k} rows")
 
     #: Whether this storage answers Gram queries itself
     #: (:meth:`gram_rows`).  Local media do not: the tracker images
@@ -276,33 +272,6 @@ class PoolStorage:
                 f"got {sorted(options)}"
             )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        k, p = self.shape
-        return f"{type(self).__name__}(shape=({k}, {p}), dtype={self.dtype})"
-
-
-@register_backend("dense")
-class DenseStorage(PoolStorage):
-    """In-memory ``np.ndarray`` storage — the default backend."""
-
-    def __init__(self, array: np.ndarray) -> None:
-        self._array = np.asarray(array)
-
-    @classmethod
-    def allocate(cls, shape, dtype=np.float32, **options) -> "DenseStorage":
-        cls._reject_options(options)
-        return cls(np.zeros(shape, dtype=dtype))
-
-    @classmethod
-    def from_array(cls, array: np.ndarray) -> "DenseStorage":
-        # Adopts without copying: PoolBuffer operations hand freshly
-        # computed arrays here, and copying would double peak memory.
-        return cls(array)
-
-    @property
-    def array(self) -> np.ndarray:
-        return self._array
-
 
 def _remove_file(path: str) -> None:
     try:
@@ -311,50 +280,23 @@ def _remove_file(path: str) -> None:
         pass
 
 
-@register_backend("memmap")
-class MemmapStorage(PoolStorage):
-    """``np.memmap`` storage over a temporary file.
+def _memmap(shape: tuple[int, int], dtype) -> np.memmap:
+    """Zero-filled ``np.memmap`` over a fresh temporary file under
+    ``REPRO_MEMMAP_DIR``, removed once the array and its views are gone."""
+    directory = os.environ.get("REPRO_MEMMAP_DIR") or None
+    fd, path = tempfile.mkstemp(prefix="repro-pool-", suffix=".mm", dir=directory)
+    os.close(fd)
+    # A fresh w+ memmap is zero-filled by the OS already.
+    array = np.memmap(path, dtype=np.dtype(dtype), mode="w+", shape=tuple(shape))
+    weakref.finalize(array, _remove_file, path)
+    return array
 
-    The backing file is created with :func:`tempfile.mkstemp` (honouring
-    ``REPRO_MEMMAP_DIR``) and removed by a :func:`weakref.finalize`
-    callback when the storage is garbage-collected, so pools never leak
-    files across rounds even though aggregation allocates fresh storage.
-    """
 
-    def __init__(self, array: np.memmap, path: str) -> None:
-        self._array = array
-        self.path = path
-        self._finalizer = weakref.finalize(self, _remove_file, path)
-
-    @classmethod
-    def _create(cls, shape, dtype) -> "MemmapStorage":
-        directory = os.environ.get("REPRO_MEMMAP_DIR") or None
-        fd, path = tempfile.mkstemp(prefix="repro-pool-", suffix=".mm", dir=directory)
-        os.close(fd)
-        array = np.memmap(path, dtype=np.dtype(dtype), mode="w+", shape=tuple(shape))
-        return cls(array, path)
-
-    @classmethod
-    def allocate(cls, shape, dtype=np.float32, **options) -> "MemmapStorage":
-        cls._reject_options(options)
-        # A fresh w+ memmap is zero-filled by the OS already.
-        return cls._create(shape, dtype)
-
-    @classmethod
-    def from_array(cls, array: np.ndarray) -> "MemmapStorage":
-        array = np.asarray(array)
-        storage = cls._create(array.shape, array.dtype)
-        storage._array[:] = array
-        return storage
-
-    @property
-    def array(self) -> np.memmap:
-        return self._array
-
-    def flush(self) -> None:
-        """Force dirty pages to the backing file."""
-        self._array.flush()
-
+# The media a shard can live on: allocators of a zeroed ``(rows, P)`` array.
+_MEDIA = {
+    "dense": lambda shape, dtype: np.zeros(shape, dtype=dtype),
+    "memmap": _memmap,
+}
 
 # Default shard count when neither the ``shards`` option nor the
 # ``REPRO_POOL_SHARDS`` environment override names one.
@@ -362,14 +304,16 @@ _DEFAULT_SHARDS = 4
 
 
 def _even_boundaries(k: int, shards: int) -> tuple[int, ...]:
-    """Fenceposts of ``shards`` near-equal contiguous row spans of ``k``."""
+    """Fenceposts of ``shards`` near-equal contiguous row spans of ``k``
+    (clamped to ``[1, k]`` shards, so no span is empty for ``k >= 1``)."""
     shards = max(1, min(int(shards), max(1, k)))
     return tuple(round(s * k / shards) for s in range(shards + 1))
 
 
 @register_backend("sharded")
 class ShardedStorage(PoolStorage):
-    """The ``(K, P)`` matrix split into contiguous row shards.
+    """The ``(K, P)`` matrix as contiguous row shards on one node — the
+    one implementation of the local row protocol.
 
     Parameters (as ``allocate``/``from_array`` options, wired through
     ``FLConfig.shards`` / ``--shards``):
@@ -379,27 +323,21 @@ class ShardedStorage(PoolStorage):
         near-equal contiguous spans).  Defaults to the
         ``REPRO_POOL_SHARDS`` environment variable, then 4.
     ``placement``
-        Backend name each shard is stored on — ``"dense"`` (default)
-        or ``"memmap"`` (pools beyond RAM; this is the layout the
-        large-K stress test drives).  Any registered single-medium
-        backend qualifies; ``"sharded"`` itself is rejected.
+        The medium of every shard — ``"dense"`` (default, an
+        ``np.ndarray``) or ``"memmap"`` (an ``np.memmap`` over its own
+        temporary file: pools beyond RAM, the layout the large-K stress
+        test drives).
 
-    The full matrix never exists as one allocation: ``array`` is a
-    *gathered, read-only copy* for diagnostics/tests, and every pool
-    operation goes through the row protocol — ``row``/``row_block``
-    serve shard-local access as zero-copy views into the owning shard,
-    cross-shard blocks as bounded gathered copies.  Because a gathered
-    block holds exactly the same values in the same contiguous layout
-    a single-medium backend would serve, every blocked pool operation
-    is **bit-identical** to its dense result (the equivalence-matrix
-    suite and the sharded property tests pin this).
-
-    Derived storages (``clone``, ``allocate_like``) keep the shard
-    count and placement, so cross-aggregated pools stay sharded the
-    same way round after round.
+    Shard-local spans are zero-copy views into the owning shard,
+    cross-shard blocks bounded gathered copies holding the same values
+    in the same contiguous layout, so every blocked pool operation is
+    **bit-identical** at every shard count.  ``array`` is the live
+    matrix at one shard and a gathered, read-only copy at several.
+    ``clone`` and ``allocate_like`` keep the class, shard count and
+    placement, so derived pools stay laid out the same way.
     """
 
-    def __init__(self, shards: Sequence[PoolStorage], boundaries: Sequence[int],
+    def __init__(self, shards: Sequence[np.ndarray], boundaries: Sequence[int],
                  requested_shards: int, placement: str) -> None:
         if len(boundaries) != len(shards) + 1:
             raise ValueError("boundaries must have one more entry than shards")
@@ -407,8 +345,7 @@ class ShardedStorage(PoolStorage):
         self._boundaries = tuple(int(b) for b in boundaries)
         self._requested_shards = int(requested_shards)
         self._placement = placement
-        p = self._shards[0].shape[1] if self._shards else 0
-        self._shape = (self._boundaries[-1], p)
+        self._shape = (self._boundaries[-1], int(self._shards[0].shape[1]))
 
     # -- construction ------------------------------------------------------
     @classmethod
@@ -419,10 +356,27 @@ class ShardedStorage(PoolStorage):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         placement = str(placement).lower()
-        shard_cls = resolve_backend(placement)
-        if issubclass(shard_cls, ShardedStorage):
-            raise ValueError("sharded placement cannot itself be 'sharded'")
+        if placement not in _MEDIA:
+            raise ValueError(
+                f"shard placement must be one of {sorted(_MEDIA)}, got {placement!r}"
+            )
         return shards, placement
+
+    @classmethod
+    def _allocate(cls, shape, dtype, shards: int, placement: str) -> "ShardedStorage":
+        k, p = int(shape[0]), int(shape[1])
+        bounds = _even_boundaries(k, shards)
+        make = _MEDIA[placement]
+        pieces = [make((b1 - b0, p), dtype) for b0, b1 in zip(bounds, bounds[1:])]
+        return cls(pieces, bounds, shards, placement)
+
+    @classmethod
+    def _from_array(cls, array, shards: int, placement: str) -> "ShardedStorage":
+        array = np.asarray(array)
+        storage = cls._allocate(array.shape, array.dtype, shards, placement)
+        for (start, stop), piece in zip(storage.shard_spans(), storage._shards):
+            piece[:] = array[start:stop]
+        return storage
 
     @classmethod
     def allocate(
@@ -430,38 +384,23 @@ class ShardedStorage(PoolStorage):
         placement: str = "dense", **options,
     ) -> "ShardedStorage":
         cls._reject_options(options)
-        shards, placement = cls._resolve_options(shards, placement)
-        k, p = int(shape[0]), int(shape[1])
-        bounds = _even_boundaries(k, shards)
-        shard_cls = resolve_backend(placement)
-        pieces = [
-            shard_cls.allocate((bounds[s + 1] - bounds[s], p), dtype=dtype)
-            for s in range(len(bounds) - 1)
-        ]
-        return cls(pieces, bounds, shards, placement)
+        return cls._allocate(shape, dtype, *cls._resolve_options(shards, placement))
 
     @classmethod
     def from_array(
         cls, array: np.ndarray, *, shards: int | None = None,
         placement: str = "dense",
     ) -> "ShardedStorage":
-        array = np.asarray(array)
-        storage = cls.allocate(array.shape, dtype=array.dtype,
-                               shards=shards, placement=placement)
-        for (start, stop), piece in zip(storage.shard_spans(), storage._shards):
-            piece.array[:] = array[start:stop]
-        return storage
+        return cls._from_array(array, *cls._resolve_options(shards, placement))
 
     def allocate_like(self, shape, dtype=np.float32) -> "ShardedStorage":
-        return type(self).allocate(
-            shape, dtype=dtype,
-            shards=self._requested_shards, placement=self._placement,
-        )
+        return type(self)._allocate(shape, dtype, self._requested_shards, self._placement)
 
     def clone(self) -> "ShardedStorage":
-        pieces = [piece.clone() for piece in self._shards]
-        return type(self)(pieces, self._boundaries,
-                          self._requested_shards, self._placement)
+        out = self.allocate_like(self._shape, self.dtype)
+        for src, dst in zip(self._shards, out._shards):
+            dst[:] = src
+        return out
 
     # -- shard introspection ----------------------------------------------
     @property
@@ -470,12 +409,12 @@ class ShardedStorage(PoolStorage):
 
     @property
     def placement(self) -> str:
-        """Backend name each shard lives on (``dense`` / ``memmap``)."""
+        """The medium every shard lives on (``dense`` / ``memmap``)."""
         return self._placement
 
     @property
-    def shards(self) -> tuple[PoolStorage, ...]:
-        """The per-shard storages, in row order."""
+    def shards(self) -> tuple[np.ndarray, ...]:
+        """The per-shard arrays, in row order."""
         return tuple(self._shards)
 
     def shard_boundaries(self) -> tuple[int, ...]:
@@ -486,17 +425,9 @@ class ShardedStorage(PoolStorage):
         b = self._boundaries
         return [(b[s], b[s + 1]) for s in range(len(b) - 1)]
 
-    def _locate(self, index: int) -> tuple[int, int]:
-        """(shard number, row offset inside that shard) of global row."""
-        k = self._shape[0]
-        if not 0 <= index < k:
-            raise IndexError(f"row {index} out of range for pool of {k}")
-        s = bisect.bisect_right(self._boundaries, index) - 1
-        # Empty leading spans share a boundary value; step to the span
-        # that actually contains the row.
-        while self._boundaries[s + 1] <= index:  # pragma: no cover - defensive
-            s += 1
-        return s, index - self._boundaries[s]
+    def _shard_of(self, index: int) -> int:
+        """Shard holding row ``index`` (``K`` maps to the last shard)."""
+        return min(bisect.bisect_right(self._boundaries, index) - 1, len(self._shards) - 1)
 
     # -- row protocol ------------------------------------------------------
     @property
@@ -505,69 +436,121 @@ class ShardedStorage(PoolStorage):
 
     @property
     def dtype(self) -> np.dtype:
-        return self._shards[0].dtype if self._shards else np.dtype(np.float32)
+        return self._shards[0].dtype
 
     @property
     def array(self) -> np.ndarray:
-        """Gathered **read-only copy** of the whole matrix.
-
-        Diagnostic/test convenience only — O(K·P) memory, and writes do
-        not reach the shards (the copy is flagged unwritable so silent
-        divergence is impossible).  Library code uses the row protocol.
-        """
-        out = np.empty(self._shape, dtype=self.dtype)
-        for (start, stop), piece in zip(self.shard_spans(), self._shards):
-            out[start:stop] = piece.array
+        """The live matrix at one shard; at several a gathered
+        **read-only copy** — O(K·P) memory, and flagged unwritable so
+        writes cannot silently miss the shards."""
+        if len(self._shards) == 1:
+            return self._shards[0]
+        out = self.row_block(0, self._shape[0])  # spans every shard: a copy
         out.setflags(write=False)
         return out
 
     def row(self, index: int) -> np.ndarray:
-        s, offset = self._locate(index)
-        return self._shards[s].array[offset]
+        self._check_rows(index, index + 1)
+        s = self._shard_of(index)
+        return self._shards[s][index - self._boundaries[s]]
 
     def row_block(self, start: int, stop: int) -> np.ndarray:
         start, stop = int(start), int(stop)
-        s, offset = self._locate(start) if stop > start else (0, 0)
-        if stop <= start:
-            return np.empty((0, self._shape[1]), dtype=self.dtype)
+        self._check_rows(start, stop)
+        s = self._shard_of(start)
+        b0 = self._boundaries[s]
         if stop <= self._boundaries[s + 1]:
             # Shard-local span: zero-copy view into the owning shard.
-            return self._shards[s].array[offset : offset + (stop - start)]
+            return self._shards[s][start - b0 : stop - b0]
         out = np.empty((stop - start, self._shape[1]), dtype=self.dtype)
         for (b0, b1), piece in zip(self.shard_spans(), self._shards):
             lo, hi = max(start, b0), min(stop, b1)
             if lo < hi:
-                out[lo - start : hi - start] = piece.array[lo - b0 : hi - b0]
+                out[lo - start : hi - start] = piece[lo - b0 : hi - b0]
         return out
 
     def write_rows(self, start: int, values: np.ndarray) -> None:
+        start = int(start)
         stop = start + values.shape[0]
+        self._check_rows(start, stop)
         for (b0, b1), piece in zip(self.shard_spans(), self._shards):
             lo, hi = max(start, b0), min(stop, b1)
             if lo < hi:
-                piece.array[lo - b0 : hi - b0] = values[lo - start : hi - start]
+                piece[lo - b0 : hi - b0] = values[lo - start : hi - start]
 
     def gather_rows(self, indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)
+        if indices.size:
+            self._check_rows(int(indices.min()), int(indices.max()) + 1)
+        if len(self._shards) == 1:
+            return self._shards[0][indices]
+        owners = np.searchsorted(self._boundaries, indices, side="right") - 1
         out = np.empty((indices.shape[0], self._shape[1]), dtype=self.dtype)
-        for n, j in enumerate(indices):
-            out[n] = self.row(int(j))
+        for s in np.flatnonzero(np.bincount(owners)):
+            at = owners == s
+            out[at] = self._shards[s][indices[at] - self._boundaries[s]]
         return out
 
     def fill_rows(self, values: np.ndarray) -> None:
         for piece in self._shards:
-            piece.array[:] = values
+            piece[:] = values
+
+    def open_row(self, index: int) -> np.ndarray:
+        return self.row(index)
+
+    def commit_row(self, index: int, staged: np.ndarray) -> None:
+        """No-op: ``open_row`` handed out the live row, already written."""
 
     def flush(self) -> None:
+        """Force dirty pages of memmap shards to their files."""
         for piece in self._shards:
-            piece.flush()
+            if isinstance(piece, np.memmap):
+                piece.flush()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         k, p = self._shape
         return (
-            f"ShardedStorage(shape=({k}, {p}), dtype={self.dtype}, "
+            f"{type(self).__name__}(shape=({k}, {p}), dtype={self.dtype}, "
             f"shards={self.num_shards}, placement={self._placement!r})"
         )
+
+
+@register_backend("dense")
+class DenseStorage(ShardedStorage):
+    """``sharded`` at one in-RAM shard — the default backend."""
+
+    @classmethod
+    def allocate(cls, shape, dtype=np.float32, **options) -> "DenseStorage":
+        cls._reject_options(options)
+        return cls._allocate(shape, dtype, 1, "dense")
+
+    @classmethod
+    def from_array(cls, array: np.ndarray) -> "DenseStorage":
+        # Adopts without copying: PoolBuffer operations hand freshly
+        # computed arrays here, and copying would double peak memory.
+        array = np.asarray(array)
+        if array.ndim != 2:
+            raise ValueError(f"pool storage holds a (K, P) matrix, got shape {array.shape}")
+        return cls([array], (0, array.shape[0]), 1, "dense")
+
+
+@register_backend("memmap")
+class MemmapStorage(ShardedStorage):
+    """``sharded`` at one shard on an ``np.memmap`` over a temporary file."""
+
+    @classmethod
+    def allocate(cls, shape, dtype=np.float32, **options) -> "MemmapStorage":
+        cls._reject_options(options)
+        return cls._allocate(shape, dtype, 1, "memmap")
+
+    @classmethod
+    def from_array(cls, array: np.ndarray) -> "MemmapStorage":
+        return cls._from_array(array, 1, "memmap")
+
+    @property
+    def path(self) -> str:
+        """The backing file."""
+        return self._shards[0].filename
 
 
 # The socket-RPC multi-node backend registers itself on import of

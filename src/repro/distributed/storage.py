@@ -209,9 +209,8 @@ class DistributedStorage(PoolStorage):
         """Owning host of each global row in ``indices`` (empty spans —
         K < hosts — own nothing)."""
         indices = np.asarray(indices, dtype=np.int64)
-        k = self._shape[0]
-        if indices.size and not (0 <= indices.min() and indices.max() < k):
-            raise IndexError(f"rows {indices.tolist()} out of range for pool of {k}")
+        if indices.size:
+            self._check_rows(int(indices.min()), int(indices.max()) + 1)
         return np.searchsorted(self._boundaries, indices, side="right") - 1
 
     def owner_of(self, index: int) -> tuple[int, int]:
@@ -322,7 +321,8 @@ class DistributedStorage(PoolStorage):
 
     def row_block(self, start: int, stop: int) -> np.ndarray:
         start, stop = int(start), int(stop)
-        if stop <= start:
+        self._check_rows(start, stop)
+        if stop == start:
             return np.empty((0, self._shape[1]), dtype=self._dtype)
         self._check_lost(slice(start, stop))
         # One request per host the span touches, all in flight at once.
@@ -348,9 +348,11 @@ class DistributedStorage(PoolStorage):
 
     def write_rows(self, start: int, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=self._dtype)
+        start = int(start)
         stop = start + values.shape[0]
+        self._check_rows(start, stop)
         for host, (b0, b1) in enumerate(self.host_spans()):
-            lo, hi = max(int(start), b0), min(stop, b1)
+            lo, hi = max(start, b0), min(stop, b1)
             if lo < hi:
                 self._recovering(
                     self._cluster.call, host, "write_rows",
@@ -364,11 +366,11 @@ class DistributedStorage(PoolStorage):
 
     def gather_rows(self, indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)
+        owners = self._owners(indices)
         out = np.empty((indices.shape[0], self._shape[1]), dtype=self._dtype)
         self._check_lost(indices)
         # One request per owning host (all in flight at once), scattered
         # back to request order.
-        owners = self._owners(indices)
         hosts = np.flatnonzero(np.bincount(owners))
         places = [np.flatnonzero(owners == host) for host in hosts]
         replies = self._recovering(self._cluster.call_each, [

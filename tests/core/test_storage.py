@@ -1,8 +1,10 @@
-"""Pool storage backends: registry, memmap lifecycle, sharded layout,
-and op-level dense equivalence.
+"""Pool storage backends: registry, memmap file lifecycle and the
+sharded layout.
 
-End-to-end (full fit) backend equivalence lives in the cross-backend
-matrix suite, ``tests/integration/test_backend_matrix.py``.
+Op-level equivalence of every registered backend to ``dense`` lives in
+the conformance suite, ``tests/core/test_storage_conformance.py``;
+end-to-end (full fit) equivalence in the cross-backend matrix suite,
+``tests/integration/test_backend_matrix.py``.
 """
 
 import gc
@@ -33,13 +35,6 @@ def make_state(rng, with_int=False):
     if with_int:
         state["c.steps"] = np.array([7], dtype=np.int64)
     return state
-
-
-# backend -> options used by the op-equivalence parametrization
-NON_DENSE = {
-    "memmap": {},
-    "sharded": {"shards": 3},
-}
 
 
 class TestBackendRegistry:
@@ -89,30 +84,95 @@ class TestBackendRegistry:
         with pytest.raises(ValueError, match="accepts no storage options"):
             MemmapStorage.allocate((2, 4), shards=3)
 
+    def test_pool_storage_is_the_bare_protocol(self):
+        """No op has a default body over ``array``: a backend that only
+        exposes an array serves nothing until it implements the protocol."""
 
+        class ArrayOnly(PoolStorage):
+            array = np.zeros((3, 2), dtype=np.float32)
+
+        bare, row = ArrayOnly(), np.zeros(2, dtype=np.float32)
+        calls = [
+            lambda: ArrayOnly.allocate((3, 2)), lambda: ArrayOnly.from_array(bare.array),
+            bare.clone, lambda: bare.allocate_like((3, 2)), lambda: bare.shape,
+            lambda: bare.dtype, lambda: bare.row(0), lambda: bare.row_block(0, 1),
+            lambda: bare.write_rows(0, row[None]), lambda: bare.gather_rows([0]),
+            lambda: bare.fill_rows(row), bare.shard_boundaries, lambda: bare.open_row(0),
+            lambda: bare.commit_row(0, row), lambda: bare.gram_rows(np.arange(1), None),
+        ]
+        for call in calls:
+            with pytest.raises(NotImplementedError):
+                call()
+        assert bare.blend_into(bare, np.arange(3), 0.5, np.arange(0), 1) is False
+
+    def test_presets_are_one_shard_of_their_medium(self):
+        """Distinct subclasses that inherit every row op, so wrapping the
+        ops by class ``__dict__`` counts each call once."""
+        for cls, medium in ((DenseStorage, np.ndarray), (MemmapStorage, np.memmap)):
+            assert cls is not ShardedStorage and issubclass(cls, ShardedStorage)
+            assert not {"row", "row_block", "write_rows", "gather_rows"} & set(vars(cls))
+            storage = cls.allocate((3, 2))
+            assert storage.num_shards == 1 and storage.placement == cls.name
+            assert type(storage.shards[0]) is medium
+            assert storage.array is storage.shards[0]  # live, not a copy
+
+    def test_dense_adopts_its_array_and_refuses_non_matrices(self):
+        matrix = np.zeros((3, 2), dtype=np.float32)
+        assert DenseStorage.from_array(matrix).array is matrix
+        with pytest.raises(ValueError, match=r"got shape \(6,\)"):
+            PoolBuffer(StateLayout.from_state({"w": np.zeros(6)}), np.zeros(6))
+
+
+MEMMAP_LAYOUTS = {
+    "memmap": lambda shape, dtype: MemmapStorage.allocate(shape, dtype=dtype),
+    "sharded-3-memmap": lambda shape, dtype: ShardedStorage.allocate(
+        shape, dtype=dtype, shards=3, placement="memmap"
+    ),
+}
+
+
+def _files(storage):
+    return [shard.filename for shard in storage.shards]
+
+
+@pytest.mark.parametrize("layout", sorted(MEMMAP_LAYOUTS))
 class TestMemmapLifecycle:
-    def test_backing_file_created_and_cleaned_up(self):
-        storage = MemmapStorage.allocate((2, 8), dtype=np.float32)
-        path = storage.path
-        assert os.path.exists(path)
-        storage.array[:] = 1.5
+    """Every memmap shard has its own file, removed with its array."""
+
+    def test_backing_files_created_and_cleaned_up(self, layout):
+        storage = MEMMAP_LAYOUTS[layout]((5, 8), np.float32)
+        paths = _files(storage)
+        assert len(set(paths)) == storage.num_shards
+        assert all(os.path.exists(path) for path in paths)
+        storage.fill_rows(np.full(8, 1.5, dtype=np.float32))
         storage.flush()
         del storage
         gc.collect()
-        assert not os.path.exists(path)
+        assert not any(os.path.exists(path) for path in paths)
 
-    def test_respects_memmap_dir_env(self, tmp_path, monkeypatch):
+    def test_respects_memmap_dir_env(self, layout, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_MEMMAP_DIR", str(tmp_path))
-        storage = MemmapStorage.allocate((2, 4))
-        assert os.path.dirname(storage.path) == str(tmp_path)
+        storage = MEMMAP_LAYOUTS[layout]((5, 4), np.float32)
+        assert all(os.path.dirname(path) == str(tmp_path) for path in _files(storage))
+        assert all(os.path.dirname(path) == str(tmp_path) for path in _files(storage.clone()))
 
-    def test_clone_is_independent(self):
-        storage = MemmapStorage.allocate((2, 4), dtype=np.float64)
-        storage.array[:] = 3.0
+    def test_clone_is_independent_and_cleaned_up(self, layout):
+        storage = MEMMAP_LAYOUTS[layout]((5, 4), np.float64)
+        storage.fill_rows(np.full(4, 3.0))
         clone = storage.clone()
-        assert clone.path != storage.path
-        storage.array[:] = -1.0
-        np.testing.assert_array_equal(clone.array, np.full((2, 4), 3.0))
+        paths = _files(storage) + _files(clone)
+        assert len(set(paths)) == 2 * storage.num_shards
+        storage.fill_rows(np.full(4, -1.0))
+        np.testing.assert_array_equal(clone.array, np.full((5, 4), 3.0))
+        del storage, clone
+        gc.collect()
+        assert not any(os.path.exists(path) for path in paths)
+
+
+def test_memmap_path_names_its_one_file():
+    storage = MemmapStorage.allocate((2, 4))
+    assert _files(storage) == [storage.path]
+    assert os.path.exists(storage.path)
 
 
 class TestShardedLayout:
@@ -136,23 +196,23 @@ class TestShardedLayout:
     def test_invalid_options_rejected(self):
         with pytest.raises(ValueError, match="shards must be >= 1"):
             ShardedStorage.allocate((4, 2), shards=0)
-        with pytest.raises(ValueError, match="cannot itself be 'sharded'"):
+        with pytest.raises(ValueError, match="shard placement must be one of"):
             ShardedStorage.allocate((4, 2), placement="sharded")
-        with pytest.raises(ValueError, match="unknown pool backend"):
+        with pytest.raises(ValueError, match="shard placement must be one of"):
             ShardedStorage.allocate((4, 2), placement="gpu")
 
     def test_row_is_writable_view_into_owning_shard(self):
         storage = ShardedStorage.allocate((6, 3), shards=3)
         storage.row(4)[:] = 2.5
         shard = storage.shards[2]  # rows 4-5
-        np.testing.assert_array_equal(shard.array[0], np.full(3, 2.5))
+        np.testing.assert_array_equal(shard[0], np.full(3, 2.5))
 
     def test_row_block_shard_local_is_view_cross_shard_is_copy(self):
         storage = ShardedStorage.from_array(
             np.arange(24, dtype=np.float32).reshape(8, 3), shards=4
         )
         local = storage.row_block(2, 4)  # shard 1 exactly
-        assert local.base is storage.shards[1].array or local is storage.shards[1].array
+        assert local.base is storage.shards[1] or local is storage.shards[1]
         crossing = storage.row_block(1, 5)
         assert crossing.base is None  # gathered copy
         np.testing.assert_array_equal(
@@ -181,7 +241,7 @@ class TestShardedLayout:
         monkeypatch.setenv("REPRO_MEMMAP_DIR", str(tmp_path))
         storage = ShardedStorage.allocate((5, 3), shards=2, placement="memmap")
         assert storage.placement == "memmap"
-        assert all(isinstance(s, MemmapStorage) for s in storage.shards)
+        assert all(isinstance(s, np.memmap) for s in storage.shards)
         storage.fill_rows(np.ones(3, dtype=np.float32))
         storage.flush()
         np.testing.assert_array_equal(storage.array, np.ones((5, 3)))
@@ -199,65 +259,6 @@ class TestShardedLayout:
         assert derived.placement == storage.placement
         np.testing.assert_array_equal(derived.array, np.zeros((9, 2)))
 
-
-class TestDenseEquivalence:
-    """Op-level acceptance bar: every backend bit-transparent vs dense."""
-
-    def _pools(self, rng, backend, k=4):
-        states = [make_state(rng, with_int=True) for _ in range(k)]
-        dense = PoolBuffer.from_states(states, backend="dense")
-        other = PoolBuffer.from_states(
-            states, backend=backend, backend_options=NON_DENSE[backend]
-        )
-        return dense, other
-
-    @pytest.mark.parametrize("backend", sorted(NON_DENSE))
-    def test_pack_and_matrix_identical(self, rng, backend):
-        dense, other = self._pools(rng, backend)
-        np.testing.assert_array_equal(np.asarray(other.matrix), dense.matrix)
-        assert dense.backend == "dense" and other.backend == backend
-
-    @pytest.mark.parametrize("backend", sorted(NON_DENSE))
-    def test_similarity_identical(self, rng, backend):
-        dense, other = self._pools(rng, backend)
-        np.testing.assert_array_equal(
-            other.similarity_matrix("cosine"), dense.similarity_matrix("cosine")
-        )
-        np.testing.assert_array_equal(
-            other.select_collaborators("lowest"),
-            dense.select_collaborators("lowest"),
-        )
-
-    @pytest.mark.parametrize("backend", sorted(NON_DENSE))
-    def test_cross_aggregate_identical_and_stays_on_backend(self, rng, backend):
-        dense, other = self._pools(rng, backend)
-        co = np.array([1, 2, 3, 0])
-        out_d = dense.cross_aggregate(co, alpha=0.9)
-        out_o = other.cross_aggregate(co, alpha=0.9)
-        assert out_d.backend == "dense"
-        assert out_o.backend == backend
-        np.testing.assert_array_equal(np.asarray(out_o.matrix), out_d.matrix)
-
-    @pytest.mark.parametrize("backend", sorted(NON_DENSE))
-    @pytest.mark.parametrize("precise", [True, False])
-    def test_mean_state_identical(self, rng, backend, precise):
-        dense, other = self._pools(rng, backend)
-        weights = [1.0, 2.0, 3.0, 4.0]
-        mean_d = dense.mean_state(weights, precise=precise)
-        mean_o = other.mean_state(weights, precise=precise)
-        np.testing.assert_array_equal(mean_o, mean_d)
-
-    @pytest.mark.parametrize("backend", sorted(NON_DENSE))
-    def test_broadcast_identical(self, rng, backend):
-        state = make_state(rng)
-        layout = StateLayout.from_state(state)
-        row = layout.flatten(state)
-        d = PoolBuffer.broadcast(layout, row, 3, backend="dense")
-        o = PoolBuffer.broadcast(
-            layout, row, 3, backend=backend, backend_options=NON_DENSE[backend]
-        )
-        np.testing.assert_array_equal(np.asarray(o.matrix), d.matrix)
-
     def test_sharded_upload_lands_in_owning_shard(self, rng):
         """set_state / set_row write through to the shard, not a copy."""
         states = [make_state(rng, with_int=True) for _ in range(4)]
@@ -268,8 +269,8 @@ class TestDenseEquivalence:
         buf.set_state(3, fresh)
         layout = StateLayout.from_state(fresh)
         expected = layout.flatten(fresh, dtype=np.float32)
-        np.testing.assert_array_equal(buf.storage.shards[1].array[1], expected)
+        np.testing.assert_array_equal(buf.storage.shards[1][1], expected)
         buf.set_row(0, np.zeros(buf.num_scalars, dtype=np.float32))
         np.testing.assert_array_equal(
-            buf.storage.shards[0].array[0], np.zeros(buf.num_scalars)
+            buf.storage.shards[0][0], np.zeros(buf.num_scalars)
         )

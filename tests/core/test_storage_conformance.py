@@ -1,0 +1,248 @@
+"""Storage conformance: every registered pool backend, op by op, against
+``dense``.
+
+The suite is parametrised over :func:`available_backends`, so a backend
+gets its gate by registering: a name without an entry in ``OPTIONS``
+runs with its default options.  ``sharded`` runs at shard counts
+{1, 2, 3, K} on both placements, ``distributed`` on a pooled two-host
+fleet with each host placement and with a coordinator replica.
+
+Every cell must be **bit-identical** to ``dense``: the row protocol
+(``row``, ``row_block``, ``gather_rows``, ``write_rows``,
+``fill_rows``, ``clone``, ``allocate_like``), the pool operations on
+top of it (``cross_aggregate`` in both forms, both ``mean_state``
+modes, similarity and selection, the blocked Gram) under block budgets
+from one row per block to one block, and the incremental
+:class:`~repro.core.gram.GramTracker`.  Every cell also refuses an
+out-of-range row the same way and leaves its bytes untouched.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.gram import GramTracker
+from repro.core.pool import PoolBuffer
+from repro.core.storage import available_backends, resolve_backend
+
+K = 7
+# One row per block (8 bytes is below one scalar), a few rows, one block.
+BUDGETS = (8, 200, None)
+
+OPTIONS = {
+    "sharded": [
+        {"shards": shards, "placement": placement}
+        for placement in ("dense", "memmap")
+        for shards in (1, 2, 3, K)
+    ],
+    "distributed": [
+        {"hosts": 2},
+        {"hosts": 2, "placement": "memmap"},
+        {"hosts": 2, "replicate": True},
+    ],
+}
+
+
+def _cell_id(name, options):
+    return "-".join([name, *(f"{key}={value}" for key, value in options.items())])
+
+
+CELLS = [
+    pytest.param(name, options, id=_cell_id(name, options))
+    for name in available_backends()
+    for options in OPTIONS.get(name, [{}])
+]
+
+pytestmark = pytest.mark.parametrize("name, options", CELLS)
+
+
+@pytest.fixture
+def states():
+    rng = np.random.default_rng(38)
+    return [
+        {
+            "b.weight": rng.standard_normal((3, 2)).astype(np.float32),
+            "a.bias": rng.standard_normal(4).astype(np.float32),
+            "c.steps": np.array([7 * (i + 1)], dtype=np.int64),
+        }
+        for i in range(K)
+    ]
+
+
+@pytest.fixture
+def budget(monkeypatch):
+    """``budget(b)`` pins ``REPRO_POOL_BLOCK_BYTES`` (``None``: default)."""
+
+    def pin(value):
+        if value is None:
+            monkeypatch.delenv("REPRO_POOL_BLOCK_BYTES", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_POOL_BLOCK_BYTES", str(value))
+
+    return pin
+
+
+def _pools(states, name, options):
+    dense = PoolBuffer.from_states(states, backend="dense")
+    other = PoolBuffer.from_states(states, backend=name, backend_options=options)
+    assert dense.backend == "dense" and other.backend == name
+    return dense, other
+
+
+def _whole(storage):
+    return np.array(storage.row_block(0, storage.shape[0]))
+
+
+def _same(got, ref):
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    np.testing.assert_array_equal(got, ref)
+
+
+class TestRowProtocol:
+    def test_row_and_every_row_block(self, states, name, options):
+        dense, other = _pools(states, name, options)
+        _same(np.asarray(other.matrix), dense.matrix)
+        for i in range(K):
+            _same(np.asarray(other.row(i)), dense.row(i))
+        for start in range(K + 1):
+            for stop in range(start, K + 1):
+                _same(other.storage.row_block(start, stop),
+                      dense.storage.row_block(start, stop))
+
+    def test_from_array_holds_the_values(self, states, name, options):
+        dense, _ = _pools(states, name, options)
+        storage = resolve_backend(name).from_array(dense.matrix, **options)
+        _same(_whole(storage), dense.matrix)
+
+    def test_gather_rows(self, states, name, options):
+        dense, other = _pools(states, name, options)
+        for indices in ([6, 0, 3, 3, 1, 5], list(range(K))[::-1], [4], []):
+            indices = np.array(indices, dtype=np.int64)
+            _same(other.storage.gather_rows(indices), dense.storage.gather_rows(indices))
+
+    def test_write_rows_and_fill_rows(self, states, name, options):
+        dense, other = _pools(states, name, options)
+        rng = np.random.default_rng(5)
+        for start, count in ((0, K), (1, 4), (2, 3), (K - 2, 2), (K, 0)):
+            values = rng.standard_normal((count, dense.num_scalars)).astype(np.float32)
+            dense.storage.write_rows(start, values)
+            other.storage.write_rows(start, values)
+            _same(_whole(other.storage), _whole(dense.storage))
+        row = rng.standard_normal(dense.num_scalars).astype(np.float32)
+        dense.storage.fill_rows(row)
+        other.storage.fill_rows(row)
+        _same(_whole(other.storage), _whole(dense.storage))
+
+    def test_state_roundtrip_and_set_state(self, states, name, options):
+        dense, other = _pools(states, name, options)
+        for i, state in enumerate(states):
+            back = other.as_state(i, copy=True)
+            for key in state:
+                np.testing.assert_array_equal(back[key], state[key])
+        dense.set_state(2, states[5])
+        other.set_state(2, states[5])
+        dense.set_row(K - 1, dense.row(0))
+        other.set_row(K - 1, np.asarray(other.row(0)))
+        _same(_whole(other.storage), _whole(dense.storage))
+
+    def test_clone_is_an_independent_copy_on_the_same_layout(self, states, name, options):
+        dense, other = _pools(states, name, options)
+        clone = other.storage.clone()
+        assert type(clone) is type(other.storage)
+        assert clone.shard_boundaries() == other.storage.shard_boundaries()
+        _same(_whole(clone), _whole(dense.storage))
+        other.storage.fill_rows(np.zeros(dense.num_scalars, dtype=np.float32))
+        _same(_whole(clone), _whole(dense.storage))
+
+    def test_allocate_like_keeps_the_configuration(self, states, name, options):
+        _, other = _pools(states, name, options)
+        derived = other.storage.allocate_like((K + 2, 5), np.float64)
+        fresh = resolve_backend(name).allocate((K + 2, 5), np.float64, **options)
+        assert type(derived) is type(other.storage)
+        assert derived.shard_boundaries() == fresh.shard_boundaries()
+        _same(_whole(derived), np.zeros((K + 2, 5)))
+
+
+class TestPoolOperations:
+    def test_cross_aggregate(self, states, name, options, budget):
+        dense, other = _pools(states, name, options)
+        co = np.array([3, 0, 6, 2, 2, 1, 4])
+        groups = np.stack([(np.arange(K) + 1) % K, (np.arange(K) + 3) % K], axis=1)
+        for b in BUDGETS:
+            budget(b)
+            for collaborators in (co, groups):
+                ref = dense.cross_aggregate(collaborators, 0.9)
+                got = other.cross_aggregate(collaborators, 0.9)
+                assert got.backend == name
+                assert got.storage.shard_boundaries() == other.storage.shard_boundaries()
+                _same(_whole(got.storage), _whole(ref.storage))
+
+    def test_mean_state_both_modes(self, states, name, options, budget):
+        dense, other = _pools(states, name, options)
+        weights = [float(w) for w in range(1, K + 1)]
+        for b in BUDGETS:
+            budget(b)
+            for precise in (True, False):
+                _same(other.mean_state(weights, precise=precise),
+                      dense.mean_state(weights, precise=precise))
+
+    def test_similarity_selection_and_blocked_gram(self, states, name, options, budget):
+        dense, other = _pools(states, name, options)
+        for b in BUDGETS:
+            budget(b)
+            for keys in (None, {"b.weight"}):
+                _same(other.gram_matrix(param_keys=keys), dense.gram_matrix(param_keys=keys))
+            for measure in ("cosine", "euclidean"):
+                _same(other.similarity_matrix(measure), dense.similarity_matrix(measure))
+                _same(other.select_collaborators("lowest", measure=measure),
+                      dense.select_collaborators("lowest", measure=measure))
+
+    @pytest.mark.parametrize("keys", [None, {"b.weight"}])
+    def test_gram_tracker(self, states, name, options, keys):
+        """After *each* ``update_row``, in a scrambled order, the tracked
+        Gram equals dense's bit for bit; so do a fresh tracker's and the
+        closed-form post-``CrossAggr`` transform."""
+        dense, other = _pools(states, name, options)
+        ref = GramTracker(dense, param_keys=keys)
+        got = GramTracker(other, param_keys=keys)
+        for i in (4, 0, 6, 1, 5, 3, 2):
+            ref.update_row(i)
+            got.update_row(i)
+            _same(got.gram, ref.gram)
+        _same(GramTracker.from_pool(other, param_keys=keys).gram, ref.gram)
+        if keys is not None:  # the closed form refuses tracked integer fields
+            co = np.array([1, 2, 3, 4, 5, 6, 0])
+            _same(got.cross_aggregated(co, 0.9).gram, ref.cross_aggregated(co, 0.9).gram)
+
+
+class TestOutOfRange:
+    def test_out_of_range_rows_raise_and_change_nothing(self, states, name, options):
+        _, other = _pools(states, name, options)
+        storage = other.storage
+        before = _whole(storage)
+        mirror = getattr(storage, "_mirror", None)
+        mirror_before = None if mirror is None else mirror.copy()
+        overflow = np.ones((4, storage.shape[1]), dtype=storage.dtype)
+        requests = [
+            lambda: storage.row(K),
+            lambda: storage.row(-1),
+            lambda: storage.row_block(K - 2, K + 2),
+            lambda: storage.write_rows(K - 2, overflow),
+            lambda: storage.gather_rows(np.array([-1])),
+            lambda: storage.gather_rows(np.array([K])),
+        ]
+        for request in requests:
+            with pytest.raises(IndexError, match=f"K={K}"):
+                request()
+        _same(_whole(storage), before)
+        if mirror is not None:
+            _same(storage._mirror, mirror_before)
+
+    def test_empty_spans_are_legal(self, states, name, options):
+        _, other = _pools(states, name, options)
+        storage = other.storage
+        before = _whole(storage)
+        for start in (0, 3, K):
+            assert storage.row_block(start, start).shape == (0, storage.shape[1])
+            storage.write_rows(start, np.empty((0, storage.shape[1]), dtype=storage.dtype))
+        assert storage.gather_rows(np.array([], dtype=np.int64)).shape == (0, storage.shape[1])
+        _same(_whole(storage), before)
