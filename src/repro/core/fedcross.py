@@ -178,7 +178,13 @@ class FedCrossServer(FederatedServer):
         Middleware model i goes to client ``active[assignment[i]]``:
         the plan carries pool row i itself and its model index as the
         upload-buffer ``row``, so the default ``collect`` packs uploads
-        back in model order.
+        back in model order.  Nothing is read here: on remote storage
+        the plan carries a reference to the row
+        (:meth:`~repro.core.storage.PoolStorage.row_ref`), fetched only
+        by a consumer that needs the bytes — a leg trained on the row's
+        own shard host never moves it.  A sync collect never writes the
+        pool (CrossAggr allocates the next one), so the reference needs
+        no snapshot.
         """
         k = len(self._pool)
         if len(active) != k:
@@ -189,8 +195,10 @@ class FedCrossServer(FederatedServer):
         if self.shuffle:
             self.rng.shuffle(assignment)
         plans: list[DispatchPlan | None] = [None] * k
-        for i, flat in enumerate(self._pool.rows()):
-            plans[assignment[i]] = DispatchPlan(flat, context={"row": i})
+        for i in range(k):
+            plans[assignment[i]] = DispatchPlan(
+                self._pool.storage.row_ref(i), context={"row": i}
+            )
         return plans
 
     def on_upload(self, row: int, result: LocalResult) -> None:

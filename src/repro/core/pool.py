@@ -44,8 +44,10 @@ with its configuration (shard count/placement included).
 Blocked operation & sharding contract
 -------------------------------------
 Every whole-pool operation — cross-aggregation, both similarity
-measures, ``similarity_to``, ``dispersion`` and both ``mean_state``
-modes — walks the pool through :func:`iter_row_spans`, producing its
+measures, ``similarity_to``, ``dispersion`` and the fast
+``mean_state`` — walks the pool through :func:`iter_row_spans`
+(the precise ``mean_state`` streams one row at a time through
+:meth:`~repro.core.storage.PoolStorage.accumulate_rows`), producing its
 temporaries in bounded row blocks (budget ``_BLOCK_BYTES``,
 overridable via ``REPRO_POOL_BLOCK_BYTES``), and touches pool data
 only through the storage row protocol.  The reductions cast at most
@@ -62,8 +64,8 @@ gathered per block, bounded by the budget).
 Two span policies keep the backends bit-identical:
 
 * *reduction* operations (Gram, euclidean, ``similarity_to``,
-  ``dispersion``, ``mean_state``) partition rows purely by the byte
-  budget — a function of (K, P) only, never of the shard layout — so
+  ``dispersion``, the fast ``mean_state``) partition rows purely by
+  the byte budget — a function of (K, P) only, never of the shard layout — so
   for a fixed budget every backend computes the same BLAS calls on
   bit-equal contiguous blocks and the results match **bitwise** across
   dense / memmap / sharded;
@@ -671,15 +673,19 @@ class PoolBuffer:
         dict-based ``weighted_average`` oracle of the tests.
 
         ``precise=True`` accumulates in float64, sequentially in pool
-        order — bit-for-bit the dict reference, streaming one row at a
-        time.  ``precise=False`` reduces in the buffer dtype — a BLAS
-        matvec per budget-sized row block (one block, hence one matvec,
-        for in-RAM pools): ~6× faster at K=50 and accurate to float32
+        order — bit-for-bit the dict reference, one row at a time, run
+        by the storage where the rows live
+        (:meth:`~repro.core.storage.PoolStorage.accumulate_rows`: on
+        ``distributed`` storage each host adds its span and passes the
+        accumulator on), so every backend produces the same bits.
+        ``precise=False`` reduces in the buffer dtype — a BLAS matvec
+        per budget-sized row block (one block, hence one matvec, for
+        in-RAM pools): ~6× faster at K=50 and accurate to float32
         rounding, the right trade for FedAvg-family aggregation where
-        the inputs are float32 to begin with.  Both modes partition
-        rows purely by the byte budget, never the shard layout, so for
-        a fixed ``REPRO_POOL_BLOCK_BYTES`` every storage backend
-        produces the bitwise-identical state.
+        the inputs are float32 to begin with.  Its rows are partitioned
+        purely by the byte budget, never the shard layout, so for a
+        fixed ``REPRO_POOL_BLOCK_BYTES`` every storage backend produces
+        the bitwise-identical state.
         """
         k = len(self)
         dtype = self.dtype
@@ -695,19 +701,8 @@ class PoolBuffer:
             w = w / total
         p = self.num_scalars
         if precise:
-            # Sequential accumulation in pool order mirrors the dict
-            # reference's summation order (bit-for-bit reproducible):
-            # rows still enter the accumulator one at a time, in order,
-            # but are *fetched* in budget-sized blocks — pure batching
-            # of reads, so remote/sharded backends pay one row_block
-            # per span instead of one RPC per row, while the arithmetic
-            # (and hence the result) is unchanged bit-for-bit.
-            block_rows = max(1, _block_budget() // max(1, p * 8))
             acc = np.zeros(p)
-            for b0, b1 in iter_row_spans(k, block_rows):
-                block = self.storage.row_block(b0, b1)
-                for i in range(b0, b1):
-                    acc += w[i] * block[i - b0].astype(np.float64, copy=False)
+            self.storage.accumulate_rows(w, acc)
             row = acc.astype(dtype)
         else:
             w_low = w.astype(dtype, copy=False)

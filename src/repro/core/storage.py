@@ -47,6 +47,9 @@ operations:
   blocked writes;
 * :meth:`PoolStorage.gather_rows` — arbitrary row gathers
   (cross-aggregation collaborator rows);
+* :meth:`PoolStorage.accumulate_rows` — the precise ``mean_state``
+  arithmetic, a float64 weighted sum of every row in pool order, run
+  where the rows live;
 * :meth:`PoolStorage.shard_boundaries` — the row spans owned by each
   shard, consumed by the pool engine's shard-aware block iterator.
 
@@ -57,8 +60,9 @@ valid when ``0 <= i < K``, a span when ``0 <= start <= stop <= K``
 
 ``cross_aggregate``, the similarity paths (blocked Gram cosine,
 blocked euclidean differences, ``similarity_to``), the ``dispersion``
-diagnostic and both ``mean_state`` modes all operate in bounded row
-blocks under the ``REPRO_POOL_BLOCK_BYTES`` budget — no pool operation
+diagnostic and the fast ``mean_state`` all operate in bounded row
+blocks under the ``REPRO_POOL_BLOCK_BYTES`` budget (the precise
+``mean_state`` reads one row at a time) — no pool operation
 materialises a float64 (or, for sharded pools, even a buffer-dtype)
 copy of the whole matrix, so full server rounds run out-of-core; the
 CI bench smoke and the sharded large-K stress test assert the
@@ -202,6 +206,19 @@ class PoolStorage:
     def fill_rows(self, values: np.ndarray) -> None:
         """Broadcast one row's ``values`` over every row."""
         raise NotImplementedError
+
+    def accumulate_rows(self, w: np.ndarray, acc: np.ndarray) -> None:
+        """``acc += w[i] * row i`` in float64 for every row, one row at a
+        time in pool order — the precise ``mean_state``, bitwise the
+        dict reference's sequential sum.  ``acc`` is a ``(P,)`` float64
+        row, updated in place."""
+        raise NotImplementedError
+
+    def row_ref(self, index: int) -> np.ndarray:
+        """Row ``index`` for a reader that may never need its bytes (a
+        dispatched model): the row itself here; a remote storage hands
+        out a stand-in fetched on its first ``np.asarray``."""
+        return self.row(index)
 
     def shard_boundaries(self) -> tuple[int, ...]:
         """Row-span fenceposts ``(0, ..., K)`` of the physical shards,
@@ -494,6 +511,13 @@ class ShardedStorage(PoolStorage):
     def fill_rows(self, values: np.ndarray) -> None:
         for piece in self._shards:
             piece[:] = values
+
+    def accumulate_rows(self, w: np.ndarray, acc: np.ndarray) -> None:
+        if len(w) != self._shape[0]:
+            raise ValueError(f"{len(w)} weights for a pool of K={self._shape[0]} rows")
+        rows = (row for piece in self._shards for row in piece)
+        for weight, row in zip(w, rows):
+            acc += weight * row.astype(np.float64, copy=False)
 
     def open_row(self, index: int) -> np.ndarray:
         return self.row(index)

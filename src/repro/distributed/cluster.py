@@ -330,11 +330,14 @@ class HostCluster:
             with self._recover_lock:
                 self._trainer_payload = payload
 
-    def train_leg(self, host: int, meta: Mapping, flat: np.ndarray,
+    def train_leg(self, host: int, meta: Mapping, flat: "np.ndarray | None",
                   hooks_blob: bytes):
-        """Run one training leg from row ``flat`` on ``host`` (blocking)."""
+        """Run one training leg on ``host`` (blocking), from row ``flat``
+        or, when ``flat`` is None, from the host's own pool row that
+        ``meta`` names (``src`` / ``src_row``)."""
+        arrays = None if flat is None else {"flat": flat}
         reply, _arrays, _blob = self.call(
-            host, "train_leg", meta, {"flat": flat}, hooks_blob, purpose="exec"
+            host, "train_leg", meta, arrays, hooks_blob, purpose="exec"
         )
         return reply
 

@@ -4,8 +4,12 @@
 execution-backend registry: each client's local-training leg runs **on
 the shard host that owns its upload row**, so the trained ``P`` floats
 are packed straight into the host-resident shard and never transit the
-coordinator.  Per leg, the coordinator ships the plan's dispatch row as
-it is (one buffer-dtype row), the hook specs and the client's RNG state; only
+coordinator.  Per leg, the coordinator ships the hook specs, the
+client's RNG state and the dispatched row: a FedCross sync plan's
+:class:`~repro.distributed.storage.RemoteRow` whose pool row lives on
+the leg's own host goes as a reference (buffer id and local row — the
+host reads its shard in place, so the row never crosses the wire);
+any other plan row ships as it is (one buffer-dtype row).  Only
 scalars — loss, sample/step counts, the advanced RNG state — ride
 back.  A host's legs overlap on its ``exec`` channel: every request is
 written at submit, so the host finds its next leg in the socket buffer
@@ -29,6 +33,8 @@ from __future__ import annotations
 
 import pickle
 from concurrent.futures import Future, ThreadPoolExecutor
+
+import numpy as np
 
 from repro.distributed.rpc import DistributedError
 from repro.fl.execution import (
@@ -80,7 +86,7 @@ class DistributedExecution(ExecutionBackend):
         self._ensure_pool(int(width))
 
     def submit_group(self, trainer, active, plans, rows, uploads, attacks=None):
-        from repro.distributed.storage import DistributedStorage
+        from repro.distributed.storage import DistributedStorage, RemoteRow
 
         _check_cohort(active, plans, rows, parallel=True)
         storage = uploads.storage
@@ -107,6 +113,10 @@ class DistributedExecution(ExecutionBackend):
         ]
         cluster = storage.cluster
         try:
+            # A replicated fleet is brought back up before any leg is
+            # sent: a host killed between rounds would otherwise fail
+            # (and bill) every leg sent to it.
+            storage.ensure_fleet()
             cluster.ensure_trainer(
                 self.spec, {c.client_id: c.dataset for c in self.clients}
             )
@@ -137,10 +147,14 @@ class DistributedExecution(ExecutionBackend):
                 # run_leg poisons the landed row on its host: no upload,
                 # honest or not, transits the coordinator.
                 meta["attack"] = attacks[i].to_wire()
+            flat = plan.flat
+            if isinstance(flat, RemoteRow) and flat.served_by(cluster, host):
+                meta["src"], meta["src_row"] = flat.storage.buffer_id, flat.local
+                flat = None
+            else:
+                flat = np.asarray(flat)
             futures.append(
-                self._pool.submit(
-                    cluster.train_leg, host, meta, plan.flat, blobs[i]
-                )
+                self._pool.submit(cluster.train_leg, host, meta, flat, blobs[i])
             )
 
         def land(i: int, reply) -> LocalResult:

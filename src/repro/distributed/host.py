@@ -4,11 +4,14 @@ One host owns one contiguous row shard of every distributed pool
 buffer: allocation (``alloc`` / ``free`` / ``clone_buffer``), the row
 protocol (``row_block`` / ``gather_rows`` / ``write_rows`` /
 ``fill_rows``, local offsets — the coordinator keeps the global span
-map), the shard-local share of a Gram flush (``gram_dots``) and of
-CrossAggr (``blend_rows``), and co-located training legs
-(``init_trainer`` / ``train_leg``).  The coordinator talks to it over
-plain sockets via :mod:`repro.distributed.rpc`; a host never talks to
-other hosts.
+map), the shard-local share of the precise mean (``accumulate_rows``:
+its span added into the float64 accumulator the coordinator passes
+from host to host), of a Gram flush (``gram_dots``: the dots of listed
+row pairs, its own rows and, the second exchange, peer rows it was
+sent) and of CrossAggr (``blend_rows``), and co-located training legs
+(``init_trainer`` / ``train_leg``, from a shipped row or from this
+host's own pool row).  The coordinator talks to it over plain sockets
+via :mod:`repro.distributed.rpc`; a host never talks to other hosts.
 
 Two properties carry the engine's cross-backend guarantees over the
 wire:
@@ -17,15 +20,16 @@ wire:
   bytes (no re-encoding); ``gram_dots`` computes each pairwise dot
   exactly like :meth:`repro.core.gram.GramTracker.update_row` does
   locally — one contiguous float64 1-D ``np.dot`` per pair over the
-  same masked values — and ``blend_rows`` blends through the pool
-  engine's own :func:`~repro.core.pool.blend_row`.  Shard-local
-  results are therefore bitwise identical to the single-node
-  reference.
-* **Co-located uploads** — ``train_leg`` runs the one leg body
+  same masked values — ``accumulate_rows`` runs the single-node
+  float64 loop, and ``blend_rows`` blends through the pool engine's
+  own :func:`~repro.core.pool.blend_row`.  Shard-local results are
+  therefore bitwise identical to the single-node reference.
+* **Co-located legs** — ``train_leg`` runs the one leg body
   (:func:`repro.fl.execution.run_leg`) with the host's **local shard
   row** as its destination.  The ``P`` trained floats never ride a
   socket back to the coordinator; only scalars (loss, counts, the
-  advanced RNG state) do.
+  advanced RNG state) do.  A leg sent by reference starts from the
+  host's own pool row, so its dispatched row never rides one either.
 
 The accept loop serves each connection on its own daemon thread.
 Array reads/writes from concurrent connections are as racy as the
@@ -38,6 +42,7 @@ mask/trainer registration) serialise on one mutex.
 
 from __future__ import annotations
 
+import bisect
 import math
 import pickle
 import socket
@@ -117,43 +122,66 @@ class _HostState:
             self.masks[meta["mask_id"]] = arrays["mask"].astype(bool, copy=True)
         return {}, {}, b""
 
-    def op_gram_dots(self, meta, arrays, blob):
-        """Shard-local Gram block: dots of the given rows against every
-        local row — the distributable unit of a ``GramTracker`` flush.
+    def op_accumulate_rows(self, meta, arrays, blob):
+        """This shard's share of the precise ``mean_state``: ``acc += w[r]
+        * row r`` in float64 over the local rows, in order, with the
+        single-node loop; the accumulator goes back to be passed on."""
+        acc = np.array(arrays["acc"], dtype=np.float64)
+        self._storage(meta["buffer"]).accumulate_rows(arrays["w"], acc)
+        return {}, {"acc": acc}, b""
 
-        The given rows are this shard's own (``rows``: local indices, so
-        nothing but indices crossed the wire) or a peer shard's, shipped
-        in the buffer dtype (``block``; the float64 cast is exact, so
-        casting here gives the tracker's operands).  Each pair is the
-        exact local kernel — one contiguous float64 1-D ``np.dot`` over
-        the masked values — so the assembled Gram is bitwise the
-        single-node one.  Given rows are cast ``ceil(sqrt(n))`` at a time
-        and every local row once per such chunk: float64 scratch of
-        ~sqrt(n) rows (the coordinator holds n to a block budget of
-        rows) and ~sqrt(n) casts per local row — neither an image of
-        the shard nor the n casts per row of a per-vector fan-out.
+    def op_gram_dots(self, meta, arrays, blob):
+        """Dots of listed row pairs — the distributable unit of a
+        ``GramTracker`` flush.
+
+        Pair ``t`` is ``(left[t], right[t])``: ``right`` names a local
+        row, ``left`` a local row (``>= 0``, nothing but indices crossed
+        the wire) or row ``-left - 1`` of ``block``, a peer's rows in
+        the buffer dtype (the float64 cast is exact, so casting here
+        gives the tracker's operands).  Each pair is the exact local
+        kernel — one contiguous float64 1-D ``np.dot`` over the masked
+        values — so the assembled Gram is bitwise the single-node one.
+        The distinct left operands are cast ``ceil(sqrt(n))`` at a time
+        and each right row once per such chunk: float64 scratch of
+        ~sqrt(n) rows, never an image of the shard.  ``ship`` names
+        local rows to return as they are (``rows``): the stale rows a
+        peer dots next ride back with this host's own pairs.
         """
         storage = self._storage(meta["buffer"])
         mask = self.masks[meta["mask_id"]] if "mask_id" in meta else None
         masked = (lambda row: row) if mask is None else (lambda row: row[mask])
-        if "block" in arrays:
-            given = arrays["block"]
-        else:
-            given = [storage.row(int(r)) for r in arrays["rows"]]
-        local, p = storage.shape
-        p_eff = p if mask is None else int(mask.sum())
-        chunk = math.isqrt(len(given) - 1) + 1
+        given = arrays.get("block")
+        left = arrays["left"].astype(np.int64, copy=False)
+        right = arrays["right"].astype(np.int64, copy=False)
+        p_eff = storage.shape[1] if mask is None else int(mask.sum())
+        codes = sorted(set(left.tolist()))
+        chunk = math.isqrt(max(1, len(codes)) - 1) + 1
         vi, vj = np.empty((chunk, p_eff)), np.empty(p_eff)
-        dots = np.empty((len(given), local))
-        for c0 in range(0, len(given), chunk):
-            part = given[c0 : c0 + chunk]
-            for t, row in enumerate(part):
-                vi[t] = masked(row)
-            for j in range(local):
-                vj[:] = masked(storage.row(j))
-                for t in range(len(part)):
-                    dots[c0 + t, j] = np.dot(vi[t], vj)
-        return {}, {"dots": dots}, b""
+        dots = np.empty(len(left))
+        for c0 in range(0, len(codes), chunk):
+            part = codes[c0 : c0 + chunk]
+            for t, code in enumerate(part):
+                vi[t] = masked(storage.row(code) if code >= 0 else given[-code - 1])
+            sel = np.flatnonzero((left >= part[0]) & (left <= part[-1]))
+            sel = sel[np.argsort(right[sel], kind="stable")]
+            slots = np.searchsorted(part, left[sel]).tolist()
+            last = None
+            for t, j, s in zip(sel.tolist(), right[sel].tolist(), slots):
+                if j != last:
+                    last = j
+                    # A right row cast among this chunk's lefts is reused.
+                    at = bisect.bisect_left(part, j)
+                    if at < len(part) and part[at] == j:
+                        v = vi[at]
+                    else:
+                        vj[:] = masked(storage.row(j))
+                        v = vj
+                dots[t] = np.dot(vi[s], v)
+        reply = {"dots": dots}
+        ship = arrays.get("ship")
+        if ship is not None and ship.size:
+            reply["rows"] = storage.gather_rows(ship.astype(np.int64, copy=False))
+        return {}, reply, b""
 
     def op_blend_rows(self, meta, arrays, blob):
         """CrossAggr where the rows live: blend every row of this shard
@@ -194,11 +222,14 @@ class _HostState:
 
     def op_train_leg(self, meta, arrays, blob):
         """One client's leg, co-located with its shard:
-        :func:`repro.fl.execution.run_leg` from the dispatched
-        buffer-dtype row that arrived with the request into the *local*
-        row of the upload buffer, on the host-resident shard data with
-        the client's shipped RNG state — the trained ``P`` floats never
-        return to the coordinator."""
+        :func:`repro.fl.execution.run_leg` from the dispatched row into
+        the *local* row of the upload buffer, on the host-resident shard
+        data with the client's shipped RNG state — the trained ``P``
+        floats never return to the coordinator.  The dispatched row is
+        the buffer-dtype ``flat`` that arrived with the request, or,
+        sent by reference (``src`` / ``src_row``), this host's own row
+        of the pool buffer, read in place: a sync round does not write
+        the pool while its legs train."""
         from repro.fl.execution import run_leg
         from repro.robust.attacks import AttackSpec
 
@@ -213,9 +244,13 @@ class _HostState:
         rng = np.random.default_rng()
         rng.bit_generator.state = meta["rng_state"]
         loss_hook, grad_hook = pickle.loads(blob) if blob else (None, None)
+        if "flat" in arrays:
+            flat = arrays["flat"]
+        else:  # dispatched by reference: the pool row lives on this host
+            flat = self._storage(meta["src"]).row(int(meta["src_row"]))
         scalars = run_leg(
             trainer,
-            arrays["flat"],
+            flat,
             self._storage(meta["buffer"]).row(int(meta["local_row"])),
             self.datasets[meta["client_id"]],
             rng,

@@ -15,10 +15,18 @@ The coordinator holds only the span map (the same
   side and ship each committed row in one message (the pool engine's
   ``set_state`` packs into the staging row, so an upload costs one
   RPC, not one per field);
+* ``row_ref`` hands out a :class:`RemoteRow` — a row left where it
+  lives, fetched on its first ``np.asarray`` — so a dispatched model
+  whose leg trains on the row's own host never crosses the wire;
+* ``accumulate_rows`` (the precise ``mean_state``) runs the one float64
+  loop on the hosts: each host adds its span, and the accumulator — one
+  float64 row — is passed from host to host in pool order;
 * ``gram_rows`` answers a :class:`~repro.core.gram.GramTracker` flush
-  where the rows live: each host dots its own stale rows against its
-  own rows (indices only on the wire), and each unordered host pair
-  exchanges one block of stale rows, in the buffer dtype, once;
+  where the rows live, dotting every needed pair exactly once in two
+  exchanges: each host dots the pairs inside its own span (indices only
+  on the wire) and returns the stale rows its peers need; then each
+  host pair's cross block is split evenly between its two hosts, each
+  dotting its half against the peer rows it was sent;
 * ``blend_into`` runs ``cross_aggregate`` where the rows live: each
   host blends its span into its shard of the output buffer and is sent
   only the collaborator rows it does not own (replicated buffers keep
@@ -31,6 +39,7 @@ identical to ``sharded``/``dense`` under the equivalence matrix.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import weakref
 from typing import Sequence
@@ -46,7 +55,7 @@ from repro.core.storage import (
 from repro.distributed.cluster import HostCluster, get_cluster
 from repro.distributed.rpc import DistributedError
 
-__all__ = ["DistributedStorage"]
+__all__ = ["DistributedStorage", "RemoteRow"]
 
 
 def _free_buffer(cluster: HostCluster, buffer: str) -> None:
@@ -58,6 +67,44 @@ def _free_buffer(cluster: HostCluster, buffer: str) -> None:
         cluster.defer_free(buffer)
     except Exception:  # pragma: no cover - interpreter/cluster teardown
         pass
+
+
+class RemoteRow:
+    """A row of a :class:`DistributedStorage` left where it lives.
+
+    Carries what a consumer checks without the bytes — ``shape``,
+    ``dtype`` and the owning ``host`` / ``local`` row — and fetches the
+    row once, on its first ``np.asarray`` (any NumPy consumer, an
+    assignment into an array included).  FedCross's dispatch hands
+    these out as ``DispatchPlan.flat``: the distributed execution
+    backend ships only the reference to a leg on the owning host, and
+    every other consumer materialises it.
+    """
+
+    def __init__(self, storage: "DistributedStorage", index: int) -> None:
+        self.storage = storage
+        self.index = int(index)
+        self.shape = (storage.shape[1],)
+        self.dtype = storage.dtype
+        self.host, self.local = storage.owner_of(self.index)
+        self._row: "np.ndarray | None" = None
+
+    def __array__(self, dtype=None, copy=None):
+        if self._row is None:
+            self._row = self.storage.row(self.index)
+        return np.asarray(self._row, dtype=dtype, copy=copy)
+
+    def served_by(self, cluster: HostCluster, host: int) -> bool:
+        """Whether ``host`` of ``cluster`` holds this row's latest bytes
+        (not when a host death lost them: reading them must raise)."""
+        return (
+            self.storage.cluster is cluster
+            and self.host == host
+            and self.index not in self.storage.lost_rows()
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"RemoteRow({self.storage.buffer_id}[{self.index}], host={self.host})"
 
 
 @register_backend("distributed")
@@ -83,7 +130,8 @@ class DistributedStorage(PoolStorage):
         host-side are tracked as *lost* until retrained or rewritten.
 
     ``row`` returns a *read-only fetched copy* (unlike single-node
-    backends there is no live view to hand out); all writes go through
+    backends there is no live view to hand out) and ``row_ref`` a
+    :class:`RemoteRow`; all writes go through
     ``open_row``/``commit_row``/``write_rows``, which the pool engine
     uses exclusively.
     """
@@ -103,6 +151,7 @@ class DistributedStorage(PoolStorage):
         self._shape = (int(shape[0]), int(shape[1]))
         self._dtype = np.dtype(dtype)
         self._boundaries = tuple(int(b) for b in boundaries)
+        self._fences = np.array(self._boundaries)
         self._placement = placement
         self._replicate = bool(replicate)
         if self._replicate:
@@ -211,12 +260,14 @@ class DistributedStorage(PoolStorage):
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size:
             self._check_rows(int(indices.min()), int(indices.max()) + 1)
-        return np.searchsorted(self._boundaries, indices, side="right") - 1
+        return self._fences.searchsorted(indices, side="right") - 1
 
     def owner_of(self, index: int) -> tuple[int, int]:
         """(host index, local row offset) owning global row ``index``."""
-        host = int(self._owners(index))
-        return host, int(index) - self._boundaries[host]
+        index = int(index)
+        self._check_rows(index, index + 1)
+        host = bisect.bisect_right(self._boundaries, index) - 1
+        return host, index - self._boundaries[host]
 
     # -- failover ----------------------------------------------------------
     @property
@@ -312,6 +363,10 @@ class DistributedStorage(PoolStorage):
         row.flags.writeable = False
         return row
 
+    def row_ref(self, index: int) -> RemoteRow:
+        """The row left on its host, fetched on first ``np.asarray``."""
+        return RemoteRow(self, index)
+
     def open_row(self, index: int) -> np.ndarray:
         # Coordinator-side staging scratch; commit ships it in one RPC.
         return np.empty(self._shape[1], dtype=self._dtype)
@@ -394,18 +449,41 @@ class DistributedStorage(PoolStorage):
             self._lost[:] = False
 
     # -- reductions where the rows live ------------------------------------
+    def accumulate_rows(self, w: np.ndarray, acc: np.ndarray) -> None:
+        """The precise ``mean_state`` loop, run by the hosts in pool order.
+
+        Each host adds its span with the single-node loop
+        (:meth:`~repro.core.storage.ShardedStorage.accumulate_rows`)
+        and hands the float64 accumulator back, to be sent on to the
+        next host: rows still enter it one at a time in pool order, so
+        the sum is bitwise the dense one at any host count, and one
+        float64 row per host crosses each way instead of the K rows.
+        """
+        k = self._shape[0]
+        if len(w) != k:
+            raise ValueError(f"{len(w)} weights for a pool of K={k} rows")
+        self._check_lost(slice(0, k))
+        w = np.asarray(w, dtype=np.float64)
+        for host, (lo, hi) in enumerate(self.host_spans()):
+            if hi > lo:
+                reply = self._recovering(
+                    self._cluster.call, host, "accumulate_rows",
+                    {"buffer": self._buffer}, {"w": w[lo:hi], "acc": acc},
+                )
+                acc[:] = reply[1]["acc"]
+
     reduces_gram = True
 
     def gram_rows(self, rows: np.ndarray, mask: "np.ndarray | None") -> np.ndarray:
         """Gram rows ``rows`` of the masked matrix, reduced on the hosts.
 
-        Every host dots its own share of ``rows`` against its own rows
-        (indices only on the wire); each unordered pair of hosts then
-        moves one side's share once, in the buffer dtype, to the other
-        — ``np.dot(a, b)`` and ``np.dot(b, a)`` are the same bits, so
-        the reply fills the transposed entries too — and the other side
-        ships as well only when the first does not cover its span.
-        Bitwise the tracker's local loop.
+        Every needed pair — one stale row and any row — is dotted
+        exactly once, on a host that holds both operands (see
+        :meth:`_gram_pairs`); ``np.dot(a, b)`` and ``np.dot(b, a)`` are
+        the same bits, so each dot fills its mirrored entry too.
+        Bitwise the tracker's local loop.  At most a block budget of
+        stale rows is reduced, and so moves, per exchange; pairs with
+        rows of an earlier exchange are not dotted again.
 
         Lost-row rule: ``rows`` are rows whose writers reported in
         (``update_row``), so a lost one raises; the rows they are dotted
@@ -413,52 +491,112 @@ class DistributedStorage(PoolStorage):
         rewritten is recomputed when that writer reports in.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        # At most a block budget of rows moves per exchange.
+        k = self._shape[0]
+        out = np.empty((len(rows), k))
+        at = np.full(k, -1)
+        at[rows] = np.arange(len(rows))
+        done = np.zeros(k, dtype=bool)  # rows whose every pair is dotted
         step = max(1, _block_budget() // max(1, self._shape[1] * self._dtype.itemsize))
-        return np.concatenate([
-            self._recovering(self._gram_rows, rows[i : i + step], mask)
-            for i in range(0, len(rows), step)
-        ])
+        for i in range(0, len(rows), step):
+            stale = rows[i : i + step]
+            left, right, dots = self._recovering(self._gram_pairs, stale, done, mask)
+            for a, b in ((left, right), (right, left)):
+                hit = at[a] >= 0
+                out[at[a[hit]], b[hit]] = dots[hit]
+            done[stale] = True
+        return out
 
-    def _gram_rows(self, rows: np.ndarray, mask: "np.ndarray | None") -> np.ndarray:
-        self._check_lost(rows)
+    def _gram_pairs(
+        self, stale: np.ndarray, done: np.ndarray, mask: "np.ndarray | None"
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Dot every pair of a ``stale`` row with a row not ``done``, once.
+
+        Two exchanges, one ``gram_dots`` per host each.  First, each
+        host dots the pairs inside its own span (indices only on the
+        wire), and its reply carries the stale rows its peers need.
+        Then each host pair ``(x, y)`` splits its cross block: ``x``
+        dots its rows against ``y``'s stale rows, ``y`` its rows against
+        ``x``'s, so only stale rows move, in the buffer dtype; the pairs
+        of two stale rows go to whichever side evens the split, so a
+        full flush halves every cross block.  Returns each pair's global
+        ``(left, right)`` rows and its dot.
+        """
+        self._check_lost(stale)
         meta = {"buffer": self._buffer}
         if mask is not None:
             meta["mask_id"] = self._cluster.ensure_mask(mask)
-        b = self._boundaries
-        owners = self._owners(rows)
-        mine = {int(h): rows[owners == h] for h in np.flatnonzero(np.bincount(owners))}
-        covers = {h: len(r) == b[h + 1] - b[h] for h, r in mine.items()}
-        # Exchange (x, y): x's share of ``rows`` against every row of y.
-        local = [(x, x) for x in mine]
-        cross = []
-        populated = [h for h in range(self.num_hosts) if b[h + 1] > b[h]]
-        for pair in itertools.combinations(populated, 2):
-            x, y = sorted(pair, key=lambda h: (h in mine, covers.get(h, False)),
-                          reverse=True)
-            if x in mine:
-                cross.append((x, y))
-                if y in mine and not covers[x]:
-                    cross.append((y, x))
-        shippers = sorted({x for x, _ in cross})
-        cluster, buffer = self._cluster, {"buffer": self._buffer}
-        first = cluster.call_each(
-            [(x, "gather_rows", buffer, {"indices": mine[x] - b[x]}) for x in shippers]
-            + [(x, "gram_dots", meta, {"rows": mine[x] - b[x]}) for x, _ in local]
+        k, b = self._shape[0], self._boundaries
+        is_stale = np.zeros(k, dtype=bool)
+        is_stale[stale] = True
+        live = [np.arange(lo, hi)[~done[lo:hi]] for lo, hi in self.host_spans()]
+        own = [rows[is_stale[rows]] for rows in live]
+        hosts = range(len(live))
+        inside = []  # per host: its (stale row, row) pairs, each once
+        for h in hosts:
+            grid = np.meshgrid(own[h], live[h], indexing="ij")
+            left, right = (g.ravel() for g in grid)
+            keep = ~is_stale[right] | (right >= left)
+            inside.append((left[keep], right[keep]))
+        across = [[] for _ in hosts]  # per host: (peer stale row, own rows)
+        for x, y in itertools.combinations(hosts, 2):
+            sx, sy = own[x], own[y]
+            # Only x can dot its fresh rows × sy, only y sx × its fresh
+            # rows; of sx × sy, x takes sy[:c], c evening the halves.
+            c = 0
+            if sx.size:
+                only_x = (live[x].size - sx.size) * sy.size
+                only_y = sx.size * (live[y].size - sy.size)
+                even = (only_y - only_x + sx.size * sy.size) / (2 * sx.size)
+                c = min(sy.size, max(0, round(even)))
+            fresh_x = live[x][~is_stale[live[x]]]
+            across[x] += [(q, live[x]) for q in sy[:c].tolist()]
+            across[x] += [(q, fresh_x) for q in sy[c:].tolist()]
+            taken = np.zeros(k, dtype=bool)
+            taken[sy[:c]] = True
+            rest_y = live[y][~taken[live[y]]]
+            across[y] += [(q, rest_y) for q in sx.tolist()]
+        across = [[(q, rows) for q, rows in pairs if rows.size] for pairs in across]
+        given = [np.array(sorted({q for q, _ in pairs}), dtype=np.int64) for pairs in across]
+        wanted = np.zeros(k, dtype=bool)
+        for rows in given:
+            wanted[rows] = True
+        ship = [np.flatnonzero(wanted[lo:hi]) + lo for lo, hi in self.host_spans()]
+
+        first = [h for h in hosts if inside[h][0].size or ship[h].size]
+        replies = self._cluster.call_each([
+            (h, "gram_dots", meta, {
+                "left": inside[h][0] - b[h], "right": inside[h][1] - b[h],
+                "ship": ship[h] - b[h],
+            })
+            for h in first
+        ])
+        shipped = [(h, reply[1]["rows"]) for h, reply in zip(first, replies) if ship[h].size]
+        pairs = [inside[h] for h in first]
+        requests = []
+        for h in (h for h in hosts if across[h]):
+            # The peer rows h dots, in row order: whole shipped blocks
+            # where h needs all of one, else the rows it needs of it.
+            parts = []
+            for g, block in shipped:
+                need = given[h][(given[h] >= b[g]) & (given[h] < b[g + 1])]
+                if need.size == ship[g].size:
+                    parts.append(block)
+                elif need.size:
+                    parts.append(block[np.searchsorted(ship[g], need)])
+            left = np.concatenate([np.full(rows.size, q) for q, rows in across[h]])
+            right = np.concatenate([rows for _, rows in across[h]])
+            pairs.append((left, right))
+            requests.append((h, "gram_dots", meta, {
+                "left": -1 - np.searchsorted(given[h], left),
+                "right": right - b[h],
+                "block": parts[0] if len(parts) == 1 else np.concatenate(parts),
+            }))
+        replies += self._cluster.call_each(requests)
+        return (
+            np.concatenate([left for left, _ in pairs]),
+            np.concatenate([right for _, right in pairs]),
+            np.concatenate([reply[1]["dots"] for reply in replies]),
         )
-        blocks = {x: reply[1]["block"] for x, reply in zip(shippers, first)}
-        second = cluster.call_each(
-            [(y, "gram_dots", meta, {"block": blocks[x]}) for x, y in cross]
-        )
-        out = np.empty((len(rows), self._shape[0]))
-        at = np.full(self._shape[0], -1)
-        at[rows] = np.arange(len(rows))
-        for (x, y), reply in zip(local + cross, first[len(shippers):] + second):
-            dots = reply[1]["dots"]
-            out[at[mine[x]], b[y] : b[y + 1]] = dots
-            if y in mine:  # the same bits, transposed
-                out[np.ix_(at[mine[y]], mine[x])] = dots[:, mine[y] - b[y]].T
-        return out
 
     def blend_into(
         self, dst: PoolStorage, co: np.ndarray, alpha: float,

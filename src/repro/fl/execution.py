@@ -596,6 +596,7 @@ def run_leg(
     Returns the leg's :class:`~repro.fl.trainer.TrainStats`; advances
     ``rng``.
     """
+    flat = np.asarray(flat)  # a remote row reference is fetched here
     for field, value in (hypers or {}).items():
         setattr(trainer, field, value)
     if loss_hook is not None or grad_hook is not None:
@@ -971,7 +972,7 @@ class ProcessExecution(ExecutionBackend):
         )
         slots = {}
         for slot, (key, flat) in enumerate(flats.items()):
-            dispatch.array[slot] = flat
+            dispatch.array[slot] = np.asarray(flat)
             slots[key] = slot
         hypers = _trainer_hypers(trainer)
         attacks = attacks or {}

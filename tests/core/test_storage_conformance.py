@@ -5,7 +5,8 @@ The suite is parametrised over :func:`available_backends`, so a backend
 gets its gate by registering: a name without an entry in ``OPTIONS``
 runs with its default options.  ``sharded`` runs at shard counts
 {1, 2, 3, K} on both placements, ``distributed`` on a pooled two-host
-fleet with each host placement and with a coordinator replica.
+fleet with each host placement and with a coordinator replica, and on
+a three-host fleet (uneven spans).
 
 Every cell must be **bit-identical** to ``dense``: the row protocol
 (``row``, ``row_block``, ``gather_rows``, ``write_rows``,
@@ -38,6 +39,9 @@ OPTIONS = {
         {"hosts": 2},
         {"hosts": 2, "placement": "memmap"},
         {"hosts": 2, "replicate": True},
+        # Uneven spans 3/2/2: three host pairs split the Gram's cross
+        # blocks, and the mean's accumulator makes three hops.
+        {"hosts": 3},
     ],
 }
 

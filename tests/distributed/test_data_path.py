@@ -6,7 +6,8 @@ Three conversations of a round, each against its single-node twin:
   on read — equal to the eager dense tracker after every read;
 * ``cross_aggregate`` (1-D ``co``) blends on the hosts — equal to the
   blocked coordinator-side protocol byte for byte;
-* dispatch reads its K states in one fetch per host.
+* dispatch reads no state at all (a leg starts from its host's own
+  pool row), and ``states()`` reads its K states in one fetch per host.
 
 All on the pooled 1–3 host fleets (operands are short, so OpenBLAS
 never splits a dot and host/coordinator thread caps cannot move a bit).
@@ -108,9 +109,58 @@ class TestDeferredGram:
             tracker.update_row(i)
         before = _data_calls(cluster)
         tracker.gram
-        # Two local reductions, one gather from the shipping host, one
-        # block reduction on its peer — whatever K is.
+        # Per host, its own pairs (the reply carrying the rows its peer
+        # needs), then its half of the cross block — whatever K is.
         assert _data_calls(cluster) - before == 4
+
+    @pytest.mark.parametrize("budget", [8, None], ids=["one_row_per_exchange", "default"])
+    @pytest.mark.parametrize("hosts,k", [(2, 8), (3, 7)])
+    def test_every_needed_pair_is_dotted_once(self, hosts, k, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setenv("REPRO_POOL_BLOCK_BYTES", str(budget))
+        rng = np.random.default_rng(hosts * 10 + k)
+        dense, dist = _pair([_state(rng) for _ in range(k)], hosts)
+        storage = dist.storage
+        seen = []
+        pairs = storage._gram_pairs
+
+        def recorded(stale, done, mask):
+            left, right, dots = pairs(stale, done, mask)
+            seen.extend(zip(left.tolist(), right.tolist()))
+            return left, right, dots
+
+        monkeypatch.setattr(storage, "_gram_pairs", recorded)
+        for stale in ([k - 1], [0, 2, k - 2], list(range(k))):
+            seen.clear()
+            got = storage.gram_rows(np.array(stale), None)
+            want = GramTracker.from_pool(dense).gram[stale]
+            np.testing.assert_array_equal(got, want)
+            needed = {tuple(sorted((i, j))) for i in stale for j in range(k)}
+            # Every needed pair, each exactly once.
+            assert sorted(tuple(sorted(pair)) for pair in seen) == sorted(needed)
+
+    def test_full_flush_splits_each_cross_block_evenly(self, monkeypatch):
+        # K = 8 on 2 hosts: a 4 x 4 cross block, 8 dots on each side.
+        rng = np.random.default_rng(8)
+        _dense, dist = _pair([_state(rng) for _ in range(8)], 2)
+        cluster = dist.storage.cluster
+        calls = []
+        call_each = cluster.call_each
+
+        def recorded(requests, purpose="data"):
+            calls.append([(r[0], r[3]) for r in requests])
+            return call_each(requests, purpose)
+
+        monkeypatch.setattr(cluster, "call_each", recorded)
+        tracker = GramTracker(dist)
+        for i in range(8):
+            tracker.update_row(i)
+        tracker.gram
+        inside, across = calls
+        # Each host's own 4 rows: 10 pairs; each host's half of the 16.
+        assert [len(arrays["left"]) for _h, arrays in inside] == [10, 10]
+        assert [len(arrays["left"]) for _h, arrays in across] == [8, 8]
+        assert all((arrays["left"] < 0).all() for _h, arrays in across)
 
     def test_failed_flush_keeps_rows_marked(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -234,6 +284,20 @@ class TestOwnersAndBlockReads:
                 storage.owner_of(bad)
         with pytest.raises(IndexError):
             storage.gather_rows(np.array([0, 2]))
+        # The host with the empty span takes no part in a reduction.
+        rng = np.random.default_rng(12)
+        dense, dist = _pair([_state(rng) for _ in range(2)], 3)
+        assert dist.storage.host_spans() == [(0, 1), (1, 2), (2, 2)]
+        for keys in (None, ("w",)):
+            mask, masked, _ = dense._mask_info(keys)
+            want = GramTracker.from_pool(dense, param_keys=keys).gram
+            for rows in ([0, 1], [1], [0]):
+                got = dist.storage.gram_rows(np.array(rows), mask if masked else None)
+                np.testing.assert_array_equal(got, want[rows])
+        for precise in (True, False):
+            np.testing.assert_array_equal(
+                dist.mean_state(precise=precise), dense.mean_state(precise=precise)
+            )
 
     def test_single_host_fleet(self):
         ref = np.arange(12, dtype=np.float32).reshape(3, 4)
@@ -278,7 +342,12 @@ class _CallLog(ServerCallback):
 def test_sync_round_makes_o_hosts_data_calls():
     # K = 20 on 2 hosts: a steady-state round is K train_legs on the
     # exec channels plus a data-channel bill that counts hosts, not
-    # rows (the per-upload masked_dots fan-out made it 96).
+    # rows (the per-upload masked_dots fan-out made it 96).  Per host:
+    # dispatch 0 (legs start from their host's own pool row), Gram
+    # flush 2 (gram_dots: own pairs + rows for the peer, then half the
+    # cross block), blend 4 (alloc of the next pool, gather_rows of
+    # foreign collaborators, blend_rows, free of the last pool), mean 1
+    # (accumulate_rows) — 7 per host, 14 a round.
     log = _CallLog(get_cluster(2))
     run_simulation(
         FLConfig(
@@ -292,7 +361,7 @@ def test_sync_round_makes_o_hosts_data_calls():
     )
     for counts in log.rounds[1:]:
         assert counts["exec"] == 20
-        assert counts["data"] <= 30, counts
+        assert counts["data"] == 14, counts
 
 
 class TestScreenReadsAfterTheQuarantine:

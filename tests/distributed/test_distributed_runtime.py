@@ -6,6 +6,7 @@ property (trained upload rows never transit the coordinator).
 import socket
 import threading
 
+import numpy as np
 import pytest
 
 from repro.distributed import DistributedError
@@ -177,10 +178,11 @@ class TestMeasuredLedger:
 
 
 class TestNoCoordinatorTransit:
-    """The acceptance property of co-located execution: each leg's
+    """The acceptance properties of co-located execution: each leg's
     trained state is packed into the shard host that owns its upload
     row — the ``P`` trained floats never ride a socket back through
-    the coordinator."""
+    the coordinator — and a sync FedCross leg starts from its host's
+    own pool row, so the dispatched row never rides one either."""
 
     def test_upload_rows_written_host_side_only(self):
         cluster = get_cluster(HOSTS)
@@ -195,12 +197,29 @@ class TestNoCoordinatorTransit:
         def _received(purpose):
             return sum(h.channel(purpose).scalars_received for h in cluster.handles)
 
+        def _sent(purpose):
+            return sum(h.channel(purpose).scalars_sent for h in cluster.handles)
+
         data_before = _counts("data")
         exec_before = _counts("exec")
         exec_received_before = _received("exec")
+        exec_sent_before = _sent("exec")
 
         config = _config()
         sim = FLSimulation(config)
+        server = sim.server
+        dispatch = server.dispatch
+        fetched = []
+
+        def counted_dispatch(active):
+            # row_block calls on the pool buffer while dispatch runs.
+            key = ("row_block", server.pool.storage.buffer_id)
+            before = _counts("data").get(key, 0)
+            plans = dispatch(active)
+            fetched.append(_counts("data").get(key, 0) - before)
+            return plans
+
+        server.dispatch = counted_dispatch
         sim.run()
         uploads = sim.server.uploads.storage.buffer_id
         k, rounds = sim.config.clients_per_round, sim.config.rounds
@@ -218,6 +237,46 @@ class TestNoCoordinatorTransit:
         # ...and nothing array-shaped came back on the exec channels at
         # all: train_leg replies are scalars plus RNG state only.
         assert _received("exec") - exec_received_before == 0
+        # Dispatch read no pool row, and no leg request carried one:
+        # every leg went to the host owning its pool row, by reference.
+        assert fetched == [0] * rounds
+        assert _sent("exec") - exec_sent_before == 0
+
+    def test_a_row_owned_by_another_host_ships_as_bytes(self):
+        # Upload row r trains from pool row r + K/2: every leg's pool
+        # row lives on the other host, so the row must ride the
+        # train_leg request — and the fit must equal serial execution
+        # from the same plans.
+        cluster = get_cluster(HOSTS)
+
+        def run(execution):
+            sim = FLSimulation(_config(execution=execution))
+            dispatch = sim.server.dispatch
+
+            def crossed_dispatch(active):
+                plans = dispatch(active)
+                k = len(plans)
+                by_row = {plan.context["row"]: plan.flat for plan in plans}
+                for plan in plans:
+                    plan.flat = by_row[(plan.context["row"] + k // 2) % k]
+                return plans
+
+            sim.server.dispatch = crossed_dispatch
+            sent = sum(h.channel("exec").scalars_sent for h in cluster.handles)
+            result = sim.run()
+            sent = sum(h.channel("exec").scalars_sent for h in cluster.handles) - sent
+            return result, sent
+
+        dist, shipped = run("distributed")
+        serial, _ = run("serial")
+        config = _config()
+        p = sum(np.size(value) for value in dist.final_state.values())
+        assert shipped == config.clients_per_round * config.rounds * p
+        assert [r.accuracy for r in dist.history.records] == [
+            r.accuracy for r in serial.history.records
+        ]
+        for key, value in serial.final_state.items():
+            np.testing.assert_array_equal(dist.final_state[key], value)
 
 
 class TestFaultSurfacing:
