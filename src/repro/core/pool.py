@@ -43,18 +43,19 @@ with its configuration (shard count/placement included).
 
 Blocked operation & sharding contract
 -------------------------------------
-Every whole-pool operation — cross-aggregation, both similarity
-measures, ``similarity_to``, ``dispersion`` and the fast
-``mean_state`` — walks the pool through :func:`iter_row_spans`
-(the precise ``mean_state`` streams one row at a time through
-:meth:`~repro.core.storage.PoolStorage.accumulate_rows`), producing its
-temporaries in bounded row blocks (budget ``_BLOCK_BYTES``,
-overridable via ``REPRO_POOL_BLOCK_BYTES``), and touches pool data
-only through the storage row protocol.  The reductions cast at most
-two ``(block, P)`` float64 row blocks at a time; ``cross_aggregate``
-casts nothing block-sized — its float64 arithmetic runs row by row in
-two reused ``(P,)`` scratch rows (:func:`blend_row`) between gathered
-and output blocks in the buffer dtype.  A round's only ``(K, p_eff)``
+Every whole-pool operation — both similarity measures,
+``similarity_to``, ``dispersion`` and the fast ``mean_state`` — walks
+the pool through :func:`iter_row_spans`, producing its temporaries in
+bounded row blocks (budget ``_BLOCK_BYTES``, overridable via
+``REPRO_POOL_BLOCK_BYTES``), and touches pool data only through the
+storage row protocol.  The reductions cast at most two ``(block, P)``
+float64 row blocks at a time.  Cross-aggregation and the precise
+``mean_state`` run where the rows live
+(:meth:`~repro.core.storage.PoolStorage.blend_into`,
+:meth:`~repro.core.storage.PoolStorage.accumulate_rows`): on local
+storage they read one row view at a time, keep their float64
+arithmetic in reused ``(P,)`` scratch rows (:func:`blend_row` for the
+blend) and write each output row in place.  A round's only ``(K, p_eff)``
 float64 object is the :class:`repro.core.gram.GramTracker` image, kept
 in this pool's storage medium from the round's first upload until its
 Gram is final and released before the blend.  On ``sharded`` storage
@@ -70,9 +71,9 @@ Two span policies keep the backends bit-identical:
   bit-equal contiguous blocks and the results match **bitwise** across
   dense / memmap / sharded;
 * *elementwise* operations (``cross_aggregate``) are bit-identical for
-  every block partition by construction, so their spans additionally
-  split at shard boundaries (``align=True``) and stay shard-local —
-  zero-copy reads and writes on the owning shard.
+  every block partition by construction, so the blocked blend of a
+  storage that declines :meth:`~repro.core.storage.PoolStorage
+  .blend_into` splits its spans at shard boundaries as well.
 """
 
 from __future__ import annotations
@@ -609,25 +610,27 @@ class PoolBuffer:
         fuses with the *uniform mean* of its propeller set.  Integer
         fields are carried from each model's own row, never averaged.
 
-        The fusion runs in row blocks of ``block_rows`` (default: sized
-        to the module's temp budget): each block reads its own rows,
-        gathers its collaborator rows, blends row by row through
-        :func:`blend_row` into one buffer-dtype output block and writes
-        that straight into pre-allocated output storage on this
-        buffer's backend.  Peak temporary memory is the gathered and
-        output blocks plus two ``(P,)`` float64 rows, and the
+        Every row goes through :func:`blend_row` into pre-allocated
+        output storage on this buffer's backend, whose
+        :meth:`~repro.core.storage.PoolStorage.blend_into` runs it where
+        the rows live: local storages read their own and collaborator
+        rows as views and write each output row in place, so peak
+        temporary memory is two ``(P,)`` float64 rows.  A storage that
+        declines (``distributed``: replicated buffers, propeller sets,
+        host spans over the budget) is blended in row blocks of
+        ``block_rows`` (default: sized to the module's temp budget) —
+        own rows read, collaborator rows gathered, the output block
+        staged and written — walking :func:`iter_row_spans` with the
+        shard boundaries.  The
         per-element arithmetic is the literal float64
-        ``alpha * m + (1 - alpha) * c`` for every block size.
-        Spans walk :func:`iter_row_spans` with this storage's shard
-        boundaries (elementwise math is partition invariant), so on
-        sharded pools each block's own-row reads and output writes stay
-        on one shard; only the gathered collaborator rows cross shards,
-        by construction.
+        ``alpha * m + (1 - alpha) * c`` on every path.
         """
         co_indices = np.asarray(co_indices, dtype=np.int64)
         if co_indices.ndim not in (1, 2):
             raise ValueError("co_indices must be 1- or 2-dimensional")
         k, p = self.storage.shape
+        if len(co_indices) != k:
+            raise ValueError(f"{len(co_indices)} collaborator rows for a pool of K={k}")
         dtype = self.dtype
         # (K,) -> one collaborator row per model; (K, num) -> its columns
         # in propeller order (blend_row tells the two apart by type).
@@ -638,12 +641,7 @@ class PoolBuffer:
             block_rows = max(1, _block_budget() // max(1, held * p * dtype.itemsize))
         storage = self.storage.allocate_like((k, p), dtype=dtype)
         int_cols = np.flatnonzero(self.layout.integer_mask())
-        if columns is None and self.storage.blend_into(
-            storage, co_indices, alpha, int_cols, block_rows
-        ):
-            # Blended where the rows live (distributed hosts), through
-            # the same blend_row: only indices and the collaborator rows
-            # a host does not own moved.
+        if self.storage.blend_into(storage, co_indices, alpha, int_cols, block_rows):
             return PoolBuffer(self.layout, storage)
         scratch = np.empty((2, p))
         for start, stop in iter_row_spans(

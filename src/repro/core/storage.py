@@ -58,13 +58,15 @@ anything is read or written (:meth:`PoolStorage._check_rows`): a row is
 valid when ``0 <= i < K``, a span when ``0 <= start <= stop <= K``
 (empty spans are legal), and anything else raises :class:`IndexError`.
 
-``cross_aggregate``, the similarity paths (blocked Gram cosine,
-blocked euclidean differences, ``similarity_to``), the ``dispersion``
-diagnostic and the fast ``mean_state`` all operate in bounded row
-blocks under the ``REPRO_POOL_BLOCK_BYTES`` budget (the precise
-``mean_state`` reads one row at a time) — no pool operation
-materialises a float64 (or, for sharded pools, even a buffer-dtype)
-copy of the whole matrix, so full server rounds run out-of-core; the
+The similarity paths (blocked Gram cosine, blocked euclidean
+differences, ``similarity_to``), the ``dispersion`` diagnostic and the
+fast ``mean_state`` operate in bounded row blocks under the
+``REPRO_POOL_BLOCK_BYTES`` budget; on local storages
+``cross_aggregate`` (:meth:`PoolStorage.blend_into`) and the precise
+``mean_state`` read one row view at a time into reused float64
+``(P,)`` scratch — no pool operation materialises a float64 (or, for
+sharded pools, even a buffer-dtype) copy of the whole matrix, so full
+server rounds run out-of-core; the
 CI bench smoke and the sharded large-K stress test assert the
 peak-allocation bounds.  The incremental
 :class:`repro.core.gram.GramTracker` keeps its one pool-sized float64
@@ -272,10 +274,14 @@ class PoolStorage:
         int_cols: np.ndarray, block_rows: int,
     ) -> bool:
         """Optional hook: write ``alpha * M + (1 - alpha) * M[co]`` into
-        ``dst`` where the rows live, every element through
-        :func:`repro.core.pool.blend_row`.  Returns ``False`` (the
-        default) to decline; ``cross_aggregate`` then runs the blocked
-        row protocol."""
+        ``dst`` (this storage's ``allocate_like``) where the rows live,
+        every element through :func:`repro.core.pool.blend_row`.  ``co``
+        is ``(K,)`` or the propeller ``(K, num)``.  Returns ``False``
+        (the default) to decline; ``cross_aggregate`` then gathers,
+        stages and writes row blocks of at most ``block_rows`` rows
+        through the row protocol.  Local storages blend from their row
+        views into ``dst.open_row``; ``distributed`` blends on its
+        hosts."""
         return False
 
     def flush(self) -> None:
@@ -516,8 +522,29 @@ class ShardedStorage(PoolStorage):
         if len(w) != self._shape[0]:
             raise ValueError(f"{len(w)} weights for a pool of K={self._shape[0]} rows")
         rows = (row for piece in self._shards for row in piece)
+        term = np.empty(self._shape[1])
         for weight, row in zip(w, rows):
-            acc += weight * row.astype(np.float64, copy=False)
+            # The ufunc casts the row into the reused float64 scratch.
+            np.multiply(row, weight, out=term, dtype=np.float64)
+            acc += term
+
+    def blend_into(
+        self, dst: PoolStorage, co: np.ndarray, alpha: float,
+        int_cols: np.ndarray, block_rows: int,
+    ) -> bool:
+        """Blend straight from this storage's row views into ``dst``'s
+        rows, one :func:`~repro.core.pool.blend_row` per row: nothing
+        is gathered or staged, so the budget ``block_rows`` bounds
+        nothing here.  Both ``co`` forms are served."""
+        from repro.core.pool import blend_row
+
+        scratch = np.empty((2, self._shape[1]))
+        for r, c in enumerate(co):
+            collab = self.row(c) if co.ndim == 1 else [self.row(j) for j in c]
+            out = dst.open_row(r)
+            blend_row(out, self.row(r), collab, alpha, int_cols, scratch)
+            dst.commit_row(r, out)
+        return True
 
     def open_row(self, index: int) -> np.ndarray:
         return self.row(index)

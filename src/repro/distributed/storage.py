@@ -608,10 +608,11 @@ class DistributedStorage(PoolStorage):
         its shard of ``dst`` (this storage's ``allocate_like``),
         receiving only the collaborator rows it does not own.  Declined
         for replicated buffers — their mirror needs the bytes anyway —
-        and when a host's span exceeds ``block_rows``, the budget the
-        shipped block is held to.
+        when a host's span exceeds ``block_rows``, the budget the
+        shipped block is held to, and for propeller ``(K, num)`` ``co``.
         """
-        if self._replicate or max(np.diff(self._boundaries)) > block_rows:
+        if (self._replicate or co.ndim != 1
+                or max(np.diff(self._boundaries)) > block_rows):
             return False
         k = self._shape[0]
         owners = self._owners(co)

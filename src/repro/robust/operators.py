@@ -129,13 +129,21 @@ def _normalized_weights(weights, k: int) -> np.ndarray:
 _DETECTION_SAMPLE = 1 << 17
 
 
-def _detection_columns(layout, p: int) -> np.ndarray:
+def _detection_columns(layout, p: int) -> "tuple[slice | np.ndarray, int]":
+    """``(cols, n)``: the ``n`` detection columns of a width-``p`` layout.
+
+    Every float column, or every ``stride``-th once there are more than
+    :data:`_DETECTION_SAMPLE`.  Without integer columns ``cols`` is a
+    basic slice, so rows are read as views; with them it is the index
+    array of the float columns at the same stride.
+    """
     int_mask = layout.integer_mask()
-    cols = np.flatnonzero(~int_mask) if int_mask.any() else np.arange(p)
-    if cols.size <= _DETECTION_SAMPLE:
-        return cols
-    stride = -(-cols.size // _DETECTION_SAMPLE)
-    return cols[::stride]
+    n = p - int(int_mask.sum())
+    stride = max(1, -(-n // _DETECTION_SAMPLE))
+    if int_mask.any():
+        cols = np.flatnonzero(~int_mask)[::stride]
+        return cols, cols.size
+    return slice(None, None, stride), -(-p // stride)
 
 
 def _sorted_median(svals: np.ndarray) -> np.ndarray:
@@ -159,21 +167,42 @@ def _median(x: np.ndarray) -> float:
     return float("nan") if np.isnan(s[-1]) else float(_sorted_median(s)) + 0.0
 
 
-def _deviation_norms(pool: PoolBuffer, center: np.ndarray, float_mask) -> np.ndarray:
-    """Per-row ‖m_i − center‖ over float columns, blocked by budget."""
+def _pool_rows(storage):
+    """Every row of ``storage`` in pool order, read in budget row spans
+    (shard-local, so local storages hand out views)."""
     _, _block_budget, iter_row_spans = _pool_ops()
-    storage = pool.storage
     k, p = storage.shape
-    block_rows = max(1, _block_budget() // max(1, 2 * p * 8))
-    c = center if float_mask is None else center[float_mask]
-    norms = np.empty(k, dtype=np.float64)
-    for b0, b1 in iter_row_spans(k, block_rows):
-        block = storage.row_block(b0, b1).astype(np.float64, copy=False)
-        if float_mask is not None:
-            block = block[:, float_mask]
-        diff = block - c
-        norms[b0:b1] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return norms
+    block_rows = max(1, _block_budget() // max(1, p * storage.dtype.itemsize))
+    for b0, b1 in iter_row_spans(k, block_rows, storage.shard_boundaries()):
+        yield from storage.row_block(b0, b1)
+
+
+def _deviation_norms(storage, center: np.ndarray, cols, group_rows: int) -> np.ndarray:
+    """Per-row ``‖m_i[cols] − center‖`` in float64.
+
+    Bitwise ``np.sqrt(np.einsum("ij,ij->i", d, d))`` over the float64
+    deviations ``d`` of each ``group_rows``-row group, without building
+    a group: deviations go two at a time into a reused ``(2, n)``
+    scratch.  ``np.einsum`` reduces a row of a multi-row operand the
+    same way at any row count, but a lone row of more than 8192
+    elements (its buffer size) another way, so a pair gives each row
+    its group's bits: a group's odd last row is paired with the row
+    before it, and a one-row group is reduced alone.
+    """
+    _, _, iter_row_spans = _pool_ops()
+    k = storage.shape[0]
+    rows = _pool_rows(storage)
+    pair = np.zeros((2, center.size))
+    sq = np.empty(k)
+    for g0, g1 in iter_row_spans(k, group_rows):
+        for i in range(g0, g1):
+            t = (i - g0) % 2
+            np.subtract(next(rows)[cols], center, out=pair[t], dtype=np.float64)
+            if g1 - g0 == 1:
+                sq[i] = np.einsum("ij,ij->i", pair[:1], pair[:1])[0]
+            elif t or i == g1 - 1:
+                sq[i - t : i + 1] = np.einsum("ij,ij->i", pair, pair)[: t + 1]
+    return np.sqrt(sq)
 
 
 class AggregationOperator:
@@ -306,10 +335,13 @@ class _RobustOperator(AggregationOperator):
         classic norm-clip ratios ``min(1, tau/n_i)`` for operators
         that want clipping rather than rejection.
         """
+        _, _block_budget, _ = _pool_ops()
         center = self._center(pool)
         int_mask = pool.layout.integer_mask()
-        float_mask = ~int_mask if int_mask.any() else None
-        norms = _deviation_norms(pool, center, float_mask)
+        cols = np.flatnonzero(~int_mask) if int_mask.any() else slice(None)
+        # Norms keep the bits of float64 deviation blocks of this size.
+        group_rows = max(1, _block_budget() // max(1, 2 * pool.num_scalars * 8))
+        norms = _deviation_norms(pool.storage, center[cols], cols, group_rows)
         med = _median(norms)
         mad = _median(np.abs(norms - med))
         # The 2·med floor keeps a tight honest cluster (tiny MAD) from
@@ -331,6 +363,27 @@ class _RobustOperator(AggregationOperator):
         # just one more order statistic).
         return self._center_row(pool, self._center(pool))
 
+    def _detection_norms(self, pool: PoolBuffer) -> np.ndarray:
+        """Per-row deviation norms from the robust center, both taken
+        over :func:`_detection_columns`.
+
+        The columns are copied once, into the slab the center sorts in
+        place; the norms read the rows again (as views on local
+        storage) through :func:`_deviation_norms`, as one group.
+        """
+        _, _block_budget, iter_row_spans = _pool_ops()
+        storage = pool.storage
+        k, p = storage.shape
+        cols, n = _detection_columns(pool.layout, p)
+        block_rows = max(1, _block_budget() // max(1, p * storage.dtype.itemsize))
+        vals = np.empty((k, n), dtype=pool.dtype)
+        for b0, b1 in iter_row_spans(k, block_rows, storage.shard_boundaries()):
+            vals[b0:b1] = storage.row_block(b0, b1)[:, cols]
+        vals.sort(axis=0)
+        center = self._from_sorted(vals)
+        del vals
+        return _deviation_norms(storage, center, cols, k)
+
     def _detect(self, pool: PoolBuffer) -> np.ndarray:
         """Boolean flag per row: outside the trust region?
 
@@ -339,25 +392,16 @@ class _RobustOperator(AggregationOperator):
         column for pools under the sample cap (bitwise the full trust
         region), a fixed-stride sample above it, where the med/MAD
         threshold is invariant to the ``√(sample/P)`` norm shrinkage.
+        Peak temporary memory is the sorted buffer-dtype slab of those
+        columns; the float64 work runs in ``(2, n)`` scratch.
         """
-        _, _block_budget, iter_row_spans = _pool_ops()
-        storage = pool.storage
-        k, p = storage.shape
-        cols = _detection_columns(pool.layout, p)
-        itemsize = np.dtype(pool.dtype).itemsize
-        block_rows = max(1, _block_budget() // max(1, p * itemsize))
-        vals = np.empty((k, cols.size), dtype=pool.dtype)
-        for b0, b1 in iter_row_spans(k, block_rows):
-            vals[b0:b1] = storage.row_block(b0, b1)[:, cols]
-        center = self._from_sorted(np.sort(vals, axis=0))
-        diff = vals.astype(np.float64) - center
-        norms = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        norms = self._detection_norms(pool)
         med = _median(norms)
         mad = _median(np.abs(norms - med))
         tau = max(med + float(self.clip_factor) * mad, 2.0 * med)
         if not tau > 0:
             # Majority of rows at the center: no spread, nothing flagged.
-            return np.zeros(k, dtype=bool)
+            return np.zeros(len(norms), dtype=bool)
         return norms > tau
 
     def cross_blend(self, pool, co_indices, alpha, fallback=None):
@@ -449,16 +493,13 @@ class NormClipOperator(_RobustOperator):
         return _sorted_median(svals)
 
     def combine(self, pool, weights=None, *, precise=True):
-        _, _block_budget, iter_row_spans = _pool_ops()
-        storage = pool.storage
-        k, p = storage.shape
+        k, p = pool.storage.shape
         center, _norms, _tau, scales, _flagged = self._trust_region(pool)
         w = _normalized_weights(weights, k)
-        block_rows = max(1, _block_budget() // max(1, 2 * p * 8))
         acc = np.zeros(p, dtype=np.float64)
-        for b0, b1 in iter_row_spans(k, block_rows):
-            block = storage.row_block(b0, b1)
-            for i in range(b0, b1):
-                dev = block[i - b0].astype(np.float64, copy=False) - center
-                acc += (w[i] * scales[i]) * dev
+        dev = np.empty(p, dtype=np.float64)
+        for i, row in enumerate(_pool_rows(pool.storage)):
+            np.subtract(row, center, out=dev, dtype=np.float64)
+            dev *= w[i] * scales[i]
+            acc += dev
         return self._center_row(pool, center + acc)

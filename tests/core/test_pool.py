@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.pool import PoolBuffer
+from repro.robust.operators import available_operators
 from repro.utils.layout import StateLayout
 
 from _dict_oracle import flatten_state_dict  # the state-dict oracle
@@ -184,6 +185,15 @@ class TestVectorizedAggregation:
                     + 0.25 * pool[co[i]][key].astype(np.float64)
                 ).astype(np.float32)
                 np.testing.assert_array_equal(got[key], expected)
+
+    @pytest.mark.parametrize("backend", ["dense", "sharded"])
+    def test_one_collaborator_entry_per_row(self, rng, backend):
+        # The in-place blend walks the collaborator list: a short one
+        # would leave output rows unwritten.
+        buf = PoolBuffer.from_states(make_pool(rng, k=3), backend=backend)
+        for co in ([1, 2], [1, 2, 0, 1], [[1], [2]]):
+            with pytest.raises(ValueError, match="for a pool of K=3"):
+                buf.cross_aggregate(np.array(co), 0.5)
 
     def test_integer_fields_carried_not_averaged(self, rng):
         pool = make_pool(rng, k=3, with_int=True)
@@ -399,6 +409,74 @@ class TestOutOfCoreRound:
             tracemalloc.stop()
         assert fused.backend == "memmap"
         assert peak < k * p * 8 / 2
+
+
+class TestInPlaceKernels:
+    """In-RAM pool kernels at the default budget read the pool through
+    row views, write into their destination rows and keep their float64
+    work in ``(P,)`` scratch rows: no whole-pool temporary beyond what a
+    kernel returns and, for robust detection, the one slab it sorts.
+    Bounds are in float64 rows (``8·P`` bytes) on top of that."""
+
+    K = 24
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        monkeypatch.delenv("REPRO_POOL_BLOCK_BYTES", raising=False)
+        rng = np.random.default_rng(40)
+        state = {
+            "w": rng.standard_normal((300, 200)).astype(np.float32),
+            "b": rng.standard_normal(300).astype(np.float32),
+        }
+        layout = StateLayout.from_state(state)
+        pool = PoolBuffer.broadcast(layout, layout.flatten(state), self.K, dtype=np.float32)
+        for i in range(self.K):
+            pool.row(i)[:] += rng.standard_normal(pool.num_scalars).astype(np.float32) / 100
+        pool.row(5)[:] += 50.0  # the one row outside every trust region
+        return pool
+
+    @staticmethod
+    def _peak(fn):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_cross_aggregate_holds_scratch_rows(self, pool):
+        # The new pool (K·P·4 bytes) plus four float64 rows: a gathered
+        # collaborator block or a staged output block is a pool more.
+        k, p = self.K, pool.num_scalars
+        co = np.roll(np.arange(k), 1)
+        groups = np.stack([co, np.roll(co, 1)], axis=1)
+        for collaborators in (co, groups):
+            peak = self._peak(lambda: pool.cross_aggregate(collaborators, 0.9))
+            assert peak < k * p * 4 + 4 * p * 8
+
+    def test_precise_mean_holds_two_float64_rows(self, pool):
+        # The accumulator and one scratch term, then the buffer-dtype
+        # result beside the accumulator: under 2.5 float64 rows.  A cast
+        # of each row plus its weighted copy reach three.
+        p = pool.num_scalars
+        peak = self._peak(lambda: pool.mean_state(precise=True))
+        assert peak < 2.5 * p * 8
+
+    @pytest.mark.parametrize("name", available_operators())
+    def test_cross_blend_holds_one_pool_copy(self, pool, name):
+        # Detection's sorted slab and the blend's new pool (K·P·4 each)
+        # are never alive together; eight float64 rows cover the rest.
+        # Unsorted and sorted copies plus float64 deviations are K·P·20.
+        from repro.robust.operators import build_operator
+
+        op = build_operator(name)
+        if name != "mean":
+            np.testing.assert_array_equal(np.flatnonzero(op._detect(pool)), [5])
+        k, p = self.K, pool.num_scalars
+        peak = self._peak(lambda: op.cross_blend(pool, np.roll(np.arange(k), 1), 0.9))
+        assert peak < k * p * 4 + 8 * p * 8
 
 
 class TestRowKernelBlend:

@@ -13,8 +13,9 @@ Every cell must be **bit-identical** to ``dense``: the row protocol
 ``fill_rows``, ``clone``, ``allocate_like``), the pool operations on
 top of it (``cross_aggregate`` in both forms, both ``mean_state``
 modes, similarity and selection, the blocked Gram) under block budgets
-from one row per block to one block, and the incremental
-:class:`~repro.core.gram.GramTracker`.  Every cell also refuses an
+from one row per block to one block, the incremental
+:class:`~repro.core.gram.GramTracker`, and every registered aggregation
+operator's ``combine`` and ``cross_blend``.  Every cell also refuses an
 out-of-range row the same way and leaves its bytes untouched.
 """
 
@@ -24,6 +25,7 @@ import pytest
 from repro.core.gram import GramTracker
 from repro.core.pool import PoolBuffer
 from repro.core.storage import available_backends, resolve_backend
+from repro.robust.operators import available_operators, build_operator
 
 K = 7
 # One row per block (8 bytes is below one scalar), a few rows, one block.
@@ -216,6 +218,47 @@ class TestPoolOperations:
         if keys is not None:  # the closed form refuses tracked integer fields
             co = np.array([1, 2, 3, 4, 5, 6, 0])
             _same(got.cross_aggregated(co, 0.9).gram, ref.cross_aggregated(co, 0.9).gram)
+
+
+class TestAggregationOperators:
+    """Every registered aggregation operator over the cell's storage:
+    ``combine`` and ``cross_blend`` (both ``co`` forms, with and without
+    a dispatched ``fallback`` pool) on a pool with one row outside every
+    trust region — one row per span on the layout with an integer column
+    (detection reads an index array of columns), and one view of the
+    pool on a float-only layout (detection reads a slice)."""
+
+    def test_combine_and_cross_blend(self, states, name, options, budget):
+        poisoned = [dict(state) for state in states]
+        poisoned[4]["b.weight"] = poisoned[4]["b.weight"] + np.float32(60.0)
+        poisoned[4]["a.bias"] = poisoned[4]["a.bias"] - np.float32(60.0)
+        floats_only = [{k: v for k, v in s.items() if k != "c.steps"} for s in poisoned]
+        weights = [float(w) for w in range(1, K + 1)]
+        co = np.array([4, 0, 6, 2, 2, 1, 3])
+        groups = np.stack([(np.arange(K) + 1) % K, (np.arange(K) + 4) % K], axis=1)
+        for b, pool_states in ((BUDGETS[0], poisoned), (None, floats_only)):
+            budget(b)
+            dense, other = _pools(pool_states, name, options)
+            dense_fallback, other_fallback = _pools(
+                [{k: states[i][k] for k in state} for i, state in enumerate(pool_states)],
+                name, options,
+            )
+            for op_name in available_operators():
+                op = build_operator(op_name)
+                if not op.linear:
+                    np.testing.assert_array_equal(np.flatnonzero(op._detect(dense)), [4])
+                _same(op.combine(other, weights), op.combine(dense, weights))
+                # Stand-ins come from the fallback whatever the co form,
+                # and the linear mean takes none.
+                blends = [(co, None, None), (groups, None, None)]
+                if not op.linear:
+                    blends.append((co, dense_fallback, other_fallback))
+                for collaborators, ref_fb, got_fb in blends:
+                    ref = op.cross_blend(dense, collaborators, 0.9, fallback=ref_fb)
+                    got = op.cross_blend(other, collaborators, 0.9, fallback=got_fb)
+                    assert got.backend == name
+                    _same(_whole(got.storage), _whole(ref.storage))
+            _same(_whole(other.storage), _whole(dense.storage))
 
 
 class TestOutOfRange:

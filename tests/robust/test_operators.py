@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.pool import PoolBuffer
+from repro.robust import operators
 from repro.robust.operators import (
     CoordinateMedianOperator,
     MeanOperator,
     NormClipOperator,
     TrimmedMeanOperator,
+    _deviation_norms,
     _median,
     available_operators,
     build_operator,
@@ -224,21 +226,6 @@ class TestRobustCombine:
         flat = op.combine(buf, weights)
         np.testing.assert_allclose(flat, expected.astype(np.float32), rtol=1e-6)
 
-    @pytest.mark.parametrize("backend", ["memmap", "sharded"])
-    def test_backends_bitwise_identical(self, rng, backend):
-        seed = rng.integers(1 << 31)
-        dense = crafted_buf(
-            np.random.default_rng(seed), k=6, outliers=(3,), with_int=True
-        )
-        other = crafted_buf(
-            np.random.default_rng(seed), k=6, outliers=(3,), with_int=True,
-            backend=backend,
-        )
-        for name in ("trimmed_mean", "coordinate_median", "norm_clip"):
-            op = build_operator(name)
-            a, b = op.combine(dense), op.combine(other)
-            np.testing.assert_array_equal(a, b)
-
 
 class TestRobustCrossBlend:
     @pytest.mark.parametrize(
@@ -324,20 +311,6 @@ class TestRobustCrossBlend:
         for i in range(5):
             np.testing.assert_array_equal(out.as_state(i)["c.steps"], [i + 1])
 
-    @pytest.mark.parametrize("backend", ["memmap", "sharded"])
-    def test_blend_backends_bitwise_identical(self, rng, backend):
-        seed = rng.integers(1 << 31)
-        co = [3, 4, 5, 0, 1, 2]
-        dense = crafted_buf(np.random.default_rng(seed), k=6, outliers=(4,))
-        other = crafted_buf(
-            np.random.default_rng(seed), k=6, outliers=(4,), backend=backend
-        )
-        for name in ("trimmed_mean", "coordinate_median", "norm_clip"):
-            op = build_operator(name)
-            a = op.cross_blend(dense, co, 0.99).storage.row_block(0, 6)
-            b = op.cross_blend(other, co, 0.99).storage.row_block(0, 6)
-            np.testing.assert_array_equal(a, b)
-
     def test_identical_rows_flag_nothing(self, rng):
         state = make_state(rng)
         layout = StateLayout.from_state(state)
@@ -348,3 +321,82 @@ class TestRobustCrossBlend:
             np.testing.assert_array_equal(
                 out.storage.row_block(0, 5), buf.storage.row_block(0, 5)
             )
+
+
+def reference_detection(op, buf):
+    """``(norms, flags)`` of trust-region detection as a whole-pool
+    computation: the detection columns gathered with an explicit index
+    array, deviations cast with ``astype`` and reduced in one einsum."""
+    k, p = buf.storage.shape
+    int_mask = buf.layout.integer_mask()
+    cols = np.flatnonzero(~int_mask)
+    if cols.size > operators._DETECTION_SAMPLE:
+        cols = cols[:: -(-cols.size // operators._DETECTION_SAMPLE)]
+    # C order, like a gathered slab: einsum's bits follow memory order,
+    # and a column gather alone comes back in F order.
+    vals = np.ascontiguousarray(buf.storage.row_block(0, k)[:, cols])
+    center = op._from_sorted(np.sort(vals, axis=0))
+    diff = vals.astype(np.float64) - center
+    norms = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    med = np.median(norms)
+    mad = np.median(np.abs(norms - med))
+    tau = max(med + op.clip_factor * mad, 2.0 * med)
+    return norms, (norms > tau if tau > 0 else np.zeros(k, dtype=bool))
+
+
+class TestDetectionColumns:
+    """Detection reads its columns as a slice where the layout allows
+    and takes deviations in pair scratch; neither may move a bit."""
+
+    # norm_clip detects through coordinate_median's center.
+    @pytest.mark.parametrize("name", ["trimmed_mean", "coordinate_median"])
+    @pytest.mark.parametrize("with_int", [False, True])
+    @pytest.mark.parametrize("sample", [None, 8600])
+    @pytest.mark.parametrize("k", [1, 2, 5, 6])
+    @pytest.mark.parametrize("budget", ["ambient", 8])
+    def test_flags_and_norms_equal_the_gathered_reference(
+        self, rng, monkeypatch, name, with_int, sample, k, budget
+    ):
+        # Rows of ~68 KB: one view of the pool at the default budget,
+        # one row per read span at 8 bytes (or at CI's 4 KiB re-run).
+        # Every column count, the sampled ~8.5k included, is over the
+        # 8192 elements above which np.einsum's bits depend on how many
+        # rows its operand has.
+        if sample is not None:
+            monkeypatch.setattr(operators, "_DETECTION_SAMPLE", sample)
+        if budget != "ambient":
+            monkeypatch.setenv("REPRO_POOL_BLOCK_BYTES", str(budget))
+        states = []
+        for i in range(k):
+            state = make_state(rng, with_int=with_int)
+            state["b.weight"] = rng.standard_normal((170, 100)).astype(np.float32)
+            if i == k // 2:
+                state = {
+                    key: val if val.dtype == np.int64 else val + np.float32(40.0)
+                    for key, val in state.items()
+                }
+            states.append(state)
+        buf = PoolBuffer.from_states(states, dtype=np.float32)
+        cols, _ = operators._detection_columns(buf.layout, buf.num_scalars)
+        assert isinstance(cols, np.ndarray) == with_int
+        op = build_operator(name)
+        norms, flags = reference_detection(op, buf)
+        np.testing.assert_array_equal(op._detection_norms(buf), norms)
+        np.testing.assert_array_equal(op._detect(buf), flags)
+
+    @pytest.mark.parametrize("group_rows", [1, 2, 3, 4, 7])
+    def test_deviation_norms_equal_a_grouped_einsum(self, rng, group_rows):
+        # The pair scratch gives every row the bits np.einsum gives it
+        # inside its group, a lone row included.
+        k = 7
+        states = [{"w": rng.standard_normal(9000).astype(np.float32)} for _ in range(k)]
+        buf = PoolBuffer.from_states(states, dtype=np.float32)
+        center = rng.standard_normal(buf.num_scalars)
+        vals = rows64(buf)
+        expected = np.concatenate([
+            np.einsum("ij,ij->i", vals[g0:g0 + group_rows] - center,
+                      vals[g0:g0 + group_rows] - center)
+            for g0 in range(0, k, group_rows)
+        ])
+        got = _deviation_norms(buf.storage, center, slice(None), group_rows)
+        np.testing.assert_array_equal(got, np.sqrt(expected))

@@ -9,7 +9,10 @@ batch 20 (``cnn_serial``) and the ``mlp`` with batch 50 (``pool_k50``).
 It prints, per graph node, the median forward and backward
 milliseconds, then the step's totals: forward (the model call and the
 loss), backward (nodes plus the engine's own sort-and-dispatch),
-``SGD.step`` and the whole step (the leg's wall-clock over its steps).
+``SGD.step`` and the whole step (one ``zero_grad`` to the next; the
+last step ends with the leg) as a median and p90, with the count of
+steps slower than ten times the median — one BLAS wake-up stall can
+outweigh every other step, so a mean would hide the typical step.
 
 A node's forward time is the wall-clock from the previous node's
 creation (or the step's ``zero_grad``) to its own, so module-call
@@ -151,27 +154,35 @@ def profile(name: str, steps: int, warmup: int = 3) -> None:
     rng = np.random.default_rng(0)
 
     def leg(n_steps: int) -> float:
+        """Train one leg of ``n_steps`` steps; the time it ended."""
         n = n_steps * batch
         data = ArrayDataset(
             rng.standard_normal((n, *SHAPE)).astype(np.float32), rng.integers(0, 10, size=n)
         )
-        t0 = time.perf_counter()
-        stats = trainer.train(trainer.row.copy(), data, rng)
-        return (time.perf_counter() - t0) / stats.num_steps
+        trainer.train(trainer.row.copy(), data, rng)
+        return time.perf_counter()
 
     leg(warmup)
     clock = NodeClock()
     phases = PhaseClock()
-    phases.wrap(SGD, "zero_grad", "zero_grad", before=clock.start)
+    starts: list[float] = []
+
+    def step_started() -> None:
+        starts.append(time.perf_counter())
+        clock.start()
+
+    phases.wrap(SGD, "zero_grad", "zero_grad", before=step_started)
     phases.wrap(Module, "__call__", "model")
     phases.wrap(functional, "cross_entropy", "loss")
     phases.wrap(Tensor, "backward", "backward")
     phases.wrap(SGD, "step", "SGD.step")
     try:
         with clock:
-            whole = leg(steps)
+            ended = leg(steps)
     finally:
         phases.restore()
+    whole = np.diff([*starts, ended])
+    median = float(np.median(whole))
     forward = [m + c for m, c in zip(phases.samples["model"], phases.samples["loss"])]
 
     print(f"\n{name}: batch {batch}, inputs {SHAPE}, one leg of {steps} steps, medians (ms)")
@@ -187,7 +198,9 @@ def profile(name: str, steps: int, warmup: int = 3) -> None:
     how = "per parameter" if trainer.optimizer._per_param else "one row update"
     print(
         f"SGD.step {_ms(phases.samples['SGD.step']):.3f} ({how})   "
-        f"whole step {1e3 * whole:.3f} (mean)"
+        f"whole step {1e3 * median:.3f} median, "
+        f"{1e3 * float(np.percentile(whole, 90)):.3f} p90, "
+        f"{int((whole > 10 * median).sum())} of {len(whole)} steps over 10x the median"
     )
 
 
