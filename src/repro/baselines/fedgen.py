@@ -25,6 +25,8 @@ order, which is what makes FedGen safe on parallel execution backends
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro import nn
@@ -156,6 +158,13 @@ class FedGenServer(FederatedServer):
         return last
 
     # -- FL round ------------------------------------------------------------
+    def _draws(self):
+        return super()._draws(), copy.deepcopy(self._hook_seq)
+
+    def _rewind_draws(self, draws) -> None:
+        base, self._hook_seq = draws
+        super()._rewind_draws(base)
+
     def dispatch(self, active: list[Client]) -> list[DispatchPlan]:
         """Global model plus per-client distillation specs (after warm-up).
 

@@ -55,6 +55,7 @@ __all__ = ["DistributedExecution"]
 class DistributedExecution(ExecutionBackend):
     """Training legs scheduled on the shard hosts owning their rows."""
 
+    legs_use_coordinator = False
     # Re-bound by name for the frozen e2e harness (see fl/execution.py).
     run_streaming = ExecutionBackend.run_streaming
     run_streaming_captured = ExecutionBackend.run_streaming_captured

@@ -19,6 +19,18 @@ A callback may set ``server.stop_training = True`` (typically from
 ``on_evaluate``) to end training after the current round — the
 mechanism behind :class:`BestStateCheckpointer`'s early-stop patience.
 
+Rounds may overlap.  Under ``round_mode="async"``, and on sync runs
+whose legs train off the coordinator (``--execution process`` or
+``distributed``), round t+1 starts before round t is evaluated:
+``on_round_start(server, t + 1)`` precedes ``on_evaluate`` /
+``on_round_end`` of round t, and server state a callback reads in them
+may already be round t+1's (its cohort drawn, its legs in flight).
+Callbacks should therefore read the round from ``record.round_idx``,
+not ``server.round_idx``.  The deployable model (``global_state()``)
+is still round t's.  A stop requested while closing round t discards
+round t+1 (its legs drained, its draws rewound): the run ends exactly
+as the in-line schedule would.
+
 Two concrete callbacks ship with the framework:
 
 * :class:`ThroughputLogger` — wall-clock per round plus a throughput
@@ -81,6 +93,12 @@ class ServerCallback:
 class ThroughputLogger(ServerCallback):
     """Round wall-clock timer with a throughput summary.
 
+    Rounds may overlap (async, and pipelined sync rounds start round
+    t+1 before round t ends), so a round's start is kept under its
+    index and the summary's rates divide by the wall-clock the fits
+    spanned, first round start to last round end, not by the sum of
+    the (overlapping) per-round times.
+
     Parameters
     ----------
     log:
@@ -95,16 +113,23 @@ class ThroughputLogger(ServerCallback):
         self.every = int(every)
         self.round_times: list[float] = []
         self.clients_trained = 0
-        self._start: float | None = None
+        self._starts: dict[int, float] = {}
+        self._span_start: float | None = None  # first round start of this fit
+        self._span_end: float | None = None  # last round end of this fit
+        self._spanned = 0.0  # wall-clock of earlier fits
 
     def on_round_start(self, server, round_idx) -> None:
-        self._start = time.perf_counter()
+        now = time.perf_counter()
+        self._starts[round_idx] = now
+        if self._span_start is None:
+            self._span_start = now
 
     def on_round_end(self, server, record) -> None:
-        if self._start is None:
+        start = self._starts.pop(record.round_idx, None)
+        if start is None:
             return
-        elapsed = time.perf_counter() - self._start
-        self._start = None
+        self._span_end = time.perf_counter()
+        elapsed = self._span_end - start
         self.round_times.append(elapsed)
         # Methods whose schedule trains a different number of clients
         # than the cohort size (FedCluster) report it in the extras.
@@ -116,6 +141,11 @@ class ThroughputLogger(ServerCallback):
             self.log(f"round {record.round_idx + 1}: {elapsed:.3f}s{acc}")
 
     def on_fit_end(self, server, history) -> None:
+        # A round started but discarded by an early stop never ends.
+        self._starts.clear()
+        if self._span_start is not None and self._span_end is not None:
+            self._spanned += self._span_end - self._span_start
+        self._span_start = self._span_end = None
         if not self.round_times:
             return
         summary = self.summary()
@@ -126,13 +156,17 @@ class ThroughputLogger(ServerCallback):
         )
 
     def summary(self) -> dict:
-        """Machine-readable aggregate of the timed rounds."""
-        total = float(sum(self.round_times))
+        """Machine-readable aggregate of the timed rounds: ``total_s`` is
+        the wall-clock they spanned, ``mean_round_s`` a round's mean
+        start-to-end time."""
+        total = self._spanned
+        if self._span_start is not None and self._span_end is not None:
+            total += self._span_end - self._span_start
         n = len(self.round_times)
         return {
             "rounds": n,
             "total_s": total,
-            "mean_round_s": total / n if n else float("nan"),
+            "mean_round_s": sum(self.round_times) / n if n else float("nan"),
             "rounds_per_s": n / total if total > 0 else float("inf"),
             "client_updates_per_s": self.clients_trained / total if total > 0 else float("inf"),
         }

@@ -335,6 +335,14 @@ class LegGroup:
             release, self._release = self._release, None
             release()
 
+    def drain(self) -> None:
+        """Discard every leg of a group no stream has consumed: cancel
+        queued legs, await in-flight ones, release the group.  Nothing
+        is finalized, so no client RNG advances and no upload is booked."""
+        _drain(self.futures)
+        while self.outstanding > 0:
+            self.leg_done()
+
 
 def _leg_failure(client, row, index: int, kind: str, exc=None, drained=False) -> LegFailure:
     """Structured failure of ``client``'s leg (plan ``index``, upload ``row``)."""
@@ -431,6 +439,14 @@ class ExecutionBackend:
     """
 
     name = "abstract"
+    #: Whether a leg, while it trains, uses state the coordinator also
+    #: touches between rounds: the server's trainer (``serial``) or a
+    #: client's RNG advanced in place (``thread``).  A backend whose
+    #: legs only read what was shipped at submit and book their result
+    #: on the caller's thread at finalize (``process``, ``distributed``)
+    #: declares ``False``, and the sync driver then evaluates round t
+    #: while round t+1's legs train (:func:`repro.fl.scheduler.run_sync_round`).
+    legs_use_coordinator = True
 
     def __init__(
         self,
@@ -476,10 +492,17 @@ class ExecutionBackend:
         plans: "list[DispatchPlan]",
         rows: Sequence[int],
         uploads: "PoolBuffer",
+        group: "LegGroup | None" = None,
     ) -> Iterator[tuple[int, LocalResult]]:
         """Yield ``(plan_index, result)`` as legs land; raise on the
-        first leg error, after cancelling and draining the rest."""
-        group = self.submit_group(trainer, active, plans, rows, uploads)
+        first leg error, after cancelling and draining the rest.
+
+        ``group``: stream these already-submitted legs instead of
+        submitting the cohort (a pipelined sync round is submitted
+        before it is consumed, and its driver keeps the group to drain
+        it should the round be discarded)."""
+        if group is None:
+            group = self.submit_group(trainer, active, plans, rows, uploads)
         return stream_legs(group, active, rows)
 
     def run_streaming_captured(
@@ -635,6 +658,7 @@ def _leg_in_place(trainer, client, plan, row, uploads, attack, hypers=None) -> L
 class SerialExecution(ExecutionBackend):
     """The original sequential in-process loop (reference behaviour)."""
 
+    legs_use_coordinator = True  # legs train on the server's own trainer
     run_streaming = ExecutionBackend.run_streaming
     run_streaming_captured = ExecutionBackend.run_streaming_captured
 
@@ -666,6 +690,8 @@ class SerialExecution(ExecutionBackend):
 class ThreadExecution(ExecutionBackend):
     """Persistent thread pool; one private trainer template per worker."""
 
+    # Private trainers, but a leg advances its client's RNG in place.
+    legs_use_coordinator = True
     run_streaming = ExecutionBackend.run_streaming
     run_streaming_captured = ExecutionBackend.run_streaming_captured
 
@@ -886,6 +912,7 @@ def _validated_rows(plans, uploads) -> dict:
 class ProcessExecution(ExecutionBackend):
     """Persistent worker processes + shared-memory state transport."""
 
+    legs_use_coordinator = False
     run_streaming = ExecutionBackend.run_streaming
     run_streaming_captured = ExecutionBackend.run_streaming_captured
 

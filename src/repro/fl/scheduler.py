@@ -7,7 +7,12 @@ round's phases execute:
 ``sync``
     :class:`SyncRoundScheduler` — the reference schedule: each round
     (:func:`run_sync_round`) blocks on its slowest leg before the next
-    one dispatches.
+    one dispatches.  When the legs train off the coordinator
+    (``process``, ``distributed``) the round's close is pipelined:
+    round t+1 is dispatched and its legs submitted before round t is
+    evaluated, so evaluation overlaps training instead of idling the
+    workers — every bit, and the round order of every record, as in
+    line.
 ``async``
     :class:`AsyncRoundScheduler` — bounded-staleness overlap: dispatch
     of round ``t+1`` begins while round ``t`` stragglers finish, with
@@ -103,13 +108,97 @@ def build_round_scheduler(config) -> "RoundScheduler":
 
 def run_sync_round(server, cbs, local_round: int, rounds: int, eval_every: int) -> None:
     """One reference-schedule round: callbacks, cohort, the method's
-    phases (``run_round``), then :func:`close_round`."""
+    phases (``run_round``), then :func:`close_round`.
+
+    Pipelined when :func:`_pipelines` allows it: once the round has
+    aggregated, round t+1 is started — ``on_round_start``, cohort,
+    dispatch, legs submitted (:meth:`~repro.fl.server.FederatedServer
+    .start_collect`) — and only then is round t evaluated and closed,
+    on this thread, while t+1's legs train.  The next call consumes
+    those legs.  Every bit is the in-line order's: round t's global row
+    is replaced only by t+1's aggregate, and nothing t+1 started reads
+    what closing t touches.
+    """
+    legs = server._started_legs
+    if legs is None:
+        active = _begin_round(server, cbs, server.round_idx)
+        extras = server.run_round(active) or {}
+    else:  # started by the previous round's pipelined close
+        results = server.collect(legs.active, legs.plans)
+        extras = server.aggregate(legs.active, results, legs.plans) or {}
+    if not _pipelines(server, local_round, rounds):
+        close_round(server, cbs, extras, local_round, rounds, eval_every)
+        return
+    t = server.round_idx
+    record = _round_record(server, extras)
+    evaluate = _evaluates(t, local_round, rounds, eval_every)
+    draws, suspects = server._draws(), server.last_suspects
+    started = False
+    try:
+        active = _begin_round(server, cbs, t + 1)
+        server.start_collect(active, server.dispatch(active))
+        started = True
+        # A stop requested while round t+1 starts comes after round t in
+        # the in-line order: round t+1 still runs.  Only a stop from
+        # round t's close discards it.
+        stop_after_next, server.stop_training = server.stop_training, False
+        server.round_idx = t
+        _finish_round(server, cbs, record, evaluate)
+    except BaseException:
+        # Nothing of round t+1 survives; round t ends as in line: closed
+        # if the error came from starting t+1, not if from closing t.
+        _discard_started(server, draws, suspects)
+        server.round_idx = t
+        if not started:
+            _finish_round(server, cbs, record, evaluate)
+            server.round_idx = t + 1
+        raise
+    server.round_idx = t + 1
+    if server.stop_training:
+        _discard_started(server, draws, suspects)
+    else:
+        server.stop_training = stop_after_next
+
+
+def _pipelines(server, local_round: int, rounds: int) -> bool:
+    """Whether round t+1 starts before round t closes: another round of
+    this fit follows and nobody asked to stop, the legs do not use the
+    coordinator's trainer or client RNGs (the backend's declaration),
+    the round is the default phase driver (no ``run_round`` or
+    ``collect`` override), and no fault policy owns the round."""
+    from repro.fl.server import FederatedServer  # lazy: cycle
+
+    return (
+        local_round < rounds - 1
+        and not server.stop_training
+        and not getattr(server.executor, "legs_use_coordinator", True)
+        and not server.fault_policy.engaged
+        and all(
+            getattr(getattr(server, phase), "__func__", None)
+            is getattr(FederatedServer, phase)
+            for phase in ("run_round", "collect")
+        )
+    )
+
+
+def _begin_round(server, cbs, t: int):
+    """Open round ``t``: ``on_round_start``, then its cohort."""
+    server.round_idx = t
     for cb in cbs:
-        cb.on_round_start(server, server.round_idx)
+        cb.on_round_start(server, t)
     active = server.select_cohort()
     server.last_suspects = []
-    extras = server.run_round(active) or {}
-    close_round(server, cbs, extras, local_round, rounds, eval_every)
+    return active
+
+
+def _discard_started(server, draws, suspects) -> None:
+    """Drop a started round as if it never began: its legs drained
+    unfinalized, the draws its start made rewound."""
+    legs, server._started_legs = server._started_legs, None
+    if legs is not None:
+        legs.group.drain()
+    server._rewind_draws(draws)
+    server.last_suspects = suspects
 
 
 def close_round(server, cbs, extras: dict, local_round: int, rounds: int, eval_every: int) -> None:
@@ -118,6 +207,16 @@ def close_round(server, cbs, extras: dict, local_round: int, rounds: int, eval_e
     Failure / suspect extras, ledger, record, evaluation cadence,
     history, callbacks, and the ``round_idx`` advance.
     """
+    record = _round_record(server, extras)
+    _finish_round(
+        server, cbs, record, _evaluates(server.round_idx, local_round, rounds, eval_every)
+    )
+    server.round_idx += 1
+
+
+def _round_record(server, extras: dict) -> RoundRecord:
+    """Round ``server.round_idx``'s record: failure / suspect extras and
+    the ledger's round totals."""
     for key, entries in (
         ("leg_failures", server.last_leg_failures),
         ("suspect_uploads", server.last_suspects),
@@ -125,24 +224,31 @@ def close_round(server, cbs, extras: dict, local_round: int, rounds: int, eval_e
         if entries:
             extras.setdefault(key, [entry.summary() for entry in entries])
     up, down = server.ledger.end_round()
-    record = RoundRecord(
+    return RoundRecord(
         round_idx=server.round_idx,
         train_loss=extras.pop("train_loss", None),
         comm_up_params=up,
         comm_down_params=down,
         extras=extras,
     )
-    # Compare against the *local* round counter: ``server.round_idx``
-    # is global across fit() calls, so a resumed fit(n) would
-    # otherwise never hit its guaranteed final-round evaluation.
-    if (server.round_idx + 1) % eval_every == 0 or local_round == rounds - 1:
+
+
+def _evaluates(t: int, local_round: int, rounds: int, eval_every: int) -> bool:
+    # Compare against the *local* round counter: ``round_idx`` is global
+    # across fit() calls, so a resumed fit(n) would otherwise never hit
+    # its guaranteed final-round evaluation.
+    return (t + 1) % eval_every == 0 or local_round == rounds - 1
+
+
+def _finish_round(server, cbs, record: RoundRecord, evaluate: bool) -> None:
+    """Evaluation (when due), history, ``on_evaluate`` / ``on_round_end``."""
+    if evaluate:
         record.accuracy, record.loss = server.evaluate()
         for cb in cbs:
             cb.on_evaluate(server, record)
     server.history.append(record)
     for cb in cbs:
         cb.on_round_end(server, record)
-    server.round_idx += 1
 
 
 class RoundScheduler:
@@ -168,7 +274,7 @@ class SyncRoundScheduler(RoundScheduler):
         eval_every = server.config.eval_every
         for local_round in range(rounds):
             run_sync_round(server, cbs, local_round, rounds, eval_every)
-            if server.stop_training:
+            if server.stop_training and server._started_legs is None:
                 break
 
 

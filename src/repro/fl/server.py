@@ -13,7 +13,9 @@ the shared :meth:`FederatedServer.fit` loop:
     SCAFFOLD's control variates, FedGen's distillation) and free-form
     ``context`` carried through to aggregation.
 ``collect(active, plans)``
-    Run local training and gather uploads.  The default implementation
+    Run local training and gather uploads (or, when the pipelined sync
+    driver already submitted them with :meth:`~FederatedServer
+    .start_collect`, consume those legs).  The default implementation
     hands the cohort to the server's execution backend,
     ``server.executor`` (``serial`` | ``thread`` | ``process`` |
     ``distributed``, selected by ``config.execution`` /
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -59,7 +61,7 @@ from repro.data.federated import FederatedDataset
 from repro.fl.client import Client
 from repro.fl.comm import CommunicationLedger
 from repro.fl.config import FLConfig
-from repro.fl.execution import ExecutionBackend, TrainerSpec, resolve_execution
+from repro.fl.execution import ExecutionBackend, LegGroup, TrainerSpec, resolve_execution
 from repro.fl.hooks import HookSpec
 from repro.fl.metrics import RoundRecord, TrainingHistory, evaluate_model
 from repro.fl.trainer import LocalResult, LocalTrainer
@@ -125,6 +127,20 @@ class DispatchPlan:
     grad_hook: "HookSpec | None" = None
     lr_override: float | None = None
     context: dict = field(default_factory=dict)
+
+
+@dataclass
+class StartedLegs:
+    """A round's legs, submitted by :meth:`FederatedServer.start_collect`
+    ahead of the :meth:`~FederatedServer.collect` that consumes
+    ``stream``.  ``group`` is kept so a discarded round can be drained
+    (:meth:`~repro.fl.execution.LegGroup.drain`) with no leg finalized."""
+
+    active: list
+    plans: list
+    rows: list
+    group: LegGroup
+    stream: Iterator
 
 
 class FederatedServer:
@@ -260,6 +276,7 @@ class FederatedServer:
         self._global = trainer.row.copy()
         self._uploads: "PoolBuffer | None" = None
         self._upload_rows: list[int] = []
+        self._started_legs: StartedLegs | None = None
         # Reused model-layout buffers keyed by (tag, size, dtype):
         # "round" for the default collect, "cohort" for ad-hoc
         # train_cohort calls — distinct tags so the two can never alias
@@ -305,28 +322,49 @@ class FederatedServer:
         Uploads, results and RNG state are bit-identical to the
         gathered run (:meth:`~repro.fl.execution.ExecutionBackend.run`,
         the stream drained into plan order), which the tests keep as
-        the oracle.
+        the oracle.  Legs :meth:`start_collect` submitted for these
+        ``plans`` are consumed instead of submitting the cohort again.
         """
+        legs = self._started_legs
+        if legs is not None and legs.plans is plans:
+            self._started_legs = None
+            rows, stream = legs.rows, legs.stream
+        else:
+            uploads, rows = self._collect_target(active, plans)
+            if self.fault_policy.engaged:
+                # The resilience engine owns the round: simulated faults
+                # are pre-dropped, infra failures retried / recovered,
+                # and the survivors checked against the quorum.  Never
+                # engaged by a default config, so the loop below stays
+                # the untouched bit-identical reference.
+                from repro.faults.engine import resilient_collect  # lazy
+
+                return resilient_collect(self, active, plans, rows, uploads)
+            stream = self.executor.run_streaming(self.trainer, active, plans, rows, uploads)
+        results: list[LocalResult | None] = [None] * len(plans)
+        for i, result in stream:
+            results[i] = result
+            self.on_upload(rows[i], result)
+        return results
+
+    def start_collect(self, active: list[Client], plans: list[DispatchPlan]) -> None:
+        """Submit the round's legs now; the :meth:`collect` of these
+        ``plans`` consumes them.  The pipelined sync driver's seam:
+        round t+1 trains while round t is evaluated and closed."""
+        uploads, rows = self._collect_target(active, plans)
+        group = self.executor.submit_group(self.trainer, active, plans, rows, uploads)
+        stream = self.executor.run_streaming(
+            self.trainer, active, plans, rows, uploads, group=group
+        )
+        self._started_legs = StartedLegs(active, plans, rows, group, stream)
+
+    def _collect_target(self, active, plans) -> "tuple[PoolBuffer, list[int]]":
+        """The round's upload buffer and each plan's row in it."""
         uploads = self._round_uploads(len(active))
         rows = [plan.context.get("row", i) for i, plan in enumerate(plans)]
         self._upload_rows = rows
         self.round_faults = None
-        if self.fault_policy.engaged:
-            # The resilience engine owns the round: simulated faults are
-            # pre-dropped, infra failures retried / recovered, and the
-            # survivors checked against the quorum.  Never engaged by a
-            # default config, so the loop below stays the untouched
-            # bit-identical reference.
-            from repro.faults.engine import resilient_collect  # lazy
-
-            return resilient_collect(self, active, plans, rows, uploads)
-        results: list[LocalResult | None] = [None] * len(plans)
-        for i, result in self.executor.run_streaming(
-            self.trainer, active, plans, rows, uploads
-        ):
-            results[i] = result
-            self.on_upload(rows[i], result)
-        return results
+        return uploads, rows
 
     def on_upload(self, row: int, result: LocalResult) -> None:
         """Per-upload hook: ``result`` just landed in buffer row ``row``.
@@ -439,6 +477,16 @@ class FederatedServer:
         for row, result in zip(self._upload_rows, results):
             weights[row] = result.num_samples
         return self.aggregator.combine(self._uploads, weights, precise=False)
+
+    def _draws(self):
+        """What starting a round draws from — the server generator
+        (cohort sampling, FedCross's shuffle) — for :meth:`_rewind_draws`
+        when the driver discards a started round.  (A fault model's
+        draws are keyed by round, not stateful.)"""
+        return self.rng.bit_generator.state
+
+    def _rewind_draws(self, draws) -> None:
+        self.rng.bit_generator.state = draws
 
     # -- shared machinery ------------------------------------------------
     def evaluate(self) -> tuple[float, float]:

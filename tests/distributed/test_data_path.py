@@ -323,20 +323,39 @@ class TestOwnersAndBlockReads:
 
 
 class _CallLog(ServerCallback):
-    """Per-round deltas of the fleet's channel op counts."""
+    """Per-round deltas of the fleet's channel op counts.
+
+    A pipelined sync round starts round t+1's legs before round t's
+    close, so each channel is cut where its round's calls are bounded
+    in either order: ``exec`` (round t's legs) from ``on_round_start(t)``
+    to the next round start (or the fit's end), ``data`` (round t's
+    flush, blend and evaluation) from ``on_round_end(t - 1)`` to
+    ``on_round_end(t)``.
+    """
 
     def __init__(self, cluster):
         self.cluster = cluster
-        self.rounds = []
-        self._last = self._snapshot()
+        self.exec, self.data = [], []
+        self._exec, self._data = None, _data_calls(cluster, "data")
 
-    def _snapshot(self):
-        return {p: _data_calls(self.cluster, p) for p in ("data", "exec")}
+    def _cut(self, purpose, last, deltas):
+        now = _data_calls(self.cluster, purpose)
+        if last is not None:
+            deltas.append(now - last)
+        return now
+
+    def on_round_start(self, server, round_idx):
+        self._exec = self._cut("exec", self._exec, self.exec)
 
     def on_round_end(self, server, record):
-        now = self._snapshot()
-        self.rounds.append({p: now[p] - self._last[p] for p in now})
-        self._last = now
+        self._data = self._cut("data", self._data, self.data)
+
+    def on_fit_end(self, server, history):
+        self._exec = self._cut("exec", self._exec, self.exec)
+
+    @property
+    def rounds(self):
+        return [{"exec": e, "data": d} for e, d in zip(self.exec, self.data)]
 
 
 def test_sync_round_makes_o_hosts_data_calls():
@@ -359,6 +378,7 @@ def test_sync_round_makes_o_hosts_data_calls():
         ),
         callbacks=[log],
     )
+    assert len(log.exec) == len(log.data) == 3
     for counts in log.rounds[1:]:
         assert counts["exec"] == 20
         assert counts["data"] == 14, counts
