@@ -51,8 +51,10 @@ class FedClusterServer(FederatedServer):
         dispatch→collect→aggregate driver wholesale; but members
         *within* a visit are independent, so each visit runs through
         the execution backend (:meth:`~FederatedServer.train_cohort`)
-        and its average is a :class:`~repro.core.pool.PoolBuffer` row
-        reduction over the packed uploads.
+        and its average is the configured aggregation operator's
+        ``combine`` over the packed uploads (``mean``: the
+        :class:`~repro.core.pool.PoolBuffer` row reduction), as
+        :meth:`~FederatedServer.aggregate_uploads` averages a round.
         """
         per_cluster = max(1, len(active) // self.num_clusters)
         losses = []
@@ -68,8 +70,8 @@ class FedClusterServer(FederatedServer):
             results, buf = self.train_cohort(
                 members, [DispatchPlan(flat) for _ in members]
             )
-            self._global = buf.mean_state(
-                [r.num_samples for r in results], precise=False
+            self._global = self.aggregator.combine(
+                buf, [r.num_samples for r in results], precise=False
             )
             losses.extend(r.mean_loss for r in results)
             total_clients += len(members)

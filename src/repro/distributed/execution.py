@@ -43,7 +43,6 @@ from repro.fl.execution import (
     UploadState,
     _check_cohort,
     _trainer_hypers,
-    _validated_rows,
     register_execution,
 )
 from repro.fl.trainer import LocalResult
@@ -89,7 +88,7 @@ class DistributedExecution(ExecutionBackend):
     def submit_group(self, trainer, active, plans, rows, uploads, attacks=None):
         from repro.distributed.storage import DistributedStorage, RemoteRow
 
-        _check_cohort(active, plans, rows, parallel=True)
+        _check_cohort(active, plans, rows, uploads, parallel=True)
         storage = uploads.storage
         if not isinstance(storage, DistributedStorage):
             raise DistributedError(
@@ -103,7 +102,6 @@ class DistributedExecution(ExecutionBackend):
                 "distributed execution backend needs a TrainerSpec to build "
                 "host-side trainer templates"
             )
-        _validated_rows(plans, uploads)
         # Every hook blob is built before the first leg is submitted, so
         # an unpicklable spec on plan n raises with no leg training.
         blobs = [

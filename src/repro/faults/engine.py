@@ -54,7 +54,7 @@ def resilient_collect(server, active, plans, rows, uploads, *, sleep=None):
     policy = server.fault_policy
     if sleep is None:
         sleep = getattr(server, "fault_sleep", None) or time.sleep
-    _check_cohort(active, plans, rows)
+    _check_cohort(active, plans, rows, uploads)
     n = len(active)
     results: list = [None] * n
     record = server.round_faults = policy.open_round(

@@ -103,8 +103,9 @@ consume that stream in client order under ``serial`` — such models are
 only reproducible on the serial backend.
 
 A plan's hooks are :class:`~repro.fl.hooks.HookSpec` instances (plain,
-picklable data) on every backend: :func:`_check_cohort` refuses
-anything else before any leg runs.
+picklable data) and its ``flat`` a row of the upload buffer's shape and
+dtype on every backend: :func:`_check_cohort` refuses anything else
+before any leg runs.
 
 Backends register on :data:`EXECUTION_BACKENDS` via
 :func:`register_execution`; selection is wired through
@@ -119,7 +120,6 @@ from the round's leg counts (:meth:`~repro.fl.server.FederatedServer
 
 from __future__ import annotations
 
-import atexit
 import copy
 import functools
 import time
@@ -263,19 +263,22 @@ def _default_workers(workers: int | None) -> int:
     return usable_cores()
 
 
-def _check_cohort(active, plans, rows, parallel: bool = False) -> None:
-    """Submission preconditions — the one place cohort skew is caught.
+def _check_cohort(active, plans, rows, uploads, parallel: bool = False) -> None:
+    """Submission preconditions — the one place a cohort is refused.
 
     ``active``, ``plans`` and ``rows`` must align one-to-one: a skew
     truncated to the shorter list would silently drop legs (and skew
-    quorum accounting), so it fails loudly instead.  ``parallel``
-    backends additionally need distinct rows *and* distinct clients:
-    duplicate rows would race on one buffer slice; a duplicate client
-    would train both legs from the same RNG snapshot (serial advances
-    the stream between legs), silently breaking the bit-identical
-    contract — so both are errors rather than divergences.  On every
-    backend a plan's hooks must be :class:`~repro.fl.hooks.HookSpec`
-    instances (or ``None``): plain data, resolved where the leg runs.
+    quorum accounting), so it fails loudly instead.  On every backend a
+    plan's hooks must be :class:`~repro.fl.hooks.HookSpec` instances (or
+    ``None``): plain data, resolved where the leg runs; and its
+    dispatch row must be a row of the ``uploads`` buffer, same shape and
+    dtype — another is refused, never cast, so a cohort is valid on
+    every backend or on none.  ``parallel`` backends additionally need
+    distinct rows *and* distinct clients: duplicate rows would race on
+    one buffer slice; a duplicate client would train both legs from the
+    same RNG snapshot (serial advances the stream between legs),
+    silently breaking the bit-identical contract — so both are errors
+    rather than divergences.
     """
     if not len(active) == len(plans) == len(rows):
         raise ValueError(
@@ -283,6 +286,7 @@ def _check_cohort(active, plans, rows, parallel: bool = False) -> None:
             f"{len(plans)} dispatch plans (and {len(rows)} upload rows); "
             "cohort, plans and rows must align"
         )
+    shape, dtype = (uploads.layout.total_size,), uploads.dtype
     for plan in plans:
         for which, hook in (("loss_hook", plan.loss_hook), ("grad_hook", plan.grad_hook)):
             if hook is not None and not isinstance(hook, HookSpec):
@@ -290,6 +294,12 @@ def _check_cohort(active, plans, rows, parallel: bool = False) -> None:
                     f"DispatchPlan.{which} is a {type(hook).__name__}, not a "
                     "repro.fl.hooks.HookSpec; dispatch hooks as picklable specs"
                 )
+        flat = plan.flat
+        if flat.shape != shape or flat.dtype != dtype:
+            raise ValueError(
+                f"dispatch row {flat.shape} {flat.dtype} is not a row of the "
+                f"{shape} {dtype} upload buffer"
+            )
     if not parallel:
         return
     if len(set(rows)) != len(rows):
@@ -669,7 +679,7 @@ class SerialExecution(ExecutionBackend):
         # come back resolved, so every schedule — the async driver
         # included — degenerates to strictly sequential legs in plan
         # order: the reference the equivalence matrix is gated against.
-        _check_cohort(active, plans, rows)
+        _check_cohort(active, plans, rows, uploads)
         attacks = attacks or {}
         futures: list[Future] = []
         for j, (client, plan, row) in enumerate(zip(active, plans, rows)):
@@ -745,7 +755,7 @@ class ThreadExecution(ExecutionBackend):
     def submit_group(
         self, trainer, active, plans, rows, uploads, attacks=None
     ) -> LegGroup:
-        _check_cohort(active, plans, rows, parallel=True)
+        _check_cohort(active, plans, rows, uploads, parallel=True)
         self._ensure_pool()
         hypers = _trainer_hypers(trainer)
         attacks = attacks or {}
@@ -774,29 +784,14 @@ def _release_shared_memory(shm) -> None:
         pass
 
 
-# Every live _SharedBlock, so an interrupted run (KeyboardInterrupt in
-# the middle of a round, an exception unwinding past the executor) still
-# unlinks its /dev/shm segments at interpreter exit instead of leaking
-# them until reboot.  Weak references: normal GC/close stays the primary
-# release path and the sweep never extends a block's lifetime.
-_LIVE_BLOCKS: "weakref.WeakSet[_SharedBlock]" = weakref.WeakSet()
-
-
-def _cleanup_shared_blocks() -> None:
-    for block in list(_LIVE_BLOCKS):
-        block.close()
-
-
-atexit.register(_cleanup_shared_blocks)
-
-
 class _SharedBlock:
     """Owner of one shared-memory-backed ``(K, P)`` ndarray.
 
     ``ref`` is the picklable handle (name, shape, dtype) workers use to
-    attach.  The segment is unlinked when the block is closed or
-    garbage-collected, so reallocation on pool-size changes never leaks
-    ``/dev/shm`` segments.
+    attach.  The segment is unlinked when the block is closed, garbage-
+    collected or still alive at interpreter exit (the finalizer's atexit
+    hook: a run interrupted mid-round), so neither reallocation on
+    pool-size changes nor an interrupt leaks ``/dev/shm`` segments.
     """
 
     def __init__(self, shape: tuple[int, int], dtype) -> None:
@@ -808,7 +803,6 @@ class _SharedBlock:
         self.array = np.ndarray(tuple(shape), dtype=dtype, buffer=self.shm.buf)
         self.ref = (self.shm.name, tuple(int(s) for s in shape), dtype.str)
         self._finalizer = weakref.finalize(self, _release_shared_memory, self.shm)
-        _LIVE_BLOCKS.add(self)
 
     def close(self) -> None:
         self.array = None
@@ -884,30 +878,6 @@ def _process_leg(task: dict):
     return (*scalars, rng.bit_generator.state)
 
 
-def _validated_rows(plans, uploads) -> dict:
-    """The distinct dispatch rows, every plan's row checked for transit.
-
-    Keyed by object identity in first-use order (FedAvg-family plans
-    all share one global row; FedCross plans are distinct pool rows),
-    so each unique row ships once.  Run over the *whole* cohort before
-    anything is copied or submitted: rows must be upload-buffer rows —
-    another dtype is refused, never cast.
-    """
-    shape, dtype = (uploads.layout.total_size,), uploads.dtype
-    flats: dict = {}
-    for plan in plans:
-        flat = plan.flat
-        if id(flat) in flats:
-            continue
-        if flat.shape != shape or flat.dtype != dtype:
-            raise ValueError(
-                f"dispatch row {flat.shape} {flat.dtype} is not a row of the "
-                f"{shape} {dtype} upload buffer"
-            )
-        flats[id(flat)] = flat
-    return flats
-
-
 @register_execution("process")
 class ProcessExecution(ExecutionBackend):
     """Persistent worker processes + shared-memory state transport."""
@@ -973,8 +943,7 @@ class ProcessExecution(ExecutionBackend):
         """A free block pair with at least ``n`` rows, else a new one."""
         shape, dtype = (max(1, int(n)), int(p)), np.dtype(dtype)
         for k, (block, _) in enumerate(self._free_pairs):
-            # ``array`` is None once a block was closed (the atexit sweep).
-            if block.array is not None and block.array.dtype == dtype and (
+            if block.array.dtype == dtype and (
                 block.array.shape[0] >= shape[0] and block.array.shape[1] == shape[1]
             ):
                 return self._free_pairs.pop(k)
@@ -991,8 +960,11 @@ class ProcessExecution(ExecutionBackend):
         — :meth:`LegGroup.finalize` copies row ``j`` into the server's
         buffer.  Hook specs ride each task's pickle as they are.
         """
-        _check_cohort(active, plans, rows, parallel=True)
-        flats = _validated_rows(plans, uploads)
+        _check_cohort(active, plans, rows, uploads, parallel=True)
+        # Each distinct row ships once, keyed by identity in first-use
+        # order: FedAvg-family plans all share one global row, FedCross
+        # plans are distinct pool rows.
+        flats = {id(plan.flat): plan.flat for plan in plans}
         self._ensure_pool()
         pair = dispatch, upload = self._acquire_blocks(
             len(plans), uploads.layout.total_size, uploads.dtype

@@ -404,9 +404,9 @@ class AsyncRoundScheduler(RoundScheduler):
         server.last_suspects = []
         plans = server.dispatch(active)
         rows = [int(plan.context.get("row", i)) for i, plan in enumerate(plans)]
-        _check_cohort(active, plans, rows)
         n = len(active)
         uploads = server._model_buffer(("async", t % (self.max_staleness + 1)), n)
+        _check_cohort(active, plans, rows, uploads)
         rs = _Round(
             t=t,
             local_round=local_round,

@@ -46,7 +46,8 @@ may still override it wholesale — but then the round policy of
 ``on_evaluate``, ``on_round_end``, ``on_fit_end``) observe the loop and
 may set ``server.stop_training`` to end training early.  The pool/upload
 buffers live on the storage backend named by ``config.backend``
-(``dense`` | ``memmap`` — see :mod:`repro.core.storage`).
+(``dense`` | ``memmap`` | ``sharded`` | ``distributed`` — see
+:mod:`repro.core.storage` and :mod:`repro.distributed.storage`).
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _fits import assert_same_fit, run_fit
 from repro.fl.simulation import FLSimulation, run_simulation
 
 
@@ -50,6 +51,20 @@ class TestFedCluster:
         result = run_simulation(tiny_config.with_method("fedcluster", num_clusters=2))
         assert result.history.total_comm_params() > 0
 
+    def test_visits_average_through_the_configured_aggregator(self, tiny_config):
+        # Full participation puts three members in each visit (a trimmed
+        # mean of one row is that row).  The visit average used to be
+        # ``mean_state`` whatever --aggregator said.
+        base = tiny_config.with_method("fedcluster").replace(participation=1.0)
+        rows = {
+            name: run_simulation(base.replace(aggregator=name)).final_state
+            for name in ("mean", "trimmed_mean")
+        }
+        assert any(
+            not np.array_equal(rows["mean"][key], value)
+            for key, value in rows["trimmed_mean"].items()
+        )
+
     def test_engaged_fault_policy_is_rejected_not_ignored(self, tiny_config):
         # FedCluster overrides run_round() and trains through
         # train_cohort(), so the round policy (which acts inside
@@ -71,10 +86,4 @@ class TestFedCluster:
     def test_default_config_is_untouched_by_the_policy_check(self, tiny_config):
         # quorum / leg_backoff alone engage nothing.
         base = tiny_config.with_method("fedcluster", num_clusters=2)
-        plain = run_simulation(base)
-        tuned = run_simulation(base.replace(quorum=0.5, leg_backoff=1.0))
-        assert [r.loss for r in plain.history.records] == [
-            r.loss for r in tuned.history.records
-        ]
-        for key, value in plain.final_state.items():
-            np.testing.assert_array_equal(tuned.final_state[key], value)
+        assert_same_fit(run_fit(base), run_fit(base, quorum=0.5, leg_backoff=1.0))

@@ -40,6 +40,7 @@ PINNED = {
     "fedcross": ("80d4c52388c9c053", "ebb203c0ad679d43"),
     "scaffold-server_lr=0.5": ("5727d36a392dbb4e", "a6c9f6e0a2a0fc10"),
     "fedavg-trimmed_mean": ("a387ad9a0c9a80fc", "f5b787cb5a4d11c9"),
+    "fedcluster-trimmed_mean": ("59becfeb761c00f2", "244e09d11643abc1"),
     "fedavg-restore": ("e71b96a392eced7d", "c222c7bf3dede1bb"),
     "fedcross-restore": ("dc3cc21a33ddd13a", "ebb203c0ad679d43"),
 }
@@ -73,6 +74,13 @@ def _cell(name: str):
         return base.with_method("scaffold", server_lr=0.5), []
     if name == "fedavg-trimmed_mean":
         return base.replace(aggregator="trimmed_mean"), []
+    if name == "fedcluster-trimmed_mean":
+        # Full participation gives each of the two visits three members.
+        # At the scenario's K = 3 a visit trains one client, and a
+        # trimmed mean of one row is that row.
+        return base.with_method("fedcluster").replace(
+            aggregator="trimmed_mean", participation=1.0
+        ), []
     method = name.removesuffix("-restore")
     return base.with_method(method), [BestStateCheckpointer(restore=True)]
 

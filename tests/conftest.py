@@ -2,13 +2,45 @@
 
 from __future__ import annotations
 
+import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 
+from _fits import TINY
 from repro.data.dataset import ArrayDataset
 from repro.fl.config import FLConfig
+
+
+@pytest.fixture(scope="session", autouse=True)
+def memmap_dir_on_tmpfs():
+    """Put the suite's memmap pool files on tmpfs.
+
+    ``memmap`` storage creates and unlinks one temporary file per pool
+    it allocates; on a disk mounted with ``discard`` each unlink can
+    cost ~0.1 s, which makes wall-clock, not CPU, the suite's limit.
+    When ``/dev/shm`` is a writable directory and ``REPRO_MEMMAP_DIR``
+    is unset, the session points it at a private directory there,
+    removed at session end.  The ``np.memmap`` code path is unchanged;
+    tests that set their own ``REPRO_MEMMAP_DIR`` (``tmp_path``) still
+    write to disk.
+    """
+    shm = "/dev/shm"
+    if os.environ.get("REPRO_MEMMAP_DIR") or not (
+        os.path.isdir(shm) and os.access(shm, os.W_OK)
+    ):
+        yield
+        return
+    directory = tempfile.mkdtemp(prefix="repro-tests-", dir=shm)
+    os.environ["REPRO_MEMMAP_DIR"] = directory
+    try:
+        yield
+    finally:
+        os.environ.pop("REPRO_MEMMAP_DIR", None)
+        shutil.rmtree(directory, ignore_errors=True)
 
 
 @pytest.fixture
@@ -30,20 +62,7 @@ def tiny_linear_dataset(rng) -> ArrayDataset:
 @pytest.fixture
 def tiny_config() -> FLConfig:
     """Smallest sensible FL config for fast end-to-end tests."""
-    return FLConfig(
-        method="fedavg",
-        dataset="synth_cifar10",
-        model="mlp",
-        heterogeneity=0.5,
-        num_clients=6,
-        participation=0.5,
-        rounds=3,
-        local_epochs=1,
-        batch_size=16,
-        eval_every=1,
-        seed=7,
-        dataset_params={"samples_per_client": 30, "num_test": 120},
-    )
+    return FLConfig(**TINY)
 
 
 @pytest.fixture()
@@ -68,6 +87,27 @@ def inherited_blas_threads():
         pytest.skip("no known BLAS loaded in this interpreter")
     yield width
     reap_fleets()
+
+
+class VirtualTime:
+    """Injectable monotonic clock + sleep that never waits for real."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.sleeps = []
+
+    def clock(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
+@pytest.fixture
+def virtual_time() -> VirtualTime:
+    """A fresh virtual clock for a scheduler or fault engine under test."""
+    return VirtualTime()
 
 
 def _use_gathered_collect(server) -> None:

@@ -9,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 
+from _fits import assert_same_fit, run_fit
 from repro.distributed import DistributedError
 from repro.distributed.cluster import get_cluster, shutdown_clusters
 from repro.fl.callbacks import ServerCallback
@@ -249,9 +250,8 @@ class TestNoCoordinatorTransit:
         # from the same plans.
         cluster = get_cluster(HOSTS)
 
-        def run(execution):
-            sim = FLSimulation(_config(execution=execution))
-            dispatch = sim.server.dispatch
+        def cross(server):
+            dispatch = server.dispatch
 
             def crossed_dispatch(active):
                 plans = dispatch(active)
@@ -261,22 +261,18 @@ class TestNoCoordinatorTransit:
                     plan.flat = by_row[(plan.context["row"] + k // 2) % k]
                 return plans
 
-            sim.server.dispatch = crossed_dispatch
-            sent = sum(h.channel("exec").scalars_sent for h in cluster.handles)
-            result = sim.run()
-            sent = sum(h.channel("exec").scalars_sent for h in cluster.handles) - sent
-            return result, sent
+            server.dispatch = crossed_dispatch
 
-        dist, shipped = run("distributed")
-        serial, _ = run("serial")
+        def sent():
+            return sum(h.channel("exec").scalars_sent for h in cluster.handles)
+
+        before = sent()
+        dist = run_fit(_config(), install=cross)
+        shipped = sent() - before
         config = _config()
-        p = sum(np.size(value) for value in dist.final_state.values())
+        p = sum(np.size(value) for value in dist.result.final_state.values())
         assert shipped == config.clients_per_round * config.rounds * p
-        assert [r.accuracy for r in dist.history.records] == [
-            r.accuracy for r in serial.history.records
-        ]
-        for key, value in serial.final_state.items():
-            np.testing.assert_array_equal(dist.final_state[key], value)
+        assert_same_fit(dist, run_fit(_config(execution="serial"), install=cross))
 
 
 class TestFaultSurfacing:

@@ -20,30 +20,16 @@ Three tiers of assertion, strongest first:
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from _fits import BASE, assert_same_fit, extras, run_fit
 from repro.distributed.cluster import shutdown_clusters
 from repro.faults.inject import KillHostAtRound, KillOwnHostOnce
 from repro.fl.callbacks import ServerCallback
-from repro.fl.config import FLConfig
-from repro.fl.simulation import run_simulation
 
 SCENARIOS = Path(__file__).parent / "scenarios"
 HOSTS = 2
 
-BASE = dict(
-    method="fedcross",
-    dataset="synth_cifar10",
-    model="logreg",
-    num_clients=8,
-    participation=0.5,
-    local_epochs=1,
-    batch_size=16,
-    rounds=3,
-    seed=7,
-    dataset_params={"samples_per_client": 20, "num_test": 40},
-)
 
 DISTRIBUTED = dict(backend="distributed", hosts=HOSTS, execution="distributed")
 
@@ -53,31 +39,6 @@ MATRIX = [
     ("dropouts.json", 0.25),
     ("mixed.json", 0.5),
 ]
-
-
-def _run(callbacks=None, **overrides):
-    return run_simulation(FLConfig(**{**BASE, **overrides}), callbacks=callbacks)
-
-
-def _records(result, comm=True):
-    return [
-        (r.accuracy, r.loss, r.train_loss)
-        + ((r.comm_up_params, r.comm_down_params) if comm else ())
-        for r in result.history.records
-    ]
-
-
-def _assert_identical(a, b, comm=True):
-    assert _records(a, comm=comm) == _records(b, comm=comm)
-    assert sorted(a.final_state) == sorted(b.final_state)
-    for key in a.final_state:
-        np.testing.assert_array_equal(a.final_state[key], b.final_state[key])
-
-
-def _failure_count(result):
-    return sum(
-        len(r.extras.get("leg_failures", ())) for r in result.history.records
-    )
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -101,12 +62,13 @@ class TestScenarioFiles:
 
 class TestDisabledFaults:
     def test_distributed_engaged_matches_serial_reference(self):
-        reference = _run()
-        engaged = _run(
+        reference = run_fit(BASE)
+        engaged = run_fit(
+            BASE,
             failure_policy="carry", leg_retries=1, **DISTRIBUTED
         )
-        _assert_identical(reference, engaged)
-        assert _failure_count(engaged) == 0
+        assert_same_fit(reference, engaged)
+        assert extras(engaged, "leg_failures") == []
 
 
 class TestSeededFaults:
@@ -115,23 +77,25 @@ class TestSeededFaults:
         faulty = dict(
             faults=str(SCENARIOS / name), failure_policy="carry", quorum=quorum
         )
-        serial = _run(**faulty)
-        distributed = _run(**faulty, **DISTRIBUTED)
-        assert _failure_count(serial) > 0  # the seed genuinely injects
-        _assert_identical(serial, distributed)
+        serial = run_fit(BASE, **faulty)
+        distributed = run_fit(BASE, **faulty, **DISTRIBUTED)
+        assert len(extras(serial, "leg_failures")) > 0  # the seed genuinely injects
+        assert_same_fit(serial, distributed)
 
     def test_redispatch_matches_carry_across_backends(self):
         name, quorum = MATRIX[0]
-        carry = _run(
+        carry = run_fit(
+            BASE,
             faults=str(SCENARIOS / name), failure_policy="carry", quorum=quorum
         )
-        redispatch = _run(
+        redispatch = run_fit(
+            BASE,
             faults=str(SCENARIOS / name),
             failure_policy="redispatch",
             quorum=quorum,
             **DISTRIBUTED,
         )
-        _assert_identical(carry, redispatch)
+        assert_same_fit(carry, redispatch)
 
 
 class TestHostKill:
@@ -146,11 +110,11 @@ class TestHostKill:
             failure_policy="redispatch",
             quorum=quorum,
         )
-        reference = _run(**faulty)
+        reference = run_fit(BASE, **faulty)
         killer = KillHostAtRound(host=1, at_round=1)
-        killed = _run(callbacks=[killer], **faulty, **DISTRIBUTED)
+        killed = run_fit(BASE, callbacks=[killer], **faulty, **DISTRIBUTED)
         assert killer.killed
-        _assert_identical(reference, killed)
+        assert_same_fit(reference, killed)
 
     @pytest.mark.slow
     def test_mid_leg_kill_recovers_within_round(self, tmp_path):
@@ -179,15 +143,16 @@ class TestHostKill:
                 server.dispatch = dispatch
 
         sentinel = tmp_path / "killed-once"
-        reference = _run()
-        killed = _run(
+        reference = run_fit(BASE)
+        killed = run_fit(
+            BASE,
             callbacks=[InjectHook(KillOwnHostOnce(sentinel=str(sentinel)))],
             failure_policy="redispatch",
             leg_retries=1,
             **DISTRIBUTED,
         )
         assert sentinel.exists()  # a host really died mid-leg
-        _assert_identical(reference, killed, comm=False)
+        assert_same_fit(reference, killed, comm=False)
         assert sum(r.comm_down_params for r in killed.history.records) > sum(
             r.comm_down_params for r in reference.history.records
         )

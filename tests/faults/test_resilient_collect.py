@@ -5,57 +5,19 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
+from _fits import BASE, assert_same_fit, extras, run_fit
 from repro.faults import FaultError, QuorumError
 from repro.faults.inject import UploadDropper
 from repro.fl.callbacks import ServerCallback
 from repro.fl.config import FLConfig
 from repro.fl.execution import LegGroup, _leg_failure, stream_legs
-from repro.fl.simulation import run_simulation
 
-BASE = dict(
-    method="fedcross",
-    dataset="synth_cifar10",
-    model="logreg",
-    num_clients=8,
-    participation=0.5,
-    local_epochs=1,
-    batch_size=16,
-    rounds=3,
-    seed=7,
-    dataset_params={"samples_per_client": 20, "num_test": 40},
-)
 
 # Seed 7 with this scenario injects failures in every round (validated
 # by the chaos matrix), while quorum 0.25 always survives them.
 DROPOUTS = {"availability": 0.9, "dropout": 0.2}
-
-
-def _run(callbacks=None, **overrides):
-    return run_simulation(FLConfig(**{**BASE, **overrides}), callbacks=callbacks)
-
-
-def _records(result, comm=True):
-    return [
-        (r.accuracy, r.loss, r.train_loss)
-        + ((r.comm_up_params, r.comm_down_params) if comm else ())
-        for r in result.history.records
-    ]
-
-
-def _assert_identical(a, b, comm=True):
-    assert _records(a, comm=comm) == _records(b, comm=comm)
-    assert sorted(a.final_state) == sorted(b.final_state)
-    for key in a.final_state:
-        np.testing.assert_array_equal(a.final_state[key], b.final_state[key])
-
-
-def _failure_count(result):
-    return sum(
-        len(r.extras.get("leg_failures", ())) for r in result.history.records
-    )
 
 
 class TestEngineIdentity:
@@ -63,41 +25,42 @@ class TestEngineIdentity:
         # Retries alone engage the engine; with nothing failing, the
         # resilient collect must reproduce the reference bit-for-bit,
         # including the analytic communication ledger.
-        reference = _run()
-        engaged = _run(leg_retries=2, failure_policy="carry")
-        _assert_identical(reference, engaged)
-        assert _failure_count(engaged) == 0
+        reference = run_fit(BASE)
+        engaged = run_fit(BASE, leg_retries=2, failure_policy="carry")
+        assert_same_fit(reference, engaged)
+        assert extras(engaged, "leg_failures") == []
 
     def test_benign_scenario_is_bit_identical(self):
-        reference = _run()
-        benign = _run(faults={"availability": 1.0}, failure_policy="carry")
-        _assert_identical(reference, benign)
+        reference = run_fit(BASE)
+        benign = run_fit(BASE, faults={"availability": 1.0}, failure_policy="carry")
+        assert_same_fit(reference, benign)
 
     def test_carry_thread_matches_serial(self):
         faulty = dict(faults=DROPOUTS, failure_policy="carry", quorum=0.25)
-        serial = _run(**faulty)
-        thread = _run(execution="thread", workers=2, **faulty)
-        assert _failure_count(serial) > 0
-        _assert_identical(serial, thread)
+        serial = run_fit(BASE, **faulty)
+        thread = run_fit(BASE, execution="thread", workers=2, **faulty)
+        assert len(extras(serial, "leg_failures")) > 0
+        assert_same_fit(serial, thread)
 
     def test_redispatch_equals_carry_for_simulated_faults(self):
         # Simulated faults are not retryable, so redispatch has nothing
         # extra to do and must land exactly where carry does.
-        carry = _run(faults=DROPOUTS, failure_policy="carry", quorum=0.25)
-        redispatch = _run(
-            faults=DROPOUTS, failure_policy="redispatch", quorum=0.25
+        carry = run_fit(BASE, faults=DROPOUTS, failure_policy="carry", quorum=0.25)
+        redispatch = run_fit(
+            BASE, faults=DROPOUTS, failure_policy="redispatch", quorum=0.25
         )
-        _assert_identical(carry, redispatch)
+        assert_same_fit(carry, redispatch)
 
 
 class TestPolicies:
     def test_fail_policy_raises_fault_error(self):
         with pytest.raises(FaultError, match="dropout"):
-            _run(faults={"dropout": 1.0}, rounds=1)
+            run_fit(BASE, faults={"dropout": 1.0}, rounds=1)
 
     def test_quorum_breach_raises(self):
         with pytest.raises(QuorumError):
-            _run(
+            run_fit(
+                BASE,
                 faults={"dropout": 1.0},
                 failure_policy="carry",
                 quorum=1.0,
@@ -105,12 +68,8 @@ class TestPolicies:
             )
 
     def test_failures_surface_in_round_extras(self):
-        result = _run(faults=DROPOUTS, failure_policy="carry", quorum=0.25)
-        summaries = [
-            s
-            for r in result.history.records
-            for s in r.extras.get("leg_failures", ())
-        ]
+        result = run_fit(BASE, faults=DROPOUTS, failure_policy="carry", quorum=0.25)
+        summaries = extras(result, "leg_failures")
         assert summaries
         for summary in summaries:
             assert set(summary) == {"client", "row", "kind", "attempts"}
@@ -123,13 +82,14 @@ class TestPolicies:
             def on_leg_failure(self, server, failure):
                 seen.append((failure.kind, failure.client_id))
 
-        result = _run(
+        result = run_fit(
+            BASE,
             callbacks=[Recorder()],
             faults=DROPOUTS,
             failure_policy="carry",
             quorum=0.25,
         )
-        assert len(seen) == _failure_count(result) > 0
+        assert len(seen) == len(extras(result, "leg_failures")) > 0
 
 
 class _InstallDropper(ServerCallback):
@@ -154,16 +114,17 @@ class TestRetries:
         # retry per round re-runs those legs from restored RNG
         # snapshots, so everything except the communication bill is
         # bitwise identical to the clean run.
-        reference = _run()
+        reference = run_fit(BASE)
         installer = _InstallDropper(range(BASE["num_clients"]), times=1)
-        retried = _run(
+        retried = run_fit(
+            BASE,
             callbacks=[installer],
             failure_policy="carry",
             leg_retries=1,
             leg_backoff=0.001,
         )
         assert installer.dropper is not None and installer.dropper.dropped > 0
-        _assert_identical(reference, retried, comm=False)
+        assert_same_fit(reference, retried, comm=False)
         # The retransmissions are visible in the ledger: extra downlink
         # legs, identical uplink (each leg still lands exactly once).
         ref_recs, new_recs = reference.history.records, retried.history.records
@@ -174,7 +135,7 @@ class TestRetries:
             r.comm_up_params for r in ref_recs
         ]
         # Recovered legs are not failures: nothing surfaced.
-        assert _failure_count(retried) == 0
+        assert extras(retried, "leg_failures") == []
 
     def test_exhausted_retries_fall_back_to_carry(self):
         # One leg keeps losing its upload past the retry budget; the
@@ -221,7 +182,8 @@ class TestRetries:
                 server.executor = Wrapper()
 
         dropper = DropFirstLegForever()
-        result = _run(
+        result = run_fit(
+            BASE,
             callbacks=[dropper],
             rounds=1,
             failure_policy="carry",
@@ -229,11 +191,7 @@ class TestRetries:
             leg_retries=1,
             leg_backoff=0.001,
         )
-        failures = [
-            s
-            for r in result.history.records
-            for s in r.extras.get("leg_failures", ())
-        ]
+        failures = extras(result, "leg_failures")
         # Exactly the victim's leg was carried, after spending the whole
         # budget: the initial attempt plus the single allowed retry.
         assert [s["client"] for s in failures] == [dropper.victim]
@@ -296,10 +254,10 @@ class TestTimeouts:
     def test_serial_backend_ignores_leg_timeout(self):
         # Serial legs run inline; a wall-clock deadline cannot apply and
         # must not perturb the run.
-        reference = _run(rounds=2)
-        timed = _run(rounds=2, leg_timeout=1e-9, failure_policy="carry")
-        _assert_identical(reference, timed)
-        assert _failure_count(timed) == 0
+        reference = run_fit(BASE, rounds=2)
+        timed = run_fit(BASE, rounds=2, leg_timeout=1e-9, failure_policy="carry")
+        assert_same_fit(reference, timed)
+        assert extras(timed, "leg_failures") == []
 
     def test_leg_failure_messages(self):
         failure = _leg_failure(
@@ -325,45 +283,21 @@ def _engine_collect(active, plans, rows):
     return resilient_collect(server, active, plans, rows, None)
 
 
-def _backend_driver(backend, driver):
-    from repro.fl.execution import resolve_execution
-
-    def call(active, plans, rows):
-        out = getattr(resolve_execution(backend)(), driver)(
-            None, active, plans, rows, None
-        )
-        return out if driver in ("run", "submit_group") else list(out)
-
-    return call
-
-
 class TestEngineGuards:
-    @pytest.mark.parametrize(
-        "collect",
-        [pytest.param(_engine_collect, id="engine")]
-        + [
-            pytest.param(_backend_driver(backend, driver), id=f"{backend}-{driver}")
-            for backend in ("serial", "thread", "process", "distributed")
-            for driver in (
-                "run", "run_streaming", "run_streaming_captured", "submit_group"
-            )
-        ],
-    )
-    def test_cohort_plan_length_mismatch_raises(self, collect):
-        # Regression (ISSUE 10, widened by ISSUE 13): the engine — and
-        # six sites in the backends and the server — used to truncate to
+    def test_cohort_plan_length_mismatch_raises(self):
+        # Regression: the engine used to truncate to
         # min(len(active), len(plans)), silently dropping legs and
-        # skewing quorum accounting.  A skew must fail loudly where the
-        # legs are submitted, naming both lengths, on every backend and
-        # through every driver, before anything trains.
+        # skewing quorum accounting.  A skew must fail loudly, naming
+        # both lengths, before anything trains (every backend and
+        # driver: tests/fl/test_execution_conformance.py).
         active = [SimpleNamespace(client_id=0), SimpleNamespace(client_id=1)]
         plans = [SimpleNamespace(flat=None)]
         with pytest.raises(
             ValueError, match="2 active clients but 1 dispatch plans"
         ):
-            collect(active, plans, [0, 1])
+            _engine_collect(active, plans, [0, 1])
         with pytest.raises(ValueError, match="1 active clients but 2 dispatch"):
-            collect(active[:1], plans * 2, [0, 1])
+            _engine_collect(active[:1], plans * 2, [0, 1])
 
 
 class TestInjectableSleep:
@@ -386,7 +320,8 @@ class TestInjectableSleep:
 
         installer = Install()
         started = time.monotonic()
-        retried = _run(
+        retried = run_fit(
+            BASE,
             callbacks=[installer],
             failure_policy="carry",
             leg_retries=1,
@@ -396,8 +331,8 @@ class TestInjectableSleep:
         assert installer.dropper_install.dropper.dropped > 0
         assert sleeps and all(s == 7.5 for s in sleeps)
         assert elapsed < 5.0  # the 7.5 s delays never hit the wall clock
-        _assert_identical(_run(), retried, comm=False)
-        assert _failure_count(retried) == 0
+        assert_same_fit(run_fit(BASE), retried, comm=False)
+        assert extras(retried, "leg_failures") == []
 
 
 class TestStragglerRngRestore:
@@ -442,7 +377,8 @@ class TestStragglerRngRestore:
                 self.checked_landed += len(advanced)
 
         watch = RngWatch()
-        result = _run(
+        result = run_fit(
+            BASE,
             callbacks=[watch],
             faults={
                 "slow_prob": 0.5,
@@ -452,10 +388,6 @@ class TestStragglerRngRestore:
             failure_policy="carry",
             quorum=0.25,
         )
-        kinds = {
-            s["kind"]
-            for r in result.history.records
-            for s in r.extras.get("leg_failures", ())
-        }
+        kinds = {s["kind"] for s in extras(result, "leg_failures")}
         assert kinds == {"straggler"}
         assert watch.checked_carried > 0

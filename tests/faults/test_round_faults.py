@@ -241,19 +241,6 @@ class _ScriptedFailures(ExecutionBackend):
         return LegGroup(futures, lambda j, raw: rest.finalize(keep.index(j), raw))
 
 
-class _VirtualTime:
-    def __init__(self):
-        self.now = 0.0
-        self.sleeps = []
-
-    def clock(self):
-        return self.now
-
-    def sleep(self, seconds):
-        self.sleeps.append(seconds)
-        self.now += seconds
-
-
 SCRIPTED = dict(
     method="fedcross",
     dataset="synth_cifar10",
@@ -277,7 +264,7 @@ class TestSameScriptBothDrivers:
     # fails past the budget and is carried with every attempt spent.
     SCRIPT = {1: 2, 2: 3}
 
-    def _run(self, **overrides):
+    def _scripted_sim(self, **overrides):
         sim = FLSimulation(FLConfig(**{**SCRIPTED, **overrides}))
         sim.server.executor = _ScriptedFailures(
             sim.server.executor, self.SCRIPT
@@ -287,14 +274,14 @@ class TestSameScriptBothDrivers:
     def _failures(self, result):
         return [r.extras.get("leg_failures", []) for r in result.history.records]
 
-    def test_sync_engine_and_async_driver_agree(self):
-        sync = self._run()
+    def test_sync_engine_and_async_driver_agree(self, virtual_time):
+        sync = self._scripted_sim()
         sleeps = []
         sync.server.fault_sleep = sleeps.append
         sync_result = sync.run()
 
-        vt = _VirtualTime()
-        overlapped = self._run(round_mode="async", max_staleness=2)
+        vt = virtual_time
+        overlapped = self._scripted_sim(round_mode="async", max_staleness=2)
         overlapped.server.round_scheduler = AsyncRoundScheduler(
             max_staleness=2, clock=vt.clock, sleep=vt.sleep
         )

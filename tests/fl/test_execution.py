@@ -11,6 +11,7 @@ import pytest
 
 import repro
 from _dict_leg import dict_plan_leg
+from _fits import assert_same_fit, run_fit
 from repro.core.pool import PoolBuffer
 from repro.fl.config import FLConfig
 from repro.fl.execution import (
@@ -20,11 +21,10 @@ from repro.fl.execution import (
     register_execution,
     resolve_execution,
 )
-from repro.fl.hooks import ControlVariateSpec, HookSpec, ProximalSpec
+from repro.fl.hooks import ControlVariateSpec, ProximalSpec
 from repro.fl.server import DispatchPlan
 from repro.fl.simulation import FLSimulation
 from repro.utils import cpu
-from repro.utils.layout import StateLayout
 
 
 class TestRegistry:
@@ -105,23 +105,15 @@ class TestRegistry:
         try:
             for label, overrides in schedules.items():
                 calls.clear()
-                reference = FLSimulation(base.replace(**overrides)).run()
-                sim = FLSimulation(
-                    base.replace(execution="probe-submit-only", **overrides)
+                reference = run_fit(base, **overrides)
+                probe = run_fit(
+                    base,
+                    install=gathered_collect if label == "gathered" else None,
+                    execution="probe-submit-only",
+                    **overrides,
                 )
-                if label == "gathered":
-                    gathered_collect(sim.server)
-                probe = sim.run()
                 assert sum(calls) == base.rounds * base.clients_per_round, label
-                assert [
-                    (r.accuracy, r.loss, r.train_loss, r.comm_up_params)
-                    for r in probe.history.records
-                ] == [
-                    (r.accuracy, r.loss, r.train_loss, r.comm_up_params)
-                    for r in reference.history.records
-                ], label
-                for key, value in reference.final_state.items():
-                    np.testing.assert_array_equal(probe.final_state[key], value)
+                assert_same_fit(reference, probe, label)
         finally:
             del EXECUTION_BACKENDS["probe-submit-only"]
 
@@ -295,29 +287,6 @@ class TestHookSpecs:
         assert server.global_row() is before
         server.executor.close()
 
-    @pytest.mark.parametrize("execution", ["serial", "thread", "process", "distributed"])
-    def test_raw_callable_hooks_are_refused_before_any_leg(self, tiny_config, execution):
-        """A plan's hooks are HookSpecs on every backend: a raw callable
-        on the last plan raises the same TypeError before any leg runs,
-        so no client RNG has moved."""
-        overrides = {"execution": execution, "workers": 1}
-        if execution == "distributed":
-            overrides.update(backend="distributed", hosts=2)
-        sim = FLSimulation(tiny_config.replace(**overrides))
-        server = sim.server
-        active = server.select_cohort()
-        plans = server.dispatch(active)
-        plans[-1].loss_hook = lambda model, logits, targets: None
-        before = [client.rng.bit_generator.state for client in active]
-        try:
-            with pytest.raises(
-                TypeError, match=r"loss_hook is a function, not a repro\.fl\.hooks\.HookSpec"
-            ):
-                server.collect(active, plans)
-        finally:
-            server.executor.close()
-        assert [client.rng.bit_generator.state for client in active] == before
-
 
 class TestControlVariateSpec:
     """SCAFFOLD dispatches one correction ``c - c_i`` per leg."""
@@ -371,149 +340,7 @@ class TestControlVariateSpec:
         assert variate_bytes < size < variate_bytes + 4096
 
 
-class ExplodingSpec(HookSpec):
-    """Module-level (hence picklable) hook spec that always raises."""
-
-    def build(self, state):
-        def hook(model, logits, targets):
-            raise RuntimeError("boom")
-
-        return hook
-
-
-class TestParallelMechanics:
-    def test_duplicate_rows_rejected_on_parallel_backends(self, tiny_config):
-        sim = FLSimulation(tiny_config.replace(execution="thread", workers=2))
-        server = sim.server
-        active = server.select_cohort()
-        plans = server.dispatch(active)
-        for plan in plans:
-            plan.context["row"] = 0
-        with pytest.raises(ValueError, match="unique upload-buffer rows"):
-            server.collect(active, plans)
-        server.executor.close()
-
-    def test_duplicate_clients_rejected_on_parallel_backends(self, tiny_config):
-        """A client appearing twice would train both legs from one RNG
-        snapshot (serial advances the stream between legs) — an error,
-        not a silent divergence."""
-        sim = FLSimulation(tiny_config.replace(execution="process", workers=1))
-        server = sim.server
-        active = server.select_cohort()
-        active[1] = active[0]
-        plans = server.dispatch(active)
-        with pytest.raises(ValueError, match="at most once"):
-            server.collect(active, plans)
-        server.executor.close()
-
-    def test_thread_collect_packs_rows_like_serial(self, tiny_config):
-        serial = FLSimulation(tiny_config)
-        threaded = FLSimulation(tiny_config.replace(execution="thread", workers=2))
-        for sim in (serial, threaded):
-            server = sim.server
-            active = server.select_cohort()
-            server.collect(active, server.dispatch(active))
-        np.testing.assert_array_equal(
-            serial.server.uploads.matrix, threaded.server.uploads.matrix
-        )
-        threaded.server.executor.close()
-
-    def test_executor_close_is_idempotent_and_reusable(self, tiny_config):
-        sim = FLSimulation(tiny_config.replace(execution="thread", workers=2))
-        server = sim.server
-        server.run_round(server.select_cohort())
-        server.executor.close()
-        server.executor.close()
-        # Backend re-creates its pool lazily on the next round.
-        server.run_round(server.select_cohort())
-        server.executor.close()
-
-    def test_results_returned_in_plan_order(self, tiny_config):
-        sim = FLSimulation(tiny_config.replace(execution="thread", workers=3))
-        server = sim.server
-        active = server.select_cohort()
-        plans = server.dispatch(active)
-        results = server.collect(active, plans)
-        assert [r.num_samples for r in results] == [len(c.dataset) for c in active]
-        server.executor.close()
-
-    @pytest.mark.parametrize("execution", ["thread", "process"])
-    def test_live_trainer_mutations_honoured(self, tiny_config, execution):
-        """The experiments' per-round LR-decay idiom (mutating
-        ``sim.trainer.lr`` between rounds) must reach parallel workers,
-        not be frozen at TrainerSpec construction."""
-        import numpy as np
-
-        def run(cfg):
-            sim = FLSimulation(cfg)
-            for lr in (0.05, 0.002):
-                sim.trainer.lr = lr
-                sim.server.run_round(sim.server.select_cohort())
-                sim.server.round_idx += 1
-            sim.server.executor.close()
-            return sim.server.global_state()
-
-        ref = run(tiny_config)
-        got = run(tiny_config.replace(execution=execution, workers=2))
-        for key in ref:
-            np.testing.assert_array_equal(ref[key], got[key])
-
-    @pytest.mark.parametrize("execution", ["thread", "process"])
-    def test_failing_leg_drains_cleanly(self, tiny_config, execution):
-        """A raising hook fails the round without stray legs corrupting
-        the reused upload buffer; the next round runs normally."""
-        sim = FLSimulation(tiny_config.replace(execution=execution, workers=2))
-        server = sim.server
-        active = server.select_cohort()
-        plans = server.dispatch(active)
-        plans[0].loss_hook = ExplodingSpec()
-        with pytest.raises(RuntimeError, match="boom"):
-            server.collect(active, plans)
-        # Backend stays usable and deterministic afterwards.
-        extras = server.run_round(server.select_cohort())
-        assert "train_loss" in extras
-        server.executor.close()
-
-    def test_process_validates_every_plan_before_submitting_any(self, tiny_config):
-        """A bad *last* plan must fail the whole submission up front: no
-        leg reaches the pool (plan n-1 raising used to leave legs
-        0..n-2 training), client RNG states are untouched and the shm
-        block pair is still on the free-list for the next round."""
-        sim = FLSimulation(
-            tiny_config.replace(method="fedcross", execution="process", workers=1)
-        )
-        server = sim.server
-        backend = server.executor
-        server.run_round(server.select_cohort())  # warm: pool + one block pair
-
-        class CountingPool:
-            def __init__(self, pool):
-                self.pool, self.submitted = pool, 0
-
-            def submit(self, *args, **kwargs):
-                self.submitted += 1
-                return self.pool.submit(*args, **kwargs)
-
-            def shutdown(self, wait=True):
-                self.pool.shutdown(wait=wait)
-
-        backend._pool = counting = CountingPool(backend._pool)
-        active = server.select_cohort()
-        plans = server.dispatch(active)
-        plans[-1].flat = plans[-1].flat.astype(np.float64)
-        rows = list(range(len(plans)))
-        uploads = server._round_uploads(len(active))
-        rng_before = [c.rng.bit_generator.state for c in active]
-        with pytest.raises(ValueError, match="is not a row of the"):
-            backend.submit_group(server.trainer, active, plans, rows, uploads)
-        assert counting.submitted == 0
-        assert [c.rng.bit_generator.state for c in active] == rng_before
-        (pair,) = backend._free_pairs
-        # The backend stays usable, on the same block pair.
-        assert "train_loss" in server.run_round(server.select_cohort())
-        assert backend._free_pairs == [pair]
-        server.executor.close()
-
+class TestTrainCohort:
     def test_train_cohort_reuses_size_keyed_buffers(self, tiny_config):
         sim = FLSimulation(tiny_config)
         server = sim.server
@@ -523,47 +350,6 @@ class TestParallelMechanics:
         _, buf2 = server.train_cohort(members, plans)
         assert buf1 is buf2
         assert len(buf1) == 2
-
-
-class TestDispatchRow:
-    """A dispatched model is one pool-dtype row from dispatch to leg."""
-
-    @pytest.mark.parametrize(
-        "execution", ["serial", "thread", "process", "distributed"]
-    )
-    def test_fedcross_round_never_flattens_a_dispatched_model(
-        self, tiny_config, monkeypatch, execution
-    ):
-        """Between ``dispatch`` and the last land no model is packed
-        into a row (``flatten`` packs through ``flatten_into``): a leg
-        trains inside its trainer's row and lands it with one copy.  On
-        dense storage the plans *are* the pool's rows."""
-        from repro.distributed.cluster import shutdown_clusters
-
-        fleet = dict(backend="distributed", hosts=2) if execution == "distributed" else {}
-        config = tiny_config.with_method("fedcross").replace(
-            execution=execution, workers=2, **fleet
-        )
-        server = FLSimulation(config).server
-        active = server.select_cohort()
-        outs, original = [], StateLayout.flatten_into
-
-        def counting(self, state, out):
-            outs.append(out)
-            return original(self, state, out)
-
-        try:
-            monkeypatch.setattr(StateLayout, "flatten_into", counting)
-            plans = server.dispatch(active)
-            server.collect(active, plans)
-            monkeypatch.undo()
-            assert outs == []
-            if execution != "distributed":
-                assert all(np.shares_memory(p.flat, server.pool.matrix) for p in plans)
-        finally:
-            server.executor.close()
-            if execution == "distributed":
-                shutdown_clusters()
 
 
 class TestUploadState:
@@ -663,27 +449,24 @@ class TestSharedMemoryCleanup:
             assert self._segment_gone(name), name
         backend.close()  # idempotent after the interrupted attempt
 
-    def test_atexit_sweep_unlinks_live_blocks(self):
-        from repro.fl.execution import (
-            _LIVE_BLOCKS,
-            _SharedBlock,
-            _cleanup_shared_blocks,
+    def test_a_block_alive_at_exit_is_unlinked(self):
+        """An interpreter that exits holding a block it never closed
+        (a run interrupted mid-round) unlinks the segment through the
+        block's finalizer, and the resource tracker reports no leak."""
+        script = (
+            "import numpy as np\n"
+            "from repro.fl.execution import _SharedBlock\n"
+            "block = _SharedBlock((2, 3), np.float32)\n"
+            "print(block.shm.name, flush=True)\n"
         )
-
-        block = _SharedBlock((2, 3), np.float32)
-        assert block in _LIVE_BLOCKS
-        name = block.shm.name
-        _cleanup_shared_blocks()
-        assert self._segment_gone(name)
-        _cleanup_shared_blocks()  # sweep is idempotent
-
-    def test_normal_close_remains_primary_release_path(self):
-        from repro.fl.execution import _SharedBlock
-
-        block = _SharedBlock((1, 4), np.float64)
-        name = block.shm.name
-        block.close()
-        assert self._segment_gone(name)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert self._segment_gone(done.stdout.strip())
+        assert "leaked" not in done.stderr and "resource_tracker" not in done.stderr
 
 
 class TestStreamDrain:

@@ -25,6 +25,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+from _fits import assert_same_fit, run_fit
 from repro.fl.config import FLConfig
 from repro.fl.execution import LegGroup
 from repro.fl.scheduler import (
@@ -63,37 +64,6 @@ def _config(**overrides) -> FLConfig:
     return FLConfig(**{**BASE, **overrides})
 
 
-def _run(config, mutate=None):
-    """Run a simulation; ``mutate(sim)`` may inject seams pre-run."""
-    sim = FLSimulation(config)
-    if mutate is not None:
-        mutate(sim)
-    result = sim.run()
-    pool = getattr(sim.server, "pool", None)
-    matrix = np.array(pool.matrix, copy=True) if pool is not None else None
-    return result, matrix
-
-
-def _records(result, comm=True):
-    return [
-        (r.accuracy, r.loss, r.train_loss)
-        + ((r.comm_up_params, r.comm_down_params) if comm else ())
-        for r in result.history.records
-    ]
-
-
-def _assert_identical(ref, got, comm=True):
-    ref_result, ref_pool = ref
-    got_result, got_pool = got
-    assert _records(ref_result, comm=comm) == _records(got_result, comm=comm)
-    for key in ref_result.final_state:
-        np.testing.assert_array_equal(
-            ref_result.final_state[key], got_result.final_state[key]
-        )
-    if ref_pool is not None:
-        np.testing.assert_array_equal(ref_pool, got_pool)
-
-
 class TestRegistry:
     def test_default_is_sync(self):
         assert isinstance(build_round_scheduler(_config()), SyncRoundScheduler)
@@ -117,24 +87,24 @@ class TestRegistry:
 class TestAsyncEquivalence:
     @pytest.mark.parametrize("method", ["fedcross", "fedavg"])
     def test_zero_staleness_bitwise_sync(self, method):
-        ref = _run(_config(method=method))
-        got = _run(_config(method=method, round_mode="async", max_staleness=0))
-        _assert_identical(ref, got)
+        ref = run_fit(_config(method=method))
+        got = run_fit(_config(method=method, round_mode="async", max_staleness=0))
+        assert_same_fit(ref, got)
 
     def test_serial_backend_any_staleness_bitwise_sync(self):
         # Serial submit_group completes eagerly, so rounds never truly
         # overlap: speculative blends are transient and the reconciled
         # eval pool restores the exact sync bytes.
-        ref = _run(_config())
-        got = _run(_config(round_mode="async", max_staleness=2))
-        _assert_identical(ref, got)
+        ref = run_fit(_config())
+        got = run_fit(_config(round_mode="async", max_staleness=2))
+        assert_same_fit(ref, got)
 
     def test_method_without_adapter_rejected_when_overlapped(self):
         with pytest.raises(ValueError, match="async_adapter"):
-            _run(_config(method="fedavg", round_mode="async", max_staleness=1))
+            run_fit(_config(method="fedavg", round_mode="async", max_staleness=1))
 
     def test_thread_overlap_invariants(self):
-        result, matrix = _run(
+        result, matrix = run_fit(
             _config(
                 round_mode="async",
                 max_staleness=2,
@@ -179,7 +149,7 @@ class TestAsyncEquivalence:
         monkeypatch.setattr(GramTracker, "update_row", spy_update)
         monkeypatch.setattr(GramTracker, "select_among", spy_select)
         k = BASE["num_clients"]
-        _run(_config(round_mode="async", max_staleness=2, execution="thread", workers=2))
+        run_fit(_config(round_mode="async", max_staleness=2, execution="thread", workers=2))
         assert len(landings) == BASE["rounds"] * k
         assert all(dots == landed for dots, landed in landings)
         assert sorted(landed for _dots, landed in landings) == sorted(
@@ -199,14 +169,14 @@ class TestAsyncEquivalence:
     def test_fault_composition_bitwise_sync_at_zero_staleness(self):
         # The S=0 window routes every round through the sync resilience
         # engine — same pre-drops, carries, quorum and analytic comm.
-        ref = _run(_config(**self.FAULTY))
-        got = _run(_config(round_mode="async", max_staleness=0, **self.FAULTY))
+        ref = run_fit(_config(**self.FAULTY))
+        got = run_fit(_config(round_mode="async", max_staleness=0, **self.FAULTY))
         failures = sum(
             len(r.extras.get("leg_failures", ()))
-            for r in ref[0].history.records
+            for r in ref.history.records
         )
         assert failures > 0
-        _assert_identical(ref, got)
+        assert_same_fit(ref, got)
 
     def test_fault_composition_overlapped(self):
         # S>0 cannot be bitwise sync even on the serial backend: a
@@ -215,7 +185,7 @@ class TestAsyncEquivalence:
         # overlapped driver must still compose the same seeded fault
         # decisions: carries surface as leg_failures, every round
         # completes under quorum, and the async counters stay sane.
-        result, matrix = _run(
+        result, matrix = run_fit(
             _config(round_mode="async", max_staleness=2, **self.FAULTY)
         )
         records = result.history.records
@@ -229,21 +199,6 @@ class TestAsyncEquivalence:
             info = r.extras["async"]
             assert ASYNC_KEYS <= set(info)
         assert matrix is not None and np.isfinite(matrix).all()
-
-
-class _VirtualTime:
-    """Injectable monotonic clock + sleep that never waits for real."""
-
-    def __init__(self):
-        self.now = 0.0
-        self.sleeps = []
-
-    def clock(self):
-        return self.now
-
-    def sleep(self, seconds):
-        self.sleeps.append(seconds)
-        self.now += seconds
 
 
 class _FailFirstLeg:
@@ -280,7 +235,7 @@ class _FailFirstLeg:
 
 
 class TestInjectableClock:
-    def test_retry_backoff_rides_injected_clock(self):
+    def test_retry_backoff_rides_injected_clock(self, virtual_time):
         # leg_backoff=5.0 would stall a real run for seconds; through
         # the injected clock the backoff is a bookkeeping entry and the
         # retried leg (whose client RNG was never advanced — it failed
@@ -293,26 +248,24 @@ class TestInjectableClock:
             leg_backoff=5.0,
             failure_policy="carry",
         )
-        clean = _run(config)
-        vt = _VirtualTime()
+        clean = run_fit(config)
+        vt = virtual_time
 
-        def mutate(sim):
-            sim.server.round_scheduler = AsyncRoundScheduler(
+        def install(server):
+            server.round_scheduler = AsyncRoundScheduler(
                 max_staleness=2, clock=vt.clock, sleep=vt.sleep
             )
-            sim.server.executor = _FailFirstLeg(
-                sim.server.executor
-            )
+            server.executor = _FailFirstLeg(server.executor)
 
         started = time.monotonic()
-        faulty = _run(config, mutate=mutate)
+        faulty = run_fit(config, install=install)
         elapsed = time.monotonic() - started
         # The 5 s backoff happened on the virtual clock only.
         assert vt.sleeps == [5.0]
         assert vt.now == 5.0
         assert elapsed < 4.0
-        clean_recs = clean[0].history.records
-        faulty_recs = faulty[0].history.records
+        clean_recs = clean.history.records
+        faulty_recs = faulty.history.records
         # Round 0 is deterministic: the retried leg failed *before*
         # training, so its retry trains the exact same state and RNG —
         # same uploads, same eval, one extra dispatch on the ledger.

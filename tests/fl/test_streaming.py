@@ -16,6 +16,7 @@ and FedGen's hook specs).
 import numpy as np
 import pytest
 
+from _fits import assert_same_fit, run_fit
 from repro.fl.config import FLConfig
 from repro.fl.registry import available_methods
 from repro.fl.simulation import FLSimulation
@@ -43,54 +44,27 @@ def _config(method: str, execution: str) -> FLConfig:
     )
 
 
-def _run(config: FLConfig, install=None):
-    """Run a fit; ``install(server)`` may swap in the gathered oracle."""
-    sim = FLSimulation(config)
-    if install is not None:
-        install(sim.server)
-    result = sim.run()
-    pool = getattr(sim.server, "pool", None)
-    matrix = np.array(pool.matrix, copy=True) if pool is not None else None
-    return result, matrix
-
-
-def _assert_identical(ref, got, label):
-    ref_result, ref_pool = ref
-    got_result, got_pool = got
-    for a, b in zip(ref_result.history.records, got_result.history.records):
-        assert a.accuracy == b.accuracy, label
-        assert a.loss == b.loss, label
-        assert a.train_loss == b.train_loss, label
-        assert a.comm_up_params == b.comm_up_params, label
-    for key in ref_result.final_state:
-        np.testing.assert_array_equal(
-            ref_result.final_state[key], got_result.final_state[key], err_msg=label
-        )
-    if ref_pool is not None:
-        np.testing.assert_array_equal(ref_pool, got_pool, err_msg=label)
-
-
 class TestStreamingBitIdentity:
     def test_all_seven_methods_registered(self):
         assert set(ALL_METHODS) <= set(available_methods())
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_serial_streaming_matches_gathered(self, method, gathered_collect):
-        ref = _run(_config(method, "serial"), gathered_collect)
-        got = _run(_config(method, "serial"))
-        _assert_identical(ref, got, f"{method}/serial")
+        ref = run_fit(_config(method, "serial"), install=gathered_collect)
+        got = run_fit(_config(method, "serial"))
+        assert_same_fit(ref, got, f"{method}/serial")
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_thread_streaming_matches_gathered(self, method, gathered_collect):
-        ref = _run(_config(method, "thread"), gathered_collect)
-        got = _run(_config(method, "thread"))
-        _assert_identical(ref, got, f"{method}/thread")
+        ref = run_fit(_config(method, "thread"), install=gathered_collect)
+        got = run_fit(_config(method, "thread"))
+        assert_same_fit(ref, got, f"{method}/thread")
 
     @pytest.mark.parametrize("method", ["fedcross", "scaffold", "fedgen"])
     def test_process_streaming_matches_gathered(self, method, gathered_collect):
-        ref = _run(_config(method, "process"), gathered_collect)
-        got = _run(_config(method, "process"))
-        _assert_identical(ref, got, f"{method}/process")
+        ref = run_fit(_config(method, "process"), install=gathered_collect)
+        got = run_fit(_config(method, "process"))
+        assert_same_fit(ref, got, f"{method}/process")
 
     # Cross-execution-backend streaming equality (the old ad-hoc
     # serial-vs-thread pairwise check) now lives in the full

@@ -33,6 +33,7 @@ the shard layout.
 import numpy as np
 import pytest
 
+from _fits import assert_same_fit, run_fit
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FLSimulation
 
@@ -73,38 +74,10 @@ def _config(method: str, backend: str, execution: str) -> FLConfig:
     )
 
 
-def _run(config: FLConfig, install=None):
-    """Run a fit; ``install(server)`` may swap in the gathered oracle."""
-    sim = FLSimulation(config)
-    if install is not None:
-        install(sim.server)
-    result = sim.run()
-    pool = getattr(sim.server, "pool", None)
-    matrix = np.array(pool.matrix, copy=True) if pool is not None else None
-    return result, matrix
-
-
-def _assert_identical(ref, got, label):
-    ref_result, ref_pool = ref
-    got_result, got_pool = got
-    for a, b in zip(ref_result.history.records, got_result.history.records):
-        assert a.accuracy == b.accuracy, label
-        assert a.loss == b.loss, label
-        assert a.train_loss == b.train_loss, label
-        assert a.comm_up_params == b.comm_up_params, label
-        assert a.comm_down_params == b.comm_down_params, label
-    for key in ref_result.final_state:
-        np.testing.assert_array_equal(
-            ref_result.final_state[key], got_result.final_state[key], err_msg=label
-        )
-    if ref_pool is not None:
-        np.testing.assert_array_equal(ref_pool, got_pool, err_msg=label)
-
-
 @pytest.fixture(scope="module")
 def fedcross_reference(gathered_collect):
     """The dense / serial / gathered FedCross leg, run once."""
-    return _run(_config("fedcross", "dense", "serial"), gathered_collect)
+    return run_fit(_config("fedcross", "dense", "serial"), install=gathered_collect)
 
 
 class TestFedCrossBackendMatrix:
@@ -118,11 +91,11 @@ class TestFedCrossBackendMatrix:
     ):
         if (backend, execution, streaming) == ("dense", "serial", False):
             pytest.skip("this cell is the reference leg")
-        got = _run(
+        got = run_fit(
             _config("fedcross", backend, execution),
-            None if streaming else gathered_collect,
+            install=None if streaming else gathered_collect,
         )
-        _assert_identical(
+        assert_same_fit(
             fedcross_reference,
             got,
             f"fedcross/{backend}/{execution}/"
@@ -142,17 +115,14 @@ class TestFedCrossBackendMatrix:
     def test_memmap_shard_placement_bit_identical_too(self, fedcross_reference):
         """`FLConfig.shard_placement="memmap"` (the pools-beyond-RAM
         layout) must reach the storage and stay bit-identical."""
-        config = _config("fedcross", "sharded", "serial").replace(
-            shard_placement="memmap"
+        servers = []
+        got = run_fit(
+            _config("fedcross", "sharded", "serial"),
+            install=servers.append,
+            shard_placement="memmap",
         )
-        sim = FLSimulation(config)
-        result = sim.run()
-        storage = sim.server.pool.storage
-        assert storage.placement == "memmap"
-        matrix = np.array(sim.server.pool.matrix, copy=True)
-        _assert_identical(
-            fedcross_reference, (result, matrix), "fedcross/sharded-memmap"
-        )
+        assert servers[0].pool.storage.placement == "memmap"
+        assert_same_fit(fedcross_reference, got, "fedcross/sharded-memmap")
 
 
 class TestConvKernelLeg:
@@ -170,9 +140,9 @@ class TestConvKernelLeg:
                 },
             )
 
-        ref = _run(config("serial"))
-        got = _run(config("thread"))
-        _assert_identical(ref, got, "fedcross/cnn_s/thread-vs-serial")
+        ref = run_fit(config("serial"))
+        got = run_fit(config("thread"))
+        assert_same_fit(ref, got, "fedcross/cnn_s/thread-vs-serial")
 
 
 class TestDistributedLeg:
@@ -192,11 +162,11 @@ class TestDistributedLeg:
     def test_fit_bit_identical_to_reference(
         self, fedcross_reference, gathered_collect, execution, streaming
     ):
-        got = _run(
+        got = run_fit(
             _config("fedcross", "distributed", execution),
-            None if streaming else gathered_collect,
+            install=None if streaming else gathered_collect,
         )
-        _assert_identical(
+        assert_same_fit(
             fedcross_reference,
             got,
             f"fedcross/distributed/{execution}/"
@@ -215,9 +185,9 @@ class TestDistributedLeg:
         """SCAFFOLD reads every upload state back on the coordinator
         (control-variate updates), driving the lazy remote-row fetch
         path — and its comm must match the serial reference's."""
-        ref = _run(_config("scaffold", "dense", "serial"))
-        got = _run(_config("scaffold", "distributed", "distributed"))
-        _assert_identical(ref, got, "scaffold/distributed/distributed")
+        ref = run_fit(_config("scaffold", "dense", "serial"))
+        got = run_fit(_config("scaffold", "distributed", "distributed"))
+        assert_same_fit(ref, got, "scaffold/distributed/distributed")
 
 
 class TestMethodCoverageAcrossStorage:
@@ -228,9 +198,9 @@ class TestMethodCoverageAcrossStorage:
     @pytest.mark.parametrize("method", ["fedavg", "scaffold"])
     @pytest.mark.parametrize("backend", ["memmap", "sharded", "distributed"])
     def test_history_and_state_bit_identical_to_dense(self, method, backend):
-        ref = _run(_config(method, "dense", "serial"))
-        got = _run(_config(method, backend, "serial"))
-        _assert_identical(ref, got, f"{method}/{backend}")
+        ref = run_fit(_config(method, "dense", "serial"))
+        got = run_fit(_config(method, backend, "serial"))
+        assert_same_fit(ref, got, f"{method}/{backend}")
 
 
 HOOK_METHODS = ("scaffold", "fedgen", "fedprox")
@@ -238,10 +208,9 @@ HOOK_METHODS = ("scaffold", "fedgen", "fedprox")
 
 def _run_hooked(config: FLConfig):
     """A fit plus SCAFFOLD's final global control variate (or ``None``)."""
-    sim = FLSimulation(config)
-    result = sim.run()
-    c_global = getattr(sim.server, "_c_global", None)
-    return (result, None), c_global
+    servers = []
+    fit = run_fit(config, install=servers.append)
+    return fit, getattr(servers[0], "_c_global", None)
 
 
 @pytest.fixture(scope="module")
@@ -273,7 +242,7 @@ class TestHookMethodsAcrossExecution:
         ref, ref_c = hook_references(method)
         got, got_c = _run_hooked(_config(method, backend, execution))
         label = f"{method}/{backend}/{execution}"
-        _assert_identical(ref, got, label)
+        assert_same_fit(ref, got, label)
         if method == "scaffold":
             assert np.any(ref_c != 0), label
             assert got_c.dtype == ref_c.dtype, label
@@ -306,9 +275,9 @@ class TestAsyncRoundLeg:
         config = _config("fedcross", backend, execution).replace(
             round_mode="async", max_staleness=0
         )
-        _assert_identical(
+        assert_same_fit(
             fedcross_reference,
-            _run(config),
+            run_fit(config),
             f"fedcross/{backend}/{execution}/async-s0",
         )
 
@@ -316,8 +285,8 @@ class TestAsyncRoundLeg:
         config = _config("fedcross", "dense", "serial").replace(
             round_mode="async", max_staleness=2
         )
-        _assert_identical(
-            fedcross_reference, _run(config), "fedcross/dense/serial/async-s2"
+        assert_same_fit(
+            fedcross_reference, run_fit(config), "fedcross/dense/serial/async-s2"
         )
 
     @pytest.mark.parametrize(
@@ -327,7 +296,7 @@ class TestAsyncRoundLeg:
         config = _config("fedcross", backend, execution).replace(
             round_mode="async", max_staleness=2
         )
-        result, matrix = _run(config)
+        result, matrix = run_fit(config)
         records = result.history.records
         assert [r.round_idx for r in records] == list(
             range(config.rounds)

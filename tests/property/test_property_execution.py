@@ -12,11 +12,10 @@ Examples are deliberately few — every draw runs three full FL
 simulations, one of them on a real worker-process pool.
 """
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from _fits import assert_same_fit, run_fit
 from repro.fl.config import FLConfig
-from repro.fl.simulation import FLSimulation
 
 
 def _config(method: str, seed: int, heterogeneity) -> FLConfig:
@@ -37,36 +36,6 @@ def _config(method: str, seed: int, heterogeneity) -> FLConfig:
     )
 
 
-def _run(config: FLConfig, install=None):
-    """Run a fit; ``install(server)`` may swap in the gathered oracle."""
-    sim = FLSimulation(config)
-    if install is not None:
-        install(sim.server)
-    result = sim.run()
-    pool = getattr(sim.server, "pool", None)
-    pool_matrix = np.array(pool.matrix, copy=True) if pool is not None else None
-    return result, pool_matrix
-
-
-def _assert_bit_identical(reference, other, label: str) -> None:
-    ref_result, ref_pool = reference
-    got_result, got_pool = other
-    ref_records = ref_result.history.records
-    got_records = got_result.history.records
-    assert len(ref_records) == len(got_records), label
-    for a, b in zip(ref_records, got_records):
-        assert a.accuracy == b.accuracy, label
-        assert a.loss == b.loss, label
-        assert a.train_loss == b.train_loss, label
-        assert a.comm_up_params == b.comm_up_params, label
-    for key in ref_result.final_state:
-        np.testing.assert_array_equal(
-            ref_result.final_state[key], got_result.final_state[key], err_msg=label
-        )
-    if ref_pool is not None:
-        np.testing.assert_array_equal(ref_pool, got_pool, err_msg=label)
-
-
 @given(
     method=st.sampled_from(["fedcross", "fedprox"]),
     seed=st.integers(0, 1_000),
@@ -75,10 +44,10 @@ def _assert_bit_identical(reference, other, label: str) -> None:
 @settings(max_examples=4, deadline=None)
 def test_backends_bit_identical_on_seed_cnn(method, seed, heterogeneity):
     base = _config(method, seed, heterogeneity)
-    reference = _run(base)
+    reference = run_fit(base)
     for execution in ("thread", "process"):
-        got = _run(base.replace(execution=execution, workers=2))
-        _assert_bit_identical(reference, got, f"{method}/{execution}/seed={seed}")
+        got = run_fit(base.replace(execution=execution, workers=2))
+        assert_same_fit(reference, got, f"{method}/{execution}/seed={seed}")
 
 
 @given(
@@ -92,9 +61,9 @@ def test_streaming_bit_identical_to_gathered_per_backend(gathered_collect, metho
     including FedCross's incrementally tracked Gram (update order varies
     with completion order) and SCAFFOLD's shm-deduped control variates."""
     base = _config(method, seed, 0.5)
-    reference = _run(base, gathered_collect)
+    reference = run_fit(base, install=gathered_collect)
     for execution in ("serial", "thread", "process"):
-        got = _run(base.replace(execution=execution, workers=2))
-        _assert_bit_identical(
+        got = run_fit(base.replace(execution=execution, workers=2))
+        assert_same_fit(
             reference, got, f"{method}/{execution}/streaming/seed={seed}"
         )

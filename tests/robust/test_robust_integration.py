@@ -3,25 +3,12 @@
 import numpy as np
 import pytest
 
+from _fits import BASE, assert_same_fit, extras, records, run_fit
 from repro.distributed.cluster import shutdown_clusters
 from repro.faults.inject import UploadDropper
 from repro.faults.model import ClientPopulation
 from repro.fl.callbacks import ServerCallback
-from repro.fl.config import FLConfig
-from repro.fl.simulation import run_simulation
 
-BASE = dict(
-    method="fedcross",
-    dataset="synth_cifar10",
-    model="logreg",
-    num_clients=8,
-    participation=0.5,
-    local_epochs=1,
-    batch_size=16,
-    rounds=3,
-    seed=7,
-    dataset_params={"samples_per_client": 20, "num_test": 40},
-)
 
 SIGNFLIP = {"byzantine_frac": 0.25, "attack": "sign_flip"}
 # Seed 7 over 8 clients draws exactly these adversaries (static mask).
@@ -32,33 +19,6 @@ BYZANTINE_CLIENTS = [3, 4, 6]
 def _fresh_fleet():
     yield
     shutdown_clusters()
-
-
-def _run(callbacks=None, **overrides):
-    return run_simulation(FLConfig(**{**BASE, **overrides}), callbacks=callbacks)
-
-
-def _records(result, comm=True):
-    return [
-        (r.accuracy, r.loss, r.train_loss)
-        + ((r.comm_up_params, r.comm_down_params) if comm else ())
-        for r in result.history.records
-    ]
-
-
-def _assert_identical(a, b, comm=True):
-    assert _records(a, comm=comm) == _records(b, comm=comm)
-    assert sorted(a.final_state) == sorted(b.final_state)
-    for key in a.final_state:
-        np.testing.assert_array_equal(a.final_state[key], b.final_state[key])
-
-
-def _suspects(result):
-    return [
-        s
-        for r in result.history.records
-        for s in r.extras.get("suspect_uploads", ())
-    ]
 
 
 class _InstallDropper(ServerCallback):
@@ -83,46 +43,48 @@ class TestBenignIdentity:
         # fault engine engaged — with no adversaries the whole robust
         # layer must reproduce the reference bit for bit, analytic
         # communication ledger included.
-        reference = _run()
-        engaged = _run(
+        reference = run_fit(BASE)
+        engaged = run_fit(
+            BASE,
             aggregator="mean",
             screen="flag",
             faults={"byzantine_frac": 0.0},
             failure_policy="carry",
         )
-        _assert_identical(reference, engaged)
-        assert _suspects(engaged) == []
+        assert_same_fit(reference, engaged)
+        assert extras(engaged, "suspect_uploads") == []
 
     def test_zero_byzantine_fraction_is_benign_for_every_operator(self):
         # Operator params reach the registry untouched; a benign run
         # through each robust operator completes and evaluates.
         for name in ("trimmed_mean", "coordinate_median", "norm_clip"):
-            result = _run(aggregator=name, rounds=1)
+            result = run_fit(BASE, aggregator=name, rounds=1)
             assert len(result.history.records) == 1
 
 
 class TestSeededAttackDeterminism:
     def test_sign_flip_identical_across_backends(self):
         attacked = dict(faults=SIGNFLIP, failure_policy="carry")
-        serial = _run(**attacked)
-        reference = _run()
+        serial = run_fit(BASE, **attacked)
+        reference = run_fit(BASE)
         # The attack engaged and changed the run.
-        assert _records(serial) != _records(reference)
-        thread = _run(execution="thread", workers=2, **attacked)
-        _assert_identical(serial, thread)
-        distributed = _run(
+        assert records(serial) != records(reference)
+        thread = run_fit(BASE, execution="thread", workers=2, **attacked)
+        assert_same_fit(serial, thread)
+        distributed = run_fit(
+            BASE,
             backend="distributed", hosts=2, execution="distributed", **attacked
         )
-        _assert_identical(serial, distributed)
+        assert_same_fit(serial, distributed)
 
     def test_gauss_noise_identical_serial_vs_thread(self):
         attacked = dict(
             faults={"byzantine_frac": 0.25, "attack": "gauss_noise"},
             failure_policy="carry",
         )
-        serial = _run(**attacked)
-        thread = _run(execution="thread", workers=2, **attacked)
-        _assert_identical(serial, thread)
+        serial = run_fit(BASE, **attacked)
+        thread = run_fit(BASE, execution="thread", workers=2, **attacked)
+        assert_same_fit(serial, thread)
 
     def test_retried_byzantine_leg_lands_identical_bytes(self):
         # Every client's first upload is dropped after training; the
@@ -130,16 +92,17 @@ class TestSeededAttackDeterminism:
         # the seeded stream, so everything but the communication bill
         # matches the undropped attacked run.
         attacked = dict(faults=SIGNFLIP, failure_policy="carry")
-        reference = _run(**attacked)
+        reference = run_fit(BASE, **attacked)
         installer = _InstallDropper(range(BASE["num_clients"]), times=1)
-        retried = _run(
+        retried = run_fit(
+            BASE,
             callbacks=[installer],
             leg_retries=1,
             leg_backoff=0.001,
             **attacked,
         )
         assert installer.dropper is not None and installer.dropper.dropped > 0
-        _assert_identical(reference, retried, comm=False)
+        assert_same_fit(reference, retried, comm=False)
 
     def test_redispatched_byzantine_leg_redraws_its_attack(self):
         # A Byzantine client's upload is dropped with no retry budget;
@@ -152,12 +115,12 @@ class TestSeededAttackDeterminism:
             participation=1.0,
             rounds=2,
         )
-        reference = _run(**attacked)
+        reference = run_fit(BASE, **attacked)
         installer = _InstallDropper(BYZANTINE_CLIENTS, times=1)
-        redispatched = _run(callbacks=[installer], **attacked)
+        redispatched = run_fit(BASE, callbacks=[installer], **attacked)
         assert installer.dropper is not None
         assert installer.dropper.dropped == len(BYZANTINE_CLIENTS)
-        _assert_identical(reference, redispatched, comm=False)
+        assert_same_fit(reference, redispatched, comm=False)
         # The reissues cost extra downlink, never extra uplink.
         ref, red = reference.history.records, redispatched.history.records
         assert sum(r.comm_down_params for r in red) > sum(
@@ -179,16 +142,12 @@ class TestSeededAttackDeterminism:
             / "faults" / "scenarios" / "byzantine_mixed.json"
         )
         mixed = dict(faults=path, failure_policy="redispatch", quorum=0.25)
-        serial = _run(**mixed)
-        thread = _run(execution="thread", workers=2, **mixed)
-        _assert_identical(serial, thread)
-        failures = [
-            s
-            for r in serial.history.records
-            for s in r.extras.get("leg_failures", ())
-        ]
+        serial = run_fit(BASE, **mixed)
+        thread = run_fit(BASE, execution="thread", workers=2, **mixed)
+        assert_same_fit(serial, thread)
+        failures = extras(serial, "leg_failures")
         assert failures  # seed 7 churns every run under this scenario
-        assert _records(serial) != _records(_run())
+        assert records(serial) != records(run_fit(BASE))
 
     def test_byzantine_mask_is_static_and_seeded(self):
         pop = ClientPopulation(SIGNFLIP, seed=BASE["seed"], num_clients=8)
@@ -199,7 +158,7 @@ class TestSeededAttackDeterminism:
     def test_quorum_counts_attacked_legs_as_fresh(self):
         # Attacked legs land uploads, so a full quorum holds even when
         # every Byzantine client participates.
-        result = _run(faults=SIGNFLIP, failure_policy="carry", quorum=1.0)
+        result = run_fit(BASE, faults=SIGNFLIP, failure_policy="carry", quorum=1.0)
         assert len(result.history.records) == BASE["rounds"]
 
 
@@ -216,8 +175,8 @@ class TestScreening:
             def on_suspect_upload(self, server, record):
                 seen.append(record)
 
-        result = _run(callbacks=[Recorder()], screen="flag", **self.FULL)
-        suspects = _suspects(result)
+        result = run_fit(BASE, callbacks=[Recorder()], screen="flag", **self.FULL)
+        suspects = extras(result, "suspect_uploads")
         assert suspects  # sign-flipped uploads are far outside the cluster
         for summary in suspects:
             assert set(summary) == {
@@ -236,18 +195,18 @@ class TestScreening:
     def test_flag_mode_only_observes(self):
         # Flag-mode screening is a pure observer: the numbers match the
         # unscreened attacked run exactly.
-        plain = _run(**self.FULL)
-        flagged = _run(screen="flag", **self.FULL)
-        _assert_identical(plain, flagged)
+        plain = run_fit(BASE, **self.FULL)
+        flagged = run_fit(BASE, screen="flag", **self.FULL)
+        assert_same_fit(plain, flagged)
 
     def test_carry_mode_quarantines_suspect_rows(self):
-        flagged = _run(screen="flag", **self.FULL)
-        carried = _run(screen="carry", **self.FULL)
-        suspects = _suspects(carried)
+        flagged = run_fit(BASE, screen="flag", **self.FULL)
+        carried = run_fit(BASE, screen="carry", **self.FULL)
+        suspects = extras(carried, "suspect_uploads")
         assert suspects and all(s["action"] == "carry" for s in suspects)
         # Quarantine changes the aggregate: the poisoned rows were
         # replaced by their dispatched middleware states.
-        assert _records(carried, comm=False) != _records(flagged, comm=False)
+        assert records(carried, comm=False) != records(flagged, comm=False)
 
 
 class TestRobustAccuracy:
@@ -282,8 +241,7 @@ class TestRobustAccuracy:
     )
 
     def _accuracy(self, **overrides):
-        result = run_simulation(FLConfig(**{**self.CNN, **overrides}))
-        return result.history.records[-1].accuracy
+        return run_fit(self.CNN, **overrides).history.records[-1].accuracy
 
     # Four CNN fits (~10 s): out of tier-1's one-minute budget, but the
     # blocking "Robust-aggregation attack matrix" CI step selects slow

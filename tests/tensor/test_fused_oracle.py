@@ -284,7 +284,7 @@ class TestGradSink:
     sink's own array and layout."""
 
     @staticmethod
-    def _run(shape, uses, sink_dtype_grad, bind):
+    def _backward(shape, uses, sink_dtype_grad, bind):
         rng = np.random.default_rng(sum(shape) + uses)
         w = Parameter(rng.standard_normal(shape).astype(np.float32))
         xs = [
@@ -309,8 +309,8 @@ class TestGradSink:
     def test_landed_gradient_equals_the_unbound_one(self, shape, uses, grad_dtype):
         """(64, 768) and (512, 130) arrive transposed and past the block
         threshold: they land in column blocks."""
-        got = self._run(shape, uses, grad_dtype, bind=True)
-        want = self._run(shape, uses, grad_dtype, bind=False)
+        got = self._backward(shape, uses, grad_dtype, bind=True)
+        want = self._backward(shape, uses, grad_dtype, bind=False)
         assert got.dtype == want.dtype == np.float32
         assert np.array_equal(got, want)
 
