@@ -115,7 +115,7 @@ class FedCrossServer(FederatedServer):
         # replaces the base class's single global row.
         self._pool = PoolBuffer.broadcast(
             self._layout, self._global, k, backend=self.backend,
-            backend_options=self.backend_options,
+            backend_options=self.row_options,
         )
         self._global = None
         self.result_extras: dict = {}
@@ -152,7 +152,7 @@ class FedCrossServer(FederatedServer):
     def middleware(self, states: Sequence[Mapping[str, np.ndarray]]) -> None:
         self._pool = PoolBuffer.from_states(
             list(states), layout=self._layout, dtype=np.float32,
-            backend=self.backend, backend_options=self.backend_options,
+            backend=self.backend, backend_options=self.row_options,
         )
         self._pool_gram = None  # pool replaced outside the tracked flow
 
@@ -429,7 +429,7 @@ class FedCrossServer(FederatedServer):
         """
         self._pool = PoolBuffer.broadcast(
             self._layout, row, len(self._pool), backend=self.backend,
-            backend_options=self.backend_options,
+            backend_options=self.row_options,
         )
         self._pool_gram = None  # pool replaced outside the tracked flow
 
@@ -538,8 +538,9 @@ class FedCrossAsyncAdapter:
 
     # -- scheduler-facing API ----------------------------------------------
     def plan_row(self, row: int) -> np.ndarray:
-        """Private copy of pool row ``row`` (speculation-race safe)."""
-        return self.server._pool.row(int(row)).copy()
+        """Private copy of pool row ``row`` (speculation-race safe), where
+        the server's legs can read it."""
+        return self.server._leg_row(self.server._pool.row(int(row)))
 
     def version_of(self, row: int) -> int:
         return self.row_version[int(row)]

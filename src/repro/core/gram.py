@@ -31,8 +31,10 @@ What the call does depends on where the rows live.
 the pool itself: one storage-backed ``(K, p_eff)`` float64 buffer per
 live upload buffer, allocated through the pool's own storage
 (``allocate_like``, so it has the pool's shard count and medium: one
-in-RAM array on ``dense``, one file on ``memmap``, a file per shard on
-``sharded`` with memmap placement) on the round's first upload.  The
+in-RAM array on ``dense`` — also when a ``process`` run keeps the pool
+in shared memory, since the image is private — one file on ``memmap``,
+a file per shard on ``sharded`` with memmap placement; files are
+recycled round to round) on the round's first upload.  The
 tracker keeps the **reported set**: the rows ``update_row`` has been
 called for since the last :meth:`~GramTracker.release`.
 
@@ -227,7 +229,7 @@ class GramTracker:
         if self._image is None:
             mask, masked, p_eff = self.pool._mask_info(self.param_keys)
             self._mask = mask if masked else None
-            self._image = self.pool.storage.allocate_like((k, p_eff), np.float64)
+            self._image = self.pool.storage.allocate_like((k, p_eff), np.float64, private=True)
             self._rows = [None] * k
         self._cast(index)
         self._reported[index] = self._incomplete[index] = True

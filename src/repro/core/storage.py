@@ -24,6 +24,27 @@ local medium and one for shard-host processes.
     shard of that medium: the in-RAM default, and one file-backed
     matrix that keeps the resident pool buffers off the heap at the
     cost of page-cache traffic.
+
+Media and their free lists
+--------------------------
+A shard lives on the heap, in a temporary file (``memmap``) or in a
+POSIX shared-memory segment (``shm``).  The third is no placement a
+user names: a server whose execution backend declares
+``legs_map_rows`` (``process``) passes :func:`shared_medium` as the
+``medium`` option of its pool and upload buffers and takes its global
+rows from it, so worker processes train in those rows in place,
+addressed by :func:`row_handle` / :func:`open_handle` (a ``memmap``
+server's medium is its files, already shared by path).  Storages
+derived from one another (``allocate_like``, ``clone``) share one
+medium object, their *family*: a file or segment whose array and every
+view of it are gone returns to the family's free list, the next
+allocation of the same size takes it zeroed, and the family removes
+what is left when it is collected (or at interpreter exit) — so a
+round's pool, Gram image and global row reuse the last round's instead
+of creating and unlinking new ones.  Coordinator-private scratch stays
+on the heap: ``allocate_like(..., private=True)`` (the Gram tracker's
+float64 image) leaves shared memory for the heap, as do the
+coordinator's other temporaries.
 ``distributed``
     :class:`repro.distributed.storage.DistributedStorage` (lazily
     registered): each contiguous row shard lives in a ``ShardHost``
@@ -71,9 +92,9 @@ CI bench smoke and the sharded large-K stress test assert the
 peak-allocation bounds.  The incremental
 :class:`repro.core.gram.GramTracker` keeps its one pool-sized float64
 object — the ``(K, p_eff)`` image of the masked rows — in storage
-obtained from :meth:`PoolStorage.allocate_like`, so it lives on the
-pool's own medium, and answers every query with pure ``(K, K)``
-algebra.
+obtained from :meth:`PoolStorage.allocate_like` (``private``: on the
+pool's own medium, except that shared memory gives way to the heap),
+and answers every query with pure ``(K, K)`` algebra.
 
 Backends register themselves on :data:`POOL_BACKENDS` via
 :func:`register_backend`; a third-party backend implements
@@ -90,6 +111,7 @@ every registered backend to ``dense`` op by op, and
 from __future__ import annotations
 
 import bisect
+import mmap
 import os
 import tempfile
 import weakref
@@ -168,13 +190,16 @@ class PoolStorage:
         """Independent storage with the same values, same backend."""
         raise NotImplementedError
 
-    def allocate_like(self, shape: tuple[int, int], dtype=np.float32) -> "PoolStorage":
+    def allocate_like(
+        self, shape: tuple[int, int], dtype=np.float32, private: bool = False
+    ) -> "PoolStorage":
         """Fresh zeroed storage preserving this instance's configuration.
 
         Derived pools (``cross_aggregate`` outputs, copies) and the
         Gram tracker's float64 row image allocate through the
         *instance* so option-carrying backends (shard count/placement)
-        propagate.
+        propagate.  ``private``: scratch only this process reads (the
+        Gram image), kept on the heap rather than in shared memory.
         """
         raise NotImplementedError
 
@@ -296,30 +321,167 @@ class PoolStorage:
             )
 
 
-def _remove_file(path: str) -> None:
-    try:
-        os.remove(path)
-    except OSError:  # already gone / directory vanished
-        pass
+class _File:
+    """A temporary file under ``REPRO_MEMMAP_DIR``, mapped as ``np.memmap``."""
+
+    def __init__(self, nbytes: int) -> None:
+        directory = os.environ.get("REPRO_MEMMAP_DIR") or None
+        fd, self.path = tempfile.mkstemp(prefix="repro-pool-", suffix=".mm", dir=directory)
+        os.ftruncate(fd, nbytes)  # a fresh file reads as zeros
+        os.close(fd)
+        self.token = ("file", self.path)
+
+    def map(self, shape, dtype) -> np.ndarray:
+        return np.memmap(self.path, dtype=dtype, mode="r+", shape=shape)
+
+    def remove(self) -> None:
+        try:
+            os.remove(self.path)
+        except OSError:  # already gone / directory vanished
+            pass
 
 
-def _memmap(shape: tuple[int, int], dtype) -> np.memmap:
-    """Zero-filled ``np.memmap`` over a fresh temporary file under
-    ``REPRO_MEMMAP_DIR``, removed once the array and its views are gone."""
-    directory = os.environ.get("REPRO_MEMMAP_DIR") or None
-    fd, path = tempfile.mkstemp(prefix="repro-pool-", suffix=".mm", dir=directory)
-    os.close(fd)
-    # A fresh w+ memmap is zero-filled by the OS already.
-    array = np.memmap(path, dtype=np.dtype(dtype), mode="w+", shape=tuple(shape))
-    weakref.finalize(array, _remove_file, path)
-    return array
+class _Segment:
+    """A POSIX shared-memory segment (``multiprocessing.shared_memory``)."""
+
+    def __init__(self, nbytes: int) -> None:
+        from multiprocessing import shared_memory
+
+        self.shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
+        self.token = ("shm", self.shm.name)
+
+    def map(self, shape, dtype) -> np.ndarray:
+        return np.ndarray(shape, dtype=dtype, buffer=self.shm.buf)
+
+    def remove(self) -> None:
+        try:
+            self.shm.close()
+        except BufferError:  # an array still maps it at interpreter exit
+            pass
+        try:
+            self.shm.unlink()
+        except FileNotFoundError:
+            pass
 
 
-# The media a shard can live on: allocators of a zeroed ``(rows, P)`` array.
-_MEDIA = {
-    "dense": lambda shape, dtype: np.zeros(shape, dtype=dtype),
-    "memmap": _memmap,
-}
+# Files and segments made so far, by medium (the lifecycle tests' probe).
+_created = {"memmap": 0, "shm": 0}
+# id(root array) -> (token, address) of every live file or segment mapping.
+_MAPPED: dict[int, tuple] = {}
+
+
+def _remove_all(free: dict) -> None:
+    for segments in free.values():
+        for segment in segments:
+            segment.remove()
+    free.clear()
+
+
+class _Medium:
+    """Where one family of storages keeps its shards, and the family's
+    free list.
+
+    ``kind`` is ``dense`` (the heap), ``memmap`` (temporary files) or
+    ``shm`` (shared-memory segments).  Storages derived from one another
+    (``allocate_like``, ``clone``) share their medium.  A file or
+    segment whose array (with every view of it) is gone goes back to the
+    free list, and the family's next allocation of the same size takes
+    it, zeroed; what is on the list when the family itself is collected
+    (or at interpreter exit) is removed then.
+    """
+
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
+        self._free: dict[int, list] = {}
+        self._finalizer = weakref.finalize(self, _remove_all, self._free)
+
+    def take(self, shape, dtype) -> np.ndarray:
+        """A zeroed ``shape`` array of ``dtype`` on this medium."""
+        shape, dtype = tuple(int(s) for s in shape), np.dtype(dtype)
+        if self.kind == "dense":
+            return np.zeros(shape, dtype=dtype)
+        nbytes = int(np.prod(shape)) * dtype.itemsize
+        free = self._free.get(nbytes)
+        if free:
+            segment = free.pop()
+            root = segment.map(shape, dtype)
+            root.fill(0)
+        else:
+            segment = (_File if self.kind == "memmap" else _Segment)(nbytes)
+            _created[self.kind] += 1
+            root = segment.map(shape, dtype)
+        _MAPPED[id(root)] = (segment.token, root.ctypes.data)
+        # Views keep their root alive, so the segment is released only
+        # once nothing in this process can still read it.
+        weakref.finalize(root, self._give_back, id(root), nbytes, segment)
+        return root
+
+    def _give_back(self, key: int, nbytes: int, segment) -> None:
+        _MAPPED.pop(key, None)
+        if self._finalizer.alive:
+            self._free.setdefault(nbytes, []).append(segment)
+        else:
+            segment.remove()
+
+    def private(self) -> "_Medium":
+        """The medium for this family's coordinator-private scratch: the
+        heap instead of shared memory; memmap stays on its files."""
+        return _HEAP if self.kind == "shm" else self
+
+
+_HEAP = _Medium("dense")
+
+
+def shared_medium(on_disk: bool = False) -> _Medium:
+    """A fresh storage family whose rows another process can map:
+    shared-memory segments, or memmap files (``on_disk``).  Passed as
+    the ``medium`` storage option, every storage allocated with it (and
+    derived from those) recycles one free list."""
+    return _Medium("memmap" if on_disk else "shm")
+
+
+def row_handle(array) -> "tuple | None":
+    """Picklable ``(token, offset, shape, dtype)`` naming ``array`` — a
+    contiguous view into a live memmap file or shared-memory segment of
+    this process — for :func:`open_handle` in any process; ``None`` for
+    anything else (heap rows, remote row references)."""
+    if not isinstance(array, np.ndarray) or not array.flags.c_contiguous:
+        return None
+    root = array
+    while id(root) not in _MAPPED:
+        root = root.base
+        if not isinstance(root, np.ndarray):
+            return None
+    token, address = _MAPPED[id(root)]
+    return (token, array.ctypes.data - address, array.shape, array.dtype.str)
+
+
+def open_handle(handle: tuple, mappings: dict) -> np.ndarray:
+    """The writable array ``handle`` (:func:`row_handle`) names, mapped in
+    this process.  ``mappings`` caches each file or segment's mapping
+    by token; the caller drops an entry to unmap it."""
+    token, offset, shape, dtype = handle
+    whole = mappings.get(token)
+    if whole is None:
+        kind, name = token
+        if kind == "file":
+            whole = np.memmap(name, dtype=np.uint8, mode="r+")
+        else:
+            # Not through multiprocessing.shared_memory: attaching there
+            # registers the name with this process's resource tracker,
+            # which unlinks it at exit unless it is the creator's.
+            import _posixshmem
+
+            fd = _posixshmem.shm_open("/" + name, os.O_RDWR, mode=0o600)
+            try:
+                whole = np.frombuffer(mmap.mmap(fd, os.fstat(fd).st_size), np.uint8)
+            finally:
+                os.close(fd)
+        mappings[token] = whole
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    return whole[offset : offset + nbytes].view(dtype).reshape(shape)
+
 
 # Default shard count when neither the ``shards`` option nor the
 # ``REPRO_POOL_SHARDS`` environment override names one.
@@ -350,6 +512,9 @@ class ShardedStorage(PoolStorage):
         ``np.ndarray``) or ``"memmap"`` (an ``np.memmap`` over its own
         temporary file: pools beyond RAM, the layout the large-K stress
         test drives).
+    ``medium``
+        In place of ``placement``, a family to allocate in
+        (:func:`shared_medium`); no config field or flag sets it.
 
     Shard-local spans are zero-copy views into the owning shard,
     cross-shard blocks bounded gathered copies holding the same values
@@ -361,42 +526,43 @@ class ShardedStorage(PoolStorage):
     """
 
     def __init__(self, shards: Sequence[np.ndarray], boundaries: Sequence[int],
-                 requested_shards: int, placement: str) -> None:
+                 requested_shards: int, medium: _Medium) -> None:
         if len(boundaries) != len(shards) + 1:
             raise ValueError("boundaries must have one more entry than shards")
         self._shards = list(shards)
         self._boundaries = tuple(int(b) for b in boundaries)
         self._requested_shards = int(requested_shards)
-        self._placement = placement
+        self._medium = medium
         self._shape = (self._boundaries[-1], int(self._shards[0].shape[1]))
 
     # -- construction ------------------------------------------------------
     @classmethod
-    def _resolve_options(cls, shards, placement) -> tuple[int, str]:
+    def _resolve_options(cls, shards, placement, medium=None) -> tuple[int, _Medium]:
         if shards is None:
             shards = int(os.environ.get("REPRO_POOL_SHARDS") or _DEFAULT_SHARDS)
         shards = int(shards)
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        placement = str(placement).lower()
-        if placement not in _MEDIA:
-            raise ValueError(
-                f"shard placement must be one of {sorted(_MEDIA)}, got {placement!r}"
-            )
-        return shards, placement
+        if medium is None:
+            placement = str(placement).lower()
+            if placement not in ("dense", "memmap"):
+                raise ValueError(
+                    f"shard placement must be one of ['dense', 'memmap'], got {placement!r}"
+                )
+            medium = _HEAP if placement == "dense" else _Medium(placement)
+        return shards, medium
 
     @classmethod
-    def _allocate(cls, shape, dtype, shards: int, placement: str) -> "ShardedStorage":
+    def _allocate(cls, shape, dtype, shards: int, medium: _Medium) -> "ShardedStorage":
         k, p = int(shape[0]), int(shape[1])
         bounds = _even_boundaries(k, shards)
-        make = _MEDIA[placement]
-        pieces = [make((b1 - b0, p), dtype) for b0, b1 in zip(bounds, bounds[1:])]
-        return cls(pieces, bounds, shards, placement)
+        pieces = [medium.take((b1 - b0, p), dtype) for b0, b1 in zip(bounds, bounds[1:])]
+        return cls(pieces, bounds, shards, medium)
 
     @classmethod
-    def _from_array(cls, array, shards: int, placement: str) -> "ShardedStorage":
+    def _from_array(cls, array, shards: int, medium: _Medium) -> "ShardedStorage":
         array = np.asarray(array)
-        storage = cls._allocate(array.shape, array.dtype, shards, placement)
+        storage = cls._allocate(array.shape, array.dtype, shards, medium)
         for (start, stop), piece in zip(storage.shard_spans(), storage._shards):
             piece[:] = array[start:stop]
         return storage
@@ -404,20 +570,21 @@ class ShardedStorage(PoolStorage):
     @classmethod
     def allocate(
         cls, shape, dtype=np.float32, *, shards: int | None = None,
-        placement: str = "dense", **options,
+        placement: str = "dense", medium: _Medium | None = None, **options,
     ) -> "ShardedStorage":
         cls._reject_options(options)
-        return cls._allocate(shape, dtype, *cls._resolve_options(shards, placement))
+        return cls._allocate(shape, dtype, *cls._resolve_options(shards, placement, medium))
 
     @classmethod
     def from_array(
         cls, array: np.ndarray, *, shards: int | None = None,
-        placement: str = "dense",
+        placement: str = "dense", medium: _Medium | None = None,
     ) -> "ShardedStorage":
-        return cls._from_array(array, *cls._resolve_options(shards, placement))
+        return cls._from_array(array, *cls._resolve_options(shards, placement, medium))
 
-    def allocate_like(self, shape, dtype=np.float32) -> "ShardedStorage":
-        return type(self)._allocate(shape, dtype, self._requested_shards, self._placement)
+    def allocate_like(self, shape, dtype=np.float32, private: bool = False) -> "ShardedStorage":
+        medium = self._medium.private() if private else self._medium
+        return type(self)._allocate(shape, dtype, self._requested_shards, medium)
 
     def clone(self) -> "ShardedStorage":
         out = self.allocate_like(self._shape, self.dtype)
@@ -432,8 +599,9 @@ class ShardedStorage(PoolStorage):
 
     @property
     def placement(self) -> str:
-        """The medium every shard lives on (``dense`` / ``memmap``)."""
-        return self._placement
+        """The medium every shard lives on (``dense`` / ``memmap``, or
+        ``shm`` for a server whose legs map its rows)."""
+        return self._medium.kind
 
     @property
     def shards(self) -> tuple[np.ndarray, ...]:
@@ -562,7 +730,7 @@ class ShardedStorage(PoolStorage):
         k, p = self._shape
         return (
             f"{type(self).__name__}(shape=({k}, {p}), dtype={self.dtype}, "
-            f"shards={self.num_shards}, placement={self._placement!r})"
+            f"shards={self.num_shards}, placement={self.placement!r})"
         )
 
 
@@ -571,18 +739,20 @@ class DenseStorage(ShardedStorage):
     """``sharded`` at one in-RAM shard — the default backend."""
 
     @classmethod
-    def allocate(cls, shape, dtype=np.float32, **options) -> "DenseStorage":
+    def allocate(cls, shape, dtype=np.float32, *, medium=None, **options) -> "DenseStorage":
         cls._reject_options(options)
-        return cls._allocate(shape, dtype, 1, "dense")
+        return cls._allocate(shape, dtype, 1, medium or _HEAP)
 
     @classmethod
-    def from_array(cls, array: np.ndarray) -> "DenseStorage":
+    def from_array(cls, array: np.ndarray, *, medium=None) -> "DenseStorage":
+        if medium is not None:
+            return cls._from_array(array, 1, medium)
         # Adopts without copying: PoolBuffer operations hand freshly
         # computed arrays here, and copying would double peak memory.
         array = np.asarray(array)
         if array.ndim != 2:
             raise ValueError(f"pool storage holds a (K, P) matrix, got shape {array.shape}")
-        return cls([array], (0, array.shape[0]), 1, "dense")
+        return cls([array], (0, array.shape[0]), 1, _HEAP)
 
 
 @register_backend("memmap")
@@ -590,13 +760,13 @@ class MemmapStorage(ShardedStorage):
     """``sharded`` at one shard on an ``np.memmap`` over a temporary file."""
 
     @classmethod
-    def allocate(cls, shape, dtype=np.float32, **options) -> "MemmapStorage":
+    def allocate(cls, shape, dtype=np.float32, *, medium=None, **options) -> "MemmapStorage":
         cls._reject_options(options)
-        return cls._allocate(shape, dtype, 1, "memmap")
+        return cls._allocate(shape, dtype, 1, medium or _Medium("memmap"))
 
     @classmethod
-    def from_array(cls, array: np.ndarray) -> "MemmapStorage":
-        return cls._from_array(array, 1, "memmap")
+    def from_array(cls, array: np.ndarray, *, medium=None) -> "MemmapStorage":
+        return cls._from_array(array, 1, medium or _Medium("memmap"))
 
     @property
     def path(self) -> str:

@@ -209,7 +209,7 @@ class DistributedStorage(PoolStorage):
         storage.write_rows(0, array)
         return storage
 
-    def allocate_like(self, shape, dtype=np.float32) -> "DistributedStorage":
+    def allocate_like(self, shape, dtype=np.float32, private=False) -> "DistributedStorage":
         return type(self).allocate(
             shape, dtype=dtype, placement=self._placement,
             cluster=self._cluster, replicate=self._replicate,

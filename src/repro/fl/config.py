@@ -319,6 +319,9 @@ RULES: tuple = (
      lambda c: c.k_active is None or c.k_active <= c.num_clients),
     (("execution", "backend"), "execution='distributed' requires backend='distributed'",
      lambda c: c.execution != "distributed" or c.backend == "distributed"),
+    # Process legs train in the server's rows, mapped from this node.
+    (("execution", "backend"), "execution='process' requires a local backend, not 'distributed'",
+     lambda c: c.execution != "process" or c.backend != "distributed"),
     (("shards", "backend"), "shards requires backend='sharded'",
      lambda c: c.shards is None or c.backend == "sharded"),
     (("hosts", "backend"), "hosts requires backend='distributed'",

@@ -26,14 +26,17 @@ same registry style as :mod:`repro.core.storage`'s pool backends:
     whose workers each hold a reusable model/trainer template (built
     once from a picklable :class:`TrainerSpec`) plus the full client
     shard table (shipped once at pool start-up, inherited for free
-    under the ``fork`` start method).  Models cross the process
-    boundary through :mod:`multiprocessing.shared_memory` ``(K, P)``
-    buffers: the server copies each unique dispatch row into a shared
-    dispatch row and the worker's :func:`run_leg` lands in a shared
-    upload row — the ``P`` floats per client are written exactly once,
-    never pickled through the result queue.  Hook specs ride the task
-    pickle, as on ``distributed``.  Only scalars (sample counts, loss,
-    the client's advanced RNG state) ride back through the future.
+    under the ``fork`` start method).  Legs train in the server's own
+    rows: a server whose backend declares ``legs_map_rows`` keeps its
+    pool, upload and global rows on shared memory (or on the memmap
+    files a ``memmap`` pool already lives in), a task carries a
+    picklable handle ``(segment or file, offset, shape, dtype)`` for
+    its dispatch row and its upload row, and the worker's
+    :func:`run_leg` reads the one and lands in the other in place —
+    no model is copied into or out of a transport buffer, and none is
+    pickled.  Hook specs ride the task pickle, as on ``distributed``.
+    Only scalars (sample counts, loss, the client's advanced RNG state)
+    ride back through the future.
     Each worker caps its BLAS pool at ``usable cores // workers``
     threads (never above what it inherited — see :mod:`repro.utils.cpu`),
     so the workers together use the cores once instead of ``workers``
@@ -59,9 +62,8 @@ backend decides *where* that call runs by implementing exactly one thing,
 starts every leg without blocking and returns a
 :class:`LegGroup`: one future per plan (``serial`` trains inline and
 returns them already resolved), a ``finalize(j, raw)`` that books leg
-``j`` on the caller's thread (client-RNG restore, the copy out of a
-transport row), and a ``leg_done()`` that recycles group-scoped
-resources once every leg is accounted for.
+``j`` on the caller's thread (client-RNG restore), and a ``leg_done()``
+that releases group-scoped resources once every leg is accounted for.
 
 Every schedule is the same legs, differing only in *when the server
 looks at them*, so the schedules are written once, in the base class,
@@ -123,7 +125,7 @@ from __future__ import annotations
 import copy
 import functools
 import time
-import weakref
+from collections import OrderedDict
 from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
@@ -322,10 +324,10 @@ class LegGroup:
     schedule consumes: ``futures[j]`` resolves to the backend's raw
     per-leg payload, ``finalize(j, raw)`` turns it into a landed
     :class:`~repro.fl.trainer.LocalResult` on the *caller's* thread
-    (RNG restore, upload-row copy), and
+    (the process backend's client-RNG restore), and
     ``leg_done()`` — called once per leg after it is finalized, failed
     or drained — releases group-scoped resources (the process backend's
-    shared-memory block pair) once every leg is accounted for.
+    hold on the dispatch rows) once every leg is accounted for.
     """
 
     __slots__ = ("futures", "_finalize", "_release", "outstanding")
@@ -457,6 +459,11 @@ class ExecutionBackend:
     #: declares ``False``, and the sync driver then evaluates round t
     #: while round t+1's legs train (:func:`repro.fl.scheduler.run_sync_round`).
     legs_use_coordinator = True
+    #: Whether legs run in other processes on this node and train in the
+    #: server's rows in place (``process``): the server then keeps every
+    #: row it dispatches or collects into on a medium those processes
+    #: can map (:func:`repro.core.storage.shared_medium`).
+    legs_map_rows = False
 
     def __init__(
         self,
@@ -773,100 +780,48 @@ class ThreadExecution(ExecutionBackend):
 
 
 # -- process backend --------------------------------------------------------
-def _release_shared_memory(shm) -> None:
-    try:
-        shm.close()
-    except Exception:  # pragma: no cover - interpreter teardown
-        pass
-    try:
-        shm.unlink()
-    except Exception:  # pragma: no cover - already unlinked
-        pass
-
-
-class _SharedBlock:
-    """Owner of one shared-memory-backed ``(K, P)`` ndarray.
-
-    ``ref`` is the picklable handle (name, shape, dtype) workers use to
-    attach.  The segment is unlinked when the block is closed, garbage-
-    collected or still alive at interpreter exit (the finalizer's atexit
-    hook: a run interrupted mid-round), so neither reallocation on
-    pool-size changes nor an interrupt leaks ``/dev/shm`` segments.
-    """
-
-    def __init__(self, shape: tuple[int, int], dtype) -> None:
-        from multiprocessing import shared_memory  # local: optional at import
-
-        dtype = np.dtype(dtype)
-        nbytes = max(1, int(np.prod(shape)) * dtype.itemsize)
-        self.shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        self.array = np.ndarray(tuple(shape), dtype=dtype, buffer=self.shm.buf)
-        self.ref = (self.shm.name, tuple(int(s) for s in shape), dtype.str)
-        self._finalizer = weakref.finalize(self, _release_shared_memory, self.shm)
-
-    def close(self) -> None:
-        self.array = None
-        self._finalizer()
-
-
-# Worker-process state: trainer template, client shards and attached
-# shared-memory segments — built once per worker, reused for every
+# Worker-process state: trainer template, client shards and the files /
+# segments mapped so far — built once per worker, reused for every
 # (client, round) task.
 _WORKER: dict = {}
+# Mappings a worker keeps: the server recycles a handful of segments
+# (two alternating pools, the upload buffer, a few global rows), so the
+# least recently used beyond these are ones it has since released.
+_WORKER_MAPPINGS = 16
 
 
 def _worker_init(spec: TrainerSpec, datasets: dict, blas_cap: int) -> None:
     limit_blas_threads(blas_cap)
     _WORKER["trainer"] = spec.build()
     _WORKER["datasets"] = datasets
-    _WORKER["shm"] = {}
+    _WORKER["maps"] = OrderedDict()
 
 
-def _worker_attach(ref: tuple) -> np.ndarray:
-    """Attach (and cache) a shared block by its picklable ref."""
-    name, shape, dtype_str = ref
-    cache = _WORKER["shm"]
-    entry = cache.get(name)
-    if entry is None:
-        from multiprocessing import shared_memory
+def _worker_row(handle: tuple) -> np.ndarray:
+    """The server's row ``handle`` names, mapped in this worker."""
+    from repro.core.storage import open_handle
 
-        # Attaching registers with the resource tracker (shared with the
-        # server process under fork/spawn); that is idempotent, and the
-        # server's unlink performs the single matching unregister — the
-        # worker must NOT unregister, or the later unlink double-frees
-        # the tracker entry.
-        shm = shared_memory.SharedMemory(name=name)
-        array = np.ndarray(tuple(shape), dtype=np.dtype(dtype_str), buffer=shm.buf)
-        cache[name] = (shm, array)
-        entry = cache[name]
-    return entry[1]
-
-
-def _worker_prune_shm(live_names: set[str]) -> None:
-    """Drop mappings of segments the server has since reallocated."""
-    cache = _WORKER["shm"]
-    for name in [n for n in cache if n not in live_names]:
-        shm, _ = cache.pop(name)
-        try:
-            shm.close()
-        except Exception:  # pragma: no cover
-            pass
+    maps = _WORKER["maps"]
+    token = handle[0]
+    if token in maps:
+        maps.move_to_end(token)
+    row = open_handle(handle, maps)
+    while len(maps) > _WORKER_MAPPINGS:
+        maps.popitem(last=False)
+    return row
 
 
 def _process_leg(task: dict):
     """One client's leg inside a pool worker: :func:`run_leg` from the
-    shared dispatch row into the shared upload row, on the worker's
-    cached shard with the client's shipped RNG state.  Only the scalars
-    and the advanced RNG state return."""
-    _worker_prune_shm({task["dispatch_ref"][0], task["upload_ref"][0]})
-    dispatch = _worker_attach(task["dispatch_ref"])
-    upload = _worker_attach(task["upload_ref"])
+    server's dispatch row into its upload row, both mapped in place, on
+    the worker's cached shard with the client's shipped RNG state.  Only
+    the scalars and the advanced RNG state return."""
     rng = np.random.default_rng()
     rng.bit_generator.state = task["rng_state"]
     scalars = run_leg(
         _WORKER["trainer"],
-        dispatch[task["dispatch_row"]],
-        upload[task["upload_row"]],
+        _worker_row(task["dispatch"]),
+        _worker_row(task["upload"]),
         _WORKER["datasets"][task["client_id"]],
         rng,
         loss_hook=task["loss_hook"],
@@ -880,9 +835,10 @@ def _process_leg(task: dict):
 
 @register_execution("process")
 class ProcessExecution(ExecutionBackend):
-    """Persistent worker processes + shared-memory state transport."""
+    """Persistent worker processes training in the server's own rows."""
 
     legs_use_coordinator = False
+    legs_map_rows = True
     run_streaming = ExecutionBackend.run_streaming
     run_streaming_captured = ExecutionBackend.run_streaming_captured
 
@@ -893,12 +849,6 @@ class ProcessExecution(ExecutionBackend):
         # This process's claim on the CPU budget while the pool lives:
         # the coordinator keeps what its workers leave (repro.utils.cpu).
         self._cpu_hold = None
-        # Free-list of (dispatch, upload) block pairs, one pair per
-        # in-flight group: overlapping rounds must not share a pair, or
-        # round t+1's pack would overwrite rows round t's workers are
-        # still reading.  A sync run drains each group before the next
-        # submission, so it keeps reusing one pair.
-        self._free_pairs: list = []
 
     def _ensure_pool(self) -> None:
         if self._pool is not None:
@@ -939,40 +889,28 @@ class ProcessExecution(ExecutionBackend):
         self._ensure_pool()
         return self._pool.submit(blas_threads).result()
 
-    def _acquire_blocks(self, n: int, p: int, dtype) -> "tuple[_SharedBlock, _SharedBlock]":
-        """A free block pair with at least ``n`` rows, else a new one."""
-        shape, dtype = (max(1, int(n)), int(p)), np.dtype(dtype)
-        for k, (block, _) in enumerate(self._free_pairs):
-            if block.array.dtype == dtype and (
-                block.array.shape[0] >= shape[0] and block.array.shape[1] == shape[1]
-            ):
-                return self._free_pairs.pop(k)
-        return (_SharedBlock(shape, dtype), _SharedBlock(shape, dtype))
-
     def submit_group(
         self, trainer, active, plans, rows, uploads, attacks=None
     ) -> LegGroup:
-        """Pack a private shm block pair, submit one future per leg.
-
-        Dispatch rows hold each *unique* dispatched row once; upload
-        rows are indexed by plan position ``j``, not pool row (two
-        in-flight groups may target the same pool row across a carry)
-        — :meth:`LegGroup.finalize` copies row ``j`` into the server's
-        buffer.  Hook specs ride each task's pickle as they are.
+        """Submit one future per leg, each naming its dispatch row and
+        its upload row by handle (:func:`~repro.core.storage.row_handle`):
+        the worker reads and trains in the server's rows in place, so no
+        model is copied on either side.  Hook specs ride each task's
+        pickle as they are.  The group holds the dispatch rows until its
+        last leg is done, so no row a worker may still read is recycled.
         """
+        from repro.core.storage import row_handle  # lazy: core imports fl
+
         _check_cohort(active, plans, rows, uploads, parallel=True)
-        # Each distinct row ships once, keyed by identity in first-use
-        # order: FedAvg-family plans all share one global row, FedCross
-        # plans are distinct pool rows.
-        flats = {id(plan.flat): plan.flat for plan in plans}
+        dispatch = [row_handle(plan.flat) for plan in plans]
+        upload = [row_handle(uploads.storage.row(row)) for row in rows]
+        if None in dispatch or None in upload:
+            raise ValueError(
+                "process legs train in the server's rows: every dispatch and "
+                "upload row must live in shared memory or a memmap file "
+                "(a server allocates them there for this backend)"
+            )
         self._ensure_pool()
-        pair = dispatch, upload = self._acquire_blocks(
-            len(plans), uploads.layout.total_size, uploads.dtype
-        )
-        slots = {}
-        for slot, (key, flat) in enumerate(flats.items()):
-            dispatch.array[slot] = np.asarray(flat)
-            slots[key] = slot
         hypers = _trainer_hypers(trainer)
         attacks = attacks or {}
         futures = [
@@ -981,10 +919,8 @@ class ProcessExecution(ExecutionBackend):
                 {
                     "client_id": active[j].client_id,
                     "rng_state": active[j].rng.bit_generator.state,
-                    "dispatch_row": slots[id(plan.flat)],
-                    "upload_row": j,
-                    "dispatch_ref": dispatch.ref,
-                    "upload_ref": upload.ref,
+                    "dispatch": dispatch[j],
+                    "upload": upload[j],
                     "loss_hook": plan.loss_hook,
                     "grad_hook": plan.grad_hook,
                     "lr_override": plan.lr_override,
@@ -998,28 +934,13 @@ class ProcessExecution(ExecutionBackend):
         def land(j: int, raw) -> LocalResult:
             *scalars, rng_state = raw
             active[j].rng.bit_generator.state = rng_state
-            row = int(rows[j])
-            # Copy the leg's freshly written row from the shared
-            # segment into the server's buffer — straight into the
-            # row's owning shard on sharded (or memmap-backed) storage.
-            uploads.set_row(row, upload.array[j])
-            return LocalResult(UploadState(uploads, row), *scalars)
+            return LocalResult(UploadState(uploads, rows[j]), *scalars)
 
-        return LegGroup(futures, land, lambda: self._free_pairs.append(pair))
+        held = [plan.flat for plan in plans]
+        return LegGroup(futures, land, held.clear)
 
     def close(self) -> None:
-        # Release the shared segments even when the pool shutdown is
-        # interrupted (Ctrl-C while workers drain): pool teardown runs
-        # first, but block unlinking sits in the finally so a
-        # KeyboardInterrupt unwinding through shutdown() cannot leak
-        # /dev/shm segments until reboot.
-        try:
-            self._drop_pool()
-        finally:
-            for pair in self._free_pairs:
-                for block in pair:
-                    block.close()
-            self._free_pairs.clear()
+        self._drop_pool()
 
 
 # The socket-RPC backend lives in its own package and is imported only

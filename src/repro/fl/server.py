@@ -271,6 +271,22 @@ class FederatedServer:
             workers=config.workers,
         )
         weakref.finalize(self, self.executor.close)
+        # The options of every buffer whose rows legs read or land in
+        # (pool, uploads).  Legs that map the server's rows from other
+        # processes need them, and the global row, on a medium those
+        # processes can map: one shared family for the server's life,
+        # whose segments (or files) are recycled round after round.
+        from repro.core.storage import ShardedStorage, resolve_backend, shared_medium
+
+        self.row_options = dict(self.backend_options)
+        self._medium = None
+        if self.executor.legs_map_rows and issubclass(
+            resolve_backend(self.backend), ShardedStorage
+        ):
+            self._medium = shared_medium(
+                on_disk="memmap" in (self.backend, config.shard_placement)
+            )
+            self.row_options["medium"] = self._medium
         # The FedAvg family's deployable model, replaced (never written)
         # by each round's aggregate; FedCross deploys its pool instead.
         self._layout = trainer.layout
@@ -397,9 +413,22 @@ class FederatedServer:
         return self.aggregate(active, results, plans)
 
     def global_row(self) -> np.ndarray:
-        """The deployable model as one float32 row, as held (FedCross
+        """The deployable model as one float32 row, as held — moved to
+        the shared medium first when legs map the server's rows (FedCross
         overrides this, and only this, with its pool average)."""
+        from repro.core.storage import row_handle  # lazy: core imports fl
+
+        if self._medium is not None and row_handle(self._global) is None:
+            self._global = self._leg_row(self._global)
         return self._global
+
+    def _leg_row(self, row: np.ndarray) -> np.ndarray:
+        """A private copy of ``row`` that this server's legs can read."""
+        if self._medium is None:
+            return row.copy()
+        out = self._medium.take((1, row.size), row.dtype)[0]
+        out[:] = row
+        return out
 
     def global_state(self) -> dict:
         """The API boundary's way out: the deployable model as a state
@@ -431,7 +460,7 @@ class FederatedServer:
         if buf is None:
             buf = PoolBuffer.zeros(
                 self._layout, k, dtype=np.float32, backend=self.backend,
-                backend_options=self.backend_options,
+                backend_options=self.row_options,
             )
             self._buffer_cache[(tag, k)] = buf
         return buf

@@ -23,6 +23,8 @@ from repro.core.storage import (
     available_backends,
     register_backend,
     resolve_backend,
+    row_handle,
+    shared_medium,
 )
 from repro.utils.layout import StateLayout
 
@@ -167,6 +169,32 @@ class TestMemmapLifecycle:
         del storage, clone
         gc.collect()
         assert not any(os.path.exists(path) for path in paths)
+
+
+@pytest.mark.parametrize("on_disk", [False, True], ids=["shm", "memmap"])
+def test_a_family_recycles_a_released_shard_zeroed(on_disk):
+    """A file or segment goes back to its family's free list once its
+    array and every view are gone; the next allocation of that size
+    takes it, zeroed, and another size gets its own."""
+    medium = shared_medium(on_disk)
+
+    def allocate(rows):
+        storage = ShardedStorage.allocate((rows, 4), shards=1, medium=medium)
+        return storage, row_handle(storage.row(0))[0]
+
+    storage, first = allocate(3)
+    view = storage.row(2)
+    storage.fill_rows(np.full(4, 5.0, dtype=np.float32))
+    del storage
+    gc.collect()
+    other, second = allocate(3)
+    assert second != first  # a live view pins the first
+    del view
+    gc.collect()
+    reused, third = allocate(3)
+    assert third == first
+    np.testing.assert_array_equal(reused.array, np.zeros((3, 4)))
+    assert allocate(2)[1] not in (first, second)
 
 
 def test_memmap_path_names_its_one_file():

@@ -10,33 +10,54 @@ a three-host fleet (uneven spans).
 
 Every cell must be **bit-identical** to ``dense``: the row protocol
 (``row``, ``row_block``, ``gather_rows``, ``write_rows``,
-``fill_rows``, ``clone``, ``allocate_like``), the pool operations on
+``fill_rows``, ``clone``, ``allocate_like``, each keeping its medium),
+the pool operations on
 top of it (``cross_aggregate`` in both forms, both ``mean_state``
 modes, similarity and selection, the blocked Gram) under block budgets
 from one row per block to one block, the incremental
 :class:`~repro.core.gram.GramTracker`, and every registered aggregation
 operator's ``combine`` and ``cross_blend``.  Every cell also refuses an
 out-of-range row the same way and leaves its bytes untouched.
+
+The shared-memory medium a ``process`` run's server allocates its rows
+on (``medium=shm``: one family for the module, so cells recycle its
+segments) runs as ``dense`` and at every ``sharded`` shard count; where
+a row lives in shared memory or a memmap file, its handle opened in a
+separate interpreter reads the same bytes.
 """
+
+import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.gram import GramTracker
 from repro.core.pool import PoolBuffer
-from repro.core.storage import available_backends, resolve_backend
+from repro.core.storage import (
+    ShardedStorage,
+    available_backends,
+    resolve_backend,
+    row_handle,
+    shared_medium,
+)
 from repro.robust.operators import available_operators, build_operator
 
 K = 7
+SHM = shared_medium()
 # One row per block (8 bytes is below one scalar), a few rows, one block.
 BUDGETS = (8, 200, None)
 
 OPTIONS = {
+    "dense": [{}, {"medium": SHM}],
     "sharded": [
         {"shards": shards, "placement": placement}
         for placement in ("dense", "memmap")
         for shards in (1, 2, 3, K)
-    ],
+    ] + [{"shards": shards, "medium": SHM} for shards in (1, 2, 3, K)],
     "distributed": [
         {"hosts": 2},
         {"hosts": 2, "placement": "memmap"},
@@ -49,7 +70,9 @@ OPTIONS = {
 
 
 def _cell_id(name, options):
-    return "-".join([name, *(f"{key}={value}" for key, value in options.items())])
+    return "-".join([name, *(
+        f"{key}={getattr(value, 'kind', value)}" for key, value in options.items()
+    )])
 
 
 CELLS = [
@@ -72,6 +95,35 @@ def states():
         }
         for i in range(K)
     ]
+
+
+# Reads lines of row handles, answers each with their bytes' SHA-256s.
+_READER = """
+import ast, hashlib, sys
+from repro.core.storage import open_handle
+for line in sys.stdin:
+    rows = [open_handle(handle, {}) for handle in ast.literal_eval(line)]
+    print(" ".join(hashlib.sha256(row.tobytes()).hexdigest() for row in rows), flush=True)
+"""
+
+
+@pytest.fixture(scope="module")
+def reader():
+    """``reader(handles)``: the rows' digests as another interpreter maps them."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _READER], env=dict(os.environ, PYTHONPATH=src),
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    )
+
+    def read(handles):
+        proc.stdin.write(repr(handles) + "\n")
+        proc.stdin.flush()
+        return proc.stdout.readline().split()
+
+    yield read
+    proc.stdin.close()
+    assert proc.wait(timeout=60) == 0
 
 
 @pytest.fixture
@@ -155,6 +207,7 @@ class TestRowProtocol:
         clone = other.storage.clone()
         assert type(clone) is type(other.storage)
         assert clone.shard_boundaries() == other.storage.shard_boundaries()
+        assert getattr(clone, "placement", None) == getattr(other.storage, "placement", None)
         _same(_whole(clone), _whole(dense.storage))
         other.storage.fill_rows(np.zeros(dense.num_scalars, dtype=np.float32))
         _same(_whole(clone), _whole(dense.storage))
@@ -165,7 +218,22 @@ class TestRowProtocol:
         fresh = resolve_backend(name).allocate((K + 2, 5), np.float64, **options)
         assert type(derived) is type(other.storage)
         assert derived.shard_boundaries() == fresh.shard_boundaries()
+        assert getattr(derived, "placement", None) == getattr(fresh, "placement", None)
         _same(_whole(derived), np.zeros((K + 2, 5)))
+
+    def test_a_row_handle_reads_the_same_bytes_in_a_fresh_process(
+        self, states, name, options, reader
+    ):
+        """Rows in shared memory or a memmap file have handles, opened by
+        another interpreter on the same bytes; heap and remote rows none."""
+        _, other = _pools(states, name, options)
+        storage = other.storage
+        rows = [np.asarray(storage.row(i)) for i in range(K)]
+        handles = [row_handle(row) for row in rows]
+        mapped = isinstance(storage, ShardedStorage) and storage.placement != "dense"
+        assert all((handle is not None) == mapped for handle in handles)
+        if mapped:
+            assert reader(handles) == [hashlib.sha256(row.tobytes()).hexdigest() for row in rows]
 
 
 class TestPoolOperations:

@@ -13,6 +13,7 @@ from repro.fl.config import RULES, FLConfig
 VIOLATIONS = {
     "k_active": (dict(num_clients=4, k_active=5), ("k_active", "num_clients")),
     "execution": (dict(execution="distributed"), ("execution", "backend")),
+    "process_rows": (dict(execution="process", backend="distributed"), ("execution", "backend")),
     "shards": (dict(shards=3), ("shards", "backend")),
     "hosts": (dict(backend="sharded", hosts=2), ("hosts", "backend")),
     "shard_placement": (dict(shard_placement="memmap"), ("shard_placement", "backend")),

@@ -412,10 +412,10 @@ class TestUploadState:
 
 
 class TestSharedMemoryCleanup:
-    """Interrupt-safety of the process backend's /dev/shm segments
-    (ISSUE 7 satellite): a KeyboardInterrupt unwinding through pool
-    shutdown, or an interpreter exiting mid-round, must still unlink
-    every live segment instead of leaking it until reboot."""
+    """Interrupt-safety of the /dev/shm segments a ``process`` run's
+    rows live in: the server's storage family owns them, so an
+    interrupted executor close, or an interpreter exiting mid-round,
+    must still unlink every segment instead of leaking it until reboot."""
 
     @staticmethod
     def _segment_gone(name: str) -> bool:
@@ -428,13 +428,18 @@ class TestSharedMemoryCleanup:
         seg.close()
         return False
 
-    def test_close_unlinks_segments_when_shutdown_is_interrupted(self):
-        from repro.fl.execution import ProcessExecution
+    def test_close_unlinks_segments_when_shutdown_is_interrupted(self, tiny_config):
+        import gc
 
-        backend = ProcessExecution()
-        pair = backend._acquire_blocks(2, 3, np.float32)
-        backend._free_pairs.append(pair)
-        names = [block.shm.name for block in pair]
+        before = set(os.listdir("/dev/shm"))
+        sim = FLSimulation(tiny_config.replace(
+            method="fedcross", execution="process", workers=2, rounds=1
+        ))
+        sim.server.fit()
+        backend = sim.server.executor
+        names = set(os.listdir("/dev/shm")) - before
+        assert names, "the fit's rows live in shared memory"
+        pool = backend._pool
 
         class InterruptedPool:
             def shutdown(self, wait=True):
@@ -444,20 +449,27 @@ class TestSharedMemoryCleanup:
         with pytest.raises(KeyboardInterrupt):
             backend.close()
         assert backend._pool is None
-        assert backend._free_pairs == []
+        pool.shutdown(wait=True)
+        del sim, pool
+        gc.collect()
         for name in names:
             assert self._segment_gone(name), name
         backend.close()  # idempotent after the interrupted attempt
 
     def test_a_block_alive_at_exit_is_unlinked(self):
-        """An interpreter that exits holding a block it never closed
-        (a run interrupted mid-round) unlinks the segment through the
-        block's finalizer, and the resource tracker reports no leak."""
+        """An interpreter that exits holding a shared-medium storage it
+        never released (a run interrupted mid-round), and a segment its
+        family had recycled, unlinks both through their finalizers, and
+        the resource tracker reports no leak."""
         script = (
             "import numpy as np\n"
-            "from repro.fl.execution import _SharedBlock\n"
-            "block = _SharedBlock((2, 3), np.float32)\n"
-            "print(block.shm.name, flush=True)\n"
+            "from repro.core.storage import ShardedStorage, row_handle, shared_medium\n"
+            "medium = shared_medium()\n"
+            "live = ShardedStorage.allocate((2, 3), shards=1, medium=medium)\n"
+            "spare = live.allocate_like((4, 3))\n"
+            "name = row_handle(spare.row(0))[0][1]\n"
+            "del spare  # back on the family's free list\n"
+            "print(row_handle(live.row(0))[0][1], name, flush=True)\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         done = subprocess.run(
@@ -465,7 +477,10 @@ class TestSharedMemoryCleanup:
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert self._segment_gone(done.stdout.strip())
+        names = done.stdout.split()
+        assert len(names) == 2
+        for name in names:
+            assert self._segment_gone(name), name
         assert "leaked" not in done.stderr and "resource_tracker" not in done.stderr
 
 

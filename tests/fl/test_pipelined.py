@@ -11,12 +11,14 @@ leg.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 
 import numpy as np
 import pytest
 
+from repro.core import storage
 from repro.fl.callbacks import BestStateCheckpointer, ServerCallback, ThroughputLogger
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FLSimulation
@@ -190,10 +192,11 @@ def test_a_stop_while_closing_discards_the_started_round(backend, method):
             assert sim.server._started_legs is None
             assert len(submitted) == len({r for hook, r in calls.calls if hook == "start"})
             assert _all_landed_or_drained(submitted)
-            if name == "process":
-                # The discarded round's shared-memory pair went back.
-                assert len(sim.server.executor._free_pairs) == 1
+            created = storage._created["shm"]
             sim.server.fit(2)
+            # The discarded round's legs let go of the rows they read:
+            # the follow-up fit recycles them and makes no segment.
+            assert storage._created["shm"] == created
             states[name] = (stopped, _state(sim.server))
         finally:
             _close(sim)
@@ -288,16 +291,18 @@ def test_an_error_in_a_pipelined_close_leaks_no_leg(backend, hook, at, closed):
             assert _all_landed_or_drained(submitted)
             if name != "serial" and hook == "on_evaluate":
                 assert len(submitted) == 2  # round 1 was in flight
-            if name == "process":
-                assert len(sim.server.executor._free_pairs) == 1
             raised = _state(sim.server)
+            created = storage._created["shm"]
             sim.server.fit(2)
+            assert storage._created["shm"] == created  # the drained legs' rows recycled
             states[name] = (raised, _state(sim.server))
         finally:
             _close(sim)
     assert [r[0] for r in states["serial"][0]["records"]] == closed
     assert states[backend] == states["serial"]
     shutdown_clusters()
+    del sim, submitted
+    gc.collect()  # the server's storage family owns its segments
     assert _shm_segments() <= shm_before
     assert {p.pid for p in multiprocessing.active_children()} <= children_before
 
