@@ -20,7 +20,8 @@ seam's first crossing of a process/node boundary:
     The ``ShardHost`` worker process: owns one contiguous row shard
     of each distributed pool buffer, serves the row protocol, its
     share of a Gram flush (``gram_dots``) and of CrossAggr
-    (``blend_rows``), and co-located training legs whose trained
+    (``blend_rows``) — pulling the peer rows they need from the other
+    hosts directly — and co-located training legs whose trained
     states land directly in the owning shard.
 :mod:`repro.distributed.cluster`
     :class:`~repro.distributed.cluster.HostCluster` — spawns/keeps N

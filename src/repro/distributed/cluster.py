@@ -5,11 +5,19 @@ A :class:`HostCluster` spawns ``hosts`` localhost
 ephemeral ports through pipes, and multiplexes two
 :class:`~repro.distributed.rpc.RPCChannel` sockets per host — ``data``
 for storage ops and ``exec`` for training legs, so Gram and blend
-exchanges are never queued behind a slow leg.  Broadcast ops
+requests are never queued behind a slow leg.  Broadcast ops
 (allocation, trainer shipping) and the per-host requests of one Gram
 flush or host-side blend (:meth:`HostCluster.call_each`) run
 concurrently across hosts on a small thread pool; single storage calls
-go straight through the owning host's data channel.
+go straight through the owning host's data channel.  The requests of a
+flush or a blend carry :meth:`HostCluster.peer_ports`, and the hosts
+pull the peer rows they need from each other directly.
+
+A buffer is registered by :meth:`HostCluster.allocate` and created on
+the hosts by its first use: a broadcast ``alloc``
+(:meth:`HostCluster.place`), or the ``alloc`` a cross blend's
+``blend_rows`` carries for its output pool, beside the frees the
+storage finalizers queued (:meth:`HostCluster.take_frees`).
 
 Clusters are pooled per host count by :func:`get_cluster` — one fleet
 serves every buffer of a run (pool, uploads, cross-aggregated pools,
@@ -195,17 +203,19 @@ class HostCluster:
         """Run ``(host, op[, meta[, arrays[, blob]]])`` requests concurrently
         (one per pool thread); replies in request order.
 
-        A failure propagates after every call has settled.  Must not be
-        called from one of this cluster's own pool threads.
+        The first request runs on the calling thread, the rest on the
+        pool.  A failure propagates after every call has settled.  Must
+        not be called from one of this cluster's own pool threads.
         """
-        if len(requests) == 1:
-            return [self.call(*requests[0], purpose=purpose)]
         futures = [
             self._pool.submit(self.call, *request, purpose=purpose)
-            for request in requests
+            for request in requests[1:]
         ]
-        wait(futures)
-        return [f.result() for f in futures]
+        try:
+            first = [self.call(*requests[0], purpose=purpose)] if requests else []
+        finally:
+            wait(futures)
+        return first + [f.result() for f in futures]
 
     def broadcast(self, op: str, metas: "Sequence[Mapping] | Mapping",
                   arrays=None, blob=None, purpose: str = "data") -> list:
@@ -224,57 +234,82 @@ class HostCluster:
     def next_buffer_id(self) -> str:
         return f"buf{next(self._buffer_seq)}"
 
+    def peer_ports(self) -> list[int]:
+        """Every host's current port, in host order — what a request
+        that makes a host pull from its peers carries (a respawned host
+        has a new one)."""
+        return [handle.port for handle in self.handles]
+
     # -- storage-facing ops ------------------------------------------------
     def allocate(self, boundaries: Sequence[int], p: int, dtype,
                  placement: str) -> str:
-        self._drain_frees()
+        """Register a new buffer; returns its id.
+
+        Nothing is sent yet: the hosts create it on :meth:`place`, or
+        from the :meth:`alloc_meta` a request that writes it first
+        carries (the cross blend's ``blend_rows``).
+        """
         buffer = self.next_buffer_id()
-        dtype = np.dtype(dtype)
-        self.broadcast(
-            "alloc",
-            [
-                {
-                    "buffer": buffer,
-                    "rows": int(boundaries[i + 1] - boundaries[i]),
-                    "p": int(p),
-                    "dtype": dtype.str,
-                    "placement": placement,
-                }
-                for i in range(self.num_hosts)
-            ],
-        )
         with self._recover_lock:
             self._allocs[buffer] = {
                 "boundaries": tuple(int(b) for b in boundaries),
                 "p": int(p),
-                "dtype": dtype.str,
+                "dtype": np.dtype(dtype).str,
                 "placement": placement,
             }
         return buffer
 
-    def free(self, buffer: str) -> None:
+    def alloc_meta(self, buffer: str, host: int) -> dict:
+        """Host ``host``'s ``alloc`` of ``buffer``: its span's row count,
+        ``p``, dtype and placement."""
         with self._recover_lock:
-            self._allocs.pop(buffer, None)
-            self._restorers.pop(buffer, None)
-        self.broadcast("free", {"buffer": buffer})
+            spec = self._allocs[buffer]
+        b = spec["boundaries"]
+        return {
+            "rows": int(b[host + 1] - b[host]),
+            "p": spec["p"],
+            "dtype": spec["dtype"],
+            "placement": spec["placement"],
+        }
+
+    def place(self, buffer: str) -> None:
+        """Create ``buffer`` on every host (an existing shard is kept)."""
+        self._drain_frees()
+        self.broadcast(
+            "alloc",
+            [
+                {"buffer": buffer, **self.alloc_meta(buffer, i)}
+                for i in range(self.num_hosts)
+            ],
+        )
 
     def defer_free(self, buffer: str) -> None:
         """Queue ``buffer`` for release without any I/O or broad locks.
 
         The storage finalizers' entry point: safe to call from any
         thread at any moment (only a momentary private lock is taken).
-        The queued frees run on the next :meth:`allocate`,
-        :meth:`clone_buffer` or :meth:`shutdown`.
+        The queued frees ride the next ``blend_rows`` request
+        (:meth:`take_frees`) or run on the next :meth:`place` or
+        :meth:`clone_buffer`.
         """
         with self._free_lock:
             self._pending_frees.append(buffer)
 
-    def _drain_frees(self) -> None:
+    def take_frees(self) -> list[str]:
+        """Dequeue every queued free, forgetting the buffers here; the
+        caller sends them (and queues them again if it cannot)."""
         with self._free_lock:
             pending, self._pending_frees = self._pending_frees, []
-        for buffer in pending:
+        with self._recover_lock:
+            for buffer in pending:
+                self._allocs.pop(buffer, None)
+                self._restorers.pop(buffer, None)
+        return pending
+
+    def _drain_frees(self) -> None:
+        for buffer in self.take_frees():
             try:
-                self.free(buffer)
+                self.broadcast("free", {"buffer": buffer})
             except DistributedError:
                 # Best effort: a dead host's shard died with it anyway,
                 # and a recovery replay skips popped allocations.
@@ -372,17 +407,9 @@ class HostCluster:
             old.close()
             handle = _HostHandle(index, self.num_hosts)
             self.handles[index] = handle
-            for buffer, spec in self._allocs.items():
-                b = spec["boundaries"]
+            for buffer in list(self._allocs):
                 self.call(
-                    index, "alloc",
-                    {
-                        "buffer": buffer,
-                        "rows": int(b[index + 1] - b[index]),
-                        "p": spec["p"],
-                        "dtype": spec["dtype"],
-                        "placement": spec["placement"],
-                    },
+                    index, "alloc", {"buffer": buffer, **self.alloc_meta(buffer, index)}
                 )
             for mask_id, mask in self._mask_arrays.items():
                 self.call(index, "register_mask", {"mask_id": mask_id},

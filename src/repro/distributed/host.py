@@ -7,11 +7,18 @@ protocol (``row_block`` / ``gather_rows`` / ``write_rows`` /
 map), the shard-local share of the precise mean (``accumulate_rows``:
 its span added into the float64 accumulator the coordinator passes
 from host to host), of a Gram flush (``gram_dots``: the dots of listed
-row pairs, its own rows and, the second exchange, peer rows it was
-sent) and of CrossAggr (``blend_rows``), and co-located training legs
+row pairs, its own rows and the peer rows it pulls) and of CrossAggr
+(``blend_rows``: its span blended with its collaborators, the foreign
+ones pulled from their hosts), and co-located training legs
 (``init_trainer`` / ``train_leg``, from a shipped row or from this
 host's own pool row).  The coordinator talks to it over plain sockets
-via :mod:`repro.distributed.rpc`; a host never talks to other hosts.
+via :mod:`repro.distributed.rpc`.  Hosts talk to each other only to
+pull rows: a request that needs peer rows names them per peer and
+carries the fleet's current ports, and the host fetches them with the
+peer's own ``row_block`` / ``gather_rows`` over a lazily opened channel
+(re-dialled when a respawned peer reports a new port), so no peer row
+transits the coordinator.  A peer that cannot be reached fails the
+request with a :class:`~repro.distributed.rpc.PeerError` naming it.
 
 Two properties carry the engine's cross-backend guarantees over the
 wire:
@@ -31,7 +38,9 @@ wire:
   advanced RNG state) do.  A leg sent by reference starts from the
   host's own pool row, so its dispatched row never rides one either.
 
-The accept loop serves each connection on its own daemon thread.
+The accept loop serves each connection on its own daemon thread, so
+two hosts pulling from each other at once cannot deadlock: each pull
+is served on a thread of its own while the request that made it waits.
 Array reads/writes from concurrent connections are as racy as the
 in-process ``thread``/``process`` backends' concurrent row writes —
 benign for the same reason (rows of one round's legs are distinct,
@@ -51,7 +60,13 @@ from typing import Any
 
 import numpy as np
 
-from repro.distributed.rpc import serve_connection
+from repro.distributed.rpc import (
+    DistributedError,
+    PeerError,
+    RPCChannel,
+    serve_connection,
+    size_buffers,
+)
 from repro.distributed.framing import send_message  # noqa: F401 (re-export for tests)
 from repro.utils.cpu import blas_threads, limit_blas_threads
 
@@ -70,6 +85,12 @@ class _HostState:
         self.trainer_version: int | None = None
         self.datasets: dict = {}
         self.stop = threading.Event()
+        # Peer index -> channel to it, re-dialled when its port changes.
+        self.peers: dict[int, RPCChannel] = {}
+        self.peer_lock = threading.Lock()
+        # Buffer id -> (token, {(peer, local row): row}): the peer rows
+        # a flush pulled, for the blend that follows it (see ``_pull``).
+        self.kept: dict[str, tuple] = {}
 
     # -- storage ops -------------------------------------------------------
     def _storage(self, buffer: str):
@@ -78,19 +99,84 @@ class _HostState:
         except KeyError:
             raise KeyError(f"shard host {self.index} has no buffer {buffer!r}")
 
-    def op_alloc(self, meta, arrays, blob):
+    def _create(self, buffer: str, spec) -> None:
+        """Allocate ``buffer`` unless it exists: an alloc replayed by a
+        resend or a recovery never zeroes a live shard."""
         from repro.core.storage import resolve_backend
 
         with self.lock:
-            self.buffers[meta["buffer"]] = resolve_backend(
-                meta.get("placement", "dense")
-            ).allocate((int(meta["rows"]), int(meta["p"])), dtype=np.dtype(meta["dtype"]))
+            if buffer not in self.buffers:
+                self.buffers[buffer] = resolve_backend(
+                    spec.get("placement", "dense")
+                ).allocate((int(spec["rows"]), int(spec["p"])), dtype=np.dtype(spec["dtype"]))
+
+    def _release(self, buffers) -> None:
+        with self.lock:
+            for buffer in buffers:
+                self.buffers.pop(buffer, None)
+                self.kept.pop(buffer, None)
+
+    def op_alloc(self, meta, arrays, blob):
+        self._create(meta["buffer"], meta)
         return {}, {}, b""
 
     def op_free(self, meta, arrays, blob):
-        with self.lock:
-            self.buffers.pop(meta["buffer"], None)
+        self._release([meta["buffer"]])
         return {}, {}, b""
+
+    # -- peer pulls --------------------------------------------------------
+    def _peer(self, index: int, ports) -> RPCChannel:
+        """The channel to peer ``index`` at its current port."""
+        address = ("127.0.0.1", int(ports[index]))
+        with self.peer_lock:
+            chan = self.peers.get(index)
+            if chan is None or chan.address != address:
+                if chan is not None:  # a respawned peer: its old port is dead
+                    chan.close()
+                chan = RPCChannel(address, f"shard host {index}/{len(ports)}")
+                self.peers[index] = chan
+            return chan
+
+    def _pull(self, buffer: str, meta, arrays) -> list:
+        """The peer rows of ``buffer`` a request names, in order.
+
+        ``meta["pull_from"]`` lists the peers in host order and
+        ``arrays[f"pull{g}"]`` the local rows wanted of peer ``g``; the
+        result holds one row per wanted row, peer by peer.  A request
+        with ``keep`` holds on to what it pulled under that token, and
+        one with the same token as ``reuse`` takes those rows instead of
+        pulling them again: a flush's stale rows serve the blend that
+        follows it.  The coordinator changes the token whenever it
+        learns of a write to the buffer.  Rows are fetched before any
+        compute: a pull on a thread beside the dot loop costs more in
+        GIL hand-offs than it overlaps.  A failure raises
+        :class:`PeerError` naming the peer.
+        """
+        token, kept = self.kept.get(buffer, (None, {}))
+        if "reuse" not in meta or meta["reuse"] != token:
+            kept = {}
+        rows, pulled = [], {}
+        for peer in meta.get("pull_from") or []:
+            want = arrays[f"pull{peer}"].tolist()
+            missing = [i for i in want if (peer, i) not in kept]
+            if missing:
+                # A run of consecutive rows is sent from a view of the
+                # peer's shard (row_block), any other set gathered.
+                if missing == list(range(missing[0], missing[-1] + 1)):
+                    ask = ("row_block", {"buffer": buffer, "lo": missing[0],
+                                         "hi": missing[-1] + 1}, None)
+                else:
+                    ask = ("gather_rows", {"buffer": buffer},
+                           {"indices": np.array(missing, dtype=np.int64)})
+                try:
+                    _, got, _ = self._peer(peer, meta["peers"]).call(*ask)
+                except DistributedError as exc:
+                    raise PeerError(str(exc), peer) from exc
+                pulled.update(((peer, i), row) for i, row in zip(missing, got["block"]))
+            rows += [kept.get((peer, i), pulled.get((peer, i))) for i in want]
+        if "keep" in meta:
+            self.kept[buffer] = (meta["keep"], pulled)
+        return rows
 
     def op_clone_buffer(self, meta, arrays, blob):
         with self.lock:
@@ -131,26 +217,24 @@ class _HostState:
         return {}, {"acc": acc}, b""
 
     def op_gram_dots(self, meta, arrays, blob):
-        """Dots of listed row pairs — the distributable unit of a
+        """Dots of listed row pairs — this host's share of a
         ``GramTracker`` flush.
 
         Pair ``t`` is ``(left[t], right[t])``: ``right`` names a local
-        row, ``left`` a local row (``>= 0``, nothing but indices crossed
-        the wire) or row ``-left - 1`` of ``block``, a peer's rows in
-        the buffer dtype (the float64 cast is exact, so casting here
+        row, ``left`` a local row (``>= 0``) or row ``-left - 1`` of the
+        peer rows this host pulls (``pull_from``, see :meth:`_pull`; in
+        the buffer dtype, whose float64 cast is exact, so casting here
         gives the tracker's operands).  Each pair is the exact local
         kernel — one contiguous float64 1-D ``np.dot`` over the masked
         values — so the assembled Gram is bitwise the single-node one.
         The distinct left operands are cast ``ceil(sqrt(n))`` at a time
         and each right row once per such chunk: float64 scratch of
-        ~sqrt(n) rows, never an image of the shard.  ``ship`` names
-        local rows to return as they are (``rows``): the stale rows a
-        peer dots next ride back with this host's own pairs.
+        ~sqrt(n) rows, never an image of the shard.
         """
         storage = self._storage(meta["buffer"])
+        given = self._pull(meta["buffer"], meta, arrays)
         mask = self.masks[meta["mask_id"]] if "mask_id" in meta else None
         masked = (lambda row: row) if mask is None else (lambda row: row[mask])
-        given = arrays.get("block")
         left = arrays["left"].astype(np.int64, copy=False)
         right = arrays["right"].astype(np.int64, copy=False)
         p_eff = storage.shape[1] if mask is None else int(mask.sum())
@@ -177,28 +261,32 @@ class _HostState:
                         vj[:] = masked(storage.row(j))
                         v = vj
                 dots[t] = np.dot(vi[s], v)
-        reply = {"dots": dots}
-        ship = arrays.get("ship")
-        if ship is not None and ship.size:
-            reply["rows"] = storage.gather_rows(ship.astype(np.int64, copy=False))
-        return {}, reply, b""
+        return {}, {"dots": dots}, b""
 
     def op_blend_rows(self, meta, arrays, blob):
         """CrossAggr where the rows live: blend every row of this shard
         of ``src`` with its collaborator into this shard of ``dst``.
 
         ``co[r] >= 0`` names a local collaborator row; ``co[r] < 0``
-        names row ``-co[r] - 1`` of the shipped ``foreign`` block (the
-        collaborators this shard does not own, in the buffer dtype).
-        Every element goes through :func:`repro.core.pool.blend_row`, so
-        the shard is bitwise what ``PoolBuffer.cross_aggregate`` writes.
+        names row ``-co[r] - 1`` of the collaborators this host does not
+        own (``pull_from``, see :meth:`_pull`: pulled from their owners,
+        or kept from the flush that chose them).
+        The request also carries the structural ops of the round's
+        blend: ``free`` lists buffers to drop first, and ``alloc``
+        creates ``dst`` (unless it exists).  Every element goes through
+        :func:`repro.core.pool.blend_row`, so the shard is bitwise what
+        ``PoolBuffer.cross_aggregate`` writes.
         """
         from repro.core.pool import blend_row
 
+        self._release(meta.get("free", ()))
+        if "alloc" in meta:
+            self._create(meta["dst"], meta["alloc"])
         src = self._storage(meta["src"])
         dst = self._storage(meta["dst"])
+        foreign = self._pull(meta["src"], meta, arrays)
+        self.kept.pop(meta["src"], None)  # served its blend
         co = arrays["co"]
-        foreign = arrays.get("foreign")
         int_cols = arrays["int_cols"].astype(np.int64, copy=False)
         alpha = float(meta["alpha"])
         scratch = np.empty((2, src.shape[1]))
@@ -278,10 +366,22 @@ class _HostState:
                     "masks": sorted(self.masks),
                     "trainer_version": self.trainer_version,
                     "blas_threads": blas_threads(),
+                    "peer_calls": self.peer_calls(),
                 },
                 {},
                 b"",
             )
+
+    def peer_calls(self) -> int:
+        """Requests this host has made of its peers (answered ones)."""
+        with self.peer_lock:
+            return sum(sum(c.op_counts.values()) for c in self.peers.values())
+
+    def close_peers(self) -> None:
+        with self.peer_lock:
+            peers, self.peers = list(self.peers.values()), {}
+        for chan in peers:
+            chan.close()
 
     def op_shutdown(self, meta, arrays, blob):
         self.stop.set()
@@ -307,6 +407,7 @@ def shard_host_main(index: int, port_conn, blas_cap: int) -> None:
     state = _HostState(index)
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    size_buffers(listener)  # inherited by every accepted connection
     listener.bind(("127.0.0.1", 0))
     listener.listen(16)
     port_conn.send(listener.getsockname()[1])
@@ -333,3 +434,4 @@ def shard_host_main(index: int, port_conn, blas_cap: int) -> None:
             ).start()
     finally:
         listener.close()
+        state.close_peers()

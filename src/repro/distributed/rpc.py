@@ -1,10 +1,11 @@
 """Request/response RPC channels over the framing layer.
 
-A :class:`RPCChannel` is one coordinator-side socket to one shard
-host.  The cluster keeps *two* channels per host — ``data`` for
-storage ops and ``exec`` for training legs — so a shard-local
-reduction (``gram_dots``, ``blend_rows``) is never queued behind a
-long-running training leg on the same socket.
+A :class:`RPCChannel` is one socket to one shard host.  The cluster
+keeps *two* channels per host — ``data`` for storage ops and ``exec``
+for training legs — so a shard-local reduction (``gram_dots``,
+``blend_rows``) is never queued behind a long-running training leg on
+the same socket.  Shard hosts open the same channels to each other to
+pull the peer rows a reduction needs (``row_block`` / ``gather_rows``).
 
 Requests to one host overlap on the wire: :meth:`RPCChannel.call`
 writes its frame under the send lock and takes a ticket (its place in
@@ -28,7 +29,9 @@ reads/overwrites, and a ``train_leg`` re-runs from the RNG state
 shipped in the request, so a replay produces bit-identical results.
 Errors raised *by* the remote op itself come back in the response
 header and re-raise as :class:`DistributedError` carrying the remote
-traceback — those are not retried.
+traceback — those are not retried.  A host that could not pull rows
+from a peer reports a :class:`PeerError`, which re-raises as one naming
+that peer, not the host that was asked.
 
 Each channel also keeps transport instrumentation: per-``(op,
 buffer)`` call counts and array-scalar counts sent/received.  The
@@ -48,13 +51,37 @@ import numpy as np
 
 from repro.distributed.framing import ConnectionClosed, recv_message, send_message
 
-__all__ = ["DistributedError", "RPCChannel", "serve_connection"]
+__all__ = [
+    "DistributedError", "PeerError", "RPCChannel", "serve_connection", "size_buffers",
+]
 
 _CONNECT_TIMEOUT_S = 10.0
+
+# Kernel send/receive buffer of every channel socket, set before the
+# handshake so the first reply already gets a window this wide: on a
+# 2-core host a fresh connection moved its first ~2 MB row block in
+# 9-50 ms with the kernel's autotuned default and in 4-7 ms with these
+# (1-3 ms once warm).  The kernel caps it at net.core.[rw]mem_max.
+_SOCKET_BUFFER_BYTES = 4 << 20
+
+
+def size_buffers(sock: socket.socket) -> None:
+    """Give ``sock`` (unconnected, or a listener whose accepted sockets
+    inherit it) the channels' send and receive buffer size."""
+    for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+        sock.setsockopt(socket.SOL_SOCKET, option, _SOCKET_BUFFER_BYTES)
 
 
 class DistributedError(RuntimeError):
     """A shard host failed (died, unreachable, or raised remotely)."""
+
+
+class PeerError(DistributedError):
+    """Shard host ``peer`` failed a pull another host made from it."""
+
+    def __init__(self, message: str, peer: int) -> None:
+        super().__init__(message)
+        self.peer = int(peer)
 
 
 class RPCChannel:
@@ -83,7 +110,14 @@ class RPCChannel:
 
     # -- connection management --------------------------------------------
     def _connect(self) -> socket.socket:
-        sock = socket.create_connection(self.address, timeout=_CONNECT_TIMEOUT_S)
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            size_buffers(sock)
+            sock.settimeout(_CONNECT_TIMEOUT_S)
+            sock.connect(self.address)
+        except OSError:
+            sock.close()
+            raise
         # Blocking from here on: replies to long ops (training legs) may
         # legitimately take minutes; a dead host still surfaces as EOF.
         sock.settimeout(None)
@@ -152,6 +186,11 @@ class RPCChannel:
         reply, reply_arrays, reply_blob = self._receive(request)
         if not reply.get("ok", False):
             error = reply.get("error", {})
+            if error.get("peer") is not None:
+                raise PeerError(
+                    f"{error.get('message', '')} (a peer pull for op {op!r})",
+                    error["peer"],
+                )
             raise DistributedError(
                 f"{self.label} failed op {op!r}: "
                 f"{error.get('type', 'Exception')}: {error.get('message', '')}\n"
@@ -249,6 +288,7 @@ def serve_connection(sock: socket.socket, dispatch) -> None:
                             "type": type(exc).__name__,
                             "message": str(exc),
                             "traceback": traceback.format_exc(),
+                            "peer": getattr(exc, "peer", None),
                         },
                     },
                 )

@@ -22,15 +22,22 @@ The coordinator holds only the span map (the same
   loop on the hosts: each host adds its span, and the accumulator — one
   float64 row — is passed from host to host in pool order;
 * ``gram_rows`` answers a :class:`~repro.core.gram.GramTracker` flush
-  where the rows live, dotting every needed pair exactly once in two
-  exchanges: each host dots the pairs inside its own span (indices only
-  on the wire) and returns the stale rows its peers need; then each
-  host pair's cross block is split evenly between its two hosts, each
-  dotting its half against the peer rows it was sent;
-* ``blend_into`` runs ``cross_aggregate`` where the rows live: each
-  host blends its span into its shard of the output buffer and is sent
-  only the collaborator rows it does not own (replicated buffers keep
-  the coordinator-side blocked path — their mirror needs the bytes).
+  where the rows live, dotting every needed pair exactly once with one
+  ``gram_dots`` request per host: the pairs inside its own span
+  (indices only on the wire) and its half of each cross block, dotted
+  against the stale rows it pulls from the peer that owns them;
+* ``blend_into`` runs ``cross_aggregate`` where the rows live: one
+  ``blend_rows`` request per host blends its span into its shard of the
+  output buffer, pulling the collaborator rows it does not own from
+  their hosts, and carries the output's ``alloc`` and the queued frees
+  (replicated buffers keep the coordinator-side blocked path — their
+  mirror needs the bytes).
+
+A buffer is created on the hosts by its first use
+(:meth:`DistributedStorage.buffer_id`, which every host-bound request
+reads), so a blend's output pool costs no broadcast of its own.  Only
+indices, scalars, the Gram dots and the mean's float64 accumulator
+cross a coordinator socket on these paths; peer rows move host to host.
 
 Rows cross the socket as raw buffer-dtype bytes and every reduction
 uses the exact single-node kernels, so a distributed pool is bitwise
@@ -41,6 +48,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import threading
 import weakref
 from typing import Sequence
 
@@ -145,9 +153,16 @@ class DistributedStorage(PoolStorage):
         boundaries: Sequence[int],
         placement: str,
         replicate: bool = False,
+        placed: bool = True,
     ) -> None:
         self._cluster = cluster
         self._buffer = buffer
+        # False until the hosts hold the buffer (see ``buffer_id``).
+        self._placed = bool(placed)
+        self._place_lock = threading.Lock()
+        # Bumped by every write this proxy learns of: the token under
+        # which hosts keep a flush's pulled rows for the next blend.
+        self._writes = 0
         self._shape = (int(shape[0]), int(shape[1]))
         self._dtype = np.dtype(dtype)
         self._boundaries = tuple(int(b) for b in boundaries)
@@ -192,7 +207,7 @@ class DistributedStorage(PoolStorage):
         buffer = cluster.allocate(boundaries, p, dtype, placement)
         return cls(
             cluster, buffer, (k, p), dtype, boundaries, placement,
-            replicate=replicate,
+            replicate=replicate, placed=False,
         )
 
     @classmethod
@@ -217,7 +232,7 @@ class DistributedStorage(PoolStorage):
 
     def clone(self) -> "DistributedStorage":
         # Host-local copies: no row data crosses the wire.
-        dst = self._cluster.clone_buffer(self._buffer)
+        dst = self._cluster.clone_buffer(self.buffer_id)
         out = type(self)(
             self._cluster, dst, self._shape, self._dtype,
             self._boundaries, self._placement, replicate=self._replicate,
@@ -235,6 +250,14 @@ class DistributedStorage(PoolStorage):
 
     @property
     def buffer_id(self) -> str:
+        """The hosts' id of this buffer, created on them first if no
+        request has yet: every host-bound request names the buffer
+        through this, so the first one places it."""
+        if not self._placed:
+            with self._place_lock:
+                if not self._placed:
+                    self._recovering(self._cluster.place, self._buffer)
+                    self._placed = True
         return self._buffer
 
     @property
@@ -287,6 +310,7 @@ class DistributedStorage(PoolStorage):
     def note_remote_write(self, row: int) -> None:
         """Record that ``row`` was just written host-side (a training
         leg landed): the mirror no longer holds its latest content."""
+        self._writes += 1
         if self._replicate:
             self._dirty[int(row)] = True
             self._lost[int(row)] = False
@@ -302,6 +326,7 @@ class DistributedStorage(PoolStorage):
         """
         if not self._replicate:
             return
+        self._writes += 1
         b = self._boundaries
         lo, hi = b[index], b[index + 1]
         if hi > lo:
@@ -388,7 +413,7 @@ class DistributedStorage(PoolStorage):
         ]
         replies = self._recovering(self._cluster.call_each, [
             (host, "row_block", {
-                "buffer": self._buffer,
+                "buffer": self.buffer_id,
                 "lo": lo - self._boundaries[host], "hi": hi - self._boundaries[host],
             })
             for host, lo, hi in spans
@@ -406,12 +431,13 @@ class DistributedStorage(PoolStorage):
         start = int(start)
         stop = start + values.shape[0]
         self._check_rows(start, stop)
+        self._writes += 1
         for host, (b0, b1) in enumerate(self.host_spans()):
             lo, hi = max(start, b0), min(stop, b1)
             if lo < hi:
                 self._recovering(
                     self._cluster.call, host, "write_rows",
-                    {"buffer": self._buffer, "lo": lo - b0},
+                    {"buffer": self.buffer_id, "lo": lo - b0},
                     {"values": values[lo - start : hi - start]},
                 )
         if self._replicate:
@@ -429,7 +455,7 @@ class DistributedStorage(PoolStorage):
         hosts = np.flatnonzero(np.bincount(owners))
         places = [np.flatnonzero(owners == host) for host in hosts]
         replies = self._recovering(self._cluster.call_each, [
-            (int(host), "gather_rows", {"buffer": self._buffer},
+            (int(host), "gather_rows", {"buffer": self.buffer_id},
              {"indices": indices[at] - self._boundaries[host]})
             for host, at in zip(hosts, places)
         ])
@@ -439,8 +465,9 @@ class DistributedStorage(PoolStorage):
 
     def fill_rows(self, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=self._dtype)
+        self._writes += 1
         self._recovering(
-            self._cluster.broadcast, "fill_rows", {"buffer": self._buffer},
+            self._cluster.broadcast, "fill_rows", {"buffer": self.buffer_id},
             {"values": values},
         )
         if self._replicate:
@@ -468,7 +495,7 @@ class DistributedStorage(PoolStorage):
             if hi > lo:
                 reply = self._recovering(
                     self._cluster.call, host, "accumulate_rows",
-                    {"buffer": self._buffer}, {"w": w[lo:hi], "acc": acc},
+                    {"buffer": self.buffer_id}, {"w": w[lo:hi], "acc": acc},
                 )
                 acc[:] = reply[1]["acc"]
 
@@ -478,12 +505,13 @@ class DistributedStorage(PoolStorage):
         """Gram rows ``rows`` of the masked matrix, reduced on the hosts.
 
         Every needed pair — one stale row and any row — is dotted
-        exactly once, on a host that holds both operands (see
-        :meth:`_gram_pairs`); ``np.dot(a, b)`` and ``np.dot(b, a)`` are
-        the same bits, so each dot fills its mirrored entry too.
-        Bitwise the tracker's local loop.  At most a block budget of
-        stale rows is reduced, and so moves, per exchange; pairs with
-        rows of an earlier exchange are not dotted again.
+        exactly once, on a host that holds one operand and pulls the
+        other from its peer (see :meth:`_gram_pairs`); ``np.dot(a, b)``
+        and ``np.dot(b, a)`` are the same bits, so each dot fills its
+        mirrored entry too.  Bitwise the tracker's local loop.  At most
+        a block budget of stale rows is reduced, and so moves, per round
+        of requests; pairs with rows of an earlier round are not dotted
+        again.
 
         Lost-row rule: ``rows`` are rows whose writers reported in
         (``update_row``), so a lost one raises; the rows they are dotted
@@ -511,18 +539,20 @@ class DistributedStorage(PoolStorage):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Dot every pair of a ``stale`` row with a row not ``done``, once.
 
-        Two exchanges, one ``gram_dots`` per host each.  First, each
-        host dots the pairs inside its own span (indices only on the
-        wire), and its reply carries the stale rows its peers need.
-        Then each host pair ``(x, y)`` splits its cross block: ``x``
-        dots its rows against ``y``'s stale rows, ``y`` its rows against
-        ``x``'s, so only stale rows move, in the buffer dtype; the pairs
-        of two stale rows go to whichever side evens the split, so a
-        full flush halves every cross block.  Returns each pair's global
-        ``(left, right)`` rows and its dot.
+        One ``gram_dots`` request per host that has pairs: the pairs
+        inside its own span, and its half of each cross block.  Each
+        host pair ``(x, y)`` splits its cross block evenly by dot count:
+        ``x`` dots its rows against ``y``'s stale rows, ``y`` its rows
+        against ``x``'s, each pulling the peer's stale rows it needs
+        straight from the peer (only stale rows move, in the buffer
+        dtype, and none through the coordinator); the pairs of two
+        stale rows go to whichever side evens the split, so a full
+        flush halves every cross block.  Hosts keep the rows they pulled
+        (``keep``) for a blend that follows before any write.  Returns
+        each pair's global ``(left, right)`` rows and its dot.
         """
         self._check_lost(stale)
-        meta = {"buffer": self._buffer}
+        meta = {"buffer": self.buffer_id}
         if mask is not None:
             meta["mask_id"] = self._cluster.ensure_mask(mask)
         k, b = self._shape[0], self._boundaries
@@ -531,13 +561,12 @@ class DistributedStorage(PoolStorage):
         live = [np.arange(lo, hi)[~done[lo:hi]] for lo, hi in self.host_spans()]
         own = [rows[is_stale[rows]] for rows in live]
         hosts = range(len(live))
-        inside = []  # per host: its (stale row, row) pairs, each once
+        pairs = []  # per host: its (left, right) rows, the inside pairs first
         for h in hosts:
             grid = np.meshgrid(own[h], live[h], indexing="ij")
             left, right = (g.ravel() for g in grid)
             keep = ~is_stale[right] | (right >= left)
-            inside.append((left[keep], right[keep]))
-        across = [[] for _ in hosts]  # per host: (peer stale row, own rows)
+            pairs.append([(left[keep], right[keep])])
         for x, y in itertools.combinations(hosts, 2):
             sx, sy = own[x], own[y]
             # Only x can dot its fresh rows × sy, only y sx × its fresh
@@ -549,52 +578,47 @@ class DistributedStorage(PoolStorage):
                 even = (only_y - only_x + sx.size * sy.size) / (2 * sx.size)
                 c = min(sy.size, max(0, round(even)))
             fresh_x = live[x][~is_stale[live[x]]]
-            across[x] += [(q, live[x]) for q in sy[:c].tolist()]
-            across[x] += [(q, fresh_x) for q in sy[c:].tolist()]
             taken = np.zeros(k, dtype=bool)
             taken[sy[:c]] = True
             rest_y = live[y][~taken[live[y]]]
-            across[y] += [(q, rest_y) for q in sx.tolist()]
-        across = [[(q, rows) for q, rows in pairs if rows.size] for pairs in across]
-        given = [np.array(sorted({q for q, _ in pairs}), dtype=np.int64) for pairs in across]
-        wanted = np.zeros(k, dtype=bool)
-        for rows in given:
-            wanted[rows] = True
-        ship = [np.flatnonzero(wanted[lo:hi]) + lo for lo, hi in self.host_spans()]
-
-        first = [h for h in hosts if inside[h][0].size or ship[h].size]
-        replies = self._cluster.call_each([
-            (h, "gram_dots", meta, {
-                "left": inside[h][0] - b[h], "right": inside[h][1] - b[h],
-                "ship": ship[h] - b[h],
-            })
-            for h in first
-        ])
-        shipped = [(h, reply[1]["rows"]) for h, reply in zip(first, replies) if ship[h].size]
-        pairs = [inside[h] for h in first]
-        requests = []
-        for h in (h for h in hosts if across[h]):
-            # The peer rows h dots, in row order: whole shipped blocks
-            # where h needs all of one, else the rows it needs of it.
-            parts = []
-            for g, block in shipped:
-                need = given[h][(given[h] >= b[g]) & (given[h] < b[g + 1])]
-                if need.size == ship[g].size:
-                    parts.append(block)
-                elif need.size:
-                    parts.append(block[np.searchsorted(ship[g], need)])
-            left = np.concatenate([np.full(rows.size, q) for q, rows in across[h]])
-            right = np.concatenate([rows for _, rows in across[h]])
-            pairs.append((left, right))
-            requests.append((h, "gram_dots", meta, {
-                "left": -1 - np.searchsorted(given[h], left),
+            for h, block in (
+                (x, [(q, live[x]) for q in sy[:c].tolist()]),
+                (x, [(q, fresh_x) for q in sy[c:].tolist()]),
+                (y, [(q, rest_y) for q in sx.tolist()]),
+            ):
+                pairs[h] += [
+                    (np.full(rows.size, q), rows) for q, rows in block if rows.size
+                ]
+        ports = self._cluster.peer_ports()
+        requests, dotted = [], []
+        for h in hosts:
+            left = np.concatenate([a for a, _ in pairs[h]])
+            right = np.concatenate([z for _, z in pairs[h]])
+            if not left.size:
+                continue
+            mine = (left >= b[h]) & (left < b[h + 1])
+            # The peer rows h pulls, in row order (so peers in host order);
+            # bincount, not np.unique, which imports numpy.ma on first use.
+            given = np.flatnonzero(np.bincount(left[~mine]))
+            owners = self._fences.searchsorted(given, side="right") - 1
+            sources = np.flatnonzero(np.bincount(owners)).tolist()
+            arrays = {
+                "left": np.where(mine, left - b[h], -1 - np.searchsorted(given, left)),
                 "right": right - b[h],
-                "block": parts[0] if len(parts) == 1 else np.concatenate(parts),
-            }))
-        replies += self._cluster.call_each(requests)
+            }
+            host_meta = meta
+            if sources:
+                host_meta = {
+                    **meta, "pull_from": sources, "peers": ports, "keep": self._writes,
+                }
+                for g in sources:
+                    arrays[f"pull{g}"] = given[owners == g] - b[g]
+            requests.append((h, "gram_dots", host_meta, arrays))
+            dotted.append((left, right))
+        replies = self._cluster.call_each(requests)
         return (
-            np.concatenate([left for left, _ in pairs]),
-            np.concatenate([right for _, right in pairs]),
+            np.concatenate([left for left, _ in dotted]),
+            np.concatenate([right for _, right in dotted]),
             np.concatenate([reply[1]["dots"] for reply in replies]),
         )
 
@@ -604,12 +628,17 @@ class DistributedStorage(PoolStorage):
     ) -> bool:
         """``cross_aggregate`` (1-D ``co``) where the rows live.
 
-        Each host gets its span of ``co`` and blends its own rows into
-        its shard of ``dst`` (this storage's ``allocate_like``),
-        receiving only the collaborator rows it does not own.  Declined
-        for replicated buffers — their mirror needs the bytes anyway —
-        when a host's span exceeds ``block_rows``, the budget the
-        shipped block is held to, and for propeller ``(K, num)`` ``co``.
+        One ``blend_rows`` request per host: its span of ``co``, with
+        which it blends its own rows into its shard of ``dst`` (this
+        storage's ``allocate_like``), pulling the collaborator rows it
+        does not own from their hosts — or taking them from the rows
+        the last flush pulled, when no write came between (``reuse``).
+        The request also creates ``dst`` on the host when nothing has
+        yet, and carries the frees the cluster has queued, so a steady
+        round's blend is one call per host.  Declined for replicated
+        buffers — their mirror needs the bytes anyway — when a host's
+        span exceeds ``block_rows``, the budget the pulled block is held
+        to, and for propeller ``(K, num)`` ``co``.
         """
         if (self._replicate or co.ndim != 1
                 or max(np.diff(self._boundaries)) > block_rows):
@@ -617,15 +646,23 @@ class DistributedStorage(PoolStorage):
         k = self._shape[0]
         owners = self._owners(co)
         local = owners == self._owners(np.arange(k))
-        foreign = np.flatnonzero(np.bincount(co[~local]))
-        gathered = self.gather_rows(foreign) if foreign.size else None
-        meta = {"src": self._buffer, "dst": dst._buffer, "alpha": float(alpha)}
+        meta = {
+            "src": self.buffer_id, "dst": dst._buffer, "alpha": float(alpha),
+            "peers": self._cluster.peer_ports(), "reuse": self._writes,
+        }
+        frees = self._cluster.take_frees()
+        if frees:
+            meta["free"] = frees
         requests = []
         for host, (lo, hi) in enumerate(self.host_spans()):
-            if hi == lo:
+            host_meta = dict(meta)
+            if not dst._placed:
+                host_meta["alloc"] = self._cluster.alloc_meta(dst._buffer, host)
+            elif hi == lo and not frees:
                 continue
             need = np.flatnonzero(np.bincount(co[lo:hi][~local[lo:hi]]))
-            # >= 0: local collaborator row; < 0: row -c - 1 of ``foreign``.
+            sources = np.flatnonzero(np.bincount(owners[lo:hi][~local[lo:hi]])).tolist()
+            # >= 0: local collaborator row; < 0: row -c - 1 of the pulled.
             arrays = {
                 "co": np.where(
                     local[lo:hi], co[lo:hi] - lo,
@@ -633,10 +670,18 @@ class DistributedStorage(PoolStorage):
                 ),
                 "int_cols": int_cols,
             }
-            if need.size:
-                arrays["foreign"] = gathered[np.searchsorted(foreign, need)]
-            requests.append((host, "blend_rows", meta, arrays))
-        self._cluster.call_each(requests)
+            for g in sources:
+                at = (need >= self._boundaries[g]) & (need < self._boundaries[g + 1])
+                arrays[f"pull{g}"] = need[at] - self._boundaries[g]
+            host_meta["pull_from"] = sources
+            requests.append((host, "blend_rows", host_meta, arrays))
+        try:
+            self._cluster.call_each(requests)
+        except BaseException:
+            for buffer in frees:  # not sent, or not everywhere: queue again
+                self._cluster.defer_free(buffer)
+            raise
+        dst._placed = True
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

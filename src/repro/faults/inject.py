@@ -14,6 +14,10 @@ Injectors
     buffers) before any leg dispatches, so a seeded run stays bitwise
     identical to the serial reference — the strongest chaos-matrix
     assertion.
+:class:`KillPeerMidFlush`
+    Server callback that SIGKILLs one shard host inside a round's Gram
+    flush, after it answered its own share and before its peers pull
+    their operands from it — the host-to-host failure path.
 :class:`KillOwnHostOnce`
     A :class:`~repro.fl.hooks.HookSpec` that kills the *host process it
     is running on*, mid-leg, exactly once (guarded by a sentinel file
@@ -47,7 +51,9 @@ from repro.fl.callbacks import ServerCallback
 from repro.fl.hooks import HookSpec
 
 __all__ = [
+    "kill_host",
     "KillHostAtRound",
+    "KillPeerMidFlush",
     "KillOwnHostOnce",
     "DelaySpec",
     "UploadDropper",
@@ -69,6 +75,13 @@ def _server_cluster(server):
     )
 
 
+def kill_host(cluster, host: int) -> None:
+    """SIGKILL shard host ``host`` of ``cluster`` and reap it."""
+    handle = cluster.handles[int(host)]
+    handle.process.kill()
+    handle.process.join(timeout=5.0)
+
+
 class KillHostAtRound(ServerCallback):
     """SIGKILL shard host ``host`` when round ``at_round`` starts."""
 
@@ -81,9 +94,49 @@ class KillHostAtRound(ServerCallback):
         if self.killed or round_idx != self.at_round:
             return
         self.killed = True
-        handle = _server_cluster(server).handles[self.host]
-        handle.process.kill()
-        handle.process.join(timeout=5.0)
+        kill_host(_server_cluster(server), self.host)
+
+
+class KillPeerMidFlush(ServerCallback):
+    """SIGKILL shard host ``host`` inside the first Gram flush of round
+    ``at_round``.
+
+    Armed when the round starts, it intercepts the flush's per-host
+    ``gram_dots`` requests: ``host``'s own share runs first and is
+    answered, then ``host`` is killed, then the other hosts' shares run
+    — and their pulls of ``host``'s stale rows find it dead.  Disarms
+    itself after that one flush, so a recovery's retry runs untouched.
+    """
+
+    def __init__(self, host: int, at_round: int) -> None:
+        self.host = int(host)
+        self.at_round = int(at_round)
+        self.killed = False
+
+    def on_round_start(self, server, round_idx: int) -> None:
+        if self.killed or round_idx != self.at_round:
+            return
+        cluster = _server_cluster(server)
+
+        def call_each(requests, purpose="data"):
+            if not requests or requests[0][1] != "gram_dots":
+                return type(cluster).call_each(cluster, requests, purpose)
+            del cluster.call_each  # one flush only
+            replies = {}
+            for victim in (True, False):
+                picked = [
+                    i for i, request in enumerate(requests)
+                    if (request[0] == self.host) == victim
+                ]
+                if not victim:
+                    self.killed = True
+                    kill_host(cluster, self.host)
+                if picked:
+                    got = cluster.call_each([requests[i] for i in picked], purpose)
+                    replies.update(zip(picked, got))
+            return [replies[i] for i in range(len(requests))]
+
+        cluster.call_each = call_each
 
 
 @dataclass

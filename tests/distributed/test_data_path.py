@@ -109,9 +109,9 @@ class TestDeferredGram:
             tracker.update_row(i)
         before = _data_calls(cluster)
         tracker.gram
-        # Per host, its own pairs (the reply carrying the rows its peer
-        # needs), then its half of the cross block — whatever K is.
-        assert _data_calls(cluster) - before == 4
+        # One gram_dots per host — its own pairs and its half of the
+        # cross block, the peer rows pulled host to host — whatever K is.
+        assert _data_calls(cluster) - before == 2
 
     @pytest.mark.parametrize("budget", [8, None], ids=["one_row_per_exchange", "default"])
     @pytest.mark.parametrize("hosts,k", [(2, 8), (3, 7)])
@@ -156,11 +156,15 @@ class TestDeferredGram:
         for i in range(8):
             tracker.update_row(i)
         tracker.gram
-        inside, across = calls
-        # Each host's own 4 rows: 10 pairs; each host's half of the 16.
-        assert [len(arrays["left"]) for _h, arrays in inside] == [10, 10]
-        assert [len(arrays["left"]) for _h, arrays in across] == [8, 8]
-        assert all((arrays["left"] < 0).all() for _h, arrays in across)
+        (requests,) = calls
+        # Per host: its own 4 rows' 10 pairs and its half of the 16, the
+        # half dotted against peer rows it pulls (left < 0).
+        assert [len(arrays["left"]) for _h, arrays in requests] == [18, 18]
+        assert [int((arrays["left"] < 0).sum()) for _h, arrays in requests] == [8, 8]
+        # Host 0 pulls 2 of host 1's stale rows, host 1 all 4 of host 0's.
+        assert [arrays[f"pull{1 - h}"].tolist() for h, arrays in requests] == [
+            [0, 1], [0, 1, 2, 3]
+        ]
 
     def test_failed_flush_keeps_rows_marked(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -236,6 +240,42 @@ class TestHostSideBlend:
             np.asarray(dist.cross_aggregate(co, 0.7).matrix),
             np.asarray(dense.cross_aggregate(co, 0.7).matrix),
         )
+
+    def test_blend_reuses_the_flushs_rows_until_a_write(self):
+        # Spans (0, 3) and (3, 6); every collaborator is foreign.  The
+        # flush leaves each host holding the peer rows it pulled, and a
+        # blend right after takes them from there; a write in between
+        # changes the token, so the blend pulls the fresh row instead.
+        rng = np.random.default_rng(21)
+        dense, dist = _pair([_state(rng) for _ in range(6)], 2)
+        cluster = dist.storage.cluster
+        co = np.array([3, 4, 5, 0, 1, 2])
+
+        def peer_calls():
+            return sum(
+                cluster.call(i, "stats", purpose="stats")[0]["peer_calls"]
+                for i in range(2)
+            )
+
+        for write in (False, True):
+            tracker = GramTracker(dist)
+            for i in range(6):
+                tracker.update_row(i)
+            tracker.gram
+            if write:
+                fresh = _state(rng)
+                dense.set_state(4, fresh)
+                dist.set_state(4, fresh)
+            before = peer_calls()
+            blended = dist.cross_aggregate(co, 0.9)
+            np.testing.assert_array_equal(
+                np.asarray(blended.matrix),
+                np.asarray(dense.cross_aggregate(co, 0.9).matrix),
+            )
+            # The flush split the 3 x 3 cross block: host 0 pulled rows
+            # 3 and 4, host 1 all of 0-2.  Unwritten, only host 0 pulls
+            # again (row 5); after the write both pull all they need.
+            assert peer_calls() - before == (2 if write else 1)
 
     def test_propellers_keep_the_blocked_protocol(self):
         rng = np.random.default_rng(2)
@@ -330,13 +370,23 @@ class _CallLog(ServerCallback):
     in either order: ``exec`` (round t's legs) from ``on_round_start(t)``
     to the next round start (or the fit's end), ``data`` (round t's
     flush, blend and evaluation) from ``on_round_end(t - 1)`` to
-    ``on_round_end(t)``.
+    ``on_round_end(t)``.  The hosts' own pulls from each other (``peer``)
+    happen inside that flush and blend, so they are cut with ``data``;
+    each host reports its count through ``stats`` on a channel of its
+    own, which no count here includes.
     """
 
     def __init__(self, cluster):
         self.cluster = cluster
-        self.exec, self.data = [], []
+        self.exec, self.data, self.peer = [], [], []
         self._exec, self._data = None, _data_calls(cluster, "data")
+        self._peer = self._peer_calls()
+
+    def _peer_calls(self):
+        return sum(
+            self.cluster.call(i, "stats", purpose="stats")[0]["peer_calls"]
+            for i in range(self.cluster.num_hosts)
+        )
 
     def _cut(self, purpose, last, deltas):
         now = _data_calls(self.cluster, purpose)
@@ -349,24 +399,33 @@ class _CallLog(ServerCallback):
 
     def on_round_end(self, server, record):
         self._data = self._cut("data", self._data, self.data)
+        now = self._peer_calls()
+        self.peer.append(now - self._peer)
+        self._peer = now
 
     def on_fit_end(self, server, history):
         self._exec = self._cut("exec", self._exec, self.exec)
 
     @property
     def rounds(self):
-        return [{"exec": e, "data": d} for e, d in zip(self.exec, self.data)]
+        return [
+            {"exec": e, "data": d, "peer": g}
+            for e, d, g in zip(self.exec, self.data, self.peer)
+        ]
 
 
 def test_sync_round_makes_o_hosts_data_calls():
     # K = 20 on 2 hosts: a steady-state round is K train_legs on the
     # exec channels plus a data-channel bill that counts hosts, not
-    # rows (the per-upload masked_dots fan-out made it 96).  Per host:
-    # dispatch 0 (legs start from their host's own pool row), Gram
-    # flush 2 (gram_dots: own pairs + rows for the peer, then half the
-    # cross block), blend 4 (alloc of the next pool, gather_rows of
-    # foreign collaborators, blend_rows, free of the last pool), mean 1
-    # (accumulate_rows) — 7 per host, 14 a round.
+    # rows (the per-upload masked_dots fan-out made it 96, the
+    # coordinator relaying peer rows 14).  Per host: dispatch 0 (legs
+    # start from their host's own pool row), Gram flush 1 (gram_dots:
+    # own pairs and half the cross block), blend 1 (blend_rows, carrying
+    # the next pool's alloc and the last pool's free), mean 1
+    # (accumulate_rows) — 3 per host, 6 a round.  The hosts pull what
+    # they need of each other: at most one row_block / gather_rows per
+    # peer for the flush and one for the blend, and the flush always
+    # pulls.
     log = _CallLog(get_cluster(2))
     run_simulation(
         FLConfig(
@@ -381,7 +440,8 @@ def test_sync_round_makes_o_hosts_data_calls():
     assert len(log.exec) == len(log.data) == 3
     for counts in log.rounds[1:]:
         assert counts["exec"] == 20
-        assert counts["data"] == 14, counts
+        assert counts["data"] == 6, counts
+        assert 2 <= counts["peer"] <= 4, counts
 
 
 class TestScreenReadsAfterTheQuarantine:

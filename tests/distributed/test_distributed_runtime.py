@@ -12,6 +12,7 @@ import pytest
 from _fits import assert_same_fit, run_fit
 from repro.distributed import DistributedError
 from repro.distributed.cluster import get_cluster, shutdown_clusters
+from repro.faults.inject import KillPeerMidFlush
 from repro.fl.callbacks import ServerCallback
 from repro.fl.comm import analytic_round_cost
 from repro.fl.config import FLConfig
@@ -243,6 +244,37 @@ class TestNoCoordinatorTransit:
         assert fetched == [0] * rounds
         assert _sent("exec") - exec_sent_before == 0
 
+    def test_data_channels_carry_dots_and_accumulators_only(self):
+        # What a clean FedCross round brings back over the data channels:
+        # the Gram flush's dots (each pair of the K uploads once) and the
+        # precise mean's float64 accumulator from each host — no pool or
+        # upload row.  The flush's stale rows and the blend's foreign
+        # collaborators move host to host; relayed through the
+        # coordinator, they brought 4 upload rows in a round here.
+        cluster = get_cluster(HOSTS)
+
+        def received():
+            return sum(h.channel("data").scalars_received for h in cluster.handles)
+
+        class Cut(ServerCallback):
+            def __init__(self):
+                self.last, self.rounds = None, []
+
+            def on_round_start(self, server, round_idx):
+                if self.last is None:
+                    self.last = received()
+
+            def on_round_end(self, server, record):
+                now = received()
+                self.rounds.append(now - self.last)
+                self.last = now
+
+        cut = Cut()
+        sim = FLSimulation(_config(rounds=3), callbacks=[cut])
+        sim.run()
+        k, p = sim.config.clients_per_round, sim.server.model_size
+        assert cut.rounds == [k * (k + 1) // 2 + HOSTS * p] * 3
+
     def test_a_row_owned_by_another_host_ships_as_bytes(self):
         # Upload row r trains from pool row r + K/2: every leg's pool
         # row lives on the other host, so the row must ride the
@@ -304,6 +336,21 @@ class TestFaultSurfacing:
                 sim.run()
         finally:
             # Leave no half-dead fleet in the pool for later tests.
+            shutdown_clusters()
+
+    def test_peer_killed_mid_flush_is_named(self):
+        """Host 1 dies inside the Gram flush, after answering its own
+        share: host 0's pull of host 1's stale rows fails, and the error
+        names host 1 — host 0, the host that was asked, is healthy."""
+        killer = KillPeerMidFlush(host=1, at_round=1)
+        try:
+            sim = FLSimulation(_config(rounds=3), callbacks=[killer])
+            with pytest.raises(DistributedError, match="shard host 1/2") as info:
+                sim.run()
+            assert killer.killed
+            assert "shard host 0/2" not in str(info.value)
+            assert "gram_dots" in str(info.value)
+        finally:
             shutdown_clusters()
 
     def test_dead_host_at_submit_fails_every_leg_of_the_group(self):

@@ -75,6 +75,24 @@ class TestReconnect:
         finally:
             chan.call("free", {"buffer": "rpcflaky"})
 
+    def test_replayed_alloc_keeps_a_live_shard(self, chan):
+        # An alloc rides a blend request and is replayed by a resend or
+        # a recovery: a second alloc of a live buffer must not zero it.
+        meta = {"buffer": "rpcalloc", "rows": 2, "p": 3, "dtype": "<f4"}
+        values = np.arange(6, dtype=np.float32).reshape(2, 3)
+        chan.call("alloc", meta)
+        try:
+            chan.call("write_rows", {"buffer": "rpcalloc", "lo": 0}, {"values": values})
+            with flaky_transport(chan, "reply", failures=1) as state:
+                chan.call("alloc", meta)
+            assert state["remaining"] == 0  # it ran twice
+            _, arrays, _ = chan.call(
+                "row_block", {"buffer": "rpcalloc", "lo": 0, "hi": 2}
+            )
+            np.testing.assert_array_equal(arrays["block"], values)
+        finally:
+            chan.call("free", {"buffer": "rpcalloc"})
+
     def test_exhausted_budget_raises_distributed_error(self, chan):
         retries = chan.transport_retries
         with flaky_transport(chan, "request", failures=2):

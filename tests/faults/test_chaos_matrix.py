@@ -23,8 +23,8 @@ from pathlib import Path
 import pytest
 
 from _fits import BASE, assert_same_fit, extras, run_fit
-from repro.distributed.cluster import shutdown_clusters
-from repro.faults.inject import KillHostAtRound, KillOwnHostOnce
+from repro.distributed.cluster import get_cluster, shutdown_clusters
+from repro.faults.inject import KillHostAtRound, KillOwnHostOnce, KillPeerMidFlush
 from repro.fl.callbacks import ServerCallback
 
 SCENARIOS = Path(__file__).parent / "scenarios"
@@ -47,6 +47,24 @@ def _fresh_fleet():
     # the pool after this module so later test files start clean.
     yield
     shutdown_clusters()
+
+
+def _tcp_on(ports):
+    """``(state, local port, remote port)`` of every listening ("0A") or
+    established ("01") TCP socket with either end on ``ports``."""
+    found = []
+    for table in ("/proc/net/tcp", "/proc/net/tcp6"):
+        try:
+            with open(table) as handle:
+                rows = handle.read().splitlines()[1:]
+        except OSError:
+            continue
+        for row in rows:
+            fields = row.split()
+            local, remote = (int(f.rsplit(":", 1)[1], 16) for f in fields[1:3])
+            if fields[3] in ("01", "0A") and {local, remote} & ports:
+                found.append((fields[3], local, remote))
+    return found
 
 
 class TestScenarioFiles:
@@ -115,6 +133,43 @@ class TestHostKill:
         killed = run_fit(BASE, callbacks=[killer], **faulty, **DISTRIBUTED)
         assert killer.killed
         assert_same_fit(reference, killed)
+
+    def test_mid_flush_peer_kill_recovers_bitwise(self):
+        # SIGKILL host 1 inside the Gram flush, while host 0 pulls its
+        # stale rows from it: the flush fails, the fleet respawns host 1
+        # and replays its rows from the replica, and the flush runs again
+        # with host 1's new port.  Uploads land through the coordinator
+        # (serial execution), so the replica holds every row — a leg
+        # trained on the dead host would be lost — and the run is bitwise
+        # the reference, as with the round-boundary kill.
+        reference = run_fit(BASE, failure_policy="carry")
+        killer = KillPeerMidFlush(host=1, at_round=1)
+        killed = run_fit(
+            BASE, callbacks=[killer], failure_policy="carry",
+            backend="distributed", hosts=HOSTS, execution="serial",
+        )
+        assert killer.killed
+        assert_same_fit(reference, killed)
+        # Shutting the fleet down leaves no listener and no connection
+        # on any host's port: not the coordinator's, not host to host.
+        cluster = get_cluster(HOSTS)
+        ports = set(cluster.peer_ports())
+        mine = {
+            chan._sock.getsockname()[1]
+            for handle in cluster.handles
+            for chan in handle._channels.values()
+            if chan._sock is not None
+        }
+        open_before = _tcp_on(ports)
+        assert {"0A"} <= {state for state, _l, _r in open_before}
+        # A connection between two hosts' sockets that the coordinator
+        # does not own: host 0 pulling from the respawned host 1.
+        assert any(
+            state == "01" and local not in mine and local not in ports
+            for state, local, _r in open_before
+        )
+        shutdown_clusters()
+        assert _tcp_on(ports) == []
 
     @pytest.mark.slow
     def test_mid_leg_kill_recovers_within_round(self, tmp_path):
