@@ -32,13 +32,18 @@ def is_grad_enabled() -> bool:
 
 
 def set_grad_enabled(enabled: bool) -> None:
-    """Globally enable or disable autograd graph recording."""
+    """Enable or disable autograd graph recording in the calling thread.
+
+    The mode is thread-local, as :func:`no_grad` is: a thread that turns
+    recording off leaves it on in every other thread (a ``thread``
+    backend's legs record their graphs while another thread evaluates).
+    """
     _MODE.enabled = bool(enabled)
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that disables autograd graph recording.
+    """Context manager that disables autograd graph recording in this thread.
 
     Examples
     --------

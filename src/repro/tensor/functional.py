@@ -10,7 +10,12 @@ unrolled into a row of one matrix so the convolution becomes one large
 matrix multiply. The windows are a strided *view* of the (padded)
 input, copied straight into the layout each GEMM wants; on small
 CIFAR-scale inputs this is the fastest pure-NumPy strategy by a wide
-margin.
+margin.  The forward unroll is bounded: once the unrolled matrix would
+pass :data:`COLS_BLOCK_BYTES` it is copied and multiplied a block of
+whole samples at a time, into one preallocated output, so evaluating
+at a large batch costs an 8 MiB window buffer, not a matrix of
+``N * P * K`` elements (52 MB for the ``cnn`` model's second layer at
+256 samples).
 """
 
 from __future__ import annotations
@@ -92,6 +97,16 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 # ----------------------------------------------------------------------
 # Convolution via im2col
 # ----------------------------------------------------------------------
+#: Largest unrolled window matrix ``conv2d``'s forward copies at once.
+#: Above it the windows are copied and multiplied in near-equal blocks
+#: of whole samples.
+COLS_BLOCK_BYTES = 8 << 20
+#: Fewest GEMM rows a forward block may have.  Splitting the rows of a
+#: large sgemm leaves every output element's bits as they were; a small
+#: one can go to another kernel that rounds differently.
+MIN_BLOCK_ROWS = 256
+
+
 def _require_nchw(op: str, what: str, shape: tuple[int, ...]) -> None:
     if len(shape) != 4:
         raise ValueError(f"{op} expects a 4-D {what}, got shape {shape}")
@@ -164,6 +179,21 @@ def _scatter_windows(grad, grad_windows, stride: int) -> None:
             ].transpose(0, 2, 3, 1)
 
 
+def sample_blocks(n: int, p: int, k: int, itemsize: int) -> list[int]:
+    """Sample bounds of the blocks ``conv2d``'s forward unrolls at once.
+
+    ``n`` samples of ``p`` windows of ``k`` elements each.  One block
+    while the whole ``(n*p, k)`` matrix fits :data:`COLS_BLOCK_BYTES`;
+    above it, the fewest near-equal blocks that each fit it, but never
+    so many that a block has fewer than :data:`MIN_BLOCK_ROWS` rows.
+    Block ``b`` is samples ``bounds[b]:bounds[b + 1]``.
+    """
+    fit = max(1, COLS_BLOCK_BYTES // (p * k * itemsize))  # samples within the budget
+    floor = -(-MIN_BLOCK_ROWS // p)  # samples that make the row floor
+    blocks = max(1, min(-(-n // fit), n // floor))
+    return [b * n // blocks for b in range(blocks + 1)]
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -186,6 +216,18 @@ def conv2d(
     layout the forward GEMM produces, and the one the exact-tiling pool
     that usually follows reduces over more than 10x faster than a
     C-ordered copy.
+
+    Above :data:`COLS_BLOCK_BYTES` the forward ``cols`` is unrolled and
+    multiplied a block of whole samples at a time (:func:`sample_blocks`;
+    a lone sample or a lone window per sample is unrolled whole), each
+    block's product written into its rows of one ``(N*P, C_out)``
+    output.  This keeps the bits: an output element is one row of
+    ``cols`` dotted with one column of ``w.T``, and a GEMM of at least
+    :data:`MIN_BLOCK_ROWS` rows sums that dot the same way whichever
+    rows share the call (held to the seed kernel with ``array_equal`` by
+    ``tests/tensor/test_conv_oracle.py``).  The fc layers' GEMMs are not
+    split: ``(256, 512) @ (512, 10)`` rounds differently in 64-row
+    pieces.  Backward unrolls from the window view again, in whole.
     """
     x = as_tensor(x)
     weight = as_tensor(weight)
@@ -212,18 +254,22 @@ def conv2d(
         """The windows unrolled into a fresh ``(K, N*P)`` matrix."""
         return windows.transpose(3, 4, 5, 0, 1, 2).copy().reshape(k, n * p)
 
-    # im2col: one copy out of the window view.  Small GEMMs round
+    # im2col: copies out of the window view.  Small GEMMs round
     # differently on a transposed operand, so every operand is laid out
     # the way the recorded goldens multiplied it: window-major rows
     # here — K-major, transposed, when N*P is a single axis — and
     # K-major rows for the weight gradient.  Only the view is kept for
     # backward (it reads the input again, as matmul's backward does).
-    if n == 1 or p == 1:
-        cols = k_major_cols().T
-    else:
-        cols = windows.copy().reshape(n * p, k)
     w_mat = weight.data.reshape(c_out, k)
-    out_mat = cols @ w_mat.T  # (N*P, C_out)
+    if n == 1 or p == 1:
+        out_mat = k_major_cols().T @ w_mat.T  # (N*P, C_out)
+    else:
+        out_mat = np.empty((n * p, c_out), dtype=np.result_type(windows, w_mat))
+        bounds = sample_blocks(n, p, k, windows.itemsize)
+        for lo, hi in zip(bounds, bounds[1:]):
+            cols = windows[lo:hi].copy().reshape((hi - lo) * p, k)
+            np.matmul(cols, w_mat.T, out=out_mat[lo * p : hi * p])
+            del cols  # freed before the next block is copied
     if bias is not None:
         out_mat += bias.data
     out = out_mat.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)

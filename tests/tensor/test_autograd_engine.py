@@ -1,5 +1,7 @@
 """Autograd graph mechanics: accumulation, reuse, modes, errors."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,31 @@ class TestGradMode:
             assert not (x * 2.0).requires_grad
         finally:
             set_grad_enabled(True)
+
+    def test_no_grad_in_one_thread_leaves_another_recording(self):
+        """The mode is per thread: an evaluation under ``no_grad`` must not
+        switch off the graphs of legs training on other threads."""
+        entered, checked = threading.Event(), threading.Event()
+        seen = {}
+
+        def evaluate():
+            with no_grad():
+                entered.set()
+                seen["evaluator"] = is_grad_enabled()
+                checked.wait(timeout=10)
+
+        evaluator = threading.Thread(target=evaluate)
+        evaluator.start()
+        try:
+            assert entered.wait(timeout=10)
+            x = Tensor([1.0], requires_grad=True)
+            assert is_grad_enabled()
+            assert (x * 2.0).requires_grad
+        finally:
+            checked.set()
+            evaluator.join(timeout=10)
+        assert not evaluator.is_alive()
+        assert seen == {"evaluator": False}
 
 
 class TestTensorBasics:

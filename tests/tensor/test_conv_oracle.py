@@ -7,16 +7,27 @@ laid out the same way and sum each input pixel's gradient in the same
 order, so they must agree with ``np.array_equal`` — not ``allclose`` —
 on the output and on every gradient.  CI runs this file at the default
 BLAS thread count and at ``OPENBLAS_NUM_THREADS=1``.
+
+Above ``COLS_BLOCK_BYTES`` the shipped forward unrolls and multiplies
+its windows a block of samples at a time; the evaluation-batch cells
+hold those blocked GEMMs to the seed's one, and a tracemalloc cell
+keeps the whole unrolled matrix from coming back.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from _seed_kernels import seed_conv2d, seed_max_pool2d_general
 
-from repro.tensor import Tensor, functional as F
-from repro.tensor.functional import window_plan
+from repro.tensor import Tensor, functional as F, no_grad
+from repro.tensor.functional import (
+    COLS_BLOCK_BYTES,
+    MIN_BLOCK_ROWS,
+    sample_blocks,
+    window_plan,
+)
 
 
 def _channels_last(x):
@@ -148,6 +159,85 @@ class TestConvMatchesSeedKernel:
         assert out.shape == (20, 32, 16, 16)
         assert out.strides == (32768, 4, 2048, 128)
         assert out.strides[1] == out.itemsize
+
+
+def _eval_operands(rng, batch, shape, c_out):
+    """A ``cnn`` layer's operands: 5x5 kernel, padding 2."""
+    x = rng.standard_normal((batch, *shape)).astype(np.float32)
+    w = (rng.standard_normal((c_out, shape[0], 5, 5)) * 0.1).astype(np.float32)
+    b = rng.standard_normal(c_out).astype(np.float32)
+    return x, w, b
+
+
+EVAL_CELLS = [
+    pytest.param(batch, shape, c_out, id=f"{name}-n{batch}")
+    for batch in (256, 144)
+    for name, shape, c_out in (("conv1", (3, 16, 16), 32), ("conv2", (32, 8, 8), 64))
+] + [pytest.param(97, (32, 8, 8), 64, id="conv2-n97-ragged")]
+
+
+class TestBlockedUnrollMatchesSeedKernel:
+    """The ``cnn`` workloads' evaluation shapes (``eval_batch_size`` 256,
+    and a last batch of 144), whose unrolled matrix is over the block
+    budget: blocked forward GEMMs against the seed's single one."""
+
+    @pytest.mark.parametrize("batch,shape,c_out", EVAL_CELLS)
+    def test_no_graph_bitwise(self, rng, batch, shape, c_out):
+        x, w, b = _eval_operands(rng, batch, shape, c_out)
+        c_in, h, w_ = shape
+        assert len(sample_blocks(batch, h * w_, c_in * 25, 4)) > 2  # the cell runs blocked
+        want = seed_conv2d(Tensor(x), Tensor(w), Tensor(b), padding=2).data
+        with no_grad():
+            have = F.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=2).data
+        assert np.array_equal(have, want)
+        assert _layout(have) == _layout(want)
+
+    @pytest.mark.parametrize("batch,shape,c_out", EVAL_CELLS)
+    def test_graph_bitwise(self, rng, batch, shape, c_out):
+        x, w, b = _eval_operands(rng, batch, shape, c_out)
+        _assert_conv_bitwise(x, w, b, 1, 2)
+
+    @pytest.mark.parametrize(
+        "n,p,k,bounds",
+        [
+            (20, 64, 800, [0, 20]),  # a cnn training batch: 4.1 MB, one block
+            (256, 64, 800, [0, 36, 73, 109, 146, 182, 219, 256]),  # 40 samples fit 8 MiB
+            (97, 64, 800, [0, 32, 64, 97]),  # the ragged oracle cell
+            (256, 256, 75, [0, 85, 170, 256]),
+            (130, 4, 1 << 20, [0, 65, 130]),  # 16 MiB a sample: the row floor sets the count
+            (3, 4, 1 << 20, [0, 3]),  # too few rows to split at all
+        ],
+    )
+    def test_block_bounds(self, n, p, k, bounds):
+        """Whole samples in near-equal blocks, each within the budget
+        unless a block would fall below the row floor."""
+        assert sample_blocks(n, p, k, 4) == bounds
+        sizes = np.diff(bounds)
+        assert sizes.max() - sizes.min() <= 1
+        assert len(sizes) == 1 or sizes.min() * p >= MIN_BLOCK_ROWS
+
+    def test_no_graph_peak_stays_off_the_unrolled_matrix(self, rng):
+        """A no-grad conv whose ``(N*P, K)`` matrix is 8x the budget
+        allocates its output, the padded input and at most two blocks —
+        whichever allocator serves them."""
+        shape, c_out = (32, 8, 8), 64
+        p, k = 8 * 8, 32 * 5 * 5
+        batch = -(-8 * COLS_BLOCK_BYTES // (p * k * 4))
+        x, w, b = _eval_operands(rng, batch, shape, c_out)
+        x_t, w_t, b_t = Tensor(x), Tensor(w), Tensor(b)
+        out_bytes = batch * p * c_out * 4
+        padded_bytes = batch * 32 * 12 * 12 * 4
+        bound = out_bytes + padded_bytes + 2 * COLS_BLOCK_BYTES
+        assert batch * p * k * 4 > bound  # the whole matrix would break it
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = F.conv2d(x_t, w_t, b_t, padding=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (batch, c_out, 8, 8)
+        assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
 
 class TestMaxPoolGeneralPathMatchesSeedKernel:
