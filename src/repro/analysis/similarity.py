@@ -12,18 +12,26 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.core.gram import GramTracker
 from repro.core.pool import PoolBuffer
-from repro.core.selection import similarity_matrix
 
 __all__ = ["pairwise_cosine", "mean_pairwise_similarity", "pool_dispersion"]
+
+
+def _packed(states: "Sequence[Mapping[str, np.ndarray]] | PoolBuffer") -> PoolBuffer:
+    """A PoolBuffer as is; state dicts packed into a float64 buffer."""
+    if isinstance(states, PoolBuffer):
+        return states
+    return PoolBuffer.from_states(list(states), dtype=np.float64)
 
 
 def pairwise_cosine(
     states: "Sequence[Mapping[str, np.ndarray]] | PoolBuffer",
     param_keys: set[str] | None = None,
 ) -> np.ndarray:
-    """Pairwise cosine-similarity matrix of a model pool."""
-    return similarity_matrix(states, measure="cosine", param_keys=param_keys)
+    """Pairwise cosine-similarity matrix of a model pool (a fresh
+    :class:`~repro.core.gram.GramTracker`'s)."""
+    return GramTracker.from_pool(_packed(states), param_keys).similarity()
 
 
 def mean_pairwise_similarity(
@@ -49,7 +57,4 @@ def pool_dispersion(
     down between local-training phases.  One vectorized pass over the
     pool buffer.
     """
-    pool = states if isinstance(states, PoolBuffer) else PoolBuffer.from_states(
-        list(states), dtype=np.float64
-    )
-    return pool.dispersion(param_keys=param_keys)
+    return _packed(states).dispersion(param_keys=param_keys)

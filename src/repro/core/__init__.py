@@ -18,23 +18,15 @@ models (multiple in-order collaborators early on) and dynamic alpha
 (ramping alpha from 0.5 to its target).
 """
 
-from repro.core.selection import (
-    CoModelSel,
-    cosine_similarity,
-    euclidean_similarity,
-    select_in_order,
-    select_highest_similarity,
-    select_lowest_similarity,
-    similarity_matrix,
-)
+from repro.core.selection import CoModelSel, select_in_order
 from repro.core.acceleration import (
     DynamicAlphaSchedule,
     propeller_index_matrix,
     propeller_indices,
 )
 from repro.core.fedcross import FedCrossServer
-from repro.core.gram import GramTracker
-from repro.core.pool import PoolBuffer, cosine_from_gram
+from repro.core.gram import GramTracker, cosine_from_gram
+from repro.core.pool import PoolBuffer
 from repro.core.storage import (
     DenseStorage,
     MemmapStorage,
@@ -47,12 +39,7 @@ from repro.core.storage import (
 
 __all__ = [
     "CoModelSel",
-    "cosine_similarity",
-    "euclidean_similarity",
     "select_in_order",
-    "select_highest_similarity",
-    "select_lowest_similarity",
-    "similarity_matrix",
     "DynamicAlphaSchedule",
     "propeller_index_matrix",
     "propeller_indices",

@@ -31,11 +31,11 @@ drives ``CoModelSel``: the streaming collect phase feeds one O(K·P)
 row update per landing upload (hidden behind still-running legs), so
 by aggregation time selection is a ``(K, K)`` argmin on the tracked
 Gram, the new pool's Gram follows by the closed-form post-CrossAggr
-transform, and ``middleware_similarity()`` / ``pool_dispersion()``
-are served as pure algebra without re-reading pool data — within the
-ulp tolerances documented in :mod:`repro.core.gram`.  ``in_order``
-runs skip the maintenance entirely; ``euclidean`` falls back to the
-blocked fresh recompute.
+transform, and ``middleware_similarity()`` is served as pure algebra
+without re-reading pool data — within the ulp tolerances documented in
+:mod:`repro.core.gram`.  ``in_order`` runs skip the maintenance
+entirely; ``euclidean`` selects on the blocked distance matrix.  Every
+other cosine read builds a fresh tracker (``GramTracker.from_pool``).
 
 ``method_params`` accepted (paper defaults in Section IV-A):
 
@@ -48,6 +48,8 @@ blocked fresh recompute.
 ``num_propellers``        propellers per model during warm-up (default 3)
 ``dynamic_alpha_rounds``  rounds of alpha ramp 0.5→alpha (default 0)
 ========================  ========================  =============================================
+
+Any other key is refused at construction.
 """
 
 from __future__ import annotations
@@ -86,9 +88,21 @@ def validate_alpha(alpha: float) -> float:
 class FedCrossServer(FederatedServer):
     """Multi-to-multi training with multi-model cross-aggregation."""
 
+    #: The ``method_params`` keys FedCross reads (module docstring).
+    METHOD_PARAMS = (
+        "alpha", "shuffle", "selection", "measure", "propeller_rounds",
+        "num_propellers", "dynamic_alpha_rounds",
+    )
+
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         params = self.config.method_params
+        for key in params:
+            if key not in self.METHOD_PARAMS:
+                raise ValueError(
+                    f"unknown FedCross method_params key {key!r}; "
+                    f"expected one of {self.METHOD_PARAMS}"
+                )
         self.alpha = validate_alpha(params.get("alpha", 0.99))
         self.shuffle = bool(params.get("shuffle", True))
         param_keys = {name for name, _ in self.model.named_parameters()}
@@ -125,10 +139,10 @@ class FedCrossServer(FederatedServer):
         # still-running legs under streaming collect), selection
         # becomes (K, K) algebra on the tracked Gram, and the
         # closed-form post-CrossAggr transform keeps a pool Gram for
-        # the diagnostics without ever re-reading pool data.  in_order
+        # the diagnostic without ever re-reading pool data.  in_order
         # runs skip the maintenance cost entirely (they never needed
-        # similarity) and euclidean falls back to fresh blocked
-        # recompute (Gram-recovered distances cancel catastrophically).
+        # similarity) and euclidean selects on the blocked distance
+        # matrix (Gram-recovered distances cancel catastrophically).
         self._track_gram = (
             self.selector.strategy in ("highest", "lowest")
             and self.selector.measure == "cosine"
@@ -268,11 +282,10 @@ class FedCrossServer(FederatedServer):
             return
         from repro.robust.screen import SuspectRecord, screen_scores
 
-        gram = (
-            tracker.gram
-            if tracker is not None
-            else uploaded.gram_matrix(param_keys=self.selector.param_keys)
-        )
+        if tracker is None:  # no tracker followed the round: a fresh Gram
+            gram = GramTracker.from_pool(uploaded, self.selector.param_keys).gram
+        else:
+            gram = tracker.gram
         scores, threshold, flagged = screen_scores(gram)
         if flagged.size == 0:
             return
@@ -317,8 +330,8 @@ class FedCrossServer(FederatedServer):
         When the tracker followed this round's uploads, CoModelSel runs
         on the tracked Gram (pure ``(K, K)`` algebra — no similarity
         recompute) and the new pool's Gram is derived by the closed-form
-        post-CrossAggr transform, keeping ``middleware_similarity`` /
-        ``pool_dispersion`` data-free too.
+        post-CrossAggr transform, keeping ``middleware_similarity``
+        data-free too.
 
         The blend itself routes through the configured aggregation
         operator (``FLConfig.aggregator``): ``mean`` delegates straight
@@ -327,8 +340,8 @@ class FedCrossServer(FederatedServer):
         their trust region first, degrading each rejected slot to its
         dispatched middleware state (the fault engine's carry).  The closed-form Gram transform is
         only valid for the linear mean blend, so non-linear operators
-        drop the pool Gram and the diagnostics fall back to fresh
-        recomputes.
+        drop the pool Gram and the diagnostic falls back to a fresh
+        tracker.
         """
         k = len(self._pool)
         uploaded = self.uploads  # packed in model order by collect()
@@ -442,26 +455,21 @@ class FedCrossServer(FederatedServer):
         round (cosine-selection runs), this is pure ``(K, K)`` algebra
         on the closed-form post-CrossAggr Gram — within documented ulp
         tolerance of a fresh recompute (see :mod:`repro.core.gram`);
-        otherwise it falls back to the blocked recompute.
+        otherwise a fresh tracker's Gram, whose dots run where the rows
+        live (on the hosts, for ``distributed`` storage).
         """
-        gram = self._pool_gram
-        if gram is not None and gram.pool is self._pool:
-            return gram.similarity()
-        return self._pool.similarity_matrix(
-            measure="cosine", param_keys=self.selector.param_keys
-        )
+        tracker = self._pool_gram
+        if tracker is None or tracker.pool is not self._pool:
+            tracker = GramTracker.from_pool(self._pool, self.selector.param_keys)
+        return tracker.similarity()
 
     def pool_dispersion(self) -> float:
         """RMS distance of pool members from their mean (diagnostic).
 
-        Served from the tracked Gram when available (O(K²), no pool
-        reads — subject to the converged-pool cancellation caveat in
-        :mod:`repro.core.gram`); falls back to the cancellation-safe
-        streamed recompute otherwise.
+        The cancellation-safe streamed recompute
+        (:meth:`~repro.core.pool.PoolBuffer.dispersion`): a Gram-sum
+        recovery would cancel on a converged pool.
         """
-        gram = self._pool_gram
-        if gram is not None and gram.pool is self._pool:
-            return gram.dispersion()
         return self._pool.dispersion(param_keys=self.selector.param_keys)
 
 

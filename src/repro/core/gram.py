@@ -1,10 +1,10 @@
 """Incremental Gram similarity engine (``GramTracker``).
 
-``CoModelSel`` and the pool diagnostics (``middleware_similarity``,
-``dispersion``) are all functions of one object: the float64 ``(K, K)``
-Gram matrix ``G = V @ V.T`` of the masked pool rows.  Rebuilding it
-from scratch every round costs O(K²·P); this module maintains it
-*incrementally* instead:
+``CoModelSel``'s cosine, the upload screen and the
+``middleware_similarity`` diagnostic are all functions of one object:
+the float64 ``(K, K)`` Gram matrix ``G = V @ V.T`` of the masked pool
+rows.  Rebuilding it from scratch every round costs O(K²·P); this
+module maintains it *incrementally* instead:
 
 * :meth:`GramTracker.update_row` refreshes one row/column pair in
   O(n·P), ``n`` the rows landed so far — called as each client upload
@@ -16,9 +16,15 @@ from scratch every round costs O(K²·P); this module maintains it
 
       G' = α²·G + α(1−α)·(G[:, co] + G[co, :]) + (1−α)²·G[ix(co, co)]
 
-  so the *new* pool's similarity matrix and dispersion never re-read
-  pool data at all (the 2-D propeller variant has the analogous
-  mean-over-propellers expansion).
+  so the *new* pool's similarity matrix never re-reads pool data at all
+  (the 2-D propeller variant has the analogous mean-over-propellers
+  expansion).
+
+It is the only code that computes a cosine or a Gram: a fresh one is
+:meth:`GramTracker.from_pool` (``CoModelSel.select_all`` without a
+tracked Gram, the screen and ``middleware_similarity()`` fallbacks,
+``repro.analysis.pairwise_cosine``), and :func:`cosine_from_gram` turns
+either into similarities.
 
 Float64 image and the update contract
 -------------------------------------
@@ -47,7 +53,7 @@ called for since the last :meth:`~GramTracker.release`.
   entries, and a row written again once everything has landed (a
   quarantine, a carry) costs ``K``.
 * A **full read** (:attr:`GramTracker.gram`, hence ``norms``,
-  ``similarity``, ``dispersion``, ``cross_aggregated``, ``release``)
+  ``similarity``, ``cross_aggregated``, ``release``)
   first *completes* the matrix: every pair (reported since the last
   completion) × (not reported) that is still missing is dotted now, a
   never-reported row being cast on demand from the pool's current
@@ -102,13 +108,11 @@ at ``rtol=1e-9`` plus a norm-scaled ``atol``).  The closed-form
 :meth:`cross_aggregated` transform is exact algebra over the *tracked*
 Gram; versus a recompute on the rounded new pool it additionally picks
 up one buffer-dtype rounding of the blended rows (float32 pools:
-~1e-6 relative; float64 pools: ~1e-12).  :meth:`dispersion` recovers
-``RMS‖v_i − mean‖`` from Gram sums, which cancels when the pool is far
-tighter than its norm scale — accurate while ``dispersion² ≳ ε·‖v‖²``,
-degrading to the absolute floor ``√(ε·‖v‖²)`` below that (the
-cancellation-safe streamed recompute in
-:meth:`repro.core.pool.PoolBuffer.dispersion` remains the ground
-truth for converged pools).
+~1e-6 relative; float64 pools: ~1e-12).  Distances recovered from
+Gram sums (``‖v_i − v_j‖²`` or ``RMS‖v_i − mean‖``) cancel when the pool
+is far tighter than its norm scale, so no distance is served from here:
+the euclidean measure and the pool dispersion are the streamed
+difference passes of :class:`repro.core.pool.PoolBuffer`.
 """
 
 from __future__ import annotations
@@ -117,12 +121,29 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro.core.pool import cosine_from_gram
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pool import PoolBuffer
 
-__all__ = ["GramTracker"]
+__all__ = ["GramTracker", "cosine_from_gram"]
+
+
+def cosine_from_gram(gram: np.ndarray) -> np.ndarray:
+    """Cosine-similarity matrix from a raw ``(K, K)`` Gram matrix.
+
+    Norms come from the diagonal (clipped at zero against ulp-negative
+    round-off), and zero-norm rows get similarity 0 everywhere — the
+    per-pair measure ``dot / (nx * ny)`` exactly in form.  Pure
+    ``(K, K)`` algebra: never touches pool data.
+    """
+    gram = np.asarray(gram, dtype=np.float64)
+    norms = np.sqrt(np.clip(np.diag(gram), 0.0, None))
+    safe = np.where(norms == 0.0, 1.0, norms)
+    sim = gram / (safe[:, None] * safe[None, :])
+    zero = norms == 0.0
+    if zero.any():
+        sim[zero, :] = 0.0
+        sim[:, zero] = 0.0
+    return sim
 
 
 class GramTracker:
@@ -219,6 +240,10 @@ class GramTracker:
         docstring).  On a reducing storage all dots are deferred to the
         next read.
         """
+        self._report(index)
+
+    def _report(self, index: int) -> None:
+        """:meth:`update_row`'s work, shared with :meth:`refresh`."""
         k = len(self)
         if not 0 <= index < k:
             raise IndexError(f"row {index} out of range for pool of {k}")
@@ -272,14 +297,15 @@ class GramTracker:
         self._reported[:] = False
 
     def refresh(self) -> None:
-        """Rebuild every row through :meth:`update_row` semantics.
+        """Rebuild every row with :meth:`update_row`'s arithmetic.
 
         O(K²·P/2) — the from-scratch cost the incremental path avoids;
         used to (re)base a tracker on a pool whose rows changed outside
-        the per-upload update stream.
+        the per-upload update stream, and by :meth:`from_pool`.  No
+        ``update_row`` call is made: a rebuild is not a landing.
         """
         for i in range(len(self)):
-            self.update_row(i)
+            self._report(i)
         self.release()
 
     # -- (K, K) algebra ----------------------------------------------------
@@ -292,10 +318,6 @@ class GramTracker:
         """Cosine ``(K, K)`` similarity — pure algebra on the Gram."""
         return cosine_from_gram(self.gram)
 
-    def similarity_to(self, index: int) -> np.ndarray:
-        """``(K,)`` cosine similarities to model ``index``."""
-        return self.similarity()[index]
-
     def select_among(
         self, index: int, candidates: Iterable[int], highest: bool = True
     ) -> int | None:
@@ -306,8 +328,8 @@ class GramTracker:
         every considered pair must be fresh for the tracked dot to be
         meaningful).  Ties resolve to the lowest candidate index —
         the same rule as the full argmax/argmin in
-        :meth:`~repro.core.pool.PoolBuffer.select_collaborators` —
-        and an empty candidate set returns ``None``.
+        :meth:`~repro.core.selection.CoModelSel.select_all` — and an
+        empty candidate set returns ``None``.
         """
         self._flush()  # a reducing storage owes its marked rows; no completion
         cols = sorted({int(c) for c in candidates} - {int(index)})
@@ -325,20 +347,6 @@ class GramTracker:
             if s > best_sim if highest else s < best_sim:
                 best, best_sim = j, s
         return best
-
-    def dispersion(self) -> float:
-        """RMS distance of pool members from their mean, from Gram sums.
-
-        ``mean_i ‖v_i − v̄‖² = mean(diag G) − sum(G)/K²`` — O(K²) and
-        data-free, clipped at zero against round-off.  See the module
-        docstring for the cancellation caveat on converged pools.
-        """
-        k = len(self)
-        if k == 0:
-            return 0.0
-        g = self.gram
-        var = float(np.mean(np.diag(g)) - g.sum() / (k * k))
-        return float(np.sqrt(max(var, 0.0)))
 
     def cross_aggregated(
         self,

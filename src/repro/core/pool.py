@@ -13,13 +13,11 @@ Algorithm 1 step             PoolBuffer operation
 line 2  (init K models)      :meth:`PoolBuffer.broadcast`
 line 7-10 (collect uploads)  :meth:`PoolBuffer.from_states` /
                              :meth:`set_state` (one pack per upload)
-line 11-12 (``CoModelSel``)  :meth:`similarity_matrix` — blocked Gram
-                             matmul (:meth:`gram_matrix`) normalized
-                             off its diagonal — and
-                             :meth:`select_collaborators` (masked row
-                             argmax/argmin, optionally fed a Gram
-                             maintained incrementally by
-                             :class:`repro.core.gram.GramTracker`)
+line 11-12 (``CoModelSel``)  read by
+                             :meth:`repro.core.selection.CoModelSel
+                             .select_all`: cosine off the Gram of
+                             :class:`repro.core.gram.GramTracker`,
+                             euclidean off :meth:`euclidean_matrix`
 line 13 (``CrossAggr``)      :meth:`cross_aggregate` — fused row blend
                              ``alpha * M + (1-alpha) * M[co]``
 line 17 (``GlobalModelGen``) :meth:`mean_state` — weighted row
@@ -27,10 +25,9 @@ line 17 (``GlobalModelGen``) :meth:`mean_state` — weighted row
 ===========================  ==========================================
 
 Float arithmetic is performed in float64 and rounded back to the buffer
-dtype, mirroring the dict-based reference implementations in
-:mod:`repro.core.selection` and the tests' dict oracles
-(``tests/core/_dict_oracle.py``) bit-for-bit.  ``param_keys`` masks
-restrict similarity to trainable parameters exactly as the dict path does, and
+dtype, mirroring the tests' dict oracles (``tests/core/_dict_oracle.py``)
+bit-for-bit.  ``param_keys`` masks restrict similarity to trainable
+parameters exactly as the dict path does, and
 integer fields (step counters and other non-float buffers) are carried
 through aggregation unaveraged, never blended in floating point.
 
@@ -43,12 +40,11 @@ with its configuration (shard count/placement included).
 
 Blocked operation & sharding contract
 -------------------------------------
-Every whole-pool operation — both similarity measures,
-``similarity_to``, ``dispersion`` and the fast ``mean_state`` — walks
-the pool through :func:`iter_row_spans`, producing its temporaries in
-bounded row blocks (budget ``_BLOCK_BYTES``, overridable via
-``REPRO_POOL_BLOCK_BYTES``), and touches pool data only through the
-storage row protocol.  The reductions cast at most two ``(block, P)``
+Every whole-pool operation — the euclidean matrix, ``dispersion`` and
+the fast ``mean_state`` — walks the pool through :func:`iter_row_spans`,
+producing its temporaries in bounded row blocks (budget
+``_BLOCK_BYTES``, overridable via ``REPRO_POOL_BLOCK_BYTES``), and
+touches pool data only through the storage row protocol.  The reductions cast at most two ``(block, P)``
 float64 row blocks at a time.  Cross-aggregation and the precise
 ``mean_state`` run where the rows live
 (:meth:`~repro.core.storage.PoolStorage.blend_into`,
@@ -64,9 +60,9 @@ gathered per block, bounded by the budget).
 
 Two span policies keep the backends bit-identical:
 
-* *reduction* operations (Gram, euclidean, ``similarity_to``,
-  ``dispersion``, the fast ``mean_state``) partition rows purely by
-  the byte budget — a function of (K, P) only, never of the shard layout — so
+* *reduction* operations (euclidean, ``dispersion``, the fast
+  ``mean_state``) partition rows purely by the byte budget — a
+  function of (K, P) only, never of the shard layout — so
   for a fixed budget every backend computes the same BLAS calls on
   bit-equal contiguous blocks and the results match **bitwise** across
   dense / memmap / sharded;
@@ -88,39 +84,14 @@ from repro.utils.layout import StateLayout
 
 __all__ = [
     "PoolBuffer",
-    "MEASURES",
     "blend_row",
-    "cosine_from_gram",
     "iter_row_spans",
 ]
 
 
-def cosine_from_gram(gram: np.ndarray) -> np.ndarray:
-    """Cosine-similarity matrix from a raw ``(K, K)`` Gram matrix.
-
-    Norms come from the diagonal (clipped at zero against ulp-negative
-    round-off), and zero-norm rows get similarity 0 everywhere —
-    matching the dict-based reference measure ``dot / (nx * ny)``
-    exactly in form.  Pure ``(K, K)`` algebra: never touches pool data,
-    which is what makes Gram-tracker driven selection and diagnostics
-    O(K²) instead of O(K²·P).
-    """
-    gram = np.asarray(gram, dtype=np.float64)
-    norms = np.sqrt(np.clip(np.diag(gram), 0.0, None))
-    safe = np.where(norms == 0.0, 1.0, norms)
-    sim = gram / (safe[:, None] * safe[None, :])
-    zero = norms == 0.0
-    if zero.any():
-        sim[zero, :] = 0.0
-        sim[:, zero] = 0.0
-    return sim
-
-#: The similarity measures of the pool engine, and so of ``CoModelSel``.
-MEASURES = ("cosine", "euclidean")
-
 # Soft cap on the temporaries of blocked whole-pool operations
-# (cross-aggregation's buffer-dtype row blocks, float64 Gram row blocks,
-# euclidean difference tensors).  Keeps peak working memory bounded for
+# (cross-aggregation's buffer-dtype row blocks, euclidean difference
+# tensors, dispersion row casts).  Keeps peak working memory bounded for
 # memmap/sharded pools far beyond RAM while leaving in-RAM pools
 # effectively unblocked.  ``REPRO_POOL_BLOCK_BYTES`` overrides it at
 # call time (the out-of-core CI smoke and the sharded stress test use
@@ -408,71 +379,20 @@ class PoolBuffer:
             block = block[:, mask]
         return np.asarray(block, dtype=np.float64)
 
-    def masked_row_f64(
-        self, index: int, param_keys: Iterable[str] | None = None
-    ) -> np.ndarray:
-        """Contiguous float64 view/copy of one masked row (O(P) temp) —
-        the vector ``similarity_to`` compares against."""
-        mask, masked, _ = self._mask_info(param_keys)
-        row = self.storage.row(index)
-        if masked:
-            row = row[mask]
-        return np.ascontiguousarray(row, dtype=np.float64)
-
-    def gram_matrix(
+    def euclidean_matrix(
         self,
         param_keys: Iterable[str] | None = None,
         block_rows: int | None = None,
     ) -> np.ndarray:
-        """Raw float64 ``(K, K)`` Gram ``V @ V.T`` of the masked rows.
+        """Pairwise ``(K, K)`` negative euclidean distance of the pool.
 
-        Computed per block pair of ``block_rows`` rows (default: sized
-        to the module's temp budget), so at most two ``(b, P)`` float64
-        row casts are live at once — the cosine path never needs a
-        float64 copy of the whole pool, making fully out-of-core
-        memmap/sharded rounds possible.  Deterministic for a fixed
-        block size (and the default depends only on (K, P), never the
-        shard layout — so the result is bitwise identical across
-        storage backends); across block sizes the P-axis reduction may
-        move by the last ulp, the same caveat as the blocked euclidean
-        path.
-        """
-        k = len(self)
-        mask, masked, p_eff = self._mask_info(param_keys)
-        if block_rows is None:
-            # Two (b, P) float64 row casts live at once.
-            block_rows = max(1, _block_budget() // max(1, 2 * p_eff * 8))
-        out = np.empty((k, k))
-        for i0, i1 in iter_row_spans(k, block_rows):
-            vi = self._rows_f64(i0, i1, mask, masked)
-            out[i0:i1, i0:i1] = vi @ vi.T
-            for j0 in range(i1, k, block_rows):
-                j1 = min(j0 + block_rows, k)
-                vj = self._rows_f64(j0, j1, mask, masked)
-                cross = vi @ vj.T
-                out[i0:i1, j0:j1] = cross
-                out[j0:j1, i0:i1] = cross.T
-        return out
-
-    def similarity_matrix(
-        self,
-        measure: str = "cosine",
-        param_keys: Iterable[str] | None = None,
-        block_rows: int | None = None,
-    ) -> np.ndarray:
-        """Pairwise ``(K, K)`` similarity of the pool.
-
-        ``cosine`` is a blocked Gram (:meth:`gram_matrix`) normalized by
-        the norms cached on its diagonal — one pass over pool data,
-        zero-norm rows get similarity 0 like the dict reference;
-        ``euclidean`` is negative pairwise distance over explicit
-        difference blocks — cancellation-safe, unlike the
-        ``‖x‖²+‖y‖²-2x·y`` expansion, which loses all precision when
-        pool members are near-identical (exactly the converged-pool
-        regime FedCross ends in).  Both paths produce their float64
-        temporaries per block pair of ``block_rows`` rows (default:
-        sized to the module's temp budget), so neither materialises a
-        float64 copy of the whole pool.  For a fixed block size the
+        Explicit difference blocks — cancellation-safe, unlike the
+        ``‖x‖²+‖y‖²-2x·y`` expansion a Gram would give, which loses all
+        precision when pool members are near-identical (exactly the
+        converged-pool regime FedCross ends in).  The float64
+        temporaries are produced per block pair of ``block_rows`` rows
+        (default: sized to the module's temp budget), so no float64
+        copy of the whole pool exists.  For a fixed block size the
         result is a pure function of the data (deterministic, bitwise
         identical across storage backends; the default block size
         depends only on (K, P)); *across* block sizes the P-axis
@@ -482,12 +402,6 @@ class PoolBuffer:
         :meth:`cross_aggregate`, whose elementwise math is bit-identical
         for every block size.
         """
-        if measure not in MEASURES:
-            raise KeyError(measure)
-        if measure == "cosine":
-            return cosine_from_gram(
-                self.gram_matrix(param_keys=param_keys, block_rows=block_rows)
-            )
         k = len(self)
         mask, masked, p_eff = self._mask_info(param_keys)
         if block_rows is None:
@@ -503,98 +417,6 @@ class PoolBuffer:
                 diff = vi[:, None, :] - vj[None, :, :]
                 out[i0:i1, j0:j1] = -np.sqrt(np.einsum("bkp,bkp->bk", diff, diff))
         return out
-
-    def similarity_to(
-        self,
-        index: int,
-        measure: str = "cosine",
-        param_keys: Iterable[str] | None = None,
-        block_rows: int | None = None,
-    ) -> np.ndarray:
-        """``(K,)`` similarities of every pool member to model ``index``.
-
-        Runs in row blocks of ``block_rows`` (default: temp-budget
-        sized): the cosine path computes per-block dot products and
-        norms in one float64 cast each — the norms are derived once
-        from those same block casts rather than a second data pass —
-        and the euclidean path takes per-block differences.  Neither
-        measure materialises a float64 copy of the whole masked pool,
-        so single-model queries work out-of-core too.
-        """
-        if measure not in MEASURES:
-            raise KeyError(measure)
-        k = len(self)
-        mask, masked, p_eff = self._mask_info(param_keys)
-        if block_rows is None:
-            block_rows = max(1, _block_budget() // max(1, 2 * p_eff * 8))
-        target = self.masked_row_f64(index, param_keys)
-        if measure == "cosine":
-            sims = np.empty(k)
-            norms = np.empty(k)
-            for b0, b1 in iter_row_spans(k, block_rows):
-                block = self._rows_f64(b0, b1, mask, masked)
-                sims[b0:b1] = block @ target
-                norms[b0:b1] = np.sqrt(np.einsum("kp,kp->k", block, block))
-            denom = norms * norms[index]
-            return np.divide(sims, denom, out=np.zeros(k), where=denom != 0.0)
-        out = np.empty(k)
-        for b0, b1 in iter_row_spans(k, block_rows):
-            diff = self._rows_f64(b0, b1, mask, masked) - target
-            out[b0:b1] = -np.sqrt(np.einsum("kp,kp->k", diff, diff))
-        return out
-
-    def select_collaborators(
-        self,
-        strategy: str,
-        round_idx: int = 0,
-        measure: str = "cosine",
-        param_keys: Iterable[str] | None = None,
-        gram: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Collaborative-model index for every pool member at once.
-
-        Vectorizes all three ``CoModelSel`` strategies: ``in_order`` is
-        the closed-form shift, the similarity strategies are a masked
-        row argmax/argmin of the similarity matrix (self excluded).
-        Ties resolve to the lowest index, like the dict reference.
-
-        ``gram`` may carry a precomputed raw ``(K, K)`` Gram of the
-        masked pool (e.g. maintained incrementally by a
-        :class:`repro.core.gram.GramTracker`); the cosine strategies
-        then run as pure ``(K, K)`` algebra without re-reading pool
-        data.  Only valid for ``measure="cosine"`` — euclidean
-        distances recovered from a Gram cancel catastrophically in the
-        converged-pool regime, so that combination is rejected.
-        ``in_order`` ignores ``gram`` (it never needed similarity).
-        """
-        k = len(self)
-        if k <= 1:
-            return np.zeros(k, dtype=np.int64)
-        if strategy == "in_order":
-            shift = round_idx % (k - 1) + 1
-            return (np.arange(k) + shift) % k
-        if strategy not in ("highest", "lowest"):
-            raise ValueError(f"unknown strategy {strategy!r}")
-        if gram is not None:
-            if measure != "cosine":
-                raise ValueError(
-                    "a precomputed gram only drives cosine selection; "
-                    f"got measure {measure!r}"
-                )
-            gram = np.asarray(gram, dtype=np.float64)
-            if gram.shape != (k, k):
-                raise ValueError(
-                    f"gram of shape {gram.shape} does not match pool size {k}"
-                )
-            sim = cosine_from_gram(gram)
-        else:
-            sim = self.similarity_matrix(measure=measure, param_keys=param_keys)
-        eye = np.eye(k, dtype=bool)
-        if strategy == "highest":
-            np.place(sim, eye, -np.inf)
-            return sim.argmax(axis=1)
-        np.place(sim, eye, np.inf)
-        return sim.argmin(axis=1)
 
     # -- aggregation (CrossAggr / GlobalModelGen, Sections III-B2/B3) ------
     def cross_aggregate(

@@ -16,80 +16,24 @@ Three strategies trade off the paper's selection criteria:
 
 Similarity is cosine similarity over flattened parameters (the paper
 leaves other measures as future work; ``euclidean`` is provided for the
-extension ablation).
-
-The public dict-taking functions are thin wrappers over the vectorized
-:class:`repro.core.pool.PoolBuffer` engine (one Gram matmul instead of
-O(K²) pairwise flatten+dot passes).  The original per-pair loops are
-the test oracle the property tests check the engine against
-(``tests/core/_selection_oracle.py``).
+extension ablation).  :meth:`CoModelSel.select_all` is the one selection
+entry: cosine is read off a :class:`repro.core.gram.GramTracker` Gram
+(the tracked one when the server kept it, a fresh one otherwise),
+euclidean off :meth:`repro.core.pool.PoolBuffer.euclidean_matrix`.  The
+per-pair loops are the test oracle (``tests/core/_selection_oracle.py``).
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
-
 import numpy as np
 
-from repro.core.pool import MEASURES, PoolBuffer
+from repro.core.gram import GramTracker, cosine_from_gram
+from repro.core.pool import PoolBuffer
 
-__all__ = [
-    "cosine_similarity",
-    "euclidean_similarity",
-    "select_in_order",
-    "select_highest_similarity",
-    "select_lowest_similarity",
-    "similarity_matrix",
-    "CoModelSel",
-]
+__all__ = ["select_in_order", "CoModelSel", "MEASURES"]
 
-
-def cosine_similarity(x: np.ndarray, y: np.ndarray) -> float:
-    """Standard cosine similarity of two flattened parameter vectors."""
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
-    if nx == 0.0 or ny == 0.0:
-        return 0.0
-    return float(np.dot(x, y) / (nx * ny))
-
-
-def euclidean_similarity(x: np.ndarray, y: np.ndarray) -> float:
-    """Negative Euclidean distance (higher = more similar).
-
-    The measure the paper defers to future work; included for the
-    similarity-measure ablation bench.
-    """
-    return -float(np.linalg.norm(x - y))
-
-
-def _as_pool(
-    states: "Sequence[Mapping[str, np.ndarray]] | PoolBuffer",
-) -> PoolBuffer:
-    """Accept either a PoolBuffer or a sequence of state dicts.
-
-    Dict inputs are packed into a float64 buffer so wrapper callers see
-    no precision change versus the historical float64 flatten path.
-    """
-    if isinstance(states, PoolBuffer):
-        return states
-    return PoolBuffer.from_states(states, dtype=np.float64)
-
-
-def similarity_matrix(
-    states: "Sequence[Mapping[str, np.ndarray]] | PoolBuffer",
-    measure: str = "cosine",
-    param_keys: set[str] | None = None,
-) -> np.ndarray:
-    """Pairwise similarity matrix of a middleware model pool.
-
-    ``param_keys`` restricts the comparison to trainable parameters
-    (excluding e.g. batch-norm running stats, whose scale would swamp
-    the cosine).  Computed by the vectorized pool engine; accepts a
-    :class:`PoolBuffer` directly to skip the packing step.
-    """
-    if measure not in MEASURES:
-        raise KeyError(measure)
-    return _as_pool(states).similarity_matrix(measure=measure, param_keys=param_keys)
+#: The similarity measures of ``CoModelSel``.
+MEASURES = ("cosine", "euclidean")
 
 
 def select_in_order(index: int, round_idx: int, k: int) -> int:
@@ -103,57 +47,18 @@ def select_in_order(index: int, round_idx: int, k: int) -> int:
     return (index + (round_idx % (k - 1) + 1)) % k
 
 
-def _select_by_similarity(
-    index: int,
-    states: "Sequence[Mapping[str, np.ndarray]] | PoolBuffer",
-    measure: str,
-    param_keys: set[str] | None,
-    want_highest: bool,
-) -> int:
-    if measure not in MEASURES:
-        raise KeyError(measure)
-    pool = _as_pool(states)
-    k = len(pool)
-    if k <= 1:
-        return index
-    sims = pool.similarity_to(index, measure=measure, param_keys=param_keys)
-    if want_highest:
-        sims[index] = -np.inf
-        return int(sims.argmax())
-    sims[index] = np.inf
-    return int(sims.argmin())
-
-
-def select_highest_similarity(
-    index: int,
-    states: "Sequence[Mapping[str, np.ndarray]] | PoolBuffer",
-    measure: str = "cosine",
-    param_keys: set[str] | None = None,
-) -> int:
-    """argmax_{j != i} Similarity(v_i, v_j)."""
-    return _select_by_similarity(index, states, measure, param_keys, want_highest=True)
-
-
-def select_lowest_similarity(
-    index: int,
-    states: "Sequence[Mapping[str, np.ndarray]] | PoolBuffer",
-    measure: str = "cosine",
-    param_keys: set[str] | None = None,
-) -> int:
-    """argmin_{j != i} Similarity(v_i, v_j) — the recommended default."""
-    return _select_by_similarity(index, states, measure, param_keys, want_highest=False)
-
-
 class CoModelSel:
     """Configured collaborative-model selector.
 
     Parameters
     ----------
     strategy:
-        ``"in_order"`` | ``"highest"`` | ``"lowest"``.
+        ``"in_order"`` | ``"highest"`` | ``"lowest"`` (FedCross's
+        ``method_params["selection"]``).
     measure:
         Similarity measure name for the similarity strategies
-        (``"cosine"`` — the paper's choice — or ``"euclidean"``).
+        (``"cosine"`` — the paper's choice — or ``"euclidean"``;
+        ``method_params["measure"]``).
     param_keys:
         Optional restriction of the comparison to these state keys.
     """
@@ -168,48 +73,60 @@ class CoModelSel:
     ) -> None:
         strategy = strategy.lower()
         if strategy not in self.STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}; expected one of {self.STRATEGIES}")
+            raise ValueError(
+                f"method_params['selection']: unknown strategy {strategy!r}; "
+                f"expected one of {self.STRATEGIES}"
+            )
         if measure not in MEASURES:
             raise ValueError(
-                f"unknown measure {measure!r}; expected one of {sorted(MEASURES)}"
+                f"method_params['measure']: unknown measure {measure!r}; "
+                f"expected one of {sorted(MEASURES)}"
             )
         self.strategy = strategy
         self.measure = measure
         self.param_keys = param_keys
 
-    def __call__(
-        self,
-        index: int,
-        states: "Sequence[Mapping[str, np.ndarray]] | PoolBuffer",
-        round_idx: int,
-    ) -> int:
-        """Index of the collaborative model for ``states[index]``."""
-        if self.strategy == "in_order":
-            return select_in_order(index, round_idx, len(states))
-        if self.strategy == "highest":
-            return select_highest_similarity(index, states, self.measure, self.param_keys)
-        return select_lowest_similarity(index, states, self.measure, self.param_keys)
-
     def select_all(
         self, pool: PoolBuffer, round_idx: int, gram: np.ndarray | None = None
     ) -> np.ndarray:
-        """Collaborator indices for the whole pool in one engine call.
+        """Collaborator index for every pool member at once.
 
-        The server hot path: one Gram matmul covers all K queries,
-        instead of K independent ``__call__`` invocations.
+        ``in_order`` is the closed-form shift; the similarity strategies
+        are a masked row argmax/argmin of the ``(K, K)`` similarity
+        matrix, self excluded, ties to the lowest index.
 
-        ``gram`` may carry a precomputed raw ``(K, K)`` Gram of the
-        masked pool — e.g. one maintained incrementally by a
-        :class:`repro.core.gram.GramTracker` as uploads land — turning
-        cosine selection into pure ``(K, K)`` algebra that never
-        re-reads pool data.  Ignored by ``in_order``; rejected for
-        non-cosine measures (see
-        :meth:`~repro.core.pool.PoolBuffer.select_collaborators`).
+        ``gram`` may carry the raw ``(K, K)`` Gram of the masked pool
+        that a :class:`~repro.core.gram.GramTracker` kept as uploads
+        landed, turning cosine selection into pure ``(K, K)`` algebra
+        that never re-reads pool data; without it cosine reads a fresh
+        tracker's Gram.  Ignored by ``in_order``; rejected for
+        ``euclidean``, whose distances recovered from a Gram cancel in
+        the converged-pool regime.
         """
-        return pool.select_collaborators(
-            self.strategy,
-            round_idx=round_idx,
-            measure=self.measure,
-            param_keys=self.param_keys,
-            gram=gram,
-        )
+        k = len(pool)
+        if k <= 1:
+            return np.zeros(k, dtype=np.int64)
+        if self.strategy == "in_order":
+            shift = round_idx % (k - 1) + 1
+            return (np.arange(k) + shift) % k
+        if gram is not None:
+            if self.measure != "cosine":
+                raise ValueError(
+                    "a precomputed gram only drives cosine selection; "
+                    f"got measure {self.measure!r}"
+                )
+            gram = np.asarray(gram, dtype=np.float64)
+            if gram.shape != (k, k):
+                raise ValueError(
+                    f"gram of shape {gram.shape} does not match pool size {k}"
+                )
+            sim = cosine_from_gram(gram)
+        elif self.measure == "cosine":
+            sim = GramTracker.from_pool(pool, param_keys=self.param_keys).similarity()
+        else:
+            sim = pool.euclidean_matrix(param_keys=self.param_keys)
+        if self.strategy == "highest":
+            np.fill_diagonal(sim, -np.inf)
+            return sim.argmax(axis=1)
+        np.fill_diagonal(sim, np.inf)
+        return sim.argmin(axis=1)

@@ -79,9 +79,8 @@ anything is read or written (:meth:`PoolStorage._check_rows`): a row is
 valid when ``0 <= i < K``, a span when ``0 <= start <= stop <= K``
 (empty spans are legal), and anything else raises :class:`IndexError`.
 
-The similarity paths (blocked Gram cosine, blocked euclidean
-differences, ``similarity_to``), the ``dispersion`` diagnostic and the
-fast ``mean_state`` operate in bounded row blocks under the
+The blocked euclidean differences, the ``dispersion`` diagnostic and
+the fast ``mean_state`` operate in bounded row blocks under the
 ``REPRO_POOL_BLOCK_BYTES`` budget; on local storages
 ``cross_aggregate`` (:meth:`PoolStorage.blend_into`) and the precise
 ``mean_state`` read one row view at a time into reused float64
@@ -94,7 +93,9 @@ peak-allocation bounds.  The incremental
 object — the ``(K, p_eff)`` image of the masked rows — in storage
 obtained from :meth:`PoolStorage.allocate_like` (``private``: on the
 pool's own medium, except that shared memory gives way to the heap),
-and answers every query with pure ``(K, K)`` algebra.
+and answers every query with pure ``(K, K)`` algebra; it is the only
+code that computes a Gram or a cosine (``reduces_gram`` storages run
+its dots where the rows live, through :meth:`PoolStorage.gram_rows`).
 
 Backends register themselves on :data:`POOL_BACKENDS` via
 :func:`register_backend`; a third-party backend implements

@@ -58,10 +58,11 @@ class SuspectRecord:
 def screen_scores(gram, *, sigma: float = 3.0, boost: float = 2.0):
     """``(scores, threshold, flagged_rows)`` from a ``(K, K)`` Gram.
 
-    ``scores[i]`` is ‖v_i − v̄‖ computed purely from Gram algebra (the
-    cancellation caveat of ``GramTracker.dispersion`` applies: scores
-    are clamped at zero).  ``flagged_rows`` is a sorted index array of
-    rows beyond the conservative two-part threshold.
+    ``scores[i]`` is ‖v_i − v̄‖ computed purely from Gram algebra, which
+    cancels when the pool is far tighter than its norm scale (see
+    :mod:`repro.core.gram`): scores are clamped at zero.
+    ``flagged_rows`` is a sorted index array of rows beyond the
+    conservative two-part threshold.
     """
     g = np.asarray(gram, dtype=np.float64)
     k = g.shape[0]

@@ -1,10 +1,12 @@
 """The per-pair similarity loops, kept as the test oracle.
 
 These are ``CoModelSel``'s similarity and selection as they shipped
-before the vectorized :class:`~repro.core.pool.PoolBuffer` engine: every
-state dict is flattened, and every pair is scored by the dict-based
-measure one call at a time.  ``tests/property/test_property_pool.py``
-holds the engine to them.  Not used by ``src/``.
+before the vectorized engine: every state dict is flattened, and every
+pair is scored by the dict-based measure one call at a time.
+``tests/core/test_selection.py`` and
+``tests/property/test_property_pool.py`` hold ``CoModelSel.select_all``,
+the :class:`~repro.core.gram.GramTracker` cosine and the blocked
+euclidean matrix to them.  Not used by ``src/``.
 """
 
 from __future__ import annotations
@@ -13,8 +15,22 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.selection import cosine_similarity, euclidean_similarity
 from _dict_oracle import flatten_state_dict
+
+
+def cosine_similarity(x: np.ndarray, y: np.ndarray) -> float:
+    """Standard cosine similarity of two flattened parameter vectors."""
+    nx = np.linalg.norm(x)
+    ny = np.linalg.norm(y)
+    if nx == 0.0 or ny == 0.0:
+        return 0.0
+    return float(np.dot(x, y) / (nx * ny))
+
+
+def euclidean_similarity(x: np.ndarray, y: np.ndarray) -> float:
+    """Negative Euclidean distance (higher = more similar)."""
+    return -float(np.linalg.norm(x - y))
+
 
 MEASURES = {"cosine": cosine_similarity, "euclidean": euclidean_similarity}
 
@@ -69,3 +85,9 @@ def reference_select_by_similarity(
         if (want_highest and val > best_val) or (not want_highest and val < best_val):
             best_val, best_idx = val, j
     return best_idx
+
+
+def reference_gram(pool, param_keys: set[str] | None = None) -> np.ndarray:
+    """Plain float64 ``V @ V.T`` of a PoolBuffer's masked rows."""
+    v = np.asarray(pool.matrix, dtype=np.float64)[:, pool.layout.mask(param_keys)]
+    return v @ v.T

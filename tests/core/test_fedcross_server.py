@@ -1,11 +1,16 @@
 """FedCross server: Algorithm 1 mechanics end to end."""
 
+import ast
+import hashlib
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core.fedcross import FedCrossServer
+from repro.fl.config import FLConfig
 from repro.fl.simulation import FLSimulation, run_simulation
 
 # The dict-path leg (load_state_dict / SGD / state_dict).
@@ -62,6 +67,44 @@ class TestConfiguration:
     def test_invalid_alpha_rejected(self, tiny_config):
         with pytest.raises(ValueError):
             FLSimulation(tiny_config.with_method("fedcross", alpha=1.0))
+
+    def test_unknown_method_params_key_rejected(self, tiny_config):
+        cfg = tiny_config.with_method("fedcross", alpha=0.8, selecton="highest")
+        with pytest.raises(ValueError, match=r"'selecton'.*'dynamic_alpha_rounds'"):
+            FLSimulation(cfg)
+
+    @pytest.mark.parametrize(
+        "params,key",
+        [({"selection": "random"}, "selection"), ({"measure": "manhattan"}, "measure")],
+    )
+    def test_bad_option_value_names_its_key(self, tiny_config, params, key):
+        with pytest.raises(ValueError, match=rf"method_params\['{key}'\]"):
+            FLSimulation(tiny_config.with_method("fedcross", **params))
+
+    def test_every_shipped_method_params_key_is_accepted(self):
+        """FedCross options as the shipped callers spell them: the keys
+        of dict literals holding ``alpha`` or ``selection``, of
+        ``with_method("fedcross", ...)`` calls and of item writes to a
+        ``fedcross_params`` dict."""
+        root = Path(__file__).resolve().parents[2]
+        files = [
+            *(root / "src/repro/experiments").glob("*.py"), root / "src/repro/cli.py",
+            *(root / "examples").glob("*.py"), root / "benchmarks/e2e/workloads.py",
+        ]
+        keys = set()
+        for node in (n for f in files for n in ast.walk(ast.parse(f.read_text()))):
+            if isinstance(node, ast.Dict):
+                names = {k.value for k in node.keys if isinstance(k, ast.Constant)}
+                if names & {"alpha", "selection"}:
+                    keys |= names
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "with_method":
+                if getattr(node.args[0], "value", None) == "fedcross":
+                    keys |= {kw.arg for kw in node.keywords if kw.arg}
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                if "fedcross" in getattr(node.value, "id", ""):
+                    keys.add(node.slice.value)
+        assert {"alpha", "selection", "shuffle", "measure", "dynamic_alpha_rounds"} <= keys
+        assert keys <= set(FedCrossServer.METHOD_PARAMS)
 
     def test_selection_strategies_all_run(self, tiny_config):
         for strategy in ("in_order", "highest", "lowest"):
@@ -179,3 +222,41 @@ class TestSimilarityTrend:
         # not exactly comparable (different client rng states), but the
         # aggregated pool must be far tighter than freshly trained uploads
         assert disp_pool < disp_uploads
+
+
+class TestScreenWithoutTracker:
+    """``screen="carry"`` where no tracker follows the uploads
+    (``in_order``, ``euclidean``): the screen scores a fresh tracker's
+    Gram.  Pinned by the final pool and the flagged rows of a seeded
+    sign-flip run, as recorded before the fallback moved off the
+    blocked-GEMM Gram."""
+
+    CONFIG = dict(
+        method="fedcross", dataset="synth_cifar10", model="logreg",
+        num_clients=10, participation=1.0, local_epochs=1, batch_size=16,
+        rounds=3, seed=7, screen="carry", failure_policy="carry",
+        faults={"byzantine_frac": 0.2, "attack": "sign_flip"},
+        dataset_params={"samples_per_client": 20, "num_test": 40},
+    )
+    FLAGGED = [[1, 3, 6], [0, 6, 9], [1, 5, 9]]
+
+    @pytest.mark.parametrize(
+        "params,sha",
+        [
+            ({"selection": "in_order"},
+             "2c11bf01ed765467749b97b5883e53338c63cb71cf0d82b8a7e481f40bdbea2b"),
+            ({"selection": "lowest", "measure": "euclidean"},
+             "c85459b11fc50f3a3a0e3bb74a46e89a4858d95b2e0550830191095587dcf243"),
+        ],
+        ids=["in_order", "euclidean"],
+    )
+    def test_final_pool_and_flagged_rows(self, params, sha):
+        sim = FLSimulation(FLConfig(**self.CONFIG, method_params={"alpha": 0.9, **params}))
+        result = sim.run()
+        assert sim.server._pool_gram is None
+        assert [
+            [s["row"] for s in r.extras.get("suspect_uploads", ())]
+            for r in result.history.records
+        ] == self.FLAGGED
+        matrix = np.asarray(sim.server.pool.matrix)
+        assert hashlib.sha256(matrix.tobytes()).hexdigest() == sha

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 from _eager_gram import EagerGram
+from _selection_oracle import reference_gram
 
-from repro.core.gram import GramTracker
-from repro.core.pool import PoolBuffer, cosine_from_gram
+from repro.core.gram import GramTracker, cosine_from_gram
+from repro.core.pool import PoolBuffer
 from repro.utils.layout import StateLayout
 
 
@@ -23,13 +24,13 @@ class TestMaintenance:
     def test_from_pool_matches_fresh_gram(self, rng):
         pool = make_pool(rng=rng)
         tracker = GramTracker.from_pool(pool)
-        np.testing.assert_allclose(tracker.gram, pool.gram_matrix(), rtol=1e-12)
+        np.testing.assert_allclose(tracker.gram, reference_gram(pool), rtol=1e-12)
 
     def test_masked_tracker_matches_masked_gram(self, rng):
         pool = make_pool(rng=rng)
         tracker = GramTracker.from_pool(pool, param_keys={"w"})
         np.testing.assert_allclose(
-            tracker.gram, pool.gram_matrix(param_keys={"w"}), rtol=1e-12
+            tracker.gram, reference_gram(pool, {"w"}), rtol=1e-12
         )
 
     def test_update_row_tracks_pool_mutation(self, rng):
@@ -37,7 +38,7 @@ class TestMaintenance:
         tracker = GramTracker.from_pool(pool)
         pool.matrix[2] = rng.standard_normal(pool.num_scalars)
         tracker.update_row(2)
-        np.testing.assert_allclose(tracker.gram, pool.gram_matrix(), rtol=1e-12)
+        np.testing.assert_allclose(tracker.gram, reference_gram(pool), rtol=1e-12)
 
     def test_update_order_is_bitwise_irrelevant(self, rng):
         """The streamed-vs-gathered keystone: any full update sequence
@@ -61,7 +62,7 @@ class TestMaintenance:
         pool.matrix[1] = rng.standard_normal(pool.num_scalars)
         tracker.update_row(1)  # refreshes the (0, 1) pair with fresh data
         tracker.update_row(2)
-        np.testing.assert_allclose(tracker.gram, pool.gram_matrix(), rtol=1e-12)
+        np.testing.assert_allclose(tracker.gram, reference_gram(pool), rtol=1e-12)
 
     def test_update_out_of_range_rejected(self, rng):
         tracker = GramTracker(make_pool(rng=rng))
@@ -79,13 +80,9 @@ class TestAlgebra:
         tracker = GramTracker.from_pool(pool, param_keys={"w"})
         np.testing.assert_allclose(
             tracker.similarity(),
-            pool.similarity_matrix("cosine", param_keys={"w"}),
+            cosine_from_gram(reference_gram(pool, {"w"})),
             rtol=1e-12,
         )
-
-    def test_similarity_to_is_similarity_row(self, rng):
-        tracker = GramTracker.from_pool(make_pool(rng=rng))
-        np.testing.assert_array_equal(tracker.similarity_to(2), tracker.similarity()[2])
 
     def test_zero_norm_rows_get_zero_similarity(self):
         pool = PoolBuffer.from_states(
@@ -95,21 +92,9 @@ class TestAlgebra:
         assert sim[0, 0] == 0.0 and sim[0, 1] == 0.0 and sim[1, 0] == 0.0
         assert sim[1, 1] == pytest.approx(1.0)
 
-    def test_dispersion_matches_pool(self, rng):
-        pool = make_pool(rng=rng)
-        tracker = GramTracker.from_pool(pool)
-        assert tracker.dispersion() == pytest.approx(pool.dispersion(), rel=1e-9)
-
-    def test_dispersion_zero_for_identical_pool(self, rng):
-        state = {"w": rng.standard_normal(6)}
-        layout = StateLayout.from_state(state)
-        pool = PoolBuffer.broadcast(layout, layout.flatten(state), 4, dtype=np.float64)
-        # Gram sums cancel to round-off; the clip keeps the sqrt real.
-        assert GramTracker.from_pool(pool).dispersion() == pytest.approx(0.0, abs=1e-6)
-
     def test_cosine_from_gram_diag_is_one(self, rng):
         pool = make_pool(rng=rng)
-        sim = cosine_from_gram(pool.gram_matrix())
+        sim = cosine_from_gram(reference_gram(pool))
         np.testing.assert_allclose(np.diag(sim), 1.0, rtol=1e-12)
 
 
@@ -165,43 +150,6 @@ class TestClosedFormCrossAggregate:
             tracker.cross_aggregated(np.zeros((2, 2, 2), dtype=np.int64), 0.9)
         with pytest.raises(ValueError, match="does not match pool size"):
             tracker.cross_aggregated(np.array([0, 1]), 0.9)
-
-
-class TestSelectionFromGram:
-    def test_gram_selection_matches_fresh_selection_value(self, rng):
-        """Gram-driven argmin must achieve the same best similarity as a
-        fresh recompute (indices may differ only on exact ties)."""
-        pool = make_pool(k=6, rng=rng)
-        tracker = GramTracker.from_pool(pool)
-        fresh = pool.select_collaborators("lowest", measure="cosine")
-        via_gram = pool.select_collaborators(
-            "lowest", measure="cosine", gram=tracker.gram
-        )
-        sim = pool.similarity_matrix("cosine")
-        for i in range(6):
-            np.testing.assert_allclose(
-                sim[i, via_gram[i]], sim[i, fresh[i]], rtol=1e-9, atol=1e-12
-            )
-            assert via_gram[i] != i
-
-    def test_gram_rejected_for_euclidean(self, rng):
-        pool = make_pool(rng=rng)
-        with pytest.raises(ValueError, match="cosine"):
-            pool.select_collaborators(
-                "lowest", measure="euclidean", gram=np.eye(len(pool))
-            )
-
-    def test_gram_shape_validated(self, rng):
-        pool = make_pool(rng=rng)
-        with pytest.raises(ValueError, match="does not match pool size"):
-            pool.select_collaborators("lowest", gram=np.eye(3))
-
-    def test_in_order_ignores_gram(self, rng):
-        pool = make_pool(rng=rng)
-        got = pool.select_collaborators("in_order", round_idx=1, gram=np.eye(len(pool)))
-        np.testing.assert_array_equal(
-            got, pool.select_collaborators("in_order", round_idx=1)
-        )
 
 
 def _upload(rng, dtype):

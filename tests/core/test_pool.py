@@ -108,67 +108,12 @@ class TestPoolBufferBasics:
             PoolBuffer.from_states([])
 
 
-class TestVectorizedSimilarity:
-    def test_cosine_gram_unit_diagonal(self, rng):
-        buf = PoolBuffer.from_states(make_pool(rng, k=5))
-        sim = buf.similarity_matrix("cosine")
-        np.testing.assert_allclose(np.diag(sim), np.ones(5), rtol=1e-6)
-        np.testing.assert_allclose(sim, sim.T, atol=1e-12)
-
-    def test_zero_norm_row_gets_zero_similarity(self, rng):
-        pool = make_pool(rng, k=3)
-        zeroed = {k: np.zeros_like(v) for k, v in pool[1].items()}
-        buf = PoolBuffer.from_states([pool[0], zeroed, pool[2]])
-        sim = buf.similarity_matrix("cosine")
-        np.testing.assert_array_equal(sim[1], np.zeros(3))
-        np.testing.assert_array_equal(sim[:, 1], np.zeros(3))
-
-    def test_euclidean_diag_is_zero(self, rng):
+class TestEuclideanMatrix:
+    def test_diag_is_zero(self, rng):
         buf = PoolBuffer.from_states(make_pool(rng, k=4))
-        sim = buf.similarity_matrix("euclidean")
+        sim = buf.euclidean_matrix()
         np.testing.assert_allclose(np.diag(sim), np.zeros(4), atol=1e-12)
         assert (sim <= 0).all()
-
-    def test_similarity_to_matches_matrix_row(self, rng):
-        buf = PoolBuffer.from_states(make_pool(rng, k=5))
-        sim = buf.similarity_matrix("cosine")
-        for i in range(5):
-            np.testing.assert_allclose(
-                buf.similarity_to(i, "cosine"), sim[i], rtol=1e-12
-            )
-
-    def test_unknown_measure_rejected(self, rng):
-        buf = PoolBuffer.from_states(make_pool(rng, k=2))
-        with pytest.raises(KeyError):
-            buf.similarity_matrix("manhattan")
-
-
-class TestVectorizedSelection:
-    def test_in_order_matches_closed_form(self, rng):
-        from repro.core.selection import select_in_order
-
-        buf = PoolBuffer.from_states(make_pool(rng, k=6))
-        for r in range(8):
-            co = buf.select_collaborators("in_order", round_idx=r)
-            expected = [select_in_order(i, r, 6) for i in range(6)]
-            np.testing.assert_array_equal(co, expected)
-
-    def test_never_selects_self(self, rng):
-        buf = PoolBuffer.from_states(make_pool(rng, k=5))
-        for strategy in ("in_order", "highest", "lowest"):
-            co = buf.select_collaborators(strategy, round_idx=2)
-            assert all(co[i] != i for i in range(5))
-
-    def test_single_model_selects_self(self, rng):
-        buf = PoolBuffer.from_states(make_pool(rng, k=1))
-        np.testing.assert_array_equal(
-            buf.select_collaborators("lowest"), np.zeros(1, dtype=np.int64)
-        )
-
-    def test_unknown_strategy_rejected(self, rng):
-        buf = PoolBuffer.from_states(make_pool(rng, k=3))
-        with pytest.raises(ValueError, match="unknown strategy"):
-            buf.select_collaborators("random")
 
 
 class TestVectorizedAggregation:
@@ -296,12 +241,12 @@ class TestBlockwiseOps:
         exactly reproducible."""
         pool = make_pool(rng, k=6)
         buf = PoolBuffer.from_states(pool, dtype=np.float32)
-        ref = buf.similarity_matrix("euclidean", block_rows=6)
+        ref = buf.euclidean_matrix(block_rows=6)
         for block in (1, 2, 4, 50):
-            got = buf.similarity_matrix("euclidean", block_rows=block)
+            got = buf.euclidean_matrix(block_rows=block)
             np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
             np.testing.assert_array_equal(
-                got, buf.similarity_matrix("euclidean", block_rows=block)
+                got, buf.euclidean_matrix(block_rows=block)
             )
 
     def test_euclidean_matches_per_row_loop(self, rng):
@@ -312,7 +257,7 @@ class TestBlockwiseOps:
             diff = v - v[i]
             ref[i] = -np.sqrt(np.einsum("kp,kp->k", diff, diff))
         np.testing.assert_allclose(
-            buf.similarity_matrix("euclidean"), ref, rtol=1e-13, atol=0
+            buf.euclidean_matrix(), ref, rtol=1e-13, atol=0
         )
 
     def test_euclidean_cancellation_safety(self, rng):
@@ -325,7 +270,7 @@ class TestBlockwiseOps:
             for eps in (0.0, 1e-7, 2e-7)
         ]
         buf = PoolBuffer.from_states(states, dtype=np.float64)
-        sim = buf.similarity_matrix("euclidean")
+        sim = buf.euclidean_matrix()
         expected = -np.sqrt(8) * 1e-7
         np.testing.assert_allclose(sim[0, 1], expected, rtol=1e-6)
         np.testing.assert_allclose(sim[1, 2], expected, rtol=1e-6)
@@ -373,6 +318,7 @@ class TestOutOfCoreRound:
         import tracemalloc
 
         from repro.core.gram import GramTracker
+        from repro.core.selection import CoModelSel
 
         k, rng = 24, np.random.default_rng(3)
         state = {
@@ -393,15 +339,13 @@ class TestOutOfCoreRound:
         tracemalloc.start()
         try:
             tracker = GramTracker.from_pool(pool, param_keys=param_keys)
-            co = pool.select_collaborators(
-                "lowest", measure="cosine", param_keys=param_keys, gram=tracker.gram
+            co = CoModelSel("lowest", param_keys=param_keys).select_all(
+                pool, 0, gram=tracker.gram
             )
             fused = pool.cross_aggregate(co, 0.99)
             derived = tracker.cross_aggregated(co, 0.99, pool=fused)
             derived.similarity()
-            derived.dispersion()
-            fused.similarity_matrix("cosine", param_keys=param_keys)
-            fused.similarity_to(0, param_keys=param_keys)
+            GramTracker.from_pool(fused, param_keys=param_keys).similarity()
             fused.dispersion(param_keys=param_keys)
             fused.mean_state(precise=True)
             _, peak = tracemalloc.get_traced_memory()

@@ -4,52 +4,46 @@ import numpy as np
 import pytest
 from _selection_oracle import reference_select_by_similarity, reference_similarity_matrix
 
+from repro.core.gram import GramTracker
 from repro.core.pool import PoolBuffer
-from repro.core.selection import (
-    CoModelSel,
-    cosine_similarity,
-    euclidean_similarity,
-    select_highest_similarity,
-    select_in_order,
-    select_lowest_similarity,
-    similarity_matrix,
-)
+from repro.core.selection import CoModelSel, select_in_order
 
 
 def states_from_vectors(vectors):
     return [{"w": np.asarray(v, dtype=np.float64)} for v in vectors]
 
 
-class TestCosine:
-    def test_identical_vectors(self):
+def select(strategy, states, measure="cosine", param_keys=None, round_idx=0):
+    """``select_all`` over a float64 pool of ``states``, as a list."""
+    pool = PoolBuffer.from_states(states, dtype=np.float64)
+    return CoModelSel(strategy, measure, param_keys).select_all(pool, round_idx).tolist()
+
+
+def similarity(states, measure="cosine", param_keys=None):
+    """The ``(K, K)`` matrix ``select_all`` ranks: a fresh tracker's
+    cosine, or the blocked euclidean matrix."""
+    pool = PoolBuffer.from_states(states, dtype=np.float64)
+    if measure == "cosine":
+        return GramTracker.from_pool(pool, param_keys).similarity()
+    return pool.euclidean_matrix(param_keys)
+
+
+class TestMeasures:
+    def test_cosine(self, rng):
         v = np.array([1.0, 2.0, 3.0])
-        assert cosine_similarity(v, v) == pytest.approx(1.0)
+        orth = np.array([3.0, 0.0, -1.0])
+        sim = similarity(states_from_vectors([v, -v, orth, np.zeros(3), 5 * v]))
+        assert sim[0, 0] == pytest.approx(1.0)
+        assert sim[0, 1] == pytest.approx(-1.0)
+        assert sim[0, 2] == pytest.approx(0.0)
+        assert (sim[3] == 0.0).all() and (sim[:, 3] == 0.0).all()
+        assert sim[0, 4] == pytest.approx(1.0)  # scale invariance
 
-    def test_opposite_vectors(self):
-        v = np.array([1.0, 0.0])
-        assert cosine_similarity(v, -v) == pytest.approx(-1.0)
-
-    def test_orthogonal(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
-
-    def test_zero_vector_safe(self):
-        assert cosine_similarity(np.zeros(3), np.ones(3)) == 0.0
-
-    def test_scale_invariance(self, rng):
-        a, b = rng.standard_normal(10), rng.standard_normal(10)
-        assert cosine_similarity(a, b) == pytest.approx(cosine_similarity(5 * a, 0.1 * b))
-
-
-class TestEuclidean:
-    def test_identical_is_max(self):
-        v = np.ones(4)
-        assert euclidean_similarity(v, v) == 0.0
-        assert euclidean_similarity(v, v + 1) < 0.0
-
-    def test_ordering(self):
+    def test_euclidean(self):
         a = np.zeros(3)
-        near, far = np.full(3, 0.1), np.full(3, 5.0)
-        assert euclidean_similarity(a, near) > euclidean_similarity(a, far)
+        sim = similarity(states_from_vectors([a, a, np.full(3, 0.1), np.full(3, 5.0)]), "euclidean")
+        assert sim[0, 0] == sim[0, 1] == 0.0
+        assert 0.0 > sim[0, 2] > sim[0, 3]
 
 
 class TestInOrder:
@@ -86,23 +80,22 @@ class TestInOrder:
 class TestSimilaritySelection:
     def test_highest_picks_most_aligned(self):
         states = states_from_vectors([[1, 0], [0.9, 0.1], [-1, 0]])
-        assert select_highest_similarity(0, states) == 1
+        assert select("highest", states)[0] == 1
 
     def test_lowest_picks_least_aligned(self):
         states = states_from_vectors([[1, 0], [0.9, 0.1], [-1, 0]])
-        assert select_lowest_similarity(0, states) == 2
+        assert select("lowest", states)[0] == 2
 
     def test_never_selects_self(self):
         states = states_from_vectors([[1, 0], [1, 0], [1, 0]])
-        for i in range(3):
-            assert select_highest_similarity(i, states) != i
-            assert select_lowest_similarity(i, states) != i
+        for strategy in CoModelSel.STRATEGIES:
+            assert all(co != i for i, co in enumerate(select(strategy, states)))
 
     def test_euclidean_measure_differs_from_cosine(self):
         # b is aligned with a but far; c is less aligned but close.
         states = states_from_vectors([[1.0, 0.0], [10.0, 0.0], [0.8, 0.6]])
-        assert select_highest_similarity(0, states, measure="cosine") == 1
-        assert select_highest_similarity(0, states, measure="euclidean") == 2
+        assert select("highest", states, measure="cosine")[0] == 1
+        assert select("highest", states, measure="euclidean")[0] == 2
 
     def test_param_keys_filtering(self):
         states = [
@@ -111,23 +104,20 @@ class TestSimilaritySelection:
             {"w": np.array([-1.0, 0.0]), "buf": np.array([0.0])},
         ]
         # restricted to "w", model 1 is identical to 0
-        assert select_highest_similarity(0, states, param_keys={"w"}) == 1
+        assert select("highest", states, param_keys={"w"})[0] == 1
 
     def test_single_model_returns_self(self):
-        states = states_from_vectors([[1, 2]])
-        assert select_lowest_similarity(0, states) == 0
+        assert select("lowest", states_from_vectors([[1, 2]])) == [0]
 
 
 class TestSimilarityMatrix:
     def test_symmetric_with_unit_diagonal(self, rng):
-        states = states_from_vectors(rng.standard_normal((4, 6)))
-        sim = similarity_matrix(states)
+        sim = similarity(states_from_vectors(rng.standard_normal((4, 6))))
         np.testing.assert_allclose(sim, sim.T, atol=1e-12)
         np.testing.assert_allclose(np.diag(sim), np.ones(4), rtol=1e-9)
 
     def test_values_in_range(self, rng):
-        states = states_from_vectors(rng.standard_normal((5, 8)))
-        sim = similarity_matrix(states)
+        sim = similarity(states_from_vectors(rng.standard_normal((5, 8))))
         assert (sim <= 1.0 + 1e-9).all() and (sim >= -1.0 - 1e-9).all()
 
     @pytest.mark.parametrize("measure", ["cosine", "euclidean"])
@@ -138,68 +128,80 @@ class TestSimilarityMatrix:
             for _ in range(5)
         ]
         np.testing.assert_allclose(
-            similarity_matrix(states, measure, param_keys),
+            similarity(states, measure, param_keys),
             reference_similarity_matrix(states, measure, param_keys),
             rtol=1e-10,
             atol=1e-10,
         )
 
 
-class TestUnknownMeasure:
-    """Only the built-in measures exist; every entry point says so."""
-
-    @pytest.mark.parametrize(
-        "select",
-        [
-            lambda states: similarity_matrix(states, "manhattan"),
-            lambda states: select_highest_similarity(0, states, "manhattan"),
-            lambda states: select_lowest_similarity(0, states, "manhattan"),
-        ],
-        ids=["similarity_matrix", "highest", "lowest"],
-    )
-    def test_rejected_by_name(self, select):
-        states = states_from_vectors([[1, 0], [0, 1]])
-        with pytest.raises(KeyError, match="manhattan"):
-            select(states)
-
-
 class TestSelectAll:
-    """The whole-pool engine call agrees with one query per model."""
+    """The whole-pool engine call agrees with the per-pair scan."""
 
     @pytest.mark.parametrize("measure", ["cosine", "euclidean"])
     @pytest.mark.parametrize("strategy", CoModelSel.STRATEGIES)
     def test_matches_per_index_selection(self, rng, strategy, measure):
         states = states_from_vectors(rng.standard_normal((6, 5)))
-        sel = CoModelSel(strategy, measure=measure)
-        pool = PoolBuffer.from_states(states, dtype=np.float64)
         for round_idx in (0, 3):
-            expected = [sel(i, states, round_idx) for i in range(len(states))]
-            assert sel.select_all(pool, round_idx).tolist() == expected
-        if strategy != "in_order":
-            want_highest = strategy == "highest"
-            assert expected == [
-                reference_select_by_similarity(i, states, measure, None, want_highest)
-                for i in range(len(states))
-            ]
+            if strategy == "in_order":
+                expected = [select_in_order(i, round_idx, 6) for i in range(6)]
+            else:
+                expected = [
+                    reference_select_by_similarity(
+                        i, states, measure, None, strategy == "highest"
+                    )
+                    for i in range(6)
+                ]
+            assert select(strategy, states, measure, round_idx=round_idx) == expected
+
+    def test_tracked_gram_selects_as_a_fresh_one(self, rng):
+        """Without a ``gram``, cosine reads a fresh tracker: a Gram a
+        tracker kept as rows landed gives the same bits, so the same pick."""
+        pool = PoolBuffer.from_states(states_from_vectors(rng.standard_normal((6, 9))))
+        tracker = GramTracker(pool)
+        for i in rng.permutation(6):
+            tracker.update_row(int(i))
+        for strategy in ("highest", "lowest"):
+            sel = CoModelSel(strategy)
+            np.testing.assert_array_equal(
+                sel.select_all(pool, 0, gram=tracker.gram), sel.select_all(pool, 0)
+            )
+
+    def test_gram_rejected_for_euclidean(self, rng):
+        pool = PoolBuffer.from_states(states_from_vectors(rng.standard_normal((4, 3))))
+        with pytest.raises(ValueError, match="cosine"):
+            CoModelSel("lowest", "euclidean").select_all(pool, 0, gram=np.eye(4))
+
+    def test_gram_shape_validated(self, rng):
+        pool = PoolBuffer.from_states(states_from_vectors(rng.standard_normal((4, 3))))
+        with pytest.raises(ValueError, match="does not match pool size"):
+            CoModelSel("lowest").select_all(pool, 0, gram=np.eye(3))
+
+    def test_in_order_ignores_gram(self, rng):
+        pool = PoolBuffer.from_states(states_from_vectors(rng.standard_normal((5, 3))))
+        sel = CoModelSel("in_order")
+        np.testing.assert_array_equal(
+            sel.select_all(pool, 1, gram=np.eye(3)), sel.select_all(pool, 1)
+        )
 
 
-class TestCoModelSelWrapper:
+class TestCoModelSel:
     def test_strategy_dispatch(self):
         states = states_from_vectors([[1, 0], [0.9, 0.1], [-1, 0]])
-        assert CoModelSel("lowest")(0, states, 0) == 2
-        assert CoModelSel("highest")(0, states, 0) == 1
-        assert CoModelSel("in_order")(0, states, 0) == 1
+        assert select("lowest", states)[0] == 2
+        assert select("highest", states)[0] == 1
+        assert select("in_order", states)[0] == 1
 
-    def test_invalid_strategy(self):
-        with pytest.raises(ValueError, match="unknown strategy"):
+    def test_invalid_strategy_names_its_key(self):
+        with pytest.raises(ValueError, match=r"method_params\['selection'\]: unknown strategy"):
             CoModelSel("random")
 
-    def test_invalid_measure(self):
-        with pytest.raises(ValueError, match="unknown measure"):
-            CoModelSel("lowest", measure="manhattan")
-
-    def test_invalid_measure_names_the_built_in_ones(self):
-        with pytest.raises(ValueError, match=r"expected one of \['cosine', 'euclidean'\]"):
+    def test_invalid_measure_names_its_key_and_the_built_in_ones(self):
+        with pytest.raises(
+            ValueError,
+            match=r"method_params\['measure'\]: unknown measure .* \['cosine', 'euclidean'\]",
+        ):
             CoModelSel("highest", measure="manhattan")
+
     def test_case_insensitive_strategy(self):
         assert CoModelSel("LOWEST").strategy == "lowest"

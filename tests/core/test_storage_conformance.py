@@ -13,7 +13,7 @@ Every cell must be **bit-identical** to ``dense``: the row protocol
 ``fill_rows``, ``clone``, ``allocate_like``, each keeping its medium),
 the pool operations on
 top of it (``cross_aggregate`` in both forms, both ``mean_state``
-modes, similarity and selection, the blocked Gram) under block budgets
+modes, the euclidean matrix and selection) under block budgets
 from one row per block to one block, the incremental
 :class:`~repro.core.gram.GramTracker`, and every registered aggregation
 operator's ``combine`` and ``cross_blend``.  Every cell also refuses an
@@ -37,6 +37,7 @@ import pytest
 import repro
 from repro.core.gram import GramTracker
 from repro.core.pool import PoolBuffer
+from repro.core.selection import CoModelSel
 from repro.core.storage import (
     ShardedStorage,
     available_backends,
@@ -259,16 +260,14 @@ class TestPoolOperations:
                 _same(other.mean_state(weights, precise=precise),
                       dense.mean_state(weights, precise=precise))
 
-    def test_similarity_selection_and_blocked_gram(self, states, name, options, budget):
+    def test_euclidean_matrix_and_selection(self, states, name, options, budget):
         dense, other = _pools(states, name, options)
         for b in BUDGETS:
             budget(b)
-            for keys in (None, {"b.weight"}):
-                _same(other.gram_matrix(param_keys=keys), dense.gram_matrix(param_keys=keys))
+            _same(other.euclidean_matrix(), dense.euclidean_matrix())
             for measure in ("cosine", "euclidean"):
-                _same(other.similarity_matrix(measure), dense.similarity_matrix(measure))
-                _same(other.select_collaborators("lowest", measure=measure),
-                      dense.select_collaborators("lowest", measure=measure))
+                sel = CoModelSel("lowest", measure)
+                _same(sel.select_all(other, 0), sel.select_all(dense, 0))
 
     @pytest.mark.parametrize("keys", [None, {"b.weight"}])
     def test_gram_tracker(self, states, name, options, keys):

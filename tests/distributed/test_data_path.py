@@ -13,6 +13,8 @@ All on the pooled 1–3 host fleets (operands are short, so OpenBLAS
 never splits a dot and host/coordinator thread caps cannot move a bit).
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from repro.distributed.cluster import HostCluster, get_cluster
 from repro.distributed.storage import DistributedStorage
 from repro.fl.callbacks import ServerCallback
 from repro.fl.config import FLConfig
-from repro.fl.simulation import run_simulation
+from repro.fl.simulation import FLSimulation, run_simulation
 
 SHAPES = {"w": (4, 3), "b": (5,)}
 
@@ -75,7 +77,6 @@ class TestDeferredGram:
                 np.testing.assert_array_equal(lazy.gram, eager.gram)
         np.testing.assert_array_equal(lazy.gram, eager.gram)
         np.testing.assert_array_equal(lazy.similarity(), eager.similarity())
-        assert lazy.dispersion() == eager.dispersion()
         assert lazy.updates == eager.updates
         assert lazy._image is None  # reducing storages never get an image
 
@@ -86,7 +87,6 @@ class TestDeferredGram:
             "norms": lambda t: t.norms,
             "similarity": lambda t: t.similarity(),
             "select_among": lambda t: t.select_among(0, range(5)),
-            "dispersion": lambda t: t.dispersion(),
             "cross_aggregated": lambda t: t.cross_aggregated(
                 np.array([1, 2, 3, 4, 0]), 0.9
             ).gram,
@@ -442,6 +442,37 @@ def test_sync_round_makes_o_hosts_data_calls():
         assert counts["exec"] == 20
         assert counts["data"] == 6, counts
         assert 2 <= counts["peer"] <= 4, counts
+
+
+def test_robust_middleware_similarity_moves_no_rows():
+    # A non-linear operator drops the closed-form pool Gram, so the
+    # diagnostic reads a fresh tracker: one gram_dots per host, the
+    # dots where the rows live, and no row fetched by the coordinator.
+    sim = FLSimulation(
+        FLConfig(
+            method="fedcross", dataset="synth_cifar10", model="logreg",
+            num_clients=6, participation=1.0, rounds=1, local_epochs=1,
+            batch_size=10, seed=3, backend="distributed", hosts=2,
+            aggregator="trimmed_mean",
+            dataset_params={"samples_per_client": 10, "num_test": 20},
+        )
+    )
+    sim.run()
+    server = sim.server
+    assert server._pool_gram is None
+    chans = [h.channel("data") for h in server.pool.storage.cluster.handles]
+    before = [dict(c.op_counts) for c in chans]
+    got = server.middleware_similarity()
+    calls = Counter()
+    for chan, was in zip(chans, before):
+        for key, n in chan.op_counts.items():
+            calls[key[0]] += n - was.get(key, 0)
+    assert +calls == {"gram_dots": 2}
+    # Rows of ~3e4 floats: a host's one-thread dot and the coordinator's
+    # may split the sum differently, so equal to round-off, not bitwise.
+    dense = PoolBuffer(server.pool.layout, np.asarray(server.pool.matrix))
+    want = GramTracker.from_pool(dense, server.selector.param_keys).similarity()
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestScreenReadsAfterTheQuarantine:

@@ -23,6 +23,7 @@ import pytest
 
 from repro.core.gram import GramTracker
 from repro.core.pool import PoolBuffer
+from repro.core.selection import CoModelSel
 from repro.models import build_model
 from repro.utils.layout import StateLayout
 
@@ -64,17 +65,15 @@ def test_k200_sharded_memmap_peak_below_one_shard(tmp_path, monkeypatch):
         tracker = GramTracker(pool, param_keys=param_keys)
         for i in range(K):
             tracker.update_row(i)
-        co = pool.select_collaborators(
-            "lowest", measure="cosine", param_keys=param_keys, gram=tracker.gram
+        co = CoModelSel("lowest", param_keys=param_keys).select_all(
+            pool, 0, gram=tracker.gram
         )
         fused = pool.cross_aggregate(co, 0.99)
         derived = tracker.cross_aggregated(co, 0.99, pool=fused)
         derived.similarity()
-        derived.dispersion()
         # GlobalModelGen + out-of-core diagnostics on the fused pool.
         fused.mean_state(precise=True)
         fused.mean_state(precise=False)
-        fused.similarity_to(0, param_keys=param_keys)
         fused.dispersion(param_keys=param_keys)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -1,9 +1,10 @@
 """Hypothesis equivalence tests: PoolBuffer engine vs dict references.
 
 The vectorized engine must reproduce the original per-pair dict loops —
-similarity values, selected collaborator indices, and aggregated states
-— across all three ``CoModelSel`` strategies, both similarity measures,
-and with/without ``param_keys`` masks.
+similarity values (a :class:`~repro.core.gram.GramTracker`'s cosine, the
+blocked euclidean matrix), selected collaborator indices, and
+aggregated states — across all three ``CoModelSel`` strategies, both
+similarity measures, and with/without ``param_keys`` masks.
 """
 
 import os
@@ -13,8 +14,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core.gram import GramTracker
 from repro.core.pool import PoolBuffer
-from repro.core.selection import CoModelSel, similarity_matrix
+from repro.core.selection import CoModelSel, select_in_order
 
 # The per-pair similarity loops and the state-dict aggregation paths,
 # the oracles of the engine.
@@ -59,17 +61,12 @@ class TestSimilarityEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_matrix_matches_reference(self, pool, measure, keys):
         ref = reference_similarity_matrix(pool, measure, keys)
-        got = similarity_matrix(pool, measure, keys)
-        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
-
-    @given(pool=pools(), measure=measures, keys=masks)
-    @settings(max_examples=60, deadline=None)
-    def test_buffer_input_matches_dict_input(self, pool, measure, keys):
         buf = PoolBuffer.from_states(pool, dtype=np.float64)
-        np.testing.assert_array_equal(
-            similarity_matrix(buf, measure, keys),
-            similarity_matrix(pool, measure, keys),
-        )
+        if measure == "cosine":
+            got = GramTracker.from_pool(buf, keys).similarity()
+        else:
+            got = buf.euclidean_matrix(keys)
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
 
 
 class TestSelectionEquivalence:
@@ -98,11 +95,11 @@ class TestSelectionEquivalence:
             ref = reference_select_by_similarity(
                 i, pool, measure, keys, want_highest=want_highest
             )
-            for picked in (int(vectorized[i]), sel(i, pool, 0)):
-                assert picked != i
-                np.testing.assert_allclose(
-                    ref_sim[i, picked], ref_sim[i, ref], rtol=1e-9, atol=1e-9
-                )
+            picked = int(vectorized[i])
+            assert picked != i
+            np.testing.assert_allclose(
+                ref_sim[i, picked], ref_sim[i, ref], rtol=1e-9, atol=1e-9
+            )
 
     @given(pool=pools(), r=st.integers(0, 30))
     @settings(max_examples=40, deadline=None)
@@ -111,7 +108,7 @@ class TestSelectionEquivalence:
         buf = PoolBuffer.from_states(pool, dtype=np.float64)
         vectorized = sel.select_all(buf, round_idx=r)
         for i in range(len(pool)):
-            assert vectorized[i] == sel(i, pool, r)
+            assert vectorized[i] == select_in_order(i, r, len(pool))
 
 
 class TestAggregationEquivalence:
@@ -184,32 +181,6 @@ class TestBlockwiseEquivalence:
 
     @given(pool=pools(), keys=masks, block=st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
-    def test_cosine_blocked_matches_reference(self, pool, keys, block):
-        """The blocked Gram cosine path (no whole-pool float64 temp)
-        agrees with the per-pair reference for every block size, and a
-        fixed block size is exactly reproducible."""
-        buf = PoolBuffer.from_states(pool, dtype=np.float64)
-        got = buf.similarity_matrix("cosine", param_keys=keys, block_rows=block)
-        ref = reference_similarity_matrix(pool, "cosine", keys)
-        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
-        unblocked = buf.similarity_matrix("cosine", param_keys=keys)
-        np.testing.assert_allclose(got, unblocked, rtol=1e-12, atol=1e-13)
-        again = buf.similarity_matrix("cosine", param_keys=keys, block_rows=block)
-        np.testing.assert_array_equal(got, again)
-
-    @given(pool=pools(), keys=masks, block=st.integers(1, 8), measure=measures)
-    @settings(max_examples=40, deadline=None)
-    def test_similarity_to_blocked_matches_matrix_row(self, pool, keys, block, measure):
-        """Single-model queries run blocked too — they must agree with
-        the corresponding full-matrix row to reduction round-off."""
-        buf = PoolBuffer.from_states(pool, dtype=np.float64)
-        full = buf.similarity_matrix(measure, param_keys=keys)
-        for index in range(len(pool)):
-            got = buf.similarity_to(index, measure, param_keys=keys, block_rows=block)
-            np.testing.assert_allclose(got, full[index], rtol=1e-10, atol=1e-10)
-
-    @given(pool=pools(), keys=masks, block=st.integers(1, 8))
-    @settings(max_examples=40, deadline=None)
     def test_dispersion_blocked_matches_unblocked(self, pool, keys, block):
         buf = PoolBuffer.from_states(pool, dtype=np.float64)
         got = buf.dispersion(param_keys=keys, block_rows=block)
@@ -220,15 +191,15 @@ class TestBlockwiseEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_euclidean_blocked_matches_reference(self, pool, keys, block):
         buf = PoolBuffer.from_states(pool, dtype=np.float64)
-        got = buf.similarity_matrix("euclidean", param_keys=keys, block_rows=block)
+        got = buf.euclidean_matrix(param_keys=keys, block_rows=block)
         ref = reference_similarity_matrix(pool, "euclidean", keys)
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
         # Across block sizes the P-axis reduction may legitimately move
         # by the last ulp (SIMD summation order varies with operand
         # shape/alignment), so agreement is asserted ulp-tight, not
         # bitwise — unlike cross_aggregate's elementwise guarantee.
-        unblocked = buf.similarity_matrix("euclidean", param_keys=keys)
+        unblocked = buf.euclidean_matrix(param_keys=keys)
         np.testing.assert_allclose(got, unblocked, rtol=1e-13, atol=0)
         # Same block size must be exactly reproducible.
-        again = buf.similarity_matrix("euclidean", param_keys=keys, block_rows=block)
+        again = buf.euclidean_matrix(param_keys=keys, block_rows=block)
         np.testing.assert_array_equal(got, again)
