@@ -64,6 +64,17 @@ class TestMaintenance:
         tracker.update_row(2)
         np.testing.assert_allclose(tracker.gram, reference_gram(pool), rtol=1e-12)
 
+    def test_from_pool_lands_no_row(self, rng, monkeypatch):
+        """A rebuild is not a landing: ``from_pool`` (hence ``refresh``)
+        never calls ``update_row``, so its count stays one per upload."""
+        calls = []
+        monkeypatch.setattr(GramTracker, "update_row", lambda self, i: calls.append(i))
+        pool = make_pool(rng=rng)
+        tracker = GramTracker.from_pool(pool)
+        tracker.refresh()
+        assert calls == []
+        np.testing.assert_allclose(tracker.gram, reference_gram(pool), rtol=1e-12)
+
     def test_update_out_of_range_rejected(self, rng):
         tracker = GramTracker(make_pool(rng=rng))
         with pytest.raises(IndexError):

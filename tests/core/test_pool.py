@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.gram import GramTracker
 from repro.core.pool import PoolBuffer
+from repro.core.selection import CoModelSel, select_in_order
 from repro.robust.operators import available_operators
 from repro.utils.layout import StateLayout
 
@@ -106,6 +108,52 @@ class TestPoolBufferBasics:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
             PoolBuffer.from_states([])
+
+
+class TestVectorizedSimilarity:
+    """A pool's cosine is a fresh tracker's, on the buffer's own dtype."""
+
+    def test_cosine_gram_unit_diagonal(self, rng):
+        buf = PoolBuffer.from_states(make_pool(rng, k=5))
+        sim = GramTracker.from_pool(buf).similarity()
+        np.testing.assert_allclose(np.diag(sim), np.ones(5), rtol=1e-6)
+        np.testing.assert_allclose(sim, sim.T, atol=1e-12)
+
+    def test_zero_norm_row_gets_zero_similarity(self, rng):
+        pool = make_pool(rng, k=3)
+        zeroed = {k: np.zeros_like(v) for k, v in pool[1].items()}
+        buf = PoolBuffer.from_states([pool[0], zeroed, pool[2]])
+        sim = GramTracker.from_pool(buf).similarity()
+        np.testing.assert_array_equal(sim[1], np.zeros(3))
+        np.testing.assert_array_equal(sim[:, 1], np.zeros(3))
+
+
+class TestVectorizedSelection:
+    """``CoModelSel.select_all`` over a float32 pool."""
+
+    def test_in_order_matches_closed_form(self, rng):
+        buf = PoolBuffer.from_states(make_pool(rng, k=6))
+        for r in range(8):
+            co = CoModelSel("in_order").select_all(buf, r)
+            expected = [select_in_order(i, r, 6) for i in range(6)]
+            np.testing.assert_array_equal(co, expected)
+
+    def test_never_selects_self(self, rng):
+        buf = PoolBuffer.from_states(make_pool(rng, k=5))
+        for strategy in CoModelSel.STRATEGIES:
+            for measure in ("cosine", "euclidean"):
+                co = CoModelSel(strategy, measure).select_all(buf, 2)
+                assert all(co[i] != i for i in range(5))
+
+    def test_single_model_selects_self(self, rng):
+        buf = PoolBuffer.from_states(make_pool(rng, k=1))
+        np.testing.assert_array_equal(
+            CoModelSel("lowest").select_all(buf, 0), np.zeros(1, dtype=np.int64)
+        )
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            CoModelSel("random")
 
 
 class TestEuclideanMatrix:
@@ -316,9 +364,6 @@ class TestOutOfCoreRound:
         file-backed pages): a peak near a whole-pool float64 temporary
         means a ``(K, P)`` cast is back on the cosine path."""
         import tracemalloc
-
-        from repro.core.gram import GramTracker
-        from repro.core.selection import CoModelSel
 
         k, rng = 24, np.random.default_rng(3)
         state = {

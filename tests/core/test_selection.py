@@ -28,22 +28,45 @@ def similarity(states, measure="cosine", param_keys=None):
     return pool.euclidean_matrix(param_keys)
 
 
-class TestMeasures:
-    def test_cosine(self, rng):
-        v = np.array([1.0, 2.0, 3.0])
-        orth = np.array([3.0, 0.0, -1.0])
-        sim = similarity(states_from_vectors([v, -v, orth, np.zeros(3), 5 * v]))
-        assert sim[0, 0] == pytest.approx(1.0)
-        assert sim[0, 1] == pytest.approx(-1.0)
-        assert sim[0, 2] == pytest.approx(0.0)
-        assert (sim[3] == 0.0).all() and (sim[:, 3] == 0.0).all()
-        assert sim[0, 4] == pytest.approx(1.0)  # scale invariance
+class TestCosine:
+    """The cosine ``select_all`` ranks: a fresh tracker's."""
 
-    def test_euclidean(self):
+    def test_identical_vectors(self):
+        v = [1.0, 2.0, 3.0]
+        assert similarity(states_from_vectors([v, v]))[0, 1] == pytest.approx(1.0)
+
+    def test_opposite_vectors(self):
+        sim = similarity(states_from_vectors([[1.0, 0.0], [-1.0, 0.0]]))
+        assert sim[0, 1] == pytest.approx(-1.0)
+
+    def test_orthogonal(self):
+        sim = similarity(states_from_vectors([[1.0, 0.0], [0.0, 1.0]]))
+        assert sim[0, 1] == pytest.approx(0.0)
+
+    def test_zero_vector_safe(self):
+        sim = similarity(states_from_vectors([np.zeros(3), np.ones(3)]))
+        assert (sim[0] == 0.0).all() and (sim[:, 0] == 0.0).all()
+
+    def test_scale_invariance(self, rng):
+        a, b = rng.standard_normal(10), rng.standard_normal(10)
+        sim = similarity(states_from_vectors([a, b, 5 * a, 0.1 * b]))
+        assert sim[0, 1] == pytest.approx(sim[2, 3])
+
+
+class TestEuclidean:
+    """The euclidean measure: negative distance, ``euclidean_matrix``."""
+
+    def test_identical_is_max(self):
+        v = np.ones(4)
+        sim = similarity(states_from_vectors([v, v, v + 1]), "euclidean")
+        assert sim[0, 1] == 0.0
+        assert sim[0, 2] < 0.0
+
+    def test_ordering(self):
         a = np.zeros(3)
-        sim = similarity(states_from_vectors([a, a, np.full(3, 0.1), np.full(3, 5.0)]), "euclidean")
-        assert sim[0, 0] == sim[0, 1] == 0.0
-        assert 0.0 > sim[0, 2] > sim[0, 3]
+        near, far = np.full(3, 0.1), np.full(3, 5.0)
+        sim = similarity(states_from_vectors([a, near, far]), "euclidean")
+        assert sim[0, 1] > sim[0, 2]
 
 
 class TestInOrder:
@@ -135,6 +158,15 @@ class TestSimilarityMatrix:
         )
 
 
+class TestUnknownMeasure:
+    """Only the built-in measures exist; every strategy says so."""
+
+    @pytest.mark.parametrize("strategy", CoModelSel.STRATEGIES)
+    def test_rejected_by_name(self, strategy):
+        with pytest.raises(ValueError, match="manhattan"):
+            CoModelSel(strategy, measure="manhattan")
+
+
 class TestSelectAll:
     """The whole-pool engine call agrees with the per-pair scan."""
 
@@ -167,6 +199,18 @@ class TestSelectAll:
                 sel.select_all(pool, 0, gram=tracker.gram), sel.select_all(pool, 0)
             )
 
+    @pytest.mark.parametrize("strategy", ["highest", "lowest"])
+    def test_ties_resolve_to_the_lowest_index(self, rng, strategy):
+        v = rng.standard_normal(7)
+        # Scaling by two is exact: rows 1, 3 tie for model 0's highest
+        # cosine (+1) bit for bit, rows 2, 4 for its lowest (-1).
+        rows = [v, 2 * v, -2 * v, 2 * v, -2 * v, rng.standard_normal(7)]
+        sim = similarity(states_from_vectors(rows))
+        assert sim[0, 1] == sim[0, 3] and sim[0, 2] == sim[0, 4]
+        assert select(strategy, states_from_vectors(rows))[0] == (
+            1 if strategy == "highest" else 2
+        )
+
     def test_gram_rejected_for_euclidean(self, rng):
         pool = PoolBuffer.from_states(states_from_vectors(rng.standard_normal((4, 3))))
         with pytest.raises(ValueError, match="cosine"):
@@ -196,11 +240,12 @@ class TestCoModelSel:
         with pytest.raises(ValueError, match=r"method_params\['selection'\]: unknown strategy"):
             CoModelSel("random")
 
-    def test_invalid_measure_names_its_key_and_the_built_in_ones(self):
-        with pytest.raises(
-            ValueError,
-            match=r"method_params\['measure'\]: unknown measure .* \['cosine', 'euclidean'\]",
-        ):
+    def test_invalid_measure_names_its_key(self):
+        with pytest.raises(ValueError, match=r"method_params\['measure'\]: unknown measure"):
+            CoModelSel("lowest", measure="manhattan")
+
+    def test_invalid_measure_names_the_built_in_ones(self):
+        with pytest.raises(ValueError, match=r"expected one of \['cosine', 'euclidean'\]"):
             CoModelSel("highest", measure="manhattan")
 
     def test_case_insensitive_strategy(self):
