@@ -117,7 +117,7 @@ def compare_methods(
     dict mapping method name to its :class:`SimulationResult`.
     """
     config = base_config if base_config is not None else FLConfig(**config_kwargs)
-    method_params = method_params or {}
+    per_method = method_params or {}
     fed_dataset = build_federated_dataset(
         config.dataset,
         num_clients=config.num_clients,
@@ -127,7 +127,7 @@ def compare_methods(
     )
     results: dict[str, SimulationResult] = {}
     for method in methods:
-        method_config = config.with_method(method, **method_params.get(method, {}))
+        method_config = config.with_method(method, **per_method.get(method, {}))
         cbs = callbacks() if callable(callbacks) else callbacks
         results[method] = run_simulation(
             method_config, fed_dataset=fed_dataset, callbacks=cbs

@@ -16,9 +16,12 @@ is represented by both of its canonical members.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.fl.client import Client
+from repro.fl.config import POSITIVE, knob
 from repro.fl.registry import register_method
 from repro.fl.server import DispatchPlan, FederatedServer
 
@@ -29,11 +32,13 @@ __all__ = ["FedClusterServer"]
 class FedClusterServer(FederatedServer):
     """Cyclic cluster-sequential FedAvg."""
 
+    @dataclass(frozen=True)
+    class Options:
+        num_clusters: int = knob(None, 2, "fedcluster", "Clusters per round.", check=POSITIVE)
+
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.num_clusters = int(self.config.method_params.get("num_clusters", 2))
-        if self.num_clusters < 1:
-            raise ValueError("num_clusters must be >= 1")
+        self.num_clusters = int(self.options.num_clusters)
         # Static random clustering of the population (the reference
         # algorithm clusters once; data-driven grouping is CluSamp's
         # refinement).

@@ -26,11 +26,13 @@ order, which is what makes FedGen safe on parallel execution backends
 from __future__ import annotations
 
 import copy
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro import nn
 from repro.fl.client import Client
+from repro.fl.config import NON_NEGATIVE, POSITIVE, knob
 from repro.fl.hooks import DistillationSpec
 from repro.fl.registry import register_method
 from repro.fl.server import DispatchPlan, FederatedServer
@@ -73,19 +75,29 @@ class Generator(nn.Module):
 class FedGenServer(FederatedServer):
     """FedAvg + server-side generator + client-side distillation."""
 
+    @dataclass(frozen=True)
+    class Options:
+        gen_weight: float = knob(None, 0.2, "fedgen", "Distill-loss weight.", check=NON_NEGATIVE)
+        gen_steps: int = knob(None, 10, "fedgen", "Generator steps a round.", check=NON_NEGATIVE)
+        gen_batch: int = knob(None, 32, "fedgen", "Samples per generator update.", check=POSITIVE)
+        distill_batch: int = knob(None, 16, "fedgen", "Samples per distill step.", check=POSITIVE)
+        gen_hidden: int = knob(None, 64, "fedgen", "Generator hidden width.", check=POSITIVE)
+        z_dim: int = knob(None, 16, "fedgen", "Generator noise width.", check=POSITIVE)
+        gen_lr: float = knob(None, 5e-3, "fedgen", "Generator Adam step size.", check=POSITIVE)
+
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        params = self.config.method_params
-        self.gen_weight = float(params.get("gen_weight", 0.2))
-        self.gen_steps = int(params.get("gen_steps", 10))
-        self.gen_batch = int(params.get("gen_batch", 32))
-        self.distill_batch = int(params.get("distill_batch", 16))
+        options = self.options
+        self.gen_weight = float(options.gen_weight)
+        self.gen_steps = int(options.gen_steps)
+        self.gen_batch = int(options.gen_batch)
+        self.distill_batch = int(options.distill_batch)
         self._gen_rng = default_rng(self.config.seed + 7919)
         # Root of the per-(round, client) distillation RNG streams;
         # spawned in dispatch order, so stream assignment is
         # deterministic regardless of execution backend.
         self._hook_seq = np.random.SeedSequence(self.config.seed + 60013)
-        self.gen_hidden = int(params.get("gen_hidden", 64))
+        self.gen_hidden = int(options.gen_hidden)
 
         num_classes = self.fed_dataset.num_classes
         self._embedded_mode = hasattr(self.model, "forward_embedded")
@@ -101,11 +113,11 @@ class FedGenServer(FederatedServer):
         self.generator = Generator(
             num_classes,
             output_dim,
-            z_dim=int(params.get("z_dim", 16)),
+            z_dim=int(options.z_dim),
             hidden=self.gen_hidden,
             rng=default_rng(self.config.seed + 104729),
         )
-        self._gen_opt = Adam(self.generator.parameters(), lr=float(params.get("gen_lr", 5e-3)))
+        self._gen_opt = Adam(self.generator.parameters(), lr=float(options.gen_lr))
         self.generator_size = self.generator.num_parameters()
         # Aggregate label distribution for conditioning (uniform prior).
         self._label_counts = np.ones(num_classes, dtype=np.float64)

@@ -14,7 +14,10 @@ including ``process`` workers.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.fl.client import Client
+from repro.fl.config import NON_NEGATIVE, knob
 from repro.fl.hooks import ProximalSpec
 from repro.fl.registry import register_method
 from repro.fl.server import DispatchPlan, FederatedServer
@@ -27,11 +30,13 @@ __all__ = ["FedProxServer"]
 class FedProxServer(FederatedServer):
     """FedAvg + client-side proximal term with weight ``mu``."""
 
+    @dataclass(frozen=True)
+    class Options:
+        mu: float = knob(None, 0.01, "fedprox", "Proximal-term weight.", check=NON_NEGATIVE)
+
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.mu = float(self.config.method_params.get("mu", 0.01))
-        if self.mu < 0:
-            raise ValueError(f"FedProx mu must be non-negative, got {self.mu}")
+        self.mu = float(self.options.mu)
 
     def dispatch(self, active: list[Client]) -> list[DispatchPlan]:
         """Global model plus the proximal loss spec anchored to it.

@@ -12,10 +12,13 @@ round).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.core.pool import PoolBuffer
 from repro.fl.client import Client
+from repro.fl.config import POSITIVE, knob
 from repro.fl.hooks import ControlVariateSpec
 from repro.fl.registry import register_method
 from repro.fl.server import DispatchPlan, FederatedServer
@@ -38,6 +41,10 @@ class ScaffoldServer(FederatedServer):
     so its row blocks do not depend on the model's buffers.
     """
 
+    @dataclass(frozen=True)
+    class Options:
+        server_lr: float = knob(None, 1.0, "scaffold", "Server step size.", check=POSITIVE)
+
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         param_keys = {name for name, _ in self.model.named_parameters()}
@@ -56,7 +63,7 @@ class ScaffoldServer(FederatedServer):
             {key: np.empty(shape) for key, _, shape in self._variate_fields}
         )
         self._delta_buffers: dict[int, PoolBuffer] = {}
-        self.server_lr = float(self.config.method_params.get("server_lr", 1.0))
+        self.server_lr = float(self.options.server_lr)
 
     def dispatch(self, active: list[Client]) -> list[DispatchPlan]:
         """Global model plus each client's control-variate grad spec.

@@ -12,16 +12,16 @@ Commands
     Regenerate one paper artefact by name:
     ``python -m repro bench table1|table2|table3|fig3|...|fig9``.
 ``list``
-    Show registered methods, models, datasets and pool backends.
+    Show registered plugins, and method and aggregator option defaults.
 
 ``run`` and ``compare`` get one flag per :class:`repro.fl.config.FLConfig`
 knob, built by walking its fields: flag, parse type, default, choices or
 validating registry, help and group all come from the field's metadata,
-and so does README's flag table (:func:`flag_table`).  A value the
-config rejects — a knob's own check or a cross-field rule — is a usage
-error naming the flags.  Beyond the knobs: ``--alpha`` / ``--selection``
-(FedCross method options; unset, FedCross's own defaults apply),
-``--progress`` (a :class:`~repro.fl.callbacks.ThroughputLogger`),
+and so does README's flag table (:func:`flag_table`); so are a method's
+flagged options (FedCross's ``--alpha`` / ``--selection``), passed to
+that method only when given.  A value the config rejects — a knob's own
+check or a cross-field rule — is a usage error naming the flags.  Beyond
+the knobs: ``--progress`` (a :class:`~repro.fl.callbacks.ThroughputLogger`),
 ``--early-stop-patience N`` (a
 :class:`~repro.fl.callbacks.BestStateCheckpointer`) and ``--json``.
 """
@@ -40,14 +40,19 @@ from repro.api import compare_methods
 from repro.data.federated import DATASET_BUILDERS
 from repro.fl.callbacks import BestStateCheckpointer, ThroughputLogger
 from repro.fl.config import FLConfig, knob_error
-from repro.fl.registry import available_methods
+from repro.fl.registry import available_methods, resolve_method
 from repro.fl.simulation import run_simulation
 from repro.models.registry import available_models
 
 __all__ = ["main", "build_parser", "flag_table"]
 
-#: FLConfig fields that have a flag, in declaration order.
+#: FLConfig fields that have a flag, in declaration order, then the
+#: ``(method, field)`` of each method option that has one.
 _KNOBS = tuple(f for f in fields(FLConfig) if f.metadata["flag"] is not None)
+_METHOD_KNOBS = tuple(
+    (m, f) for m in available_methods() for f in fields(resolve_method(m).Options)
+    if f.metadata["flag"] is not None
+)
 
 
 def _dest(f) -> str:
@@ -79,16 +84,17 @@ def _knob_type(f):
 
 def _add_config_args(parser: argparse.ArgumentParser, method: str | None) -> None:
     """One flag per knob, in argument groups; ``method=None`` leaves
-    ``--method`` out (``compare`` takes ``--methods``)."""
+    ``--method`` out (``compare`` takes ``--methods``).  Method-option
+    flags default to ``None``: unset, the method's own default applies."""
     groups: dict = {}
-    for f in _KNOBS:
+    for f in (*_KNOBS, *(f for _, f in _METHOD_KNOBS)):
         if f.name == "method" and method is None:
             continue
         meta = f.metadata
         group = groups.get(meta["group"])
         if group is None:
             group = groups[meta["group"]] = parser.add_argument_group(meta["group"])
-        default = f.default if f.default is not MISSING else None
+        default = f.default if f in _KNOBS and f.default is not MISSING else None
         group.add_argument(
             meta["flag"],
             type=_knob_type(f),
@@ -130,17 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_cli_args(parser: argparse.ArgumentParser) -> None:
-    """The flags of ``run`` / ``compare`` that are not FLConfig knobs."""
-    parser.add_argument(
-        "--alpha", type=float, default=None,
-        help="FedCross fusion weight (default: FedCross's own, 0.99)",
-    )
-    parser.add_argument(
-        "--selection",
-        default=None,
-        choices=("in_order", "highest", "lowest"),
-        help="FedCross CoModelSel strategy (default: FedCross's own, lowest)",
-    )
+    """The flags of ``run`` / ``compare`` that are not knobs."""
     parser.add_argument(
         "--progress",
         action="store_true",
@@ -162,15 +158,19 @@ def _positive_int(value: str) -> int:
     return parsed
 
 
-def _fedcross_params(args) -> dict:
-    """``--alpha`` / ``--selection`` as FedCross method options, only when set."""
-    params = {"alpha": args.alpha, "selection": args.selection}
-    return {k: v for k, v in params.items() if v is not None}
+def _method_params(args, method: str) -> dict:
+    """The options of ``method`` given as flags."""
+    given = vars(args)
+    return {
+        f.name: given[_dest(f)]
+        for m, f in _METHOD_KNOBS
+        if m == method and given[_dest(f)] is not None
+    }
 
 
 def _config(args) -> FLConfig:
-    """The FLConfig the parsed knob flags describe (``method_params``
-    carries the FedCross options on ``run --method fedcross``)."""
+    """The FLConfig the parsed knob flags describe (on ``run``,
+    ``method_params`` carries the method's options given as flags)."""
     given = vars(args)
     kwargs = {}
     for f in _KNOBS:
@@ -178,8 +178,8 @@ def _config(args) -> FLConfig:
         # An unset dict knob (flag default None) keeps its factory default.
         if dest in given and (given[dest] is not None or f.default is not MISSING):
             kwargs[f.name] = given[dest]
-    if args.command == "run" and args.method == "fedcross":
-        kwargs["method_params"] = _fedcross_params(args)
+    if args.command == "run":
+        kwargs["method_params"] = _method_params(args, args.method)
     return FLConfig(**kwargs)
 
 
@@ -195,7 +195,7 @@ def _usage(exc: ValueError) -> str:
 def flag_table() -> str:
     """README's flag table, rendered from the knob metadata."""
     groups: dict = {}
-    for f in _KNOBS:
+    for f in (*_KNOBS, *(f for _, f in _METHOD_KNOBS)):
         groups.setdefault(f.metadata["group"], []).append(f)
     rows = ["| Group | Flag | Default | Effect |", "| --- | --- | --- | --- |"]
     for group, knobs in groups.items():
@@ -256,7 +256,7 @@ def _cmd_compare(args, config: FLConfig) -> int:
     results = compare_methods(
         methods,
         base_config=config,
-        method_params={"fedcross": _fedcross_params(args)},
+        method_params={m: _method_params(args, m) for m in methods},
         callbacks=_callback_factory(args),
     )
     if args.json:
@@ -309,7 +309,7 @@ def _cmd_bench(args) -> int:
 def _cmd_list() -> int:
     from repro.core.storage import available_backends
     from repro.fl.execution import available_executions
-    from repro.robust.operators import available_operators
+    from repro.robust.operators import available_operators, resolve_operator
 
     print("methods:    ", ", ".join(available_methods()))
     print("models:     ", ", ".join(available_models()))
@@ -317,6 +317,14 @@ def _cmd_list() -> int:
     print("backends:   ", ", ".join(available_backends()))
     print("execution:  ", ", ".join(available_executions()))
     print("aggregators:", ", ".join(available_operators()))
+    for kind, names, table in (
+        ("method", available_methods(), lambda m: resolve_method(m).Options),
+        ("aggregator", available_operators(), resolve_operator),
+    ):
+        print(f"{kind} options:")
+        for name in names:
+            knobs = ", ".join(f"{f.name}={f.default!r}" for f in fields(table(name)))
+            print(f"  {name:<18}", knobs or "(none)")
     return 0
 
 

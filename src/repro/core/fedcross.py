@@ -37,23 +37,15 @@ without re-reading pool data — within the ulp tolerances documented in
 entirely; ``euclidean`` selects on the blocked distance matrix.  Every
 other cosine read builds a fresh tracker (``GramTracker.from_pool``).
 
-``method_params`` accepted (paper defaults in Section IV-A):
-
-========================  ========================  =============================================
-``alpha``                 fusion weight, default 0.99
-``selection``             in_order | highest | lowest (default lowest)
-``measure``               cosine (default) | euclidean
-``shuffle``               bool, Algorithm 1 line 5 (default True)
-``propeller_rounds``      rounds of propeller-model warm-up (default 0)
-``num_propellers``        propellers per model during warm-up (default 3)
-``dynamic_alpha_rounds``  rounds of alpha ramp 0.5→alpha (default 0)
-========================  ========================  =============================================
-
-Any other key is refused at construction.
+The ``method_params`` FedCross reads are the knobs of
+:class:`FedCrossServer.Options` (paper defaults, Section IV-A);
+``python -m repro list`` prints them with their defaults.  Any other
+key is refused at construction.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -61,8 +53,9 @@ import numpy as np
 from repro.core.acceleration import DynamicAlphaSchedule, propeller_index_matrix
 from repro.core.gram import GramTracker
 from repro.core.pool import PoolBuffer, blend_row
-from repro.core.selection import CoModelSel, select_in_order
+from repro.core.selection import MEASURES, CoModelSel, select_in_order
 from repro.fl.client import Client
+from repro.fl.config import knob, parse_knobs
 from repro.fl.metrics import TrainingHistory
 from repro.fl.registry import register_method
 from repro.fl.server import DispatchPlan, FederatedServer
@@ -72,48 +65,43 @@ __all__ = ["FedCrossServer", "validate_alpha"]
 
 
 def validate_alpha(alpha: float) -> float:
-    """Check alpha is a valid fusion weight.
-
-    The paper restricts alpha to [0.5, 1.0) in the method description
-    but sweeps {0.5, ..., 0.999} in the ablation (Table III); we accept
-    (0, 1) and leave the [0.5, 1) recommendation to callers.
-    """
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return alpha
+    """``alpha`` as a float, held to FedCross's ``alpha`` knob: in (0, 1).  The
+    paper recommends [0.5, 1) but sweeps up to 0.999 (Table III); callers choose."""
+    return float(parse_knobs(FedCrossServer.Options, {"alpha": alpha}, "FedCross").alpha)
 
 
 @register_method("fedcross")
 class FedCrossServer(FederatedServer):
     """Multi-to-multi training with multi-model cross-aggregation."""
 
-    #: The ``method_params`` keys FedCross reads (module docstring).
-    METHOD_PARAMS = (
-        "alpha", "shuffle", "selection", "measure", "propeller_rounds",
-        "num_propellers", "dynamic_alpha_rounds",
-    )
+    @dataclass(frozen=True)
+    class Options:
+        alpha: float = knob(
+            "--alpha", 0.99, "fedcross", "FedCross fusion weight alpha (paper: 0.99).",
+            check=(lambda v: 0.0 < float(v) < 1.0, "in (0, 1)"),
+        )
+        selection: str = knob(
+            "--selection", "lowest", "fedcross", "FedCross CoModelSel strategy.",
+            choices=CoModelSel.STRATEGIES,
+        )
+        measure: str = knob(None, "cosine", "fedcross", "CoModelSel measure.", choices=MEASURES)
+        shuffle: bool = knob(None, True, "fedcross", "Shuffle model->client (Algorithm 1 l. 5).")
+        propeller_rounds: int = knob(None, 0, "fedcross", "Rounds of propeller warm-up.")
+        num_propellers: int = knob(None, 3, "fedcross", "Propellers per model in warm-up.")
+        dynamic_alpha_rounds: int = knob(None, 0, "fedcross", "Rounds of the 0.5->alpha ramp.")
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        params = self.config.method_params
-        for key in params:
-            if key not in self.METHOD_PARAMS:
-                raise ValueError(
-                    f"unknown FedCross method_params key {key!r}; "
-                    f"expected one of {self.METHOD_PARAMS}"
-                )
-        self.alpha = validate_alpha(params.get("alpha", 0.99))
-        self.shuffle = bool(params.get("shuffle", True))
+        options = self.options
+        self.alpha = float(options.alpha)
+        self.shuffle = bool(options.shuffle)
         param_keys = {name for name, _ in self.model.named_parameters()}
         self.selector = CoModelSel(
-            strategy=params.get("selection", "lowest"),
-            measure=params.get("measure", "cosine"),
-            param_keys=param_keys,
+            strategy=options.selection, measure=options.measure, param_keys=param_keys
         )
-        self.propeller_rounds = int(params.get("propeller_rounds", 0))
-        self.num_propellers = int(params.get("num_propellers", 3))
-        da_rounds = int(params.get("dynamic_alpha_rounds", 0))
+        self.propeller_rounds = int(options.propeller_rounds)
+        self.num_propellers = int(options.num_propellers)
+        da_rounds = int(options.dynamic_alpha_rounds)
         # PM-DA staging (Figure 9): propellers first, then the alpha ramp.
         self._da_schedule = (
             DynamicAlphaSchedule(self.alpha, da_rounds + self.propeller_rounds)

@@ -8,18 +8,10 @@ from repro.api import compare_methods
 from repro.fl.config import FLConfig
 from repro.fl.simulation import SimulationResult
 
-__all__ = ["ALL_METHODS", "DEFAULT_METHOD_PARAMS", "MethodComparison", "run_comparison"]
+__all__ = ["ALL_METHODS", "MethodComparison", "run_comparison"]
 
 # The six methods of the paper's evaluation, in its column order.
 ALL_METHODS = ["fedavg", "fedprox", "scaffold", "fedgen", "clusamp", "fedcross"]
-
-# Paper-tuned method defaults (Section IV-A2): FedProx mu per dataset is
-# handled by callers; FedCross uses alpha=0.99 + lowest similarity at
-# paper scale — at "quick" scale harnesses pass a faster-mixing alpha.
-DEFAULT_METHOD_PARAMS: dict[str, dict] = {
-    "fedprox": {"mu": 0.01},
-    "fedcross": {"alpha": 0.99, "selection": "lowest"},
-}
 
 
 @dataclass
@@ -48,10 +40,8 @@ def run_comparison(
     methods: list[str] | None = None,
     method_params: dict[str, dict] | None = None,
 ) -> MethodComparison:
-    """Run ``methods`` under identical data/init and collect results."""
+    """Run ``methods`` under identical data/init and collect results; an
+    option ``method_params`` leaves unset runs the method's own default."""
     methods = methods or ALL_METHODS
-    merged = {m: dict(DEFAULT_METHOD_PARAMS.get(m, {})) for m in methods}
-    for m, params in (method_params or {}).items():
-        merged.setdefault(m, {}).update(params)
-    results = compare_methods(methods, base_config=config, method_params=merged)
+    results = compare_methods(methods, base_config=config, method_params=method_params)
     return MethodComparison(config=config, results=results)

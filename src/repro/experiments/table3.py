@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.selection import CoModelSel
 from repro.data.federated import build_federated_dataset
 from repro.experiments.printers import format_table
 from repro.experiments.scale import ExperimentScale, resolve_scale
@@ -19,7 +20,6 @@ from repro.fl.simulation import run_simulation
 __all__ = ["Table3Result", "run_table3", "format_table3"]
 
 PAPER_ALPHAS = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999)
-STRATEGIES = ("in_order", "highest", "lowest")
 
 
 @dataclass
@@ -43,7 +43,7 @@ def run_table3(
     scale: str | ExperimentScale | None = None,
     seed: int = 0,
     alphas: tuple[float, ...] = (0.5, 0.9, 0.99, 0.999),
-    strategies: tuple[str, ...] = STRATEGIES,
+    strategies: tuple[str, ...] = CoModelSel.STRATEGIES,
     model: str = "mlp",
 ) -> Table3Result:
     """Sweep α × strategy for FedCross on synth CIFAR-10, β = 1.0.

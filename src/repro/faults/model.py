@@ -36,13 +36,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.faults.policy import LegFailure
 from repro.robust.attacks import ATTACK_KINDS, DEFAULT_ATTACK_SCALES, AttackSpec
+from repro.utils.knobs import POSITIVE, check_knobs, knob, parse_knobs
 
 __all__ = ["FaultScenario", "LegFault", "ClientPopulation"]
 
@@ -55,78 +56,47 @@ _LEG_SALT = 0x5EEDFA18
 _BYZANTINE_SALT = 0x5EEDFA19
 _ATTACK_SALT = 0x5EEDFA1A
 
-_SCENARIO_KEYS = (
-    "availability",
-    "dropout",
-    "slow_prob",
-    "slow_factor",
-    "straggler_timeout",
-    "byzantine_frac",
-    "attack",
-    "attack_scale",
-)
+_PROBABILITY = (lambda v: 0.0 <= float(v) <= 1.0, "in [0, 1]")
 
 
 @dataclass(frozen=True)
 class FaultScenario:
-    """Declarative failure statistics of a client population.
+    """Declarative failure statistics of a client population (each
+    field's knob help says what it decides)."""
 
-    Attributes
-    ----------
-    availability:
-        Probability a client is reachable at all this round (drawn per
-        round per client).  An unavailable client can still be drafted
-        to pad a fixed-size cohort; its leg pre-fails.
-    dropout:
-        Probability an available client accepts the leg but never
-        uploads (mid-round churn).
-    slow_prob / slow_factor:
-        With probability ``slow_prob`` a leg runs ``slow_factor``×
-        slower than the device baseline (heterogeneous hardware).
-    straggler_timeout:
-        Speed-multiplier cutoff: a leg whose drawn multiplier exceeds
-        it is declared a straggler and pre-dropped — the deterministic,
-        backend-independent analogue of a wall-clock deadline (the
-        wall-clock knob is ``FLConfig.leg_timeout``).  ``None``
-        disables the cutoff.
-    byzantine_frac:
-        Fraction of the population that is *adversarial*: membership is
-        a single static draw per run (``default_rng([salt, seed])``), so
-        the same clients attack every round regardless of backend,
-        retries or redispatch.
-    attack / attack_scale:
-        Which upload attack Byzantine clients mount (one of
-        :data:`repro.robust.attacks.ATTACK_KINDS`) and its magnitude;
-        ``attack_scale=None`` uses the per-kind default.
-    """
+    availability: float = knob(
+        None, 1.0, "faults", "Probability a client is reachable this round (drawn per "
+        "round per client); a drafted unavailable client's leg pre-fails.", check=_PROBABILITY,
+    )
+    dropout: float = knob(
+        None, 0.0, "faults", "Probability an available client takes the leg but never "
+        "uploads (mid-round churn).", check=_PROBABILITY,
+    )
+    slow_prob: float = knob(
+        None, 0.0, "faults", "Probability a leg runs slow_factor x slower.", check=_PROBABILITY
+    )
+    slow_factor: float = knob(
+        None, 1.0, "faults", "Speed multiplier of a slow leg.",
+        check=(lambda v: v >= 1.0, ">= 1 (a speed multiplier)"),
+    )
+    straggler_timeout: float | None = knob(
+        None, None, "faults", "Speed-multiplier cutoff: a leg drawn slower is a straggler, "
+        "pre-dropped (a seeded, backend-independent deadline; None: no cutoff).",
+        check=POSITIVE,
+    )
+    byzantine_frac: float = knob(
+        None, 0.0, "faults", "Fraction of adversarial clients, drawn once per run "
+        "(default_rng([salt, seed])), so the same clients attack on every backend.",
+        check=_PROBABILITY,
+    )
+    attack: str = knob(
+        None, "sign_flip", "faults", "Upload attack of Byzantine clients.", choices=ATTACK_KINDS
+    )
+    attack_scale: float | None = knob(
+        None, None, "faults", "Attack magnitude; None: the per-kind default.", check=POSITIVE
+    )
 
-    availability: float = 1.0
-    dropout: float = 0.0
-    slow_prob: float = 0.0
-    slow_factor: float = 1.0
-    straggler_timeout: float | None = None
-    byzantine_frac: float = 0.0
-    attack: str = "sign_flip"
-    attack_scale: float | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("availability", "dropout", "slow_prob", "byzantine_frac"):
-            value = getattr(self, name)
-            if not 0.0 <= float(value) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.slow_factor < 1.0:
-            raise ValueError(
-                f"slow_factor must be >= 1 (a speed multiplier), got {self.slow_factor}"
-            )
-        if self.straggler_timeout is not None and self.straggler_timeout <= 0:
-            raise ValueError("straggler_timeout must be None or positive")
-        if self.attack not in ATTACK_KINDS:
-            raise ValueError(
-                f"unknown attack kind {self.attack!r}; valid kinds: "
-                f"{list(ATTACK_KINDS)}"
-            )
-        if self.attack_scale is not None and not self.attack_scale > 0:
-            raise ValueError("attack_scale must be None or positive")
+    __post_init__ = check_knobs  # every knob's own check, at construction
 
     @classmethod
     def from_spec(cls, spec: "FaultScenario | Mapping | str") -> "FaultScenario":
@@ -156,16 +126,10 @@ class FaultScenario:
             raise TypeError(
                 f"fault scenario must be a mapping, got {type(spec).__name__}"
             )
-        unknown = sorted(set(spec) - set(_SCENARIO_KEYS))
-        if unknown:
-            raise ValueError(
-                f"unknown fault-scenario keys {unknown}; valid keys: "
-                f"{list(_SCENARIO_KEYS)}"
-            )
-        return cls(**dict(spec))
+        return parse_knobs(cls, spec, "fault-scenario")
 
     def to_dict(self) -> dict:
-        return {key: getattr(self, key) for key in _SCENARIO_KEYS}
+        return asdict(self)
 
     @property
     def resolved_attack_scale(self) -> float:

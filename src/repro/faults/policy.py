@@ -113,7 +113,8 @@ def describe_failures(failures: "dict[int, LegFailure]") -> str:
 
 @dataclass(frozen=True)
 class RoundPolicy:
-    """The resilience knobs of one run, lifted off the config.
+    """The resilience knobs of one run, lifted off the config (whose knobs
+    check them).
 
     ``engaged`` is the master switch: when nothing can fail
     (no scenario, ``fail`` policy, no retries, no timeout) the server
@@ -127,21 +128,6 @@ class RoundPolicy:
     leg_retries: int = 0
     leg_backoff: float = 0.05
     has_fault_model: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.quorum <= 1.0:
-            raise ValueError(f"quorum must be in (0, 1], got {self.quorum}")
-        if self.failure_policy not in FAILURE_POLICIES:
-            raise ValueError(
-                "failure_policy must be 'fail', 'carry' or 'redispatch', "
-                f"got {self.failure_policy!r}"
-            )
-        if self.leg_timeout is not None and self.leg_timeout <= 0:
-            raise ValueError("leg_timeout must be None or positive seconds")
-        if self.leg_retries < 0:
-            raise ValueError("leg_retries must be >= 0")
-        if self.leg_backoff < 0:
-            raise ValueError("leg_backoff must be >= 0 seconds")
 
     @classmethod
     def from_config(cls, config: Any) -> "RoundPolicy":

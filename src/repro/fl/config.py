@@ -6,80 +6,21 @@ options — mirroring the settings table of Section IV-A: batch size 50,
 five local epochs, SGD(lr=0.01, momentum=0.5), 10% participation.
 CPU-scaled defaults shrink the population/rounds, not the algorithm.
 
-Each field is a *knob* declared once by :func:`knob`: its ``metadata``
-holds the command-line flag, the parse type, the choices (or the
-registry that validates the name), one help string and its group.
+Each field is a *knob* declared once by :func:`knob`
+(:mod:`repro.utils.knobs`, re-exported here).
 :mod:`repro.cli` builds its parser from these fields and renders the
 README flag table from them; ``__post_init__`` runs each knob's own
-check (:func:`knob_error`) and then the cross-field :data:`RULES`.
+check (:func:`check_knobs`) and then the cross-field :data:`RULES`.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Any, Callable, Mapping
+from dataclasses import dataclass, replace
+from typing import Any, Mapping
 
-__all__ = ["FLConfig", "RULES", "knob", "knob_error"]
+from repro.utils.knobs import NON_NEGATIVE, POSITIVE, check_knobs, knob, knob_error, parse_knobs
 
-_POSITIVE = (lambda v: v > 0, "positive")
-_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
-_NAME = (lambda v: isinstance(v, str) and bool(v), "a registered name")  # registry knobs
-
-
-def knob(
-    flag: str | None,
-    default: Any,
-    group: str,
-    help: str,
-    *,
-    type: Callable | None = None,
-    choices: tuple | None = None,
-    registry: str | None = None,
-    check: tuple | None = None,
-    factory: Callable | None = None,
-):
-    """A config field with its knob metadata.
-
-    ``flag`` is the command-line spelling (``None``: no flag);
-    ``type`` parses the flag's string (default: the default's type, else
-    ``str``); ``registry`` names the ``module:resolver`` that validates a
-    name when the flag is parsed; ``check`` is a ``(predicate,
-    requirement)`` pair; ``factory`` replaces ``default`` for mutable
-    defaults.
-    """
-    if type is None:
-        type = str if default is None else default.__class__
-    metadata = dict(
-        flag=flag, type=type, choices=choices, registry=registry,
-        check=check, help=help, group=group,
-    )
-    if factory is not None:
-        return field(default_factory=factory, metadata=metadata)
-    return field(default=default, metadata=metadata)
-
-
-def _one_of(options) -> str:
-    names = [repr(o) for o in options]
-    return ", ".join(names[:-1]) + " or " + names[-1]
-
-
-def knob_error(f, value) -> str | None:
-    """Why ``value`` is not valid for field ``f`` of :class:`FLConfig`,
-    or ``None``.  A knob whose default is ``None`` also accepts ``None``."""
-    optional = f.default is None
-    if optional and value is None:
-        return None
-    meta = f.metadata
-    if meta["choices"] is not None:
-        ok = value in meta["choices"]
-        need = _one_of((None, *meta["choices"]) if optional else meta["choices"])
-    elif meta["registry"] is not None or meta["check"] is not None:
-        test, need = meta["check"] or _NAME
-        ok = test(value)
-        need = "None or " + need if optional else need
-    else:
-        return None
-    return None if ok else f"{f.name} must be {need}, got {value!r}"
+__all__ = ["FLConfig", "RULES", "check_knobs", "knob", "knob_error", "parse_knobs"]
 
 
 def _heterogeneity(value: str):
@@ -122,7 +63,7 @@ class FLConfig:
         type=_heterogeneity,
     )
     num_clients: int = knob(
-        "--clients", 20, "population", "Total client population N.", check=_POSITIVE
+        "--clients", 20, "population", "Total client population N.", check=POSITIVE
     )
     participation: float = knob(
         "--participation", 0.5, "population",
@@ -132,11 +73,11 @@ class FLConfig:
     k_active: int | None = knob(
         "--k-active", None, "population",
         "Absolute active-client count per round; overrides --participation.",
-        type=int, check=_POSITIVE,
+        type=int, check=POSITIVE,
     )
     local_epochs: int = knob(
         "--local-epochs", 5, "training", "Client SGD epochs per leg (paper: 5).",
-        check=_POSITIVE,
+        check=POSITIVE,
     )
     batch_size: int = knob(
         "--batch-size", 50, "training", "Client SGD batch size (paper: 50)."
@@ -148,7 +89,7 @@ class FLConfig:
     weight_decay: float = knob(
         "--weight-decay", 0.0, "training", "Client SGD weight decay."
     )
-    rounds: int = knob("--rounds", 20, "training", "FL training rounds.", check=_POSITIVE)
+    rounds: int = knob("--rounds", 20, "training", "FL training rounds.", check=POSITIVE)
     eval_every: int = knob(
         "--eval-every", 1, "training",
         "Global-model evaluation cadence in rounds (the last round always evaluates).",
@@ -167,7 +108,7 @@ class FLConfig:
     shards: int | None = knob(
         "--shards", None, "storage",
         "Row-shard count of the sharded backend (default: REPRO_POOL_SHARDS or 4).",
-        type=int, check=_POSITIVE,
+        type=int, check=POSITIVE,
     )
     shard_placement: str | None = knob(
         "--shard-placement", None, "storage",
@@ -179,7 +120,7 @@ class FLConfig:
         "--hosts", None, "storage",
         "Shard-host process count of the distributed backend "
         "(default: REPRO_POOL_HOSTS or 2).",
-        type=int, check=_POSITIVE,
+        type=int, check=POSITIVE,
     )
     execution: str = knob(
         "--execution", "serial", "execution",
@@ -192,7 +133,7 @@ class FLConfig:
         "--workers", None, "execution",
         "Worker count of the parallel execution backends (default: one per "
         "usable core; process workers share them). Serial ignores it.",
-        type=int, check=_POSITIVE,
+        type=int, check=POSITIVE,
     )
     round_mode: str = knob(
         "--round-mode", "sync", "schedule",
@@ -206,7 +147,7 @@ class FLConfig:
         "Staleness bound S of the async schedule: at most S+1 rounds in flight, "
         "and no pool row is blended by a round older than the one that last "
         "wrote it. S=0 is bitwise the sync schedule.",
-        check=_NON_NEGATIVE,
+        check=NON_NEGATIVE,
     )
     faults: Any = knob(
         "--faults", None, "faults",
@@ -219,12 +160,11 @@ class FLConfig:
             "a scenario mapping, inline JSON or a scenario file path",
         ),
     )
-    # quorum / leg_timeout / leg_retries / leg_backoff are checked by the
-    # RoundPolicy they become (repro.faults.policy).
     quorum: float = knob(
         "--quorum", 1.0, "faults",
         "Fraction of the cohort that must deliver fresh uploads for a round "
         "to count (default 1.0: every leg).",
+        check=(lambda v: 0.0 < float(v) <= 1.0, "in (0, 1]"),
     )
     failure_policy: str = knob(
         "--failure-policy", "fail", "faults",
@@ -236,15 +176,17 @@ class FLConfig:
         "--leg-timeout", None, "faults",
         "Wall-clock seconds parallel backends wait for in-flight legs before "
         "declaring the rest timed out (default: none). Late work is discarded.",
-        type=float,
+        type=float, check=(lambda v: v > 0, "positive seconds"),
     )
     leg_retries: int = knob(
         "--leg-retries", 0, "faults",
         "Bounded retries of leg errors and timeouts; simulated faults are never retried.",
+        check=(lambda v: int(v) >= 0, ">= 0"),
     )
     leg_backoff: float = knob(
         "--leg-backoff", 0.05, "faults",
         "Base backoff seconds; retry i sleeps leg_backoff * 2**(i-1).",
+        check=(lambda v: float(v) >= 0, ">= 0 seconds"),
     )
     aggregator: str = knob(
         "--aggregator", "mean", "robust",
@@ -275,18 +217,12 @@ class FLConfig:
     method_params: dict[str, Any] = knob(
         None, None, "run",
         'Method options, e.g. {"mu": 0.01} (FedProx) or '
-        '{"alpha": 0.99, "selection": "lowest"} (FedCross).',
+        '{"alpha": 0.99, "selection": "lowest"} (FedCross); see `repro list`.',
         factory=dict,
     )
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            error = knob_error(f, getattr(self, f.name))
-            if error is not None:
-                raise ValueError(error)
-        from repro.faults.policy import RoundPolicy  # lazy: avoids import cycle
-
-        RoundPolicy.from_config(self)
+        check_knobs(self)
         for knobs, requirement, holds in RULES:
             if not holds(self):
                 got = ", ".join(f"{k}={getattr(self, k)!r}" for k in knobs)

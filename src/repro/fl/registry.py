@@ -13,7 +13,7 @@ from typing import Type
 
 from repro.fl.server import FederatedServer
 
-__all__ = ["register_method", "build_server", "available_methods"]
+__all__ = ["register_method", "build_server", "available_methods", "resolve_method"]
 
 _REGISTRY: dict[str, Type[FederatedServer]] = {}
 _PROVIDER_MODULES = ("repro.baselines", "repro.core")
@@ -43,10 +43,15 @@ def available_methods() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def build_server(name: str, *args, **kwargs) -> FederatedServer:
-    """Instantiate the server class registered under ``name``."""
+def resolve_method(name: str) -> Type[FederatedServer]:
+    """The server class registered under ``name``."""
     _ensure_providers_loaded()
     key = name.lower()
     if key not in _REGISTRY:
         raise KeyError(f"unknown method {name!r}; available: {sorted(_REGISTRY)}")
-    return _REGISTRY[key](*args, **kwargs)
+    return _REGISTRY[key]
+
+
+def build_server(name: str, *args, **kwargs) -> FederatedServer:
+    """Instantiate the server class registered under ``name``."""
+    return resolve_method(name)(*args, **kwargs)

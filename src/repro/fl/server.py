@@ -61,7 +61,7 @@ import numpy as np
 from repro.data.federated import FederatedDataset
 from repro.fl.client import Client
 from repro.fl.comm import CommunicationLedger
-from repro.fl.config import FLConfig
+from repro.fl.config import FLConfig, parse_knobs
 from repro.fl.execution import ExecutionBackend, LegGroup, TrainerSpec, resolve_execution
 from repro.fl.hooks import HookSpec
 from repro.fl.metrics import RoundRecord, TrainingHistory, evaluate_model
@@ -175,9 +175,16 @@ class FederatedServer:
         model/trainer.  The simulation wires this automatically; when
         omitted, workers deep-copy ``trainer.model`` (which the
         ``process`` backend can only do if the model pickles).
+
+    ``config.method_params`` is parsed first into ``self.options``, the
+    method's ``Options`` knob table (the base declares none).
     """
 
     method_name = "base"
+
+    @dataclass(frozen=True)
+    class Options:
+        pass
 
     def __init__(
         self,
@@ -192,6 +199,9 @@ class FederatedServer:
         model_factory=None,
     ) -> None:
         self.config = config
+        self.options = parse_knobs(
+            self.Options, config.method_params, f"{self.method_name} method_params"
+        )
         self.fed_dataset = fed_dataset
         self.model = model
         self.trainer = trainer

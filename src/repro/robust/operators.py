@@ -51,10 +51,12 @@ robust operator remain bitwise identical to the reference blend.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
+from repro.utils.knobs import check_knobs, knob, parse_knobs
 from repro.utils.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -106,7 +108,7 @@ def available_operators() -> list[str]:
 
 def build_operator(name: str, params: Mapping | None = None) -> "AggregationOperator":
     """Instantiate operator ``name`` with ``params`` knobs."""
-    return resolve_operator(name)(**dict(params or {}))
+    return parse_knobs(resolve_operator(name), params or {}, f"{name} aggregator_params")
 
 
 def _normalized_weights(weights, k: int) -> np.ndarray:
@@ -167,6 +169,13 @@ def _median(x: np.ndarray) -> float:
     return float("nan") if np.isnan(s[-1]) else float(_sorted_median(s)) + 0.0
 
 
+def _trust_radius(values: np.ndarray, factor: float, floor: float = 2.0) -> float:
+    """``max(med + factor·MAD, floor·med)`` of 1-D ``values`` (median, median
+    absolute deviation): the threshold of the trust region and the Gram screen."""
+    med = _median(values)
+    return max(med + factor * _median(np.abs(values - med)), floor * med)
+
+
 def _pool_rows(storage):
     """Every row of ``storage`` in pool order, read in budget row spans
     (shard-local, so local storages hand out views)."""
@@ -205,28 +214,20 @@ def _deviation_norms(storage, center: np.ndarray, cols, group_rows: int) -> np.n
     return np.sqrt(sq)
 
 
+@dataclass(frozen=True, eq=False)
 class AggregationOperator:
     """One way to combine pool rows; see the registry table above.
 
-    Subclasses declare accepted constructor knobs in ``params`` (class
-    attributes hold the defaults); unknown knobs raise ``ValueError``
-    so a typo'd ``--aggregator-params`` fails loudly.
+    An operator is a frozen dataclass whose knob fields are its
+    ``--aggregator-params`` (checked at construction; equality stays
+    identity); :func:`build_operator` refuses any other key.
     """
 
     #: True only when the operator is the linear mean, which is what the
     #: GramTracker closed-form post-blend transform assumes.
     linear = False
-    params: tuple[str, ...] = ()
 
-    def __init__(self, **kwargs) -> None:
-        unknown = sorted(set(kwargs) - set(self.params))
-        if unknown:
-            raise ValueError(
-                f"unknown {type(self).name!r} aggregator params {unknown}; "
-                f"valid params: {list(self.params)}"
-            )
-        for key, value in kwargs.items():
-            setattr(self, key, value)
+    __post_init__ = check_knobs  # every knob's own check, at construction
 
     def combine(
         self, pool: PoolBuffer, weights=None, *, precise: bool = True
@@ -262,21 +263,16 @@ class MeanOperator(AggregationOperator):
         return pool.cross_aggregate(co_indices, alpha)
 
 
+@dataclass(frozen=True, eq=False)
 class _RobustOperator(AggregationOperator):
-    """Shared machinery: column-chunked robust center + trust region.
+    """Shared machinery: column-chunked robust center + trust region."""
 
-    ``clip_factor`` is the MAD multiplier of the trust radius
-    ``tau = max(med + clip_factor·MAD, 2·med)`` — larger values admit
-    more spread before a row counts as an outlier.
-    """
-
-    params = ("clip_factor",)
-    clip_factor = 3.0
-
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
-        if not float(self.clip_factor) > 0:
-            raise ValueError(f"clip_factor must be > 0, got {self.clip_factor}")
+    clip_factor: float = knob(
+        None, 3.0, "robust",
+        "MAD multiplier of the trust radius tau = max(med + clip_factor*MAD, "
+        "2*med); larger values admit more spread before a row is an outlier.",
+        check=(lambda v: float(v) > 0, "> 0"),
+    )
 
     # -- robust center -----------------------------------------------------
     def _from_sorted(self, svals: np.ndarray) -> np.ndarray:
@@ -342,11 +338,9 @@ class _RobustOperator(AggregationOperator):
         # Norms keep the bits of float64 deviation blocks of this size.
         group_rows = max(1, _block_budget() // max(1, 2 * pool.num_scalars * 8))
         norms = _deviation_norms(pool.storage, center[cols], cols, group_rows)
-        med = _median(norms)
-        mad = _median(np.abs(norms - med))
         # The 2·med floor keeps a tight honest cluster (tiny MAD) from
         # flagging its own mild stragglers.
-        tau = max(med + float(self.clip_factor) * mad, 2.0 * med)
+        tau = _trust_radius(norms, float(self.clip_factor))
         scales = np.ones(len(norms))
         flagged = norms > tau
         if tau > 0:
@@ -396,9 +390,7 @@ class _RobustOperator(AggregationOperator):
         columns; the float64 work runs in ``(2, n)`` scratch.
         """
         norms = self._detection_norms(pool)
-        med = _median(norms)
-        mad = _median(np.abs(norms - med))
-        tau = max(med + float(self.clip_factor) * mad, 2.0 * med)
+        tau = _trust_radius(norms, float(self.clip_factor))
         if not tau > 0:
             # Majority of rows at the center: no spread, nothing flagged.
             return np.zeros(len(norms), dtype=bool)
@@ -448,20 +440,16 @@ class _RobustOperator(AggregationOperator):
 
 
 @register_operator("trimmed_mean")
+@dataclass(frozen=True, eq=False)
 class TrimmedMeanOperator(_RobustOperator):
-    """Per-coordinate mean of the middle order statistics.
+    """Per-coordinate mean of the middle order statistics."""
 
-    ``trim`` is the fraction discarded from *each* end; at small K the
-    trim count is clamped so at least one row always survives.
-    """
-
-    params = ("trim", "clip_factor")
-    trim = 0.25
-
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
-        if not 0.0 <= float(self.trim) < 0.5:
-            raise ValueError(f"trim must be in [0, 0.5), got {self.trim}")
+    trim: float = knob(
+        None, 0.25, "robust",
+        "Fraction discarded from each end; at small K the trim count is "
+        "clamped so at least one row survives.",
+        check=(lambda v: 0.0 <= float(v) < 0.5, "in [0, 0.5)"),
+    )
 
     def _from_sorted(self, svals):
         k = svals.shape[0]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.robust.operators import _median
+from repro.robust.operators import _trust_radius
 
 __all__ = ["SuspectRecord", "screen_scores"]
 
@@ -71,8 +71,6 @@ def screen_scores(gram, *, sigma: float = 3.0, boost: float = 2.0):
     diag = np.diag(g)
     d2 = diag - (2.0 / k) * g.sum(axis=1) + g.sum() / (k * k)
     scores = np.sqrt(np.maximum(d2, 0.0))
-    med = _median(scores)
-    mad = _median(np.abs(scores - med))
-    threshold = max(med + sigma * mad, boost * med)
+    threshold = _trust_radius(scores, sigma, boost)
     flagged = np.flatnonzero(scores > threshold)
     return scores, threshold, flagged

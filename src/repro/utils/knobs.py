@@ -1,0 +1,97 @@
+"""Option tables: frozen dataclasses whose fields are *knobs*.
+
+A knob is a field declared by :func:`knob` with its flag, parse type,
+choices or check, help and group in ``metadata``.  ``FLConfig``, each
+method's ``Options``, each aggregation operator and ``FaultScenario``
+are such tables; :func:`parse_knobs` builds one from a mapping.  This
+module imports nothing from ``repro``: the fault and operator tables
+are built while :mod:`repro.fl` is still mid-import.
+"""
+
+from __future__ import annotations
+
+from dataclasses import field, fields
+from typing import Any, Callable, Mapping
+
+__all__ = ["NON_NEGATIVE", "POSITIVE", "check_knobs", "knob", "knob_error", "parse_knobs"]
+
+POSITIVE = (lambda v: v > 0, "positive")
+NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+_NAME = (lambda v: isinstance(v, str) and bool(v), "a registered name")  # registry knobs
+
+
+def knob(
+    flag: str | None,
+    default: Any,
+    group: str,
+    help: str,
+    *,
+    type: Callable | None = None,
+    choices: tuple | None = None,
+    registry: str | None = None,
+    check: tuple | None = None,
+    factory: Callable | None = None,
+):
+    """A dataclass field with its knob metadata.
+
+    ``flag`` is the command-line spelling (``None``: no flag);
+    ``type`` parses the flag's string (default: the default's type, else
+    ``str``); ``registry`` names the ``module:resolver`` that validates a
+    name when the flag is parsed; ``check`` is a ``(predicate,
+    requirement)`` pair; ``factory`` replaces ``default`` for mutable
+    defaults.
+    """
+    if type is None:
+        type = str if default is None else default.__class__
+    metadata = dict(
+        flag=flag, type=type, choices=choices, registry=registry,
+        check=check, help=help, group=group,
+    )
+    if factory is not None:
+        return field(default_factory=factory, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+def _one_of(options) -> str:
+    names = [repr(o) for o in options]
+    return ", ".join(names[:-1]) + " or " + names[-1]
+
+
+def knob_error(f, value) -> str | None:
+    """Why ``value`` is not valid for knob field ``f``, or ``None``.
+    A knob whose default is ``None`` also accepts ``None``."""
+    optional = f.default is None
+    if optional and value is None:
+        return None
+    meta = f.metadata
+    if meta["choices"] is not None:
+        ok = value in meta["choices"]
+        need = _one_of((None, *meta["choices"]) if optional else meta["choices"])
+    elif meta["registry"] is not None or meta["check"] is not None:
+        test, need = meta["check"] or _NAME
+        ok = test(value)
+        need = "None or " + need if optional else need
+    else:
+        return None
+    return None if ok else f"{f.name} must be {need}, got {value!r}"
+
+
+def check_knobs(table, owner: str | None = None) -> None:
+    """Run every field's knob check on the dataclass instance ``table``;
+    the ``ValueError`` names the field (after ``owner``, when given)."""
+    for f in fields(table):
+        error = knob_error(f, getattr(table, f.name))
+        if error is not None:
+            raise ValueError(error if owner is None else f"{owner}: {error}")
+
+
+def parse_knobs(cls, options: Mapping, owner: str):
+    """The table ``cls`` built from ``options``: a key it does not declare
+    is refused, naming ``owner`` and the accepted keys; then every check runs."""
+    accepted = [f.name for f in fields(cls)]
+    unknown = sorted(set(options) - set(accepted), key=str)
+    if unknown:
+        raise ValueError(f"unknown {owner} key {unknown[0]!r}; accepted keys: {accepted}")
+    table = cls(**options)
+    check_knobs(table, owner)
+    return table

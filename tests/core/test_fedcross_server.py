@@ -4,13 +4,14 @@ import ast
 import hashlib
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.fedcross import FedCrossServer
 from repro.fl.config import FLConfig
+from repro.fl.registry import available_methods, resolve_method
 from repro.fl.simulation import FLSimulation, run_simulation
 
 # The dict-path leg (load_state_dict / SGD / state_dict).
@@ -78,33 +79,55 @@ class TestConfiguration:
         [({"selection": "random"}, "selection"), ({"measure": "manhattan"}, "measure")],
     )
     def test_bad_option_value_names_its_key(self, tiny_config, params, key):
-        with pytest.raises(ValueError, match=rf"method_params\['{key}'\]"):
+        with pytest.raises(ValueError, match=rf"fedcross method_params: {key} must be"):
             FLSimulation(tiny_config.with_method("fedcross", **params))
 
     def test_every_shipped_method_params_key_is_accepted(self):
-        """FedCross options as the shipped callers spell them: the keys
-        of dict literals holding ``alpha`` or ``selection``, of
-        ``with_method("fedcross", ...)`` calls and of item writes to a
-        ``fedcross_params`` dict."""
+        """Method options as the shipped callers spell them, per method:
+        ``with_method("m", ...)`` keywords, ``method_params`` of an
+        ``FLConfig(method="m", ...)`` call, values of a dict keyed by
+        method names, item writes to an ``m_params`` dict, and (for
+        FedCross) dict literals holding ``alpha`` or ``selection``."""
         root = Path(__file__).resolve().parents[2]
         files = [
             *(root / "src/repro/experiments").glob("*.py"), root / "src/repro/cli.py",
-            *(root / "examples").glob("*.py"), root / "benchmarks/e2e/workloads.py",
+            *(root / "examples").glob("*.py"), *(root / "tools").glob("*.py"),
+            root / "benchmarks/e2e/workloads.py",
         ]
-        keys = set()
+        methods = available_methods()
+        keys: dict = {m: set() for m in methods}
+
+        def constant_keys(node):
+            if not isinstance(node, ast.Dict):
+                return set()
+            return {k.value for k in node.keys if isinstance(k, ast.Constant)}
+
         for node in (n for f in files for n in ast.walk(ast.parse(f.read_text()))):
             if isinstance(node, ast.Dict):
-                names = {k.value for k in node.keys if isinstance(k, ast.Constant)}
+                names = constant_keys(node)
                 if names & {"alpha", "selection"}:
-                    keys |= names
-            elif isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "with_method":
-                if getattr(node.args[0], "value", None) == "fedcross":
-                    keys |= {kw.arg for kw in node.keywords if kw.arg}
+                    keys["fedcross"] |= names
+                for k, v in zip(node.keys, node.values):
+                    if getattr(k, "value", None) in methods:
+                        keys[k.value] |= constant_keys(v)
+            elif isinstance(node, ast.Call):
+                given = {kw.arg: kw.value for kw in node.keywords if kw.arg}
+                method = getattr(given.get("method"), "value", None)
+                if method in methods:
+                    keys[method] |= constant_keys(given.get("method_params"))
+                if getattr(node.func, "attr", "") == "with_method":
+                    method = getattr(node.args[0], "value", None)
+                    if method in methods:
+                        keys[method] |= set(given)
             elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
-                if "fedcross" in getattr(node.value, "id", ""):
-                    keys.add(node.slice.value)
-        assert {"alpha", "selection", "shuffle", "measure", "dynamic_alpha_rounds"} <= keys
-        assert keys <= set(FedCrossServer.METHOD_PARAMS)
+                for method in methods:
+                    if f"{method}_params" in getattr(node.value, "id", ""):
+                        keys[method].add(node.slice.value)
+        assert {"alpha", "selection", "shuffle", "measure", "dynamic_alpha_rounds"} <= keys["fedcross"]
+        assert "mu" in keys["fedprox"]
+        for method, found in keys.items():
+            accepted = {f.name for f in fields(resolve_method(method).Options)}
+            assert found <= accepted, (method, found - accepted)
 
     def test_selection_strategies_all_run(self, tiny_config):
         for strategy in ("in_order", "highest", "lowest"):

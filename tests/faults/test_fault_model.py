@@ -37,7 +37,7 @@ class TestFaultScenario:
         assert FaultScenario.from_spec(s) is s
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError, match="unknown fault-scenario keys"):
+        with pytest.raises(ValueError, match="unknown fault-scenario key 'droput'"):
             FaultScenario.from_spec({"droput": 0.1})
 
     def test_garbage_string_rejected(self):

@@ -36,14 +36,14 @@ class TestValidation:
                 {"failure_policy": "retry"},
                 "failure_policy must be 'fail', 'carry' or 'redispatch', got 'retry'",
             ),
-            ({"leg_timeout": 0}, "leg_timeout must be None or positive seconds"),
-            ({"leg_retries": -1}, "leg_retries must be >= 0"),
-            ({"leg_backoff": -0.1}, "leg_backoff must be >= 0 seconds"),
+            ({"leg_timeout": 0}, "leg_timeout must be None or positive seconds, got 0"),
+            ({"leg_retries": -1}, "leg_retries must be >= 0, got -1"),
+            ({"leg_backoff": -0.1}, "leg_backoff must be >= 0 seconds, got -0.1"),
         ],
     )
-    def test_resilience_knobs_are_checked_by_the_round_policy(self, kwargs, message):
-        # Stated once, in RoundPolicy.__post_init__; FLConfig builds the
-        # policy instead of repeating the checks — same error text.
+    def test_resilience_knobs_are_checked_by_their_knobs(self, kwargs, message):
+        # Stated once, as each knob's check; the RoundPolicy they become
+        # repeats none of them.
         with pytest.raises(ValueError) as err:
             FLConfig(**kwargs)
         assert str(err.value) == message

@@ -60,6 +60,18 @@ class TestCommands:
         assert "synth_cifar10" in out
         assert "aggregators:" in out and "coordinate_median" in out
 
+    def test_list_shows_each_option_table_with_its_defaults(self, capsys):
+        assert main(["list"]) == 0
+        rows = {
+            line.split()[0]: line.split(None, 1)[1]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  ")
+        }
+        assert rows["fedprox"] == "mu=0.01"
+        assert rows["fedcross"].startswith("alpha=0.99, selection='lowest', measure='cosine'")
+        assert rows["fedavg"] == rows["clusamp"] == rows["mean"] == "(none)"
+        assert rows["trimmed_mean"] == "clip_factor=3.0, trim=0.25"
+
     def test_run_json(self, capsys):
         code = main(
             [

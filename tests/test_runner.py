@@ -1,14 +1,11 @@
-"""run_comparison: parameter merging and fairness guarantees."""
+"""run_comparison: method options and fairness guarantees."""
 
 import numpy as np
 import pytest
 
-from repro.experiments.runner import (
-    ALL_METHODS,
-    DEFAULT_METHOD_PARAMS,
-    run_comparison,
-)
-from repro.fl.config import FLConfig
+from repro.experiments.runner import ALL_METHODS, run_comparison
+from repro.fl.config import FLConfig, parse_knobs
+from repro.fl.registry import resolve_method
 
 
 @pytest.fixture
@@ -35,8 +32,8 @@ class TestRunComparison:
         ]
 
     def test_defaults_include_paper_tuning(self):
-        assert DEFAULT_METHOD_PARAMS["fedcross"]["selection"] == "lowest"
-        assert "mu" in DEFAULT_METHOD_PARAMS["fedprox"]
+        assert resolve_method("fedcross").Options().selection == "lowest"
+        assert resolve_method("fedprox").Options().mu == 0.01
 
     def test_method_params_override_defaults(self, micro_config):
         comparison = run_comparison(
@@ -45,8 +42,10 @@ class TestRunComparison:
             method_params={"fedcross": {"alpha": 0.6}},
         )
         cfg = comparison.results["fedcross"].config
-        assert cfg.method_params["alpha"] == 0.6
-        assert cfg.method_params["selection"] == "lowest"  # default kept
+        assert cfg.method_params == {"alpha": 0.6}
+        # The unset option runs the table's default, parsed as the server does.
+        options = parse_knobs(resolve_method("fedcross").Options, cfg.method_params, "fedcross")
+        assert options.alpha == 0.6 and options.selection == "lowest"
 
     def test_shared_data_across_methods(self, micro_config):
         """Fairness: identical initial accuracy trajectory start points."""
