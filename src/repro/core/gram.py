@@ -33,25 +33,37 @@ writer of a tracked row calls it afterwards (``collect``, the fault
 engine's carry, ``screen="carry"`` quarantine, the async landing).
 What the call does depends on where the rows live.
 
-*Local storages* dot against a float64 *image* of the masked rows, not
-the pool itself: one storage-backed ``(K, p_eff)`` float64 buffer per
-live upload buffer, allocated through the pool's own storage
-(``allocate_like``, so it has the pool's shard count and medium: one
-in-RAM array on ``dense`` — also when a ``process`` run keeps the pool
-in shared memory, since the image is private — one file on ``memmap``,
-a file per shard on ``sharded`` with memmap placement; files are
-recycled round to round) on the round's first upload.  The
-tracker keeps the **reported set**: the rows ``update_row`` has been
-called for since the last :meth:`~GramTracker.release`.
+*Local storages* dot float64 casts of the masked rows, not the pool
+itself.  Where the casts live is set by :data:`IMAGE_BUDGET_BYTES`:
 
-* ``update_row(i)`` re-casts row ``i`` — the only cast it ever makes —
-  and dots it against the reported set (itself included), nothing else.
-  Rows that have not landed yet hold last round's contents and would be
-  dotted again when they land, so they are left alone: the ``n``-th
-  landing of a round costs ``n`` dots, a clean sync round
-  ``K(K+1)/2`` dots and ``K`` casts where the matrix has ``K²``
-  entries, and a row written again once everything has landed (a
-  quarantine, a carry) costs ``K``.
+* while the ``(K, p_eff)`` float64 *image* fits the budget, each row is
+  cast once into it and every dot reads the image.  It is one
+  storage-backed buffer per live upload buffer, allocated through the
+  pool's own storage (``allocate_like``, so it has the pool's shard
+  count and medium: one in-RAM array on ``dense`` — also when a
+  ``process`` run keeps the pool in shared memory, since the image is
+  private — one file on ``memmap``, a file per shard on ``sharded``
+  with memmap placement; files are recycled round to round) on the
+  round's first upload;
+* above the budget there is no image: the tracker holds two reused
+  float64 rows (``allocate_like((2, p_eff), ..., private=True)``) and
+  casts each operand into one of them just before its dot.
+
+Both read their operands through one accessor (``_row``), so there is
+one dot loop and the bits are the same on either side: the same
+float64 values, the same contiguous 1-D ``np.dot``, the same order.
+Only the number of casts differs — ``K`` against ``K(K+1)/2`` per clean
+round.  The tracker keeps the **reported set**: the rows
+``update_row`` has been called for since the last
+:meth:`~GramTracker.release`.
+
+* ``update_row(i)`` re-casts row ``i`` and dots it against the reported
+  set (itself included), nothing else.  Rows that have not landed yet
+  hold last round's contents and would be dotted again when they land,
+  so they are left alone: the ``n``-th landing of a round costs ``n``
+  dots, a clean sync round ``K(K+1)/2`` dots where the matrix has
+  ``K²`` entries, and a row written again once everything has landed
+  (a quarantine, a carry) costs ``K``.
 * A **full read** (:attr:`GramTracker.gram`, hence ``norms``,
   ``similarity``, ``cross_aggregated``, ``release``)
   first *completes* the matrix: every pair (reported since the last
@@ -83,16 +95,17 @@ involved; a caller must not keep the array across a later
 ``update_row``.
 
 :meth:`GramTracker.release` says the round's Gram is final: it brings
-the matrix up to date, then drops the image and empties the reported
-set — before the blend runs, so the two never add up in ``peak_rss`` —
-and the next update re-images lazily.
+the matrix up to date, then drops the image (or the two scratch rows)
+and empties the reported set — before the blend runs, so the two never
+add up in ``peak_rss`` — and the next update allocates them again.
 
 Determinism and tolerance contract
 ----------------------------------
 Each pairwise dot is a single contiguous float64 1-D ``np.dot`` over
-two image rows — the same kernel, operand length and summation order
-regardless of which row updates first, of the shard layout and of
-whether the pair was dotted on landing or on read, and elementwise
+two cast rows — the same kernel, operand length and summation order
+regardless of which row updates first, of the shard layout, of the
+image budget and of whether the pair was dotted on landing or on read,
+and elementwise
 products commute exactly in IEEE arithmetic (``np.dot(a, b)`` and
 ``np.dot(b, a)`` are the same bits) — so **at equal BLAS thread count**
 the fully refreshed Gram is **bitwise independent of update order**
@@ -124,7 +137,12 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pool import PoolBuffer
 
-__all__ = ["GramTracker", "cosine_from_gram"]
+__all__ = ["GramTracker", "cosine_from_gram", "IMAGE_BUDGET_BYTES"]
+
+#: Largest float64 image of the masked rows a tracker keeps.  Above it
+#: each dot operand is cast on the fly into one of two reused float64
+#: rows: the same dots and bits, ``K(K+1)/2`` casts a round instead of K.
+IMAGE_BUDGET_BYTES = 32 << 20
 
 
 def cosine_from_gram(gram: np.ndarray) -> np.ndarray:
@@ -184,8 +202,11 @@ class GramTracker:
         self._gram = gram
         self.updates = 0  # rows reported (diagnostic/bench counter)
         self.dots = 0  # np.dot calls made here (none on a reducing storage)
-        self._image = None  # storage-backed (K, p_eff) float64 masked rows
-        self._rows: list[np.ndarray | None] = []  # its row views; None = not cast yet
+        # Storage-backed float64 masked rows: the (K, p_eff) image, or
+        # over the budget (2, p_eff) scratch rows cast once per dot.
+        self._image = None
+        self._rows: list[np.ndarray | None] = []  # image row views; None = not cast since reported
+        self._slots: list[np.ndarray] = []  # the scratch rows' views
         self._mask: np.ndarray | None = None  # column mask of the image; None = all
         self._reported = np.zeros(k, dtype=bool)  # since the last release()
         self._incomplete = np.zeros(k, dtype=bool)  # reported, pairs with the rest missing
@@ -211,19 +232,38 @@ class GramTracker:
         return self._gram
 
     # -- maintenance -------------------------------------------------------
-    def _cast(self, j: int) -> None:
-        """(Re-)image masked row ``j`` from the pool's current contents."""
-        out = self._rows[j]
-        if out is None:
+    def _allocate(self) -> None:
+        """The float64 operand rows of a round: the image within
+        :data:`IMAGE_BUDGET_BYTES`, two scratch rows above it."""
+        k = len(self)
+        mask, masked, p_eff = self.pool._mask_info(self.param_keys)
+        self._mask = mask if masked else None
+        storage = self.pool.storage
+        if k * p_eff * 8 <= IMAGE_BUDGET_BYTES:
+            self._image = storage.allocate_like((k, p_eff), np.float64, private=True)
+            self._rows = [None] * k
+        else:
+            self._image = storage.allocate_like((2, p_eff), np.float64, private=True)
+            self._slots = [np.asarray(self._image.row(0)), np.asarray(self._image.row(1))]
+
+    def _row(self, j: int, slot: int) -> np.ndarray:
+        """Masked row ``j`` as a contiguous float64 dot operand: its image
+        row (cast on first use since its last report), or over the
+        budget a fresh cast into scratch row ``slot``."""
+        if self._slots:
+            out = self._slots[slot]
+        elif self._rows[j] is not None:
+            return self._rows[j]
+        else:
             out = self._rows[j] = np.asarray(self._image.row(j))
         row = self.pool.storage.row(j)
         out[:] = row if self._mask is None else row[self._mask]
+        return out
 
     def _dot(self, i: int, cols: np.ndarray) -> None:
-        """Entries ``(i, cols)`` and their mirrors from the image rows."""
-        rows = self._rows
-        vi = rows[i]
-        dots = np.array([np.dot(vi, rows[j]) for j in cols.tolist()])
+        """Entries ``(i, cols)`` and their mirrors, one dot each."""
+        vi = self._row(i, 0)
+        dots = np.array([np.dot(vi, vi if j == i else self._row(j, 1)) for j in cols.tolist()])
         self._gram[i, cols] = dots
         self._gram[cols, i] = dots
         self.dots += cols.size
@@ -231,12 +271,12 @@ class GramTracker:
     def update_row(self, index: int) -> None:
         """Row ``index`` changed: refresh its entries from the pool's data.
 
-        Re-images row ``index`` (the call's only cast), then one
-        contiguous float64 1-D ``np.dot`` against every row reported
-        since the last :meth:`release`, itself included — O(n·P) for
-        the ``n``-th landing; the pairs with rows not reported yet are
-        completed by the next full read.  Bitwise independent of update
-        order, storage backend and shard layout (see the module
+        Re-casts row ``index``, then one contiguous float64 1-D
+        ``np.dot`` against every row reported since the last
+        :meth:`release`, itself included — O(n·P) for the ``n``-th
+        landing; the pairs with rows not reported yet are completed by
+        the next full read.  Bitwise independent of update order,
+        storage backend, shard layout and image budget (see the module
         docstring).  On a reducing storage all dots are deferred to the
         next read.
         """
@@ -252,11 +292,9 @@ class GramTracker:
             self._stale.add(int(index))
             return
         if self._image is None:
-            mask, masked, p_eff = self.pool._mask_info(self.param_keys)
-            self._mask = mask if masked else None
-            self._image = self.pool.storage.allocate_like((k, p_eff), np.float64, private=True)
-            self._rows = [None] * k
-        self._cast(index)
+            self._allocate()
+        if self._rows:
+            self._rows[index] = None  # re-cast on its next read
         self._reported[index] = self._incomplete[index] = True
         self._dot(index, np.flatnonzero(self._reported))
 
@@ -268,9 +306,6 @@ class GramTracker:
             return
         rest = np.flatnonzero(~self._reported)
         if rest.size:
-            for j in rest.tolist():
-                if self._rows[j] is None:
-                    self._cast(j)
             for i in pending.tolist():
                 self._dot(i, rest)
         self._incomplete[:] = False
@@ -288,12 +323,13 @@ class GramTracker:
 
     def release(self) -> None:
         """The round's Gram is final: bring it up to date, then drop the
-        float64 image and the reported set (the Gram is kept); the next
-        :meth:`update_row` re-images lazily."""
+        float64 image (or scratch rows) and the reported set (the Gram is
+        kept); the next :meth:`update_row` allocates them again."""
         self._flush()
         self._complete()
         self._image = None
         self._rows = []
+        self._slots = []
         self._reported[:] = False
 
     def refresh(self) -> None:

@@ -54,7 +54,9 @@ arithmetic in reused ``(P,)`` scratch rows (:func:`blend_row` for the
 blend) and write each output row in place.  A round's only ``(K, p_eff)``
 float64 object is the :class:`repro.core.gram.GramTracker` image, kept
 in this pool's storage medium from the round's first upload until its
-Gram is final and released before the blend.  On ``sharded`` storage
+Gram is final and released before the blend — and only while it fits
+``gram.IMAGE_BUDGET_BYTES``; above it the tracker casts into two
+float64 scratch rows instead.  On ``sharded`` storage
 no whole-pool buffer-dtype copy exists either (cross-shard blocks are
 gathered per block, bounded by the budget).
 

@@ -43,7 +43,8 @@ what is left when it is collected (or at interpreter exit) — so a
 round's pool, Gram image and global row reuse the last round's instead
 of creating and unlinking new ones.  Coordinator-private scratch stays
 on the heap: ``allocate_like(..., private=True)`` (the Gram tracker's
-float64 image) leaves shared memory for the heap, as do the
+float64 image, or above ``gram.IMAGE_BUDGET_BYTES`` its two float64
+scratch rows) leaves shared memory for the heap, as do the
 coordinator's other temporaries.
 ``distributed``
     :class:`repro.distributed.storage.DistributedStorage` (lazily
@@ -197,10 +198,12 @@ class PoolStorage:
         """Fresh zeroed storage preserving this instance's configuration.
 
         Derived pools (``cross_aggregate`` outputs, copies) and the
-        Gram tracker's float64 row image allocate through the
+        Gram tracker's float64 rows (its ``(K, p_eff)`` image, or over
+        its byte budget two scratch rows) allocate through the
         *instance* so option-carrying backends (shard count/placement)
         propagate.  ``private``: scratch only this process reads (the
-        Gram image), kept on the heap rather than in shared memory.
+        Gram tracker's rows), kept on the heap rather than in shared
+        memory.
         """
         raise NotImplementedError
 

@@ -22,6 +22,7 @@ from repro.data.synthetic import (
     make_synthetic_image_data,
     make_synthetic_sentiment,
 )
+from repro.utils.knobs import refuse_unknown
 
 __all__ = ["FederatedDataset", "build_federated_dataset", "DATASET_BUILDERS"]
 
@@ -214,8 +215,6 @@ def build_federated_dataset(
     if key not in DATASET_BUILDERS:
         raise KeyError(f"unknown dataset {name!r}; available: {sorted(DATASET_BUILDERS)}")
     builder = DATASET_BUILDERS[key]
-    accepted = sorted(builder.__kwdefaults__)  # the builder's keyword-only parameters
-    for param in kwargs:
-        if param not in accepted:
-            raise ValueError(f"unknown {key} parameter {param!r}; accepted: {accepted}")
+    # The builder's keyword-only parameters.
+    refuse_unknown(kwargs, sorted(builder.__kwdefaults__), f"{key} dataset_params")
     return builder(num_clients, heterogeneity, seed, **kwargs)

@@ -11,9 +11,12 @@ are built while :mod:`repro.fl` is still mid-import.
 from __future__ import annotations
 
 from dataclasses import field, fields
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
-__all__ = ["NON_NEGATIVE", "POSITIVE", "check_knobs", "knob", "knob_error", "parse_knobs"]
+__all__ = [
+    "NON_NEGATIVE", "POSITIVE", "check_knobs", "knob", "knob_error", "parse_knobs",
+    "refuse_unknown",
+]
 
 POSITIVE = (lambda v: v > 0, "positive")
 NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
@@ -88,10 +91,15 @@ def check_knobs(table, owner: str | None = None) -> None:
 def parse_knobs(cls, options: Mapping, owner: str):
     """The table ``cls`` built from ``options``: a key it does not declare
     is refused, naming ``owner`` and the accepted keys; then every check runs."""
-    accepted = [f.name for f in fields(cls)]
-    unknown = sorted(set(options) - set(accepted), key=str)
-    if unknown:
-        raise ValueError(f"unknown {owner} key {unknown[0]!r}; accepted keys: {accepted}")
+    refuse_unknown(options, [f.name for f in fields(cls)], owner)
     table = cls(**options)
     check_knobs(table, owner)
     return table
+
+
+def refuse_unknown(options: Iterable[str], accepted: list[str], owner: str) -> None:
+    """A ``ValueError`` for the first key of ``options`` not in
+    ``accepted``, naming ``owner``, the key and the accepted keys."""
+    for key in options:
+        if key not in accepted:
+            raise ValueError(f"unknown {owner} key {key!r}; accepted keys: {accepted}")

@@ -5,6 +5,7 @@ import pytest
 from _eager_gram import EagerGram
 from _selection_oracle import reference_gram
 
+from repro.core import gram as gram_module
 from repro.core.gram import GramTracker, cosine_from_gram
 from repro.core.pool import PoolBuffer
 from repro.utils.layout import StateLayout
@@ -188,11 +189,25 @@ def _simulate_round(pool, tracker, dispatched, rng):
             tracker.update_row(quarantined)
 
 
+ROW_SOURCES = ["image", "on_the_fly"]
+
+
+@pytest.fixture(params=ROW_SOURCES)
+def row_source(request, monkeypatch):
+    """Both places a tracker casts its dot operands: the float64 image
+    (within ``IMAGE_BUDGET_BYTES``) and, with the budget at 0, two
+    scratch rows cast just before each dot."""
+    if request.param == "on_the_fly":
+        monkeypatch.setattr(gram_module, "IMAGE_BUDGET_BYTES", 0)
+    return request.param
+
+
+@pytest.mark.usefixtures("row_source")
 class TestFloat64Image:
-    """``update_row`` dots against a float64 image of the masked rows:
-    ``update_row(i)`` re-casts row ``i`` only, a row nobody reported is
-    cast when a read needs it, ``release`` drops the image between
-    rounds."""
+    """``update_row`` dots float64 casts of the masked rows:
+    ``update_row(i)`` re-casts row ``i``, a row nobody reported is cast
+    when a read needs it, ``release`` drops the casts' buffer between
+    rounds — on both row sources."""
 
     @pytest.mark.parametrize("backend", ["dense", "memmap", "sharded"])
     @pytest.mark.parametrize("keys", [None, {"w"}])
@@ -243,7 +258,8 @@ class TestFloat64Image:
         assert released._image is not None
         np.testing.assert_array_equal(released.gram, kept.gram)
 
-    def test_image_lives_in_the_pools_own_storage(self, rng):
+    def test_image_lives_in_the_pools_own_storage(self, rng, row_source):
+        rows = 4 if row_source == "image" else 2
         for backend in ("memmap", "sharded"):
             pool = PoolBuffer.from_states(
                 [_upload(rng, np.float32) for _ in range(4)], backend=backend
@@ -251,7 +267,7 @@ class TestFloat64Image:
             tracker = GramTracker(pool, param_keys={"w"})
             tracker.update_row(0)
             assert tracker._image.name == backend
-            assert tracker._image.shape == (4, 11)
+            assert tracker._image.shape == (rows, 11)
             assert tracker._image.dtype == np.float64
 
     def test_memmap_refresh_stays_out_of_core(self, rng, monkeypatch):
@@ -274,6 +290,79 @@ class TestFloat64Image:
             tracemalloc.stop()
         assert tracker.updates == k
         assert peak - base < k * p * 8 / 2
+
+
+class TestRowSources:
+    """The image and the on-the-fly casts hold the same bits, and over
+    the budget the casts cost two rows, not K."""
+
+    def test_refresh_over_the_budget_allocates_under_three_rows(self, rng, monkeypatch):
+        """Over the budget a full refresh holds two float64 scratch rows
+        (plus a float32 masked copy of one pool row): less than three
+        float64 ``p_eff`` rows however large K is."""
+        import tracemalloc
+
+        k, p = 8, 40_000
+        layout = StateLayout.from_state(
+            {"w": np.zeros(p, dtype=np.float32), "b": np.zeros(5, dtype=np.float32)}
+        )
+        pool = PoolBuffer.broadcast(layout, np.zeros(p + 5), k)
+        for i in range(k):
+            pool.row(i)[:] = rng.standard_normal(p + 5).astype(np.float32)
+        # Budget below this pool's image: the on-the-fly row source.
+        monkeypatch.setattr(gram_module, "IMAGE_BUDGET_BYTES", k * p * 8 - 1)
+        for keys in (None, {"w"}):
+            p_eff = p + 5 if keys is None else p
+            tracemalloc.start()
+            try:
+                base, _ = tracemalloc.get_traced_memory()
+                tracker = GramTracker.from_pool(pool, param_keys=keys)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert tracker.dots == k * (k + 1) // 2
+            assert peak - base < 3 * p_eff * 8
+
+    @pytest.mark.parametrize("backend", ["dense", "memmap", "sharded"])
+    @pytest.mark.parametrize("keys", [None, {"w"}])
+    def test_row_sources_read_the_same_bits(self, rng, backend, keys, monkeypatch):
+        """An odd ``p_eff`` (1007 unmasked, 1001 masked: image and
+        scratch rows start at varying alignments): every read of a two-round landing
+        script — a row landing twice, rows completed on read, a release
+        — is the same Gram on the image, on the fly and in the eager
+        oracle, bit for bit."""
+        k = 7
+        shapes = {"w": 1001, "b": 6}
+        states = [
+            [
+                {key: rng.standard_normal(n).astype(np.float32) for key, n in shapes.items()}
+                for _ in range(k)
+            ]
+            for _ in range(2)
+        ]
+        script = [[int(r) for r in rng.permutation(k)][:5] + [2] for _ in range(2)]
+
+        def reads(tracker_cls, budget):
+            monkeypatch.setattr(gram_module, "IMAGE_BUDGET_BYTES", budget)
+            pool = PoolBuffer.from_states(states[0], dtype=np.float32, backend=backend)
+            tracker = tracker_cls(pool, param_keys=keys)
+            out = []
+            for landed, uploads in zip(script, states):
+                for row in landed:
+                    pool.set_state(row, uploads[row])
+                    tracker.update_row(row)
+                    out.append(np.array(tracker.gram))
+                tracker.release()
+                out.append(np.array(tracker.gram))
+            return out
+
+        image = reads(GramTracker, 1 << 40)
+        on_the_fly = reads(GramTracker, 0)
+        eager = reads(EagerGram, 0)
+        assert len(image) == len(on_the_fly) == len(eager) == 2 * 7
+        for a, b, c in zip(image, on_the_fly, eager):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, c)
 
 
 class _Both:

@@ -6,8 +6,9 @@ Three guarantees, matching the tolerances documented in
 (a) a tracker refreshed row by row — in *any* update order — matches a
     plain float64 ``V @ V.T`` within ulp tolerance, and the
     fully refreshed Gram itself is **bitwise** independent of update
-    order (the property that keeps streamed and gathered collect
-    schedules bit-identical) — and a tracker kept across rounds, fed
+    order and of the row source (image or on-the-fly casts; the
+    property that keeps streamed and gathered collect schedules
+    bit-identical) — and a tracker kept across rounds, fed
     ``update_row`` after every row write, equals a from-scratch one
     bit for bit (the float64-image contract);
 (b) the closed-form post-CrossAggr transform matches a direct Gram
@@ -24,11 +25,13 @@ Streamed-vs-gathered collect equivalence for full FL rounds lives in
 
 import os
 import sys
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core import gram as gram_module
 from repro.core.gram import GramTracker, cosine_from_gram
 from repro.core.pool import PoolBuffer
 
@@ -87,15 +90,21 @@ class TestIncrementalMatchesFresh:
     @given(pool=pools(), keys=masks, seed_a=st.integers(0, 500), seed_b=st.integers(0, 500))
     @settings(max_examples=40, deadline=None)
     def test_update_order_bitwise_irrelevant(self, pool, keys, seed_a, seed_b):
+        """In any order, on either row source — the float64 image, or
+        (budget 0) two scratch rows cast per dot — the same bits."""
         buf = PoolBuffer.from_states(pool, dtype=np.float64)
 
-        def refreshed(seed):
-            tracker = GramTracker(buf, param_keys=keys)
-            for i in np.random.default_rng(seed).permutation(len(buf)):
-                tracker.update_row(int(i))
-            return tracker.gram
+        def refreshed(seed, budget):
+            with mock.patch.object(gram_module, "IMAGE_BUDGET_BYTES", budget):
+                tracker = GramTracker(buf, param_keys=keys)
+                for i in np.random.default_rng(seed).permutation(len(buf)):
+                    tracker.update_row(int(i))
+                return tracker.gram
 
-        np.testing.assert_array_equal(refreshed(seed_a), refreshed(seed_b))
+        image = gram_module.IMAGE_BUDGET_BYTES
+        first = refreshed(seed_a, image)
+        for seed, budget in ((seed_b, image), (seed_a, 0), (seed_b, 0)):
+            np.testing.assert_array_equal(refreshed(seed, budget), first)
 
     @given(
         pool=pools(min_k=3),

@@ -1,6 +1,7 @@
 """Option tables: every method, aggregator and the fault scenario
 declare their options as knobs, and one parser refuses an undeclared key
-or a bad value by name, through each of its three callers."""
+or a bad value by name, through each of its three callers.  A model's
+options are its constructor's keyword arguments, refused the same way."""
 
 from dataclasses import fields
 
@@ -9,6 +10,7 @@ import pytest
 from repro.faults.model import FaultScenario
 from repro.fl.registry import available_methods, resolve_method
 from repro.fl.simulation import FLSimulation
+from repro.models import available_models, build_model
 from repro.robust.operators import available_operators, resolve_operator
 
 OWNERS = [
@@ -66,3 +68,18 @@ def test_bad_value_is_refused_naming_the_key(tiny_config, method):
     key, value = BAD_VALUES[method]
     with pytest.raises(ValueError, match=rf"^{method} method_params: {key} must be "):
         FLSimulation(tiny_config.with_method(method, **{key: value}))
+
+
+@pytest.mark.parametrize("model", available_models())
+def test_misspelt_model_params_key_is_refused_naming_model_and_key(model):
+    message = rf"^unknown {model} model_params key 'hiden'; accepted keys: \["
+    with pytest.raises(ValueError, match=message):
+        build_model(model, hiden=3)
+
+
+def test_model_params_key_is_refused_through_the_config(tiny_config):
+    config = tiny_config.replace(model="mlp", model_params={"hiden": 3})
+    accepted = "['hidden_sizes', 'input_dim', 'num_classes']"
+    with pytest.raises(ValueError) as err:
+        FLSimulation(config)
+    assert str(err.value) == f"unknown mlp model_params key 'hiden'; accepted keys: {accepted}"
