@@ -116,20 +116,19 @@ def compare_methods(
     -------
     dict mapping method name to its :class:`SimulationResult`.
     """
-    config = base_config if base_config is not None else FLConfig(**config_kwargs)
     per_method = method_params or {}
+    base_config = base_config or FLConfig(**config_kwargs, method=(methods or ["fedavg"])[0])
+    # Every method's config is checked before the dataset is built.
+    configs = {m: base_config.with_method(m, **per_method.get(m, {})) for m in methods}
     fed_dataset = build_federated_dataset(
-        config.dataset,
-        num_clients=config.num_clients,
-        heterogeneity=config.heterogeneity,
-        seed=config.seed,
-        **config.dataset_params,
+        base_config.dataset,
+        num_clients=base_config.num_clients,
+        heterogeneity=base_config.heterogeneity,
+        seed=base_config.seed,
+        **base_config.dataset_params,
     )
     results: dict[str, SimulationResult] = {}
-    for method in methods:
-        method_config = config.with_method(method, **per_method.get(method, {}))
+    for method, config in configs.items():
         cbs = callbacks() if callable(callbacks) else callbacks
-        results[method] = run_simulation(
-            method_config, fed_dataset=fed_dataset, callbacks=cbs
-        )
+        results[method] = run_simulation(config, fed_dataset=fed_dataset, callbacks=cbs)
     return results

@@ -168,9 +168,10 @@ def _method_params(args, method: str) -> dict:
     }
 
 
-def _config(args) -> FLConfig:
-    """The FLConfig the parsed knob flags describe (on ``run``,
-    ``method_params`` carries the method's options given as flags)."""
+def _configs(args) -> list[FLConfig]:
+    """The FLConfig of each method the parsed knob flags run — ``run``'s
+    one, or one per ``compare --methods`` entry, each carrying its
+    method's options given as flags — all checked before anything trains."""
     given = vars(args)
     kwargs = {}
     for f in _KNOBS:
@@ -178,17 +179,19 @@ def _config(args) -> FLConfig:
         # An unset dict knob (flag default None) keeps its factory default.
         if dest in given and (given[dest] is not None or f.default is not MISSING):
             kwargs[f.name] = given[dest]
-    if args.command == "run":
-        kwargs["method_params"] = _method_params(args, args.method)
-    return FLConfig(**kwargs)
+    methods = [kwargs.pop("method")] if args.command == "run" else args.methods.split(",")
+    methods = [m.strip() for m in methods if m.strip()]
+    return [FLConfig(**kwargs, method=m, method_params=_method_params(args, m)) for m in methods]
 
 
-def _usage(exc: ValueError) -> str:
+def _usage(exc: ValueError, command: str) -> str:
     """A config error prefixed by the flags of the knobs it names."""
     message = str(exc)
     flags = [
         f.metadata["flag"] for f in _KNOBS if re.search(rf"\b{f.name}\b", message)
     ]
+    if command == "compare":  # compare names its methods with --methods
+        flags = ["--methods" if flag == "--method" else flag for flag in flags]
     return f"argument {'/'.join(flags)}: {message}" if flags else message
 
 
@@ -226,8 +229,8 @@ def _callback_factory(args):
     return build
 
 
-def _cmd_run(args, config: FLConfig) -> int:
-    result = run_simulation(config, callbacks=_callback_factory(args)())
+def _cmd_run(args, configs: list[FLConfig]) -> int:
+    result = run_simulation(configs[0], callbacks=_callback_factory(args)())
     if args.json:
         print(
             json.dumps(
@@ -251,12 +254,11 @@ def _cmd_run(args, config: FLConfig) -> int:
     return 0
 
 
-def _cmd_compare(args, config: FLConfig) -> int:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+def _cmd_compare(args, configs: list[FLConfig]) -> int:
     results = compare_methods(
-        methods,
-        base_config=config,
-        method_params={m: _method_params(args, m) for m in methods},
+        [config.method for config in configs],
+        method_params={config.method: config.method_params for config in configs},
+        base_config=configs[0] if configs else None,
         callbacks=_callback_factory(args),
     )
     if args.json:
@@ -279,30 +281,13 @@ def _cmd_compare(args, config: FLConfig) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.experiments import (
-        fig3, fig4, fig5, fig6, fig7, fig8, fig9, table1, table2, table3,
-    )
-
-    if args.artifact == "table1":
-        print(table1.format_table1(table1.run_table1()))
-    elif args.artifact == "table2":
-        print(table2.format_table2(table2.run_table2(seed=args.seed, row_set="smoke")))
-    elif args.artifact == "table3":
-        print(table3.format_table3(table3.run_table3(seed=args.seed)))
-    elif args.artifact == "fig3":
-        print(fig3.format_fig3(fig3.run_fig3(seed=args.seed)))
-    elif args.artifact == "fig4":
-        print(fig4.format_fig4(fig4.run_fig4(seed=args.seed)))
-    elif args.artifact == "fig5":
-        print(fig5.format_fig5(fig5.run_fig5_panel(seed=args.seed)))
-    elif args.artifact == "fig6":
-        print(fig6.format_fig6(fig6.run_fig6(seed=args.seed)))
-    elif args.artifact == "fig7":
-        print(fig7.format_fig7(fig7.run_fig7(seed=args.seed)))
-    elif args.artifact == "fig8":
-        print(fig8.format_fig8(fig8.run_fig8(seed=args.seed)))
-    elif args.artifact == "fig9":
-        print(fig9.format_fig9(fig9.run_fig9(seed=args.seed)))
+    name = args.artifact
+    module = importlib.import_module(f"repro.experiments.{name}")
+    kwargs = {} if name == "table1" else {"seed": args.seed}
+    if name == "table2":
+        kwargs["row_set"] = "smoke"
+    run = getattr(module, "run_fig5_panel" if name == "fig5" else f"run_{name}")
+    print(getattr(module, f"format_{name}")(run(**kwargs)))
     return 0
 
 
@@ -333,10 +318,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command in ("run", "compare"):
         try:
-            config = _config(args)
+            configs = _configs(args)
         except ValueError as exc:
-            parser.error(_usage(exc))
-        return (_cmd_run if args.command == "run" else _cmd_compare)(args, config)
+            parser.error(_usage(exc, args.command))
+        return (_cmd_run if args.command == "run" else _cmd_compare)(args, configs)
     if args.command == "bench":
         return _cmd_bench(args)
     return _cmd_list()

@@ -100,6 +100,12 @@ class FedCrossServer(FederatedServer):
             strategy=options.selection, measure=options.measure, param_keys=param_keys
         )
         self.propeller_rounds = int(options.propeller_rounds)
+        stale = self.config.max_staleness if self.config.round_mode == "async" else 0
+        if self.propeller_rounds > 0 and stale > 0:  # RULES cannot read an option
+            raise ValueError(
+                "round_mode='async' with max_staleness > 0 does not compose with propeller "
+                f"warm-up (got propeller_rounds={self.propeller_rounds}, max_staleness={stale})"
+            )
         self.num_propellers = int(options.num_propellers)
         da_rounds = int(options.dynamic_alpha_rounds)
         # PM-DA staging (Figure 9): propellers first, then the alpha ramp.
@@ -242,7 +248,7 @@ class FedCrossServer(FederatedServer):
             return None
         return tracker
 
-    def _screen_uploads(
+    def screen_uploads(
         self,
         uploaded: PoolBuffer,
         active: list[Client],
@@ -336,7 +342,7 @@ class FedCrossServer(FederatedServer):
         alpha = self.alpha_at(self.round_idx)
         tracker = self._round_tracker(uploaded)
         if self.screen is not None:
-            self._screen_uploads(uploaded, active, plans, tracker)
+            self.screen_uploads(uploaded, active, plans, tracker)
         gram = None
         if tracker is not None:
             # Gram final: flushed, and its row image gone before the
@@ -500,31 +506,14 @@ class FedCrossAsyncAdapter:
     round already owns — such late uploads are discarded for pool
     purposes and counted as ``stale_uploads``.
 
-    Restricted to the configurations whose per-landing selection is
-    well-defined: no anomaly screening, no propeller warm-up, and a
-    linear (mean) aggregation operator.  Euclidean similarity disables
-    *speculation* only (no tracked Gram to select on); the completion
-    reconcile still runs the fresh recompute.
+    Its products are refused before any round runs — screening and
+    non-linear operators by :data:`repro.fl.config.RULES`, propeller
+    warm-up where :class:`FedCrossServer` parses its options.  Euclidean
+    similarity disables *speculation* only (no tracked Gram to select
+    on); the completion reconcile still runs the fresh recompute.
     """
 
     def __init__(self, server: FedCrossServer) -> None:
-        if server.screen is not None:
-            raise ValueError(
-                "round_mode='async' with max_staleness > 0 does not compose "
-                "with upload screening (--screen); screening needs the full "
-                "round's uploads at once"
-            )
-        if server.propeller_rounds > 0:
-            raise ValueError(
-                "round_mode='async' with max_staleness > 0 does not compose "
-                "with propeller warm-up rounds (propeller_rounds > 0)"
-            )
-        if not server.aggregator.linear:
-            raise ValueError(
-                "round_mode='async' with max_staleness > 0 requires the "
-                "linear 'mean' aggregator; robust operators need the full "
-                f"round's uploads at once (got {type(server.aggregator).__name__})"
-            )
         self.server = server
         self.k = len(server._pool)
         # Resume-safe: rows dispatched before any async round completes

@@ -107,7 +107,7 @@ All backends must be *bit-transparent*: the same sequence of array
 operations over the same values must produce identical results
 regardless of backend (``tests/core/test_storage_conformance.py`` holds
 every registered backend to ``dense`` op by op, and
-``tests/integration/test_backend_matrix.py`` end to end).
+``tests/integration/test_layer_products.py`` end to end).
 """
 
 from __future__ import annotations

@@ -141,20 +141,11 @@ class RoundPolicy:
         )
 
     @property
-    def engaged_knobs(self) -> "list[str]":
-        """The non-default knobs that engage the policy, as ``name=value``."""
-        knobs = ["faults"] if self.has_fault_model else []
-        if self.failure_policy != "fail":
-            knobs.append(f"failure_policy={self.failure_policy!r}")
-        if self.leg_retries > 0:
-            knobs.append(f"leg_retries={self.leg_retries}")
-        if self.leg_timeout is not None:
-            knobs.append(f"leg_timeout={self.leg_timeout:g}")
-        return knobs
-
-    @property
     def engaged(self) -> bool:
-        return bool(self.engaged_knobs)
+        return (
+            self.has_fault_model or self.failure_policy != "fail"
+            or self.leg_retries > 0 or self.leg_timeout is not None
+        )
 
     def open_round(self, population, round_idx: int, active, rows) -> "RoundFaults":
         """The fault record of one round (see :class:`RoundFaults`)."""

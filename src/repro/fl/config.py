@@ -15,6 +15,7 @@ check (:func:`check_knobs`) and then the cross-field :data:`RULES`.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
@@ -248,8 +249,32 @@ class FLConfig:
         return replace(self, **changes)
 
 
+def _resolve(path: str):
+    """``module:name``, imported on first use (a fit imports each anyway)."""
+    module, name = path.split(":")
+    return getattr(importlib.import_module(module), name)
+
+
+def _overlapped(c) -> bool:
+    return c.round_mode == "async" and c.max_staleness > 0
+
+
+def _method_has(c, capability: str) -> bool:
+    """Whether ``c.method``'s server class has attribute ``capability``
+    (``"policy"``: keeps the default ``run_round``, where the round policy
+    acts).  An unregistered name passes: ``build_server`` names it."""
+    try:
+        cls = _resolve("repro.fl.registry:resolve_method")(c.method)
+    except KeyError:
+        return True
+    if capability == "policy":
+        return cls.run_round is _resolve("repro.fl.server:FederatedServer").run_round
+    return hasattr(cls, capability)
+
+
 #: Cross-field rules ``(knobs, requirement, holds(config))``, checked at
 #: construction after every knob's own check; the error names each knob.
+#: This is the one table of refused knob products: no run path checks one.
 RULES: tuple = (
     (("k_active", "num_clients"), "k_active must not exceed num_clients",
      lambda c: c.k_active is None or c.k_active <= c.num_clients),
@@ -271,6 +296,25 @@ RULES: tuple = (
     (("round_mode", "max_staleness", "backend", "failure_policy"),
      "round_mode='async' with max_staleness > 0 on backend='distributed' "
      "supports only failure_policy='fail'",
-     lambda c: c.round_mode != "async" or c.max_staleness == 0
-     or c.backend != "distributed" or c.failure_policy == "fail"),
+     lambda c: not _overlapped(c) or c.backend != "distributed" or c.failure_policy == "fail"),
+    (("round_mode", "max_staleness", "method"),
+     "round_mode='async' with max_staleness > 0 requires a method with "
+     "speculative cross-aggregation (an async_adapter)",
+     lambda c: not _overlapped(c) or _method_has(c, "async_adapter")),
+    (("round_mode", "max_staleness", "screen"),
+     "round_mode='async' with max_staleness > 0 does not compose with screen: "
+     "screening needs the round's uploads at once",
+     lambda c: not _overlapped(c) or c.screen is None),
+    (("round_mode", "max_staleness", "aggregator"),
+     "round_mode='async' with max_staleness > 0 requires the linear 'mean' "
+     "aggregator: robust operators need the round's uploads at once",
+     lambda c: not _overlapped(c)
+     or _resolve("repro.robust.operators:resolve_operator")(c.aggregator).linear),
+    (("method", "faults", "failure_policy", "leg_retries", "leg_timeout"),
+     "an engaged fault policy requires a method that keeps the default "
+     "run_round: the policy acts inside its collect()",
+     lambda c: not _resolve("repro.faults.policy:RoundPolicy").from_config(c).engaged
+     or _method_has(c, "policy")),
+    (("screen", "method"), "screen requires a method with an upload screen",
+     lambda c: c.screen is None or _method_has(c, "screen_uploads")),
 )

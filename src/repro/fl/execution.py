@@ -464,6 +464,9 @@ class ExecutionBackend:
     #: row it dispatches or collects into on a medium those processes
     #: can map (:func:`repro.core.storage.shared_medium`).
     legs_map_rows = False
+    #: Whether ``submit_group`` trains every leg before it returns
+    #: (``serial``): the async driver then keeps one round in flight.
+    legs_done_at_submit = False
 
     def __init__(
         self,
@@ -676,6 +679,7 @@ class SerialExecution(ExecutionBackend):
     """The original sequential in-process loop (reference behaviour)."""
 
     legs_use_coordinator = True  # legs train on the server's own trainer
+    legs_done_at_submit = True
     run_streaming = ExecutionBackend.run_streaming
     run_streaming_captured = ExecutionBackend.run_streaming_captured
 

@@ -22,7 +22,8 @@ round's phases execute:
     With ``max_staleness>0`` it drives the execution backend's
     cross-round ``submit_group`` seam and the method's *async adapter*
     (FedCross's speculative cross-aggregation — see
-    :meth:`repro.core.fedcross.FedCrossServer.async_adapter`).
+    :meth:`repro.core.fedcross.FedCrossServer.async_adapter`); which
+    products it runs is :data:`repro.fl.config.RULES`' to say.
 
 Either way a round is closed by :func:`close_round` — ledger, record,
 extras, evaluation cadence, callbacks, ``round_idx`` — and its fault
@@ -35,7 +36,9 @@ Overlapped-driver semantics (``max_staleness`` = S > 0)
   server RNG draws stay in round order) once round ``t - S - 1`` has
   completed, so at most ``S + 1`` rounds are ever in flight and a
   round's upload buffer (one of ``S + 1`` cycling slots) is never
-  reused while its legs can still land.
+  reused while its legs can still land.  On a backend whose legs train
+  at submit (``serial``) the window is one round: the run is the sync
+  schedule's, bit for bit.
 * **Per-client serialisation.**  A client trains one leg at a time; a
   leg whose client is still busy with an earlier round waits in the
   ready queue.  The overlap win comes from *each client* starting its
@@ -345,17 +348,10 @@ class AsyncRoundScheduler(RoundScheduler):
 
     # -- overlapped driver -------------------------------------------------
     def _run_overlapped(self, server, rounds, cbs) -> None:
-        adapter_factory = getattr(server, "async_adapter", None)
-        if adapter_factory is None:
-            raise ValueError(
-                f"round_mode='async' with max_staleness={self.max_staleness} "
-                f"needs a method with speculative cross-aggregation support; "
-                f"{server.method_name!r} provides no async_adapter() "
-                "(run with max_staleness=0 for the sequential async window)"
-            )
         backend = server.executor
-        adapter = adapter_factory()
+        adapter = server.async_adapter()
         S = self.max_staleness
+        window = 0 if getattr(backend, "legs_done_at_submit", False) else S
         k = server.config.clients_per_round
         backend.reserve((S + 1) * k)
         eval_every = server.config.eval_every
@@ -372,7 +368,7 @@ class AsyncRoundScheduler(RoundScheduler):
                 while (
                     not stop
                     and next_create < rounds
-                    and next_create - next_complete <= S
+                    and next_create - next_complete <= window
                 ):
                     t = start + next_create
                     states[next_create] = self._create_round(

@@ -231,15 +231,6 @@ class FederatedServer:
         from repro.faults.policy import RoundPolicy  # lazy, stdlib-only
 
         self.fault_policy = RoundPolicy.from_config(config)
-        if self.fault_policy.engaged and (
-            type(self).run_round is not FederatedServer.run_round
-        ):
-            raise ValueError(
-                f"method {self.method_name!r} overrides run_round(), so the "
-                "round policy (which acts inside collect()) would be silently "
-                "ignored; engaged knobs: "
-                + ", ".join(self.fault_policy.engaged_knobs)
-            )
         # The round's fault record (None unless engaged), its final failures.
         self.round_faults = None
         self.last_leg_failures: list = []

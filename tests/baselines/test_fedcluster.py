@@ -69,19 +69,16 @@ class TestFedCluster:
         # FedCluster overrides run_round() and trains through
         # train_cohort(), so the round policy (which acts inside
         # collect()) used to be silently ignored: every leg trained and
-        # no leg_failures were reported under dropout=0.5.
-        config = tiny_config.with_method("fedcluster", num_clusters=2).replace(
-            faults={"dropout": 0.5}, failure_policy="carry", quorum=0.25
-        )
+        # no leg_failures were reported under dropout=0.5.  The config
+        # refuses the product at construction.
+        base = tiny_config.with_method("fedcluster", num_clusters=2)
         with pytest.raises(ValueError) as err:
-            FLSimulation(config)
+            base.replace(faults={"dropout": 0.5}, failure_policy="carry", quorum=0.25)
         message = str(err.value)
-        assert "'fedcluster'" in message and "run_round" in message
-        assert "faults" in message and "failure_policy='carry'" in message
+        assert "method='fedcluster'" in message and "run_round" in message
+        assert "faults=" in message and "failure_policy='carry'" in message
         with pytest.raises(ValueError, match="leg_retries=2"):
-            FLSimulation(
-                tiny_config.with_method("fedcluster").replace(leg_retries=2)
-            )
+            base.replace(leg_retries=2)
 
     def test_default_config_is_untouched_by_the_policy_check(self, tiny_config):
         # quorum / leg_backoff alone engage nothing.

@@ -180,6 +180,17 @@ class TestAcceleration:
         assert sim.server._use_propellers(1)
         assert not sim.server._use_propellers(2)
 
+    def test_propellers_are_refused_under_overlapped_rounds(self, tiny_config):
+        # Propeller warm-up picks several collaborators per row from the
+        # whole round: the server refuses it when it parses its options,
+        # before a round runs (S = 0 is the sync schedule and keeps it).
+        cfg = tiny_config.with_method("fedcross", propeller_rounds=2).replace(
+            round_mode="async", max_staleness=1
+        )
+        with pytest.raises(ValueError, match="propeller_rounds=2, max_staleness=1"):
+            FLSimulation(cfg)
+        FLSimulation(cfg.replace(max_staleness=0))
+
     def test_dynamic_alpha_ramps(self, tiny_config):
         cfg = tiny_config.with_method("fedcross", alpha=0.99, dynamic_alpha_rounds=10)
         sim = FLSimulation(cfg)

@@ -522,9 +522,9 @@ class TestScreenReadsAfterTheQuarantine:
             def update_row(self, row):
                 pass
 
-        original = FedCrossServer._screen_uploads
+        original = FedCrossServer.screen_uploads
         monkeypatch.setattr(
-            FedCrossServer, "_screen_uploads",
+            FedCrossServer, "screen_uploads",
             lambda self, uploaded, active, plans, tracker: original(
                 self, uploaded, active, plans, tracker and Deaf(tracker)
             ),

@@ -71,41 +71,6 @@ class TestMeasuredLedger:
             assert record.comm_up_params == int(cost["up"]), method
             assert record.comm_down_params == int(cost["down"]), method
 
-    def test_serial_execution_keeps_analytic_charge(self):
-        """Distributed *storage* under the serial execution backend
-        lands on the same numbers."""
-        sim = FLSimulation(_config(execution="serial"))
-        result = sim.run()
-        k = sim.config.clients_per_round
-        cost = analytic_round_cost("fedcross", k, sim.server.model_size)
-        for record in result.history.records:
-            assert record.comm_up_params == int(cost["up"])
-            assert record.comm_down_params == int(cost["down"])
-
-    def test_fedcluster_is_not_billed_twice(self):
-        """Regression (ISSUE 20): FedCluster charged its visits
-        unconditionally, on top of what a measuring backend had already
-        recorded per leg — (118096, 118096) a round here against
-        serial's (59048, 59048)."""
-        serial = FLConfig(
-            method="fedcluster",
-            num_clients=8,
-            k_active=4,
-            rounds=2,
-            local_epochs=1,
-            seed=13,
-            dataset_params={"samples_per_client": 20, "num_test": 40},
-        )
-        ledgers = []
-        for config in (
-            serial,
-            serial.replace(backend="distributed", hosts=HOSTS, execution="distributed"),
-        ):
-            records = FLSimulation(config).run().history.records
-            ledgers.append([(r.comm_up_params, r.comm_down_params) for r in records])
-        assert ledgers[0] == ledgers[1]
-        assert all(up == down > 0 for up, down in ledgers[0])
-
     def test_surcharge_is_billed_per_counted_leg(self):
         """SCAFFOLD's control variate rides only the legs that moved: a
         pre-dropped or carried leg received no variate, so each record
@@ -148,35 +113,6 @@ class TestMeasuredLedger:
             assert any(downs < config.clients_per_round for downs, _ in counts.legs)
             ledgers.append(ledger)
         assert ledgers[0] == ledgers[1]
-
-    @pytest.mark.parametrize("execution", ["thread", "distributed"])
-    def test_async_rounds_bill_their_own_legs(self, execution):
-        """Overlapped rounds (S=1) are billed per round on every
-        backend: 2·K·P each, not whatever landed in the round's
-        window."""
-        placement = {"backend": "distributed", "hosts": HOSTS}
-        config = FLConfig(
-            method="fedcross",
-            model="mlp",
-            num_clients=8,
-            k_active=4,
-            rounds=6,
-            local_epochs=1,
-            seed=3,
-            round_mode="async",
-            max_staleness=1,
-            execution=execution,
-            dataset_params={"samples_per_client": 20, "num_test": 40},
-            **(placement if execution == "distributed" else {}),
-        )
-        sim = FLSimulation(config)
-        records = sim.run().history.records
-        per_direction = config.clients_per_round * sim.server.model_size
-        assert len(records) == config.rounds
-        for record in records:
-            assert (record.comm_down_params, record.comm_up_params) == (
-                per_direction, per_direction
-            )
 
 
 class TestNoCoordinatorTransit:

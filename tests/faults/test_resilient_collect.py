@@ -35,13 +35,6 @@ class TestEngineIdentity:
         benign = run_fit(BASE, faults={"availability": 1.0}, failure_policy="carry")
         assert_same_fit(reference, benign)
 
-    def test_carry_thread_matches_serial(self):
-        faulty = dict(faults=DROPOUTS, failure_policy="carry", quorum=0.25)
-        serial = run_fit(BASE, **faulty)
-        thread = run_fit(BASE, execution="thread", workers=2, **faulty)
-        assert len(extras(serial, "leg_failures")) > 0
-        assert_same_fit(serial, thread)
-
     def test_redispatch_equals_carry_for_simulated_faults(self):
         # Simulated faults are not retryable, so redispatch has nothing
         # extra to do and must land exactly where carry does.

@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import pytest
 
-from repro.api import run_method
+from repro.api import compare_methods, run_method
 from repro.faults.policy import FAILURE_POLICIES
 from repro.fl.config import RULES, FLConfig
 
@@ -25,6 +25,23 @@ VIOLATIONS = {
         ),
         ("round_mode", "max_staleness", "backend", "failure_policy"),
     ),
+    "async_adapter": (
+        dict(method="fedavg", round_mode="async", max_staleness=1),
+        ("round_mode", "max_staleness", "method"),
+    ),
+    "async_screen": (
+        dict(method="fedcross", round_mode="async", max_staleness=1, screen="flag"),
+        ("round_mode", "max_staleness", "screen"),
+    ),
+    "async_aggregator": (
+        dict(method="fedcross", round_mode="async", max_staleness=2, aggregator="norm_clip"),
+        ("round_mode", "max_staleness", "aggregator"),
+    ),
+    "run_round_policy": (
+        dict(method="fedcluster", leg_retries=2),
+        ("method", "faults", "failure_policy", "leg_retries", "leg_timeout"),
+    ),
+    "screen": (dict(method="scaffold", screen="carry"), ("screen", "method")),
 }
 
 #: FLConfig fields with no command-line flag.
@@ -48,9 +65,12 @@ def test_rule_fires_at_construction_naming_every_knob(name, monkeypatch):
     monkeypatch.setattr("repro.api.build_federated_dataset", no_dataset)
     with pytest.raises(ValueError) as direct:
         FLConfig(**kwargs)
-    with pytest.raises(ValueError) as via_api:
-        run_method("fedcross", **kwargs)
-    assert str(via_api.value) == str(direct.value)
+    method, rest = kwargs.get("method", "fedcross"), dict(kwargs)
+    rest.pop("method", None)
+    for entry in (run_method, lambda m, **kw: compare_methods(["fedcross", m], **kw)):
+        with pytest.raises(ValueError) as via_api:
+            entry(method, **rest)
+        assert str(via_api.value) == str(direct.value)
     for knob in knobs:
         assert knob in str(direct.value)
 
@@ -59,11 +79,9 @@ def test_rule_fires_at_construction_naming_every_knob(name, monkeypatch):
     "kwargs",
     [
         dict(backend="sharded", shards=3, shard_placement="memmap"),
-        dict(backend="distributed", hosts=2, execution="distributed"),
         dict(backend="distributed", shard_placement="memmap"),
-        dict(round_mode="async", max_staleness=2),
-        dict(round_mode="async", max_staleness=0, backend="distributed", failure_policy="carry"),
-        dict(round_mode="async", max_staleness=2, backend="distributed", failure_policy="fail"),
+        # An unregistered method passes: the server registry names it.
+        dict(method="nope", screen="flag", leg_retries=1),
     ],
 )
 def test_valid_combinations_pass(kwargs):

@@ -69,9 +69,10 @@ class TestRegistry:
         self, tiny_config, gathered_collect
     ):
         """The extension contract: a third-party backend implementing
-        nothing but ``submit_group`` serves the gathered, streaming and
-        fault-capturing drivers and the async scheduler (S=1) — each
-        bit-identical to the built-in serial backend.  Its legs take the
+        nothing but ``submit_group`` (and, as its legs train inline, the
+        ``legs_done_at_submit`` declaration) serves the gathered,
+        streaming and fault-capturing drivers and the async scheduler
+        (S=1) — each bit-identical to the built-in serial backend.  Its legs take the
         dict path (:func:`_dict_leg.dict_plan_leg`), so a backend written
         against the dict API is held to the row-bound trainer."""
         from concurrent.futures import Future
@@ -82,6 +83,8 @@ class TestRegistry:
 
         @register_execution("probe-submit-only")
         class SubmitOnly(ExecutionBackend):
+            legs_done_at_submit = True  # trains inline, as serial does
+
             def submit_group(self, trainer, active, plans, rows, uploads, attacks=None):
                 calls.append(len(plans))
                 futures = []

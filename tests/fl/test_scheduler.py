@@ -1,22 +1,12 @@
-"""Round schedulers (ISSUE 10): the async bounded-staleness runtime.
+"""Round schedulers: the async bounded-staleness runtime.
 
-Equivalence contract under test:
-
-* ``round_mode="async"`` with ``max_staleness=0`` runs the *exact* sync
-  per-round body — bit-identical to the sync reference on every
-  backend, method and fault path (histories including the
-  communication ledger, final global state, final pool matrix).
-* The serial execution backend completes every submitted group eagerly,
-  so even ``max_staleness>0`` degenerates to the strictly sequential
-  schedule there — also bit-identical (speculative blends are written
-  and then overwritten by the exact reconciled rows).
-* Genuinely overlapped runs (thread backend, ``max_staleness>0``) keep
-  the structural invariants: one record per round in order, the
-  ``async`` extras block with speculation/reconcile/staleness counters,
-  and per-upload hooks firing exactly once per (round, row).
-
-Plus the satellite seams: injectable scheduler clock/sleep (retry
-backoff without real waiting) and on_upload ordering invariants.
+The schedule's equivalence contract — async S=0 and serial S>0 bitwise
+the sync reference, overlapped runs holding the structural invariants,
+across backends, methods, fault scenarios and aggregators — is generated
+in ``tests/integration/test_layer_products.py``.  Here: the scheduler
+registry, speculation engaging on an overlapped run at the cost of the
+landed block's dots only, the injectable clock/sleep (retry backoff
+without real waiting) and the on_upload ordering invariants.
 """
 
 import time
@@ -25,7 +15,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from _fits import assert_same_fit, run_fit
+from _fits import run_fit
 from repro.fl.config import FLConfig
 from repro.fl.execution import LegGroup
 from repro.fl.scheduler import (
@@ -84,25 +74,7 @@ class TestRegistry:
             _config(round_mode="overlapped")
 
 
-class TestAsyncEquivalence:
-    @pytest.mark.parametrize("method", ["fedcross", "fedavg"])
-    def test_zero_staleness_bitwise_sync(self, method):
-        ref = run_fit(_config(method=method))
-        got = run_fit(_config(method=method, round_mode="async", max_staleness=0))
-        assert_same_fit(ref, got)
-
-    def test_serial_backend_any_staleness_bitwise_sync(self):
-        # Serial submit_group completes eagerly, so rounds never truly
-        # overlap: speculative blends are transient and the reconciled
-        # eval pool restores the exact sync bytes.
-        ref = run_fit(_config())
-        got = run_fit(_config(round_mode="async", max_staleness=2))
-        assert_same_fit(ref, got)
-
-    def test_method_without_adapter_rejected_when_overlapped(self):
-        with pytest.raises(ValueError, match="async_adapter"):
-            run_fit(_config(method="fedavg", round_mode="async", max_staleness=1))
-
+class TestOverlappedRounds:
     def test_thread_overlap_invariants(self):
         result, matrix = run_fit(
             _config(
@@ -157,50 +129,6 @@ class TestAsyncEquivalence:
         )
         assert selections and not any(selections)
 
-    FAULTY = dict(
-        num_clients=8,
-        participation=0.5,
-        seed=7,
-        faults={"availability": 0.9, "dropout": 0.2},
-        failure_policy="carry",
-        quorum=0.25,
-    )
-
-    def test_fault_composition_bitwise_sync_at_zero_staleness(self):
-        # The S=0 window routes every round through the sync resilience
-        # engine — same pre-drops, carries, quorum and analytic comm.
-        ref = run_fit(_config(**self.FAULTY))
-        got = run_fit(_config(round_mode="async", max_staleness=0, **self.FAULTY))
-        failures = sum(
-            len(r.extras.get("leg_failures", ()))
-            for r in ref.history.records
-        )
-        assert failures > 0
-        assert_same_fit(ref, got)
-
-    def test_fault_composition_overlapped(self):
-        # S>0 cannot be bitwise sync even on the serial backend: a
-        # pre-dropped client is released immediately, so its next-round
-        # leg legally trains before the current round reconciles.  The
-        # overlapped driver must still compose the same seeded fault
-        # decisions: carries surface as leg_failures, every round
-        # completes under quorum, and the async counters stay sane.
-        result, matrix = run_fit(
-            _config(round_mode="async", max_staleness=2, **self.FAULTY)
-        )
-        records = result.history.records
-        assert [r.round_idx for r in records] == list(range(BASE["rounds"]))
-        failures = sum(
-            len(r.extras.get("leg_failures", ())) for r in records
-        )
-        assert failures > 0
-        for r in records:
-            assert len(r.extras.get("leg_failures", ())) <= 3  # quorum 0.25 of 4
-            info = r.extras["async"]
-            assert ASYNC_KEYS <= set(info)
-        assert matrix is not None and np.isfinite(matrix).all()
-
-
 class _FailFirstLeg:
     """Backend wrapper: the first submitted leg fails *before* training
     (transport-style), exactly once; every other leg passes through."""
@@ -240,10 +168,13 @@ class TestInjectableClock:
         # the injected clock the backoff is a bookkeeping entry and the
         # retried leg (whose client RNG was never advanced — it failed
         # pre-training) reproduces the clean run bit-for-bit except for
-        # the one extra dispatch in the communication ledger.
+        # the one extra dispatch in the communication ledger.  Thread
+        # legs: serial ones train at submit, so nothing runs ahead there.
         config = _config(
             round_mode="async",
             max_staleness=2,
+            execution="thread",
+            workers=2,
             leg_retries=1,
             leg_backoff=5.0,
             failure_policy="carry",

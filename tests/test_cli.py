@@ -142,6 +142,14 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"fedavg", "fedcross"}
 
+    @pytest.mark.parametrize(
+        "flags", [["--screen", "flag"], ["--round-mode", "async", "--max-staleness", "1"]]
+    )
+    def test_compare_checks_the_listed_methods_not_a_default(self, flags, capsys):
+        argv = ["compare", "--methods", "fedcross", "--clients", "4", "--rounds", "2"]
+        assert main([*argv, "--local-epochs", "1", "--json", *flags]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == {"fedcross"}
+
     @pytest.mark.parametrize("placement", [None, "memmap"])
     def test_run_sharded_backend_json(self, capsys, placement):
         argv = [
@@ -306,6 +314,34 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         named = re.search(r"error: argument (\S+):", err)
         assert named and flag in named.group(1).split("/"), err
+
+    @pytest.mark.parametrize(
+        "argv,flags",
+        [
+            (["run", "--method", "fedavg", "--round-mode", "async", "--max-staleness", "1"],
+             ["--method", "--round-mode", "--max-staleness"]),
+            (["run", "--round-mode", "async", "--max-staleness", "1", "--screen", "flag"],
+             ["--round-mode", "--max-staleness", "--screen"]),
+            (["run", "--round-mode", "async", "--max-staleness", "2",
+              "--aggregator", "trimmed_mean"], ["--round-mode", "--max-staleness", "--aggregator"]),
+            (["run", "--method", "fedavg", "--screen", "carry"], ["--method", "--screen"]),
+            (["compare", "--methods", "fedcross,fedprox", "--screen", "flag"],
+             ["--methods", "--screen", "'fedprox'"]),
+        ],
+    )
+    def test_refused_product_exits_2_before_any_data(self, argv, flags, capsys, monkeypatch):
+        def no_dataset(*args, **kw):
+            raise AssertionError("a dataset was built before the configs were checked")
+
+        monkeypatch.setattr("repro.fl.simulation.build_federated_dataset", no_dataset)
+        monkeypatch.setattr("repro.api.build_federated_dataset", no_dataset)
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--rounds", "1"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        named = re.search(r"error: argument (\S+):", err)
+        assert named and all(flag in err for flag in flags), err
+        assert set(f for f in flags if f.startswith("--")) <= set(named.group(1).split("/"))
 
     def test_array_backend_knob_is_gone(self, capsys):
         """Client math is NumPy: there is no array-backend flag or field."""

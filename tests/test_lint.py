@@ -22,7 +22,7 @@ import repro.cli
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FLSimulation
 
-FLSimulation(FLConfig(rounds=1, aggregator="trimmed_mean", screen="carry")).run()
+FLSimulation(FLConfig(method="fedcross", rounds=1, aggregator="trimmed_mean", screen="carry")).run()
 fedcross = [name for name in ("scipy", "numpy.ma") if name in sys.modules]
 FLSimulation(FLConfig(method="clusamp", rounds=1)).run()
 print(json.dumps({"fedcross": fedcross, "clusamp": "scipy.cluster.vq" in sys.modules}))
