@@ -190,9 +190,11 @@ class FedCrossServer(FederatedServer):
         the plan carries a reference to the row
         (:meth:`~repro.core.storage.PoolStorage.row_ref`), fetched only
         by a consumer that needs the bytes — a leg trained on the row's
-        own shard host never moves it.  A sync collect never writes the
-        pool (CrossAggr allocates the next one), so the reference needs
-        no snapshot.
+        own shard host never moves it.  A sync round never writes the
+        pool: CrossAggr blends into the round's upload buffer, and the
+        old pool takes in the *next* round's uploads, so a plan's row
+        reference needs no snapshot and stays valid until the next
+        round's collect.
         """
         k = len(self._pool)
         if len(active) != k:
@@ -355,40 +357,30 @@ class FedCrossServer(FederatedServer):
         # linear blend exactly; robust operators bend flagged rows, so
         # their output Gram must be recomputed from data when needed.
         track = tracker is not None and self.aggregator.linear
+        # CrossAggr consumes the uploads: it blends in place into their
+        # buffer, which becomes the pool, and the old pool becomes the
+        # next round's upload buffer (a storage that cannot blend in
+        # place hands back a fresh pool, and the uploads stay put).
+        old = self._pool
         if k == 1:
-            co_indices = np.zeros(1, dtype=np.int64)
-            # Copy: the upload buffer is reused next round and must not
-            # alias the live pool.
-            self._pool = uploaded.copy()
-            self._pool_gram = (
-                GramTracker(
-                    self._pool, param_keys=self.selector.param_keys, gram=gram
-                )
+            co = np.zeros(1, dtype=np.int64)
+            pool = uploaded  # no collaborator: the lone upload is the pool
+            derived = (
+                GramTracker(pool, param_keys=self.selector.param_keys, gram=gram)
                 if tracker is not None
                 else None
             )
-        elif self._use_propellers(self.round_idx):
-            props = propeller_index_matrix(self.round_idx, k, self.num_propellers)
-            co_indices = props[:, 0]
-            self._pool = self.aggregator.cross_blend(
-                uploaded, props, alpha, fallback=self._pool
-            )
-            self._pool_gram = (
-                tracker.cross_aggregated(props, alpha, pool=self._pool)
-                if track
-                else None
-            )
         else:
-            co_indices = self.selector.select_all(uploaded, self.round_idx, gram=gram)
-            self._pool = self.aggregator.cross_blend(
-                uploaded, co_indices, alpha, fallback=self._pool
-            )
-            self._pool_gram = (
-                tracker.cross_aggregated(co_indices, alpha, pool=self._pool)
-                if track
-                else None
-            )
-
+            if self._use_propellers(self.round_idx):
+                co = propeller_index_matrix(self.round_idx, k, self.num_propellers)
+            else:
+                co = self.selector.select_all(uploaded, self.round_idx, gram=gram)
+            pool = self.aggregator.cross_blend(uploaded, co, alpha, fallback=old, out=uploaded)
+            derived = tracker.cross_aggregated(co, alpha, pool=pool) if track else None
+        self._pool, self._pool_gram = pool, derived
+        if pool is uploaded:
+            self._recycle_round_uploads(old)
+        co_indices = co[:, 0] if co.ndim == 2 else co
         self.charge_round_communication(active)
         return {
             "train_loss": self.mean_local_loss(results),

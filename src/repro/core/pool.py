@@ -35,8 +35,12 @@ The matrix itself lives in a pluggable :class:`repro.core.storage`
 backend (``dense`` in-memory array by default, ``memmap`` for pools
 beyond RAM, ``sharded`` for row-sharded pools beyond one allocation),
 selected with the ``backend=`` argument of the constructors; derived
-buffers (``cross_aggregate``, ``copy``) stay on their parent's backend
-with its configuration (shard count/placement included).
+buffers (``copy``, and the ``cross_aggregate`` output when it is not
+blended in place) stay on their parent's backend with its
+configuration (shard count/placement included).  FedCross's sync
+CrossAggr blends in place (``out=self``) into the round's upload
+buffer, which then serves as the pool while the old pool takes in the
+next round's uploads: a run holds two ``(K, P)`` buffers, not three.
 
 Blocked operation & sharding contract
 -------------------------------------
@@ -87,6 +91,7 @@ from repro.utils.layout import StateLayout
 __all__ = [
     "PoolBuffer",
     "blend_row",
+    "blend_schedule",
     "iter_row_spans",
 ]
 
@@ -145,9 +150,10 @@ def blend_row(
     sequential ``weighted_average``.  Arithmetic is float64 in the two
     ``(P,)`` rows of ``scratch`` (the ufunc casts its inputs, nothing is
     copied) and rounds once into ``out``; the ``int_cols`` columns are
-    carried from ``own``, never averaged.
+    carried from ``own``, never averaged.  ``out`` may be ``own``.
     """
     acc, tmp = scratch
+    carried = own[int_cols] if int_cols.size else None
     if isinstance(collab, np.ndarray):
         np.multiply(collab, 1.0 - alpha, out=tmp, dtype=np.float64)
     else:
@@ -158,8 +164,61 @@ def blend_row(
         np.multiply(tmp, 1.0 - alpha, out=tmp)
     np.multiply(own, alpha, out=acc, dtype=np.float64)
     out[:] = np.add(acc, tmp, out=acc)
-    if int_cols.size:
-        out[int_cols] = own[int_cols]
+    if carried is not None:
+        out[int_cols] = carried
+
+
+def blend_schedule(co: np.ndarray) -> list[tuple[int, int]]:
+    """The order in which an in-place CrossAggr overwrites its rows.
+
+    Row ``i`` reads itself and its collaborators ``co[i]`` (one row for
+    a ``(K,)`` ``co``, a propeller set for ``(K, num)``), so it is
+    written only once every other row that reads it is done.  When no
+    row is left that can be (a cycle), the lowest remaining row is first
+    copied into a spare slot, where its readers find it, and written.
+    A slot is free again once every reader of its row is done, and the
+    lowest free slot is taken, so the disjoint cycles of a 1-D ``co``
+    share slot 0.  Returns one ``(row, slot)`` per write, in order:
+    ``slot`` is the spare the row is copied to first, or ``-1``.  A pure
+    function of ``co``.
+    """
+    co = np.asarray(co, dtype=np.int64)
+    k = len(co)
+    reads = [sorted(set(np.atleast_1d(c).tolist()) - {i}) for i, c in enumerate(co)]
+    readers = [0] * k
+    for row_reads in reads:
+        for j in row_reads:
+            readers[j] += 1
+    ready = [i for i in range(k - 1, -1, -1) if readers[i] == 0]
+    done = [False] * k
+    held: dict[int, int] = {}  # spared row -> its slot, until its readers are done
+    free: list[int] = []
+    slots = 0
+    lowest = 0
+    steps: list[tuple[int, int]] = []
+    while len(steps) < k:
+        if ready:
+            i, slot = ready.pop(), -1
+        else:
+            while done[lowest]:
+                lowest += 1
+            i = lowest
+            if free:
+                slot = min(free)
+                free.remove(slot)
+            else:
+                slot, slots = slots, slots + 1
+            held[i] = slot
+        steps.append((i, slot))
+        done[i] = True
+        for j in reads[i]:
+            readers[j] -= 1
+            if readers[j] == 0:
+                if j in held:
+                    free.append(held.pop(j))
+                else:
+                    ready.append(j)
+    return steps
 
 
 def _check_integer_roundtrip(
@@ -426,26 +485,32 @@ class PoolBuffer:
         co_indices: np.ndarray,
         alpha: float,
         block_rows: int | None = None,
+        out: "PoolBuffer | None" = None,
     ) -> "PoolBuffer":
-        """New pool ``alpha * M + (1 - alpha) * M[co]`` (Algorithm 1 line 13).
+        """Pool ``alpha * M + (1 - alpha) * M[co]`` (Algorithm 1 line 13).
 
         ``co_indices`` may be ``(K,)`` — one collaborator per model —
         or ``(K, num)`` for the propeller variant, where each model
         fuses with the *uniform mean* of its propeller set.  Integer
         fields are carried from each model's own row, never averaged.
 
-        Every row goes through :func:`blend_row` into pre-allocated
-        output storage on this buffer's backend, whose
-        :meth:`~repro.core.storage.PoolStorage.blend_into` runs it where
-        the rows live: local storages read their own and collaborator
-        rows as views and write each output row in place, so peak
-        temporary memory is two ``(P,)`` float64 rows.  A storage that
-        declines (``distributed``: replicated buffers, propeller sets,
-        host spans over the budget) is blended in row blocks of
-        ``block_rows`` (default: sized to the module's temp budget) —
-        own rows read, collaborator rows gathered, the output block
-        staged and written — walking :func:`iter_row_spans` with the
-        shard boundaries.  The
+        ``out`` is the buffer written: ``None`` allocates one on this
+        buffer's storage; ``self`` blends in place, in
+        :func:`blend_schedule` order, so no third pool exists — except
+        on a storage that cannot (``distributed``), which is given a
+        fresh buffer instead.  The result is the buffer returned.
+
+        Every row goes through :func:`blend_row`, run by the storage's
+        :meth:`~repro.core.storage.PoolStorage.blend_into` where the
+        rows live: local storages read their own and collaborator rows
+        as views and write each output row in place, so peak temporary
+        memory is two ``(P,)`` float64 rows (and, in place, a spare row
+        per cycle of ``co``).  A storage that declines (``distributed``:
+        replicated buffers, propeller sets, host spans over the budget)
+        is blended in row blocks of ``block_rows`` (default: sized to
+        the module's temp budget) — own rows read, collaborator rows
+        gathered, the output block staged and written — walking
+        :func:`iter_row_spans` with the shard boundaries.  The
         per-element arithmetic is the literal float64
         ``alpha * m + (1 - alpha) * c`` on every path.
         """
@@ -455,6 +520,8 @@ class PoolBuffer:
         k, p = self.storage.shape
         if len(co_indices) != k:
             raise ValueError(f"{len(co_indices)} collaborator rows for a pool of K={k}")
+        if out is not None and out is not self:
+            raise ValueError("out must be None (a new pool) or this pool (in place)")
         dtype = self.dtype
         # (K,) -> one collaborator row per model; (K, num) -> its columns
         # in propeller order (blend_row tells the two apart by type).
@@ -463,8 +530,12 @@ class PoolBuffer:
             # Per row: the output block plus one gathered block per column.
             held = 2 if columns is None else 1 + len(columns)
             block_rows = max(1, _block_budget() // max(1, held * p * dtype.itemsize))
-        storage = self.storage.allocate_like((k, p), dtype=dtype)
         int_cols = np.flatnonzero(self.layout.integer_mask())
+        if out is self and self.storage.blend_into(
+            self.storage, co_indices, alpha, int_cols, block_rows
+        ):
+            return self
+        storage = self.storage.allocate_like((k, p), dtype=dtype)
         if self.storage.blend_into(storage, co_indices, alpha, int_cols, block_rows):
             return PoolBuffer(self.layout, storage)
         scratch = np.empty((2, p))

@@ -40,8 +40,9 @@ medium object, their *family*: a file or segment whose array and every
 view of it are gone returns to the family's free list, the next
 allocation of the same size takes it zeroed, and the family removes
 what is left when it is collected (or at interpreter exit) — so a
-round's pool, Gram image and global row reuse the last round's instead
-of creating and unlinking new ones.  Coordinator-private scratch stays
+round's Gram image and global row reuse the last round's instead of
+creating and unlinking new ones (FedCross's pool and upload buffer are
+not reallocated at all: they swap roles each round).  Coordinator-private scratch stays
 on the heap: ``allocate_like(..., private=True)`` (the Gram tracker's
 float64 image, or above ``gram.IMAGE_BUDGET_BYTES`` its two float64
 scratch rows) leaves shared memory for the heap, as do the
@@ -303,14 +304,16 @@ class PoolStorage:
         int_cols: np.ndarray, block_rows: int,
     ) -> bool:
         """Optional hook: write ``alpha * M + (1 - alpha) * M[co]`` into
-        ``dst`` (this storage's ``allocate_like``) where the rows live,
-        every element through :func:`repro.core.pool.blend_row`.  ``co``
-        is ``(K,)`` or the propeller ``(K, num)``.  Returns ``False``
-        (the default) to decline; ``cross_aggregate`` then gathers,
-        stages and writes row blocks of at most ``block_rows`` rows
-        through the row protocol.  Local storages blend from their row
-        views into ``dst.open_row``; ``distributed`` blends on its
-        hosts."""
+        ``dst`` (this storage's ``allocate_like``, or this storage
+        itself: in place) where the rows live, every element through
+        :func:`repro.core.pool.blend_row`.  ``co`` is ``(K,)`` or the
+        propeller ``(K, num)``.  Returns ``False`` (the default) to
+        decline; ``cross_aggregate`` then allocates (in place) or
+        gathers, stages and writes row blocks of at most ``block_rows``
+        rows through the row protocol.  Local storages blend from their
+        row views into ``dst.open_row``, in place in
+        :func:`repro.core.pool.blend_schedule` order; ``distributed``
+        blends on its hosts, never in place."""
         return False
 
     def flush(self) -> None:
@@ -707,15 +710,35 @@ class ShardedStorage(PoolStorage):
         """Blend straight from this storage's row views into ``dst``'s
         rows, one :func:`~repro.core.pool.blend_row` per row: nothing
         is gathered or staged, so the budget ``block_rows`` bounds
-        nothing here.  Both ``co`` forms are served."""
-        from repro.core.pool import blend_row
+        nothing here.  Both ``co`` forms are served, and ``dst is
+        self``: rows are then overwritten in
+        :func:`~repro.core.pool.blend_schedule` order, a row its
+        schedule spares copied first into a spare row its readers
+        read instead."""
+        from repro.core.pool import blend_row, blend_schedule
 
         scratch = np.empty((2, self._shape[1]))
-        for r, c in enumerate(co):
-            collab = self.row(c) if co.ndim == 1 else [self.row(j) for j in c]
-            out = dst.open_row(r)
-            blend_row(out, self.row(r), collab, alpha, int_cols, scratch)
-            dst.commit_row(r, out)
+        if dst is not self:
+            for r, c in enumerate(co):
+                collab = self.row(c) if co.ndim == 1 else [self.row(j) for j in c]
+                out = dst.open_row(r)
+                blend_row(out, self.row(r), collab, alpha, int_cols, scratch)
+                dst.commit_row(r, out)
+            return True
+        schedule = blend_schedule(co)
+        spares = np.empty((1 + max(slot for _, slot in schedule), self._shape[1]), self.dtype)
+        held: dict[int, np.ndarray] = {}  # a spared row's readers read its copy
+
+        def read(j):
+            return held[j] if j in held else self.row(j)
+
+        for r, slot in schedule:
+            if slot >= 0:
+                held[r] = spares[slot]
+                held[r][:] = self.row(r)
+            collab = read(co[r]) if co.ndim == 1 else [read(j) for j in co[r]]
+            out = self.row(r)
+            blend_row(out, out, collab, alpha, int_cols, scratch)
         return True
 
     def open_row(self, index: int) -> np.ndarray:

@@ -638,9 +638,10 @@ class DistributedStorage(PoolStorage):
         round's blend is one call per host.  Declined for replicated
         buffers — their mirror needs the bytes anyway — when a host's
         span exceeds ``block_rows``, the budget the pulled block is held
-        to, and for propeller ``(K, num)`` ``co``.
+        to, for propeller ``(K, num)`` ``co``, and in place (``dst is
+        self``: hosts would overwrite rows their peers still pull).
         """
-        if (self._replicate or co.ndim != 1
+        if (dst is self or self._replicate or co.ndim != 1
                 or max(np.diff(self._boundaries)) > block_rows):
             return False
         k = self._shape[0]

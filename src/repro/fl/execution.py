@@ -789,8 +789,9 @@ class ThreadExecution(ExecutionBackend):
 # (client, round) task.
 _WORKER: dict = {}
 # Mappings a worker keeps: the server recycles a handful of segments
-# (two alternating pools, the upload buffer, a few global rows), so the
-# least recently used beyond these are ones it has since released.
+# (the pool and the upload buffer, which swap roles each round, and a
+# few global rows), so the least recently used beyond these are ones it
+# has since released.
 _WORKER_MAPPINGS = 16
 
 

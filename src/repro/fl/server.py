@@ -471,9 +471,16 @@ class FederatedServer:
         self._uploads = self._model_buffer("round", k)
         return self._uploads
 
+    def _recycle_round_uploads(self, buf: "PoolBuffer") -> None:
+        """Make ``buf`` the next round's upload buffer in place of the one
+        this round consumed (FedCross blends its pool into the uploads
+        and hands its old pool back: two ``(K, P)`` buffers in all)."""
+        self._buffer_cache[("round", len(buf))] = buf
+
     @property
     def uploads(self) -> "PoolBuffer | None":
-        """The current round's packed upload buffer (None before round 1)."""
+        """The current round's packed upload buffer (None before round 1;
+        after a FedCross aggregate, the buffer it consumed)."""
         return self._uploads
 
     def train_cohort(

@@ -236,7 +236,7 @@ class AggregationOperator:
         raise NotImplementedError
 
     def cross_blend(
-        self, pool: PoolBuffer, co_indices, alpha: float, fallback=None
+        self, pool: PoolBuffer, co_indices, alpha: float, fallback=None, out=None
     ) -> PoolBuffer:
         """CrossAggr: blend each row with its collaborator(s).
 
@@ -246,6 +246,9 @@ class AggregationOperator:
         it instead of from their robust center, so a poisoned slot
         degrades to its own one-round-stale honest state — the same
         carry degradation the fault engine applies to failed legs.
+        ``out`` is :meth:`~repro.core.pool.PoolBuffer.cross_aggregate`'s:
+        ``out=pool`` consumes ``pool`` (blended in place where its
+        storage can), and the buffer returned holds the result.
         """
         raise NotImplementedError
 
@@ -259,8 +262,8 @@ class MeanOperator(AggregationOperator):
     def combine(self, pool, weights=None, *, precise=True):
         return pool.mean_state(weights, precise=precise)
 
-    def cross_blend(self, pool, co_indices, alpha, fallback=None):
-        return pool.cross_aggregate(co_indices, alpha)
+    def cross_blend(self, pool, co_indices, alpha, fallback=None, out=None):
+        return pool.cross_aggregate(co_indices, alpha, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,20 +399,20 @@ class _RobustOperator(AggregationOperator):
             return np.zeros(len(norms), dtype=bool)
         return norms > tau
 
-    def cross_blend(self, pool, co_indices, alpha, fallback=None):
+    def cross_blend(self, pool, co_indices, alpha, fallback=None, out=None):
         co = np.asarray(co_indices, dtype=np.int64)
         flagged = self._detect(pool)
         if not flagged.any():
             # Every row inside the trust region: the robust blend IS the
             # reference blend, delegated wholesale for bitwise identity.
-            return pool.cross_aggregate(co, alpha)
+            return pool.cross_aggregate(co, alpha, out=out)
         # Rejection, not projection: a row outside the trust region is
         # replaced by its stand-in *before* the blend, so it neither
         # survives as a pool row nor leaks through a collaborator pick.
-        # The stand-ins are patched into the pool for the duration of
-        # the reference blend and the original rows restored after —
-        # the blend arithmetic stays bitwise the reference path and the
-        # caller's pool is bit-identical on return.
+        # The stand-ins are patched into the pool for the reference
+        # blend, so its arithmetic stays bitwise the reference path.  A
+        # pool the blend consumes (``out=pool``) keeps them; any other
+        # gets its original rows back, bit-identical on return.
         flag_idx = np.flatnonzero(flagged)
         storage = pool.storage
         p = storage.shape[1]
@@ -433,10 +436,11 @@ class _RobustOperator(AggregationOperator):
                     # the source row, never from the stand-in.
                     row[int_mask] = saved[j][int_mask]
                 pool.set_row(int(i), row)
-            return pool.cross_aggregate(co, alpha)
+            return pool.cross_aggregate(co, alpha, out=out)
         finally:
-            for j, i in enumerate(flag_idx):
-                pool.set_row(int(i), saved[j])
+            if out is not pool:
+                for j, i in enumerate(flag_idx):
+                    pool.set_row(int(i), saved[j])
 
 
 @register_operator("trimmed_mean")

@@ -445,6 +445,18 @@ class TestInPlaceKernels:
             peak = self._peak(lambda: pool.cross_aggregate(collaborators, 0.9))
             assert peak < k * p * 4 + 4 * p * 8
 
+    def test_in_place_cross_aggregate_holds_scratch_rows(self, pool):
+        # No new pool: two float64 scratch rows and the spare rows the
+        # schedule copies cycles' rows into (one for a 1-D co).
+        k, p = self.K, pool.num_scalars
+        co = np.roll(np.arange(k), 1)
+        groups = np.stack([co, np.roll(co, 1)], axis=1)
+        for collaborators in (co, groups):
+            peak = self._peak(lambda: pool.cross_aggregate(collaborators, 0.9, out=pool))
+            assert peak < 4 * p * 8
+        with pytest.raises(ValueError, match="out must be None"):
+            pool.cross_aggregate(co, 0.9, out=pool.copy())
+
     def test_precise_mean_holds_two_float64_rows(self, pool):
         # The accumulator and one scratch term, then the buffer-dtype
         # result beside the accumulator: under 2.5 float64 rows.  A cast

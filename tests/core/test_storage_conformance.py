@@ -12,11 +12,12 @@ Every cell must be **bit-identical** to ``dense``: the row protocol
 (``row``, ``row_block``, ``gather_rows``, ``write_rows``,
 ``fill_rows``, ``clone``, ``allocate_like``, each keeping its medium),
 the pool operations on
-top of it (``cross_aggregate`` in both forms, both ``mean_state``
+top of it (``cross_aggregate`` in both forms, into a new pool and in
+place — which ``distributed`` declines for a new pool — both ``mean_state``
 modes, the euclidean matrix and selection) under block budgets
 from one row per block to one block, the incremental
 :class:`~repro.core.gram.GramTracker`, and every registered aggregation
-operator's ``combine`` and ``cross_blend``.  Every cell also refuses an
+operator's ``combine`` and ``cross_blend`` (also in place).  Every cell also refuses an
 out-of-range row the same way and leaves its bytes untouched.
 
 The shared-memory medium a ``process`` run's server allocates its rows
@@ -250,6 +251,11 @@ class TestPoolOperations:
                 assert got.backend == name
                 assert got.storage.shard_boundaries() == other.storage.shard_boundaries()
                 _same(_whole(got.storage), _whole(ref.storage))
+                # In place: the pool's own rows, unless its storage declines.
+                _, consumed = _pools(states, name, options)
+                got = consumed.cross_aggregate(collaborators, 0.9, out=consumed)
+                assert (got is consumed) == isinstance(consumed.storage, ShardedStorage)
+                _same(_whole(got.storage), _whole(ref.storage))
 
     def test_mean_state_both_modes(self, states, name, options, budget):
         dense, other = _pools(states, name, options)
@@ -324,6 +330,11 @@ class TestAggregationOperators:
                     ref = op.cross_blend(dense, collaborators, 0.9, fallback=ref_fb)
                     got = op.cross_blend(other, collaborators, 0.9, fallback=got_fb)
                     assert got.backend == name
+                    _same(_whole(got.storage), _whole(ref.storage))
+                    _, consumed = _pools(pool_states, name, options)
+                    got = op.cross_blend(
+                        consumed, collaborators, 0.9, fallback=got_fb, out=consumed
+                    )
                     _same(_whole(got.storage), _whole(ref.storage))
             _same(_whole(other.storage), _whole(dense.storage))
 

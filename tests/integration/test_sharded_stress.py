@@ -3,7 +3,8 @@
 Drives a K=200 pool of the seed CNN on the ``sharded`` backend with
 ``memmap`` shard placement through one full server-side round of pool
 operations — Gram maintenance, Gram-driven selection, cross-
-aggregation, global-model generation and the diagnostics — under a
+aggregation (into a new pool, then in place), global-model generation
+and the diagnostics — under a
 small ``REPRO_POOL_BLOCK_BYTES`` budget, and asserts via tracemalloc
 that **peak temporary allocation stays below one shard's footprint**.
 The memmap pages themselves are file-backed and untracked, so what
@@ -75,10 +76,15 @@ def test_k200_sharded_memmap_peak_below_one_shard(tmp_path, monkeypatch):
         fused.mean_state(precise=True)
         fused.mean_state(precise=False)
         fused.dispersion(param_keys=param_keys)
+        # The sync server's blend: in place, into the pool's own rows.
+        in_place = pool.cross_aggregate(co, 0.99, out=pool)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
 
+    assert in_place is pool
+    for i in range(K):
+        np.testing.assert_array_equal(pool.row(i), fused.row(i))
     assert fused.backend == "sharded"
     assert fused.storage.num_shards == SHARDS
     assert peak < shard_bytes, (
