@@ -37,12 +37,11 @@ import sys
 from dataclasses import MISSING, fields
 
 from repro.api import compare_methods
-from repro.data.federated import DATASET_BUILDERS
 from repro.fl.callbacks import BestStateCheckpointer, ThroughputLogger
 from repro.fl.config import FLConfig, knob_error
 from repro.fl.registry import available_methods, resolve_method
 from repro.fl.simulation import run_simulation
-from repro.models.registry import available_models
+from repro.utils.knobs import load
 
 __all__ = ["main", "build_parser", "flag_table"]
 
@@ -60,23 +59,17 @@ def _dest(f) -> str:
 
 
 def _knob_type(f):
-    """argparse ``type`` for knob ``f``: parse, run the knob's own check,
-    then resolve a registry name (registries stay open to late additions)."""
+    """argparse ``type`` for knob ``f``: parse, then run the knob's own
+    check (a named knob's: membership of its registry); a name is
+    lowercased."""
     meta = f.metadata
 
     def parse(text: str):
         value = meta["type"](text)  # a ValueError reads "invalid <type> value"
         error = knob_error(f, value)
         if error is not None:
-            raise argparse.ArgumentTypeError(error)
-        if meta["registry"] is not None:
-            module, resolver = meta["registry"].split(":")
-            try:
-                getattr(importlib.import_module(module), resolver)(value)
-            except (KeyError, ValueError) as exc:
-                raise argparse.ArgumentTypeError(exc.args[0])
-            return value.lower()
-        return value
+            raise argparse.ArgumentTypeError(str(error))
+        return value.lower() if meta["registry"] is not None else value
 
     parse.__name__ = meta["type"].__name__.lstrip("_")
     return parse
@@ -292,23 +285,20 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_list() -> int:
-    from repro.core.storage import available_backends
-    from repro.fl.execution import available_executions
-    from repro.robust.operators import available_operators, resolve_operator
-
-    print("methods:    ", ", ".join(available_methods()))
-    print("models:     ", ", ".join(available_models()))
-    print("datasets:   ", ", ".join(sorted(DATASET_BUILDERS)))
-    print("backends:   ", ", ".join(available_backends()))
-    print("execution:  ", ", ".join(available_executions()))
-    print("aggregators:", ", ".join(available_operators()))
-    for kind, names, table in (
-        ("method", available_methods(), lambda m: resolve_method(m).Options),
-        ("aggregator", available_operators(), resolve_operator),
-    ):
+    """Each named knob's registered names (one line per registry), then
+    the method and aggregator option tables with their defaults."""
+    paths = {}  # registry path -> the first knob naming it
+    for f in _KNOBS:
+        if f.metadata["registry"] is not None:
+            paths.setdefault(f.metadata["registry"], f.name)
+    registries = {name: load(path) for path, name in paths.items()}
+    for name, registry in registries.items():
+        print(f"{name + 's:':<13}", ", ".join(registry.available()))
+    for kind, table in (("method", lambda cls: cls.Options), ("aggregator", lambda cls: cls)):
         print(f"{kind} options:")
-        for name in names:
-            knobs = ", ".join(f"{f.name}={f.default!r}" for f in fields(table(name)))
+        for name in registries[kind].available():
+            options = fields(table(registries[kind].resolve(name)))
+            knobs = ", ".join(f"{f.name}={f.default!r}" for f in options)
             print(f"  {name:<18}", knobs or "(none)")
     return 0
 

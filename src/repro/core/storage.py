@@ -136,7 +136,7 @@ __all__ = [
 ]
 
 
-POOL_BACKENDS = Registry("pool backend", error_type=ValueError)
+POOL_BACKENDS = Registry("pool backend")
 
 
 def register_backend(name: str):
@@ -145,12 +145,7 @@ def register_backend(name: str):
 
 
 def resolve_backend(name: str) -> type["PoolStorage"]:
-    """Backend class registered under ``name`` (case-insensitive).
-
-    Unknown names raise :class:`ValueError` naming every registered
-    backend, so ``--backend`` typos fail with the fix in the message
-    instead of a bare ``KeyError``.
-    """
+    """Backend class registered under ``name`` (case-insensitive)."""
     return POOL_BACKENDS.resolve(name)
 
 
@@ -802,7 +797,7 @@ class MemmapStorage(ShardedStorage):
 
 
 # The socket-RPC multi-node backend registers itself on import of
-# repro.distributed.storage; the lazy entry makes ``distributed``
-# resolvable (CLI validation, FLConfig.backend) without importing the
-# subsystem until it is actually selected.
+# repro.distributed.storage; the lazy entry makes ``distributed`` a
+# valid FLConfig.backend without importing the subsystem until it is
+# actually selected.
 POOL_BACKENDS.lazy("distributed", "repro.distributed.storage")

@@ -23,8 +23,12 @@ from repro.data.synthetic import (
     make_synthetic_sentiment,
 )
 from repro.utils.knobs import refuse_unknown
+from repro.utils.registry import Registry
 
 __all__ = ["FederatedDataset", "build_federated_dataset", "DATASET_BUILDERS"]
+
+#: Dataset name → builder ``(num_clients, heterogeneity, seed, **params)``.
+DATASET_BUILDERS = Registry("dataset")
 
 
 @dataclass
@@ -90,6 +94,7 @@ def _build_image(
     )
 
 
+@DATASET_BUILDERS.register("synth_cifar10")
 def _build_synth_cifar10(
     num_clients, heterogeneity, seed, *, samples_per_client=40, image_shape=(3, 8, 8),
     noise=1.0, num_test=400, basis_rank=None, label_noise=0.35,
@@ -100,6 +105,7 @@ def _build_synth_cifar10(
     )
 
 
+@DATASET_BUILDERS.register("synth_cifar100")
 def _build_synth_cifar100(
     num_clients, heterogeneity, seed, *, num_classes=100, samples_per_client=60,
     image_shape=(3, 8, 8), noise=1.0, num_test=600, basis_rank=None, label_noise=0.45,
@@ -111,6 +117,7 @@ def _build_synth_cifar100(
     )
 
 
+@DATASET_BUILDERS.register("synth_femnist")
 def _build_synth_femnist(
     num_clients, heterogeneity, seed, *, num_classes=10, samples_per_writer_mean=60.0,
     image_shape=(1, 8, 8), noise=0.6, num_test=400,
@@ -134,6 +141,7 @@ def _build_synth_femnist(
     )
 
 
+@DATASET_BUILDERS.register("synth_shakespeare")
 def _build_synth_shakespeare(
     num_clients, heterogeneity, seed, *, vocab_size=30, seq_len=10, samples_per_client=120,
     client_deviation=0.5, num_test=400, concentration=0.3,
@@ -158,6 +166,7 @@ def _build_synth_shakespeare(
     )
 
 
+@DATASET_BUILDERS.register("synth_sent140")
 def _build_synth_sent140(
     num_clients, heterogeneity, seed, *, vocab_size=60, seq_len=8, samples_per_user_mean=50.0,
     num_test=400,
@@ -178,15 +187,6 @@ def _build_synth_sent140(
         heterogeneity="natural",
         meta={"vocab_size": vocab, "seq_len": seq_len},
     )
-
-
-DATASET_BUILDERS = {
-    "synth_cifar10": _build_synth_cifar10,
-    "synth_cifar100": _build_synth_cifar100,
-    "synth_femnist": _build_synth_femnist,
-    "synth_shakespeare": _build_synth_shakespeare,
-    "synth_sent140": _build_synth_sent140,
-}
 
 
 def build_federated_dataset(
@@ -211,10 +211,7 @@ def build_federated_dataset(
         Generator parameters of that dataset (the keyword-only
         parameters of its builder); any other key is a ``ValueError``.
     """
-    key = name.lower()
-    if key not in DATASET_BUILDERS:
-        raise KeyError(f"unknown dataset {name!r}; available: {sorted(DATASET_BUILDERS)}")
-    builder = DATASET_BUILDERS[key]
+    builder = DATASET_BUILDERS.resolve(name)
     # The builder's keyword-only parameters.
-    refuse_unknown(kwargs, sorted(builder.__kwdefaults__), f"{key} dataset_params")
+    refuse_unknown(kwargs, sorted(builder.__kwdefaults__), f"{name.lower()} dataset_params")
     return builder(num_clients, heterogeneity, seed, **kwargs)

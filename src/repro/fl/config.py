@@ -15,11 +15,12 @@ check (:func:`check_knobs`) and then the cross-field :data:`RULES`.
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
-from repro.utils.knobs import NON_NEGATIVE, POSITIVE, check_knobs, knob, knob_error, parse_knobs
+from repro.utils.knobs import (
+    NON_NEGATIVE, POSITIVE, check_knobs, knob, knob_error, load, parse_knobs,
+)
 
 __all__ = ["FLConfig", "RULES", "check_knobs", "knob", "knob_error", "parse_knobs"]
 
@@ -48,15 +49,17 @@ class FLConfig:
 
     method: str = knob(
         "--method", "fedavg", "run",
-        "Registered method: fedavg, fedprox, scaffold, fedgen, clusamp, "
-        "fedcross, ... (see `repro list`); `run` defaults to fedcross.",
+        "FL method: a registered name (see `repro list`); `run` defaults to fedcross.",
+        registry="repro.fl.registry:METHODS",
     )
     dataset: str = knob(
         "--dataset", "synth_cifar10", "run",
-        "Dataset name resolved by repro.data.build_federated_dataset.",
+        "Federated dataset: a registered name (see `repro list`).",
+        registry="repro.data.federated:DATASET_BUILDERS",
     )
     model: str = knob(
-        "--model", "mlp", "run", "Model name resolved by repro.models.build_model."
+        "--model", "mlp", "run", "Client model: a registered name (see `repro list`).",
+        registry="repro.models.registry:MODEL_BUILDERS",
     )
     heterogeneity: str | float = knob(
         "--beta", "iid", "population",
@@ -104,7 +107,7 @@ class FLConfig:
         "RAM), memmap (file-backed), sharded (row shards, see --shards) or "
         "distributed (row shards on socket-RPC host processes, see --hosts). "
         "All are bit-identical; registered backends are valid too.",
-        registry="repro.core.storage:resolve_backend",
+        registry="repro.core.storage:POOL_BACKENDS",
     )
     shards: int | None = knob(
         "--shards", None, "storage",
@@ -115,7 +118,7 @@ class FLConfig:
         "--shard-placement", None, "storage",
         "Medium of each row shard of the sharded backend, or of each host of the "
         "distributed backend: dense (default) or memmap (shards on disk).",
-        registry="repro.core.storage:resolve_backend",
+        registry="repro.core.storage:POOL_BACKENDS",
     )
     hosts: int | None = knob(
         "--hosts", None, "storage",
@@ -128,7 +131,7 @@ class FLConfig:
         "Where the round's K training legs run: serial, thread, process or "
         "distributed (legs co-located with their upload shards). Histories are "
         "bit-identical on every backend.",
-        registry="repro.fl.execution:resolve_execution",
+        registry="repro.fl.execution:EXECUTION_BACKENDS",
     )
     workers: int | None = knob(
         "--workers", None, "execution",
@@ -141,7 +144,7 @@ class FLConfig:
         "Round schedule: sync (each round blocks on its slowest leg) or async "
         "(round t+1 dispatches while round t stragglers finish, bounded by "
         "--max-staleness).",
-        choices=("sync", "async"),
+        registry="repro.fl.scheduler:ROUND_SCHEDULERS",
     )
     max_staleness: int = knob(
         "--max-staleness", 0, "schedule",
@@ -193,7 +196,7 @@ class FLConfig:
         "--aggregator", "mean", "robust",
         "Aggregation operator of CrossAggr blends and GlobalModelGen: mean "
         "(bitwise the reference path), trimmed_mean, coordinate_median or norm_clip.",
-        registry="repro.robust.operators:resolve_operator",
+        registry="repro.robust.operators:AGGREGATION_OPERATORS",
     )
     aggregator_params: dict[str, Any] = knob(
         "--aggregator-params", None, "robust",
@@ -249,12 +252,6 @@ class FLConfig:
         return replace(self, **changes)
 
 
-def _resolve(path: str):
-    """``module:name``, imported on first use (a fit imports each anyway)."""
-    module, name = path.split(":")
-    return getattr(importlib.import_module(module), name)
-
-
 def _overlapped(c) -> bool:
     return c.round_mode == "async" and c.max_staleness > 0
 
@@ -262,13 +259,10 @@ def _overlapped(c) -> bool:
 def _method_has(c, capability: str) -> bool:
     """Whether ``c.method``'s server class has attribute ``capability``
     (``"policy"``: keeps the default ``run_round``, where the round policy
-    acts).  An unregistered name passes: ``build_server`` names it."""
-    try:
-        cls = _resolve("repro.fl.registry:resolve_method")(c.method)
-    except KeyError:
-        return True
+    acts)."""
+    cls = load("repro.fl.registry:METHODS").resolve(c.method)
     if capability == "policy":
-        return cls.run_round is _resolve("repro.fl.server:FederatedServer").run_round
+        return cls.run_round is load("repro.fl.server:FederatedServer").run_round
     return hasattr(cls, capability)
 
 
@@ -309,11 +303,11 @@ RULES: tuple = (
      "round_mode='async' with max_staleness > 0 requires the linear 'mean' "
      "aggregator: robust operators need the round's uploads at once",
      lambda c: not _overlapped(c)
-     or _resolve("repro.robust.operators:resolve_operator")(c.aggregator).linear),
+     or load("repro.robust.operators:AGGREGATION_OPERATORS").resolve(c.aggregator).linear),
     (("method", "faults", "failure_policy", "leg_retries", "leg_timeout"),
      "an engaged fault policy requires a method that keeps the default "
      "run_round: the policy acts inside its collect()",
-     lambda c: not _resolve("repro.faults.policy:RoundPolicy").from_config(c).engaged
+     lambda c: not load("repro.faults.policy:RoundPolicy").from_config(c).engaged
      or _method_has(c, "policy")),
     (("screen", "method"), "screen requires a method with an upload screen",
      lambda c: c.screen is None or _method_has(c, "screen_uploads")),

@@ -174,7 +174,7 @@ __all__ = [
 ]
 
 
-EXECUTION_BACKENDS = Registry("execution backend", error_type=KeyError)
+EXECUTION_BACKENDS = Registry("execution backend")
 
 
 def register_execution(name: str):
@@ -950,5 +950,5 @@ class ProcessExecution(ExecutionBackend):
 
 # The socket-RPC backend lives in its own package and is imported only
 # when actually selected (see Registry.lazy) — it still shows up in
-# available_executions() and CLI validation.
+# available_executions() and is a valid FLConfig.execution.
 EXECUTION_BACKENDS.lazy("distributed", "repro.distributed.execution")

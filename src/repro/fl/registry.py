@@ -1,55 +1,38 @@
 """Method registry: names → server classes.
 
-Baseline servers register themselves on import of
-:mod:`repro.baselines`; FedCross registers on import of
-:mod:`repro.core`. :func:`build_server` triggers both imports lazily so
-the registry is always populated without import cycles.
+Each method is a lazy entry naming the module that registers it
+(baselines in :mod:`repro.baselines`, FedCross in :mod:`repro.core`),
+so a name is valid without an import and :func:`build_server` imports
+only the method a run builds.
 """
 
 from __future__ import annotations
 
-import importlib
 from typing import Type
 
 from repro.fl.server import FederatedServer
+from repro.utils.registry import Registry
 
-__all__ = ["register_method", "build_server", "available_methods", "resolve_method"]
+__all__ = ["METHODS", "register_method", "build_server", "available_methods", "resolve_method"]
 
-_REGISTRY: dict[str, Type[FederatedServer]] = {}
-_PROVIDER_MODULES = ("repro.baselines", "repro.core")
+METHODS = Registry("method")
+for _name in ("fedavg", "fedprox", "scaffold", "fedgen", "clusamp", "fedcluster"):
+    METHODS.lazy(_name, f"repro.baselines.{_name}")
+METHODS.lazy("fedcross", "repro.core.fedcross")
 
 
 def register_method(name: str):
     """Class decorator registering a :class:`FederatedServer` subclass."""
-
-    def decorator(cls: Type[FederatedServer]) -> Type[FederatedServer]:
-        key = name.lower()
-        if key in _REGISTRY:
-            raise KeyError(f"method {name!r} is already registered")
-        _REGISTRY[key] = cls
-        cls.method_name = key
-        return cls
-
-    return decorator
-
-
-def _ensure_providers_loaded() -> None:
-    for module in _PROVIDER_MODULES:
-        importlib.import_module(module)
+    return METHODS.register(name)
 
 
 def available_methods() -> list[str]:
-    _ensure_providers_loaded()
-    return sorted(_REGISTRY)
+    return METHODS.available()
 
 
 def resolve_method(name: str) -> Type[FederatedServer]:
     """The server class registered under ``name``."""
-    _ensure_providers_loaded()
-    key = name.lower()
-    if key not in _REGISTRY:
-        raise KeyError(f"unknown method {name!r}; available: {sorted(_REGISTRY)}")
-    return _REGISTRY[key]
+    return METHODS.resolve(name)
 
 
 def build_server(name: str, *args, **kwargs) -> FederatedServer:

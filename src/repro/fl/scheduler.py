@@ -96,7 +96,7 @@ __all__ = [
 ]
 
 
-ROUND_SCHEDULERS = Registry("round scheduler", error_type=KeyError)
+ROUND_SCHEDULERS = Registry("round scheduler")
 
 
 def register_round_scheduler(name: str):

@@ -180,7 +180,7 @@ class FederatedServer:
     method's ``Options`` knob table (the base declares none).
     """
 
-    method_name = "base"
+    name = "base"
 
     @dataclass(frozen=True)
     class Options:
@@ -200,7 +200,7 @@ class FederatedServer:
     ) -> None:
         self.config = config
         self.options = parse_knobs(
-            self.Options, config.method_params, f"{self.method_name} method_params"
+            self.Options, config.method_params, f"{self.name} method_params"
         )
         self.fed_dataset = fed_dataset
         self.model = model

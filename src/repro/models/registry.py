@@ -12,29 +12,22 @@ from typing import Callable
 
 from repro.nn.module import Module
 from repro.utils.knobs import refuse_unknown
+from repro.utils.registry import Registry
 from repro.utils.rng import default_rng
 
-__all__ = ["register_model", "build_model", "available_models"]
+__all__ = ["MODEL_BUILDERS", "register_model", "build_model", "available_models"]
 
-_REGISTRY: dict[str, Callable[..., Module]] = {}
+MODEL_BUILDERS = Registry("model")
 
 
 def register_model(name: str) -> Callable[[Callable[..., Module]], Callable[..., Module]]:
     """Class/function decorator adding a builder under ``name``."""
-
-    def decorator(builder: Callable[..., Module]) -> Callable[..., Module]:
-        key = name.lower()
-        if key in _REGISTRY:
-            raise KeyError(f"model {name!r} is already registered")
-        _REGISTRY[key] = builder
-        return builder
-
-    return decorator
+    return MODEL_BUILDERS.register(name)
 
 
 def available_models() -> list[str]:
     """Sorted list of registered model names."""
-    return sorted(_REGISTRY)
+    return MODEL_BUILDERS.available()
 
 
 def build_model(name: str, seed: int = 0, **kwargs) -> Module:
@@ -52,13 +45,10 @@ def build_model(name: str, seed: int = 0, **kwargs) -> Module:
         ``input_shape``, ...); a key the constructor does not take is a
         ``ValueError`` naming the model, the key and the accepted keys.
     """
-    key = name.lower()
-    if key not in _REGISTRY:
-        raise KeyError(f"unknown model {name!r}; available: {available_models()}")
-    builder = _REGISTRY[key]
+    builder = MODEL_BUILDERS.resolve(name)
     accepted = _constructor_keys(builder)
     if accepted is not None:
-        refuse_unknown(kwargs, accepted, f"{key} model_params")
+        refuse_unknown(kwargs, accepted, f"{name.lower()} model_params")
     return builder(rng=default_rng(seed), **kwargs)
 
 

@@ -88,7 +88,7 @@ __all__ = [
     "build_operator",
 ]
 
-AGGREGATION_OPERATORS = Registry("aggregation operator", error_type=ValueError)
+AGGREGATION_OPERATORS = Registry("aggregation operator")
 
 
 def register_operator(name: str):

@@ -11,7 +11,6 @@ from typing import TYPE_CHECKING
 _EXPORTS = {
     "default_rng": "repro.utils.rng",
     "spawn_rng": "repro.utils.rng",
-    "seed_sequence": "repro.utils.rng",
     "FieldSpec": "repro.utils.layout",
     "StateLayout": "repro.utils.layout",
     "Registry": "repro.utils.registry",
@@ -22,7 +21,7 @@ __all__ = list(_EXPORTS)
 if TYPE_CHECKING:  # pragma: no cover - static-analysis view of the API
     from repro.utils.layout import FieldSpec, StateLayout
     from repro.utils.registry import Registry
-    from repro.utils.rng import default_rng, seed_sequence, spawn_rng
+    from repro.utils.rng import default_rng, spawn_rng
 
 
 def __getattr__(name: str):

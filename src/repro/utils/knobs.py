@@ -4,23 +4,25 @@ A knob is a field declared by :func:`knob` with its flag, parse type,
 choices or check, help and group in ``metadata``.  ``FLConfig``, each
 method's ``Options``, each aggregation operator and ``FaultScenario``
 are such tables; :func:`parse_knobs` builds one from a mapping.  This
-module imports nothing from ``repro``: the fault and operator tables
-are built while :mod:`repro.fl` is still mid-import.
+module imports nothing from ``repro`` at import time: the fault and
+operator tables are built while :mod:`repro.fl` is still mid-import.
+A named knob's :class:`~repro.utils.registry.Registry` is imported by
+:func:`load` when a value is first checked.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import field, fields
 from typing import Any, Callable, Iterable, Mapping
 
 __all__ = [
-    "NON_NEGATIVE", "POSITIVE", "check_knobs", "knob", "knob_error", "parse_knobs",
+    "NON_NEGATIVE", "POSITIVE", "check_knobs", "knob", "knob_error", "load", "parse_knobs",
     "refuse_unknown",
 ]
 
 POSITIVE = (lambda v: v > 0, "positive")
 NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
-_NAME = (lambda v: isinstance(v, str) and bool(v), "a registered name")  # registry knobs
 
 
 def knob(
@@ -39,10 +41,10 @@ def knob(
 
     ``flag`` is the command-line spelling (``None``: no flag);
     ``type`` parses the flag's string (default: the default's type, else
-    ``str``); ``registry`` names the ``module:resolver`` that validates a
-    name when the flag is parsed; ``check`` is a ``(predicate,
-    requirement)`` pair; ``factory`` replaces ``default`` for mutable
-    defaults.
+    ``str``); ``registry`` names the ``module:OBJECT``
+    :class:`~repro.utils.registry.Registry` a value must be a name in;
+    ``check`` is a ``(predicate, requirement)`` pair; ``factory``
+    replaces ``default`` for mutable defaults.
     """
     if type is None:
         type = str if default is None else default.__class__
@@ -60,32 +62,42 @@ def _one_of(options) -> str:
     return ", ".join(names[:-1]) + " or " + names[-1]
 
 
-def knob_error(f, value) -> str | None:
-    """Why ``value`` is not valid for knob field ``f``, or ``None``.
+def load(path: str):
+    """The object ``module:name`` names, importing its module on first use."""
+    module, name = path.split(":")
+    return getattr(importlib.import_module(module), name)
+
+
+def knob_error(f, value) -> ValueError | None:
+    """The error ``value`` earns as knob field ``f``, or ``None``: for a
+    named knob, its registry's :class:`~repro.utils.registry.UnknownName`.
     A knob whose default is ``None`` also accepts ``None``."""
     optional = f.default is None
     if optional and value is None:
         return None
     meta = f.metadata
+    if meta["registry"] is not None:
+        registry = load(meta["registry"])
+        return None if value in registry else registry.unknown(value, f.name)
     if meta["choices"] is not None:
         ok = value in meta["choices"]
         need = _one_of((None, *meta["choices"]) if optional else meta["choices"])
-    elif meta["registry"] is not None or meta["check"] is not None:
-        test, need = meta["check"] or _NAME
+    elif meta["check"] is not None:
+        test, need = meta["check"]
         ok = test(value)
         need = "None or " + need if optional else need
     else:
         return None
-    return None if ok else f"{f.name} must be {need}, got {value!r}"
+    return None if ok else ValueError(f"{f.name} must be {need}, got {value!r}")
 
 
 def check_knobs(table, owner: str | None = None) -> None:
     """Run every field's knob check on the dataclass instance ``table``;
-    the ``ValueError`` names the field (after ``owner``, when given)."""
+    the error names the field (after ``owner``, when given)."""
     for f in fields(table):
         error = knob_error(f, getattr(table, f.name))
         if error is not None:
-            raise ValueError(error if owner is None else f"{owner}: {error}")
+            raise error if owner is None else type(error)(f"{owner}: {error}")
 
 
 def parse_knobs(cls, options: Mapping, owner: str):

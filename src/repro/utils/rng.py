@@ -14,17 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["default_rng", "spawn_rng", "seed_sequence"]
+__all__ = ["default_rng", "spawn_rng"]
 
 
 def default_rng(seed: int | None = 0) -> np.random.Generator:
     """Return a PCG64 generator seeded with ``seed`` (default 0)."""
     return np.random.default_rng(seed)
-
-
-def seed_sequence(seed: int) -> np.random.SeedSequence:
-    """Root seed sequence for an experiment."""
-    return np.random.SeedSequence(seed)
 
 
 def spawn_rng(parent: np.random.Generator | int, n: int) -> list[np.random.Generator]:

@@ -22,7 +22,6 @@ from repro.core.storage import (
     ShardedStorage,
     available_backends,
     register_backend,
-    resolve_backend,
     row_handle,
     shared_medium,
 )
@@ -42,30 +41,6 @@ def make_state(rng, with_int=False):
 class TestBackendRegistry:
     def test_builtin_backends_present(self):
         assert available_backends() == ["dense", "distributed", "memmap", "sharded"]
-
-    def test_resolve_is_case_insensitive(self):
-        assert resolve_backend("DENSE") is DenseStorage
-        assert resolve_backend("memmap") is MemmapStorage
-        assert resolve_backend("Sharded") is ShardedStorage
-
-    def test_unknown_backend_raises_value_error_with_available_list(self):
-        """--backend typos must fail with the fix in the message: a
-        ValueError naming every registered backend, not a bare KeyError."""
-        with pytest.raises(ValueError, match="unknown pool backend"):
-            resolve_backend("gpu")
-        try:
-            resolve_backend("gpu")
-        except ValueError as exc:
-            message = str(exc)
-            assert "dense" in message and "memmap" in message
-            assert "sharded" in message
-
-    def test_duplicate_backend_rejected(self):
-        with pytest.raises(KeyError, match="already registered"):
-
-            @register_backend("dense")
-            class Dup(PoolStorage):
-                pass
 
     def test_third_party_backend_pluggable(self, rng):
         @register_backend("test_only")

@@ -1,13 +1,19 @@
 """FLConfig's knob table: cross-field rules fire at construction, and every
 field is either a flagged knob or on the flag-less allowlist."""
 
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from repro.api import compare_methods, run_method
 from repro.faults.policy import FAILURE_POLICIES
 from repro.fl.config import RULES, FLConfig
+from repro.utils.knobs import load
+from repro.utils.registry import UnknownName
 
 #: One violating config per rule, with the knobs its error must name.
 VIOLATIONS = {
@@ -80,12 +86,51 @@ def test_rule_fires_at_construction_naming_every_knob(name, monkeypatch):
     [
         dict(backend="sharded", shards=3, shard_placement="memmap"),
         dict(backend="distributed", shard_placement="memmap"),
-        # An unregistered method passes: the server registry names it.
-        dict(method="nope", screen="flag", leg_retries=1),
     ],
 )
 def test_valid_combinations_pass(kwargs):
     FLConfig(**kwargs)
+
+
+#: The knobs whose value is a name in a registry.
+NAMED = (
+    "method", "dataset", "model", "backend", "shard_placement", "execution", "round_mode",
+    "aggregator",
+)
+
+
+def test_named_knobs_are_the_registry_knobs():
+    assert {f.name for f in fields(FLConfig) if f.metadata["registry"]} == set(NAMED)
+
+
+@pytest.mark.parametrize("knob", NAMED)
+def test_unknown_name_is_refused_at_construction(knob):
+    (f,) = [f for f in fields(FLConfig) if f.name == knob]
+    with pytest.raises(UnknownName) as err:
+        FLConfig(**{knob: "nope"})
+    message = str(err.value)
+    assert message.startswith(f"{knob}: unknown ") and "'nope'" in message
+    assert str(load(f.metadata["registry"]).available()) in message
+
+
+def test_unregistered_method_is_refused_before_any_rule_reads_it():
+    with pytest.raises(UnknownName, match="method: unknown method 'nope'"):
+        FLConfig(method="nope", screen="flag", leg_retries=1)
+
+
+def test_lazy_names_check_without_importing_their_module():
+    code = (
+        "import sys; from repro.fl.config import FLConfig; "
+        "FLConfig(backend='distributed', execution='distributed', hosts=2); "
+        "print('repro.distributed' in sys.modules)"
+    )
+    src = str(Path(__file__).parents[2] / "src")
+    run = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False"]
 
 
 def test_flagless_fields_are_allowlisted():

@@ -33,20 +33,6 @@ class TestRegistry:
             available_executions()
         )
 
-    def test_resolve_is_case_insensitive(self):
-        assert resolve_execution("SERIAL").name == "serial"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(KeyError, match="unknown execution backend"):
-            resolve_execution("quantum")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(KeyError, match="already registered"):
-
-            @register_execution("serial")
-            class Dup(ExecutionBackend):
-                pass
-
     def test_third_party_backend_selectable(self, tiny_config):
         calls = []
 

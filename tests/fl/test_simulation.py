@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fl.config import FLConfig
-from repro.fl.registry import available_methods, build_server
+from repro.fl.registry import available_methods
 from repro.fl.simulation import FLSimulation, default_model_params, run_simulation
 
 
@@ -18,10 +18,6 @@ class TestRegistry:
             "clusamp",
             "fedcross",
         }
-
-    def test_unknown_method_raises(self):
-        with pytest.raises(KeyError, match="unknown method"):
-            build_server("fedsgd")
 
 
 class TestModelParamInference:

@@ -343,6 +343,26 @@ class TestUsageErrors:
         assert named and all(flag in err for flag in flags), err
         assert set(f for f in flags if f.startswith("--")) <= set(named.group(1).split("/"))
 
+    @pytest.mark.parametrize(
+        "argv,flag,available",
+        [
+            (["run", "--dataset", "nope"], "--dataset", "synth_cifar10"),
+            (["run", "--model", "nope"], "--model", "mlp"),
+            (["run", "--method", "nope"], "--method", "fedavg"),
+            (["compare", "--methods", "fedavg,nope"], "--methods", "fedcross"),
+        ],
+    )
+    def test_unknown_name_exits_2_naming_flag_name_and_options(
+        self, argv, flag, available, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--rounds", "1"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        named = re.search(r"error: argument (\S+):", err)
+        assert named and flag in named.group(1).split("/"), err
+        assert "'nope'" in err and available in err, err
+
     def test_array_backend_knob_is_gone(self, capsys):
         """Client math is NumPy: there is no array-backend flag or field."""
         with pytest.raises(SystemExit) as exit_:

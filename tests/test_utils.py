@@ -1,4 +1,5 @@
-"""RNG streams, state-dict utilities and the CPU budget (direct unit tests)."""
+"""RNG streams, state-dict utilities, the CPU budget and the registry
+conformance set (direct unit tests)."""
 
 import os
 import sys
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from repro.utils import cpu
+from repro.utils.knobs import load
+from repro.utils.registry import UnknownName
 from repro.utils.rng import default_rng, spawn_rng
 
 # The state-dict aggregation paths, the oracle the row engine is held to.
@@ -96,6 +99,62 @@ class TestParams:
         ref = {"w": np.ones((2, 2))}
         out = state_dict_like(ref, lambda v: v * 3)
         np.testing.assert_allclose(out["w"], np.full((2, 2), 3.0))
+
+
+#: Every registry a named knob resolves through.
+REGISTRIES = (
+    "repro.fl.registry:METHODS",
+    "repro.models.registry:MODEL_BUILDERS",
+    "repro.data.federated:DATASET_BUILDERS",
+    "repro.core.storage:POOL_BACKENDS",
+    "repro.fl.execution:EXECUTION_BACKENDS",
+    "repro.fl.scheduler:ROUND_SCHEDULERS",
+    "repro.robust.operators:AGGREGATION_OPERATORS",
+)
+
+
+@pytest.fixture(params=REGISTRIES, ids=lambda path: path.split(":")[1])
+def registry(request):
+    return load(request.param)
+
+
+class TestRegistryConformance:
+    def test_unknown_name_raises_the_one_error_listing_every_name(self, registry):
+        with pytest.raises(UnknownName, match=f"unknown {registry.kind} 'nope'") as err:
+            registry.resolve("nope")
+        assert isinstance(err.value, ValueError)
+        assert registry.available() and str(registry.available()) in str(err.value)
+
+    def test_duplicate_registration_is_refused(self, registry):
+        name = registry.available()[0]
+        registered = registry.resolve(name)  # a lazy name registers on resolve
+        with pytest.raises(KeyError, match="already registered"):
+            registry.register(name.upper())(type("Dup", (), {}))
+        assert registry.resolve(name) is registered
+
+    def test_lookup_is_case_insensitive(self, registry):
+        for name in registry.available():
+            assert name.upper() in registry
+            assert registry.resolve(name.upper()) is registry.resolve(name)
+
+    def test_membership_agrees_with_resolve(self, registry):
+        for name in [*registry.available(), "nope", ""]:
+            try:
+                registry.resolve(name)
+            except UnknownName:
+                assert name not in registry
+            else:
+                assert name in registry
+
+    def test_registration_lowercases_and_stamps_the_name(self, registry):
+        probe = registry.register("Conformance_Probe")(type("Probe", (), {}))
+        try:
+            assert probe.name == "conformance_probe"
+            assert "conformance_probe" in registry.available()
+            assert registry.resolve("CONFORMANCE_PROBE") is probe
+        finally:
+            del registry["conformance_probe"]
+        assert "conformance_probe" not in registry
 
 
 @pytest.fixture()
