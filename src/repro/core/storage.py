@@ -34,7 +34,9 @@ user names: a server whose execution backend declares
 ``medium`` option of its pool and upload buffers and takes its global
 rows from it, so worker processes train in those rows in place,
 addressed by :func:`row_handle` / :func:`open_handle` (a ``memmap``
-server's medium is its files, already shared by path).  Storages
+server's medium is its files, already shared by path).  The coordinator
+maps each file or segment whole; a worker maps only the pages of the
+row it opens, until the row is dropped.  Storages
 derived from one another (``allocate_like``, ``clone``) share one
 medium object, their *family*: a file or segment whose array and every
 view of it are gone returns to the family's free list, the next
@@ -458,31 +460,34 @@ def row_handle(array) -> "tuple | None":
     return (token, array.ctypes.data - address, array.shape, array.dtype.str)
 
 
-def open_handle(handle: tuple, mappings: dict) -> np.ndarray:
+def open_handle(handle: tuple) -> np.ndarray:
     """The writable array ``handle`` (:func:`row_handle`) names, mapped in
-    this process.  ``mappings`` caches each file or segment's mapping
-    by token; the caller drops an entry to unmap it."""
-    token, offset, shape, dtype = handle
-    whole = mappings.get(token)
-    if whole is None:
-        kind, name = token
-        if kind == "file":
-            whole = np.memmap(name, dtype=np.uint8, mode="r+")
-        else:
-            # Not through multiprocessing.shared_memory: attaching there
-            # registers the name with this process's resource tracker,
-            # which unlinks it at exit unless it is the creator's.
-            import _posixshmem
-
-            fd = _posixshmem.shm_open("/" + name, os.O_RDWR, mode=0o600)
-            try:
-                whole = np.frombuffer(mmap.mmap(fd, os.fstat(fd).st_size), np.uint8)
-            finally:
-                os.close(fd)
-        mappings[token] = whole
+    this process: only the pages its bytes span (from its offset rounded
+    down to ``mmap.ALLOCATIONGRANULARITY``), populated up front where
+    ``mmap`` offers ``MAP_POPULATE``.  The array owns that window, which
+    is unmapped once the array and every view of it are gone — so a
+    process that opens a leg's rows holds their pages for the leg only."""
+    (kind, name), offset, shape, dtype = handle
     dtype = np.dtype(dtype)
-    nbytes = int(np.prod(shape)) * dtype.itemsize
-    return whole[offset : offset + nbytes].view(dtype).reshape(shape)
+    count = int(np.prod(shape))
+    start = offset - offset % mmap.ALLOCATIONGRANULARITY
+    if kind == "file":
+        fd = os.open(name, os.O_RDWR)
+    else:
+        # Not through multiprocessing.shared_memory: attaching there
+        # registers the name with this process's resource tracker,
+        # which unlinks it at exit unless it is the creator's.
+        import _posixshmem
+
+        fd = _posixshmem.shm_open("/" + name, os.O_RDWR, mode=0o600)
+    try:
+        window = mmap.mmap(
+            fd, offset - start + count * dtype.itemsize,
+            flags=mmap.MAP_SHARED | getattr(mmap, "MAP_POPULATE", 0), offset=start,
+        )
+    finally:
+        os.close(fd)
+    return np.frombuffer(window, dtype, count, offset - start).reshape(shape)
 
 
 # Default shard count when neither the ``shards`` option nor the

@@ -19,8 +19,9 @@ storage), so nothing competes with a training host for its cores.
 
 The backend requires the upload buffer to live on
 :class:`~repro.distributed.storage.DistributedStorage` — co-location
-is meaningless against a coordinator-local matrix — and reuses that
-buffer's :class:`~repro.distributed.cluster.HostCluster`.  Like every
+is meaningless against a coordinator-local matrix; ``FLConfig``'s
+``RULES`` refuse any other storage — and reuses that buffer's
+:class:`~repro.distributed.cluster.HostCluster`.  Like every
 backend it only runs legs; the server bills the round's communication.
 
 Determinism: a host runs the same :func:`~repro.fl.execution.run_leg`
@@ -86,17 +87,10 @@ class DistributedExecution(ExecutionBackend):
         self._ensure_pool(int(width))
 
     def submit_group(self, trainer, active, plans, rows, uploads, attacks=None):
-        from repro.distributed.storage import DistributedStorage, RemoteRow
+        from repro.distributed.storage import RemoteRow
 
         _check_cohort(active, plans, rows, uploads, parallel=True)
         storage = uploads.storage
-        if not isinstance(storage, DistributedStorage):
-            raise DistributedError(
-                "the distributed execution backend co-locates legs with "
-                "their upload shards and requires the pool to live on the "
-                f"'distributed' storage backend, got {uploads.backend!r}; "
-                "run with --backend distributed (FLConfig.backend)"
-            )
         if self.spec is None:
             raise RuntimeError(
                 "distributed execution backend needs a TrainerSpec to build "

@@ -125,7 +125,6 @@ from __future__ import annotations
 import copy
 import functools
 import time
-from collections import OrderedDict
 from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
@@ -784,49 +783,31 @@ class ThreadExecution(ExecutionBackend):
 
 
 # -- process backend --------------------------------------------------------
-# Worker-process state: trainer template, client shards and the files /
-# segments mapped so far — built once per worker, reused for every
-# (client, round) task.
+# Worker-process state: trainer template and client shards — built once
+# per worker, reused for every (client, round) task.
 _WORKER: dict = {}
-# Mappings a worker keeps: the server recycles a handful of segments
-# (the pool and the upload buffer, which swap roles each round, and a
-# few global rows), so the least recently used beyond these are ones it
-# has since released.
-_WORKER_MAPPINGS = 16
 
 
 def _worker_init(spec: TrainerSpec, datasets: dict, blas_cap: int) -> None:
     limit_blas_threads(blas_cap)
     _WORKER["trainer"] = spec.build()
     _WORKER["datasets"] = datasets
-    _WORKER["maps"] = OrderedDict()
-
-
-def _worker_row(handle: tuple) -> np.ndarray:
-    """The server's row ``handle`` names, mapped in this worker."""
-    from repro.core.storage import open_handle
-
-    maps = _WORKER["maps"]
-    token = handle[0]
-    if token in maps:
-        maps.move_to_end(token)
-    row = open_handle(handle, maps)
-    while len(maps) > _WORKER_MAPPINGS:
-        maps.popitem(last=False)
-    return row
 
 
 def _process_leg(task: dict):
     """One client's leg inside a pool worker: :func:`run_leg` from the
-    server's dispatch row into its upload row, both mapped in place, on
-    the worker's cached shard with the client's shipped RNG state.  Only
-    the scalars and the advanced RNG state return."""
+    server's dispatch row into its upload row, both mapped in place for
+    this leg only (:func:`~repro.core.storage.open_handle`), on the
+    worker's cached shard with the client's shipped RNG state.  Only the
+    scalars and the advanced RNG state return."""
+    from repro.core.storage import open_handle  # lazy: core imports fl
+
     rng = np.random.default_rng()
     rng.bit_generator.state = task["rng_state"]
     scalars = run_leg(
         _WORKER["trainer"],
-        _worker_row(task["dispatch"]),
-        _worker_row(task["upload"]),
+        open_handle(task["dispatch"]),
+        open_handle(task["upload"]),
         _WORKER["datasets"][task["client_id"]],
         rng,
         loss_hook=task["loss_hook"],

@@ -93,11 +93,16 @@ def knob_error(f, value) -> ValueError | None:
 
 def check_knobs(table, owner: str | None = None) -> None:
     """Run every field's knob check on the dataclass instance ``table``;
-    the error names the field (after ``owner``, when given)."""
+    the error names the field (after ``owner``, when given).  A named
+    knob's value is stored lowercased, as its registry keys it, so code
+    that reads it compares one spelling."""
     for f in fields(table):
-        error = knob_error(f, getattr(table, f.name))
+        value = getattr(table, f.name)
+        error = knob_error(f, value)
         if error is not None:
             raise error if owner is None else type(error)(f"{owner}: {error}")
+        if f.metadata["registry"] is not None and isinstance(value, str):
+            object.__setattr__(table, f.name, value.lower())
 
 
 def parse_knobs(cls, options: Mapping, owner: str):

@@ -24,10 +24,12 @@ The shared-memory medium a ``process`` run's server allocates its rows
 on (``medium=shm``: one family for the module, so cells recycle its
 segments) runs as ``dense`` and at every ``sharded`` shard count; where
 a row lives in shared memory or a memmap file, its handle opened in a
-separate interpreter reads the same bytes.
+separate interpreter reads the same bytes, and opened in this one maps
+only the pages the row spans, for as long as the array lives.
 """
 
 import hashlib
+import mmap
 import os
 import subprocess
 import sys
@@ -42,6 +44,7 @@ from repro.core.selection import CoModelSel
 from repro.core.storage import (
     ShardedStorage,
     available_backends,
+    open_handle,
     resolve_backend,
     row_handle,
     shared_medium,
@@ -104,7 +107,7 @@ _READER = """
 import ast, hashlib, sys
 from repro.core.storage import open_handle
 for line in sys.stdin:
-    rows = [open_handle(handle, {}) for handle in ast.literal_eval(line)]
+    rows = [open_handle(handle) for handle in ast.literal_eval(line)]
     print(" ".join(hashlib.sha256(row.tobytes()).hexdigest() for row in rows), flush=True)
 """
 
@@ -236,6 +239,43 @@ class TestRowProtocol:
         assert all((handle is not None) == mapped for handle in handles)
         if mapped:
             assert reader(handles) == [hashlib.sha256(row.tobytes()).hexdigest() for row in rows]
+
+
+def _mappings(path: str) -> list:
+    """``(start, end)`` of every mapping of ``path`` in this process."""
+    with open("/proc/self/maps") as maps:
+        lines = [line.split(maxsplit=5) for line in maps]
+    return [
+        tuple(int(x, 16) for x in cols[0].split("-"))
+        for cols in lines if len(cols) == 6 and cols[5].strip() == path
+    ]
+
+
+class TestOpenedHandles:
+    def test_a_handle_maps_the_pages_of_its_row_while_the_array_lives(self, name, options):
+        """On a shared-memory segment or a memmap file, an opened row is a
+        window of the pages the row's bytes span (from its offset rounded
+        down to a granule: under the row's bytes plus two granules), and
+        the window is unmapped with the array."""
+        storage = resolve_backend(name).allocate((3, 5000), **options)
+        if not (isinstance(storage, ShardedStorage) and storage.placement != "dense"):
+            return  # heap and remote rows have no handle
+        granule, page = mmap.ALLOCATIONGRANULARITY, mmap.PAGESIZE
+        for i in range(3):
+            row = np.asarray(storage.row(i))
+            row[:] = np.arange(row.size, dtype=row.dtype) + i
+            handle = row_handle(row)
+            (kind, where), offset = handle[0], handle[1]
+            path = "/dev/shm/" + where if kind == "shm" else os.path.realpath(where)
+            before = _mappings(path)
+            opened = open_handle(handle)
+            _same(opened, row)
+            start = opened.ctypes.data - offset % granule
+            size = -(-(offset % granule + row.nbytes) // page) * page
+            assert sorted(set(_mappings(path)) - set(before)) == [(start, start + size)]
+            assert size < row.nbytes + 2 * granule
+            del opened
+            assert _mappings(path) == before
 
 
 class TestPoolOperations:

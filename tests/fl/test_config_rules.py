@@ -86,10 +86,17 @@ def test_rule_fires_at_construction_naming_every_knob(name, monkeypatch):
     [
         dict(backend="sharded", shards=3, shard_placement="memmap"),
         dict(backend="distributed", shard_placement="memmap"),
+        # A name in any case is its registry's name: stored lowercased
+        # before RULES compare it.
+        dict(backend="Sharded", shards=3),
+        dict(round_mode="ASYNC", max_staleness=1, method="fedcross"),
     ],
 )
 def test_valid_combinations_pass(kwargs):
-    FLConfig(**kwargs)
+    config = FLConfig(**kwargs)
+    for knob in NAMED:
+        value = getattr(config, knob)
+        assert value is None or value == value.lower(), (knob, value)
 
 
 #: The knobs whose value is a name in a registry.

@@ -4,13 +4,15 @@ Process legs train in the server's own rows: the server keeps its pool,
 upload and global rows in one shared-memory family
 (:func:`repro.core.storage.shared_medium`) whose segments are recycled
 round after round and unlinked with the server.  A ``memmap`` server
-recycles its files through the same free list.
+recycles its files through the same free list.  A worker maps a leg's
+two rows for that leg only, so no row's pages stay in it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import gc
+import mmap
 import os
 
 import pytest
@@ -189,5 +191,32 @@ def test_a_group_holds_the_rows_its_legs_read():
         assert len(list(stream_legs(group, active, rows))) == len(active)
         gc.collect()
         assert len(free.get(size, [])) == spare + len(active)
+    finally:
+        server.executor.close()
+
+
+def _rss_shmem_bytes() -> int:
+    """This process's resident shared memory (in a worker: its mapped rows)."""
+    with open("/proc/self/status") as status:
+        kb = next(line.split()[1] for line in status if line.startswith("RssShmem:"))
+    return int(kb) * 1024
+
+
+def test_a_worker_keeps_no_row_mapped_between_legs():
+    """After a 4-round fit in which one worker trained every leg, the
+    shared memory it holds has grown by at most the pages of a leg's two
+    rows — not by every pool and upload row it ever read or wrote."""
+    sim = FLSimulation(
+        FLConfig(**BASE, execution="process", workers=1, method="fedcross", rounds=4)
+    )
+    server = sim.server
+    try:
+        server.executor.worker_blas_threads()  # start the worker
+        before = server.executor._pool.submit(_rss_shmem_bytes).result()
+        server.fit()
+        after = server.executor._pool.submit(_rss_shmem_bytes).result()
+        row_pages = -(-server.pool.matrix[0].nbytes // mmap.PAGESIZE) + 1
+        assert row_pages > 10  # a row spans many pages
+        assert after - before <= 2 * row_pages * mmap.PAGESIZE, (before, after)
     finally:
         server.executor.close()

@@ -10,10 +10,12 @@ thread variables removed, as the driver runs it; the harness is read,
 never changed.  The child prints its ``VmRSS`` / ``VmHWM`` after set-up
 and after every ``dispatch`` / ``start_collect`` / ``collect`` /
 ``aggregate`` / ``evaluate`` of the fit, and beside them the
-``RssAnon`` / ``RssShmem`` of its live children (``process`` workers,
-shard hosts), all in MB from ``/proc``.  ``--replace`` takes a JSON
-object of ``FLConfig`` fields to override (a smaller model, fewer
-clients).  Standard library only; Linux only.
+``RssAnon`` / ``RssShmem`` / ``VmHWM`` of its live children (``process``
+workers, shard hosts), all in MB from ``/proc``.  A child's ``VmHWM`` is
+what the harness's ``peak_rss_mb`` charges for it (``RUSAGE_CHILDREN``
+``ru_maxrss`` is the largest reaped child's high-water).  ``--replace``
+takes a JSON object of ``FLConfig`` fields to override (a smaller model,
+fewer clients).  Standard library only; Linux only.
 """
 
 from __future__ import annotations
@@ -45,10 +47,12 @@ def _line(phase: str, round_idx: "int | str", child_pids) -> str:
     kids = []
     for pid in child_pids():
         try:
-            mem = _status(pid, ("RssAnon", "RssShmem"))
+            mem = _status(pid, ("RssAnon", "RssShmem", "VmHWM"))
         except OSError:
             continue  # exited while we looked
-        kids.append(f"{pid}:{mem.get('RssAnon', 0.0):.1f}/{mem.get('RssShmem', 0.0):.1f}")
+        kids.append(f"{pid}:" + "/".join(
+            f"{mem.get(name, 0.0):.1f}" for name in ("RssAnon", "RssShmem", "VmHWM")
+        ))
     return (f"{phase:<14}{round_idx!s:>6}{own['VmRSS']:>10.1f}{own['VmHWM']:>10.1f}  "
             + " ".join(kids))
 
@@ -67,7 +71,7 @@ def child(args) -> int:
     sim = simulation.FLSimulation(config)
     server = sim.server
     print(f"{'phase':<14}{'round':>6}{'VmRSS':>10}{'VmHWM':>10}  "
-          "children pid:RssAnon/RssShmem (MB)", flush=True)
+          "children pid:RssAnon/RssShmem/VmHWM (MB)", flush=True)
     print(_line("setup", "-", child_pids), flush=True)
 
     def wrap(name):
